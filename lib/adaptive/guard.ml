@@ -31,6 +31,16 @@ let default =
     inject = Inject.none;
   }
 
+(* No fuel, no budget, no injection: every checkpoint answers [Continue],
+   so running an engine under it is running it unsupervised. *)
+let inert = { default with max_replans = 0 }
+
+let is_inert cfg =
+  cfg.max_replans <= 0
+  && Option.is_none cfg.budget.max_seconds
+  && Option.is_none cfg.budget.max_cells
+  && Inject.is_none cfg.inject
+
 let with_budget_ms ms cfg =
   if ms < 0.0 then invalid_arg "Guard.with_budget_ms: negative budget";
   { cfg with budget = { cfg.budget with max_seconds = Some (ms /. 1e3) } }
@@ -47,6 +57,7 @@ type verdict = Continue | Replan | Degrade
 
 type t = {
   cfg : config;
+  live : bool;  (* publishes counters and records outcomes *)
   t0 : float;
   mutable replans_left : int;
   mutable replanned : bool;
@@ -60,6 +71,7 @@ let start cfg =
     invalid_arg "Guard.start: chunk sizes must be >= 1";
   {
     cfg;
+    live = not (is_inert cfg);
     t0 = Timer.now ();
     replans_left = cfg.max_replans;
     replanned = false;
@@ -75,7 +87,7 @@ let elapsed t = Timer.now () -. t.t0
 
 let tick t =
   t.checkpoints <- t.checkpoints + 1;
-  Jp_obs.incr c_checkpoints
+  if t.live then Jp_obs.incr c_checkpoints
 
 let check_budget t ~cells =
   tick t;
@@ -106,8 +118,10 @@ let note_replan t =
   Jp_obs.incr c_replans
 
 let note_degrade t =
-  if not t.degraded then Jp_obs.incr c_degrades;
-  t.degraded <- true
+  if t.live then begin
+    if not t.degraded then Jp_obs.incr c_degrades;
+    t.degraded <- true
+  end
 
 let replanned t = t.replanned
 

@@ -24,7 +24,8 @@
     coordinating domain).  Engines consult it once per chunk or phase,
     never per tuple, mirroring the [Jp_obs.recording] instrumentation
     rule.  Checkpoint/replan/degrade totals are published to the
-    [guard.*] counters of {!Jp_obs} while recording is on. *)
+    [guard.*] counters of {!Jp_obs} while recording is on, except by an
+    {!inert} guard. *)
 
 type budget = {
   max_seconds : float option;
@@ -54,6 +55,14 @@ type config = {
 val default : config
 (** Divergence 8, checkpoints every 4096 rows, probe 1024 rows, one
     re-plan, no budget, no injection. *)
+
+val inert : config
+(** {!default} without re-planning fuel: no budget, no fuel, no
+    injection, so every checkpoint answers [Continue].  A guard started
+    from it (or from any config with the same three properties)
+    publishes no [guard.*] counters and never records a re-plan or a
+    degradation.  It is what the engines run under when [?guard] is
+    absent: one execution path, results identical. *)
 
 val with_budget_ms : float -> config -> config
 (** Set [budget.max_seconds] from milliseconds. *)
@@ -97,6 +106,7 @@ val note_replan : t -> unit
 (** The engine actually re-planned (consumes one unit of fuel). *)
 
 val note_degrade : t -> unit
+(** Record a degradation; a no-op on an {!inert} guard. *)
 
 val replanned : t -> bool
 

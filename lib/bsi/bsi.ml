@@ -51,10 +51,7 @@ let cached_answers ~domains ~cache ~cancel ~r ~s queries =
   Jp_obs.span "bsi.probe" (fun () ->
       Array.mapi
         (fun i (a, b) ->
-          (if i land 1023 = 0 then
-             match cancel with
-             | Some c -> Jp_util.Cancel.check c
-             | None -> ());
+          if i land 1023 = 0 then Jp_util.Cancel.check_opt cancel;
           let from_product =
             match artifact with
             | None -> false
@@ -72,7 +69,7 @@ let cached_answers ~domains ~cache ~cancel ~r ~s queries =
 let answer_batch ?(domains = 1) ?(strategy = Mm) ?guard ?cancel ?cache ~r ~s
     queries =
   Jp_obs.span "bsi.answer_batch" (fun () ->
-      (match cancel with Some c -> Jp_util.Cancel.check c | None -> ());
+      Jp_util.Cancel.check_opt cancel;
       match (cache, strategy) with
       | Some cache, Mm -> cached_answers ~domains ~cache ~cancel ~r ~s queries
       | _ ->

@@ -14,8 +14,8 @@
       decision for acyclic queries);
     - {!two_path} / {!star} execute a carved fragment through
       {!Two_path.project} / {!Star.project}, threading the full execution
-      context ([?guard], [?cancel], [?memo]) with the usual byte-identical
-      -when-absent guarantee.
+      context ([?guard], [?cancel], [?memo]); absent, each is an inert
+      value through the same path, with identical results.
 
     A star gate has no dedicated cost model: it is approximated by the
     2-path gate over the fragment's two largest relations (both oriented

@@ -55,7 +55,7 @@ let make_unspanned ~r ~s ~d1 ~d2 =
 
 let make ?cancel ~r ~s ~d1 ~d2 () =
   if d1 < 1 || d2 < 1 then invalid_arg "Partition.make: thresholds must be >= 1";
-  (match cancel with Some c -> Jp_util.Cancel.check c | None -> ());
+  Jp_util.Cancel.check_opt cancel;
   Jp_obs.span "partition.make" (fun () -> make_unspanned ~r ~s ~d1 ~d2)
 
 let is_light_y t y = y >= Array.length t.light_y || t.light_y.(y)

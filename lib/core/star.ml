@@ -4,6 +4,7 @@ module Boolmat = Jp_matrix.Boolmat
 module Vec = Jp_util.Vec
 module Obs = Jp_obs
 module Cancel = Jp_util.Cancel
+module Guard = Jp_adaptive.Guard
 
 type strategy = Matrix | Combinatorial
 
@@ -13,12 +14,8 @@ type strategy = Matrix | Combinatorial
    keeps the poll off the common path entirely). *)
 let poll_every = 256
 
-let check_cancel = function Some c -> Cancel.check c | None -> ()
-
 let maybe_check cancel i =
-  match cancel with
-  | Some c when i land (poll_every - 1) = 0 -> Cancel.check c
-  | _ -> ()
+  if i land (poll_every - 1) = 0 then Cancel.check_opt cancel
 
 let full_join_size rels = Jp_wcoj.Star.join_size rels
 
@@ -156,25 +153,26 @@ let phase phases name f =
   end
   else f ()
 
+(* A time-budget checkpoint: a blown budget vetoes the matrix step. *)
+let degrade_on_budget g strategy =
+  if strategy = Matrix && Guard.check_budget g ~cells:0 = Guard.Degrade then begin
+    Guard.note_degrade g;
+    Combinatorial
+  end
+  else strategy
+
 let project_impl ~strategy ~thresholds ~guard ~cancel rels =
-  let module Guard = Jp_adaptive.Guard in
   let k = Array.length rels in
   if k < 2 then invalid_arg "Star.project: arity must be >= 2";
-  check_cancel cancel;
+  Cancel.check_opt cancel;
   let t_start = Jp_util.Timer.now () in
   let phases = ref [] in
-  let g = Option.map Guard.start guard in
+  let g = Guard.start guard in
   (* Entry checkpoint: an already-blown time budget forbids the matrix
      step before any work is done.  Star thresholds are input-derived
      (no |OUT| estimate to inject or re-plan), so the guard's job here is
      budgets and outcome recording. *)
-  let strategy =
-    match g with
-    | Some g when strategy = Matrix && Guard.check_budget g ~cells:0 = Guard.Degrade ->
-      Guard.note_degrade g;
-      Combinatorial
-    | _ -> strategy
-  in
+  let strategy = degrade_on_budget g strategy in
   let d1, d2 = match thresholds with Some t -> t | None -> choose_thresholds rels in
   let dims = Array.map Relation.src_count rels in
   let builder = Tuples.create_builder ~arity:k ~dims in
@@ -192,7 +190,7 @@ let project_impl ~strategy ~thresholds ~guard ~cancel rels =
   (* Step 1: light-x sub-joins. *)
   phase phases "light-x" (fun () ->
       for j = 0 to k - 1 do
-        check_cancel cancel;
+        Cancel.check_opt cancel;
         Jp_wcoj.Star.iter_full
           ~restrict:(j, fun c _ -> Relation.deg_src rels.(j) c <= d2)
           rels add
@@ -200,7 +198,7 @@ let project_impl ~strategy ~thresholds ~guard ~cancel rels =
   (* Step 2: light-y sub-joins. *)
   phase phases "light-y" (fun () ->
       for j = 0 to k - 1 do
-        check_cancel cancel;
+        Cancel.check_opt cancel;
         Jp_wcoj.Star.iter_full
           ~restrict:(j, fun _ y -> light_in_all_others j y)
           rels add
@@ -253,25 +251,15 @@ let project_impl ~strategy ~thresholds ~guard ~cancel rels =
      budget can still veto the matrices, and the cells budget tightens the
      interning cap so u·v + v·w stays within it (the product itself is
      streamed in O(w)). *)
-  let strategy =
-    match g with
-    | Some g when strategy = Matrix && Guard.check_budget g ~cells:0 = Guard.Degrade ->
-      Guard.note_degrade g;
-      Combinatorial
-    | _ -> strategy
-  in
+  let strategy = degrade_on_budget g strategy in
   let combo_cap =
     let default = 5_000_000 in
-    match g with
-    | Some g -> (
-      match (Guard.config g).Guard.budget.Guard.max_cells with
-      | Some cells ->
-        min default (cells / (2 * max 1 (Array.length qualifying_ys)))
-      | None -> default)
+    match (Guard.config g).Guard.budget.Guard.max_cells with
+    | Some cells -> min default (cells / (2 * max 1 (Array.length qualifying_ys)))
     | None -> default
   in
   let heavy_path = ref "comb" in
-  check_cancel cancel;
+  Cancel.check_opt cancel;
   (match strategy with
   | Combinatorial ->
     phase phases "heavy-comb" (fun () -> combinatorial_heavy ())
@@ -283,12 +271,12 @@ let project_impl ~strategy ~thresholds ~guard ~cancel rels =
                 ~dims k ~combo_cap ()));
       heavy_path := "mm"
     with Matrix_overflow ->
-      (match g with Some g -> Guard.note_degrade g | None -> ());
+      Guard.note_degrade g;
       phase phases "heavy-comb" (fun () -> combinatorial_heavy ())));
   let result = phase phases "build" (fun () -> Tuples.build builder) in
   if Obs.recording () then
     Obs.record_plan ~label:"star"
-      ~degraded:(match g with Some g -> Guard.degraded g | None -> false)
+      ~degraded:(Guard.degraded g)
       ~decision:(Printf.sprintf "star-%s(d1=%d,d2=%d)" !heavy_path d1 d2)
       ~est_out:(-1) ~join_size:(full_join_size rels) ~est_seconds:Float.nan
       ~actual_out:(Tuples.count result)
@@ -296,6 +284,7 @@ let project_impl ~strategy ~thresholds ~guard ~cancel rels =
       ~phases:(List.rev !phases) ();
   result
 
-let project ?domains:_ ?(strategy = Matrix) ?thresholds ?guard ?cancel rels =
+let project ?domains:_ ?(strategy = Matrix) ?thresholds ?(guard = Guard.inert)
+    ?cancel rels =
   Obs.span "star.project" (fun () ->
       project_impl ~strategy ~thresholds ~guard ~cancel rels)

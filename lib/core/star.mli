@@ -48,9 +48,12 @@ val project :
     tightens the matrix interning cap, and a [Matrix_overflow] fallback is
     recorded as a degradation in the plan-vs-actual record.
 
+    Without [guard] the engine runs under {!Jp_adaptive.Guard.inert}:
+    the same path, no outcome recorded, identical results.
+
     [cancel] is polled before each sub-join and every few hundred
     iterations of the qualify/intern/product/enumeration loops; absent,
-    the code path is exactly the historical one. *)
+    the polls do nothing. *)
 
 val choose_thresholds : Relation.t array -> int * int
 (** Closed-form threshold choice in the spirit of Example 4: balances the

@@ -6,6 +6,8 @@ module Intmat = Jp_matrix.Intmat
 module Vec = Jp_util.Vec
 module Obs = Jp_obs
 module Cancel = Jp_util.Cancel
+module Guard = Jp_adaptive.Guard
+module Inject = Jp_adaptive.Inject
 
 type strategy = Matrix | Combinatorial
 
@@ -15,8 +17,7 @@ type strategy = Matrix | Combinatorial
    heavy-part matrix product identified by its thresholds — and may
    return a previously built value for the same (r, s, thresholds)
    instead of calling it.  A memo is specific to the (r, s) pair it was
-   created for.  [no_memo] (the default) calls every builder directly,
-   so the unhooked paths stay byte-identical. *)
+   created for.  [no_memo] (the default) calls every builder directly. *)
 type memo = {
   memo_prepared : (unit -> Optimizer.prepared) -> Optimizer.prepared;
   memo_bool_product : d1:int -> d2:int -> (unit -> Boolmat.t) -> Boolmat.t;
@@ -47,16 +48,6 @@ let no_memo =
       (fun ~d1:_ ~d2:_ ~tile_bits:_ ~ti:_ ~tj:_ build -> build ());
     memo_count_tile = (fun ~d1:_ ~tile_bits:_ ~ti:_ ~tj:_ build -> build ());
   }
-
-(* Cancellation support.  [check_cancel] is the phase-boundary
-   checkpoint; chunked merge loops poll every [poll_rows] rows (the
-   guard-checkpoint granularity), reusing one merge scratch across
-   sub-chunks — stamps are row ids, distinct across chunks, so stale
-   stamps cannot collide.  With [?cancel] absent every loop below runs
-   its historical one-shot body. *)
-let check_cancel = function Some c -> Cancel.check c | None -> ()
-
-let poll_rows = 4096
 
 (* Measures one engine phase for the plan-vs-actual record; [f] may open
    its own spans, so this deliberately does not open one.  Top-level (and
@@ -97,19 +88,24 @@ let heavy_matrices ~domains ~r ~s (p : Partition.t) =
       in
       Array.iteri
         (fun j b ->
-          if b < Relation.dst_count s then
-            Array.iter
-              (fun c ->
-                let l = p.z_index.(c) in
-                if l >= 0 then Boolmat.set m2 j l)
-              (Relation.adj_dst s b))
+          Array.iter
+            (fun c ->
+              let l = p.z_index.(c) in
+              if l >= 0 then Boolmat.set m2 j l)
+            (Relation.adj_dst s b))
         p.heavy_y;
       Boolmat.mul ~domains m1 m2)
+
+(* A y that S does not have has no S tuples: widening S's y domain to
+   R's once per call keeps every [adj_dst s b] below in bounds without
+   per-tuple checks. *)
+let cover_dst ~r s = Relation.widen_dst s (Relation.dst_count r)
 
 (* Public alias: the BSI fast path builds (and caches) the same product
    over a full-relation partition, answering heavy-heavy point queries
    straight from its bits. *)
-let heavy_product ?(domains = 1) ~r ~s p = heavy_matrices ~domains ~r ~s p
+let heavy_product ?(domains = 1) ~r ~s p =
+  heavy_matrices ~domains ~r ~s:(cover_dst ~r s) p
 
 (* Tiled sibling of [heavy_matrices]: the operands are handed to
    [Jp_tile] as lazy adjacency sources, so the full M₁/M₂ are never
@@ -136,13 +132,11 @@ let heavy_matrices_tiled ?cancel ?checkpoint ~tile ~memo ~domains ~r ~s
       let src_b =
         Jp_tile.Source.of_adjacency ~rows:v ~cols:w (fun j ->
             let bits = Vec.create () in
-            let y = p.heavy_y.(j) in
-            if y < Relation.dst_count s then
-              Array.iter
-                (fun c ->
-                  let l = p.z_index.(c) in
-                  if l >= 0 then Vec.push bits l)
-                (Relation.adj_dst s y);
+            Array.iter
+              (fun c ->
+                let l = p.z_index.(c) in
+                if l >= 0 then Vec.push bits l)
+              (Relation.adj_dst s p.heavy_y.(j));
             Vec.to_array bits)
       in
       Jp_tile.mul ~domains ?cancel ?checkpoint
@@ -151,27 +145,27 @@ let heavy_matrices_tiled ?cancel ?checkpoint ~tile ~memo ~domains ~r ~s
              ~tile_bits:tile.Jp_tile.tile_bits)
         tile src_a src_b)
 
-(* The heavy boolean product behind the tiling gate: with a [?tile]
-   config present and the cost model agreeing (operands big enough, or
-   bigger than the configured resident budget), stream through
-   [Jp_tile] with per-tile memo keys; otherwise the historical flat
-   kernel behind the whole-product memo hook — byte-identical when
-   [tile] is [None]. *)
+(* The tiling gate: a [?tile] config applies when it forces tiling or
+   the cost model agrees (operands big enough, or bigger than the
+   configured resident budget). *)
+let tiling tile kind ~u ~v ~w =
+  match tile with
+  | Some cfg
+    when cfg.Jp_tile.force
+         || Jp_matrix.Cost.should_tile ?budget_bytes:cfg.Jp_tile.budget_bytes
+              kind ~u ~v ~w () ->
+    Some cfg
+  | _ -> None
+
+(* The heavy boolean product behind the tiling gate: tiled, it streams
+   through [Jp_tile] with per-tile memo keys; otherwise the flat kernel
+   runs behind the whole-product memo hook. *)
 let heavy_bool_product ?cancel ?checkpoint ~tile ~memo ~domains ~r ~s
     (p : Partition.t) =
-  let tiled =
-    match tile with
-    | None -> None
-    | Some cfg ->
-      if
-        cfg.Jp_tile.force
-        || Jp_matrix.Cost.should_tile ?budget_bytes:cfg.Jp_tile.budget_bytes
-             Jp_matrix.Cost.Boolean ~u:(Array.length p.heavy_x)
-             ~v:(Array.length p.heavy_y) ~w:(Array.length p.heavy_z) ()
-      then Some cfg
-      else None
-  in
-  match tiled with
+  match
+    tiling tile Jp_matrix.Cost.Boolean ~u:(Array.length p.heavy_x)
+      ~v:(Array.length p.heavy_y) ~w:(Array.length p.heavy_z)
+  with
   | Some cfg ->
     heavy_matrices_tiled ?cancel ?checkpoint ~tile:cfg ~memo ~domains ~r ~s p
   | None ->
@@ -182,30 +176,26 @@ let heavy_bool_product ?cancel ?checkpoint ~tile ~memo ~domains ~r ~s
    heavy-z halves once (O(N)); the per-x merge loop would otherwise rescan
    whole inverted lists just to filter them, degenerating to the full join
    when few values are light. *)
-let split_heavy_s ~r ~s (p : Partition.t) =
-  let ny = max (Relation.dst_count r) (Relation.dst_count s) in
+let split_heavy_s ~s (p : Partition.t) =
+  let ny = Relation.dst_count s in
   let s_light_of_heavy_y = Array.make ny [||] in
   let s_heavy_of_heavy_y = Array.make ny [||] in
   Array.iter
     (fun b ->
-      if b < Relation.dst_count s then begin
-        let zs = Relation.adj_dst s b in
-        let light = Vec.create () and heavy = Vec.create () in
-        Array.iter
-          (fun c ->
-            if Relation.deg_src s c <= p.d2 then Vec.push light c
-            else Vec.push heavy c)
-          zs;
-        s_light_of_heavy_y.(b) <- Vec.to_array light;
-        s_heavy_of_heavy_y.(b) <- Vec.to_array heavy
-      end)
+      let light = Vec.create () and heavy = Vec.create () in
+      Array.iter
+        (fun c ->
+          if Relation.deg_src s c <= p.d2 then Vec.push light c
+          else Vec.push heavy c)
+        (Relation.adj_dst s b);
+      s_light_of_heavy_y.(b) <- Vec.to_array light;
+      s_heavy_of_heavy_y.(b) <- Vec.to_array heavy)
     p.heavy_y;
   (s_light_of_heavy_y, s_heavy_of_heavy_y)
 
-(* Reusable per-worker merge scratch.  The guarded chunked loop keeps one
-   across chunks (stamp values are row ids, distinct across chunks, so
-   stale stamps can never collide); the parallel path allocates one per
-   worker as before. *)
+(* Per-worker merge scratch, reused across the chunks of one worker:
+   stamp values are row ids, distinct across chunks, so stale stamps can
+   never collide. *)
 type merge_scratch = { stamps : int array; buf : Vec.t }
 
 let merge_scratch ~s =
@@ -217,11 +207,8 @@ let merge_scratch ~s =
    all deduplicated with one stamp vector.  Returns the number of pairs
    produced — the observed-output statistic guard checkpoints
    extrapolate from. *)
-let merge_range ?scratch ~r ~s ~(p : Partition.t) ~product ~s_light_of_heavy_y
-    ~s_heavy_of_heavy_y ~rows lo hi =
-  let { stamps; buf } =
-    match scratch with Some sc -> sc | None -> merge_scratch ~s
-  in
+let merge_range ~scratch:{ stamps; buf } ~r ~s ~(p : Partition.t) ~product
+    ~s_light_of_heavy_y ~s_heavy_of_heavy_y ~rows lo hi =
   let obs = Obs.recording () in
   let light_scans = ref 0 and presented = ref 0 and produced = ref 0 in
   for a = lo to hi - 1 do
@@ -275,53 +262,6 @@ let merge_range ?scratch ~r ~s ~(p : Partition.t) ~product ~s_light_of_heavy_y
   end;
   !produced
 
-let partitioned_project ?cancel ?tile ~phases ~domains ~strategy ~memo ~r ~s
-    (p : Partition.t) =
-  check_cancel cancel;
-  let product =
-    match strategy with
-    | Matrix ->
-      Some
-        (phase phases "heavy-mm" (fun () ->
-             heavy_bool_product ?cancel ~tile ~memo ~domains ~r ~s p))
-    | Combinatorial -> None
-  in
-  check_cancel cancel;
-  phase phases "light-merge" (fun () ->
-      Obs.span "two_path.light_merge" (fun () ->
-          let s_light_of_heavy_y, s_heavy_of_heavy_y = split_heavy_s ~r ~s p in
-          let nx = Relation.src_count r in
-          let rows = Array.make nx [||] in
-          let worker lo hi =
-            match cancel with
-            | None ->
-              ignore
-                (merge_range ~r ~s ~p ~product ~s_light_of_heavy_y
-                   ~s_heavy_of_heavy_y ~rows lo hi)
-            | Some c ->
-              let scratch = merge_scratch ~s in
-              let i = ref lo in
-              while !i < hi && not (Cancel.is_cancelled c) do
-                let j = min hi (!i + poll_rows) in
-                ignore
-                  (merge_range ~scratch ~r ~s ~p ~product ~s_light_of_heavy_y
-                     ~s_heavy_of_heavy_y ~rows !i j);
-                i := j
-              done
-          in
-          if domains <= 1 then worker 0 nx
-          else begin
-            let per = (nx + domains - 1) / domains in
-            Jp_parallel.Pool.parallel_for_ranges ?cancel ~domains ~chunk:per
-              ~lo:0 ~hi:nx worker
-          end;
-          check_cancel cancel;
-          Pairs.of_rows_unchecked rows))
-
-(* ------------------------------------------------------------------ *)
-(* Guarded boolean evaluation (adaptive plan guards)                   *)
-(* ------------------------------------------------------------------ *)
-
 (* Matrix cells the partition would materialize (u·v + v·w + u·w) — the
    intermediate-size quantity {!Guard.budget}'s [max_cells] bounds. *)
 let partition_cells (p : Partition.t) =
@@ -330,15 +270,26 @@ let partition_cells (p : Partition.t) =
   and w = Array.length p.heavy_z in
   (u * v) + (v * w) + (u * w)
 
-(* Supervised execution of [plan0].  Checkpoints (all once per chunk or
-   phase, never per tuple):
+(* Guard checkpoint that can only mark the outcome: the work it guards
+   is already the cheapest path left. *)
+let note_budget g =
+  match Guard.check_budget g ~cells:0 with
+  | Guard.Degrade -> Guard.note_degrade g
+  | Guard.Continue | Guard.Replan -> ()
+
+(* Algorithm 1 on [plan0], supervised by the guard [g].  Without a
+   caller's guard [g] is {!Guard.inert}: every checkpoint answers
+   [Continue] and this is the plain plan → partition → heavy MM → light
+   merge pipeline.  Checkpoints (all once per chunk or phase, never per
+   tuple):
 
    - entry: a zero time budget degrades before any work;
-   - Wcoj probe: after [probe_rows] rows, extrapolate |OUT| and re-plan if
-     it diverges from the estimate, or if a clean re-plan prefers the
-     matrix path by more than the divergence factor (an mm-cost
-     misestimate leaves est_out honest but the decision wrong) — a switch
-     keeps the rows already expanded and runs the new plan on the rest;
+   - Wcoj probe (only while re-planning fuel remains): after
+     [probe_rows] rows, extrapolate |OUT| and re-plan if it diverges
+     from the estimate, or if a clean re-plan prefers the matrix path by
+     more than the divergence factor (an mm-cost misestimate leaves
+     est_out honest but the decision wrong) — a switch keeps the rows
+     already expanded and runs the new plan on the rest;
    - post-partition, pre-MM: the cells budget vetoes the matrices
      (combinatorial heavy part instead), and the plan's est_seconds is
      compared against the honest cost of the chosen thresholds;
@@ -348,10 +299,9 @@ let partition_cells (p : Partition.t) =
 
    Re-planning is always done with clean (un-injected) statistics and
    bounded by the guard's fuel, so the recursion terminates.  A cancel
-   token is polled at exactly these checkpoints. *)
-let guarded_project ?cancel ?tile ~g ~prep ~domains ~strategy ~memo ~phases ~r
-    ~s plan0 =
-  let module Guard = Jp_adaptive.Guard in
+   token is polled at these checkpoints and between merge chunks. *)
+let execute ?cancel ?tile ~g ~prep ~domains ~strategy ~memo ~phases ~r ~s
+    plan0 =
   let cfg = Guard.config g in
   let nx = Relation.src_count r in
   (* Effective chunk sizes: bounded by the config but scaled to the x
@@ -386,15 +336,14 @@ let guarded_project ?cancel ?tile ~g ~prep ~domains ~strategy ~memo ~phases ~r
       | Optimizer.Wcoj -> run_wcoj plan lo
       | Optimizer.Partitioned { d1; d2 } -> run_partitioned plan ~d1 ~d2 lo
   and run_wcoj plan lo =
-    let probe_hi = min nx (lo + probe) in
+    (* Without fuel the probe could only mark an outcome: skip the split. *)
+    let probe_hi = if Guard.can_replan g then min nx (lo + probe) else nx in
     expand_into lo probe_hi;
     if probe_hi < nx then begin
-      check_cancel cancel;
+      Cancel.check_opt cancel;
       (* Wcoj already is the safe path: a blown budget only marks the
          outcome — the remaining rows still have to be expanded. *)
-      (match Guard.check_budget g ~cells:0 with
-      | Guard.Degrade -> Guard.note_degrade g
-      | Guard.Continue | Guard.Replan -> ());
+      note_budget g;
       let obs_out = max 1 (!produced * nx / probe_hi) in
       match
         Guard.check_estimate g
@@ -422,7 +371,7 @@ let guarded_project ?cancel ?tile ~g ~prep ~domains ~strategy ~memo ~phases ~r
       | Guard.Continue | Guard.Degrade -> expand_into probe_hi nx
     end
   and run_partitioned plan ~d1 ~d2 lo =
-    check_cancel cancel;
+    Cancel.check_opt cancel;
     let p =
       phase phases "partition" (fun () -> Partition.make ?cancel ~r ~s ~d1 ~d2 ())
     in
@@ -454,13 +403,7 @@ let guarded_project ?cancel ?tile ~g ~prep ~domains ~strategy ~memo ~phases ~r
            tiles run on the calling domain — worker domains race past
            sequential checkpoints (same rule as the chunked merge). *)
         let checkpoint =
-          if domains > 1 then None
-          else
-            Some
-              (fun () ->
-                match Guard.check_budget g ~cells:0 with
-                | Guard.Degrade -> Guard.note_degrade g
-                | Guard.Continue | Guard.Replan -> ())
+          if domains > 1 then None else Some (fun () -> note_budget g)
         in
         Some
           (phase phases "heavy-mm" (fun () ->
@@ -468,63 +411,37 @@ let guarded_project ?cancel ?tile ~g ~prep ~domains ~strategy ~memo ~phases ~r
                  ~s p))
       | Combinatorial -> None
     in
-    check_cancel cancel;
+    Cancel.check_opt cancel;
     let resume =
       phase phases "light-merge" (fun () ->
           Obs.span "two_path.light_merge" (fun () ->
-              let s_light_of_heavy_y, s_heavy_of_heavy_y = split_heavy_s ~r ~s p in
+              let s_light_of_heavy_y, s_heavy_of_heavy_y = split_heavy_s ~s p in
+              let merge scratch lo hi =
+                merge_range ~scratch ~r ~s ~p ~product ~s_light_of_heavy_y
+                  ~s_heavy_of_heavy_y ~rows lo hi
+              in
               if domains > 1 then begin
                 (* Worker domains race past any sequential checkpoint, so
                    parallel merges keep only the plan-time and pre-MM
-                   checks and run the range in one shot — unless a cancel
-                   token is present, in which case each worker sub-chunks
-                   and polls it. *)
-                let worker l h =
-                  match cancel with
-                  | None ->
-                    ignore
-                      (merge_range ~r ~s ~p ~product ~s_light_of_heavy_y
-                         ~s_heavy_of_heavy_y ~rows l h)
-                  | Some c ->
-                    let sc = merge_scratch ~s in
-                    let i = ref l in
-                    while !i < h && not (Cancel.is_cancelled c) do
-                      let j = min h (!i + check_chunk) in
-                      ignore
-                        (merge_range ~scratch:sc ~r ~s ~p ~product
-                           ~s_light_of_heavy_y ~s_heavy_of_heavy_y ~rows !i j);
-                      i := j
-                    done
-                in
-                let per = (nx - lo + domains - 1) / domains in
-                Jp_parallel.Pool.parallel_for_ranges ?cancel ~domains
-                  ~chunk:per ~lo ~hi:nx worker;
-                check_cancel cancel;
-                for a = lo to nx - 1 do
-                  produced := !produced + Array.length rows.(a)
-                done;
+                   checks; the split still polls the cancel token. *)
+                Jp_parallel.Pool.split_ranges ~domains ?cancel ~lo ~hi:nx
+                  ~scratch:(fun () -> merge_scratch ~s)
+                  (fun sc l h -> ignore (merge sc l h));
                 None
               end
               else begin
                 let resume = ref None in
                 let i = ref lo in
                 while !resume = None && !i < nx do
-                  check_cancel cancel;
+                  Cancel.check_opt cancel;
                   let hi = min nx (!i + check_chunk) in
-                  produced :=
-                    !produced
-                    + merge_range ~scratch:(Lazy.force scratch) ~r ~s ~p
-                        ~product ~s_light_of_heavy_y ~s_heavy_of_heavy_y ~rows
-                        !i hi;
+                  produced := !produced + merge (Lazy.force scratch) !i hi;
                   i := hi;
                   if !i < nx then begin
-                    (match Guard.check_budget g ~cells:0 with
-                    | Guard.Degrade ->
-                      (* Time blown mid-merge: the matrices are already
-                         built and nothing cheaper remains, so only the
-                         outcome is recorded. *)
-                      Guard.note_degrade g
-                    | Guard.Continue | Guard.Replan -> ());
+                    (* Time blown mid-merge: the matrices are already
+                       built and nothing cheaper remains, so only the
+                       outcome is recorded. *)
+                    note_budget g;
                     let obs_out = max 1 (!produced * nx / !i) in
                     match
                       Guard.check_estimate g
@@ -547,7 +464,7 @@ let guarded_project ?cancel ?tile ~g ~prep ~domains ~strategy ~memo ~phases ~r
   in
   (* Entry checkpoint: a zero (or already blown) time budget forbids
      matrix plans outright. *)
-  check_cancel cancel;
+  Cancel.check_opt cancel;
   (match Guard.check_budget g ~cells:0 with
   | Guard.Degrade ->
     Guard.note_degrade g;
@@ -556,81 +473,45 @@ let guarded_project ?cancel ?tile ~g ~prep ~domains ~strategy ~memo ~phases ~r
   run plan0 0;
   Pairs.of_rows_unchecked rows
 
-let project ?(domains = 1) ?(strategy = Matrix) ?plan ?guard ?cancel ?memo
-    ?tile ~r ~s () =
-  let memo = match memo with Some m -> m | None -> no_memo in
-  match guard with
-  | Some gcfg ->
-    let module Guard = Jp_adaptive.Guard in
-    let module Inject = Jp_adaptive.Inject in
-    Obs.span "two_path.project" (fun () ->
-        let t0 = Jp_util.Timer.now () in
-        let phases = ref [] in
-        let g = Guard.start gcfg in
-        let inj = Guard.inject g in
-        (* Built at most once per invocation: the initial plan forces it,
-           and every later checkpoint re-plan reuses it. *)
-        let prep = lazy (memo.memo_prepared (fun () -> Optimizer.prepare ~r ~s)) in
-        let plan =
-          match plan with
-          | Some p -> p
-          | None ->
-            phase phases "plan" (fun () ->
-                Optimizer.plan_prepared ~domains ~kind:Jp_matrix.Cost.Boolean
-                  ~est_out:(Inject.out inj (Estimator.estimate ~r ~s))
-                  ~mm_cost_scale:inj.Inject.mm_factor (Lazy.force prep) ())
-        in
-        let result =
-          guarded_project ?cancel ?tile ~g ~prep ~domains ~strategy ~memo
-            ~phases ~r ~s plan
-        in
-        if Obs.recording () then
-          Obs.record_plan ~label:"two_path" ~replanned:(Guard.replanned g)
-            ~degraded:(Guard.degraded g)
-            ~decision:(Optimizer.decision_to_string plan.decision)
-            ~est_out:plan.est_out ~join_size:plan.join_size
-            ~est_seconds:plan.est_seconds ~actual_out:(Pairs.count result)
-            ~actual_seconds:(Jp_util.Timer.now () -. t0)
-            ~phases:(List.rev !phases) ();
-        result)
-  | None ->
-    Obs.span "two_path.project" (fun () ->
-        let t0 = Jp_util.Timer.now () in
-        let phases = ref [] in
-        let plan =
-          match plan with
-          | Some p -> p
-          | None ->
-            (* [Optimizer.plan] is [plan_prepared (prepare ...)], so
-               routing the prepare through the memo hook changes nothing
-               when the hook is the identity. *)
-            phase phases "plan" (fun () ->
-                Optimizer.plan_prepared ~domains ~kind:Jp_matrix.Cost.Boolean
-                  (memo.memo_prepared (fun () -> Optimizer.prepare ~r ~s))
-                  ())
-        in
-        let result =
-          match plan.decision with
-          | Optimizer.Wcoj ->
-            phase phases "wcoj" (fun () ->
-                Jp_wcoj.Expand.project ~domains ?cancel ~r ~s ())
-          | Optimizer.Partitioned { d1; d2 } ->
-            check_cancel cancel;
-            let p =
-              phase phases "partition" (fun () ->
-                  Partition.make ?cancel ~r ~s ~d1 ~d2 ())
-            in
-            partitioned_project ?cancel ?tile ~phases ~domains ~strategy ~memo
-              ~r ~s p
-        in
-        if Obs.recording () then
-          Obs.record_plan ~label:"two_path"
-            ~decision:(Optimizer.decision_to_string plan.decision)
-            ~est_out:plan.est_out ~join_size:plan.join_size
-            ~est_seconds:plan.est_seconds ~actual_out:(Pairs.count result)
-            ~actual_seconds:(Jp_util.Timer.now () -. t0)
-            ~phases:(List.rev !phases) ();
-        result)
+(* The guard's injected |OUT| misestimation for the initial plan.  Without
+   one the optimizer estimates |OUT| itself, inside its own span. *)
+let injected_est_out inj ~r ~s =
+  if inj.Inject.out_factor = 1.0 then None
+  else Some (Inject.out inj (Estimator.estimate ~r ~s))
+
+let project ?(domains = 1) ?(strategy = Matrix) ?plan ?(guard = Guard.inert)
+    ?cancel ?(memo = no_memo) ?tile ~r ~s () =
+  let s = cover_dst ~r s in
+  Obs.span "two_path.project" (fun () ->
+      let t0 = Jp_util.Timer.now () in
+      let phases = ref [] in
+      let g = Guard.start guard in
+      (* Built at most once per invocation: the initial plan forces it,
+         and every later checkpoint re-plan reuses it. *)
+      let prep = lazy (memo.memo_prepared (fun () -> Optimizer.prepare ~r ~s)) in
+      let plan =
+        match plan with
+        | Some p -> p
+        | None ->
+          let inj = Guard.inject g in
+          phase phases "plan" (fun () ->
+              Optimizer.plan_prepared ~domains ~kind:Jp_matrix.Cost.Boolean
+                ?est_out:(injected_est_out inj ~r ~s)
+                ~mm_cost_scale:inj.Inject.mm_factor (Lazy.force prep) ())
+      in
+      let result =
+        execute ?cancel ?tile ~g ~prep ~domains ~strategy ~memo ~phases ~r ~s
+          plan
+      in
+      if Obs.recording () then
+        Obs.record_plan ~label:"two_path" ~replanned:(Guard.replanned g)
+          ~degraded:(Guard.degraded g)
+          ~decision:(Optimizer.decision_to_string plan.decision)
+          ~est_out:plan.est_out ~join_size:plan.join_size
+          ~est_seconds:plan.est_seconds ~actual_out:(Pairs.count result)
+          ~actual_seconds:(Jp_util.Timer.now () -. t0)
+          ~phases:(List.rev !phases) ();
+      result)
 
 let project_with_plan_info ?(domains = 1) ?(strategy = Matrix) ?guard ?cancel
     ?tile ~r ~s () =
@@ -644,15 +525,15 @@ let project_with_plan_info ?(domains = 1) ?(strategy = Matrix) ?guard ?cancel
 (* A pair's witnesses can be split between light and heavy y values, so
    counts from the expansion and from the count-matrix product are summed
    per pair before freezing the row.  Also returns whether the count
-   matrices were actually used — [false] means the cell cap (or an
-   explicit [~matrix:false]) forced the combinatorial fallback, which the
-   guarded path records as a degradation. *)
+   matrices were actually used — [false] means the cell cap forced the
+   combinatorial fallback, which a guard records as a degradation. *)
 let counted_partitioned ?cancel ?tile ?checkpoint ~phases ~domains ~memo ~r ~s
-    ~d1 ~matrix ~cap () =
-  let ny = max (Relation.dst_count r) (Relation.dst_count s) in
+    ~d1 ~cap () =
+  let ny = Relation.dst_count s in
   let deg_ry y = if y < Relation.dst_count r then Relation.deg_dst r y else 0 in
-  let deg_sy y = if y < Relation.dst_count s then Relation.deg_dst s y else 0 in
-  let light_y = Array.init ny (fun y -> deg_ry y <= d1 || deg_sy y <= d1) in
+  let light_y =
+    Array.init ny (fun y -> deg_ry y <= d1 || Relation.deg_dst s y <= d1)
+  in
   (* Matrix dimensions: endpoints adjacent to at least one heavy y. *)
   let heavy_y = Vec.create () in
   Array.iteri (fun y light -> if not light then Vec.push heavy_y y) light_y;
@@ -670,21 +551,9 @@ let counted_partitioned ?cancel ?tile ?checkpoint ~phases ~domains ~memo ~r ~s
   in
   let hx = touched r and hz = touched s in
   let u = Array.length hx and v = Array.length heavy_y and w = Array.length hz in
-  let fits = u * v <= cap && v * w <= cap && u * w <= cap in
-  let use_matrix = matrix && v > 0 && fits in
+  let use_matrix = v > 0 && u * v <= cap && v * w <= cap && u * w <= cap in
   let x_index = Array.make (Relation.src_count r) (-1) in
   Array.iteri (fun i a -> x_index.(a) <- i) hx;
-  let tiled =
-    match tile with
-    | None -> None
-    | Some cfg ->
-      if
-        cfg.Jp_tile.force
-        || Jp_matrix.Cost.should_tile ?budget_bytes:cfg.Jp_tile.budget_bytes
-             Jp_matrix.Cost.Count ~u ~v ~w ()
-      then Some cfg
-      else None
-  in
   let product =
     if not use_matrix then None
     else
@@ -696,17 +565,15 @@ let counted_partitioned ?cancel ?tile ?checkpoint ~phases ~domains ~memo ~r ~s
             let y_index = Array.make ny (-1) in
             Array.iteri (fun j b -> y_index.(b) <- j) heavy_y;
             fun rel a ->
-              let bits = Jp_util.Vec.create () in
+              let bits = Vec.create () in
               Array.iter
                 (fun b ->
-                  if b < ny then begin
-                    let j = y_index.(b) in
-                    if j >= 0 then Jp_util.Vec.push bits j
-                  end)
+                  let j = y_index.(b) in
+                  if j >= 0 then Vec.push bits j)
                 (Relation.adj_src rel a);
-              Jp_util.Vec.to_array bits
+              Vec.to_array bits
           in
-          match tiled with
+          match tiling tile Jp_matrix.Cost.Count ~u ~v ~w with
           | Some cfg ->
             (* Tiled: operands stream through [Jp_tile]'s bounded store
                and partial products memoize at tile granularity. *)
@@ -742,7 +609,7 @@ let counted_partitioned ?cancel ?tile ?checkpoint ~phases ~domains ~memo ~r ~s
   let treat_all_light = product = None in
   let nx = Relation.src_count r in
   let rows = Array.make nx ([||], [||]) in
-  check_cancel cancel;
+  Cancel.check_opt cancel;
   phase phases "count-merge" (fun () ->
       Obs.span "two_path.count_merge" (fun () ->
           let nz = Relation.src_count s in
@@ -799,105 +666,72 @@ let counted_partitioned ?cancel ?tile ?checkpoint ~phases ~domains ~memo ~r ~s
               Obs.add Obs.C.stamp_hits (!presented - !misses)
             end
           in
-          let worker lo hi =
-            match cancel with
-            | None -> run_rows (count_scratch ()) lo hi
-            | Some c ->
-              let scratch = count_scratch () in
-              let i = ref lo in
-              while !i < hi && not (Cancel.is_cancelled c) do
-                let j = min hi (!i + poll_rows) in
-                run_rows scratch !i j;
-                i := j
-              done
-          in
-          if domains <= 1 then worker 0 nx
-          else begin
-            let per = (nx + domains - 1) / domains in
-            Jp_parallel.Pool.parallel_for_ranges ?cancel ~domains ~chunk:per
-              ~lo:0 ~hi:nx worker
-          end;
-          check_cancel cancel;
+          Jp_parallel.Pool.split_ranges ~domains ?cancel ~lo:0 ~hi:nx
+            ~scratch:count_scratch run_rows;
           (Counted_pairs.of_rows_unchecked rows, use_matrix)))
 
-let project_counts ?(domains = 1) ?(strategy = Matrix) ?plan ?guard ?cancel
-    ?memo ?tile ?(matrix_cell_cap = 200_000_000) ~r ~s () =
-  let memo = match memo with Some m -> m | None -> no_memo in
+let project_counts ?(domains = 1) ?(strategy = Matrix) ?plan
+    ?(guard = Guard.inert) ?cancel ?(memo = no_memo) ?tile
+    ?(matrix_cell_cap = 200_000_000) ~r ~s () =
+  let s = cover_dst ~r s in
   Obs.span "two_path.project_counts" (fun () ->
       let t0 = Jp_util.Timer.now () in
-      check_cancel cancel;
+      Cancel.check_opt cancel;
       let phases = ref [] in
-      let g =
-        match guard with
-        | Some cfg -> Some (Jp_adaptive.Guard.start cfg)
-        | None -> None
-      in
+      let g = Guard.start guard in
       let prep = lazy (memo.memo_prepared (fun () -> Optimizer.prepare ~r ~s)) in
+      (* plan_counts' thresholds do not depend on est_out (d2 is pinned),
+         so only the mm-cost component of an injection can mislead it —
+         and the honesty checkpoint below catches it. *)
       let plan =
-        match (plan, g) with
-        | Some p, _ -> p
-        | None, None ->
-          (* Same plan as [Optimizer.plan_counts], which is
-             [plan_counts_prepared (prepare ...)]. *)
-          phase phases "plan" (fun () ->
-              Optimizer.plan_counts_prepared ~domains (Lazy.force prep) ())
-        | None, Some g ->
-          (* plan_counts' thresholds do not depend on est_out (d2 is
-             pinned), so only the mm-cost component of the injection can
-             mislead it — and the honesty checkpoint below catches it. *)
-          let inj = Jp_adaptive.Guard.inject g in
+        match plan with
+        | Some p -> p
+        | None ->
+          let inj = Guard.inject g in
           phase phases "plan" (fun () ->
               Optimizer.plan_counts_prepared ~domains
-                ~est_out:(Jp_adaptive.Inject.out inj (Estimator.estimate ~r ~s))
-                ~mm_cost_scale:inj.Jp_adaptive.Inject.mm_factor
-                (Lazy.force prep) ())
+                ?est_out:(injected_est_out inj ~r ~s)
+                ~mm_cost_scale:inj.Inject.mm_factor (Lazy.force prep) ())
       in
       (* Guard checkpoints (counts flavour): entry/pre-MM budgets degrade
          the heavy step to the combinatorial merge; a cost-honesty
          checkpoint re-plans a Partitioned decision whose est_seconds was
-         injected.  There is no chunked |OUT| checkpoint here because
-         plan_counts' decision is insensitive to est_out. *)
-      let module Guard = Jp_adaptive.Guard in
-      let plan, strategy, cap =
-        match g with
-        | None -> (plan, strategy, matrix_cell_cap)
-        | Some g ->
-          let cap =
-            match (Guard.config g).Guard.budget.Guard.max_cells with
-            | Some limit -> min matrix_cell_cap (limit / 3)
-            | None -> matrix_cell_cap
+         injected; the cells budget tightens the cell cap.  There is no
+         chunked |OUT| checkpoint here because plan_counts' decision is
+         insensitive to est_out. *)
+      let cap =
+        match (Guard.config g).Guard.budget.Guard.max_cells with
+        | Some limit -> min matrix_cell_cap (limit / 3)
+        | None -> matrix_cell_cap
+      in
+      let strategy =
+        match Guard.check_budget g ~cells:0 with
+        | Guard.Degrade ->
+          Guard.note_degrade g;
+          Combinatorial
+        | Guard.Continue | Guard.Replan -> strategy
+      in
+      let plan =
+        match plan.Optimizer.decision with
+        | Optimizer.Partitioned { d1; d2 }
+          when strategy = Matrix && Guard.can_replan g ->
+          let honest =
+            Optimizer.estimate_cost_prepared ~domains
+              ~kind:Jp_matrix.Cost.Count ~counts_mode:true (Lazy.force prep)
+              (Optimizer.Partitioned { d1; d2 })
           in
-          let strategy =
-            match Guard.check_budget g ~cells:0 with
-            | Guard.Degrade ->
-              Guard.note_degrade g;
-              Combinatorial
-            | Guard.Continue | Guard.Replan -> strategy
-          in
-          let plan =
-            match plan.Optimizer.decision with
-            | Optimizer.Partitioned { d1; d2 }
-              when strategy = Matrix && Guard.can_replan g ->
-              let honest =
-                Optimizer.estimate_cost_prepared ~domains
-                  ~kind:Jp_matrix.Cost.Count ~counts_mode:true
-                  (Lazy.force prep)
-                  (Optimizer.Partitioned { d1; d2 })
-              in
-              (match
-                 Guard.check_estimate g ~est:plan.Optimizer.est_seconds
-                   ~observed:honest
-               with
-              | Guard.Replan ->
-                phase phases "replan" (fun () ->
-                    Guard.note_replan g;
-                    Optimizer.plan_counts_prepared ~domains
-                      ~est_out:(Estimator.sampled ~r ~s ())
-                      (Lazy.force prep) ())
-              | Guard.Continue | Guard.Degrade -> plan)
-            | _ -> plan
-          in
-          (plan, strategy, cap)
+          (match
+             Guard.check_estimate g ~est:plan.Optimizer.est_seconds
+               ~observed:honest
+           with
+          | Guard.Replan ->
+            phase phases "replan" (fun () ->
+                Guard.note_replan g;
+                Optimizer.plan_counts_prepared ~domains
+                  ~est_out:(Estimator.sampled ~r ~s ())
+                  (Lazy.force prep) ())
+          | Guard.Continue | Guard.Degrade -> plan)
+        | _ -> plan
       in
       let result =
         match (plan.Optimizer.decision, strategy) with
@@ -905,39 +739,25 @@ let project_counts ?(domains = 1) ?(strategy = Matrix) ?plan ?guard ?cancel
           phase phases "wcoj" (fun () ->
               Jp_wcoj.Expand.project_counts ~domains ?cancel ~r ~s ())
         | Optimizer.Partitioned { d1; d2 = _ }, Matrix ->
-          (* Same per-tile checkpoint rule as the boolean guarded path:
-             only the calling domain may touch the guard. *)
+          (* Same per-tile checkpoint rule as the boolean path: only the
+             calling domain may touch the guard. *)
           let checkpoint =
-            match g with
-            | Some g when domains <= 1 ->
-              Some
-                (fun () ->
-                  match Guard.check_budget g ~cells:0 with
-                  | Guard.Degrade -> Guard.note_degrade g
-                  | Guard.Continue | Guard.Replan -> ())
-            | _ -> None
+            if domains > 1 then None else Some (fun () -> note_budget g)
           in
           let result, used_matrix =
             counted_partitioned ?cancel ?tile ?checkpoint ~phases ~domains
-              ~memo ~r ~s ~d1 ~matrix:true ~cap ()
+              ~memo ~r ~s ~d1 ~cap ()
           in
-          (match g with
-          | Some g when not used_matrix -> Guard.note_degrade g
-          | _ -> ());
+          if not used_matrix then Guard.note_degrade g;
           result
       in
-      if Obs.recording () then begin
-        let replanned, degraded =
-          match g with
-          | Some g -> (Guard.replanned g, Guard.degraded g)
-          | None -> (false, false)
-        in
-        Obs.record_plan ~label:"two_path.counts" ~replanned ~degraded
+      if Obs.recording () then
+        Obs.record_plan ~label:"two_path.counts" ~replanned:(Guard.replanned g)
+          ~degraded:(Guard.degraded g)
           ~decision:(Optimizer.decision_to_string plan.Optimizer.decision)
           ~est_out:plan.Optimizer.est_out ~join_size:plan.Optimizer.join_size
           ~est_seconds:plan.Optimizer.est_seconds
           ~actual_out:(Counted_pairs.count result)
           ~actual_seconds:(Jp_util.Timer.now () -. t0)
-          ~phases:(List.rev !phases) ()
-      end;
+          ~phases:(List.rev !phases) ();
       result)

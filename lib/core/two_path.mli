@@ -20,8 +20,13 @@
     All entry points take [?cancel]: a {!Jp_util.Cancel} token polled at
     phase boundaries and once per merge chunk (never per tuple), raising
     {!Jp_util.Cancel.Cancelled} promptly when the token is cancelled or
-    its deadline passes.  Without a token the code paths are exactly the
-    historical ones — the same guarantee style as [?guard]. *)
+    its deadline passes.  Absent capabilities are inert values through
+    the same path — no token polls nothing, no guard is
+    {!Jp_adaptive.Guard.inert}, no memo is {!no_memo} — so results are
+    identical with and without them.
+
+    R may use a wider y id space than S: a y that S does not reach has
+    no S tuples. *)
 
 module Relation = Jp_relation.Relation
 module Pairs = Jp_relation.Pairs
@@ -29,7 +34,9 @@ module Counted_pairs = Jp_relation.Counted_pairs
 module Cancel = Jp_util.Cancel
 
 type strategy =
-  | Matrix  (** heavy part via {!Jp_matrix.Boolmat.mul} / {!Jp_matrix.Intmat.mul} *)
+  | Matrix
+      (** heavy part via {!Jp_matrix.Boolmat.mul} (boolean) /
+          {!Jp_matrix.Boolmat.count_product} (counts) *)
   | Combinatorial  (** heavy part via stamp-vector expansion (Non-MMJoin) *)
 
 (** Memoization hooks, consumed by [Jp_cache] (which sits above this
@@ -71,8 +78,8 @@ type memo = {
 }
 
 val no_memo : memo
-(** Identity hooks: every builder runs.  [?memo] absent is exactly
-    [no_memo] — the same byte-identical-path guarantee as [?guard] and
+(** Identity hooks: every builder runs.  [?memo] absent is [no_memo],
+    an inert value through the same path, like an absent [?guard] or
     [?cancel]. *)
 
 val heavy_product :
@@ -111,18 +118,19 @@ val project :
     re-plan with observed statistics — switching Wcoj ⇄ Partitioned
     mid-query while keeping rows already produced — or degrade matrix
     plans to the combinatorial heavy part when a budget is exhausted.
-    Without [guard] the code path is exactly the unguarded one.
+    Without [guard] the same path runs under {!Jp_adaptive.Guard.inert},
+    whose checkpoints all answer [Continue]: no re-plan, no degradation,
+    no [guard.*] counters, identical results.
 
     With [tile], the heavy-part product streams through {!Jp_tile} —
     tiles as the work-stealing, memoization and memory-budget unit —
     whenever {!Jp_matrix.Cost.should_tile} agrees (operands at least
     [Cost.tile_min_bytes], or larger than the config's resident
     budget) or the config's [force] flag is set; results are bit-equal
-    either way, and without [tile] the
-    code path is exactly the historical one (same guarantee as
-    [?guard]/[?cancel]/[?memo]).  Guard checkpoints and cancel polls
-    fire once per tile, and with a [memo] the tiled product consults
-    the tile-granularity hooks instead of the whole-product one. *)
+    either way, and without [tile] the heavy product runs flat.  Guard
+    checkpoints and cancel polls fire once per tile, and with a [memo]
+    the tiled product consults the tile-granularity hooks instead of the
+    whole-product one. *)
 
 val project_counts :
   ?domains:int ->
@@ -148,9 +156,11 @@ val project_counts :
     [guard] adds the entry/pre-MM budget checks and the cost-honesty
     re-plan checkpoint; the guard's cells budget additionally tightens
     the cell cap (a third of [max_cells] per matrix, so the three
-    products stay within the budget).  plan_counts' thresholds do not
+    products stay within the budget), and a live guard records the
+    cell-cap fallback as a degradation.  plan_counts' thresholds do not
     depend on the |OUT| estimate, so there is no chunked output
-    checkpoint in this variant. *)
+    checkpoint in this variant.  Without [guard] the same path runs
+    under {!Jp_adaptive.Guard.inert}. *)
 
 val project_with_plan_info :
   ?domains:int ->

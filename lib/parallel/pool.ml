@@ -57,9 +57,6 @@ let reraise_failure failure =
   | Some { error; bt; _ } -> Printexc.raise_with_backtrace error bt
   | None -> ()
 
-let check_cancel cancel =
-  match cancel with Some c -> Cancel.check c | None -> ()
-
 (* Sequential degenerate case.  Without a token the body gets the whole
    range in one call with zero overhead, exactly as before; with one the
    range is chunked so the token is polled between chunks. *)
@@ -109,9 +106,36 @@ let parallel_for_ranges ~domains ?chunk ?cancel ~lo ~hi body =
       in
       run_workers ~domains ~stop ~failure worker;
       reraise_failure failure;
-      check_cancel cancel
+      Cancel.check_opt cancel
     end
   end
+
+(* Indices a split worker hands its body between cancellation polls. *)
+let poll_rows = 4096
+
+let split_ranges ~domains ?cancel ~lo ~hi ~scratch body =
+  let cancelled () =
+    match cancel with Some c -> Cancel.is_cancelled c | None -> false
+  in
+  let worker l h =
+    let sc = scratch () in
+    let i = ref l in
+    while !i < h && not (cancelled ()) do
+      let j = min h (!i + poll_rows) in
+      body sc !i j;
+      i := j
+    done
+  in
+  if domains <= 1 || hi <= lo then begin
+    worker lo hi;
+    Cancel.check_opt cancel
+  end
+  else
+    (* [parallel_for_ranges] raises on the calling domain once the
+       workers have joined. *)
+    parallel_for_ranges ~domains ?cancel
+      ~chunk:((hi - lo + domains - 1) / domains)
+      ~lo ~hi worker
 
 let parallel_for ~domains ?chunk ?cancel ~lo ~hi body =
   parallel_for_ranges ~domains ?chunk ?cancel ~lo ~hi (fun a b ->
@@ -182,6 +206,6 @@ let map_reduce ~domains ?chunk ?cancel ~lo ~hi ~combine ~init map =
     in
     run_workers ~domains ~stop ~failure worker;
     reraise_failure failure;
-    check_cancel cancel;
+    Cancel.check_opt cancel;
     List.fold_left combine init (Atomic.get partials)
   end

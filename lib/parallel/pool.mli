@@ -17,8 +17,8 @@
     chunk claim and stop claiming once it is cancelled; the call then
     raises {!Jp_util.Cancel.Cancelled} on the calling domain.  In the
     [domains <= 1] degenerate case the range is chunked so the token is
-    still polled between chunks.  Without a token the code paths are
-    exactly the historical ones. *)
+    still polled between chunks.  Without a token nothing is polled and
+    the results are the same. *)
 
 module Cancel = Jp_util.Cancel
 
@@ -61,6 +61,23 @@ val parallel_for_ranges :
     hands each worker whole ranges: [body range_lo range_hi] with
     [lo <= range_lo < range_hi <= hi].  Lets the body hoist per-chunk
     scratch allocations. *)
+
+val split_ranges :
+  domains:int ->
+  ?cancel:Cancel.t ->
+  lo:int ->
+  hi:int ->
+  scratch:(unit -> 's) ->
+  ('s -> int -> int -> unit) ->
+  unit
+(** Static split for kernels with per-worker scratch: one contiguous
+    range per domain, so each worker calls [scratch ()] exactly once and
+    hands it to [body sc range_lo range_hi] over consecutive sub-ranges
+    of at most 4096 indices.  [cancel] is polled between sub-ranges —
+    workers stop gracefully — and {!Jp_util.Cancel.Cancelled} is raised
+    on the calling domain afterwards; without a token nothing is polled.
+    With [domains <= 1] it runs on the calling domain with no pool
+    overhead. *)
 
 val map_reduce :
   domains:int ->

@@ -25,8 +25,8 @@
     a candidate whose atoms are already claimed is dropped.
 
     Execution threads the full context — [?guard], [?cancel], [?cache] —
-    into the fragment engines and the stitching phases, with the usual
-    byte-identical-when-absent guarantee. *)
+    into the fragment engines and the stitching phases; absent, each is
+    an inert value through the same path, with identical results. *)
 
 module Relation = Jp_relation.Relation
 module Cancel = Jp_util.Cancel
@@ -123,8 +123,8 @@ val run :
     {!Jp_cache.two_path_memo} hooks), then stitch with
     {!Yannakakis.run_bags}.  Head tuples come in head-variable order.
     Errors on cyclic queries, unknown relations and empty heads (use
-    {!boolean}).  Absent [guard]/[cancel]/[cache], every code path is
-    byte-identical to the plain one. *)
+    {!boolean}).  Absent [guard]/[cancel]/[cache] are inert values
+    through the same path: results identical. *)
 
 val boolean :
   ?machine:Jp_matrix.Cost.machine ->

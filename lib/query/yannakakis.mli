@@ -39,7 +39,7 @@ val run_bags :
     input array is not mutated.  Errors if the bags' hypergraph is cyclic,
     [head] is empty, or a head variable occurs in no bag.  [cancel] is
     polled at the three phase boundaries, never per tuple; absent, the
-    code path is the historical one. *)
+    polls do nothing. *)
 
 val boolean_bags :
   ?cancel:Jp_util.Cancel.t -> Bag.t array -> (bool, string) result

@@ -156,6 +156,16 @@ let transpose r =
     fp = 0;
   }
 
+let widen_dst r n =
+  if n <= r.dst_count then r
+  else
+    {
+      r with
+      dst_count = n;
+      bwd = Array.append r.bwd (Array.make (n - r.dst_count) [||]);
+      fp = 0;
+    }
+
 let filter r keep =
   let fwd =
     Array.mapi

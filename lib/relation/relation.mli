@@ -62,6 +62,11 @@ val to_edges : t -> (int * int) array
 val transpose : t -> t
 (** Swaps the roles of x and y — O(1), shares the indexes. *)
 
+val widen_dst : t -> int -> t
+(** [widen_dst r n] is [r] with its y id space widened to at least [n]:
+    the same tuples, with empty inverted lists for the new ids.  O(n)
+    when it widens (the x adjacency is shared), [r] itself otherwise. *)
+
 val filter : t -> (int -> int -> bool) -> t
 (** [filter r keep] is the sub-relation of tuples with [keep x y]. *)
 

@@ -16,5 +16,5 @@ let join ?(domains = 1) ?guard ?cancel ?cache ~c r =
   if c < 1 then invalid_arg "Mm_ssj.join: c must be >= 1";
   Jp_obs.span "ssj.mm_join" (fun () ->
       let counted = join_counted ~domains ?guard ?cancel ?cache r in
-      (match cancel with Some t -> Jp_util.Cancel.check t | None -> ());
+      Jp_util.Cancel.check_opt cancel;
       Jp_obs.span "ssj.threshold" (fun () -> Common.upper_pairs counted ~c))

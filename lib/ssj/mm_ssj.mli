@@ -19,8 +19,9 @@ val join :
 (** Pairs (i, j), i < j, of distinct sets with |i ∩ j| ≥ c.  [guard]
     supervises the underlying counted join-project
     (see {!Joinproj.Two_path.project_counts}); [cache] serves its
-    prepared statistics and heavy count product from {!Jp_cache} (same
-    byte-identical-result guarantee as [guard]/[cancel] when absent). *)
+    prepared statistics and heavy count product from {!Jp_cache}.  Each
+    of [guard]/[cancel]/[cache], absent, is an inert value through the
+    same path: results identical. *)
 
 val join_counted :
   ?domains:int ->

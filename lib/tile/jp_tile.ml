@@ -233,8 +233,6 @@ let store_drain st =
 
 let run_checkpoint = function Some f -> f () | None -> ()
 
-let check_cancel = function Some c -> Cancel.check c | None -> ()
-
 (* Boolean product: output tile (ti, tj) is the OR over inner blocks k
    of A(ti,k)·B(k,tj), accumulated into a th×tw scratch and OR-blitted
    into the result rows at the tile's column offset.  Tiles of one
@@ -309,7 +307,7 @@ let mul ?(domains = 1) ?cancel ?checkpoint ?memo cfg (a : Source.t)
         in
         Pool.parallel_for ~domains ~chunk:1 ?cancel ~lo:0 ~hi:(t_i * t_j) body;
         store_drain store;
-        check_cancel cancel;
+        Cancel.check_opt cancel;
         result
       end)
 
@@ -386,6 +384,6 @@ let count_product ?(domains = 1) ?cancel ?checkpoint ?memo cfg (a : Source.t)
         in
         Pool.parallel_for ~domains ~chunk:1 ?cancel ~lo:0 ~hi:(t_i * t_j) body;
         store_drain store;
-        check_cancel cancel;
+        Cancel.check_opt cancel;
         result
       end)

@@ -59,3 +59,5 @@ let remaining_s t =
 let set_hook t f = Atomic.set t.hook f
 
 let clear_hook t = Atomic.set t.hook no_hook
+
+let check_opt = function Some t -> check t | None -> ()

@@ -5,8 +5,8 @@
     granularity as their adaptive-guard checkpoints — once per chunk or
     phase, never per tuple — so cancelling a query (or letting its
     deadline expire) stops the work promptly without locks or signals.
-    Without a token the engines' code paths are exactly the untouched
-    ones.
+    An absent token is an inert value: the engines run the same path and
+    their polls do nothing, so results are identical.
 
     Tokens are thread-safe: worker domains may poll a token that another
     domain cancels.  {!is_cancelled} is the graceful poll (workers stop
@@ -45,6 +45,10 @@ val is_cancelled : t -> bool
 val check : t -> unit
 (** Poll like {!is_cancelled} but raise {!Cancelled} when the token is
     cancelled — the coordinator-side checkpoint. *)
+
+val check_opt : t option -> unit
+(** {!check} on a present token; nothing on [None].  The phase-boundary
+    checkpoint of every engine taking [?cancel]. *)
 
 val reason : t -> reason option
 (** [None] while live.  Does not run the hook. *)

@@ -5,10 +5,6 @@ module Cancel = Jp_util.Cancel
 
 let all_xs r = Array.init (Relation.src_count r) (fun i -> i)
 
-(* Rows expanded between cancellation polls in the cancellable variants;
-   mirrors the guard-checkpoint granularity (Guard.default.check_every). *)
-let poll_rows = 4096
-
 (* One worker expands the x values [xs.(lo..hi-1)] into [rows], using a
    stamp vector sized to dom(z).  Stamps avoid clearing between x's: a cell
    is live iff it holds the current stamp — and because the stamp is the
@@ -44,11 +40,6 @@ let expand_scratch ~stamps ~buf ~r ~s ~keep_y ~keep_zy ~rows ~xs lo hi =
     Jp_obs.add Jp_obs.C.stamp_misses !misses;
     Jp_obs.add Jp_obs.C.stamp_hits (!probes - !misses)
   end
-
-let expand_range ~r ~s ~keep_y ~keep_zy ~rows ~xs lo hi =
-  let stamps = Array.make (Relation.src_count s) (-1) in
-  let buf = Jp_util.Vec.create ~capacity:256 () in
-  expand_scratch ~stamps ~buf ~r ~s ~keep_y ~keep_zy ~rows ~xs lo hi
 
 let expand_counts_scratch ~stamps ~counts ~buf ~r ~s ~keep_y ~keep_zy ~rows ~xs
     lo hi =
@@ -87,87 +78,48 @@ let expand_counts_scratch ~stamps ~counts ~buf ~r ~s ~keep_y ~keep_zy ~rows ~xs
     Jp_obs.add Jp_obs.C.stamp_hits (!probes - !misses)
   end
 
-let expand_counts_range ~r ~s ~keep_y ~keep_zy ~rows ~xs lo hi =
-  let nz = Relation.src_count s in
-  let stamps = Array.make nz (-1) in
-  let counts = Array.make nz 0 in
-  let buf = Jp_util.Vec.create ~capacity:256 () in
-  expand_counts_scratch ~stamps ~counts ~buf ~r ~s ~keep_y ~keep_zy ~rows ~xs
-    lo hi
-
 let default_filters keep_y keep_zy =
   let keep_y = match keep_y with Some f -> f | None -> fun _ -> true in
   let keep_zy = match keep_zy with Some f -> f | None -> fun _ _ -> true in
   (keep_y, keep_zy)
 
-(* Static split: one contiguous range per domain so each worker allocates
-   its dom(z)-sized scratch exactly once. *)
-let run_split ~domains ~n body =
-  if domains <= 1 || n = 0 then body 0 n
-  else begin
-    let per = (n + domains - 1) / domains in
-    Jp_parallel.Pool.parallel_for_ranges ~domains ~chunk:per ~lo:0 ~hi:n body
-  end
-
-(* Cancellable worker body: sub-chunk the range so the token is polled
-   every [poll_rows] x's, reusing the scratch [alloc ()] produced across
-   sub-chunks.  Workers stop gracefully; the coordinator raises after the
-   split returns. *)
-let run_split_cancel ~cancel ~domains ~n ~alloc body =
-  run_split ~domains ~n (fun lo hi ->
-      let scratch = alloc () in
-      let i = ref lo in
-      while !i < hi && not (Cancel.is_cancelled cancel) do
-        let j = min hi (!i + poll_rows) in
-        body scratch !i j;
-        i := j
-      done);
-  Cancel.check cancel
+(* A y that S does not have has no S tuples: widening S's y domain to
+   R's once here keeps every [adj_dst s b] below in bounds without a
+   per-tuple branch. *)
+let cover_dst ~r s = Relation.widen_dst s (Relation.dst_count r)
 
 let project ?(domains = 1) ?cancel ?xs ?keep_y ?keep_zy ~r ~s () =
   Jp_obs.span "wcoj.expand" (fun () ->
       let keep_y, keep_zy = default_filters keep_y keep_zy in
       let xs = match xs with Some a -> a | None -> all_xs r in
+      let s = cover_dst ~r s in
       let rows = Array.make (Relation.src_count r) [||] in
-      (match cancel with
-      | None ->
-        run_split ~domains ~n:(Array.length xs) (fun lo hi ->
-            expand_range ~r ~s ~keep_y ~keep_zy ~rows ~xs lo hi)
-      | Some c ->
-        let alloc () =
-          ( Array.make (Relation.src_count s) (-1),
-            Jp_util.Vec.create ~capacity:256 () )
-        in
-        run_split_cancel ~cancel:c ~domains ~n:(Array.length xs) ~alloc
-          (fun (stamps, buf) lo hi ->
-            expand_scratch ~stamps ~buf ~r ~s ~keep_y ~keep_zy ~rows ~xs lo hi));
+      Jp_parallel.Pool.split_ranges ~domains ?cancel ~lo:0 ~hi:(Array.length xs)
+        ~scratch:(fun () ->
+          (Array.make (Relation.src_count s) (-1), Jp_util.Vec.create ~capacity:256 ()))
+        (fun (stamps, buf) lo hi ->
+          expand_scratch ~stamps ~buf ~r ~s ~keep_y ~keep_zy ~rows ~xs lo hi);
       Pairs.of_rows_unchecked rows)
 
 let project_counts ?(domains = 1) ?cancel ?xs ?keep_y ?keep_zy ~r ~s () =
   Jp_obs.span "wcoj.expand_counts" (fun () ->
       let keep_y, keep_zy = default_filters keep_y keep_zy in
       let xs = match xs with Some a -> a | None -> all_xs r in
+      let s = cover_dst ~r s in
       let rows = Array.make (Relation.src_count r) ([||], [||]) in
-      (match cancel with
-      | None ->
-        run_split ~domains ~n:(Array.length xs) (fun lo hi ->
-            expand_counts_range ~r ~s ~keep_y ~keep_zy ~rows ~xs lo hi)
-      | Some c ->
-        let nz = Relation.src_count s in
-        let alloc () =
-          ( Array.make nz (-1),
-            Array.make nz 0,
-            Jp_util.Vec.create ~capacity:256 () )
-        in
-        run_split_cancel ~cancel:c ~domains ~n:(Array.length xs) ~alloc
-          (fun (stamps, counts, buf) lo hi ->
-            expand_counts_scratch ~stamps ~counts ~buf ~r ~s ~keep_y ~keep_zy
-              ~rows ~xs lo hi));
+      let nz = Relation.src_count s in
+      Jp_parallel.Pool.split_ranges ~domains ?cancel ~lo:0 ~hi:(Array.length xs)
+        ~scratch:(fun () ->
+          (Array.make nz (-1), Array.make nz 0, Jp_util.Vec.create ~capacity:256 ()))
+        (fun (stamps, counts, buf) lo hi ->
+          expand_counts_scratch ~stamps ~counts ~buf ~r ~s ~keep_y ~keep_zy
+            ~rows ~xs lo hi);
       Counted_pairs.of_rows_unchecked rows)
 
 let count_distinct ?xs ?keep_y ~r ~s () =
   let keep_y = match keep_y with Some f -> f | None -> fun _ -> true in
   let xs = match xs with Some a -> a | None -> all_xs r in
+  let s = cover_dst ~r s in
   let stamps = Array.make (Relation.src_count s) (-1) in
   let total = ref 0 in
   Array.iteri

@@ -13,11 +13,15 @@
       multiplicities instead of booleans.
 
     All variants parallelize over x with per-worker scratch (coordination
-    free, as exploited by Figures 4d/4e).
+    free, as exploited by Figures 4d/4e), through
+    {!Jp_parallel.Pool.split_ranges}.
 
     With [?cancel] the expansion polls the token every few thousand x's
     (per worker) and raises {!Jp_util.Cancel.Cancelled}; without it the
-    code path is exactly the historical one. *)
+    same loop runs and polls nothing.
+
+    A join value y that S's id space does not reach has no S tuples: R
+    may use a wider y domain than S. *)
 
 module Relation = Jp_relation.Relation
 module Pairs = Jp_relation.Pairs

@@ -257,6 +257,49 @@ let test_clean_guard_is_transparent () =
       Alcotest.(check bool) "neither replanned nor degraded" false
         (pr.Jp_obs.replanned || pr.Jp_obs.degraded))
 
+let test_guardless_is_inert () =
+  (* No guard means the inert one: the same supervised path runs, but no
+     [guard.*] counter moves and no outcome is recorded — not even for
+     the cell-cap fallback of the counted path, which a live guard
+     records as a degradation. *)
+  let r = Gen.skewed_relation ~seed:42 ~nx:60 ~ny:40 ~edges:600 () in
+  let plan decision =
+    { Optimizer.decision; est_out = 1; join_size = 1; est_seconds = 0.0 }
+  in
+  let partitioned = plan (Optimizer.Partitioned { d1 = 2; d2 = 2 }) in
+  let rels =
+    [|
+      Gen.random_relation ~seed:61 ~nx:12 ~ny:10 ~edges:50 ();
+      Gen.random_relation ~seed:62 ~nx:12 ~ny:10 ~edges:50 ();
+    |]
+  in
+  with_recording (fun () ->
+      List.iter
+        (fun guard ->
+          List.iter
+            (fun plan ->
+              ignore (Joinproj.Two_path.project ?guard ?plan ~r ~s:r ());
+              ignore (Joinproj.Two_path.project_counts ?guard ?plan ~r ~s:r ()))
+            [ None; Some (plan Optimizer.Wcoj); Some partitioned ];
+          ignore
+            (Joinproj.Two_path.project_counts ?guard ~plan:partitioned
+               ~matrix_cell_cap:0 ~r ~s:r ());
+          ignore (Joinproj.Star.project ?guard rels))
+        [ None; Some Guard.inert ];
+      let v name =
+        Option.value ~default:0 (List.assoc_opt name (Jp_obs.counter_values ()))
+      in
+      List.iter
+        (fun name -> Alcotest.(check int) name 0 (v name))
+        [ "guard.checkpoints"; "guard.replans"; "guard.degrades" ];
+      let records = Jp_obs.plan_records () in
+      Alcotest.(check int) "one record per call" 16 (List.length records);
+      List.iter
+        (fun pr ->
+          Alcotest.(check bool) "neither replanned nor degraded" false
+            (pr.Jp_obs.replanned || pr.Jp_obs.degraded))
+        records)
+
 let test_counts_guarded_invariant () =
   let r = Gen.skewed_relation ~seed:21 ~nx:120 ~ny:60 ~edges:1400 () in
   let reference = Gen.counted_to_list (Joinproj.Two_path.project_counts ~r ~s:r ()) in
@@ -396,6 +439,8 @@ let suite =
       test_clean_guard_is_transparent;
     Alcotest.test_case "guarded counts stay exact" `Quick
       test_counts_guarded_invariant;
+    Alcotest.test_case "guard-less engines are inert" `Quick
+      test_guardless_is_inert;
     Alcotest.test_case "guarded star agrees" `Quick test_star_guarded_invariant;
     Alcotest.test_case "guarded ssj agrees" `Quick test_ssj_guarded_invariant;
     Alcotest.test_case "guarded scj agrees" `Quick test_scj_guarded_invariant;

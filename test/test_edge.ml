@@ -141,11 +141,53 @@ let test_estimator_degenerate () =
   let lower, upper = Joinproj.Estimator.bounds ~r:empty ~s:empty in
   Alcotest.(check bool) "bounds ordered" true (lower <= upper)
 
+(* R reaches y ids (up to 9) past S's y domain (3): those y have no S
+   tuples.  Every engine variant — boolean/counts, WCOJ plan and
+   partitioned under Matrix and Combinatorial — must agree with the
+   hand-computed join instead of indexing S out of bounds. *)
+let test_y_domain_mismatch () =
+  let r = Relation.of_edges [| (0, 9); (1, 9); (0, 1); (1, 2) |] in
+  let s = Relation.of_edges [| (0, 1); (1, 2); (2, 1) |] in
+  let expected = [ (0, 0); (0, 2); (1, 1) ] in
+  let counted_list c =
+    let acc = ref [] in
+    Jp_relation.Counted_pairs.iter (fun a b k -> acc := (a, b, k) :: !acc) c;
+    List.sort compare !acc
+  in
+  let expected_counts = List.map (fun (a, b) -> (a, b, 1)) expected in
+  Alcotest.(check (list (pair int int)))
+    "expand" expected
+    (Pairs.to_list (Jp_wcoj.Expand.project ~r ~s ()));
+  Alcotest.(check (list (triple int int int)))
+    "expand counts" expected_counts
+    (counted_list (Jp_wcoj.Expand.project_counts ~r ~s ()));
+  let plan decision =
+    { Joinproj.Optimizer.decision; est_out = 1; join_size = 1; est_seconds = 0.0 }
+  in
+  List.iter
+    (fun (name, plan) ->
+      List.iter
+        (fun (sname, strategy) ->
+          let label = Printf.sprintf "%s %s" name sname in
+          Alcotest.(check (list (pair int int)))
+            ("boolean " ^ label) expected
+            (Pairs.to_list (Two_path.project ?plan ~strategy ~r ~s ()));
+          Alcotest.(check (list (triple int int int)))
+            ("counts " ^ label) expected_counts
+            (counted_list (Two_path.project_counts ?plan ~strategy ~r ~s ())))
+        [ ("matrix", Two_path.Matrix); ("combinatorial", Two_path.Combinatorial) ])
+    [
+      ("planned", None);
+      ("wcoj", Some (plan Joinproj.Optimizer.Wcoj));
+      ("partitioned", Some (plan (Joinproj.Optimizer.Partitioned { d1 = 1; d2 = 1 })));
+    ]
+
 let suite =
   [
     Alcotest.test_case "two-path empty" `Quick test_two_path_empty;
     Alcotest.test_case "two-path singleton" `Quick test_two_path_singleton;
     Alcotest.test_case "two-path hub" `Quick test_two_path_hub;
+    Alcotest.test_case "y domain past S's" `Quick test_y_domain_mismatch;
     Alcotest.test_case "star empty component" `Quick test_star_empty_component;
     Alcotest.test_case "ssj empty/tiny" `Quick test_ssj_empty_and_tiny;
     Alcotest.test_case "ssj identical sets" `Quick test_ssj_identical_sets;

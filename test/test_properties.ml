@@ -208,20 +208,38 @@ let prop_plan_deterministic =
 let prop_guard_replan_checksum =
   (* Whatever the injected misestimation makes the guard do mid-query
      (re-plan Wcoj <-> Partitioned, degrade under a zero budget), the
-     produced pairs must equal the unguarded engine's. *)
+     produced pairs must equal the plain expansion's — with no guard, the
+     inert one or the default, with or without a live cancel token, on
+     one or two domains. *)
+  let guards =
+    let module Guard = Jp_adaptive.Guard in
+    [ ("none", None); ("inert", Some Guard.inert); ("default", Some Guard.default) ]
+  in
   QCheck.Test.make ~name:"guard re-planning never changes the result" ~count:40
-    QCheck.(pair small_int (oneofl [ 0.01; 1.0; 100.0 ]))
-    (fun (seed, factor) ->
+    QCheck.(
+      quad small_int (oneofl [ 0.01; 1.0; 100.0 ])
+        (make ~print:fst (Gen.oneofl guards))
+        (pair bool (int_range 1 2)))
+    (fun (seed, factor, (_, guard), (with_token, domains)) ->
       let module Guard = Jp_adaptive.Guard in
       let r = Gen.skewed_relation ~seed:(seed + 13_000) ~nx:40 ~ny:20 ~edges:300 () in
       let s = Gen.skewed_relation ~seed:(seed + 13_500) ~nx:35 ~ny:20 ~edges:280 () in
-      let reference = Joinproj.Two_path.project ~r ~s () in
+      let reference = Jp_wcoj.Expand.project ~r ~s () in
+      let counts_reference =
+        Gen.counted_to_list (Jp_wcoj.Expand.project_counts ~r ~s ())
+      in
+      let cancel = if with_token then Some (Jp_util.Cancel.create ()) else None in
+      let project guard = Joinproj.Two_path.project ~domains ?guard ?cancel ~r ~s () in
       let injected =
         Guard.with_inject (Jp_adaptive.Inject.out_only factor) Guard.default
       in
       let budgeted = Guard.with_budget_ms 0.0 Guard.default in
-      Pairs.equal reference (Joinproj.Two_path.project ~guard:injected ~r ~s ())
-      && Pairs.equal reference (Joinproj.Two_path.project ~guard:budgeted ~r ~s ()))
+      Pairs.equal reference (project guard)
+      && Gen.counted_to_list
+           (Joinproj.Two_path.project_counts ~domains ?guard ?cancel ~r ~s ())
+         = counts_reference
+      && Pairs.equal reference (project (Some injected))
+      && Pairs.equal reference (project (Some budgeted)))
 
 let suite =
   [

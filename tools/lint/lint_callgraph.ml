@@ -79,7 +79,12 @@ let resolve p ~(caller : fn) name =
 (* ------------------------------------------------------------------ *)
 (* polls and reachability                                              *)
 
-let cancel_polls = [ "Jp_util.Cancel.is_cancelled"; "Jp_util.Cancel.check" ]
+let cancel_polls =
+  [
+    "Jp_util.Cancel.is_cancelled";
+    "Jp_util.Cancel.check";
+    "Jp_util.Cancel.check_opt";
+  ]
 
 let guard_polls =
   [ "Jp_adaptive.Guard.check_budget"; "Jp_adaptive.Guard.check_estimate" ]

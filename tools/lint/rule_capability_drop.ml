@@ -3,8 +3,8 @@ module G = Lint_callgraph
 let id = "capability-drop"
 
 (* A function that accepts a capability hook must hand it to every
-   callee that can carry it: the byte-identical-when-absent contract
-   only composes if the option reaches the leaves.  A site is a drop
+   callee that can carry it: the inert-when-absent contract only
+   composes if the option reaches the leaves.  A site is a drop
    when the compiler itself had to fill the callee's optional with a
    ghost [None] — an explicit [?cap:None] is a deliberate choice and
    stays silent, as does a partial application that never reaches the
@@ -15,8 +15,8 @@ let rule =
   Lint_global.v ~id
     ~doc:
       "a function accepting ?guard/?cancel/?cache/?memo/?tile must forward it \
-       to callees that accept the same capability (byte-identical-when-absent \
-       paths only compose end to end)"
+       to callees that accept the same capability (inert-when-absent values \
+       only compose end to end)"
     (fun p ->
       List.concat_map
         (fun (f : G.fn) ->
