@@ -26,6 +26,7 @@ let experiments =
     ("FIG7", Bench_scj.fig7);
     ("FIG8", Bench_ssj.fig8);
     ("EX4", Bench_join.example4);
+    ("ABL-DEDUP", Bench_ablation.dedup);
     ("ABL", Bench_ablation.all);
     ("ABL-GUARD", Bench_ablation.guard);
     ("ABL-CHAOS", Bench_ablation.chaos);

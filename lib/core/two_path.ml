@@ -4,6 +4,7 @@ module Counted_pairs = Jp_relation.Counted_pairs
 module Boolmat = Jp_matrix.Boolmat
 module Intmat = Jp_matrix.Intmat
 module Vec = Jp_util.Vec
+module Row_acc = Jp_util.Row_acc
 module Obs = Jp_obs
 module Cancel = Jp_util.Cancel
 module Guard = Jp_adaptive.Guard
@@ -193,39 +194,24 @@ let split_heavy_s ~s (p : Partition.t) =
     p.heavy_y;
   (s_light_of_heavy_y, s_heavy_of_heavy_y)
 
-(* Per-worker merge scratch, reused across the chunks of one worker:
-   stamp values are row ids, distinct across chunks, so stale stamps can
-   never collide. *)
-type merge_scratch = { stamps : int array; buf : Vec.t }
-
-let merge_scratch ~s =
-  { stamps = Array.make (Relation.src_count s) (-1); buf = Vec.create ~capacity:256 () }
-
 (* The merged per-x loop over rows [lo, hi): light contributions from
    R- |><| S and R |><| S-, heavy contributions from the matrix product
    (or from a heavy-restricted expansion for the combinatorial strategy),
-   all deduplicated with one stamp vector.  Returns the number of pairs
-   produced — the observed-output statistic guard checkpoints
-   extrapolate from. *)
-let merge_range ~scratch:{ stamps; buf } ~r ~s ~(p : Partition.t) ~product
-    ~s_light_of_heavy_y ~s_heavy_of_heavy_y ~rows lo hi =
+   all deduplicated by the worker's row accumulator [acc], whose rows
+   come out sorted.  Returns the number of pairs produced — the
+   observed-output statistic guard checkpoints extrapolate from. *)
+let merge_range ~acc ~r ~s ~(p : Partition.t) ~product ~s_light_of_heavy_y
+    ~s_heavy_of_heavy_y ~rows lo hi =
   let obs = Obs.recording () in
   let light_scans = ref 0 and presented = ref 0 and produced = ref 0 in
   for a = lo to hi - 1 do
-    let stamp = a in
-    Vec.clear buf;
-    let push c =
-      if Array.unsafe_get stamps c <> stamp then begin
-        Array.unsafe_set stamps c stamp;
-        Vec.push buf c
-      end
-    in
+    Row_acc.start acc;
     let scan zs =
       if obs then begin
         light_scans := !light_scans + Array.length zs;
         presented := !presented + Array.length zs
       end;
-      Array.iter push zs
+      Row_acc.add_all acc zs
     in
     let a_light = Relation.deg_src r a <= p.d2 in
     Array.iter
@@ -242,7 +228,7 @@ let merge_range ~scratch:{ stamps; buf } ~r ~s ~(p : Partition.t) ~product
       let i = p.x_index.(a) in
       if i >= 0 then begin
         if obs then presented := !presented + Boolmat.row_nnz m i;
-        Boolmat.iter_row m i (fun l -> push p.heavy_z.(l))
+        Boolmat.iter_row m i (fun l -> Row_acc.add acc p.heavy_z.(l))
       end
     | None ->
       if not a_light then
@@ -251,9 +237,9 @@ let merge_range ~scratch:{ stamps; buf } ~r ~s ~(p : Partition.t) ~product
             if not (Partition.is_light_y p b) then
               scan s_heavy_of_heavy_y.(b))
           (Relation.adj_src r a));
-    produced := !produced + Vec.length buf;
-    Vec.sort_dedup buf;
-    rows.(a) <- Vec.to_array buf
+    let row = Row_acc.emit acc in
+    produced := !produced + Array.length row;
+    rows.(a) <- row
   done;
   if obs then begin
     Obs.add Obs.C.light_probes !light_scans;
@@ -311,7 +297,7 @@ let execute ?cancel ?tile ~g ~prep ~domains ~strategy ~memo ~phases ~r ~s
   let probe = max 64 (min cfg.Guard.probe_rows (nx / 4)) in
   let rows = Array.make nx [||] in
   let produced = ref 0 in
-  let scratch = lazy (merge_scratch ~s) in
+  let acc = lazy (Row_acc.create (Relation.src_count s)) in
   let strat = ref strategy in
   let expand_into lo hi =
     if hi > lo then
@@ -416,8 +402,8 @@ let execute ?cancel ?tile ~g ~prep ~domains ~strategy ~memo ~phases ~r ~s
       phase phases "light-merge" (fun () ->
           Obs.span "two_path.light_merge" (fun () ->
               let s_light_of_heavy_y, s_heavy_of_heavy_y = split_heavy_s ~s p in
-              let merge scratch lo hi =
-                merge_range ~scratch ~r ~s ~p ~product ~s_light_of_heavy_y
+              let merge acc lo hi =
+                merge_range ~acc ~r ~s ~p ~product ~s_light_of_heavy_y
                   ~s_heavy_of_heavy_y ~rows lo hi
               in
               if domains > 1 then begin
@@ -425,7 +411,7 @@ let execute ?cancel ?tile ~g ~prep ~domains ~strategy ~memo ~phases ~r ~s
                    parallel merges keep only the plan-time and pre-MM
                    checks; the split still polls the cancel token. *)
                 Jp_parallel.Pool.split_ranges ~domains ?cancel ~lo ~hi:nx
-                  ~scratch:(fun () -> merge_scratch ~s)
+                  ~scratch:(fun () -> Row_acc.create (Relation.src_count s))
                   (fun sc l h -> ignore (merge sc l h));
                 None
               end
@@ -435,7 +421,7 @@ let execute ?cancel ?tile ~g ~prep ~domains ~strategy ~memo ~phases ~r ~s
                 while !resume = None && !i < nx do
                   Cancel.check_opt cancel;
                   let hi = min nx (!i + check_chunk) in
-                  produced := !produced + merge (Lazy.force scratch) !i hi;
+                  produced := !produced + merge (Lazy.force acc) !i hi;
                   i := hi;
                   if !i < nx then begin
                     (* Time blown mid-merge: the matrices are already
@@ -612,24 +598,11 @@ let counted_partitioned ?cancel ?tile ?checkpoint ~phases ~domains ~memo ~r ~s
   Cancel.check_opt cancel;
   phase phases "count-merge" (fun () ->
       Obs.span "two_path.count_merge" (fun () ->
-          let nz = Relation.src_count s in
-          let count_scratch () =
-            (Array.make nz (-1), Array.make nz 0, Vec.create ~capacity:256 ())
-          in
-          let run_rows (stamps, counts, buf) lo hi =
+          let run_rows acc lo hi =
             let obs = Obs.recording () in
             let light_scans = ref 0 and presented = ref 0 and misses = ref 0 in
             for a = lo to hi - 1 do
-              let stamp = a in
-              Vec.clear buf;
-              let bump c k =
-                if Array.unsafe_get stamps c <> stamp then begin
-                  Array.unsafe_set stamps c stamp;
-                  Array.unsafe_set counts c k;
-                  Vec.push buf c
-                end
-                else Array.unsafe_set counts c (Array.unsafe_get counts c + k)
-              in
+              Row_acc.start acc;
               Array.iter
                 (fun b ->
                   if treat_all_light || light_y.(b) then begin
@@ -638,7 +611,7 @@ let counted_partitioned ?cancel ?tile ?checkpoint ~phases ~domains ~memo ~r ~s
                       light_scans := !light_scans + Array.length zs;
                       presented := !presented + Array.length zs
                     end;
-                    Array.iter (fun c -> bump c 1) zs
+                    Row_acc.add_witnesses acc zs
                   end)
                 (Relation.adj_src r a);
               (match product with
@@ -650,15 +623,13 @@ let counted_partitioned ?cancel ?tile ?checkpoint ~phases ~domains ~memo ~r ~s
                       let k = Intmat.get m i l in
                       if k > 0 then begin
                         if obs then Stdlib.incr presented;
-                        bump c k
+                        Row_acc.add_count acc c k
                       end)
                     hz
               | None -> ());
-              if obs then misses := !misses + Vec.length buf;
-              Vec.sort_dedup buf;
-              let zs = Vec.to_array buf in
-              let cs = Array.map (fun c -> counts.(c)) zs in
-              rows.(a) <- (zs, cs)
+              let ((zs, _) as row) = Row_acc.emit_counts acc in
+              if obs then misses := !misses + Array.length zs;
+              rows.(a) <- row
             done;
             if obs then begin
               Obs.add Obs.C.light_probes !light_scans;
@@ -667,7 +638,9 @@ let counted_partitioned ?cancel ?tile ?checkpoint ~phases ~domains ~memo ~r ~s
             end
           in
           Jp_parallel.Pool.split_ranges ~domains ?cancel ~lo:0 ~hi:nx
-            ~scratch:count_scratch run_rows;
+            ~scratch:(fun () ->
+              Row_acc.create ~counts:true (Relation.src_count s))
+            run_rows;
           (Counted_pairs.of_rows_unchecked rows, use_matrix)))
 
 let project_counts ?(domains = 1) ?(strategy = Matrix) ?plan

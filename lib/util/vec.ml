@@ -42,16 +42,16 @@ let unsafe_data v = v.data
 
 let sort_dedup v =
   if v.len > 1 then begin
-    let a = Array.sub v.data 0 v.len in
-    Intsort.sort a;
+    let a = v.data in
+    Intsort.sort_sub a ~lo:0 ~hi:v.len;
     let w = ref 1 in
     for r = 1 to v.len - 1 do
-      if a.(r) <> a.(!w - 1) then begin
-        a.(!w) <- a.(r);
+      let x = Array.unsafe_get a r in
+      if x <> Array.unsafe_get a (!w - 1) then begin
+        Array.unsafe_set a !w x;
         incr w
       end
     done;
-    Array.blit a 0 v.data 0 !w;
     v.len <- !w
   end
 

@@ -1,8 +1,8 @@
 (** Growable array of unboxed [int]s.
 
-    The workhorse buffer for join outputs and adjacency construction: bulk
-    push with amortized O(1), in-place sort/dedup, and zero-copy freezing
-    into a plain [int array] slice. *)
+    The workhorse buffer for join outputs and adjacency construction:
+    push with amortized O(1), in-place sort/dedup of the live prefix, and
+    {!to_array}, which copies the contents into an exact-length array. *)
 
 type t
 
@@ -34,7 +34,8 @@ val unsafe_data : t -> int array
 (** The backing store; only indices [< length] are meaningful. *)
 
 val sort_dedup : t -> unit
-(** Sorts ascending and removes duplicates in place. *)
+(** Sorts ascending and removes duplicates in place, on the backing store
+    itself (no copy). *)
 
 val iter : (int -> unit) -> t -> unit
 

@@ -2,38 +2,32 @@ module Relation = Jp_relation.Relation
 module Pairs = Jp_relation.Pairs
 module Counted_pairs = Jp_relation.Counted_pairs
 module Cancel = Jp_util.Cancel
+module Row_acc = Jp_util.Row_acc
 
 let all_xs r = Array.init (Relation.src_count r) (fun i -> i)
 
-(* One worker expands the x values [xs.(lo..hi-1)] into [rows], using a
-   stamp vector sized to dom(z).  Stamps avoid clearing between x's: a cell
-   is live iff it holds the current stamp — and because the stamp is the
-   global index [idx], the same scratch can be reused across sub-ranges of
-   one worker's range (indices never repeat). *)
-let expand_scratch ~stamps ~buf ~r ~s ~keep_y ~keep_zy ~rows ~xs lo hi =
+(* One worker expands the x values [xs.(lo..hi-1)] into [rows] through
+   its row accumulator [acc] over dom(z); the accumulator is reused
+   across every sub-range the worker runs. *)
+let expand_scratch ~acc ~r ~s ~keep_y ~keep_zy ~rows ~xs lo hi =
   let obs = Jp_obs.recording () in
   let probes = ref 0 and misses = ref 0 in
   for idx = lo to hi - 1 do
     let a = xs.(idx) in
-    Jp_util.Vec.clear buf;
-    let stamp = idx in
+    Row_acc.start acc;
     Array.iter
       (fun b ->
         if keep_y b then begin
           let zs = Relation.adj_dst s b in
           if obs then probes := !probes + Array.length zs;
-          Array.iter
-            (fun c ->
-              if keep_zy c b && Array.unsafe_get stamps c <> stamp then begin
-                Array.unsafe_set stamps c stamp;
-                Jp_util.Vec.push buf c
-              end)
-            zs
+          match keep_zy with
+          | None -> Row_acc.add_all acc zs
+          | Some keep -> Array.iter (fun c -> if keep c b then Row_acc.add acc c) zs
         end)
       (Relation.adj_src r a);
-    if obs then misses := !misses + Jp_util.Vec.length buf;
-    Jp_util.Vec.sort_dedup buf;
-    rows.(a) <- Jp_util.Vec.to_array buf
+    let row = Row_acc.emit acc in
+    if obs then misses := !misses + Array.length row;
+    rows.(a) <- row
   done;
   if obs then begin
     Jp_obs.add Jp_obs.C.light_probes !probes;
@@ -41,36 +35,26 @@ let expand_scratch ~stamps ~buf ~r ~s ~keep_y ~keep_zy ~rows ~xs lo hi =
     Jp_obs.add Jp_obs.C.stamp_hits (!probes - !misses)
   end
 
-let expand_counts_scratch ~stamps ~counts ~buf ~r ~s ~keep_y ~keep_zy ~rows ~xs
-    lo hi =
+let expand_counts_scratch ~acc ~r ~s ~keep_y ~keep_zy ~rows ~xs lo hi =
   let obs = Jp_obs.recording () in
   let probes = ref 0 and misses = ref 0 in
   for idx = lo to hi - 1 do
     let a = xs.(idx) in
-    Jp_util.Vec.clear buf;
-    let stamp = idx in
+    Row_acc.start acc;
     Array.iter
       (fun b ->
         if keep_y b then begin
           let zs = Relation.adj_dst s b in
           if obs then probes := !probes + Array.length zs;
-          Array.iter
-            (fun c ->
-              if keep_zy c b then
-                if Array.unsafe_get stamps c <> stamp then begin
-                  Array.unsafe_set stamps c stamp;
-                  Array.unsafe_set counts c 1;
-                  Jp_util.Vec.push buf c
-                end
-                else Array.unsafe_set counts c (Array.unsafe_get counts c + 1))
-            zs
+          match keep_zy with
+          | None -> Row_acc.add_witnesses acc zs
+          | Some keep ->
+            Array.iter (fun c -> if keep c b then Row_acc.add_count acc c 1) zs
         end)
       (Relation.adj_src r a);
-    if obs then misses := !misses + Jp_util.Vec.length buf;
-    Jp_util.Vec.sort_dedup buf;
-    let zs = Jp_util.Vec.to_array buf in
-    let cs = Array.map (fun c -> counts.(c)) zs in
-    rows.(a) <- (zs, cs)
+    let ((zs, _) as row) = Row_acc.emit_counts acc in
+    if obs then misses := !misses + Array.length zs;
+    rows.(a) <- row
   done;
   if obs then begin
     Jp_obs.add Jp_obs.C.light_probes !probes;
@@ -78,10 +62,6 @@ let expand_counts_scratch ~stamps ~counts ~buf ~r ~s ~keep_y ~keep_zy ~rows ~xs
     Jp_obs.add Jp_obs.C.stamp_hits (!probes - !misses)
   end
 
-let default_filters keep_y keep_zy =
-  let keep_y = match keep_y with Some f -> f | None -> fun _ -> true in
-  let keep_zy = match keep_zy with Some f -> f | None -> fun _ _ -> true in
-  (keep_y, keep_zy)
 
 (* A y that S does not have has no S tuples: widening S's y domain to
    R's once here keeps every [adj_dst s b] below in bounds without a
@@ -90,30 +70,26 @@ let cover_dst ~r s = Relation.widen_dst s (Relation.dst_count r)
 
 let project ?(domains = 1) ?cancel ?xs ?keep_y ?keep_zy ~r ~s () =
   Jp_obs.span "wcoj.expand" (fun () ->
-      let keep_y, keep_zy = default_filters keep_y keep_zy in
+      let keep_y = match keep_y with Some f -> f | None -> fun _ -> true in
       let xs = match xs with Some a -> a | None -> all_xs r in
       let s = cover_dst ~r s in
       let rows = Array.make (Relation.src_count r) [||] in
       Jp_parallel.Pool.split_ranges ~domains ?cancel ~lo:0 ~hi:(Array.length xs)
-        ~scratch:(fun () ->
-          (Array.make (Relation.src_count s) (-1), Jp_util.Vec.create ~capacity:256 ()))
-        (fun (stamps, buf) lo hi ->
-          expand_scratch ~stamps ~buf ~r ~s ~keep_y ~keep_zy ~rows ~xs lo hi);
+        ~scratch:(fun () -> Row_acc.create (Relation.src_count s))
+        (fun acc lo hi ->
+          expand_scratch ~acc ~r ~s ~keep_y ~keep_zy ~rows ~xs lo hi);
       Pairs.of_rows_unchecked rows)
 
 let project_counts ?(domains = 1) ?cancel ?xs ?keep_y ?keep_zy ~r ~s () =
   Jp_obs.span "wcoj.expand_counts" (fun () ->
-      let keep_y, keep_zy = default_filters keep_y keep_zy in
+      let keep_y = match keep_y with Some f -> f | None -> fun _ -> true in
       let xs = match xs with Some a -> a | None -> all_xs r in
       let s = cover_dst ~r s in
       let rows = Array.make (Relation.src_count r) ([||], [||]) in
-      let nz = Relation.src_count s in
       Jp_parallel.Pool.split_ranges ~domains ?cancel ~lo:0 ~hi:(Array.length xs)
-        ~scratch:(fun () ->
-          (Array.make nz (-1), Array.make nz 0, Jp_util.Vec.create ~capacity:256 ()))
-        (fun (stamps, counts, buf) lo hi ->
-          expand_counts_scratch ~stamps ~counts ~buf ~r ~s ~keep_y ~keep_zy
-            ~rows ~xs lo hi);
+        ~scratch:(fun () -> Row_acc.create ~counts:true (Relation.src_count s))
+        (fun acc lo hi ->
+          expand_counts_scratch ~acc ~r ~s ~keep_y ~keep_zy ~rows ~xs lo hi);
       Counted_pairs.of_rows_unchecked rows)
 
 let count_distinct ?xs ?keep_y ~r ~s () =

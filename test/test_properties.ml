@@ -241,6 +241,46 @@ let prop_guard_replan_checksum =
       && Pairs.equal reference (project (Some injected))
       && Pairs.equal reference (project (Some budgeted)))
 
+let prop_rows_pass_checked_constructors =
+  (* Engines build their results with the unchecked constructors, trusting
+     the row accumulator to emit strictly increasing rows; the checked
+     ones must accept every row, over a narrow z domain (rows leave by the
+     bit scan) and a wide one (rows leave by a sort). *)
+  QCheck.Test.make ~name:"engine rows pass the checked constructors" ~count:40
+    QCheck.(
+      quad small_int (pair (int_range 1 4) (int_range 1 4)) (oneofl [ 30; 20_000 ])
+        (int_range 1 2))
+    (fun (seed, (d1, d2), nz, domains) ->
+      let module Counted_pairs = Jp_relation.Counted_pairs in
+      let module Two_path = Joinproj.Two_path in
+      let r = Gen.skewed_relation ~seed:(seed + 14_000) ~nx:40 ~ny:20 ~edges:300 () in
+      let s = Gen.random_relation ~seed:(seed + 14_500) ~nx:nz ~ny:20 ~edges:700 () in
+      let plan =
+        {
+          Joinproj.Optimizer.decision = Joinproj.Optimizer.Partitioned { d1; d2 };
+          est_out = 1;
+          join_size = 1;
+          est_seconds = 0.0;
+        }
+      in
+      let checked p = Pairs.of_rows (Array.init (Pairs.src_count p) (Pairs.row p)) in
+      let checked_counts c =
+        Counted_pairs.to_pairs
+          (Counted_pairs.of_rows
+             (Array.init (Counted_pairs.src_count c) (Counted_pairs.row c)))
+      in
+      let reference = checked (Jp_wcoj.Expand.project ~domains ~r ~s ()) in
+      List.for_all (Pairs.equal reference)
+        [
+          checked (Two_path.project ~domains ~plan ~r ~s ());
+          checked (Two_path.project ~domains ~strategy:Two_path.Combinatorial ~plan ~r ~s ());
+          checked_counts (Two_path.project_counts ~domains ~plan ~r ~s ());
+          checked_counts (Jp_wcoj.Expand.project_counts ~domains ~r ~s ());
+          checked
+            (Joinproj.Factorized.to_pairs
+               (Joinproj.Factorized.build ~thresholds:(d1, d2) ~r ~s ()));
+        ])
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_intersect_many;
@@ -259,4 +299,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_theoretical_d2_antitone;
     QCheck_alcotest.to_alcotest prop_plan_deterministic;
     QCheck_alcotest.to_alcotest prop_guard_replan_checksum;
+    QCheck_alcotest.to_alcotest prop_rows_pass_checked_constructors;
   ]

@@ -139,6 +139,100 @@ let test_vec () =
   Vec.push2 v 5 7;
   check "push2" [ 5; 7 ] (Array.to_list (Vec.to_array v))
 
+(* Row accumulator.  [nz] spans 1000 bitset words, so a row drawn from a
+   few words near either end is narrow (emitted by the bit scan), and a
+   row drawn from the whole domain is wide (emitted by a sort of the
+   candidates: insertion up to 32 ids, radix past that). *)
+module Row_acc = Jp_util.Row_acc
+
+let acc_nz = 62 * 1000
+
+type acc_row = Short_wide | Long_wide | Narrow_low | Narrow_high
+
+let acc_row_ids g kind =
+  let draw n lo width = List.init n (fun _ -> lo + Rng.int g width) in
+  match kind with
+  | Short_wide -> draw (1 + Rng.int g 32) 0 acc_nz
+  | Long_wide -> draw (33 + Rng.int g 160) 0 acc_nz
+  | Narrow_low -> [ 61; 62; 123; 124 ] @ draw (Rng.int g 200) 0 (62 * 6)
+  | Narrow_high -> [ acc_nz - 1 ] @ draw (Rng.int g 200) (acc_nz - (62 * 6)) (62 * 6)
+
+(* Each id is presented one to three times, in shuffled order. *)
+let acc_presentations g ids =
+  let a = Array.of_list (List.concat_map (fun z -> List.init (1 + Rng.int g 3) (fun _ -> z)) ids) in
+  for i = Array.length a - 1 downto 1 do
+    let j = Rng.int g (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done;
+  a
+
+let acc_kinds = [| Short_wide; Long_wide; Narrow_low; Narrow_high |]
+
+let prop_row_acc_emit =
+  QCheck.Test.make ~name:"Row_acc.emit = sorted distinct candidates" ~count:200
+    QCheck.(pair small_int (int_bound 3))
+    (fun (seed, k) ->
+      let g = Rng.create (seed + 500) in
+      let acc = Row_acc.create acc_nz in
+      (* two rows per case on one accumulator, of every kind pair *)
+      List.for_all
+        (fun kind ->
+          let ids = acc_row_ids g kind in
+          Row_acc.start acc;
+          Array.iteri
+            (fun i z -> if i mod 2 = 0 then Row_acc.add acc z else Row_acc.add_all acc [| z |])
+            (acc_presentations g ids);
+          Array.to_list (Row_acc.emit acc) = List.sort_uniq compare ids)
+        [ acc_kinds.(k); acc_kinds.(seed mod 4) ])
+
+let prop_row_acc_counts =
+  QCheck.Test.make ~name:"Row_acc.emit_counts = summed multiplicities" ~count:200
+    QCheck.(pair small_int (int_bound 3))
+    (fun (seed, k) ->
+      let g = Rng.create (seed + 900) in
+      let acc = Row_acc.create ~counts:true acc_nz in
+      List.for_all
+        (fun kind ->
+          let ids = acc_row_ids g kind in
+          let expect = Hashtbl.create 64 in
+          Row_acc.start acc;
+          Array.iter
+            (fun z ->
+              let w = 1 + Rng.int g 5 in
+              Hashtbl.replace expect z (w + Option.value ~default:0 (Hashtbl.find_opt expect z));
+              if w = 1 then Row_acc.add_witnesses acc [| z |]
+              else Row_acc.add_count acc z w)
+            (acc_presentations g ids);
+          let zs, cs = Row_acc.emit_counts acc in
+          Array.to_list zs = List.sort_uniq compare ids
+          && Array.length cs = Array.length zs
+          && Array.for_all2 (fun z c -> Hashtbl.find expect z = c) zs cs)
+        [ acc_kinds.(k); acc_kinds.(seed mod 4) ])
+
+let test_row_acc_no_leak () =
+  let acc = Row_acc.create ~counts:true 200 in
+  Row_acc.start acc;
+  List.iter (fun z -> Row_acc.add_count acc z 5) [ 3; 61; 62; 199 ];
+  check "first row" [ 3; 61; 62; 199 ] (Array.to_list (Row_acc.emit acc));
+  (* same words, other bits: nothing of the first row may survive *)
+  Row_acc.start acc;
+  Row_acc.add_witnesses acc [| 62; 4; 4; 198 |];
+  let zs, cs = Row_acc.emit_counts acc in
+  check "second row ids" [ 4; 62; 198 ] (Array.to_list zs);
+  check "second row counts" [ 2; 1; 1 ] (Array.to_list cs);
+  (* a row abandoned before emit leaves nothing behind either *)
+  Row_acc.start acc;
+  List.iter (Row_acc.add acc) [ 0; 100 ];
+  Row_acc.start acc;
+  check "empty row" [] (Array.to_list (Row_acc.emit acc));
+  Row_acc.start acc;
+  Row_acc.add acc 100;
+  check "fresh row after abandon" [ 100 ] (Array.to_list (Row_acc.emit acc));
+  Alcotest.check_raises "id outside the domain"
+    (Invalid_argument "index out of bounds") (fun () -> Row_acc.add acc 200)
+
 let test_rng_determinism () =
   let a = Rng.create 123 and b = Rng.create 123 in
   let xs = List.init 50 (fun _ -> Rng.int a 1000) in
@@ -257,6 +351,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_union_difference;
     Alcotest.test_case "gallop" `Quick test_gallop;
     Alcotest.test_case "vec" `Quick test_vec;
+    QCheck_alcotest.to_alcotest prop_row_acc_emit;
+    QCheck_alcotest.to_alcotest prop_row_acc_counts;
+    Alcotest.test_case "row_acc rows do not leak" `Quick test_row_acc_no_leak;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
     QCheck_alcotest.to_alcotest prop_intsort;
