@@ -354,22 +354,6 @@ let two_path_memo t ~r ~s =
       (fun ~d1 build ->
         let key = Key.v ~kind:"two_path.count_mm" ~fps ~params:[ d1 ] () in
         find_or_build t intmat_tag key ~bytes_of:intmat_bytes build);
-    memo_bool_tile =
-      (fun ~d1 ~d2 ~tile_bits ~ti ~tj build ->
-        let key =
-          Key.v ~kind:"two_path.bool_tile" ~fps
-            ~params:[ d1; d2; tile_bits; ti; tj ]
-            ()
-        in
-        find_or_build t boolmat_tag key ~bytes_of:boolmat_bytes build);
-    memo_count_tile =
-      (fun ~d1 ~tile_bits ~ti ~tj build ->
-        let key =
-          Key.v ~kind:"two_path.count_tile" ~fps
-            ~params:[ d1; tile_bits; ti; tj ]
-            ()
-        in
-        find_or_build t intmat_tag key ~bytes_of:intmat_bytes build);
   }
 
 (* ------------------------------------------------------------------ *)

@@ -9,8 +9,9 @@
     + {b L1} — {!Joinproj.Optimizer.prepared} statistics/indexes keyed by
       {!Jp_relation.Relation.fingerprint}, so a repeated query skips the
       O(N) [Optimizer.prepare];
-    + {b L2} — heavy-part matrix products keyed by (fingerprints,
-      partition thresholds), via the {!Joinproj.Two_path.memo} hooks;
+    + {b L2} — whole heavy-part matrix products keyed by (fingerprints,
+      partition thresholds), via the {!Joinproj.Two_path.memo} hooks —
+      one entry per product, whether it ran flat or tiled;
     + {b L3} — whole results with cost-based admission ({!offer}): an
       entry is admitted only when its measured recompute cost times its
       observed miss count beats its byte footprint.
@@ -132,11 +133,9 @@ val two_path_memo :
 (** L1+L2 hooks for {!Joinproj.Two_path.project} /
     [project_counts]: prepared statistics and heavy-part matrix products
     served from the cache.  The memo is specific to this (r, s) pair.
-    Products are keyed on thresholds but not on [domains]: the matrix
-    kernels produce identical matrices for any worker count.  When the
-    heavy product runs tiled, the tile hooks cache partial products at
-    tile granularity instead — keys add (tile_bits, ti, tj) so a later
-    query re-uses exactly the tiles it shares. *)
+    Products are keyed on thresholds but not on [domains] or the tile
+    configuration: the flat and tiled kernels produce identical matrices
+    for any worker count and tile size, so one entry serves both. *)
 
 (** {1 L3 result bindings (consumed by [Jp_service])} *)
 

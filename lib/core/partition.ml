@@ -54,12 +54,17 @@ let make_unspanned ~r ~s ~d1 ~d2 =
   }
 
 let make ?cancel ~r ~s ~d1 ~d2 () =
-  if d1 < 1 || d2 < 1 then invalid_arg "Partition.make: thresholds must be >= 1";
+  if d1 < 1 || d2 < 0 then
+    invalid_arg "Partition.make: thresholds must be d1 >= 1 and d2 >= 0";
   Jp_util.Cancel.check_opt cancel;
   Jp_obs.span "partition.make" (fun () -> make_unspanned ~r ~s ~d1 ~d2)
 
 let is_light_y t y = y >= Array.length t.light_y || t.light_y.(y)
 
+let dims t =
+  (Array.length t.heavy_x, Array.length t.heavy_y, Array.length t.heavy_z)
+
 let pp fmt t =
-  Format.fprintf fmt "partition d1=%d d2=%d: heavy |x|=%d |y|=%d |z|=%d" t.d1 t.d2
-    (Array.length t.heavy_x) (Array.length t.heavy_y) (Array.length t.heavy_z)
+  let u, v, w = dims t in
+  Format.fprintf fmt "partition d1=%d d2=%d: heavy |x|=%d |y|=%d |z|=%d" t.d1
+    t.d2 u v w

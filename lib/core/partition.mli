@@ -39,10 +39,17 @@ val make :
   unit ->
   t
 (** [cancel] is checked once at entry — the partition scan is a single
-    O(N) phase. *)
+    O(N) phase.  [d2 = 0] makes y the only partitioned variable: every
+    endpoint adjacent to a heavy y joins the matrices (the exact-count
+    split of [Two_path.project_counts]).  Raises [Invalid_argument]
+    when [d1 < 1] or [d2 < 0]. *)
 
 val is_light_y : t -> int -> bool
 (** Total over the y id space (ids beyond both relations are light: they
     have no tuples at all). *)
+
+val dims : t -> int * int * int
+(** [(|heavy_x|, |heavy_y|, |heavy_z|)]: the dimensions u, v, w of the
+    heavy matrices (R⁺ is u×v, S⁺ is v×w, their product u×w). *)
 
 val pp : Format.formatter -> t -> unit

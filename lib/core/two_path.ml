@@ -23,21 +23,6 @@ type memo = {
   memo_prepared : (unit -> Optimizer.prepared) -> Optimizer.prepared;
   memo_bool_product : d1:int -> d2:int -> (unit -> Boolmat.t) -> Boolmat.t;
   memo_count_product : d1:int -> (unit -> Intmat.t) -> Intmat.t;
-  memo_bool_tile :
-    d1:int ->
-    d2:int ->
-    tile_bits:int ->
-    ti:int ->
-    tj:int ->
-    (unit -> Boolmat.t) ->
-    Boolmat.t;
-  memo_count_tile :
-    d1:int ->
-    tile_bits:int ->
-    ti:int ->
-    tj:int ->
-    (unit -> Intmat.t) ->
-    Intmat.t;
 }
 
 let no_memo =
@@ -45,9 +30,6 @@ let no_memo =
     memo_prepared = (fun build -> build ());
     memo_bool_product = (fun ~d1:_ ~d2:_ build -> build ());
     memo_count_product = (fun ~d1:_ build -> build ());
-    memo_bool_tile =
-      (fun ~d1:_ ~d2:_ ~tile_bits:_ ~ti:_ ~tj:_ build -> build ());
-    memo_count_tile = (fun ~d1:_ ~tile_bits:_ ~ti:_ ~tj:_ build -> build ());
   }
 
 (* Measures one engine phase for the plan-vs-actual record; [f] may open
@@ -63,115 +45,78 @@ let phase phases name f =
   end
   else f ()
 
-(* ------------------------------------------------------------------ *)
-(* Boolean (dedup-only) evaluation                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Heavy adjacency matrices of R+ and S+ (Section 3.1): rows/columns are
-   the pruned heavy value lists of the partition. *)
-let heavy_matrices ~domains ~r ~s (p : Partition.t) =
-  Obs.span "two_path.heavy_mm" (fun () ->
-      let m1 =
-        Boolmat.create ~rows:(Array.length p.heavy_x)
-          ~cols:(Array.length p.heavy_y)
-      in
-      Array.iteri
-        (fun i a ->
-          Array.iter
-            (fun b ->
-              let j = p.y_index.(b) in
-              if j >= 0 then Boolmat.set m1 i j)
-            (Relation.adj_src r a))
-        p.heavy_x;
-      let m2 =
-        Boolmat.create ~rows:(Array.length p.heavy_y)
-          ~cols:(Array.length p.heavy_z)
-      in
-      Array.iteri
-        (fun j b ->
-          Array.iter
-            (fun c ->
-              let l = p.z_index.(c) in
-              if l >= 0 then Boolmat.set m2 j l)
-            (Relation.adj_dst s b))
-        p.heavy_y;
-      Boolmat.mul ~domains m1 m2)
-
 (* A y that S does not have has no S tuples: widening S's y domain to
    R's once per call keeps every [adj_dst s b] below in bounds without
    per-tuple checks. *)
 let cover_dst ~r s = Relation.widen_dst s (Relation.dst_count r)
 
-(* Public alias: the BSI fast path builds (and caches) the same product
-   over a full-relation partition, answering heavy-heavy point queries
-   straight from its bits. *)
-let heavy_product ?(domains = 1) ~r ~s p =
-  heavy_matrices ~domains ~r ~s:(cover_dst ~r s) p
+(* ------------------------------------------------------------------ *)
+(* The heavy product (Section 3.1), shared by both engines             *)
+(* ------------------------------------------------------------------ *)
 
-(* Tiled sibling of [heavy_matrices]: the operands are handed to
-   [Jp_tile] as lazy adjacency sources, so the full M₁/M₂ are never
-   materialized — tiles are built on demand and stream through the
-   bounded resident store.  Deterministic in (r, s, thresholds,
-   tile_bits), independent of domains and budget, and bit-equal to
-   [heavy_matrices]. *)
-let heavy_matrices_tiled ?cancel ?checkpoint ~tile ~memo ~domains ~r ~s
-    (p : Partition.t) =
-  Obs.span "two_path.heavy_mm" (fun () ->
-      let u = Array.length p.heavy_x
-      and v = Array.length p.heavy_y
-      and w = Array.length p.heavy_z in
-      let src_a =
-        Jp_tile.Source.of_adjacency ~rows:u ~cols:v (fun i ->
-            let bits = Vec.create () in
-            Array.iter
-              (fun b ->
-                let j = p.y_index.(b) in
-                if j >= 0 then Vec.push bits j)
-              (Relation.adj_src r p.heavy_x.(i));
-            Vec.to_array bits)
-      in
-      let src_b =
-        Jp_tile.Source.of_adjacency ~rows:v ~cols:w (fun j ->
-            let bits = Vec.create () in
-            Array.iter
-              (fun c ->
-                let l = p.z_index.(c) in
-                if l >= 0 then Vec.push bits l)
-              (Relation.adj_dst s p.heavy_y.(j));
-            Vec.to_array bits)
-      in
-      Jp_tile.mul ~domains ?cancel ?checkpoint
-        ~memo:
-          (memo.memo_bool_tile ~d1:p.Partition.d1 ~d2:p.Partition.d2
-             ~tile_bits:tile.Jp_tile.tile_bits)
-        tile src_a src_b)
+(* A heavy operand: row [i] holds the neighbours [adj ids.(i)] that the
+   partition keeps, at their positions in [index] (a [cols]-wide column
+   space).  The row function is pure, so [Jp_tile] may call it again to
+   rebuild an evicted tile. *)
+let operand adj ids index ~cols =
+  Jp_tile.Source.of_adjacency ~rows:(Array.length ids) ~cols (fun i f ->
+      Array.iter
+        (fun b ->
+          let j = index.(b) in
+          if j >= 0 then f j)
+        (adj ids.(i)))
 
-(* The tiling gate: a [?tile] config applies when it forces tiling or
+(* R⁺ (rows [heavy_x] over [y_index]) times the S⁺ operand [b], behind
+   the tiling gate: a [?tile] config applies when it forces tiling or
    the cost model agrees (operands big enough, or bigger than the
-   configured resident budget). *)
-let tiling tile kind ~u ~v ~w =
+   configured resident budget), and then the operands stream through
+   [Jp_tile] as lazy sources ([tiled]); otherwise the flat kernel
+   ([flat]) multiplies them materialized.  Both give the same matrix
+   bit for bit. *)
+let heavy_mul ~tile ~kind ~flat ~tiled ~r (p : Partition.t) b =
+  let u, v, w = Partition.dims p in
+  let a = operand (Relation.adj_src r) p.heavy_x p.y_index ~cols:v in
   match tile with
   | Some cfg
     when cfg.Jp_tile.force
          || Jp_matrix.Cost.should_tile ?budget_bytes:cfg.Jp_tile.budget_bytes
               kind ~u ~v ~w () ->
-    Some cfg
-  | _ -> None
+    tiled cfg a b
+  | _ -> flat (Jp_tile.Source.to_boolmat a) (Jp_tile.Source.to_boolmat b)
 
-(* The heavy boolean product behind the tiling gate: tiled, it streams
-   through [Jp_tile] with per-tile memo keys; otherwise the flat kernel
-   runs behind the whole-product memo hook. *)
-let heavy_bool_product ?cancel ?checkpoint ~tile ~memo ~domains ~r ~s
+(* The boolean product M{R⁺}·M{S⁺}, S⁺ as [heavy_y] rows over
+   [z_index], behind the whole-product memo hook. *)
+let bool_product ?cancel ?checkpoint ~tile ~memo ~domains ~r ~s
     (p : Partition.t) =
-  match
-    tiling tile Jp_matrix.Cost.Boolean ~u:(Array.length p.heavy_x)
-      ~v:(Array.length p.heavy_y) ~w:(Array.length p.heavy_z)
-  with
-  | Some cfg ->
-    heavy_matrices_tiled ?cancel ?checkpoint ~tile:cfg ~memo ~domains ~r ~s p
-  | None ->
-    memo.memo_bool_product ~d1:p.Partition.d1 ~d2:p.Partition.d2 (fun () ->
-        heavy_matrices ~domains ~r ~s p)
+  memo.memo_bool_product ~d1:p.d1 ~d2:p.d2 (fun () ->
+      Obs.span "two_path.heavy_mm" (fun () ->
+          heavy_mul ~tile ~kind:Jp_matrix.Cost.Boolean ~r p
+            ~flat:(Boolmat.mul ~domains)
+            ~tiled:(Jp_tile.mul ~domains ?cancel ?checkpoint)
+            (operand (Relation.adj_dst s) p.heavy_y p.z_index
+               ~cols:(Array.length p.heavy_z))))
+
+(* The count product A·Bᵀ over bit-packed rows (62 multiply-adds per
+   word op): A rows are x's heavy-y bitsets, B rows are z's heavy-y
+   bitsets — S⁺ transposed, [heavy_z] rows over [y_index]. *)
+let count_product ?cancel ?checkpoint ~tile ~memo ~domains ~r ~s
+    (p : Partition.t) =
+  memo.memo_count_product ~d1:p.d1 (fun () ->
+      heavy_mul ~tile ~kind:Jp_matrix.Cost.Count ~r p
+        ~flat:(Boolmat.count_product ~domains)
+        ~tiled:(Jp_tile.count_product ~domains ?cancel ?checkpoint)
+        (operand (Relation.adj_src s) p.heavy_z p.y_index
+           ~cols:(Array.length p.heavy_y)))
+
+(* Public alias: the BSI fast path builds (and caches) the same product
+   over a full-relation partition, answering heavy-heavy point queries
+   straight from its bits. *)
+let heavy_product ?(domains = 1) ~r ~s p =
+  bool_product ~tile:None ~memo:no_memo ~domains ~r ~s:(cover_dst ~r s) p
+
+(* ------------------------------------------------------------------ *)
+(* Boolean (dedup-only) evaluation                                     *)
+(* ------------------------------------------------------------------ *)
 
 (* For heavy y values, pre-split S's inverted list into its light-z and
    heavy-z halves once (O(N)); the per-x merge loop would otherwise rescan
@@ -250,10 +195,8 @@ let merge_range ~acc ~r ~s ~(p : Partition.t) ~product ~s_light_of_heavy_y
 
 (* Matrix cells the partition would materialize (u·v + v·w + u·w) — the
    intermediate-size quantity {!Guard.budget}'s [max_cells] bounds. *)
-let partition_cells (p : Partition.t) =
-  let u = Array.length p.heavy_x
-  and v = Array.length p.heavy_y
-  and w = Array.length p.heavy_z in
+let partition_cells p =
+  let u, v, w = Partition.dims p in
   (u * v) + (v * w) + (u * w)
 
 (* Guard checkpoint that can only mark the outcome: the work it guards
@@ -263,13 +206,19 @@ let note_budget g =
   | Guard.Degrade -> Guard.note_degrade g
   | Guard.Continue | Guard.Replan -> ()
 
+(* The heavy product's guard checkpoint, once per output tile, but only
+   when the tiles run on the calling domain — worker domains race past
+   sequential checkpoints (same rule as the chunked merge). *)
+let tile_checkpoint ~domains g =
+  if domains > 1 then None else Some (fun () -> note_budget g)
+
 (* Algorithm 1 on [plan0], supervised by the guard [g].  Without a
    caller's guard [g] is {!Guard.inert}: every checkpoint answers
    [Continue] and this is the plain plan → partition → heavy MM → light
    merge pipeline.  Checkpoints (all once per chunk or phase, never per
    tuple):
 
-   - entry: a zero time budget degrades before any work;
+   - entry (in [frame]): a zero time budget degrades before any work;
    - Wcoj probe (only while re-planning fuel remains): after
      [probe_rows] rows, extrapolate |OUT| and re-plan if it diverges
      from the estimate, or if a clean re-plan prefers the matrix path by
@@ -286,8 +235,8 @@ let note_budget g =
    Re-planning is always done with clean (un-injected) statistics and
    bounded by the guard's fuel, so the recursion terminates.  A cancel
    token is polled at these checkpoints and between merge chunks. *)
-let execute ?cancel ?tile ~g ~prep ~domains ~strategy ~memo ~phases ~r ~s
-    plan0 =
+let execute ?cancel ?tile ~g ~prep ~replan ~domains ~strategy ~memo ~phases ~r
+    ~s plan0 =
   let cfg = Guard.config g in
   let nx = Relation.src_count r in
   (* Effective chunk sizes: bounded by the config but scaled to the x
@@ -309,12 +258,6 @@ let execute ?cancel ?tile ~g ~prep ~domains ~strategy ~memo ~phases ~r ~s
             rows.(a) <- row;
             produced := !produced + Array.length row
           done)
-  in
-  let replan est_out =
-    phase phases "replan" (fun () ->
-        Guard.note_replan g;
-        Optimizer.plan_prepared ~domains ~kind:Jp_matrix.Cost.Boolean ~est_out
-          (Lazy.force prep) ())
   in
   let rec run plan lo =
     if lo < nx then
@@ -385,16 +328,11 @@ let execute ?cancel ?tile ~g ~prep ~domains ~strategy ~memo ~phases ~r ~s
     let product =
       match !strat with
       | Matrix ->
-        (* Guard checkpoints once per output tile, but only when the
-           tiles run on the calling domain — worker domains race past
-           sequential checkpoints (same rule as the chunked merge). *)
-        let checkpoint =
-          if domains > 1 then None else Some (fun () -> note_budget g)
-        in
         Some
           (phase phases "heavy-mm" (fun () ->
-               heavy_bool_product ?cancel ?checkpoint ~tile ~memo ~domains ~r
-                 ~s p))
+               bool_product ?cancel
+                 ?checkpoint:(tile_checkpoint ~domains g)
+                 ~tile ~memo ~domains ~r ~s p))
       | Combinatorial -> None
     in
     Cancel.check_opt cancel;
@@ -448,14 +386,6 @@ let execute ?cancel ?tile ~g ~prep ~domains ~strategy ~memo ~phases ~r ~s
     in
     match resume with Some (np, at) -> run np at | None -> ()
   in
-  (* Entry checkpoint: a zero (or already blown) time budget forbids
-     matrix plans outright. *)
-  Cancel.check_opt cancel;
-  (match Guard.check_budget g ~cells:0 with
-  | Guard.Degrade ->
-    Guard.note_degrade g;
-    strat := Combinatorial
-  | Guard.Continue | Guard.Replan -> ());
   run plan0 0;
   Pairs.of_rows_unchecked rows
 
@@ -465,11 +395,19 @@ let injected_est_out inj ~r ~s =
   if inj.Inject.out_factor = 1.0 then None
   else Some (Inject.out inj (Estimator.estimate ~r ~s))
 
-let project ?(domains = 1) ?(strategy = Matrix) ?plan ?(guard = Guard.inert)
-    ?cancel ?(memo = no_memo) ?tile ~r ~s () =
+(* The frame both engines run in: the span, the timer, the guard, the
+   memoized optimizer indexes, the initial plan (which sees the guard's
+   injected misestimation), the entry checkpoint, the clean re-planner
+   and the plan-vs-actual record.  [run] returns the result with the
+   plan to record. *)
+let frame ~span ~label ~count
+    ~(plan_with :
+       ?est_out:int -> ?mm_cost_scale:float -> Optimizer.prepared -> Optimizer.plan)
+    ?cancel ?plan ~strategy ~guard ~memo ~r ~s run =
   let s = cover_dst ~r s in
-  Obs.span "two_path.project" (fun () ->
+  Obs.span span (fun () ->
       let t0 = Jp_util.Timer.now () in
+      Cancel.check_opt cancel;
       let phases = ref [] in
       let g = Guard.start guard in
       (* Built at most once per invocation: the initial plan forces it,
@@ -481,23 +419,49 @@ let project ?(domains = 1) ?(strategy = Matrix) ?plan ?(guard = Guard.inert)
         | None ->
           let inj = Guard.inject g in
           phase phases "plan" (fun () ->
-              Optimizer.plan_prepared ~domains ~kind:Jp_matrix.Cost.Boolean
-                ?est_out:(injected_est_out inj ~r ~s)
-                ~mm_cost_scale:inj.Inject.mm_factor (Lazy.force prep) ())
+              plan_with ?est_out:(injected_est_out inj ~r ~s)
+                ~mm_cost_scale:inj.Inject.mm_factor (Lazy.force prep))
       in
-      let result =
-        execute ?cancel ?tile ~g ~prep ~domains ~strategy ~memo ~phases ~r ~s
-          plan
+      (* Entry checkpoint: a zero (or already blown) time budget forbids
+         matrix plans outright. *)
+      Cancel.check_opt cancel;
+      let strategy =
+        match Guard.check_budget g ~cells:0 with
+        | Guard.Degrade ->
+          Guard.note_degrade g;
+          Combinatorial
+        | Guard.Continue | Guard.Replan -> strategy
+      in
+      (* Re-planning always uses clean (un-injected) statistics. *)
+      let replan est_out =
+        phase phases "replan" (fun () ->
+            Guard.note_replan g;
+            plan_with ~est_out (Lazy.force prep))
+      in
+      let result, (plan : Optimizer.plan) =
+        run ~g ~prep ~replan ~phases ~s ~strategy plan
       in
       if Obs.recording () then
-        Obs.record_plan ~label:"two_path" ~replanned:(Guard.replanned g)
+        Obs.record_plan ~label ~replanned:(Guard.replanned g)
           ~degraded:(Guard.degraded g)
           ~decision:(Optimizer.decision_to_string plan.decision)
           ~est_out:plan.est_out ~join_size:plan.join_size
-          ~est_seconds:plan.est_seconds ~actual_out:(Pairs.count result)
+          ~est_seconds:plan.est_seconds ~actual_out:(count result)
           ~actual_seconds:(Jp_util.Timer.now () -. t0)
           ~phases:(List.rev !phases) ();
       result)
+
+let project ?(domains = 1) ?(strategy = Matrix) ?plan ?(guard = Guard.inert)
+    ?cancel ?(memo = no_memo) ?tile ~r ~s () =
+  frame ~span:"two_path.project" ~label:"two_path" ~count:Pairs.count
+    ~plan_with:(fun ?est_out ?mm_cost_scale prep ->
+      Optimizer.plan_prepared ~domains ~kind:Jp_matrix.Cost.Boolean ?est_out
+        ?mm_cost_scale prep ())
+    ?cancel ?plan ~strategy ~guard ~memo ~r ~s
+    (fun ~g ~prep ~replan ~phases ~s ~strategy plan ->
+      ( execute ?cancel ?tile ~g ~prep ~replan ~domains ~strategy ~memo ~phases
+          ~r ~s plan,
+        plan ))
 
 let project_with_plan_info ?(domains = 1) ?(strategy = Matrix) ?guard ?cancel
     ?tile ~r ~s () =
@@ -508,89 +472,27 @@ let project_with_plan_info ?(domains = 1) ?(strategy = Matrix) ?guard ?cancel
 (* Exact-count evaluation (partition on the join variable only)        *)
 (* ------------------------------------------------------------------ *)
 
-(* A pair's witnesses can be split between light and heavy y values, so
+(* Section 3.1's split with Δ₂ = 0: y is the only partitioned variable,
+   and the count matrices span every endpoint adjacent to a heavy y.  A
+   pair's witnesses can be split between light and heavy y values, so
    counts from the expansion and from the count-matrix product are summed
    per pair before freezing the row.  Also returns whether the count
    matrices were actually used — [false] means the cell cap forced the
    combinatorial fallback, which a guard records as a degradation. *)
 let counted_partitioned ?cancel ?tile ?checkpoint ~phases ~domains ~memo ~r ~s
     ~d1 ~cap () =
-  let ny = Relation.dst_count s in
-  let deg_ry y = if y < Relation.dst_count r then Relation.deg_dst r y else 0 in
-  let light_y =
-    Array.init ny (fun y -> deg_ry y <= d1 || Relation.deg_dst s y <= d1)
+  let p =
+    phase phases "partition" (fun () ->
+        Partition.make ?cancel ~r ~s ~d1 ~d2:0 ())
   in
-  (* Matrix dimensions: endpoints adjacent to at least one heavy y. *)
-  let heavy_y = Vec.create () in
-  Array.iteri (fun y light -> if not light then Vec.push heavy_y y) light_y;
-  let heavy_y = Vec.to_array heavy_y in
-  let touched rel =
-    let seen = Array.make (Relation.src_count rel) false in
-    Array.iter
-      (fun b ->
-        if b < Relation.dst_count rel then
-          Array.iter (fun a -> seen.(a) <- true) (Relation.adj_dst rel b))
-      heavy_y;
-    let ids = Vec.create () in
-    Array.iteri (fun a hit -> if hit then Vec.push ids a) seen;
-    Vec.to_array ids
-  in
-  let hx = touched r and hz = touched s in
-  let u = Array.length hx and v = Array.length heavy_y and w = Array.length hz in
+  let u, v, w = Partition.dims p in
   let use_matrix = v > 0 && u * v <= cap && v * w <= cap && u * w <= cap in
-  let x_index = Array.make (Relation.src_count r) (-1) in
-  Array.iteri (fun i a -> x_index.(a) <- i) hx;
   let product =
     if not use_matrix then None
     else
-      phase phases "heavy-count-mm" (fun () ->
-          (* The count product A·Bᵀ over bit-packed rows (62
-             multiply-adds per word op): A rows are x's heavy-y bitsets,
-             B rows are z's heavy-y bitsets. *)
-          let heavy_row_fn () =
-            let y_index = Array.make ny (-1) in
-            Array.iteri (fun j b -> y_index.(b) <- j) heavy_y;
-            fun rel a ->
-              let bits = Vec.create () in
-              Array.iter
-                (fun b ->
-                  let j = y_index.(b) in
-                  if j >= 0 then Vec.push bits j)
-                (Relation.adj_src rel a);
-              Vec.to_array bits
-          in
-          match tiling tile Jp_matrix.Cost.Count ~u ~v ~w with
-          | Some cfg ->
-            (* Tiled: operands stream through [Jp_tile]'s bounded store
-               and partial products memoize at tile granularity. *)
-            let heavy_row = heavy_row_fn () in
-            let src_a =
-              Jp_tile.Source.of_adjacency ~rows:u ~cols:v (fun i ->
-                  heavy_row r hx.(i))
-            in
-            let src_b =
-              Jp_tile.Source.of_adjacency ~rows:w ~cols:v (fun l ->
-                  heavy_row s hz.(l))
-            in
-            Some
-              (Jp_tile.count_product ~domains ?cancel ?checkpoint
-                 ~memo:(memo.memo_count_tile ~d1 ~tile_bits:cfg.Jp_tile.tile_bits)
-                 cfg src_a src_b)
-          | None ->
-            Some
-              (memo.memo_count_product ~d1 (fun () ->
-                   (* The whole build sits inside the memo thunk: a hit
-                      skips it. *)
-                   let heavy_row = heavy_row_fn () in
-                   let m1 =
-                     Boolmat.of_adjacency ~rows:u ~cols:v (fun i ->
-                         heavy_row r hx.(i))
-                   in
-                   let m2 =
-                     Boolmat.of_adjacency ~rows:w ~cols:v (fun l ->
-                         heavy_row s hz.(l))
-                   in
-                   Boolmat.count_product ~domains m1 m2)))
+      Some
+        (phase phases "heavy-count-mm" (fun () ->
+             count_product ?cancel ?checkpoint ~tile ~memo ~domains ~r ~s p))
   in
   let treat_all_light = product = None in
   let nx = Relation.src_count r in
@@ -605,7 +507,7 @@ let counted_partitioned ?cancel ?tile ?checkpoint ~phases ~domains ~memo ~r ~s
               Row_acc.start acc;
               Array.iter
                 (fun b ->
-                  if treat_all_light || light_y.(b) then begin
+                  if treat_all_light || p.light_y.(b) then begin
                     let zs = Relation.adj_dst s b in
                     if obs then begin
                       light_scans := !light_scans + Array.length zs;
@@ -616,7 +518,7 @@ let counted_partitioned ?cancel ?tile ?checkpoint ~phases ~domains ~memo ~r ~s
                 (Relation.adj_src r a);
               (match product with
               | Some m ->
-                let i = x_index.(a) in
+                let i = p.x_index.(a) in
                 if i >= 0 then
                   Array.iteri
                     (fun l c ->
@@ -625,7 +527,7 @@ let counted_partitioned ?cancel ?tile ?checkpoint ~phases ~domains ~memo ~r ~s
                         if obs then Stdlib.incr presented;
                         Row_acc.add_count acc c k
                       end)
-                    hz
+                    p.heavy_z
               | None -> ());
               let ((zs, _) as row) = Row_acc.emit_counts acc in
               if obs then misses := !misses + Array.length zs;
@@ -646,27 +548,16 @@ let counted_partitioned ?cancel ?tile ?checkpoint ~phases ~domains ~memo ~r ~s
 let project_counts ?(domains = 1) ?(strategy = Matrix) ?plan
     ?(guard = Guard.inert) ?cancel ?(memo = no_memo) ?tile
     ?(matrix_cell_cap = 200_000_000) ~r ~s () =
-  let s = cover_dst ~r s in
-  Obs.span "two_path.project_counts" (fun () ->
-      let t0 = Jp_util.Timer.now () in
-      Cancel.check_opt cancel;
-      let phases = ref [] in
-      let g = Guard.start guard in
-      let prep = lazy (memo.memo_prepared (fun () -> Optimizer.prepare ~r ~s)) in
-      (* plan_counts' thresholds do not depend on est_out (d2 is pinned),
-         so only the mm-cost component of an injection can mislead it —
-         and the honesty checkpoint below catches it. *)
-      let plan =
-        match plan with
-        | Some p -> p
-        | None ->
-          let inj = Guard.inject g in
-          phase phases "plan" (fun () ->
-              Optimizer.plan_counts_prepared ~domains
-                ?est_out:(injected_est_out inj ~r ~s)
-                ~mm_cost_scale:inj.Inject.mm_factor (Lazy.force prep) ())
-      in
-      (* Guard checkpoints (counts flavour): entry/pre-MM budgets degrade
+  (* plan_counts' thresholds do not depend on est_out (d2 is pinned), so
+     only the mm-cost component of an injection can mislead it — and the
+     honesty checkpoint below catches it. *)
+  frame ~span:"two_path.project_counts" ~label:"two_path.counts"
+    ~count:Counted_pairs.count
+    ~plan_with:(fun ?est_out ?mm_cost_scale prep ->
+      Optimizer.plan_counts_prepared ~domains ?est_out ?mm_cost_scale prep ())
+    ?cancel ?plan ~strategy ~guard ~memo ~r ~s
+    (fun ~g ~prep ~replan ~phases ~s ~strategy plan ->
+      (* Guard checkpoints (counts flavour): the entry budget degrades
          the heavy step to the combinatorial merge; a cost-honesty
          checkpoint re-plans a Partitioned decision whose est_seconds was
          injected; the cells budget tightens the cell cap.  There is no
@@ -676,13 +567,6 @@ let project_counts ?(domains = 1) ?(strategy = Matrix) ?plan
         match (Guard.config g).Guard.budget.Guard.max_cells with
         | Some limit -> min matrix_cell_cap (limit / 3)
         | None -> matrix_cell_cap
-      in
-      let strategy =
-        match Guard.check_budget g ~cells:0 with
-        | Guard.Degrade ->
-          Guard.note_degrade g;
-          Combinatorial
-        | Guard.Continue | Guard.Replan -> strategy
       in
       let plan =
         match plan.Optimizer.decision with
@@ -697,12 +581,7 @@ let project_counts ?(domains = 1) ?(strategy = Matrix) ?plan
              Guard.check_estimate g ~est:plan.Optimizer.est_seconds
                ~observed:honest
            with
-          | Guard.Replan ->
-            phase phases "replan" (fun () ->
-                Guard.note_replan g;
-                Optimizer.plan_counts_prepared ~domains
-                  ~est_out:(Estimator.sampled ~r ~s ())
-                  (Lazy.force prep) ())
+          | Guard.Replan -> replan (Estimator.sampled ~r ~s ())
           | Guard.Continue | Guard.Degrade -> plan)
         | _ -> plan
       in
@@ -712,25 +591,12 @@ let project_counts ?(domains = 1) ?(strategy = Matrix) ?plan
           phase phases "wcoj" (fun () ->
               Jp_wcoj.Expand.project_counts ~domains ?cancel ~r ~s ())
         | Optimizer.Partitioned { d1; d2 = _ }, Matrix ->
-          (* Same per-tile checkpoint rule as the boolean path: only the
-             calling domain may touch the guard. *)
-          let checkpoint =
-            if domains > 1 then None else Some (fun () -> note_budget g)
-          in
           let result, used_matrix =
-            counted_partitioned ?cancel ?tile ?checkpoint ~phases ~domains
-              ~memo ~r ~s ~d1 ~cap ()
+            counted_partitioned ?cancel ?tile
+              ?checkpoint:(tile_checkpoint ~domains g)
+              ~phases ~domains ~memo ~r ~s ~d1 ~cap ()
           in
           if not used_matrix then Guard.note_degrade g;
           result
       in
-      if Obs.recording () then
-        Obs.record_plan ~label:"two_path.counts" ~replanned:(Guard.replanned g)
-          ~degraded:(Guard.degraded g)
-          ~decision:(Optimizer.decision_to_string plan.Optimizer.decision)
-          ~est_out:plan.Optimizer.est_out ~join_size:plan.Optimizer.join_size
-          ~est_seconds:plan.Optimizer.est_seconds
-          ~actual_out:(Counted_pairs.count result)
-          ~actual_seconds:(Jp_util.Timer.now () -. t0)
-          ~phases:(List.rev !phases) ();
-      result)
+      (result, plan))

@@ -44,37 +44,17 @@ type strategy =
     a deterministic, immutable intermediate — the prepared optimizer
     indexes, or a heavy-part matrix product identified by the partition
     thresholds — and may return a previously built value for the same
-    (r, s, thresholds) instead of running it.  A memo value is specific
-    to the (r, s) pair it was created for; hooks are consulted once per
-    phase, never per tuple. *)
+    (r, s, thresholds) instead of running it.  A product hook wraps the
+    whole product, flat or tiled alike: the two kernels are bit-equal,
+    so the key does not depend on the tile configuration.  A memo value
+    is specific to the (r, s) pair it was created for; hooks are
+    consulted once per phase, never per tuple. *)
 type memo = {
   memo_prepared : (unit -> Optimizer.prepared) -> Optimizer.prepared;
   memo_bool_product :
     d1:int -> d2:int -> (unit -> Jp_matrix.Boolmat.t) -> Jp_matrix.Boolmat.t;
   memo_count_product :
     d1:int -> (unit -> Jp_matrix.Intmat.t) -> Jp_matrix.Intmat.t;
-  memo_bool_tile :
-    d1:int ->
-    d2:int ->
-    tile_bits:int ->
-    ti:int ->
-    tj:int ->
-    (unit -> Jp_matrix.Boolmat.t) ->
-    Jp_matrix.Boolmat.t;
-      (** Tile-granularity sibling of [memo_bool_product], consulted
-          once per output tile when the heavy product runs tiled
-          ([?tile] + cost gate): tile (ti, tj) of the boolean heavy
-          product for thresholds (d1, d2) at the given tile size.  The
-          whole-product hook is {e not} consulted on the tiled path —
-          partial products cache at tile granularity instead. *)
-  memo_count_tile :
-    d1:int ->
-    tile_bits:int ->
-    ti:int ->
-    tj:int ->
-    (unit -> Jp_matrix.Intmat.t) ->
-    Jp_matrix.Intmat.t;
-      (** Tile-granularity sibling of [memo_count_product]. *)
 }
 
 val no_memo : memo
@@ -128,9 +108,8 @@ val project :
     [Cost.tile_min_bytes], or larger than the config's resident
     budget) or the config's [force] flag is set; results are bit-equal
     either way, and without [tile] the heavy product runs flat.  Guard
-    checkpoints and cancel polls fire once per tile, and with a [memo]
-    the tiled product consults the tile-granularity hooks instead of the
-    whole-product one. *)
+    checkpoints and cancel polls fire once per tile; a [memo] hit skips
+    the product whole, tiled or flat. *)
 
 val project_counts :
   ?domains:int ->
@@ -146,9 +125,10 @@ val project_counts :
   unit ->
   Counted_pairs.t
 (** Like {!project} but with exact witness multiplicities.  Here only the
-    join variable is partitioned (a pair's witnesses may be split between
-    the light and heavy parts, so per-pair counts from both sides are
-    summed — see DESIGN.md); plans should come from
+    join variable is partitioned — {!Partition.make} with Δ₂ = 0, the
+    same heavy product path as {!project} — and a pair's witnesses may
+    be split between the light and heavy parts, so per-pair counts from
+    both sides are summed (see DESIGN.md); plans should come from
     {!Optimizer.plan_counts}.  If the count matrices would exceed
     [matrix_cell_cap] cells (default 2·10⁸) the heavy part silently falls
     back to the combinatorial strategy.

@@ -38,9 +38,10 @@ let measure_tm n =
 
 (* TI prices one pre-projection join tuple in the stamp-vector expansion
    (Section 6's inner loop), so the probe replicates it end-to-end:
-   adjacency chasing, stamp dedup, buffer pushes, and the final per-group
-   sort.  A plain random-access loop underprices this by an order of
-   magnitude and would bias Algorithm 3 against the matrix plan. *)
+   adjacency chasing into the engines' row accumulator ([Row_acc]: stamp
+   dedup, candidate buffer and the sorted emit).  A plain random-access
+   loop underprices this by an order of magnitude and would bias
+   Algorithm 3 against the matrix plan. *)
 let measure_ti n =
   let rng = Jp_util.Rng.create 0xC0FFEE in
   let nx = max 64 (int_of_float (sqrt (float_of_int n))) in
@@ -50,27 +51,18 @@ let measure_ti n =
   let nz = 4 * deg in
   let adj_r = Array.init nx (fun _ -> Array.init deg (fun _ -> Jp_util.Rng.int rng nz)) in
   let adj_s = Array.init nz (fun _ -> Array.init deg (fun _ -> Jp_util.Rng.int rng nz)) in
-  let stamps = Array.make nz (-1) in
-  let buf = Array.make nz 0 in
+  let acc = Jp_util.Row_acc.create nz in
   let tuples = ref 0 in
   let t0 = Jp_util.Timer.now () in
   for a = 0 to nx - 1 do
-    let len = ref 0 in
+    Jp_util.Row_acc.start acc;
     Array.iter
       (fun b ->
-        Array.iter
-          (fun c ->
-            incr tuples;
-            if Array.unsafe_get stamps c <> a then begin
-              Array.unsafe_set stamps c a;
-              Array.unsafe_set buf !len c;
-              incr len
-            end)
-          (Array.unsafe_get adj_s b))
+        let zs = Array.unsafe_get adj_s b in
+        tuples := !tuples + Array.length zs;
+        Jp_util.Row_acc.add_all acc zs)
       (Array.unsafe_get adj_r a);
-    let group = Array.sub buf 0 !len in
-    Jp_util.Intsort.sort group;
-    Sys.opaque_identity group |> ignore
+    Sys.opaque_identity (Jp_util.Row_acc.emit acc) |> ignore
   done;
   let dt = Jp_util.Timer.now () -. t0 in
   dt /. float_of_int (max 1 !tuples)

@@ -256,13 +256,15 @@ let bag_of_fragment ?domains ?guard ?cancel ?cache catalog f =
         | None -> None
         | Some c -> Some (Jp_cache.two_path_memo c ~r ~s)
       in
-      let pairs = Fragment.two_path ?domains ?guard ?cancel ?memo ~r ~s () in
+      let pairs =
+        Joinproj.Two_path.project ?domains ?guard ?cancel ?memo ~r ~s ()
+      in
       let rows = ref [] in
       Pairs.iter (fun x z -> rows := [| x; z |] :: !rows) pairs;
       Ok (Bag.make ~vars !rows)
     end
     else begin
-      let tuples = Fragment.star ?domains ?guard ?cancel rels in
+      let tuples = Joinproj.Star.project ?domains ?guard ?cancel rels in
       let rows = ref [] in
       Tuples.iter (fun tup -> rows := Array.copy tup :: !rows) tuples;
       Ok (Bag.make ~vars !rows)

@@ -1,7 +1,6 @@
 module Boolmat = Jp_matrix.Boolmat
 module Intmat = Jp_matrix.Intmat
 module Bitset = Jp_util.Bitset
-module Vec = Jp_util.Vec
 module Cancel = Jp_util.Cancel
 module Obs = Jp_obs
 module Metrics = Jp_metrics
@@ -15,19 +14,21 @@ let config ?(tile_bits = default_tile_bits) ?budget_bytes ?(force = false) () =
   { tile_bits = max 4 (min 20 tile_bits); budget_bytes; force }
 
 module Source = struct
-  type t = { rows : int; cols : int; adj : int -> int array }
+  type t = { rows : int; cols : int; adj : int -> (int -> unit) -> unit }
 
   let of_adjacency ~rows ~cols adj =
     if rows < 0 || cols < 0 then invalid_arg "Jp_tile.Source.of_adjacency";
     { rows; cols; adj }
 
   let of_boolmat m =
-    let adj i =
-      let out = Vec.create () in
-      Boolmat.iter_row m i (fun j -> Vec.push out j);
-      Vec.to_array out
-    in
-    { rows = Boolmat.rows m; cols = Boolmat.cols m; adj }
+    { rows = Boolmat.rows m; cols = Boolmat.cols m; adj = Boolmat.iter_row m }
+
+  let to_boolmat s =
+    let m = Boolmat.create ~rows:s.rows ~cols:s.cols in
+    for i = 0 to s.rows - 1 do
+      s.adj i (Boolmat.set m i)
+    done;
+    m
 
   let rows s = s.rows
 
@@ -48,11 +49,9 @@ let build_tile (src : Source.t) ~r0 ~th ~c0 ~tw =
   let m = Boolmat.create ~rows:th ~cols:tw in
   let scanned = ref 0 in
   for i = 0 to th - 1 do
-    let row = src.Source.adj (r0 + i) in
-    scanned := !scanned + Array.length row;
-    Array.iter
-      (fun j -> if j >= c0 && j < c0 + tw then Boolmat.set m i (j - c0))
-      row
+    src.Source.adj (r0 + i) (fun j ->
+        Stdlib.incr scanned;
+        if j >= c0 && j < c0 + tw then Boolmat.set m i (j - c0))
   done;
   (m, !scanned)
 
@@ -239,7 +238,7 @@ let run_checkpoint = function Some f -> f () | None -> ()
    block-row overlap on the boundary words of the shared result rows
    (2^k is not a multiple of 62), so blits serialize on a per-block-row
    mutex; ORs commute, so the result is independent of blit order. *)
-let mul ?(domains = 1) ?cancel ?checkpoint ?memo cfg (a : Source.t)
+let mul ?(domains = 1) ?cancel ?checkpoint cfg (a : Source.t)
     (b : Source.t) =
   if a.Source.cols <> b.Source.rows then
     invalid_arg
@@ -266,7 +265,7 @@ let mul ?(domains = 1) ?cancel ?checkpoint ?memo cfg (a : Source.t)
           Obs.span "tile.mul_tile" (fun () ->
               let r0 = ti * ts and c0 = tj * ts in
               let th = min ts (u - r0) and tw = min ts (w - c0) in
-              let compute () =
+              let tile =
                 let acc = Boolmat.create ~rows:th ~cols:tw in
                 let unions = ref 0 in
                 for k = 0 to t_k - 1 do
@@ -293,9 +292,6 @@ let mul ?(domains = 1) ?cancel ?checkpoint ?memo cfg (a : Source.t)
                 end;
                 acc
               in
-              let tile =
-                match memo with None -> compute () | Some m -> m ~ti ~tj compute
-              in
               Mutex.lock row_locks.(ti);
               for i = 0 to th - 1 do
                 Bitset.union_into_at
@@ -315,7 +311,7 @@ let mul ?(domains = 1) ?cancel ?checkpoint ?memo cfg (a : Source.t)
    Output tile (ti, tj) owns the disjoint cell block
    [r0, r0+th) × [c0, c0+tw) of the result, so no blit locks are
    needed; inner-tile partial counts are exact integer sums. *)
-let count_product ?(domains = 1) ?cancel ?checkpoint ?memo cfg (a : Source.t)
+let count_product ?(domains = 1) ?cancel ?checkpoint cfg (a : Source.t)
     (b : Source.t) =
   if a.Source.cols <> b.Source.cols then
     invalid_arg
@@ -342,7 +338,7 @@ let count_product ?(domains = 1) ?cancel ?checkpoint ?memo cfg (a : Source.t)
           Obs.span "tile.count_tile" (fun () ->
               let r0 = ti * ts and c0 = tj * ts in
               let th = min ts (u - r0) and tw = min ts (w - c0) in
-              let compute () =
+              let tile =
                 let acc = Intmat.create ~rows:th ~cols:tw in
                 let words = ref 0 in
                 for k = 0 to t_k - 1 do
@@ -370,9 +366,6 @@ let count_product ?(domains = 1) ?cancel ?checkpoint ?memo cfg (a : Source.t)
                 done;
                 if obs then Obs.add Obs.C.mm_count_word_ops !words;
                 acc
-              in
-              let tile =
-                match memo with None -> compute () | Some m -> m ~ti ~tj compute
               in
               for i = 0 to th - 1 do
                 for l = 0 to tw - 1 do

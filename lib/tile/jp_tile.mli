@@ -14,9 +14,8 @@
       is set, LANDLORD-style eviction rebuilds cold tiles instead of
       holding both operands resident, so products larger than the budget
       stream instead of OOM-ing.
-    - {b Capabilities}: one [Jp_obs] span, one optional cancel poll /
-      guard checkpoint and one memo-hook consultation {e per tile} —
-      never per word (jp_lint's [hot-poll] cadence).  [tile.*] counters
+    - {b Capabilities}: one [Jp_obs] span and one optional cancel poll /
+      guard checkpoint {e per tile} — never per word (jp_lint's [hot-poll] cadence).  [tile.*] counters
       track tile builds / store hits / evictions / products and the
       resident footprint ([tile.bytes] + its [tile.peak_bytes]
       high-water mark, mirrored into the [tile.resident_bytes] gauge).
@@ -55,14 +54,19 @@ val config : ?tile_bits:int -> ?budget_bytes:int -> ?force:bool -> unit -> confi
 module Source : sig
   type t
 
-  val of_adjacency : rows:int -> cols:int -> (int -> int array) -> t
-  (** [of_adjacency ~rows ~cols adj] views row [i] as ones at positions
-      [adj i] (each in [[0, cols)], order irrelevant).  [adj] must be
-      pure — it is re-invoked whenever an evicted tile is rebuilt — and,
-      with [domains > 1], safe to call from worker domains. *)
+  val of_adjacency :
+    rows:int -> cols:int -> (int -> (int -> unit) -> unit) -> t
+  (** [of_adjacency ~rows ~cols adj] views row [i] as ones at the
+      positions [adj i f] calls [f] on (each in [[0, cols)], order
+      irrelevant).  [adj] must be pure — it is re-invoked whenever an
+      evicted tile is rebuilt — and, with [domains > 1], safe to call
+      from worker domains. *)
 
   val of_boolmat : Boolmat.t -> t
   (** View an already materialized matrix (tests and benches). *)
+
+  val to_boolmat : t -> Boolmat.t
+  (** Materialize the whole operand — what the flat kernels multiply. *)
 
   val rows : t -> int
 
@@ -73,7 +77,6 @@ val mul :
   ?domains:int ->
   ?cancel:Cancel.t ->
   ?checkpoint:(unit -> unit) ->
-  ?memo:(ti:int -> tj:int -> (unit -> Boolmat.t) -> Boolmat.t) ->
   config ->
   Source.t ->
   Source.t ->
@@ -82,17 +85,14 @@ val mul :
     [Boolmat.mul] on the materialized operands.  [cancel] is polled once
     per tile claim (via the pool) and [checkpoint] runs once per output
     tile on the computing domain — callers pass budget checks only when
-    that is safe for their guard (single-domain).  [memo ~ti ~tj build]
-    may return a previously built output tile for the same operands and
-    config instead of running [build] — the [Jp_cache] L2 hook; absent,
-    every tile is computed.  Raises [Invalid_argument] naming both
-    shapes when the inner dimensions disagree. *)
+    that is safe for their guard (single-domain).  Raises
+    [Invalid_argument] naming both shapes when the inner dimensions
+    disagree. *)
 
 val count_product :
   ?domains:int ->
   ?cancel:Cancel.t ->
   ?checkpoint:(unit -> unit) ->
-  ?memo:(ti:int -> tj:int -> (unit -> Intmat.t) -> Intmat.t) ->
   config ->
   Source.t ->
   Source.t ->

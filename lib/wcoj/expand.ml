@@ -9,7 +9,7 @@ let all_xs r = Array.init (Relation.src_count r) (fun i -> i)
 (* One worker expands the x values [xs.(lo..hi-1)] into [rows] through
    its row accumulator [acc] over dom(z); the accumulator is reused
    across every sub-range the worker runs. *)
-let expand_scratch ~acc ~r ~s ~keep_y ~keep_zy ~rows ~xs lo hi =
+let expand_scratch ~acc ~r ~s ~keep_y ~rows ~xs lo hi =
   let obs = Jp_obs.recording () in
   let probes = ref 0 and misses = ref 0 in
   for idx = lo to hi - 1 do
@@ -20,9 +20,7 @@ let expand_scratch ~acc ~r ~s ~keep_y ~keep_zy ~rows ~xs lo hi =
         if keep_y b then begin
           let zs = Relation.adj_dst s b in
           if obs then probes := !probes + Array.length zs;
-          match keep_zy with
-          | None -> Row_acc.add_all acc zs
-          | Some keep -> Array.iter (fun c -> if keep c b then Row_acc.add acc c) zs
+          Row_acc.add_all acc zs
         end)
       (Relation.adj_src r a);
     let row = Row_acc.emit acc in
@@ -35,7 +33,7 @@ let expand_scratch ~acc ~r ~s ~keep_y ~keep_zy ~rows ~xs lo hi =
     Jp_obs.add Jp_obs.C.stamp_hits (!probes - !misses)
   end
 
-let expand_counts_scratch ~acc ~r ~s ~keep_y ~keep_zy ~rows ~xs lo hi =
+let expand_counts_scratch ~acc ~r ~s ~keep_y ~rows ~xs lo hi =
   let obs = Jp_obs.recording () in
   let probes = ref 0 and misses = ref 0 in
   for idx = lo to hi - 1 do
@@ -46,10 +44,7 @@ let expand_counts_scratch ~acc ~r ~s ~keep_y ~keep_zy ~rows ~xs lo hi =
         if keep_y b then begin
           let zs = Relation.adj_dst s b in
           if obs then probes := !probes + Array.length zs;
-          match keep_zy with
-          | None -> Row_acc.add_witnesses acc zs
-          | Some keep ->
-            Array.iter (fun c -> if keep c b then Row_acc.add_count acc c 1) zs
+          Row_acc.add_witnesses acc zs
         end)
       (Relation.adj_src r a);
     let ((zs, _) as row) = Row_acc.emit_counts acc in
@@ -68,7 +63,7 @@ let expand_counts_scratch ~acc ~r ~s ~keep_y ~keep_zy ~rows ~xs lo hi =
    per-tuple branch. *)
 let cover_dst ~r s = Relation.widen_dst s (Relation.dst_count r)
 
-let project ?(domains = 1) ?cancel ?xs ?keep_y ?keep_zy ~r ~s () =
+let project ?(domains = 1) ?cancel ?xs ?keep_y ~r ~s () =
   Jp_obs.span "wcoj.expand" (fun () ->
       let keep_y = match keep_y with Some f -> f | None -> fun _ -> true in
       let xs = match xs with Some a -> a | None -> all_xs r in
@@ -77,10 +72,10 @@ let project ?(domains = 1) ?cancel ?xs ?keep_y ?keep_zy ~r ~s () =
       Jp_parallel.Pool.split_ranges ~domains ?cancel ~lo:0 ~hi:(Array.length xs)
         ~scratch:(fun () -> Row_acc.create (Relation.src_count s))
         (fun acc lo hi ->
-          expand_scratch ~acc ~r ~s ~keep_y ~keep_zy ~rows ~xs lo hi);
+          expand_scratch ~acc ~r ~s ~keep_y ~rows ~xs lo hi);
       Pairs.of_rows_unchecked rows)
 
-let project_counts ?(domains = 1) ?cancel ?xs ?keep_y ?keep_zy ~r ~s () =
+let project_counts ?(domains = 1) ?cancel ?xs ?keep_y ~r ~s () =
   Jp_obs.span "wcoj.expand_counts" (fun () ->
       let keep_y = match keep_y with Some f -> f | None -> fun _ -> true in
       let xs = match xs with Some a -> a | None -> all_xs r in
@@ -89,7 +84,7 @@ let project_counts ?(domains = 1) ?cancel ?xs ?keep_y ?keep_zy ~r ~s () =
       Jp_parallel.Pool.split_ranges ~domains ?cancel ~lo:0 ~hi:(Array.length xs)
         ~scratch:(fun () -> Row_acc.create ~counts:true (Relation.src_count s))
         (fun acc lo hi ->
-          expand_counts_scratch ~acc ~r ~s ~keep_y ~keep_zy ~rows ~xs lo hi);
+          expand_counts_scratch ~acc ~r ~s ~keep_y ~rows ~xs lo hi);
       Counted_pairs.of_rows_unchecked rows)
 
 let count_distinct ?xs ?keep_y ~r ~s () =

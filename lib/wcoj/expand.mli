@@ -8,7 +8,7 @@
     - the projection of the *full* 2-path join (the WCOJ-then-project
       baseline, and the combinatorial heavy-part strategy of Non-MMJoin);
     - the light sub-joins R⁻ ⋈ S and R ⋈ S⁻ of Algorithm 1, via the
-      [xs]/[keep_y]/[keep_zy] filters;
+      [xs]/[keep_y] filters;
     - the counting variant needed by SSJ/SCJ, which accumulates witness
       multiplicities instead of booleans.
 
@@ -33,14 +33,13 @@ val project :
   ?cancel:Cancel.t ->
   ?xs:int array ->
   ?keep_y:(int -> bool) ->
-  ?keep_zy:(int -> int -> bool) ->
   r:Relation.t ->
   s:Relation.t ->
   unit ->
   Pairs.t
 (** [project ~r ~s ()] is π{_xz}(R(x,y) ⋈ S(z,y)) as deduplicated pairs.
     [xs] restricts the driving x values (default: all of dom(x));
-    [keep_y] filters join values y; [keep_zy z y] filters S tuples.
+    [keep_y] filters join values y.
     Rows for x values outside [xs] are empty. *)
 
 val project_counts :
@@ -48,7 +47,6 @@ val project_counts :
   ?cancel:Cancel.t ->
   ?xs:int array ->
   ?keep_y:(int -> bool) ->
-  ?keep_zy:(int -> int -> bool) ->
   r:Relation.t ->
   s:Relation.t ->
   unit ->

@@ -49,8 +49,48 @@ let test_partition_prunes_zero_rows () =
   Alcotest.(check (list int)) "heavy x pruned" [] (Array.to_list p.heavy_x);
   Alcotest.(check (list int)) "heavy z pruned" [] (Array.to_list p.heavy_z);
   Alcotest.check_raises "bad thresholds"
-    (Invalid_argument "Partition.make: thresholds must be >= 1") (fun () ->
-      ignore (Partition.make ~r ~s ~d1:0 ~d2:1 ()))
+    (Invalid_argument "Partition.make: thresholds must be d1 >= 1 and d2 >= 0")
+    (fun () -> ignore (Partition.make ~r ~s ~d1:0 ~d2:1 ()))
+
+(* Δ₂ = 0 (the exact-count split): every endpoint adjacent to a heavy y
+   spans the matrices, whatever its own degree. *)
+let test_partition_d2_zero () =
+  let adjacent_to_heavy rel (p : Partition.t) =
+    List.filter
+      (fun a ->
+        Array.exists
+          (fun b -> not (Partition.is_light_y p b))
+          (Relation.adj_src rel a))
+      (List.init (Relation.src_count rel) Fun.id)
+  in
+  let check_split name ~r ~s ~d1 =
+    let p = Partition.make ~r ~s ~d1 ~d2:0 () in
+    Alcotest.(check (list int))
+      (name ^ ": heavy x") (adjacent_to_heavy r p) (Array.to_list p.heavy_x);
+    Alcotest.(check (list int))
+      (name ^ ": heavy z") (adjacent_to_heavy s p) (Array.to_list p.heavy_z);
+    Array.iteri
+      (fun i a -> Alcotest.(check int) (name ^ ": x index") i p.x_index.(a))
+      p.heavy_x
+  in
+  (* y=0 is heavy at d1 = 2; x=0..2 have degree 1 yet join the matrices,
+     x=3 (only light y's) stays out. *)
+  let r = Relation.of_edges [| (0, 0); (1, 0); (2, 0); (3, 1); (3, 2) |] in
+  let s = Relation.of_edges [| (5, 0); (6, 0); (7, 0); (8, 1) |] in
+  check_split "tiny" ~r ~s ~d1:2;
+  Alcotest.(check (list int)) "tiny: degree-1 x kept" [ 0; 1; 2 ]
+    (Array.to_list (Partition.make ~r ~s ~d1:2 ~d2:0 ()).heavy_x);
+  Alcotest.(check (list int)) "tiny: d2 = 1 drops them" []
+    (Array.to_list (Partition.make ~r ~s ~d1:2 ~d2:1 ()).heavy_x);
+  let r = Gen.skewed_relation ~seed:3 ~nx:60 ~ny:40 ~edges:400 () in
+  let s = Gen.skewed_relation ~seed:4 ~nx:50 ~ny:40 ~edges:300 () in
+  List.iter (fun d1 -> check_split (Printf.sprintf "skewed d1=%d" d1) ~r ~s ~d1) [ 1; 3; 8 ];
+  Alcotest.check_raises "d1 = 0"
+    (Invalid_argument "Partition.make: thresholds must be d1 >= 1 and d2 >= 0")
+    (fun () -> ignore (Partition.make ~r ~s ~d1:0 ~d2:0 ()));
+  Alcotest.check_raises "d2 = -1"
+    (Invalid_argument "Partition.make: thresholds must be d1 >= 1 and d2 >= 0")
+    (fun () -> ignore (Partition.make ~r ~s ~d1:1 ~d2:(-1) ()))
 
 let forced_plan d1 d2 =
   {
@@ -222,6 +262,8 @@ let suite =
   [
     Alcotest.test_case "partition classification" `Quick test_partition_classification;
     Alcotest.test_case "partition prunes zero rows" `Quick test_partition_prunes_zero_rows;
+    Alcotest.test_case "partition d2 = 0 spans heavy-y endpoints" `Quick
+      test_partition_d2_zero;
     Alcotest.test_case "two-path thresholds uniform" `Quick test_two_path_all_thresholds_uniform;
     Alcotest.test_case "two-path thresholds skewed" `Quick test_two_path_all_thresholds_skewed;
     Alcotest.test_case "two-path self join" `Quick test_two_path_self_join;

@@ -249,8 +249,8 @@ let prop_rows_pass_checked_constructors =
   QCheck.Test.make ~name:"engine rows pass the checked constructors" ~count:40
     QCheck.(
       quad small_int (pair (int_range 1 4) (int_range 1 4)) (oneofl [ 30; 20_000 ])
-        (int_range 1 2))
-    (fun (seed, (d1, d2), nz, domains) ->
+        (triple (int_range 1 2) bool bool))
+    (fun (seed, (d1, d2), nz, (domains, tiled, memoized)) ->
       let module Counted_pairs = Jp_relation.Counted_pairs in
       let module Two_path = Joinproj.Two_path in
       let r = Gen.skewed_relation ~seed:(seed + 14_000) ~nx:40 ~ny:20 ~edges:300 () in
@@ -263,23 +263,41 @@ let prop_rows_pass_checked_constructors =
           est_seconds = 0.0;
         }
       in
+      (* The heavy product runs flat or through forced tiny tiles, and
+         with a memo the cache is first warmed by the other kernel: a
+         product memoized by one kernel must serve the other. *)
+      let tiny = Some (Jp_tile.config ~tile_bits:4 ~budget_bytes:4096 ~force:true ()) in
+      let tile = if tiled then tiny else None in
+      let memo =
+        if not memoized then None
+        else begin
+          let cache = Jp_cache.create () in
+          let memo = Jp_cache.two_path_memo cache ~r ~s in
+          let warm = if tiled then None else tiny in
+          ignore (Two_path.project ~domains ~plan ~memo ?tile:warm ~r ~s ());
+          ignore (Two_path.project_counts ~domains ~plan ~memo ?tile:warm ~r ~s ());
+          Some memo
+        end
+      in
       let checked p = Pairs.of_rows (Array.init (Pairs.src_count p) (Pairs.row p)) in
       let checked_counts c =
-        Counted_pairs.to_pairs
-          (Counted_pairs.of_rows
-             (Array.init (Counted_pairs.src_count c) (Counted_pairs.row c)))
+        Counted_pairs.of_rows (Array.init (Counted_pairs.src_count c) (Counted_pairs.row c))
       in
       let reference = checked (Jp_wcoj.Expand.project ~domains ~r ~s ()) in
-      List.for_all (Pairs.equal reference)
-        [
-          checked (Two_path.project ~domains ~plan ~r ~s ());
-          checked (Two_path.project ~domains ~strategy:Two_path.Combinatorial ~plan ~r ~s ());
-          checked_counts (Two_path.project_counts ~domains ~plan ~r ~s ());
-          checked_counts (Jp_wcoj.Expand.project_counts ~domains ~r ~s ());
-          checked
-            (Joinproj.Factorized.to_pairs
-               (Joinproj.Factorized.build ~thresholds:(d1, d2) ~r ~s ()));
-        ])
+      let reference_counts = checked_counts (Jp_wcoj.Expand.project_counts ~domains ~r ~s ()) in
+      Counted_pairs.equal reference_counts
+        (checked_counts (Two_path.project_counts ~domains ~plan ?memo ?tile ~r ~s ()))
+      && List.for_all (Pairs.equal reference)
+           [
+             checked (Two_path.project ~domains ~plan ?memo ?tile ~r ~s ());
+             checked
+               (Two_path.project ~domains ~strategy:Two_path.Combinatorial ~plan ?memo ?tile
+                  ~r ~s ());
+             Counted_pairs.to_pairs reference_counts;
+             checked
+               (Joinproj.Factorized.to_pairs
+                  (Joinproj.Factorized.build ~thresholds:(d1, d2) ~r ~s ()));
+           ])
 
 let suite =
   [

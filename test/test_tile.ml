@@ -158,26 +158,6 @@ let test_store_accounting () =
   Alcotest.(check int) "footprint drained" 0 (get "tile.bytes");
   Alcotest.(check bool) "peak recorded" true (get "tile.peak_bytes" > 0)
 
-let test_memo_per_tile () =
-  let a = random_boolmat 17 ~rows:40 ~cols:40 ~density:0.2 in
-  let b = random_boolmat 18 ~rows:40 ~cols:40 ~density:0.2 in
-  let sa = Tile.Source.of_boolmat a and sb = Tile.Source.of_boolmat b in
-  let served = Hashtbl.create 16 in
-  let memo ~ti ~tj build =
-    match Hashtbl.find_opt served (ti, tj) with
-    | Some t -> t
-    | None ->
-      let t = build () in
-      Hashtbl.add served (ti, tj) t;
-      t
-  in
-  let first = Tile.mul ~memo (cfg ()) sa sb in
-  (* 40/16 -> 3x3 output tiles, each consulted once. *)
-  Alcotest.(check int) "one consult per tile" 9 (Hashtbl.length served);
-  let again = Tile.mul ~memo (cfg ()) sa sb in
-  Alcotest.(check bool) "memo-served = computed" true (Boolmat.equal first again);
-  Alcotest.(check bool) "flat agrees" true (Boolmat.equal first (Boolmat.mul a b))
-
 let test_checkpoint_and_cancel () =
   let a = random_boolmat 19 ~rows:64 ~cols:64 ~density:0.2 in
   let sa = Tile.Source.of_boolmat a in
@@ -213,7 +193,6 @@ let suite =
     Alcotest.test_case "dim mismatch" `Quick test_dim_mismatch;
     Alcotest.test_case "eviction determinism" `Quick test_eviction_determinism;
     Alcotest.test_case "store accounting" `Quick test_store_accounting;
-    Alcotest.test_case "memo per tile" `Quick test_memo_per_tile;
     Alcotest.test_case "checkpoint and cancel" `Quick test_checkpoint_and_cancel;
     Alcotest.test_case "should_tile gate" `Quick test_should_tile_gate;
   ]

@@ -58,10 +58,7 @@ let test_expand_filters () =
   Alcotest.(check (list (pair int int))) "keep_y" [ (0, 5) ]
     (Gen.pairs_to_list only_y0);
   let xs_only = Expand.project ~xs:[| 1 |] ~r ~s () in
-  Alcotest.(check (list (pair int int))) "xs" [ (1, 6) ] (Gen.pairs_to_list xs_only);
-  let keep_zy = Expand.project ~keep_zy:(fun z _ -> z = 6) ~r ~s () in
-  Alcotest.(check (list (pair int int))) "keep_zy" [ (0, 6); (1, 6) ]
-    (Gen.pairs_to_list keep_zy)
+  Alcotest.(check (list (pair int int))) "xs" [ (1, 6) ] (Gen.pairs_to_list xs_only)
 
 let test_expand_counts () =
   let r = Relation.of_edges [| (0, 0); (0, 1); (0, 2) |] in
