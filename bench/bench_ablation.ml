@@ -139,8 +139,9 @@ let estimators cfg =
       (fun name ->
         let r = Bench_common.dataset cfg name in
         let truth = Jp_wcoj.Expand.count_distinct ~r ~s:r () in
-        let lower, upper = Joinproj.Estimator.bounds ~r ~s:r in
-        let geo = Joinproj.Estimator.estimate ~r ~s:r in
+        let summary = Joinproj.Estimator.summarize ~r ~s:r in
+        let lower, upper = Joinproj.Estimator.bounds summary in
+        let geo = Joinproj.Estimator.estimate summary in
         let smp = Joinproj.Estimator.sampled ~r ~s:r () in
         let err v =
           Printf.sprintf "%.2fx" (float_of_int (max v truth) /. float_of_int (max 1 (min v truth)))
@@ -888,11 +889,9 @@ let tile cfg =
     "operands exceed the resident cap; the tiled kernel streams (evict +";
   Bench_common.note "rebuild) and must return the flat kernel's exact matrix."
 
-(* ABL-DEDUP is registered as its own tag (CI smokes it alone), which
-   [--only ABL] still matches by prefix. *)
+(* ABL-DEDUP, ABL-EST and ABL-THRESH are registered as their own tags
+   (CI smokes them alone), which [--only ABL] still matches by prefix. *)
 let all cfg =
   kernels cfg;
   sorts cfg;
-  thresholds cfg;
-  estimators cfg;
   dynamic cfg

@@ -27,6 +27,8 @@ let experiments =
     ("FIG8", Bench_ssj.fig8);
     ("EX4", Bench_join.example4);
     ("ABL-DEDUP", Bench_ablation.dedup);
+    ("ABL-EST", Bench_ablation.estimators);
+    ("ABL-THRESH", Bench_ablation.thresholds);
     ("ABL", Bench_ablation.all);
     ("ABL-GUARD", Bench_ablation.guard);
     ("ABL-CHAOS", Bench_ablation.chaos);

@@ -329,13 +329,7 @@ let find_or_build t tg key ~bytes_of build =
 
 let prepared_keyed t ~fps build =
   let key = Key.v ~kind:"two_path.prep" ~fps () in
-  find_or_build t prepared_tag key ~bytes_of:Optimizer.prepared_bytes
-    (fun () ->
-      let p = build () in
-      (* Force the lazy join size before publication: concurrent forcing
-         of one suspension from two domains is unsafe in OCaml 5. *)
-      Optimizer.seal_prepared p;
-      p)
+  find_or_build t prepared_tag key ~bytes_of:Optimizer.prepared_bytes build
 
 let prepared t ~r ~s =
   prepared_keyed t

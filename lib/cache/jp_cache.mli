@@ -7,8 +7,8 @@
     one store:
 
     + {b L1} — {!Joinproj.Optimizer.prepared} statistics/indexes keyed by
-      {!Jp_relation.Relation.fingerprint}, so a repeated query skips the
-      O(N) [Optimizer.prepare];
+      {!Jp_relation.Relation.fingerprint}, so a repeated query skips
+      [Optimizer.prepare];
     + {b L2} — whole heavy-part matrix products keyed by (fingerprints,
       partition thresholds), via the {!Joinproj.Two_path.memo} hooks —
       one entry per product, whether it ran flat or tiled;
@@ -124,9 +124,9 @@ val pp_stats : Format.formatter -> stats -> unit
 (** {1 Typed views used by the engines} *)
 
 val prepared : t -> r:Relation.t -> s:Relation.t -> Joinproj.Optimizer.prepared
-(** L1: cached [Optimizer.prepare ~r ~s].  The value is sealed
-    ({!Joinproj.Optimizer.seal_prepared}) before publication so worker
-    domains never race on its lazy component. *)
+(** L1: cached [Optimizer.prepare ~r ~s], which applies the 20N rule
+    before it builds any index (an entry the rule decided is a few words).
+    Entries are immutable, so worker domains read them concurrently. *)
 
 val two_path_memo :
   t -> r:Relation.t -> s:Relation.t -> Joinproj.Two_path.memo

@@ -7,22 +7,33 @@ let active_src r =
   done;
   !n
 
-let join_size ~r ~s = Relation.join_size_on_dst [ r; s ]
+type summary = { n : int; dom_x : int; dom_z : int; join_size : int }
 
-let bounds ~r ~s =
-  let out_join = join_size ~r ~s in
-  let dom_x = active_src r and dom_z = active_src s in
-  let n = max 1 (max (Relation.size r) (Relation.size s)) in
-  let ratio = out_join / n in
-  let lower = max (max dom_x dom_z) (ratio * ratio) in
-  let upper = min (dom_x * dom_z) out_join in
+let summarize ~r ~s =
+  {
+    n = max (Relation.size r) (Relation.size s);
+    dom_x = active_src r;
+    dom_z = active_src s;
+    join_size = Relation.join_size_on_dst [ r; s ];
+  }
+
+let bounds sm =
+  let n = max 1 sm.n in
+  let ratio = sm.join_size / n in
+  let lower = max (max sm.dom_x sm.dom_z) (ratio * ratio) in
+  let upper = min (sm.dom_x * sm.dom_z) sm.join_size in
   (* Degenerate inputs can invert the sandwich; keep it consistent. *)
   let upper = max upper 1 in
   let lower = max 1 (min lower upper) in
   (lower, upper)
 
+let estimate sm =
+  let lower, upper = bounds sm in
+  let g = sqrt (float_of_int lower *. float_of_int upper) in
+  max lower (min upper (int_of_float g))
+
 let sampled ?(seed = 0x5EED) ?(sample = 64) ~r ~s () =
-  let lower, upper = bounds ~r ~s in
+  let lower, upper = bounds (summarize ~r ~s) in
   let nx = Relation.src_count r in
   let active = Array.of_seq (Seq.filter (fun a -> Relation.deg_src r a > 0) (Seq.init nx (fun a -> a))) in
   let n_active = Array.length active in
@@ -51,8 +62,3 @@ let sampled ?(seed = 0x5EED) ?(sample = 64) ~r ~s () =
     in
     max lower (min upper scaled)
   end
-
-let estimate ~r ~s =
-  let lower, upper = bounds ~r ~s in
-  let g = sqrt (float_of_int lower *. float_of_int upper) in
-  max lower (min upper (int_of_float g))

@@ -7,17 +7,23 @@
 
 module Relation = Jp_relation.Relation
 
-val active_src : Relation.t -> int
-(** Number of x values with at least one tuple. *)
+type summary = {
+  n : int;  (** max(|R|, |S|) *)
+  dom_x : int;  (** x values with at least one tuple in R *)
+  dom_z : int;  (** z values with at least one tuple in S *)
+  join_size : int;
+      (** |OUT{_⋈}| = Σ{_y} deg{_R}(y)·deg{_S}(y), the full 2-path join
+          size *)
+}
+(** Everything {!estimate} reads, computed once in O(|dom|) time. *)
 
-val join_size : r:Relation.t -> s:Relation.t -> int
-(** |OUT{_⋈}| = Σ{_y} deg{_R}(y)·deg{_S}(y), the full 2-path join size. *)
+val summarize : r:Relation.t -> s:Relation.t -> summary
 
-val estimate : r:Relation.t -> s:Relation.t -> int
-(** Geometric-mean estimate of |π{_xz}(R ⋈ S)|, clamped to the bounds. *)
-
-val bounds : r:Relation.t -> s:Relation.t -> int * int
+val bounds : summary -> int * int
 (** The (lower, upper) sandwich used by {!estimate}. *)
+
+val estimate : summary -> int
+(** Geometric-mean estimate of |π{_xz}(R ⋈ S)|, clamped to the bounds. *)
 
 val sampled : ?seed:int -> ?sample:int -> r:Relation.t -> s:Relation.t -> unit -> int
 (** Sampling refinement (the better join-project estimators the paper's

@@ -11,14 +11,12 @@ type plan = {
   est_seconds : float;
 }
 
-(* Indexes consulted by the cost loop; built once per planning call in
-   O(N log N) (Section 5, "Indexing relations"). *)
+(* Indexes consulted by the cost loop (Section 5, "Indexing relations").
+   Built only for inputs the 20N rule does not send to WCOJ. *)
 type indexes = {
-  n : int; (* max(|R|, |S|) *)
-  dom_x : int;
-  dom_z : int;
+  sm : Estimator.summary;
   (* y side: keyed by min(deg_R y, deg_S y), since y is light iff that
-     minimum is <= d1 *)
+     minimum is <= d1; the three share one ordering *)
   y_by_min : Stats.t; (* weights: deg_R y * deg_S y = expansion work *)
   y_wr : Stats.t; (* weights: deg_R y — mass of R tuples on light y *)
   y_ws : Stats.t; (* weights: deg_S y *)
@@ -26,29 +24,33 @@ type indexes = {
   z_stats : Stats.t;
 }
 
+(* weight(a) = sum over b in adj(a) of deg_other(b): the work to expand a. *)
 let expansion_weights rel other =
-  (* weight(a) = sum over b in adj(a) of deg_other(b): the work to expand a. *)
-  Array.init (Relation.src_count rel) (fun a ->
-      Array.fold_left
-        (fun acc b ->
-          if b < Relation.dst_count other then acc + Relation.deg_dst other b else acc)
-        0 (Relation.adj_src rel a))
+  let nb = Relation.dst_count other in
+  let w = Array.make (Relation.src_count rel) 0 in
+  for a = 0 to Array.length w - 1 do
+    let row = Relation.adj_src rel a in
+    let acc = ref 0 in
+    for i = 0 to Array.length row - 1 do
+      let b = row.(i) in
+      if b < nb then acc := !acc + Relation.deg_dst other b
+    done;
+    w.(a) <- !acc
+  done;
+  w
 
-let build_indexes ~r ~s =
+let build_indexes ~r ~s sm =
   let ny = max (Relation.dst_count r) (Relation.dst_count s) in
-  let deg_ry y = if y < Relation.dst_count r then Relation.deg_dst r y else 0 in
-  let deg_sy y = if y < Relation.dst_count s then Relation.deg_dst s y else 0 in
-  let min_deg = Array.init ny (fun y -> min (deg_ry y) (deg_sy y)) in
-  let prod = Array.init ny (fun y -> deg_ry y * deg_sy y) in
-  let wr = Array.init ny (fun y -> deg_ry y) in
-  let ws = Array.init ny (fun y -> deg_sy y) in
+  let deg rel y = if y < Relation.dst_count rel then Relation.deg_dst rel y else 0 in
+  let wr = Array.init ny (deg r) and ws = Array.init ny (deg s) in
+  let min_deg = Array.init ny (fun y -> Int.min wr.(y) ws.(y)) in
+  let prod = Array.init ny (fun y -> wr.(y) * ws.(y)) in
+  let y_by_min = Stats.of_degrees ~weights:prod min_deg in
   {
-    n = max (Relation.size r) (Relation.size s);
-    dom_x = Estimator.active_src r;
-    dom_z = Estimator.active_src s;
-    y_by_min = Stats.of_degrees ~weights:prod min_deg;
-    y_wr = Stats.of_degrees ~weights:wr min_deg;
-    y_ws = Stats.of_degrees ~weights:ws min_deg;
+    sm;
+    y_by_min;
+    y_wr = Stats.reweight y_by_min wr;
+    y_ws = Stats.reweight y_by_min ws;
     x_stats = Stats.of_degrees ~weights:(expansion_weights r s) (Relation.degrees_src r);
     z_stats = Stats.of_degrees ~weights:(expansion_weights s r) (Relation.degrees_src s);
   }
@@ -62,8 +64,8 @@ let tuples_on_heavy_y idx stats ~d1 =
 
 let heavy_dims ~counts_mode idx ~d1 ~d2 =
   let v = Stats.count_gt idx.y_by_min d1 in
-  let r_touched = min idx.dom_x (tuples_on_heavy_y idx idx.y_wr ~d1) in
-  let s_touched = min idx.dom_z (tuples_on_heavy_y idx idx.y_ws ~d1) in
+  let r_touched = min idx.sm.dom_x (tuples_on_heavy_y idx idx.y_wr ~d1) in
+  let s_touched = min idx.sm.dom_z (tuples_on_heavy_y idx idx.y_ws ~d1) in
   if counts_mode then (r_touched, v, s_touched)
   else
     ( min (Stats.count_gt idx.x_stats d2) r_touched,
@@ -79,14 +81,19 @@ let light_seconds ~counts_mode (m : Cost.machine) idx ~d1 ~d2 =
     else Stats.weight_le idx.x_stats d2 + Stats.weight_le idx.z_stats d2
   in
   (m.ti *. float_of_int (light_y_work + endpoint_work))
-  +. (m.tm *. float_of_int idx.dom_x)
+  +. (m.tm *. float_of_int idx.sm.dom_x)
 
 let heavy_seconds (m : Cost.machine) kind ~domains (u, v, w) =
   if u = 0 || v = 0 || w = 0 then 0.0
   else Cost.mhat m kind ~u ~v ~w ~cores:domains
 
-let wcoj_seconds (m : Cost.machine) ~join_size ~dom_x =
-  (m.ti *. float_of_int join_size) +. (m.tm *. float_of_int dom_x)
+let partitioned_seconds ~counts_mode ~mm_cost_scale m kind ~domains idx ~d1 ~d2 =
+  light_seconds ~counts_mode m idx ~d1 ~d2
+  +. mm_cost_scale
+     *. heavy_seconds m kind ~domains (heavy_dims ~counts_mode idx ~d1 ~d2)
+
+let wcoj_seconds (m : Cost.machine) (sm : Estimator.summary) =
+  (m.ti *. float_of_int sm.join_size) +. (m.tm *. float_of_int sm.dom_x)
 
 (* Geometric descent on d1 (Algorithm 3): stop as soon as the cost stops
    improving, return the previous candidate. *)
@@ -103,111 +110,105 @@ let descend ~cost ~start =
 
 let d2_for idx ~est_out d1 =
   (* N·Δ₁ = |OUT|·Δ₂ (line 9 of Algorithm 3) *)
-  max 1 (min idx.n (idx.n * d1 / max 1 est_out))
+  max 1 (min idx.sm.n (idx.sm.n * d1 / max 1 est_out))
 
-(* Reusable planning state: the degree indexes and the exact join size
-   for one (r, s) pair.  Building this is the O(N) part of planning;
-   every plan/estimate_cost call on a [prepared] value afterwards only
-   runs the geometric descent over index probes.  The guard layer
-   prepares once per invocation so mid-query checkpoints can afford
-   speculative re-planning. *)
+(* Algorithm 3: a full join of at most 20·N goes to WCOJ, uncosted. *)
+let wcoj_factor = 20
+
+(* Immutable: nothing is forced later, so domains may share one. *)
 type prepared = {
   p_r : Relation.t;
   p_s : Relation.t;
-  p_idx : indexes;
-  p_join_size : int Lazy.t;
+  p_sum : Estimator.summary;
+  p_idx : indexes option; (* None: the 20N rule decided WCOJ *)
 }
 
 let prepare ~r ~s =
   Jp_obs.span "optimizer.prepare" (fun () ->
-      {
-        p_r = r;
-        p_s = s;
-        p_idx = build_indexes ~r ~s;
-        p_join_size = lazy (Estimator.join_size ~r ~s);
-      })
+      let sm = Estimator.summarize ~r ~s in
+      let p_idx =
+        if sm.join_size <= wcoj_factor * sm.n then None
+        else Some (build_indexes ~r ~s sm)
+      in
+      { p_r = r; p_s = s; p_sum = sm; p_idx })
 
-let seal_prepared prep = ignore (Lazy.force prep.p_join_size)
+let summary prep = prep.p_sum
 
-(* Footprint estimate for cache accounting: the five Stats structures hold
-   cumulative arrays over the y domain (three of them) and the two endpoint
-   domains.  Two words per indexed id is the right order of magnitude; the
-   cache only needs a consistent estimate, not an exact byte count. *)
+(* Cache footprint of what the value holds besides the relations it
+   shares: the summary, plus per active id the shared y ordering (id,
+   degree, three weight prefixes) and the x and z orderings (id, degree,
+   one prefix each). *)
 let prepared_bytes prep =
-  let ny = max (Relation.dst_count prep.p_r) (Relation.dst_count prep.p_s) in
-  let endpoints =
-    Relation.src_count prep.p_r + Relation.src_count prep.p_s
-  in
-  (8 * 2 * ((3 * ny) + (2 * endpoints))) + 128
+  let active st = Stats.count_gt st 0 in
+  96
+  + match prep.p_idx with
+    | None -> 0
+    | Some idx ->
+      8 * ((5 * active idx.y_by_min) + (3 * (active idx.x_stats + active idx.z_stats)))
 
-let generic_plan ?machine ?(domains = 1) ~kind ?(wcoj_factor = 20)
-    ?est_out ?(mm_cost_scale = 1.0) ~counts_mode ~tie_d2 prep () =
+let generic_plan ?machine ?(domains = 1) ~kind ?est_out ?(mm_cost_scale = 1.0)
+    ~counts_mode ~tie_d2 prep () =
   let m = match machine with Some m -> m | None -> Cost.machine () in
-  let join_size = Lazy.force prep.p_join_size in
+  let sm = prep.p_sum in
   let est_out =
     match est_out with
     | Some e -> max 1 e
-    | None -> Estimator.estimate ~r:prep.p_r ~s:prep.p_s
+    | None -> Estimator.estimate sm
   in
-  let idx = prep.p_idx in
-  let wcoj_cost = wcoj_seconds m ~join_size ~dom_x:idx.dom_x in
-  if join_size <= wcoj_factor * idx.n then
-    { decision = Wcoj; est_out; join_size; est_seconds = wcoj_cost }
-  else begin
+  let wcoj_cost = wcoj_seconds m sm in
+  let wcoj =
+    { decision = Wcoj; est_out; join_size = sm.join_size; est_seconds = wcoj_cost }
+  in
+  match prep.p_idx with
+  | None -> wcoj
+  | Some idx ->
     let cost d1 =
-      let d2 = tie_d2 idx ~est_out d1 in
-      light_seconds ~counts_mode m idx ~d1 ~d2
-      +. mm_cost_scale
-         *. heavy_seconds m kind ~domains (heavy_dims ~counts_mode idx ~d1 ~d2)
+      partitioned_seconds ~counts_mode ~mm_cost_scale m kind ~domains idx ~d1
+        ~d2:(tie_d2 idx ~est_out d1)
     in
     let start = max 1 (Stats.max_degree idx.y_by_min) in
     let d1, best_cost = descend ~cost ~start in
-    let d2 = tie_d2 idx ~est_out d1 in
-    if best_cost >= wcoj_cost || d1 >= start then
-      { decision = Wcoj; est_out; join_size; est_seconds = wcoj_cost }
+    if best_cost >= wcoj_cost || d1 >= start then wcoj
     else
       {
-        decision = Partitioned { d1; d2 };
-        est_out;
-        join_size;
+        wcoj with
+        decision = Partitioned { d1; d2 = tie_d2 idx ~est_out d1 };
         est_seconds = best_cost;
       }
-  end
 
 (* d2 pinned to the maximal degree for counts mode: only the join variable
    is partitioned, every x/z counts as light. *)
-let max_d2 idx ~est_out:_ _d1 = idx.n
+let max_d2 idx ~est_out:_ _d1 = idx.sm.n
 
-let plan_prepared ?machine ?domains ?(kind = Cost.Boolean) ?wcoj_factor
-    ?est_out ?mm_cost_scale prep () =
+let plan_prepared ?machine ?domains ?(kind = Cost.Boolean) ?est_out
+    ?mm_cost_scale prep () =
   Jp_obs.span "optimizer.plan" (fun () ->
-      generic_plan ?machine ?domains ~kind ?wcoj_factor ?est_out ?mm_cost_scale
+      generic_plan ?machine ?domains ~kind ?est_out ?mm_cost_scale
         ~counts_mode:false ~tie_d2:d2_for prep ())
 
-let plan_counts_prepared ?machine ?domains ?wcoj_factor ?est_out ?mm_cost_scale
-    prep () =
+let plan_counts_prepared ?machine ?domains ?est_out ?mm_cost_scale prep () =
   Jp_obs.span "optimizer.plan_counts" (fun () ->
-      generic_plan ?machine ?domains ~kind:Cost.Count ?wcoj_factor ?est_out
-        ?mm_cost_scale ~counts_mode:true ~tie_d2:max_d2 prep ())
+      generic_plan ?machine ?domains ~kind:Cost.Count ?est_out ?mm_cost_scale
+        ~counts_mode:true ~tie_d2:max_d2 prep ())
 
-let plan ?machine ?domains ?kind ?wcoj_factor ?est_out ?mm_cost_scale ~r ~s () =
-  plan_prepared ?machine ?domains ?kind ?wcoj_factor ?est_out ?mm_cost_scale
-    (prepare ~r ~s) ()
+let plan ?machine ?domains ?kind ?est_out ?mm_cost_scale ~r ~s () =
+  plan_prepared ?machine ?domains ?kind ?est_out ?mm_cost_scale (prepare ~r ~s) ()
 
-let plan_counts ?machine ?domains ?wcoj_factor ?est_out ?mm_cost_scale ~r ~s () =
-  plan_counts_prepared ?machine ?domains ?wcoj_factor ?est_out ?mm_cost_scale
-    (prepare ~r ~s) ()
+let plan_counts ?machine ?domains ?est_out ?mm_cost_scale ~r ~s () =
+  plan_counts_prepared ?machine ?domains ?est_out ?mm_cost_scale (prepare ~r ~s) ()
 
 let estimate_cost_prepared ?machine ?(domains = 1) ?(kind = Cost.Boolean)
     ?(counts_mode = false) prep decision =
   let m = match machine with Some m -> m | None -> Cost.machine () in
-  let idx = prep.p_idx in
   match decision with
-  | Wcoj ->
-    wcoj_seconds m ~join_size:(Lazy.force prep.p_join_size) ~dom_x:idx.dom_x
+  | Wcoj -> wcoj_seconds m prep.p_sum
   | Partitioned { d1; d2 } ->
-    light_seconds ~counts_mode m idx ~d1 ~d2
-    +. heavy_seconds m kind ~domains (heavy_dims ~counts_mode idx ~d1 ~d2)
+    let idx =
+      match prep.p_idx with
+      | Some idx -> idx
+      | None -> build_indexes ~r:prep.p_r ~s:prep.p_s prep.p_sum
+    in
+    partitioned_seconds ~counts_mode ~mm_cost_scale:1.0 m kind ~domains idx ~d1 ~d2
 
 let estimate_cost ?machine ?domains ?kind ?counts_mode ~r ~s decision =
   estimate_cost_prepared ?machine ?domains ?kind ?counts_mode (prepare ~r ~s)

@@ -10,8 +10,8 @@
     - the calibrated matrix-multiplication estimate M̂ and the machine
       constants T{_s}, T{_m}, T{_I} (see {!Jp_matrix.Cost}).
 
-    As in the paper, inputs whose full join is at most [wcoj_factor]·N
-    (default 20) short-circuit to the worst-case-optimal plan, and the
+    As in the paper, inputs whose full join is at most 20·N (a fixed
+    constant) short-circuit to the worst-case-optimal plan, and the
     descent stops the first time the estimated cost increases
     (the paper's footnote fixes the per-step factor; we use ×0.95 per
     step, i.e. ε = 0.05 in Algorithm 3's notation). *)
@@ -32,29 +32,28 @@ type plan = {
 }
 
 type prepared
-(** The Section-5 degree indexes and exact join size for one (r, s) pair.
-    Building one is the O(N) part of planning; {!plan_prepared} and
-    {!estimate_cost_prepared} afterwards only run the geometric descent
-    over O(log N) index probes.  The adaptive guard layer prepares once
-    per invocation, which is what makes speculative re-planning at
-    mid-query checkpoints affordable. *)
+(** Planning state for one (r, s) pair.  {!prepare} computes the
+    O(|dom|) {!Estimator.summary} and applies the 20N rule first; only an
+    input the rule does not send to WCOJ gets the Section-5 degree
+    indexes, built with counting sorts in O(N + max degree).  Planning
+    from it afterwards is the descent over O(log N) index probes, or the
+    WCOJ plan straight from the summary.  The value is immutable, so a
+    cached one may be read from several domains at once. *)
 
 val prepare : r:Relation.t -> s:Relation.t -> prepared
 
-val seal_prepared : prepared -> unit
-(** Forces the lazy join-size component.  [Jp_cache] seals a prepared
-    value before publishing it so that worker domains only ever read an
-    already-forced lazy (forcing the same suspension from two domains
-    concurrently is unsafe in OCaml 5). *)
+val summary : prepared -> Estimator.summary
+(** The summary {!prepare} computed: N, the active x and z counts and
+    the exact join size. *)
 
 val prepared_bytes : prepared -> int
-(** Approximate resident footprint in bytes, for cache accounting. *)
+(** Approximate bytes the value holds besides its relations, for cache
+    accounting: a value the 20N rule decided costs a few words. *)
 
 val plan :
   ?machine:Cost.machine ->
   ?domains:int ->
   ?kind:Cost.kind ->
-  ?wcoj_factor:int ->
   ?est_out:int ->
   ?mm_cost_scale:float ->
   r:Relation.t ->
@@ -74,7 +73,6 @@ val plan :
 val plan_counts :
   ?machine:Cost.machine ->
   ?domains:int ->
-  ?wcoj_factor:int ->
   ?est_out:int ->
   ?mm_cost_scale:float ->
   r:Relation.t ->
@@ -89,7 +87,6 @@ val plan_prepared :
   ?machine:Cost.machine ->
   ?domains:int ->
   ?kind:Cost.kind ->
-  ?wcoj_factor:int ->
   ?est_out:int ->
   ?mm_cost_scale:float ->
   prepared ->
@@ -101,7 +98,6 @@ val plan_prepared :
 val plan_counts_prepared :
   ?machine:Cost.machine ->
   ?domains:int ->
-  ?wcoj_factor:int ->
   ?est_out:int ->
   ?mm_cost_scale:float ->
   prepared ->
@@ -132,7 +128,9 @@ val estimate_cost_prepared :
   prepared ->
   decision ->
   float
-(** {!estimate_cost} from pre-built indexes. *)
+(** {!estimate_cost} from a prepared value.  [Partitioned] on a value
+    the 20N rule decided (a forced plan under a re-planning guard) builds
+    the indexes for this call only. *)
 
 val theoretical_thresholds : n:int -> out:int -> int * int
 (** The closed-form thresholds of Section 3.1's analysis (assuming ω = 2),

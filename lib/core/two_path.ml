@@ -391,12 +391,12 @@ let execute ?cancel ?tile ~g ~prep ~replan ~domains ~strategy ~memo ~phases ~r
 
 (* The guard's injected |OUT| misestimation for the initial plan.  Without
    one the optimizer estimates |OUT| itself, inside its own span. *)
-let injected_est_out inj ~r ~s =
+let injected_est_out inj prep =
   if inj.Inject.out_factor = 1.0 then None
-  else Some (Inject.out inj (Estimator.estimate ~r ~s))
+  else Some (Inject.out inj (Estimator.estimate (Optimizer.summary prep)))
 
 (* The frame both engines run in: the span, the timer, the guard, the
-   memoized optimizer indexes, the initial plan (which sees the guard's
+   memoized prepared planning state, the initial plan (which sees the guard's
    injected misestimation), the entry checkpoint, the clean re-planner
    and the plan-vs-actual record.  [run] returns the result with the
    plan to record. *)
@@ -419,8 +419,9 @@ let frame ~span ~label ~count
         | None ->
           let inj = Guard.inject g in
           phase phases "plan" (fun () ->
-              plan_with ?est_out:(injected_est_out inj ~r ~s)
-                ~mm_cost_scale:inj.Inject.mm_factor (Lazy.force prep))
+              let prep = Lazy.force prep in
+              plan_with ?est_out:(injected_est_out inj prep)
+                ~mm_cost_scale:inj.Inject.mm_factor prep)
       in
       (* Entry checkpoint: a zero (or already blown) time budget forbids
          matrix plans outright. *)

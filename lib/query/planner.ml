@@ -115,7 +115,7 @@ let plan ?machine ?domains ?(policy = Cost_gate) ?catalog q =
           | None -> ()
           | Some parts ->
             if List.for_all (fun p -> not claimed.(p.atom)) parts then begin
-              (* The gate (an O(N) Optimizer.prepare per candidate) only
+              (* The gate (an Optimizer.prepare per candidate) only
                  runs when its verdict decides something: under the forced
                  policies the foil/forced timings must not pay for it. *)
               let gate =

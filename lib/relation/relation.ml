@@ -202,17 +202,16 @@ let semijoin_dst r keep =
   in
   rebuild_from_fwd ~src_count:r.src_count ~dst_count:r.dst_count fwd
 
+let rec deg_product b acc = function
+  | [] -> acc
+  | r :: rest -> if b < r.dst_count then deg_product b (acc * deg_dst r b) rest else 0
+
 let join_size_on_dst = function
   | [] -> invalid_arg "Relation.join_size_on_dst: empty list"
   | first :: rest ->
     let total = ref 0 in
     for b = 0 to first.dst_count - 1 do
-      let prod =
-        List.fold_left
-          (fun acc r -> if b < r.dst_count then acc * deg_dst r b else 0)
-          (deg_dst first b) rest
-      in
-      total := !total + prod
+      total := !total + deg_product b (deg_dst first b) rest
     done;
     !total
 

@@ -1,42 +1,55 @@
 type t = {
-  ids : int array; (* active value ids, ascending by degree *)
+  dom : int; (* length of the degree array the index was built from *)
+  ids : int array; (* active value ids, ascending by degree, ties by id *)
   degs : int array; (* degree of ids.(i), ascending *)
-  prefix_deg : int array; (* prefix_deg.(i) = Σ degs.(0..i-1) *)
-  prefix_sq : int array;
-  prefix_weight : int array;
+  prefix_weight : int array; (* prefix_weight.(i) = Σ weight of ids.(0..i-1) *)
 }
 
-let of_degrees ?weights deg =
-  (match weights with
-  | Some w when Array.length w <> Array.length deg ->
-    invalid_arg "Stats.of_degrees: weights length mismatch"
-  | _ -> ());
-  let active = ref 0 in
-  Array.iter (fun d -> if d > 0 then incr active) deg;
-  let ids = Array.make !active 0 in
-  let p = ref 0 in
-  Array.iteri
-    (fun v d ->
-      if d > 0 then begin
-        ids.(!p) <- v;
-        incr p
-      end)
-    deg;
-  Array.sort (fun a b -> Int.compare deg.(a) deg.(b)) ids;
+let prefix ids weights =
   let n = Array.length ids in
-  let degs = Array.map (fun v -> deg.(v)) ids in
-  let prefix_deg = Array.make (n + 1) 0 in
-  let prefix_sq = Array.make (n + 1) 0 in
-  let prefix_weight = Array.make (n + 1) 0 in
-  let weight v = match weights with Some w -> w.(v) | None -> deg.(v) in
+  let p = Array.make (n + 1) 0 in
   for i = 0 to n - 1 do
-    prefix_deg.(i + 1) <- prefix_deg.(i) + degs.(i);
-    prefix_sq.(i + 1) <- prefix_sq.(i) + (degs.(i) * degs.(i));
-    prefix_weight.(i + 1) <- prefix_weight.(i) + weight ids.(i)
+    p.(i + 1) <- p.(i) + weights.(ids.(i))
   done;
-  { ids; degs; prefix_deg; prefix_sq; prefix_weight }
+  p
 
-let active_count t = Array.length t.ids
+let check_weights dom weights =
+  if Array.length weights <> dom then
+    invalid_arg "Stats: weights length mismatch"
+
+(* Stable counting sort of the active ids by degree: one histogram pass,
+   one prefix over the degrees, one scatter in id order. *)
+let of_degrees ?weights deg =
+  let dom = Array.length deg in
+  Option.iter (check_weights dom) weights;
+  let max_deg = Array.fold_left Int.max 0 deg in
+  let start = Array.make (max_deg + 1) 0 in
+  for v = 0 to dom - 1 do
+    let d = deg.(v) in
+    if d > 0 then start.(d) <- start.(d) + 1
+  done;
+  let active = ref 0 in
+  for d = 1 to max_deg do
+    let k = start.(d) in
+    start.(d) <- !active;
+    active := !active + k
+  done;
+  let ids = Array.make !active 0 and degs = Array.make !active 0 in
+  for v = 0 to dom - 1 do
+    let d = deg.(v) in
+    if d > 0 then begin
+      let i = start.(d) in
+      ids.(i) <- v;
+      degs.(i) <- d;
+      start.(d) <- i + 1
+    end
+  done;
+  let weights = Option.value weights ~default:deg in
+  { dom; ids; degs; prefix_weight = prefix ids weights }
+
+let reweight t weights =
+  check_weights t.dom weights;
+  { t with prefix_weight = prefix t.ids weights }
 
 let max_degree t =
   let n = Array.length t.degs in
@@ -45,18 +58,6 @@ let max_degree t =
 (* Index of the first degree strictly greater than d. *)
 let split t d = Jp_util.Sorted.lower_bound t.degs (d + 1)
 
-let count_le t d = split t d
-
 let count_gt t d = Array.length t.ids - split t d
 
-let sum_le t d = t.prefix_deg.(split t d)
-
-let sum_sq_le t d = t.prefix_sq.(split t d)
-
 let weight_le t d = t.prefix_weight.(split t d)
-
-let values_le t d = Array.sub t.ids 0 (split t d)
-
-let nth_smallest_degree t k =
-  if k < 0 || k >= Array.length t.degs then invalid_arg "Stats.nth_smallest_degree";
-  t.degs.(k)

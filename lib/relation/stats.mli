@@ -1,53 +1,37 @@
 (** Degree-distribution indexes of Section 5.
 
-    The cost-based optimizer (Algorithm 3) needs, for an arbitrary degree
-    threshold δ, exact answers to:
+    The cost-based optimizer (Algorithm 3) probes, for an arbitrary degree
+    threshold δ, how many values are heavy (degree > δ) and the summed
+    weight of the light ones (degree ≤ δ) — the expansion work or tuple
+    mass that stays on the combinatorial side.
 
-    - [count(w_δ)] — how many values of a variable have degree ≤ δ;
-    - [sum(y_δ) = Σ_{light b} |L(b)|²] — deduplication effort over light
-      y values;
-    - [sum(x_δ)] — deduplication effort over light x values;
-    - [cdf_x(y_δ)] — how many x's are connected to light y values.
-
-    All are answered in O(log n) from one O(n log n) build: value ids sorted
-    by degree with prefix sums of degree, degree² and an arbitrary weight
-    per value.  Only values of nonzero degree participate (the paper's
-    preprocessing removes non-contributing tuples first). *)
+    Both are answered in O(log n) by binary search over the active value
+    ids ordered by degree, with a prefix sum of one weight per value.  The
+    ordering is a stable counting sort, O(n + max degree), and
+    {!reweight} lets several weights share one ordering.  Only values of
+    nonzero degree participate (the paper's preprocessing removes
+    non-contributing tuples first). *)
 
 type t
 
 val of_degrees : ?weights:int array -> int array -> t
 (** [of_degrees ~weights deg] builds the index over all ids [v] with
     [deg.(v) > 0].  [weights] (same length) feeds {!weight_le}; it defaults
-    to the degrees themselves. *)
+    to the degrees themselves.  Raises [Invalid_argument] on a length
+    mismatch. *)
 
-val active_count : t -> int
-(** Number of values with nonzero degree. *)
+val reweight : t -> int array -> t
+(** [reweight t weights] is [of_degrees ~weights deg] for the [deg] that
+    [t] was built from, sharing [t]'s ordering: O(active values), no sort.
+    Raises [Invalid_argument] on a length mismatch. *)
 
 val max_degree : t -> int
-
-val count_le : t -> int -> int
-(** [count_le t d] = #{v | 0 < deg v ≤ d}: the index [count(w_δ)]. *)
+(** Largest degree (0 when no value is active). *)
 
 val count_gt : t -> int -> int
-(** Complement of {!count_le} over active values: the number of heavy
-    values for threshold [d]. *)
-
-val sum_le : t -> int -> int
-(** Σ deg v over active v with deg v ≤ d — [cdf] style mass of light
-    values. *)
-
-val sum_sq_le : t -> int -> int
-(** Σ (deg v)² over active v with deg v ≤ d — the index [sum(y_δ)]. *)
+(** [count_gt t d] = #{v active | deg v > d}: the number of heavy values
+    for threshold [d]. *)
 
 val weight_le : t -> int -> int
 (** Σ weights(v) over active v with deg v ≤ d — the index [cdf_x(y_δ)]
     when [weights] carries the other relation's degrees. *)
-
-val values_le : t -> int -> int array
-(** Ids of the active values with degree ≤ d (unspecified order; fresh
-    array). *)
-
-val nth_smallest_degree : t -> int -> int
-(** [nth_smallest_degree t k] is the k-th (0-based) smallest active degree;
-    used by SizeAware's boundary search. *)

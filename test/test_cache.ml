@@ -152,6 +152,51 @@ let test_memo_and_view_invalidation () =
   Alcotest.(check int) "no-op update is silent" inv
     (Cache.stats c).Cache.invalidations
 
+(* One cached prepared value read by two domains at once: it is
+   immutable (nothing is forced on first use), so both plan exactly what
+   a fresh [prepare] plans.  A value the 20N rule decided is charged a
+   few words, below the indexed one. *)
+let test_prepared_across_domains () =
+  let module Optimizer = Joinproj.Optimizer in
+  let machine =
+    {
+      Jp_matrix.Cost.ts = 1e-9;
+      tm = 2.6e-8;
+      ti = 1.45e-8;
+      count_word = 1.5e-8;
+      bool_word = 9e-9;
+      cores = 2;
+    }
+  in
+  let plans prep =
+    ( Optimizer.plan_prepared ~machine prep (),
+      Optimizer.plan_counts_prepared ~machine prep (),
+      Optimizer.estimate_cost_prepared ~machine prep
+        (Optimizer.Partitioned { d1 = 2; d2 = 2 }) )
+  in
+  let c = Cache.create () in
+  let sparse = Gen.random_relation ~seed:3 ~nx:200 ~ny:200 ~edges:300 () in
+  let dense = Gen.skewed_relation ~seed:11 ~nx:400 ~ny:60 ~edges:3000 () in
+  let footprint r =
+    let expected = plans (Optimizer.prepare ~r ~s:r) in
+    let prep = Cache.prepared c ~r ~s:r in
+    let worker () =
+      List.init 50 (fun _ ->
+          let p = Cache.prepared c ~r ~s:r in
+          p == prep && plans p = expected)
+      |> List.for_all Fun.id
+    in
+    let d1 = Domain.spawn worker and d2 = Domain.spawn worker in
+    let ok1 = Domain.join d1 and ok2 = Domain.join d2 in
+    Alcotest.(check bool) "identical plans from both domains" true (ok1 && ok2);
+    Optimizer.prepared_bytes prep
+  in
+  let sparse_bytes = footprint sparse and dense_bytes = footprint dense in
+  Alcotest.(check bool) "20N-decided value is a few words" true
+    (sparse_bytes <= 128);
+  Alcotest.(check bool) "below the indexed footprint" true
+    (sparse_bytes < dense_bytes)
+
 (* ------------------------------------------------------------------ *)
 (* the service path: hits, publication, and chaos                       *)
 (* ------------------------------------------------------------------ *)
@@ -284,6 +329,8 @@ let suite =
     Alcotest.test_case "invalidate / clear" `Quick test_invalidate;
     Alcotest.test_case "memo + view invalidation" `Quick
       test_memo_and_view_invalidation;
+    Alcotest.test_case "prepared value shared across domains" `Quick
+      test_prepared_across_domains;
     Alcotest.test_case "service hit path" `Quick test_service_hit_path;
     Alcotest.test_case "degraded never publishes" `Quick
       test_degraded_never_publishes;

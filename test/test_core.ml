@@ -190,8 +190,9 @@ let test_counts_planned () =
 let test_estimator_bounds () =
   let r = Gen.random_relation ~seed:46 ~nx:20 ~ny:15 ~edges:100 () in
   let s = Gen.random_relation ~seed:47 ~nx:18 ~ny:15 ~edges:90 () in
-  let lower, upper = Estimator.bounds ~r ~s in
-  let est = Estimator.estimate ~r ~s in
+  let summary = Estimator.summarize ~r ~s in
+  let lower, upper = Estimator.bounds summary in
+  let est = Estimator.estimate summary in
   let truth = List.length (Gen.brute_two_path ~r ~s) in
   Alcotest.(check bool) "lower <= upper" true (lower <= upper);
   Alcotest.(check bool) "estimate within bounds" true (lower <= est && est <= upper);
@@ -200,7 +201,7 @@ let test_estimator_bounds () =
 let test_estimator_sampled () =
   let r = Gen.skewed_relation ~seed:49 ~nx:40 ~ny:30 ~edges:400 () in
   let truth = List.length (Gen.brute_two_path ~r ~s:r) in
-  let lower, upper = Estimator.bounds ~r ~s:r in
+  let lower, upper = Estimator.bounds (Estimator.summarize ~r ~s:r) in
   (* full-domain sample must be exact (modulo duplicate draws, so compare
      with a generous sample) *)
   let est = Estimator.sampled ~sample:10_000 ~r ~s:r () in

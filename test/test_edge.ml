@@ -138,7 +138,7 @@ let test_optimizer_degenerate () =
 
 let test_estimator_degenerate () =
   Alcotest.(check int) "sampled empty" 0 (Joinproj.Estimator.sampled ~r:empty ~s:empty ());
-  let lower, upper = Joinproj.Estimator.bounds ~r:empty ~s:empty in
+  let lower, upper = Joinproj.Estimator.bounds (Joinproj.Estimator.summarize ~r:empty ~s:empty) in
   Alcotest.(check bool) "bounds ordered" true (lower <= upper)
 
 (* R reaches y ids (up to 9) past S's y domain (3): those y have no S

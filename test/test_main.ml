@@ -8,6 +8,7 @@ let () =
       ("relation", Test_relation.suite);
       ("wcoj", Test_wcoj.suite);
       ("core", Test_core.suite);
+      ("optimizer", Test_optimizer.suite);
       ("star", Test_star.suite);
       ("ssj", Test_ssj.suite);
       ("scj", Test_scj.suite);

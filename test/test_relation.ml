@@ -111,22 +111,30 @@ let prop_fingerprint_respects_equality =
 let test_stats () =
   (* degrees: value 0 -> 3, value 1 -> 1, value 2 -> 0, value 3 -> 1 *)
   let s = Stats.of_degrees [| 3; 1; 0; 1 |] in
-  Alcotest.(check int) "active" 3 (Stats.active_count s);
+  Alcotest.(check int) "active = count_gt 0" 3 (Stats.count_gt s 0);
   Alcotest.(check int) "max" 3 (Stats.max_degree s);
-  Alcotest.(check int) "count_le 1" 2 (Stats.count_le s 1);
-  Alcotest.(check int) "count_le 0" 0 (Stats.count_le s 0);
   Alcotest.(check int) "count_gt 1" 1 (Stats.count_gt s 1);
-  Alcotest.(check int) "sum_le 1" 2 (Stats.sum_le s 1);
-  Alcotest.(check int) "sum_le 3" 5 (Stats.sum_le s 3);
-  Alcotest.(check int) "sum_sq_le 3" 11 (Stats.sum_sq_le s 3);
-  Alcotest.(check int) "nth" 1 (Stats.nth_smallest_degree s 0)
+  Alcotest.(check int) "count_gt 3" 0 (Stats.count_gt s 3);
+  (* default weights are the degrees: weight_le is the light degree mass *)
+  Alcotest.(check int) "weight_le 0" 0 (Stats.weight_le s 0);
+  Alcotest.(check int) "weight_le 1" 2 (Stats.weight_le s 1);
+  Alcotest.(check int) "weight_le 3" 5 (Stats.weight_le s 3);
+  let sq = Stats.reweight s [| 9; 1; 0; 1 |] in
+  Alcotest.(check int) "squares weight_le 3" 11 (Stats.weight_le sq 3);
+  Alcotest.(check int) "squares weight_le 1" 2 (Stats.weight_le sq 1)
 
 let test_stats_weights () =
   let s = Stats.of_degrees ~weights:[| 10; 20; 30; 40 |] [| 2; 1; 0; 5 |] in
   Alcotest.(check int) "weight_le 1" 20 (Stats.weight_le s 1);
   Alcotest.(check int) "weight_le 2" 30 (Stats.weight_le s 2);
   Alcotest.(check int) "weight_le 5" 70 (Stats.weight_le s 5);
-  Alcotest.(check (list int)) "values_le" [ 1; 0 ] (Array.to_list (Stats.values_le s 2))
+  Alcotest.(check int) "count_gt 2" 1 (Stats.count_gt s 2);
+  let r = Stats.reweight s [| 1; 2; 3; 4 |] in
+  Alcotest.(check int) "reweight weight_le 2" 3 (Stats.weight_le r 2);
+  Alcotest.(check int) "reweight keeps count_gt" 1 (Stats.count_gt r 2);
+  Alcotest.check_raises "length mismatch"
+    (Invalid_argument "Stats: weights length mismatch") (fun () ->
+      ignore (Stats.reweight s [| 1 |]))
 
 let prop_stats_model =
   QCheck.Test.make ~name:"stats agree with direct scans" ~count:200
@@ -134,12 +142,13 @@ let prop_stats_model =
     (fun (degs, d) ->
       let deg = Array.of_list degs in
       let s = Stats.of_degrees deg in
+      let sq = Stats.reweight s (Array.map (fun x -> x * x) deg) in
       let active = List.filter (fun x -> x > 0) degs in
       let le = List.filter (fun x -> x <= d) active in
-      Stats.count_le s d = List.length le
-      && Stats.sum_le s d = List.fold_left ( + ) 0 le
-      && Stats.sum_sq_le s d = List.fold_left (fun a x -> a + (x * x)) 0 le
-      && Stats.count_gt s d = List.length active - List.length le)
+      Stats.count_gt s d = List.length active - List.length le
+      && Stats.weight_le s d = List.fold_left ( + ) 0 le
+      && Stats.weight_le sq d = List.fold_left (fun a x -> a + (x * x)) 0 le
+      && Stats.max_degree s = List.fold_left max 0 degs)
 
 let test_pairs () =
   let p = Pairs.of_rows [| [| 1; 3 |]; [||]; [| 0 |] |] in
