@@ -36,10 +36,10 @@ let tests scale =
         (Staged.stage (fun () ->
              let a = Lazy.force a and b = Lazy.force b in
              ignore (Boolmat.count_product a b)));
-      (* ABL-TILE: the tiled kernels across a tile-size sweep (the flat
-         fig3 rows above are their baseline; 512-wide tiles make the
-         512x512 operand a single tile, pricing the pure schedule
-         overhead) *)
+      (* ABL-TILE: the tiled kernels across a tile-cap sweep (the
+         Boolmat reference fig3 rows above are their baseline; a
+         512-wide cap makes the 512x512 operand a single tile, pricing
+         the pure schedule overhead) *)
       Test.make ~name:"abl-tile-bool-mm-512-t64"
         (Staged.stage (fun () ->
              let a = Lazy.force a and b = Lazy.force b in

@@ -41,7 +41,9 @@ let fig3a cfg =
     "paper shape: near-quadratic growth for small n, cubic beyond cache; the";
   Bench_common.note "bit-packed kernels show the same transition."
 
-(* FIG3b: construction + multiplication vs cores. *)
+(* FIG3b: construction + multiplication vs cores.  The multiplication
+   runs through Jp_tile, the engines' kernel, whose output tiles are the
+   parallel unit. *)
 let fig3b cfg =
   Bench_common.section "FIG3b: matrix multiplication vs cores";
   let n = 1500 in
@@ -64,7 +66,8 @@ let fig3b cfg =
               let a = Boolmat.of_adjacency ~rows:n ~cols:n (fun i -> adj.(i)) in
               let b = Boolmat.of_adjacency ~rows:n ~cols:n (fun i -> adj.(i)) in
               construct := Jp_util.Timer.now () -. c0;
-              Boolmat.mul ~domains:cores a b)
+              Jp_tile.mul ~domains:cores (Jp_tile.config ())
+                (Jp_tile.Source.of_boolmat a) (Jp_tile.Source.of_boolmat b))
         in
         [
           string_of_int cores;

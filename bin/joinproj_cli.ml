@@ -100,17 +100,8 @@ let guard_of adaptive budget_ms inject_est =
     Some cfg
   end
 
-(* Tiling flags, shared by join/profile: stream the heavy-part product
-   through [Jp_tile]. *)
-
-let tiled_flag =
-  Arg.(
-    value & flag
-    & info [ "tiled" ]
-        ~doc:
-          "Stream the heavy-part matrix product through the tiled kernel \
-           ($(b,Jp_tile)) even below the size threshold; results are \
-           bit-equal to the flat kernels.")
+(* Heavy-product tile flags, shared by join/profile: the [Jp_tile]
+   shape cap and resident budget. *)
 
 let tile_bits_arg =
   Arg.(
@@ -118,8 +109,11 @@ let tile_bits_arg =
     & opt (some int) None
     & info [ "tile-bits" ] ~docv:"K"
         ~doc:
-          "Tile shape 2^K x 2^K for the tiled heavy-part product (default \
-           9; implies $(b,--tiled)).")
+          "Cap the heavy-part product's tile side at 2^K (default 11, \
+           clamped to [4, 20]).  The side is fitted to the product (the \
+           smallest power of two covering it, at least 16), so this only \
+           changes products wider than 2^K; results are bit-equal for \
+           every K.")
 
 let max_resident_mb =
   Arg.(
@@ -127,22 +121,21 @@ let max_resident_mb =
     & opt (some int) None
     & info [ "max-resident-mb" ] ~docv:"MB"
         ~doc:
-          "Bound the tiled product's resident operand-tile set to MB \
-           megabytes: cold tiles are evicted LANDLORD-style and rebuilt on \
-           demand, so operands larger than the cap stream instead of \
-           staying materialized (implies $(b,--tiled)).")
+          "Bound the heavy-part product's resident operand-tile set to MB \
+           megabytes: inner blocks shrink to the tile side and cold tiles \
+           are evicted LANDLORD-style and rebuilt on demand, so operands \
+           larger than the cap stream instead of staying materialized.")
 
-(* [None] when no tile flag was given, so the default paths stay exactly
-   the untiled ones. *)
-let tile_of tiled tile_bits max_resident_mb =
-  if (not tiled) && tile_bits = None && max_resident_mb = None then None
+(* [None] when neither flag was given: the engines then use
+   [Jp_tile.config ()]. *)
+let tile_of tile_bits max_resident_mb =
+  if tile_bits = None && max_resident_mb = None then None
   else
     Some
-      (Jp_tile.config
-         ?tile_bits
+      (Jp_tile.config ?tile_bits
          ?budget_bytes:
            (Option.map (fun mb -> mb * 1024 * 1024) max_resident_mb)
-         ~force:true ())
+         ())
 
 let warn_guard_unsupported guard what =
   if guard <> None then
@@ -239,15 +232,15 @@ let engine =
 
 let join_cmd =
   let run name input scale seed domains engine adaptive budget_ms inject_est
-      tiled tile_bits mrmb =
+      tile_bits mrmb =
     let r = load_source name input scale seed in
     let guard = guard_of adaptive budget_ms inject_est in
-    let tile = tile_of tiled tile_bits mrmb in
+    let tile = tile_of tile_bits mrmb in
     let warn_tile what =
       if tile <> None then
         Printf.eprintf
-          "joinproj: note: --tiled/--tile-bits/--max-resident-mb have no \
-           effect on %s\n"
+          "joinproj: note: --tile-bits/--max-resident-mb have no effect on \
+           %s, which does not multiply through the tiled kernel\n"
           what
     in
     let count, t =
@@ -287,8 +280,7 @@ let join_cmd =
     (Cmd.info "join" ~doc:"Evaluate the 2-path join-project self-join.")
     Term.(
       const run $ dataset $ input_file $ scale $ seed $ domains $ engine
-      $ adaptive $ budget_ms $ inject_est $ tiled_flag $ tile_bits_arg
-      $ max_resident_mb)
+      $ adaptive $ budget_ms $ inject_est $ tile_bits_arg $ max_resident_mb)
 
 let star_cmd =
   let k =
@@ -488,15 +480,16 @@ let profile_cmd =
           ~doc:"Flow to profile: $(b,join), $(b,star), $(b,ssj), $(b,scj) or $(b,bsi).")
   in
   let run name input scale seed domains what trace_out metrics_out adaptive
-      budget_ms inject_est tiled tile_bits mrmb =
+      budget_ms inject_est tile_bits mrmb =
     let r = load_source name input scale seed in
     let guard = guard_of adaptive budget_ms inject_est in
-    let tile = tile_of tiled tile_bits mrmb in
+    let tile = tile_of tile_bits mrmb in
     (match (tile, what) with
     | Some _, (`Star | `Ssj | `Scj | `Bsi) ->
       Printf.eprintf
-        "joinproj: note: --tiled/--tile-bits/--max-resident-mb only affect \
-         the join flow\n"
+        "joinproj: note: --tile-bits/--max-resident-mb only reach the join \
+         flow; a heavy product in the other flows uses the default tile \
+         config\n"
     | _ -> ());
     (* The plan lines come from the same helper as [explain]; print them
        before recording starts so the extra planning calls stay out of the
@@ -564,7 +557,7 @@ let profile_cmd =
     Term.(
       const run $ dataset $ input_file $ scale $ seed $ domains $ what
       $ trace_out_arg $ metrics_out_arg $ adaptive $ budget_ms $ inject_est
-      $ tiled_flag $ tile_bits_arg $ max_resident_mb)
+      $ tile_bits_arg $ max_resident_mb)
 
 let policy_arg =
   Arg.(

@@ -11,7 +11,7 @@
       [Optimizer.prepare];
     + {b L2} — whole heavy-part matrix products keyed by (fingerprints,
       partition thresholds), via the {!Joinproj.Two_path.memo} hooks —
-      one entry per product, whether it ran flat or tiled;
+      one entry per product, whatever tile config built it;
     + {b L3} — whole results with cost-based admission ({!offer}): an
       entry is admitted only when its measured recompute cost times its
       observed miss count beats its byte footprint.
@@ -134,8 +134,8 @@ val two_path_memo :
     [project_counts]: prepared statistics and heavy-part matrix products
     served from the cache.  The memo is specific to this (r, s) pair.
     Products are keyed on thresholds but not on [domains] or the tile
-    configuration: the flat and tiled kernels produce identical matrices
-    for any worker count and tile size, so one entry serves both. *)
+    configuration: [Jp_tile] produces identical matrices for any worker
+    count, tile cap and budget, so one entry serves them all. *)
 
 (** {1 L3 result bindings (consumed by [Jp_service])} *)
 

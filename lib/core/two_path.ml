@@ -66,33 +66,16 @@ let operand adj ids index ~cols =
           if j >= 0 then f j)
         (adj ids.(i)))
 
-(* R⁺ (rows [heavy_x] over [y_index]) times the S⁺ operand [b], behind
-   the tiling gate: a [?tile] config applies when it forces tiling or
-   the cost model agrees (operands big enough, or bigger than the
-   configured resident budget), and then the operands stream through
-   [Jp_tile] as lazy sources ([tiled]); otherwise the flat kernel
-   ([flat]) multiplies them materialized.  Both give the same matrix
-   bit for bit. *)
-let heavy_mul ~tile ~kind ~flat ~tiled ~r (p : Partition.t) b =
-  let u, v, w = Partition.dims p in
-  let a = operand (Relation.adj_src r) p.heavy_x p.y_index ~cols:v in
-  match tile with
-  | Some cfg
-    when cfg.Jp_tile.force
-         || Jp_matrix.Cost.should_tile ?budget_bytes:cfg.Jp_tile.budget_bytes
-              kind ~u ~v ~w () ->
-    tiled cfg a b
-  | _ -> flat (Jp_tile.Source.to_boolmat a) (Jp_tile.Source.to_boolmat b)
-
-(* The boolean product M{R⁺}·M{S⁺}, S⁺ as [heavy_y] rows over
-   [z_index], behind the whole-product memo hook. *)
+(* The boolean product M{R⁺}·M{S⁺}: R⁺ as [heavy_x] rows over
+   [y_index], S⁺ as [heavy_y] rows over [z_index], through [Jp_tile]
+   behind the whole-product memo hook. *)
 let bool_product ?cancel ?checkpoint ~tile ~memo ~domains ~r ~s
     (p : Partition.t) =
   memo.memo_bool_product ~d1:p.d1 ~d2:p.d2 (fun () ->
       Obs.span "two_path.heavy_mm" (fun () ->
-          heavy_mul ~tile ~kind:Jp_matrix.Cost.Boolean ~r p
-            ~flat:(Boolmat.mul ~domains)
-            ~tiled:(Jp_tile.mul ~domains ?cancel ?checkpoint)
+          Jp_tile.mul ~domains ?cancel ?checkpoint tile
+            (operand (Relation.adj_src r) p.heavy_x p.y_index
+               ~cols:(Array.length p.heavy_y))
             (operand (Relation.adj_dst s) p.heavy_y p.z_index
                ~cols:(Array.length p.heavy_z))))
 
@@ -102,17 +85,17 @@ let bool_product ?cancel ?checkpoint ~tile ~memo ~domains ~r ~s
 let count_product ?cancel ?checkpoint ~tile ~memo ~domains ~r ~s
     (p : Partition.t) =
   memo.memo_count_product ~d1:p.d1 (fun () ->
-      heavy_mul ~tile ~kind:Jp_matrix.Cost.Count ~r p
-        ~flat:(Boolmat.count_product ~domains)
-        ~tiled:(Jp_tile.count_product ~domains ?cancel ?checkpoint)
-        (operand (Relation.adj_src s) p.heavy_z p.y_index
-           ~cols:(Array.length p.heavy_y)))
+      let v = Array.length p.heavy_y in
+      Jp_tile.count_product ~domains ?cancel ?checkpoint tile
+        (operand (Relation.adj_src r) p.heavy_x p.y_index ~cols:v)
+        (operand (Relation.adj_src s) p.heavy_z p.y_index ~cols:v))
 
 (* Public alias: the BSI fast path builds (and caches) the same product
    over a full-relation partition, answering heavy-heavy point queries
    straight from its bits. *)
 let heavy_product ?(domains = 1) ~r ~s p =
-  bool_product ~tile:None ~memo:no_memo ~domains ~r ~s:(cover_dst ~r s) p
+  bool_product ~tile:(Jp_tile.config ()) ~memo:no_memo ~domains ~r
+    ~s:(cover_dst ~r s) p
 
 (* ------------------------------------------------------------------ *)
 (* Boolean (dedup-only) evaluation                                     *)
@@ -235,7 +218,7 @@ let tile_checkpoint ~domains g =
    Re-planning is always done with clean (un-injected) statistics and
    bounded by the guard's fuel, so the recursion terminates.  A cancel
    token is polled at these checkpoints and between merge chunks. *)
-let execute ?cancel ?tile ~g ~prep ~replan ~domains ~strategy ~memo ~phases ~r
+let execute ?cancel ~tile ~g ~prep ~replan ~domains ~strategy ~memo ~phases ~r
     ~s plan0 =
   let cfg = Guard.config g in
   let nx = Relation.src_count r in
@@ -453,14 +436,14 @@ let frame ~span ~label ~count
       result)
 
 let project ?(domains = 1) ?(strategy = Matrix) ?plan ?(guard = Guard.inert)
-    ?cancel ?(memo = no_memo) ?tile ~r ~s () =
+    ?cancel ?(memo = no_memo) ?(tile = Jp_tile.config ()) ~r ~s () =
   frame ~span:"two_path.project" ~label:"two_path" ~count:Pairs.count
     ~plan_with:(fun ?est_out ?mm_cost_scale prep ->
       Optimizer.plan_prepared ~domains ~kind:Jp_matrix.Cost.Boolean ?est_out
         ?mm_cost_scale prep ())
     ?cancel ?plan ~strategy ~guard ~memo ~r ~s
     (fun ~g ~prep ~replan ~phases ~s ~strategy plan ->
-      ( execute ?cancel ?tile ~g ~prep ~replan ~domains ~strategy ~memo ~phases
+      ( execute ?cancel ~tile ~g ~prep ~replan ~domains ~strategy ~memo ~phases
           ~r ~s plan,
         plan ))
 
@@ -480,7 +463,7 @@ let project_with_plan_info ?(domains = 1) ?(strategy = Matrix) ?guard ?cancel
    per pair before freezing the row.  Also returns whether the count
    matrices were actually used — [false] means the cell cap forced the
    combinatorial fallback, which a guard records as a degradation. *)
-let counted_partitioned ?cancel ?tile ?checkpoint ~phases ~domains ~memo ~r ~s
+let counted_partitioned ?cancel ?checkpoint ~tile ~phases ~domains ~memo ~r ~s
     ~d1 ~cap () =
   let p =
     phase phases "partition" (fun () ->
@@ -520,15 +503,16 @@ let counted_partitioned ?cancel ?tile ?checkpoint ~phases ~domains ~memo ~r ~s
               (match product with
               | Some m ->
                 let i = p.x_index.(a) in
-                if i >= 0 then
-                  Array.iteri
-                    (fun l c ->
-                      let k = Intmat.get m i l in
-                      if k > 0 then begin
-                        if obs then Stdlib.incr presented;
-                        Row_acc.add_count acc c k
-                      end)
-                    p.heavy_z
+                if i >= 0 then begin
+                  let counts = Intmat.row m i in
+                  for l = 0 to Array.length counts - 1 do
+                    let k = counts.(l) in
+                    if k > 0 then begin
+                      if obs then Stdlib.incr presented;
+                      Row_acc.add_count acc p.heavy_z.(l) k
+                    end
+                  done
+                end
               | None -> ());
               let ((zs, _) as row) = Row_acc.emit_counts acc in
               if obs then misses := !misses + Array.length zs;
@@ -547,7 +531,7 @@ let counted_partitioned ?cancel ?tile ?checkpoint ~phases ~domains ~memo ~r ~s
           (Counted_pairs.of_rows_unchecked rows, use_matrix)))
 
 let project_counts ?(domains = 1) ?(strategy = Matrix) ?plan
-    ?(guard = Guard.inert) ?cancel ?(memo = no_memo) ?tile
+    ?(guard = Guard.inert) ?cancel ?(memo = no_memo) ?(tile = Jp_tile.config ())
     ?(matrix_cell_cap = 200_000_000) ~r ~s () =
   (* plan_counts' thresholds do not depend on est_out (d2 is pinned), so
      only the mm-cost component of an injection can mislead it — and the
@@ -593,7 +577,7 @@ let project_counts ?(domains = 1) ?(strategy = Matrix) ?plan
               Jp_wcoj.Expand.project_counts ~domains ?cancel ~r ~s ())
         | Optimizer.Partitioned { d1; d2 = _ }, Matrix ->
           let result, used_matrix =
-            counted_partitioned ?cancel ?tile
+            counted_partitioned ?cancel ~tile
               ?checkpoint:(tile_checkpoint ~domains g)
               ~phases ~domains ~memo ~r ~s ~d1 ~cap ()
           in

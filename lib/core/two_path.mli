@@ -35,8 +35,8 @@ module Cancel = Jp_util.Cancel
 
 type strategy =
   | Matrix
-      (** heavy part via {!Jp_matrix.Boolmat.mul} (boolean) /
-          {!Jp_matrix.Boolmat.count_product} (counts) *)
+      (** heavy part via {!Jp_tile.mul} (boolean) /
+          {!Jp_tile.count_product} (counts) *)
   | Combinatorial  (** heavy part via stamp-vector expansion (Non-MMJoin) *)
 
 (** Memoization hooks, consumed by [Jp_cache] (which sits above this
@@ -45,8 +45,8 @@ type strategy =
     indexes, or a heavy-part matrix product identified by the partition
     thresholds — and may return a previously built value for the same
     (r, s, thresholds) instead of running it.  A product hook wraps the
-    whole product, flat or tiled alike: the two kernels are bit-equal,
-    so the key does not depend on the tile configuration.  A memo value
+    whole product: {!Jp_tile} is bit-equal for every tile config, so
+    the key does not depend on it.  A memo value
     is specific to the (r, s) pair it was created for; hooks are
     consulted once per phase, never per tuple. *)
 type memo = {
@@ -68,9 +68,9 @@ val heavy_product :
   s:Relation.t ->
   Partition.t ->
   Jp_matrix.Boolmat.t
-(** The heavy-part boolean product M{_R⁺}·M{_S⁺} for a partition: rows
-    are [heavy_x], columns [heavy_z] (indexes per the partition's
-    [x_index]/[z_index]).  Deterministic in (r, s, thresholds) and
+(** The heavy-part boolean product M{_R⁺}·M{_S⁺} for a partition,
+    through {!Jp_tile} at its default config: rows are [heavy_x],
+    columns [heavy_z] (indexes per the partition's [x_index]/[z_index]).  Deterministic in (r, s, thresholds) and
     independent of [domains] — which is what makes it cacheable.  Used
     by the BSI fast path to answer heavy-heavy point queries without
     re-running the join. *)
@@ -102,14 +102,12 @@ val project :
     whose checkpoints all answer [Continue]: no re-plan, no degradation,
     no [guard.*] counters, identical results.
 
-    With [tile], the heavy-part product streams through {!Jp_tile} —
-    tiles as the work-stealing, memoization and memory-budget unit —
-    whenever {!Jp_matrix.Cost.should_tile} agrees (operands at least
-    [Cost.tile_min_bytes], or larger than the config's resident
-    budget) or the config's [force] flag is set; results are bit-equal
-    either way, and without [tile] the heavy product runs flat.  Guard
-    checkpoints and cancel polls fire once per tile; a [memo] hit skips
-    the product whole, tiled or flat. *)
+    The heavy-part product always runs through {!Jp_tile}, at a tile
+    shape fitted to the product; [tile] is only that shape's cap and
+    the operand tiles' resident budget, and absent is
+    [Jp_tile.config ()].  Results are bit-equal for every [tile].  Guard
+    checkpoints and cancel polls fire once per output tile; a [memo]
+    hit skips the product whole. *)
 
 val project_counts :
   ?domains:int ->

@@ -20,16 +20,14 @@ let of_adjacency ~rows ~cols adj =
   if rows < 0 || cols < 0 then invalid_arg "Boolmat.of_adjacency";
   { data = Array.init rows (fun i -> Bitset.of_sorted_array cols (adj i)); cols }
 
-let mul ?(domains = 1) a b =
+let mul a b =
   if a.cols <> Array.length b.data then
     invalid_arg
       (Printf.sprintf "Boolmat.mul: dimension mismatch (%dx%d . %dx%d)"
          (rows a) a.cols (rows b) b.cols);
   Jp_obs.span "matrix.bool_mul" (fun () ->
       let c = create ~rows:(rows a) ~cols:b.cols in
-      let words_per_row =
-        if Array.length b.data = 0 then 0 else Bitset.word_count b.data.(0)
-      in
+      let words_per_row = Bitset.payload_words b.cols in
       let obs = Jp_obs.recording () in
       let do_row i =
         let acc = c.data.(i) in
@@ -44,14 +42,12 @@ let mul ?(domains = 1) a b =
         end
         else Bitset.iter (fun k -> Bitset.union_into ~dst:acc b.data.(k)) a.data.(i)
       in
-      if domains <= 1 then
-        for i = 0 to rows a - 1 do
-          do_row i
-        done
-      else Jp_parallel.Pool.parallel_for ~domains ~lo:0 ~hi:(rows a) do_row;
+      for i = 0 to rows a - 1 do
+        do_row i
+      done;
       c)
 
-let count_product ?(domains = 1) a b =
+let count_product a b =
   if a.cols <> b.cols then
     invalid_arg
       (Printf.sprintf
@@ -65,18 +61,17 @@ let count_product ?(domains = 1) a b =
         let arow = a.data.(i) in
         if not (Bitset.is_empty arow) then begin
           if obs then
-            Jp_obs.add Jp_obs.C.mm_count_word_ops (w * Bitset.word_count arow);
+            Jp_obs.add Jp_obs.C.mm_count_word_ops
+              (w * Bitset.payload_words a.cols);
           for l = 0 to w - 1 do
             let k = Bitset.inter_count arow b.data.(l) in
             if k > 0 then Intmat.set c i l k
           done
         end
       in
-      if domains <= 1 then
-        for i = 0 to u - 1 do
-          do_row i
-        done
-      else Jp_parallel.Pool.parallel_for ~domains ~lo:0 ~hi:u do_row;
+      for i = 0 to u - 1 do
+        do_row i
+      done;
       c)
 
 let row_nnz m i = Bitset.count m.data.(i)

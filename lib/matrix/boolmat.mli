@@ -5,12 +5,12 @@
     selected by the set bits of A's row i.  Each word-level OR processes 62
     columns at once, so the kernel runs at roughly M(u,v,w)/62 word
     operations — the same constant-factor acceleration role that
-    Eigen+MKL's SIMD SGEMM plays in the paper (Section 6), and like it,
-    embarrassingly parallel over rows.
+    Eigen+MKL's SIMD SGEMM plays in the paper (Section 6).
 
-    When only reachability matters (plain join-project deduplication,
-    boolean set intersection), this kernel replaces the count product and is
-    the fastest path in the whole system. *)
+    The engines multiply their heavy operands through [Jp_tile], which
+    runs these same row kernels tile by tile; {!mul} and {!count_product}
+    here are the single-domain whole-matrix references that the tests
+    compare [Jp_tile] against and that {!Cost.calibrate} times. *)
 
 type t
 
@@ -32,12 +32,12 @@ val of_adjacency : rows:int -> cols:int -> (int -> int array) -> t
 (** [of_adjacency ~rows ~cols adj] builds the matrix whose row [i] has ones
     exactly at positions [adj i]. *)
 
-val mul : ?domains:int -> t -> t -> t
+val mul : t -> t -> t
 (** Boolean matrix product over the OR/AND semiring.  Raises
     [Invalid_argument] naming both operand shapes when the inner
     dimensions disagree. *)
 
-val count_product : ?domains:int -> t -> t -> Intmat.t
+val count_product : t -> t -> Intmat.t
 (** [count_product a b] with [a : u×v] and [b : w×v] (note: {e both} over
     the same inner dimension, i.e. [b] is the transpose of the right
     operand) is the u×w {e integer} product C with

@@ -136,20 +136,3 @@ let mhat m kind ~u ~v ~w ~cores =
       float_of_int u *. float_of_int v *. (float_of_int w /. 62.0) *. m.bool_word
   in
   (work /. float_of_int cores) +. construction_seconds m ~u ~v ~w
-
-(* ------------------------------------------------------------------ *)
-(* Tiling threshold (Jp_tile)                                          *)
-
-let bitmap_bytes ~rows ~cols = rows * ((cols + 61) / 62) * 8
-
-let tile_operand_bytes kind ~u ~v ~w =
-  match kind with
-  | Boolean -> bitmap_bytes ~rows:u ~cols:v + bitmap_bytes ~rows:v ~cols:w
-  | Count -> bitmap_bytes ~rows:u ~cols:v + bitmap_bytes ~rows:w ~cols:v
-
-let tile_min_bytes = 32 * 1024 * 1024
-
-let should_tile ?budget_bytes kind ~u ~v ~w () =
-  let bytes = tile_operand_bytes kind ~u ~v ~w in
-  bytes >= tile_min_bytes
-  || (match budget_bytes with Some b -> bytes > b | None -> false)

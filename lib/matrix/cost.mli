@@ -11,7 +11,11 @@
       {!Dense}, {!Intmat} and {!Boolmat}, anchored on a small table of
       square multiplies and extrapolated by the cubic cost formula — valid
       because the kernels, like the paper's Eigen, implement the
-      (optimized) cubic algorithm with predictable running time.
+      (optimized) cubic algorithm with predictable running time.  The
+      engines' heavy products run through [Jp_tile], whose tiles execute
+      the same row kernels (one tile for products up to its cap), so
+      constants timed on the whole-matrix {!Boolmat} references price
+      them too.  Nothing here chooses a kernel: there is only one.
 
     The same calibration pass also measures the paper's Table-1 machine
     constants [Ts] (sequential access), [Tm] (allocation) and [TI] (random
@@ -59,25 +63,3 @@ val mhat : machine -> kind -> u:int -> v:int -> w:int -> cores:int -> float
 val construction_seconds : machine -> u:int -> v:int -> w:int -> float
 (** Estimated time to materialize the two input matrices
     ([max(u·v, v·w)] cell writes, Section 3.1's [C] term). *)
-
-(** {2 Tiling threshold}
-
-    Gate for the [Jp_tile] tiled heavy-part product: tiling pays a
-    per-tile scheduling/blit overhead, so small products keep the flat
-    kernels; large products (or any product whose operand footprint
-    exceeds an explicit resident budget) stream through tiles. *)
-
-val tile_operand_bytes : kind -> u:int -> v:int -> w:int -> int
-(** Bytes of the two bit-packed operand matrices a [u×v · v×w] product
-    of the given kernel materializes (the count kernel stores the right
-    operand transposed, [w×v]). *)
-
-val tile_min_bytes : int
-(** Default operand-footprint threshold (32 MiB) above which
-    {!should_tile} opts into tiling even without a budget. *)
-
-val should_tile :
-  ?budget_bytes:int -> kind -> u:int -> v:int -> w:int -> unit -> bool
-(** True when the operand footprint reaches {!tile_min_bytes}, or
-    exceeds [budget_bytes] when one is given (a bounded resident set
-    must stream regardless of absolute size). *)

@@ -14,6 +14,8 @@ let get m i j = m.data.(i).(j)
 
 let set m i j x = m.data.(i).(j) <- x
 
+let row m i = m.data.(i)
+
 let dims m = (m.rows, m.cols)
 
 let block = 64

@@ -18,6 +18,9 @@ val get : t -> int -> int -> int
 
 val set : t -> int -> int -> int -> unit
 
+val row : t -> int -> int array
+(** The backing array of a row (shared, not copied). *)
+
 val dims : t -> int * int
 
 val mul : ?domains:int -> t -> t -> t

@@ -108,10 +108,16 @@ val render_counters : unit -> string
 (** The process-wide counters maintained by the instrumented engines. *)
 module C : sig
   val mm_bool_word_ops : counter
-  (** 62-bit word ORs performed by {!Jp_matrix.Boolmat.mul}. *)
+  (** 62-bit payload-word ORs of the boolean heavy product ([Jp_tile.mul],
+      and the {!Jp_matrix.Boolmat.mul} reference): one per union times
+      the words holding the OR'd row's bits — a bitset's spare trailing
+      word is not counted. *)
 
   val mm_count_word_ops : counter
-  (** 62-bit AND+popcount words in {!Jp_matrix.Boolmat.count_product}. *)
+  (** 62-bit payload-word AND+popcounts of the count heavy product
+      ([Jp_tile.count_product], and the
+      {!Jp_matrix.Boolmat.count_product} reference), counted the same
+      way. *)
 
   val stamp_hits : counter
   (** Stamp-vector probes that found the stamp already set (dedup hits). *)
@@ -219,7 +225,8 @@ module C : sig
   (** Operand tiles evicted by the resident-set byte budget. *)
 
   val tile_products : counter
-  (** Output tiles computed by the tiled [mul]/[count_product]. *)
+  (** Output tiles computed by [Jp_tile.mul]/[count_product]: every
+      heavy product publishes at least one. *)
 
   val tile_bytes : counter
   (** Resident tile-store footprint gauge (build adds the tile size,

@@ -1,14 +1,19 @@
-(** Tiled, memory-bounded heavy-part matrix multiplication.
+(** The heavy-part matrix multiplication kernel, tiled and
+    memory-bounded.
 
-    The flat {!Jp_matrix.Boolmat} kernels materialize both operand
-    matrices in full, which makes the heavy part the system's largest
-    single allocation and an all-or-nothing unit for parallelism and
-    caching.  This module decomposes the same two products into fixed
-    2{^k}×2{^k} bit-packed tiles (MatFast-style block partitioning):
+    Every heavy boolean and count product in the engines runs here.
+    The product is decomposed into bit-packed tiles (MatFast-style block
+    partitioning) whose shape is fitted to the product:
 
+    - {b Shape}: the tile side is the smallest 2{^k} ≥ max(u, w),
+      between 2{^4} and the config's cap 2{^tile_bits}; so a product no
+      wider than the cap is a single tile.  With [domains > 1] the side
+      halves until there are at least 2·domains output tiles (or it
+      reaches 2{^4}).  Without a budget the inner dimension is one
+      block, so every count cell is one AND+popcount over whole rows;
+      with a budget inner blocks are as wide as the side.
     - {b Scheduling}: output tiles are the work-stealing unit — one
-      {!Jp_parallel.Pool} chunk per tile — so load balance no longer
-      depends on row skew.
+      {!Jp_parallel.Pool} chunk per tile.
     - {b Memory}: operand tiles are built on demand from an adjacency
       {!Source} and kept in a bounded resident store; when a byte budget
       is set, LANDLORD-style eviction rebuilds cold tiles instead of
@@ -20,33 +25,32 @@
       resident footprint ([tile.bytes] + its [tile.peak_bytes]
       high-water mark, mirrored into the [tile.resident_bytes] gauge).
 
-    Results are bit-equal to the flat kernels for every tile size,
-    budget and domain count: boolean tiles OR-blit into the result rows
-    at their column offset ({!Jp_util.Bitset.union_into_at}), count
-    tiles own disjoint cell blocks, and partial sums over inner tiles
+    Results are bit-equal to the whole-matrix {!Jp_matrix.Boolmat}
+    references for every cap, budget and domain count: boolean column
+    tiles are a whole number of 62-bit words wide, so each output tile
+    ORs straight into words of the result rows that no other tile
+    touches ({!Jp_util.Bitset.union_into_at}); count tiles add into
+    their own disjoint cell blocks, and partial sums over inner blocks
     are exact. *)
 
 module Boolmat = Jp_matrix.Boolmat
 module Intmat = Jp_matrix.Intmat
 module Cancel = Jp_util.Cancel
 
-type config = private {
-  tile_bits : int;
-  budget_bytes : int option;
-  force : bool;
-}
-(** [tile_bits] is k of the 2{^k}×2{^k} tile shape; [budget_bytes]
-    bounds the operand-tile resident set ([None] = unbounded: every
-    operand tile stays resident once built).  [force] is advisory for
-    callers that gate on {!Jp_matrix.Cost.should_tile}: it asks them to
-    tile regardless of the size threshold (this module itself always
-    tiles). *)
+type config = private { tile_bits : int; budget_bytes : int option }
+(** [tile_bits] caps the fitted tile side at 2{^tile_bits};
+    [budget_bytes] bounds the operand-tile resident set ([None] =
+    unbounded: every operand tile stays resident once built). *)
 
 val default_tile_bits : int
-(** 9: 512×512 tiles, ≈ 33 KiB of bitset words per boolean tile. *)
+(** 11: products up to 2048 on a side — every heavy product of the
+    bundled presets at full scale — are a single tile at
+    [domains = 1]; a boolean product wider than the cap rescans A once
+    per column tile. *)
 
-val config : ?tile_bits:int -> ?budget_bytes:int -> ?force:bool -> unit -> config
-(** [tile_bits] is clamped to [[4, 20]]; [force] defaults to [false]. *)
+val config : ?tile_bits:int -> ?budget_bytes:int -> unit -> config
+(** [tile_bits] is clamped to [[4, 20]].  [config ()] is what the
+    engines use when a caller passes no [?tile]. *)
 
 (** Lazy operand views: shape plus a row-adjacency function, so tiles
     can be (re)built on demand without ever materializing the full
@@ -64,9 +68,6 @@ module Source : sig
 
   val of_boolmat : Boolmat.t -> t
   (** View an already materialized matrix (tests and benches). *)
-
-  val to_boolmat : t -> Boolmat.t
-  (** Materialize the whole operand — what the flat kernels multiply. *)
 
   val rows : t -> int
 
@@ -99,6 +100,6 @@ val count_product :
   Intmat.t
 (** [count_product cfg a b] with [a : u×v] and [b : w×v] (both over the
     same inner dimension, exactly like [Boolmat.count_product]) is the
-    u×w count matrix, bit-equal to the flat kernel: inner-tile partial
-    counts are integer sums, so accumulation order cannot change the
-    result.  Same capability surface as {!mul}. *)
+    u×w count matrix, bit-equal to [Boolmat.count_product]: partial
+    counts over inner blocks are integer sums, so accumulation order
+    cannot change the result.  Same capability surface as {!mul}. *)

@@ -8,9 +8,11 @@ let width t = t.width
 
 let word_count t = Array.length t.words
 
+let payload_words n = (n + bits_per_word - 1) / bits_per_word
+
 let create n =
   if n < 0 then invalid_arg "Bitset.create";
-  { words = Array.make ((n + bits_per_word - 1) / bits_per_word + 1) 0; width = n }
+  { words = Array.make (payload_words n + 1) 0; width = n }
 
 let check t i =
   if i < 0 || i >= t.width then invalid_arg "Bitset: index out of bounds"
@@ -64,36 +66,22 @@ let union_into ~dst src =
     Array.unsafe_set d w (Array.unsafe_get d w lor Array.unsafe_get s w)
   done
 
-(* OR [src] into [dst] starting at bit [off].  Payload words are shifted
-   by [off mod 62]; the carry of the last payload word lands in the word
-   after it, which is in bounds because [create] always allocates one
-   spare trailing word and [off + width src <= width dst].  Source bits
-   beyond [width src] are invariantly zero, so no bit beyond
-   [off + width src) can be set. *)
+(* OR [src] into [dst] starting at bit [off], a whole number of words
+   in: payload word [w] of [src] lands on word [off / 62 + w] of [dst],
+   in bounds because [off + width src <= width dst].  Only payload words
+   are written — never the spare trailing word, whose slot in [dst] may
+   be the first word of a neighbouring tile that another domain is
+   writing concurrently; source bits beyond [width src] are invariantly
+   zero. *)
 let union_into_at ~dst off src =
-  if off < 0 || off + src.width > dst.width then
-    invalid_arg "Bitset.union_into_at: range out of bounds";
+  if off < 0 || off + src.width > dst.width || off mod bits_per_word <> 0 then
+    invalid_arg "Bitset.union_into_at: offset unaligned or out of bounds";
   let d = dst.words and s = src.words in
-  let wi = off / bits_per_word and bo = off mod bits_per_word in
-  let payload = (src.width + bits_per_word - 1) / bits_per_word in
-  if bo = 0 then
-    for w = 0 to payload - 1 do
-      Array.unsafe_set d (wi + w)
-        (Array.unsafe_get d (wi + w) lor Array.unsafe_get s w)
-    done
-  else begin
-    let mask = (1 lsl bits_per_word) - 1 in
-    for w = 0 to payload - 1 do
-      let x = Array.unsafe_get s w in
-      if x <> 0 then begin
-        let i = wi + w in
-        Array.unsafe_set d i
-          (Array.unsafe_get d i lor ((x lsl bo) land mask));
-        Array.unsafe_set d (i + 1)
-          (Array.unsafe_get d (i + 1) lor (x lsr (bits_per_word - bo)))
-      end
-    done
-  end
+  let wi = off / bits_per_word in
+  for w = 0 to payload_words src.width - 1 do
+    Array.unsafe_set d (wi + w)
+      (Array.unsafe_get d (wi + w) lor Array.unsafe_get s w)
+  done
 
 let inter_into ~dst src =
   check_widths dst src "inter_into";

@@ -8,6 +8,14 @@
 
 type t
 
+val bits_per_word : int
+(** 62: payload bits per backing word. *)
+
+val payload_words : int -> int
+(** [payload_words n] is the number of words holding [n] bits — a
+    bitset of width [n] has one more, always zero.  The unit of the
+    MM word-op counters. *)
+
 val width : t -> int
 (** Number of addressable bit positions. *)
 
@@ -38,10 +46,13 @@ val union_into : dst:t -> t -> unit
 
 val union_into_at : dst:t -> int -> t -> unit
 (** [union_into_at ~dst off src] ORs [src] into [dst] with its bit 0
-    landing at position [off] ([off + width src <= width dst]).  The
-    word-offset blit behind the tiled matrix product: a tile row merges
-    into the full result row at its column-block offset without
-    per-bit iteration. *)
+    landing at position [off], which must be a multiple of
+    {!bits_per_word} with [off + width src <= width dst]; raises
+    [Invalid_argument] otherwise.  Writes only the words that hold bits
+    [[off, off + width src)], so callers may OR disjoint word ranges of
+    one [dst] from different domains.  The blit behind the tiled
+    boolean product: a tile row merges into whole words of the full
+    result row without per-bit iteration. *)
 
 val inter_into : dst:t -> t -> unit
 (** [inter_into ~dst src] ANDs [src] into [dst].  Widths must match. *)

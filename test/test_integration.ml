@@ -419,12 +419,12 @@ let test_cached_cq_agrees () =
       done)
     cq_pool
 
-(* Tiled variants join the matrix: with a [?tile] config forcing the
-   heavy product through Jp_tile (tiny tiles + a budget small enough to
-   evict mid-product), boolean and counted projections must stay
-   bit-equal to the untiled engines — alone and stacked under the
+(* Capped tiles join the matrix: with a [?tile] config that caps the
+   heavy product's tiles at 16 wide and sets a budget small enough to
+   evict mid-product, boolean and counted projections must stay
+   bit-equal to the default fitted shape — alone and stacked under the
    guarded / cancelled / cached capabilities. *)
-let tiny_tile = Jp_tile.config ~tile_bits:4 ~budget_bytes:8192 ~force:true ()
+let tiny_tile = Jp_tile.config ~tile_bits:4 ~budget_bytes:8192 ()
 
 let test_tiled_two_path_agrees () =
   let matrix = Joinproj.Two_path.Matrix in

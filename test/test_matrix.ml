@@ -73,12 +73,6 @@ let test_boolmat_mul () =
   Alcotest.(check bool) "bool product = support of count product" true
     (Boolmat.equal got expect)
 
-let test_boolmat_parallel () =
-  let a = bool_of_int (random_intmat 9 ~rows:50 ~cols:50 ~density:0.2) in
-  let b = bool_of_int (random_intmat 10 ~rows:50 ~cols:50 ~density:0.2) in
-  Alcotest.(check bool) "parallel = sequential" true
-    (Boolmat.equal (Boolmat.mul ~domains:3 a b) (Boolmat.mul a b))
-
 let test_boolmat_adjacency () =
   let m = Boolmat.of_adjacency ~rows:3 ~cols:10 (fun i -> [| i; i + 3 |]) in
   Alcotest.(check int) "nnz" 6 (Boolmat.nnz m);
@@ -107,12 +101,6 @@ let test_count_product () =
     done
   done;
   Alcotest.(check bool) "count product = A * B^T" true !ok
-
-let test_count_product_parallel () =
-  let a = bool_of_int (random_intmat 13 ~rows:40 ~cols:60 ~density:0.25) in
-  let b = bool_of_int (random_intmat 14 ~rows:35 ~cols:60 ~density:0.25) in
-  Alcotest.(check bool) "parallel = sequential" true
-    (Intmat.equal (Boolmat.count_product ~domains:4 a b) (Boolmat.count_product a b))
 
 let test_count_product_mismatch () =
   let a = Boolmat.create ~rows:2 ~cols:3 and b = Boolmat.create ~rows:2 ~cols:4 in
@@ -171,10 +159,8 @@ let suite =
     Alcotest.test_case "intmat dim mismatch" `Quick test_intmat_dim_mismatch;
     Alcotest.test_case "boolmat mul" `Quick test_boolmat_mul;
     Alcotest.test_case "boolmat mul mismatch" `Quick test_boolmat_mul_mismatch;
-    Alcotest.test_case "boolmat mul parallel" `Quick test_boolmat_parallel;
     Alcotest.test_case "boolmat adjacency" `Quick test_boolmat_adjacency;
     Alcotest.test_case "count product" `Quick test_count_product;
-    Alcotest.test_case "count product parallel" `Quick test_count_product_parallel;
     Alcotest.test_case "count product mismatch" `Quick test_count_product_mismatch;
     Alcotest.test_case "dense mul" `Quick test_dense_mul;
     Alcotest.test_case "lemma1" `Quick test_lemma1;

@@ -263,10 +263,11 @@ let prop_rows_pass_checked_constructors =
           est_seconds = 0.0;
         }
       in
-      (* The heavy product runs flat or through forced tiny tiles, and
-         with a memo the cache is first warmed by the other kernel: a
-         product memoized by one kernel must serve the other. *)
-      let tiny = Some (Jp_tile.config ~tile_bits:4 ~budget_bytes:4096 ~force:true ()) in
+      (* The heavy product runs at the default fitted shape or through
+         tiny capped tiles under a budget, and with a memo the cache is
+         first warmed by the other config: a product memoized under one
+         tile config must serve the other. *)
+      let tiny = Some (Jp_tile.config ~tile_bits:4 ~budget_bytes:4096 ()) in
       let tile = if tiled then tiny else None in
       let memo =
         if not memoized then None

@@ -1,6 +1,5 @@
 module Boolmat = Jp_matrix.Boolmat
 module Intmat = Jp_matrix.Intmat
-module Cost = Jp_matrix.Cost
 module Tile = Jp_tile
 module Cancel = Jp_util.Cancel
 
@@ -16,9 +15,8 @@ let random_boolmat seed ~rows ~cols ~density =
 
 let cfg ?budget_bytes ?(tile_bits = 4) () = Tile.config ~tile_bits ?budget_bytes ()
 
-(* Tiled vs flat on dimensions that are not tile multiples: boundary
-   tiles are ragged on every side, and with 16-wide tiles the column
-   offsets are never 62-aligned, so the OR-blit carry path is hot. *)
+(* Tiled vs the Boolmat reference on dimensions that are not tile
+   multiples: boundary tiles are ragged on every side. *)
 let test_mul_matches_flat () =
   let a = random_boolmat 1 ~rows:70 ~cols:131 ~density:0.08 in
   let b = random_boolmat 2 ~rows:131 ~cols:90 ~density:0.08 in
@@ -150,9 +148,11 @@ let test_store_accounting () =
         tile_counters ())
   in
   let get k = try List.assoc k counters with Not_found -> 0 in
-  (* 4x3 a-tiles + 3x4 b-tiles at 16-wide tiles. *)
-  Alcotest.(check int) "builds" 24 (get "tile.build");
-  Alcotest.(check int) "products" 16 (get "tile.product");
+  (* Capped at 16: 4 row blocks x 2 word-aligned (62-wide) column
+     blocks of output; without a budget the inner dimension is one
+     block, so 4 a-tiles + 2 b-tiles. *)
+  Alcotest.(check int) "builds" 6 (get "tile.build");
+  Alcotest.(check int) "products" 8 (get "tile.product");
   Alcotest.(check int) "no evictions" 0 (get "tile.evict");
   Alcotest.(check bool) "hits" true (get "tile.store_hit" > 0);
   Alcotest.(check int) "footprint drained" 0 (get "tile.bytes");
@@ -164,23 +164,137 @@ let test_checkpoint_and_cancel () =
   let ticks = ref 0 in
   ignore
     (Tile.mul ~checkpoint:(fun () -> Stdlib.incr ticks) (cfg ()) sa sa);
-  Alcotest.(check int) "one checkpoint per output tile" 16 !ticks;
+  (* 4 row blocks x 2 word-aligned column blocks at a 16 cap. *)
+  Alcotest.(check int) "one checkpoint per output tile" 8 !ticks;
   let c = Cancel.create () in
   Cancel.cancel c;
   Alcotest.check_raises "cancelled" (Cancel.Cancelled Cancel.Requested)
     (fun () -> ignore (Tile.mul ~cancel:c (cfg ()) sa sa))
 
-(* The cost-model gate: huge shapes or over-budget operands tile, small
-   ones without a budget do not. *)
-let test_should_tile_gate () =
-  Alcotest.(check bool) "small untiled" false
-    (Cost.should_tile Cost.Boolean ~u:100 ~v:100 ~w:100 ());
-  Alcotest.(check bool) "huge tiled" true
-    (Cost.should_tile Cost.Boolean ~u:100_000 ~v:100_000 ~w:100_000 ());
-  Alcotest.(check bool) "over budget tiled" true
-    (Cost.should_tile ~budget_bytes:1024 Cost.Count ~u:1000 ~v:1000 ~w:1000 ());
-  Alcotest.(check bool) "under budget untiled" false
-    (Cost.should_tile ~budget_bytes:(1 lsl 30) Cost.Count ~u:100 ~v:100 ~w:100 ())
+(* Every cap, budget and domain count gives the reference product, over
+   ragged shapes that include widths just below, at and above multiples
+   of 62 (the boolean column tiles' word alignment). *)
+let prop_matches_reference =
+  let side =
+    QCheck.Gen.(
+      oneof [ int_range 0 140; oneofl [ 61; 62; 63; 123; 124; 125; 185; 186; 187 ] ])
+  in
+  let gen =
+    QCheck.Gen.(
+      pair (quad small_nat side side side)
+        (triple (int_range 1 3) (int_range 4 10) bool))
+  in
+  let print ((seed, u, v, w), (domains, bits, tiny)) =
+    Printf.sprintf "seed=%d u=%d v=%d w=%d domains=%d bits=%d tiny=%b" seed u v
+      w domains bits tiny
+  in
+  QCheck.Test.make ~name:"tiled = reference over shapes, caps, budgets, domains"
+    ~count:60 (QCheck.make ~print gen)
+    (fun ((seed, u, v, w), (domains, bits, tiny)) ->
+      let budget_bytes = if tiny then Some 2048 else None in
+      let c = cfg ?budget_bytes ~tile_bits:bits () in
+      let a = random_boolmat seed ~rows:u ~cols:v ~density:0.12 in
+      let b = random_boolmat (seed + 1) ~rows:v ~cols:w ~density:0.12 in
+      let bt = random_boolmat (seed + 2) ~rows:w ~cols:v ~density:0.12 in
+      let src = Tile.Source.of_boolmat in
+      Boolmat.equal (Boolmat.mul a b) (Tile.mul ~domains c (src a) (src b))
+      && Intmat.equal
+           (Boolmat.count_product a bt)
+           (Tile.count_product ~domains c (src a) (src bt)))
+
+let products f =
+  with_obs (fun () ->
+      ignore (f ());
+      Jp_obs.value Jp_obs.C.tile_products)
+
+(* The fitted shape, seen through the tile.product counter: one tile at
+   domains = 1 up to the cap, at least 2·domains tiles once u >= 32·domains. *)
+let test_fitted_shape () =
+  let a = random_boolmat 21 ~rows:300 ~cols:70 ~density:0.1 in
+  let b = random_boolmat 22 ~rows:70 ~cols:500 ~density:0.1 in
+  let bt = random_boolmat 23 ~rows:500 ~cols:70 ~density:0.1 in
+  let sa = Tile.Source.of_boolmat a
+  and sb = Tile.Source.of_boolmat b
+  and sbt = Tile.Source.of_boolmat bt in
+  List.iter
+    (fun bits ->
+      let c = Tile.config ~tile_bits:bits () in
+      Alcotest.(check int)
+        (Printf.sprintf "one mul tile at cap 2^%d" bits)
+        1
+        (products (fun () -> Tile.mul c sa sb));
+      Alcotest.(check int)
+        (Printf.sprintf "one count tile at cap 2^%d" bits)
+        1
+        (products (fun () -> Tile.count_product c sa sbt)))
+    [ 9; 10 ];
+  List.iter
+    (fun (domains, u, w) ->
+      let a = random_boolmat (24 + u) ~rows:u ~cols:40 ~density:0.2 in
+      let b = random_boolmat (25 + w) ~rows:40 ~cols:w ~density:0.2 in
+      let bt = random_boolmat (26 + w) ~rows:w ~cols:40 ~density:0.2 in
+      let sa = Tile.Source.of_boolmat a in
+      let at_least what n =
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %d tiles >= %d at domains=%d, u=%d, w=%d" what n
+             (2 * domains) domains u w)
+          true
+          (n >= 2 * domains)
+      in
+      at_least "mul"
+        (products (fun () ->
+             Tile.mul ~domains (Tile.config ()) sa (Tile.Source.of_boolmat b)));
+      at_least "count"
+        (products (fun () ->
+             Tile.count_product ~domains (Tile.config ()) sa
+               (Tile.Source.of_boolmat bt))))
+    [ (2, 64, 3); (2, 200, 200); (3, 96, 1); (3, 300, 70) ]
+
+(* A cancel token tripped from the pool's chunk hook after the first
+   output tile stops the default-config heavy product (no [?tile])
+   before its last tile, and the engine raises [Cancelled].  Above the
+   2048 cap at domains = 1 and by the domain split at domains = 2 the
+   product has several tiles. *)
+let test_default_path_cancel () =
+  let module Two_path = Joinproj.Two_path in
+  let plan =
+    {
+      Joinproj.Optimizer.decision = Joinproj.Optimizer.Partitioned { d1 = 1; d2 = 1 };
+      est_out = 1;
+      join_size = 1;
+      est_seconds = 0.0;
+    }
+  in
+  List.iter
+    (fun (domains, nx) ->
+      let r = Gen.random_relation ~seed:nx ~nx ~ny:40 ~edges:(8 * nx) () in
+      let total =
+        products (fun () -> Two_path.project ~domains ~plan ~r ~s:r ())
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "several tiles at domains=%d (%d)" domains total)
+        true (total >= 4);
+      let cancel = Cancel.create () in
+      let trip () =
+        if Jp_obs.value Jp_obs.C.tile_products >= 1 then Cancel.cancel cancel
+      in
+      let ran =
+        with_obs (fun () ->
+            Jp_parallel.Pool.set_fault_hook (Some trip);
+            Fun.protect
+              ~finally:(fun () -> Jp_parallel.Pool.set_fault_hook None)
+              (fun () ->
+                Alcotest.check_raises "cancelled" (Cancel.Cancelled Cancel.Requested)
+                  (fun () ->
+                    ignore (Two_path.project ~domains ~plan ~cancel ~r ~s:r ())));
+            Jp_obs.value Jp_obs.C.tile_products)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "stopped after %d of %d tiles at domains=%d" ran total
+           domains)
+        true
+        (ran >= 1 && ran < total))
+    [ (1, 2200); (2, 200) ]
 
 let suite =
   [
@@ -194,5 +308,7 @@ let suite =
     Alcotest.test_case "eviction determinism" `Quick test_eviction_determinism;
     Alcotest.test_case "store accounting" `Quick test_store_accounting;
     Alcotest.test_case "checkpoint and cancel" `Quick test_checkpoint_and_cancel;
-    Alcotest.test_case "should_tile gate" `Quick test_should_tile_gate;
+    QCheck_alcotest.to_alcotest prop_matches_reference;
+    Alcotest.test_case "fitted shape" `Quick test_fitted_shape;
+    Alcotest.test_case "default-path cancel" `Quick test_default_path_cancel;
   ]

@@ -37,29 +37,36 @@ let test_bitset_ops () =
   check "inter" [ 1; 150 ] (Bitset.to_list i)
 
 let test_bitset_union_into_at () =
-  (* Offset straddles word boundaries (62 does not divide 100). *)
+  (* The offset is a whole number of 62-bit words (124 = 2 words). *)
   let dst = Bitset.of_sorted_array 300 [| 0; 99; 250 |] in
   let src = Bitset.of_sorted_array 70 [| 0; 5; 61; 62; 69 |] in
-  Bitset.union_into_at ~dst 100 src;
-  check "shifted union" [ 0; 99; 100; 105; 161; 162; 169; 250 ]
+  Bitset.union_into_at ~dst 124 src;
+  check "word-offset union" [ 0; 99; 124; 129; 185; 186; 193; 250 ]
     (Bitset.to_list dst);
-  (* Flush against the end of dst: the carry write must stay in bounds. *)
-  let dst2 = Bitset.create 300 in
-  Bitset.union_into_at ~dst:dst2 230 src;
-  check "flush right" [ 230; 235; 291; 292; 299 ] (Bitset.to_list dst2);
-  Alcotest.check_raises "oob"
-    (Invalid_argument "Bitset.union_into_at: range out of bounds") (fun () ->
-      Bitset.union_into_at ~dst:dst2 231 src)
+  (* Flush against the end of dst. *)
+  let dst2 = Bitset.create 256 in
+  Bitset.union_into_at ~dst:dst2 186 src;
+  check "flush right" [ 186; 191; 247; 248; 255 ] (Bitset.to_list dst2);
+  let raises label off =
+    Alcotest.check_raises label
+      (Invalid_argument "Bitset.union_into_at: offset unaligned or out of bounds")
+      (fun () -> Bitset.union_into_at ~dst:dst2 off src)
+  in
+  raises "unaligned" 100;
+  raises "oob" 248;
+  raises "negative" (-62)
 
 let prop_union_into_at =
   QCheck.Test.make ~name:"union_into_at = shifted set union" ~count:300
     QCheck.(
-      triple (int_bound 120) (small_list (int_bound 80))
-        (small_list (int_bound 200)))
-    (fun (off, src_l, dst_l) ->
-      let src = Bitset.create 81 in
+      quad (int_bound 3) (int_range 1 130) (small_list (int_bound 129))
+        (pair (int_bound 40) (small_list (int_bound 400))))
+    (fun (off_words, src_width, src_l, (slack, dst_l)) ->
+      let off = off_words * Bitset.bits_per_word in
+      let src_l = List.filter (fun p -> p < src_width) src_l in
+      let src = Bitset.create src_width in
       List.iter (Bitset.set src) src_l;
-      let dst = Bitset.create (off + 81 + 40) in
+      let dst = Bitset.create (off + src_width + slack) in
       let dst_l = List.filter (fun p -> p < Bitset.width dst) dst_l in
       List.iter (Bitset.set dst) dst_l;
       let expect =
