@@ -6,7 +6,11 @@
      dune exec bench/main.exe -- --only FIG4a,FIG5  # prefix filter
      dune exec bench/main.exe -- --scale 0.5        # smaller datasets
      dune exec bench/main.exe -- --quick            # fast smoke pass
-     dune exec bench/main.exe -- --bechamel         # Bechamel kernel suite *)
+     dune exec bench/main.exe -- --bechamel         # Bechamel kernel suite
+     dune exec bench/main.exe -- --calibrate        # live cost model
+
+   Run from the repository root: the optimizer's cost model is loaded
+   from perfbench/machine.json unless --calibrate is given. *)
 
 let experiments =
   [
@@ -39,9 +43,13 @@ let experiments =
     ("ABL-TILE", Bench_ablation.tile);
   ]
 
+(* The cost model perfbench pins, relative to the repository root. *)
+let pinned_machine = Filename.concat "perfbench" "machine.json"
+
 let () =
   let cfg = ref Bench_common.default_config in
   let bechamel = ref false in
+  let calibrate = ref false in
   let json_out = ref None in
   let set_only s =
     cfg := { !cfg with Bench_common.only = String.split_on_char ',' s }
@@ -69,6 +77,10 @@ let () =
         Arg.String (fun f -> json_out := Some f),
         "FILE write per-cell records (median seconds, checksum, counters) as JSON" );
       ("--bechamel", Arg.Set bechamel, " run the Bechamel kernel suite instead");
+      ( "--calibrate",
+        Arg.Set calibrate,
+        " measure the cost model's machine constants live instead of loading \
+         perfbench/machine.json" );
     ]
   in
   Arg.parse args
@@ -80,9 +92,19 @@ let () =
     cfg.Bench_common.scale
     (Jp_parallel.Pool.available_cores ())
     cfg.Bench_common.repeats;
-  (* calibrate the optimizer's machine model up front so the cost is not
-     charged to the first timed MMJoin cell *)
-  ignore (Jp_matrix.Cost.machine ());
+  (* The optimizer's machine model: the pinned record by default, so
+     plans and tile shapes do not move between runs; --calibrate measures
+     it live, up front, so the cost is not charged to the first timed
+     MMJoin cell. *)
+  if !calibrate then ignore (Jp_matrix.Cost.machine ())
+  else begin
+    match Jp_matrix.Cost.load_machine pinned_machine with
+    | Ok m -> Jp_matrix.Cost.set_machine m
+    | Error e ->
+      Printf.eprintf
+        "%s\nrun from the repository root, or pass --calibrate\n%!" e;
+      exit 2
+  end;
   (* --json turns the engine counters on; each timed cell then snapshots
      their deltas into its record *)
   if !json_out <> None then Jp_obs.enable ();

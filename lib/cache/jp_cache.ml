@@ -345,8 +345,12 @@ let two_path_memo t ~r ~s =
         let key = Key.v ~kind:"two_path.bool_mm" ~fps ~params:[ d1; d2 ] () in
         find_or_build t boolmat_tag key ~bytes_of:boolmat_bytes build);
     memo_count_product =
-      (fun ~d1 build ->
-        let key = Key.v ~kind:"two_path.count_mm" ~fps ~params:[ d1 ] () in
+      (fun ~d1 ~upper build ->
+        let key =
+          Key.v ~kind:"two_path.count_mm" ~fps
+            ~params:[ d1; Bool.to_int upper ]
+            ()
+        in
         find_or_build t intmat_tag key ~bytes_of:intmat_bytes build);
   }
 

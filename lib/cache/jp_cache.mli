@@ -131,11 +131,13 @@ val prepared : t -> r:Relation.t -> s:Relation.t -> Joinproj.Optimizer.prepared
 val two_path_memo :
   t -> r:Relation.t -> s:Relation.t -> Joinproj.Two_path.memo
 (** L1+L2 hooks for {!Joinproj.Two_path.project} /
-    [project_counts]: prepared statistics and heavy-part matrix products
-    served from the cache.  The memo is specific to this (r, s) pair.
-    Products are keyed on thresholds but not on [domains] or the tile
-    configuration: [Jp_tile] produces identical matrices for any worker
-    count, tile cap and budget, so one entry serves them all. *)
+    [project_counts] / [ssj]: prepared statistics and heavy-part matrix
+    products served from the cache.  The memo is specific to this (r, s)
+    pair.  Products are keyed on thresholds but not on [domains] or the
+    tile configuration: [Jp_tile] produces identical matrices for any
+    worker count, tile cap and budget, so one entry serves them all.  A
+    count product's key also carries [upper], so [ssj]'s half-zero
+    triangle is never served to [project_counts]. *)
 
 (** {1 L3 result bindings (consumed by [Jp_service])} *)
 

@@ -22,14 +22,14 @@ type strategy = Matrix | Combinatorial
 type memo = {
   memo_prepared : (unit -> Optimizer.prepared) -> Optimizer.prepared;
   memo_bool_product : d1:int -> d2:int -> (unit -> Boolmat.t) -> Boolmat.t;
-  memo_count_product : d1:int -> (unit -> Intmat.t) -> Intmat.t;
+  memo_count_product : d1:int -> upper:bool -> (unit -> Intmat.t) -> Intmat.t;
 }
 
 let no_memo =
   {
     memo_prepared = (fun build -> build ());
     memo_bool_product = (fun ~d1:_ ~d2:_ build -> build ());
-    memo_count_product = (fun ~d1:_ build -> build ());
+    memo_count_product = (fun ~d1:_ ~upper:_ build -> build ());
   }
 
 (* Measures one engine phase for the plan-vs-actual record; [f] may open
@@ -81,14 +81,19 @@ let bool_product ?cancel ?checkpoint ~tile ~memo ~domains ~r ~s
 
 (* The count product A·Bᵀ over bit-packed rows (62 multiply-adds per
    word op): A rows are x's heavy-y bitsets, B rows are z's heavy-y
-   bitsets — S⁺ transposed, [heavy_z] rows over [y_index]. *)
-let count_product ?cancel ?checkpoint ~tile ~memo ~domains ~r ~s
+   bitsets — S⁺ transposed, [heavy_z] rows over [y_index].  [upper]
+   computes only the strict upper triangle of A·Aᵀ (a self-join, where
+   B is A), under its own memo key: a shared cache must never hand the
+   half-zero matrix to a caller that wants the full one. *)
+let count_product ?cancel ?checkpoint ~upper ~tile ~memo ~domains ~r ~s
     (p : Partition.t) =
-  memo.memo_count_product ~d1:p.d1 (fun () ->
+  memo.memo_count_product ~d1:p.d1 ~upper (fun () ->
       let v = Array.length p.heavy_y in
-      Jp_tile.count_product ~domains ?cancel ?checkpoint tile
-        (operand (Relation.adj_src r) p.heavy_x p.y_index ~cols:v)
-        (operand (Relation.adj_src s) p.heavy_z p.y_index ~cols:v))
+      let a = operand (Relation.adj_src r) p.heavy_x p.y_index ~cols:v in
+      if upper then Jp_tile.count_upper ~domains ?cancel ?checkpoint tile a
+      else
+        Jp_tile.count_product ~domains ?cancel ?checkpoint tile a
+          (operand (Relation.adj_src s) p.heavy_z p.y_index ~cols:v))
 
 (* Public alias: the BSI fast path builds (and caches) the same product
    over a full-relation partition, answering heavy-heavy point queries
@@ -456,98 +461,136 @@ let project_with_plan_info ?(domains = 1) ?(strategy = Matrix) ?guard ?cancel
 (* Exact-count evaluation (partition on the join variable only)        *)
 (* ------------------------------------------------------------------ *)
 
-(* Section 3.1's split with Δ₂ = 0: y is the only partitioned variable,
-   and the count matrices span every endpoint adjacent to a heavy y.  A
-   pair's witnesses can be split between light and heavy y values, so
-   counts from the expansion and from the count-matrix product are summed
-   per pair before freezing the row.  Also returns whether the count
-   matrices were actually used — [false] means the cell cap forced the
-   combinatorial fallback, which a guard records as a degradation. *)
-let counted_partitioned ?cancel ?checkpoint ~tile ~phases ~domains ~memo ~r ~s
-    ~d1 ~cap () =
-  let p =
-    phase phases "partition" (fun () ->
-        Partition.make ?cancel ~r ~s ~d1 ~d2:0 ())
-  in
-  let u, v, w = Partition.dims p in
-  let use_matrix = v > 0 && u * v <= cap && v * w <= cap && u * w <= cap in
-  let product =
-    if not use_matrix then None
-    else
-      Some
-        (phase phases "heavy-count-mm" (fun () ->
-             count_product ?cancel ?checkpoint ~tile ~memo ~domains ~r ~s p))
-  in
-  let treat_all_light = product = None in
-  let nx = Relation.src_count r in
-  let rows = Array.make nx ([||], [||]) in
-  Cancel.check_opt cancel;
-  phase phases "count-merge" (fun () ->
-      Obs.span "two_path.count_merge" (fun () ->
-          let run_rows acc lo hi =
-            let obs = Obs.recording () in
-            let light_scans = ref 0 and presented = ref 0 and misses = ref 0 in
-            for a = lo to hi - 1 do
-              Row_acc.start acc;
-              Array.iter
-                (fun b ->
-                  if treat_all_light || p.light_y.(b) then begin
-                    let zs = Relation.adj_dst s b in
-                    if obs then begin
-                      light_scans := !light_scans + Array.length zs;
-                      presented := !presented + Array.length zs
-                    end;
-                    Row_acc.add_witnesses acc zs
-                  end)
-                (Relation.adj_src r a);
-              (match product with
-              | Some m ->
-                let i = p.x_index.(a) in
-                if i >= 0 then begin
-                  let counts = Intmat.row m i in
-                  for l = 0 to Array.length counts - 1 do
-                    let k = counts.(l) in
-                    if k > 0 then begin
-                      if obs then Stdlib.incr presented;
-                      Row_acc.add_count acc p.heavy_z.(l) k
-                    end
-                  done
-                end
-              | None -> ());
-              let ((zs, _) as row) = Row_acc.emit_counts acc in
-              if obs then misses := !misses + Array.length zs;
-              rows.(a) <- row
-            done;
-            if obs then begin
-              Obs.add Obs.C.light_probes !light_scans;
-              Obs.add Obs.C.stamp_misses !misses;
-              Obs.add Obs.C.stamp_hits (!presented - !misses)
-            end
-          in
-          Jp_parallel.Pool.split_ranges ~domains ?cancel ~lo:0 ~hi:nx
-            ~scratch:(fun () ->
-              Row_acc.create ~counts:true (Relation.src_count s))
-            run_rows;
-          (Counted_pairs.of_rows_unchecked rows, use_matrix)))
+(* What a counted run makes of its rows.  The counted join keeps every
+   pair with its witness count; the set-similarity join keeps, per x,
+   the z > x with at least c witnesses ([upper]): it multiplies only the
+   strict upper triangle and merges only the z > x suffix of each light
+   list.  [upper] needs r = s, which makes heavy_x = heavy_z, so product
+   column l > i is exactly z > x.  [out] turns the number of pairs the
+   merge met (before any threshold) into the plan record's actual
+   |OUT|: the size of the full counted join, which est_out estimates. *)
+type ('row, 'res) sink = {
+  upper : bool;
+  empty : 'row;
+  emit : Row_acc.t -> 'row;
+  freeze : 'row array -> 'res;
+  out : r:Relation.t -> int -> int;
+}
 
-let project_counts ?(domains = 1) ?(strategy = Matrix) ?plan
-    ?(guard = Guard.inert) ?cancel ?(memo = no_memo) ?(tile = Jp_tile.config ())
-    ?(matrix_cell_cap = 200_000_000) ~r ~s () =
-  (* plan_counts' thresholds do not depend on est_out (d2 is pinned), so
-     only the mm-cost component of an injection can mislead it — and the
-     honesty checkpoint below catches it. *)
-  frame ~span:"two_path.project_counts" ~label:"two_path.counts"
-    ~count:Counted_pairs.count
+let counted_rows =
+  {
+    upper = false;
+    empty = ([||], [||]);
+    emit = Row_acc.emit_counts;
+    freeze = Counted_pairs.of_rows_unchecked;
+    out = (fun ~r:_ met -> met);
+  }
+
+(* Each upper pair (x, z) stands for (x, z) and (z, x) in the full
+   self-join, and every x with a set is paired with itself. *)
+let self_join_size ~r upper =
+  let sets = ref 0 in
+  for x = 0 to Relation.src_count r - 1 do
+    if Array.length (Relation.adj_src r x) > 0 then incr sets
+  done;
+  (2 * upper) + !sets
+
+let upper_rows ~c =
+  {
+    upper = true;
+    empty = [||];
+    emit = (fun acc -> Row_acc.emit_ge acc c);
+    freeze = Pairs.of_rows_unchecked;
+    out = self_join_size;
+  }
+
+(* The count merge over every x: the witnesses of its light y values
+   plus its row of the heavy count product, summed per z, since a
+   pair's witnesses can be split between light and heavy y values.
+   Without a [heavy] (partition, product) every y is light: Wcoj plans,
+   the combinatorial heavy part and the cell-cap fallback.  Returns the
+   frozen rows and the number of pairs met before the sink's threshold. *)
+let count_merge ~sink ?cancel ~domains ~r ~s heavy =
+  Obs.span "two_path.count_merge" (fun () ->
+      let nx = Relation.src_count r in
+      let rows = Array.make nx sink.empty in
+      let all_light, light_y =
+        match heavy with
+        | Some ((p : Partition.t), _) -> (false, p.light_y)
+        | None -> (true, [||])
+      in
+      let met = Atomic.make 0 in
+      let run_rows acc lo hi =
+        let obs = Obs.recording () in
+        let light_scans = ref 0 and presented = ref 0 and misses = ref 0 in
+        for a = lo to hi - 1 do
+          Row_acc.start acc;
+          Array.iter
+            (fun b ->
+              if all_light || light_y.(b) then begin
+                let zs = Relation.adj_dst s b in
+                let from =
+                  if sink.upper then Jp_util.Sorted.lower_bound zs (a + 1) else 0
+                in
+                if obs then begin
+                  light_scans := !light_scans + Array.length zs - from;
+                  presented := !presented + Array.length zs - from
+                end;
+                Row_acc.add_witnesses_from acc zs from
+              end)
+            (Relation.adj_src r a);
+          (match heavy with
+          | Some (p, m) ->
+            let i = p.x_index.(a) in
+            if i >= 0 then begin
+              let counts = Intmat.row m i in
+              for l = (if sink.upper then i + 1 else 0) to Array.length counts - 1 do
+                let k = counts.(l) in
+                if k > 0 then begin
+                  if obs then Stdlib.incr presented;
+                  Row_acc.add_count acc p.heavy_z.(l) k
+                end
+              done
+            end
+          | None -> ());
+          misses := !misses + Row_acc.size acc;
+          rows.(a) <- sink.emit acc
+        done;
+        ignore (Atomic.fetch_and_add met !misses);
+        if obs then begin
+          Obs.add Obs.C.light_probes !light_scans;
+          Obs.add Obs.C.stamp_misses !misses;
+          Obs.add Obs.C.stamp_hits (!presented - !misses)
+        end
+      in
+      Jp_parallel.Pool.split_ranges ~domains ?cancel ~lo:0 ~hi:nx
+        ~scratch:(fun () -> Row_acc.create ~counts:true (Relation.src_count s))
+        run_rows;
+      (sink.freeze rows, Atomic.get met))
+
+(* Count matrices past this many cells fall back to the combinatorial
+   heavy part. *)
+let default_cell_cap = 200_000_000
+
+(* The one counted frame: plan_counts' plan, its guard checkpoints, then
+   either the all-light merge (Wcoj, combinatorial) or Section 3.1's
+   split with Δ₂ = 0 — y is the only partitioned variable, and the count
+   matrices span every endpoint adjacent to a heavy y.  Guard
+   checkpoints (counts flavour): the entry budget degrades the heavy
+   step to the combinatorial merge; a cost-honesty checkpoint re-plans a
+   Partitioned decision whose est_seconds was injected; the cells budget
+   tightens the cell cap, and a cell-cap fallback is recorded as a
+   degradation.  There is no chunked |OUT| checkpoint because
+   plan_counts' decision is insensitive to est_out (d2 is pinned), so
+   only the mm-cost component of an injection can mislead it. *)
+let counted ~span ~label ~sink ~domains ~strategy ?plan ~guard ?cancel ~memo
+    ~tile ~matrix_cell_cap ~r ~s () =
+  frame ~span ~label
+    ~count:(fun (_, met) -> sink.out ~r met)
     ~plan_with:(fun ?est_out ?mm_cost_scale prep ->
       Optimizer.plan_counts_prepared ~domains ?est_out ?mm_cost_scale prep ())
     ?cancel ?plan ~strategy ~guard ~memo ~r ~s
     (fun ~g ~prep ~replan ~phases ~s ~strategy plan ->
-      (* Guard checkpoints (counts flavour): the entry budget degrades
-         the heavy step to the combinatorial merge; a cost-honesty
-         checkpoint re-plans a Partitioned decision whose est_seconds was
-         injected; the cells budget tightens the cell cap.  There is no
-         chunked |OUT| checkpoint here because plan_counts' decision is
-         insensitive to est_out. *)
       let cap =
         match (Guard.config g).Guard.budget.Guard.max_cells with
         | Some limit -> min matrix_cell_cap (limit / 3)
@@ -574,14 +617,42 @@ let project_counts ?(domains = 1) ?(strategy = Matrix) ?plan
         match (plan.Optimizer.decision, strategy) with
         | Optimizer.Wcoj, _ | _, Combinatorial ->
           phase phases "wcoj" (fun () ->
-              Jp_wcoj.Expand.project_counts ~domains ?cancel ~r ~s ())
+              count_merge ~sink ?cancel ~domains ~r ~s None)
         | Optimizer.Partitioned { d1; d2 = _ }, Matrix ->
-          let result, used_matrix =
-            counted_partitioned ?cancel ~tile
-              ?checkpoint:(tile_checkpoint ~domains g)
-              ~phases ~domains ~memo ~r ~s ~d1 ~cap ()
+          let p =
+            phase phases "partition" (fun () ->
+                Partition.make ?cancel ~r ~s ~d1 ~d2:0 ())
           in
-          if not used_matrix then Guard.note_degrade g;
-          result
+          let u, v, w = Partition.dims p in
+          let use_matrix = v > 0 && u * v <= cap && v * w <= cap && u * w <= cap in
+          if not use_matrix then Guard.note_degrade g;
+          let heavy =
+            if not use_matrix then None
+            else
+              Some
+                ( p,
+                  phase phases "heavy-count-mm" (fun () ->
+                      count_product ?cancel
+                        ?checkpoint:(tile_checkpoint ~domains g)
+                        ~upper:sink.upper ~tile ~memo ~domains ~r ~s p) )
+          in
+          Cancel.check_opt cancel;
+          phase phases "count-merge" (fun () ->
+              count_merge ~sink ?cancel ~domains ~r ~s heavy)
       in
       (result, plan))
+
+let project_counts ?(domains = 1) ?(strategy = Matrix) ?plan
+    ?(guard = Guard.inert) ?cancel ?(memo = no_memo) ?(tile = Jp_tile.config ())
+    ?(matrix_cell_cap = default_cell_cap) ~r ~s () =
+  fst
+    (counted ~span:"two_path.project_counts" ~label:"two_path.counts"
+       ~sink:counted_rows ~domains ~strategy ?plan ~guard ?cancel ~memo ~tile
+       ~matrix_cell_cap ~r ~s ())
+
+let ssj ?(domains = 1) ?plan ?(guard = Guard.inert) ?cancel ?(memo = no_memo)
+    ~c r =
+  fst
+    (counted ~span:"two_path.ssj" ~label:"two_path.ssj" ~sink:(upper_rows ~c)
+       ~domains ~strategy:Matrix ?plan ~guard ?cancel ~memo
+       ~tile:(Jp_tile.config ()) ~matrix_cell_cap:default_cell_cap ~r ~s:r ())

@@ -17,6 +17,11 @@
     baseline (the Lemma-2-style combinatorial output-sensitive
     algorithm), sharing every other code path with {b MMJoin}.
 
+    The exact-count variants ({!project_counts}, and {!ssj}, the
+    set-similarity join of Section 6) partition y only and run in one
+    counted frame; {!ssj} computes just its answer, the strict upper
+    triangle thresholded at c, and never builds the counted pairs.
+
     All entry points take [?cancel]: a {!Jp_util.Cancel} token polled at
     phase boundaries and once per merge chunk (never per tuple), raising
     {!Jp_util.Cancel.Cancelled} promptly when the token is cancelled or
@@ -36,7 +41,8 @@ module Cancel = Jp_util.Cancel
 type strategy =
   | Matrix
       (** heavy part via {!Jp_tile.mul} (boolean) /
-          {!Jp_tile.count_product} (counts) *)
+          {!Jp_tile.count_product} (counts) / {!Jp_tile.count_upper}
+          ({!ssj}) *)
   | Combinatorial  (** heavy part via stamp-vector expansion (Non-MMJoin) *)
 
 (** Memoization hooks, consumed by [Jp_cache] (which sits above this
@@ -48,13 +54,15 @@ type strategy =
     whole product: {!Jp_tile} is bit-equal for every tile config, so
     the key does not depend on it.  A memo value
     is specific to the (r, s) pair it was created for; hooks are
-    consulted once per phase, never per tuple. *)
+    consulted once per phase, never per tuple.  A count product with
+    [upper] is {!ssj}'s strict upper triangle, half zeros: it must be
+    keyed apart from the full product. *)
 type memo = {
   memo_prepared : (unit -> Optimizer.prepared) -> Optimizer.prepared;
   memo_bool_product :
     d1:int -> d2:int -> (unit -> Jp_matrix.Boolmat.t) -> Jp_matrix.Boolmat.t;
   memo_count_product :
-    d1:int -> (unit -> Jp_matrix.Intmat.t) -> Jp_matrix.Intmat.t;
+    d1:int -> upper:bool -> (unit -> Jp_matrix.Intmat.t) -> Jp_matrix.Intmat.t;
 }
 
 val no_memo : memo
@@ -127,9 +135,10 @@ val project_counts :
     same heavy product path as {!project} — and a pair's witnesses may
     be split between the light and heavy parts, so per-pair counts from
     both sides are summed (see DESIGN.md); plans should come from
-    {!Optimizer.plan_counts}.  If the count matrices would exceed
-    [matrix_cell_cap] cells (default 2·10⁸) the heavy part silently falls
-    back to the combinatorial strategy.
+    {!Optimizer.plan_counts}.  Wcoj plans and the combinatorial strategy
+    run the same count merge with every y light.  If the count matrices
+    would exceed [matrix_cell_cap] cells (default 2·10⁸) the heavy part
+    silently falls back to the combinatorial strategy.
 
     [guard] adds the entry/pre-MM budget checks and the cost-honesty
     re-plan checkpoint; the guard's cells budget additionally tightens
@@ -139,6 +148,29 @@ val project_counts :
     depend on the |OUT| estimate, so there is no chunked output
     checkpoint in this variant.  Without [guard] the same path runs
     under {!Jp_adaptive.Guard.inert}. *)
+
+val ssj :
+  ?domains:int ->
+  ?plan:Optimizer.plan ->
+  ?guard:Jp_adaptive.Guard.config ->
+  ?cancel:Cancel.t ->
+  ?memo:memo ->
+  c:int ->
+  Relation.t ->
+  Pairs.t
+(** The set-similarity join of a set family [r] with itself: pairs
+    (x, z), x < z, with at least [c] common elements.  It runs
+    {!project_counts}' frame with r = s and the default tile config —
+    the same plan, guard checkpoints, phases and plan record (label
+    [two_path.ssj]; its actual |OUT| is the full counted self-join's
+    size, 2·(pairs x < z with a common element) + (non-empty sets), so
+    it compares with est_out) — but computes only its answer:
+    the heavy product is {!Jp_tile.count_upper}'s strict upper triangle,
+    the merge reads each light list only past x and each product row
+    only past the diagonal, and rows leave the accumulator already
+    thresholded ({!Jp_util.Row_acc.emit_ge}).  No counted pairs are
+    built.  [plan] forces a plan, for tests.  Expects [c >= 1]: the
+    internal entry behind [Mm_ssj.join], which checks it. *)
 
 val project_with_plan_info :
   ?domains:int ->

@@ -122,6 +122,27 @@ let machine () =
 
 let set_machine m = Atomic.set singleton (Some m)
 
+let load_machine path =
+  let module Json = Jp_obs.Json in
+  match In_channel.with_open_text path In_channel.input_all with
+  | exception Sys_error e -> Error e
+  | text -> (
+    match Json.of_string text with
+    | Error e -> Error (path ^ ": " ^ e)
+    | Ok json -> (
+      let field k = Option.bind (Json.member k json) Json.to_float_opt in
+      match
+        ( field "ts",
+          field "tm",
+          field "ti",
+          field "count_word",
+          field "bool_word",
+          field "cores" )
+      with
+      | Some ts, Some tm, Some ti, Some count_word, Some bool_word, Some cores ->
+        Ok { ts; tm; ti; count_word; bool_word; cores = int_of_float cores }
+      | _ -> Error (path ^ ": missing a machine constant")))
+
 let construction_seconds m ~u ~v ~w =
   let cells = float_of_int (max (u * v) (v * w)) in
   m.tm *. cells

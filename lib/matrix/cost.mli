@@ -55,6 +55,12 @@ val set_machine : machine -> unit
 (** Overrides the singleton (tests use this to make optimizer decisions
     deterministic). *)
 
+val load_machine : string -> (machine, string) result
+(** Reads a pinned machine record: a JSON object with the numbers [ts],
+    [tm], [ti], [count_word], [bool_word] and [cores] (other members,
+    such as perfbench's [sentinel_s], are ignored).  [Error] names the
+    file and what is wrong with it. *)
+
 val mhat : machine -> kind -> u:int -> v:int -> w:int -> cores:int -> float
 (** [mhat m kind ~u ~v ~w ~cores] estimates wall seconds to multiply
     [u×v · v×w] with the given kernel on [cores] cores, including the

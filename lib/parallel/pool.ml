@@ -59,7 +59,9 @@ let reraise_failure failure =
 
 (* Sequential degenerate case.  Without a token the body gets the whole
    range in one call with zero overhead, exactly as before; with one the
-   range is chunked so the token is polled between chunks. *)
+   range is chunked so the token is polled between chunks, and again
+   after the chunk's fault hook, which may itself trip the token (the
+   same order as the parallel claim loop). *)
 let seq_ranges ?cancel ~chunk ~lo ~hi body =
   match cancel with
   | None ->
@@ -69,8 +71,10 @@ let seq_ranges ?cancel ~chunk ~lo ~hi body =
     let i = ref lo in
     while !i < hi && not (Cancel.is_cancelled c) do
       (Atomic.get fault_hook) ();
-      Jp_obs.incr Jp_obs.C.pool_tasks;
-      body !i (min hi (!i + chunk));
+      if not (Cancel.is_cancelled c) then begin
+        Jp_obs.incr Jp_obs.C.pool_tasks;
+        body !i (min hi (!i + chunk))
+      end;
       i := !i + chunk
     done;
     Cancel.check c
@@ -160,9 +164,10 @@ let map_reduce ~domains ?chunk ?cancel ~lo ~hi ~combine ~init map =
       let i = ref lo in
       while !i < hi && not (Cancel.is_cancelled c) do
         (Atomic.get fault_hook) ();
-        for j = !i to min hi (!i + chunk) - 1 do
-          acc := combine !acc (map j)
-        done;
+        if not (Cancel.is_cancelled c) then
+          for j = !i to min hi (!i + chunk) - 1 do
+            acc := combine !acc (map j)
+          done;
         i := !i + chunk
       done;
       Cancel.check c;

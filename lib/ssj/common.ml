@@ -1,20 +1,5 @@
 module Relation = Jp_relation.Relation
 module Pairs = Jp_relation.Pairs
-module Counted_pairs = Jp_relation.Counted_pairs
-
-let upper_pairs ?keep counted ~c =
-  let keep = match keep with Some f -> f | None -> fun _ _ -> true in
-  let n = Counted_pairs.src_count counted in
-  let rows =
-    Array.init n (fun i ->
-        let zs, cs = Counted_pairs.row counted i in
-        let buf = Jp_util.Vec.create () in
-        Array.iteri
-          (fun idx j -> if j > i && cs.(idx) >= c && keep i j then Jp_util.Vec.push buf j)
-          zs;
-        Jp_util.Vec.to_array buf)
-  in
-  Pairs.of_rows_unchecked rows
 
 let pair_list = Pairs.to_list
 

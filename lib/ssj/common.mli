@@ -7,12 +7,6 @@
 
 module Relation = Jp_relation.Relation
 module Pairs = Jp_relation.Pairs
-module Counted_pairs = Jp_relation.Counted_pairs
-
-val upper_pairs : ?keep:(int -> int -> bool) -> Counted_pairs.t -> c:int -> Pairs.t
-(** Pairs (i, j) with i < j and multiplicity ≥ c, optionally filtered by
-    [keep i j]; the canonical way to turn a counted self-join into the SSJ
-    result. *)
 
 val pair_list : Pairs.t -> (int * int) list
 (** Sorted pair list (tests and ordered enumeration). *)

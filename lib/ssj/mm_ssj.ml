@@ -15,6 +15,5 @@ let join_counted ?(domains = 1) ?guard ?cancel ?cache r =
 let join ?(domains = 1) ?guard ?cancel ?cache ~c r =
   if c < 1 then invalid_arg "Mm_ssj.join: c must be >= 1";
   Jp_obs.span "ssj.mm_join" (fun () ->
-      let counted = join_counted ~domains ?guard ?cancel ?cache r in
-      Jp_util.Cancel.check_opt cancel;
-      Jp_obs.span "ssj.threshold" (fun () -> Common.upper_pairs counted ~c))
+      let memo = memo_of ?cache r in
+      Joinproj.Two_path.ssj ~domains ?guard ?cancel ?memo ~c r)

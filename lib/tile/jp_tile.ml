@@ -42,17 +42,21 @@ let word_aligned ts = Bitset.bits_per_word * Bitset.payload_words ts
 
 (* The tile shape fitted to one [u]×[w] output: the side is the
    smallest 2^k >= max(u, w) within [2^4, 2^tile_bits], halved while
-   [domains > 1] leaves fewer than 2·domains output tiles ([col_width]
-   maps a side to the output tile's column width).  Inner blocks span
-   the whole inner dimension [v] unless a budget bounds the resident
-   set, and are then as wide as the side.  Returns (side, inner). *)
-let fit cfg ~domains ~col_width ~u ~v ~w =
+   [domains > 1] leaves fewer than 2·domains scheduled output tiles
+   ([col_width] maps a side to the output tile's column width; [upper]
+   schedules only the t(t+1)/2 tiles on or above the diagonal of a
+   square t×t grid).  Inner blocks span the whole inner dimension [v]
+   unless a budget bounds the resident set, and are then as wide as the
+   side.  Returns (side, inner). *)
+let fit cfg ~domains ~col_width ~upper ~u ~v ~w =
   let floor = 1 lsl min_tile_bits and cap = 1 lsl cfg.tile_bits in
   let rec grow ts = if ts >= cap || ts >= max u w then ts else grow (2 * ts) in
+  let scheduled ts =
+    let t_i = blocks u ts in
+    if upper then t_i * (t_i + 1) / 2 else t_i * blocks w (col_width ts)
+  in
   let rec shrink ts =
-    if
-      domains > 1 && ts > floor
-      && blocks u ts * blocks w (col_width ts) < 2 * domains
+    if domains > 1 && ts > floor && scheduled ts < 2 * domains
     then shrink (ts / 2)
     else ts
   in
@@ -274,7 +278,7 @@ let mul ?(domains = 1) ?cancel ?checkpoint cfg (a : Source.t)
   Obs.span "tile.mul" (fun () ->
       let u = a.Source.rows and v = a.Source.cols and w = b.Source.cols in
       let result = Boolmat.create ~rows:u ~cols:w in
-      let ts, kt = fit cfg ~domains ~col_width:word_aligned ~u ~v ~w in
+      let ts, kt = fit cfg ~domains ~col_width:word_aligned ~upper:false ~u ~v ~w in
       let cw = word_aligned ts in
       let t_i = blocks u ts and t_k = blocks v kt and t_j = blocks w cw in
       if t_i = 0 || t_j = 0 then result
@@ -329,38 +333,61 @@ let mul ?(domains = 1) ?cancel ?checkpoint cfg (a : Source.t)
         result
       end)
 
+(* True when no row of [m] has a bit set: a count block with an empty
+   operand tile adds nothing. *)
+let tile_empty m =
+  let rec from i =
+    i >= Boolmat.rows m || (Bitset.is_empty (Boolmat.row m i) && from (i + 1))
+  in
+  from 0
+
 (* Count product: a : u×v and b : w×v over the same inner dimension.
    Output tile (ti, tj) owns the disjoint cell block
    [r0, r0+th) × [c0, c0+tw) of the result and adds each inner block's
    counts straight into those cells; inner-block partial counts are
-   exact integer sums. *)
-let count_product ?(domains = 1) ?cancel ?checkpoint cfg (a : Source.t)
+   exact integer sums.  An inner block whose A tile is empty is skipped
+   before its B tile is built, and one whose B tile is empty is skipped
+   before any cell is touched.
+
+   [upper] computes only the strict upper triangle of a·aᵀ ([b] is
+   [a]): output tiles below the diagonal are not scheduled, diagonal
+   tiles only compute columns past their row, and both sides of a
+   product read the same operand-store slots.  Cells on and below the
+   diagonal stay 0. *)
+let count_body ~upper ~domains ?cancel ?checkpoint cfg (a : Source.t)
     (b : Source.t) =
-  if a.Source.cols <> b.Source.cols then
-    invalid_arg
-      (Printf.sprintf
-         "Jp_tile.count_product: inner dim mismatch (%dx%d . (%dx%d)T)"
-         a.Source.rows a.Source.cols b.Source.rows b.Source.cols);
-  Obs.span "tile.count_product" (fun () ->
+  Obs.span (if upper then "tile.count_upper" else "tile.count_product") (fun () ->
       let u = a.Source.rows and v = a.Source.cols and w = b.Source.rows in
       let result = Intmat.create ~rows:u ~cols:w in
-      let ts, kt = fit cfg ~domains ~col_width:Fun.id ~u ~v ~w in
+      let ts, kt = fit cfg ~domains ~col_width:Fun.id ~upper ~u ~v ~w in
       let t_i = blocks u ts and t_k = blocks v kt and t_j = blocks w ts in
       if t_i = 0 || t_j = 0 then result
       else begin
         let store =
           store_create ~budget:cfg.budget_bytes
-            ~nslots:((t_i * t_k) + (t_j * t_k))
+            ~nslots:(if upper then t_i * t_k else (t_i * t_k) + (t_j * t_k))
         in
         let a_slot ti k = (ti * t_k) + k in
-        let b_slot tj k = (t_i * t_k) + (tj * t_k) + k in
+        let b_slot tj k =
+          if upper then a_slot tj k else (t_i * t_k) + (tj * t_k) + k
+        in
+        (* Output tiles in row-major order; the upper triangle keeps
+           tj >= ti. *)
+        let tiles =
+          Array.of_seq
+            (Seq.filter
+               (fun t -> (not upper) || t mod t_j >= t / t_j)
+               (Seq.init (t_i * t_j) Fun.id))
+        in
         let obs = Obs.recording () in
-        let body t =
+        let body idx =
+          let t = tiles.(idx) in
           let ti = t / t_j and tj = t mod t_j in
           run_checkpoint checkpoint;
           Obs.span "tile.count_tile" (fun () ->
               let r0 = ti * ts and c0 = tj * ts in
               let th = min ts (u - r0) and tw = min ts (w - c0) in
+              let diagonal = upper && ti = tj in
               let words = ref 0 in
               for k = 0 to t_k - 1 do
                 let k0 = k * kt in
@@ -369,27 +396,46 @@ let count_product ?(domains = 1) ?cancel ?checkpoint cfg (a : Source.t)
                   store_fetch store (a_slot ti k) (fun () ->
                       build_tile a ~r0 ~th ~c0:k0 ~tw:kw)
                 in
-                let bt =
-                  store_fetch store (b_slot tj k) (fun () ->
-                      build_tile b ~r0:c0 ~th:tw ~c0:k0 ~tw:kw)
-                in
-                for i = 0 to th - 1 do
-                  let arow = Boolmat.row at i in
-                  if not (Bitset.is_empty arow) then begin
-                    let dst = Intmat.row result (r0 + i) in
-                    words := !words + (tw * Bitset.payload_words kw);
-                    for l = 0 to tw - 1 do
-                      let n = Bitset.inter_count arow (Boolmat.row bt l) in
-                      if n > 0 then dst.(c0 + l) <- dst.(c0 + l) + n
+                if not (tile_empty at) then begin
+                  let bt =
+                    if diagonal then at
+                    else
+                      store_fetch store (b_slot tj k) (fun () ->
+                          build_tile b ~r0:c0 ~th:tw ~c0:k0 ~tw:kw)
+                  in
+                  if not (tile_empty bt) then
+                    for i = 0 to th - 1 do
+                      let arow = Boolmat.row at i in
+                      if not (Bitset.is_empty arow) then begin
+                        let dst = Intmat.row result (r0 + i) in
+                        let l0 = if diagonal then i + 1 else 0 in
+                        words := !words + ((tw - l0) * Bitset.payload_words kw);
+                        for l = l0 to tw - 1 do
+                          let n = Bitset.inter_count arow (Boolmat.row bt l) in
+                          if n > 0 then dst.(c0 + l) <- dst.(c0 + l) + n
+                        done
+                      end
                     done
-                  end
-                done
+                end
               done;
               if obs then Obs.add Obs.C.mm_count_word_ops !words;
               Obs.incr Obs.C.tile_products)
         in
-        Pool.parallel_for ~domains ~chunk:1 ?cancel ~lo:0 ~hi:(t_i * t_j) body;
+        Pool.parallel_for ~domains ~chunk:1 ?cancel ~lo:0
+          ~hi:(Array.length tiles) body;
         store_drain store;
         Cancel.check_opt cancel;
         result
       end)
+
+let count_product ?(domains = 1) ?cancel ?checkpoint cfg (a : Source.t)
+    (b : Source.t) =
+  if a.Source.cols <> b.Source.cols then
+    invalid_arg
+      (Printf.sprintf
+         "Jp_tile.count_product: inner dim mismatch (%dx%d . (%dx%d)T)"
+         a.Source.rows a.Source.cols b.Source.rows b.Source.cols);
+  count_body ~upper:false ~domains ?cancel ?checkpoint cfg a b
+
+let count_upper ?(domains = 1) ?cancel ?checkpoint cfg a =
+  count_body ~upper:true ~domains ?cancel ?checkpoint cfg a a

@@ -1,15 +1,18 @@
 (** The heavy-part matrix multiplication kernel, tiled and
     memory-bounded.
 
-    Every heavy boolean and count product in the engines runs here.
+    Every heavy boolean and count product in the engines runs here,
+    including the set-similarity join's strict-upper-triangle self
+    product ({!count_upper}).
     The product is decomposed into bit-packed tiles (MatFast-style block
     partitioning) whose shape is fitted to the product:
 
     - {b Shape}: the tile side is the smallest 2{^k} ≥ max(u, w),
       between 2{^4} and the config's cap 2{^tile_bits}; so a product no
       wider than the cap is a single tile.  With [domains > 1] the side
-      halves until there are at least 2·domains output tiles (or it
-      reaches 2{^4}).  Without a budget the inner dimension is one
+      halves until there are at least 2·domains scheduled output tiles
+      (or it reaches 2{^4}); {!count_upper} counts only the tiles on or
+      above the diagonal.  Without a budget the inner dimension is one
       block, so every count cell is one AND+popcount over whole rows;
       with a budget inner blocks are as wide as the side.
     - {b Scheduling}: output tiles are the work-stealing unit — one
@@ -102,4 +105,22 @@ val count_product :
     same inner dimension, exactly like [Boolmat.count_product]) is the
     u×w count matrix, bit-equal to [Boolmat.count_product]: partial
     counts over inner blocks are integer sums, so accumulation order
-    cannot change the result.  Same capability surface as {!mul}. *)
+    cannot change the result.  An inner block with an empty operand tile
+    is skipped (an empty A tile before its B tile is built).  Same
+    capability surface as {!mul}. *)
+
+val count_upper :
+  ?domains:int ->
+  ?cancel:Cancel.t ->
+  ?checkpoint:(unit -> unit) ->
+  config ->
+  Source.t ->
+  Intmat.t
+(** [count_upper cfg a] with [a : u×v] is the strict upper triangle of
+    [a·aᵀ]: cell (i, l) for l > i equals [Boolmat.count_product a a]'s,
+    and every cell on or below the diagonal is 0.  The same tiles and
+    shape as {!count_product}, but output tiles below the diagonal are
+    never scheduled, diagonal tiles compute only the columns past their
+    row, and both sides of the product share one operand tile per
+    block — about half the word operations of the full product.  Same
+    capability surface as {!mul}. *)

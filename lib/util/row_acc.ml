@@ -75,9 +75,9 @@ let[@inline] add_count t z k =
   end
   else counts.(z) <- counts.(z) + k
 
-let add_witnesses t zs =
+let add_witnesses_from t zs from =
   let stamps = t.stamps and stamp = t.stamp and counts = t.counts in
-  for i = 0 to Array.length zs - 1 do
+  for i = max 0 from to Array.length zs - 1 do
     let z = Array.unsafe_get zs i in
     if stamps.(z) <> stamp then begin
       Array.unsafe_set stamps z stamp;
@@ -86,6 +86,10 @@ let add_witnesses t zs =
     end
     else counts.(z) <- counts.(z) + 1
   done
+
+let add_witnesses t zs = add_witnesses_from t zs 0
+
+let size t = t.len
 
 (* 2 is a primitive root modulo 67, so [2^b mod 67] is distinct for
    every bit position b < 62: one remainder and one lookup turn an
@@ -141,3 +145,22 @@ let emit_counts t =
   let zs = emit t in
   let counts = t.counts in
   (zs, Array.map (fun z -> Array.unsafe_get counts z) zs)
+
+(* Keeps the candidates with at least [c] witnesses, in place, then
+   emits them like any row. *)
+let emit_ge t c =
+  let buf = t.buf and counts = t.counts in
+  let n = ref 0 in
+  t.lo <- max_int;
+  t.hi <- -1;
+  for i = 0 to t.len - 1 do
+    let z = Array.unsafe_get buf i in
+    if Array.unsafe_get counts z >= c then begin
+      Array.unsafe_set buf !n z;
+      incr n;
+      if z < t.lo then t.lo <- z;
+      if z > t.hi then t.hi <- z
+    end
+  done;
+  t.len <- !n;
+  emit t

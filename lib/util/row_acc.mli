@@ -45,9 +45,22 @@ val add_witnesses : t -> int array -> unit
     [Array.iter] closure per element costs several times more on dense
     inputs. *)
 
+val add_witnesses_from : t -> int array -> int -> unit
+(** [add_witnesses_from t zs i] adds one witness for each element of
+    [zs] from index [i] on: a sorted list's suffix past a bound found by
+    {!Sorted.lower_bound}, without copying it. *)
+
+val size : t -> int
+(** The number of distinct ids in the current row so far. *)
+
 val emit : t -> int array
 (** The current row's distinct ids, strictly increasing, in a fresh
     array of exactly as many elements. *)
 
 val emit_counts : t -> int array * int array
 (** [(zs, counts)]: {!emit}'s ids and each one's summed multiplicity. *)
+
+val emit_ge : t -> int -> int array
+(** [emit_ge t c]: the current row's ids with a summed multiplicity of
+    at least [c], strictly increasing (counting accumulators only).  The
+    set-similarity threshold, applied before the row is materialized. *)

@@ -151,6 +151,34 @@ let test_mhat_monotone () =
   let tb = Cost.mhat m Cost.Boolean ~u:1000 ~v:1000 ~w:1000 ~cores:1 in
   Alcotest.(check bool) "boolean kernel cheaper" true (tb < t1)
 
+(* A pinned machine record round-trips its six numbers and ignores
+   other members; a record missing one, or unreadable, is an error. *)
+let test_load_machine () =
+  let write text =
+    let path = Filename.temp_file "joinproj" ".json" in
+    Out_channel.with_open_text path (fun oc -> output_string oc text);
+    path
+  in
+  let full =
+    write
+      {|{"sentinel_s": 0.003, "ts": 1e-09, "tm": 2.6e-08, "ti": 1.45e-08,
+         "count_word": 1.5e-08, "bool_word": 9e-09, "cores": 2}|}
+  in
+  let partial = write {|{"ts": 1e-09, "tm": 2.6e-08}|} in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove full; Sys.remove partial)
+    (fun () ->
+      (match Cost.load_machine full with
+      | Ok m ->
+        Alcotest.(check (float 0.0)) "ts" 1e-9 m.Cost.ts;
+        Alcotest.(check (float 0.0)) "count_word" 1.5e-8 m.Cost.count_word;
+        Alcotest.(check int) "cores" 2 m.Cost.cores
+      | Error e -> Alcotest.fail e);
+      Alcotest.(check bool) "missing constant" true
+        (Result.is_error (Cost.load_machine partial));
+      Alcotest.(check bool) "missing file" true
+        (Result.is_error (Cost.load_machine (full ^ ".absent"))))
+
 let suite =
   [
     Alcotest.test_case "intmat mul" `Quick test_intmat_mul;
@@ -165,4 +193,5 @@ let suite =
     Alcotest.test_case "dense mul" `Quick test_dense_mul;
     Alcotest.test_case "lemma1" `Quick test_lemma1;
     Alcotest.test_case "mhat monotone" `Quick test_mhat_monotone;
+    Alcotest.test_case "load machine" `Quick test_load_machine;
   ]

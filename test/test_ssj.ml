@@ -17,6 +17,17 @@ let brute ~c r =
   done;
   List.sort compare !acc
 
+(* The reference threshold over a counted self-join: pairs (i, j),
+   i < j, with at least [c] witnesses. *)
+let upper_pairs counted ~c =
+  let n = Jp_relation.Counted_pairs.src_count counted in
+  Pairs.of_rows_unchecked
+    (Array.init n (fun i ->
+         let zs, cs = Jp_relation.Counted_pairs.row counted i in
+         let keep = ref [] in
+         Array.iteri (fun idx j -> if j > i && cs.(idx) >= c then keep := j :: !keep) zs;
+         Array.of_list (List.rev !keep)))
+
 let family seed =
   (* random set family with duplication-friendly skew *)
   Gen.skewed_relation ~seed ~nx:30 ~ny:25 ~edges:250 ()
@@ -99,6 +110,118 @@ let prop_ssj_agreement =
       let reference = Pairs.to_list (Mm_ssj.join ~c r) in
       Pairs.to_list (Size_aware.join ~c r) = reference
       && Pairs.to_list (Size_aware_pp.join ~c r) = reference)
+
+module Two_path = Joinproj.Two_path
+module Optimizer = Joinproj.Optimizer
+module Guard = Jp_adaptive.Guard
+
+let forced decision =
+  { Optimizer.decision; est_out = 1; join_size = 1; est_seconds = 0.0 }
+
+(* The SSJ entry against the thresholded counted self-join, over random
+   and skewed families, c in {1, 2, 3}, domains {1, 3}, the optimizer's
+   own plan or a forced Wcoj / Partitioned one, and a guard injecting a
+   misestimation (which may re-plan or degrade). *)
+let prop_ssj_entry =
+  let gen =
+    QCheck.Gen.(
+      pair (pair small_nat bool)
+        (quad (int_range 1 3) (oneofl [ 1; 3 ]) (int_range 0 3) bool))
+  in
+  let print ((seed, skewed), (c, domains, plan, guarded)) =
+    Printf.sprintf "seed=%d skewed=%b c=%d domains=%d plan=%d guarded=%b" seed
+      skewed c domains plan guarded
+  in
+  QCheck.Test.make ~name:"Two_path.ssj = upper_pairs of join_counted" ~count:120
+    (QCheck.make ~print gen)
+    (fun ((seed, skewed), (c, domains, plan, guarded)) ->
+      let r =
+        if skewed then Gen.skewed_relation ~seed:(seed + 300) ~nx:40 ~ny:30 ~edges:400 ()
+        else Gen.random_relation ~seed:(seed + 300) ~nx:40 ~ny:20 ~edges:300 ()
+      in
+      let plan =
+        match plan with
+        | 0 -> None
+        | 1 -> Some (forced Optimizer.Wcoj)
+        | 2 -> Some (forced (Optimizer.Partitioned { d1 = 1; d2 = 1 }))
+        | _ -> Some (forced (Optimizer.Partitioned { d1 = 4; d2 = 1 }))
+      in
+      let guard =
+        if guarded then
+          Some (Guard.with_inject (Jp_adaptive.Inject.uniform 0.01) Guard.default)
+        else None
+      in
+      let expect = upper_pairs (Mm_ssj.join_counted r) ~c in
+      Pairs.equal expect (Two_path.ssj ~domains ?plan ?guard ~c r))
+
+(* One cache shared by the SSJ and the counted self-join, in both
+   orders: the triangle product lives under its own key, so neither
+   call is served the other's matrix. *)
+let test_ssj_shared_cache () =
+  let r = Gen.skewed_relation ~seed:17 ~nx:60 ~ny:20 ~edges:900 () in
+  let ssj = Mm_ssj.join ~c:2 r and counted = Mm_ssj.join_counted r in
+  let same_counted = Jp_relation.Counted_pairs.equal in
+  let cache = Jp_cache.create () in
+  Alcotest.(check bool) "ssj first" true (Pairs.equal ssj (Mm_ssj.join ~cache ~c:2 r));
+  Alcotest.(check bool) "then counted" true
+    (same_counted counted (Mm_ssj.join_counted ~cache r));
+  let cache = Jp_cache.create () in
+  Alcotest.(check bool) "counted first" true
+    (same_counted counted (Mm_ssj.join_counted ~cache r));
+  Alcotest.(check bool) "then ssj" true (Pairs.equal ssj (Mm_ssj.join ~cache ~c:2 r));
+  Alcotest.(check bool) "ssj again (hit)" true
+    (Pairs.equal ssj (Mm_ssj.join ~cache ~c:2 r))
+
+(* The triangle product does about half the full product's word
+   operations on a fixed dense family that the optimizer partitions. *)
+let test_ssj_word_ops () =
+  let r = Gen.skewed_relation ~seed:5 ~nx:400 ~ny:60 ~edges:12_000 () in
+  let plan = forced (Optimizer.Partitioned { d1 = 2; d2 = 0 }) in
+  let word_ops f =
+    Jp_obs.reset ();
+    Jp_obs.enable ();
+    Fun.protect
+      ~finally:(fun () -> Jp_obs.disable (); Jp_obs.reset ())
+      (fun () ->
+        ignore (f ());
+        Jp_obs.value Jp_obs.C.mm_count_word_ops)
+  in
+  let full = word_ops (fun () -> Two_path.project_counts ~plan ~r ~s:r ()) in
+  let upper = word_ops (fun () -> Two_path.ssj ~plan ~c:2 r) in
+  Alcotest.(check bool)
+    (Printf.sprintf "upper %d <= 0.55 x full %d" upper full)
+    true
+    (full > 0 && float_of_int upper <= 0.55 *. float_of_int full)
+
+(* The SSJ's plan record reports the full counted self-join's size as
+   its actual |OUT|, so it is the same record as join_counted's — same
+   decision, est_out and actual_out — under the optimizer's own plan,
+   a forced Wcoj one and a forced Partitioned one. *)
+let test_ssj_plan_record () =
+  let r = Gen.skewed_relation ~seed:9 ~nx:80 ~ny:30 ~edges:1200 () in
+  let record f =
+    Jp_obs.reset ();
+    Jp_obs.enable ();
+    Fun.protect
+      ~finally:(fun () -> Jp_obs.disable (); Jp_obs.reset ())
+      (fun () ->
+        ignore (f ());
+        match Jp_obs.plan_records () with
+        | [ p ] -> (p.Jp_obs.decision, p.Jp_obs.est_out, p.Jp_obs.actual_out)
+        | ps -> Alcotest.failf "%d plan records" (List.length ps))
+  in
+  List.iter
+    (fun plan ->
+      let d, e, a = record (fun () -> Two_path.project_counts ?plan ~r ~s:r ()) in
+      let d', e', a' = record (fun () -> Two_path.ssj ?plan ~c:3 r) in
+      Alcotest.(check string) "decision" d d';
+      Alcotest.(check int) "est_out" e e';
+      Alcotest.(check int) ("actual_out under " ^ d) a a')
+    [
+      None;
+      Some (forced Optimizer.Wcoj);
+      Some (forced (Optimizer.Partitioned { d1 = 3; d2 = 0 }));
+    ]
 
 let test_get_size_boundary_sane () =
   let r = family 88 in
@@ -213,6 +336,10 @@ let suite =
     Alcotest.test_case "overlap tree" `Quick test_overlap_tree_direct;
     Alcotest.test_case "overlap tree members" `Quick test_overlap_tree_members;
     QCheck_alcotest.to_alcotest prop_ssj_agreement;
+    QCheck_alcotest.to_alcotest prop_ssj_entry;
+    Alcotest.test_case "ssj shared cache" `Quick test_ssj_shared_cache;
+    Alcotest.test_case "ssj triangle word ops" `Quick test_ssj_word_ops;
+    Alcotest.test_case "ssj plan record" `Quick test_ssj_plan_record;
     Alcotest.test_case "size boundary sane" `Quick test_get_size_boundary_sane;
     Alcotest.test_case "ordered via counts" `Quick test_ordered_via_counts;
     Alcotest.test_case "ordered via pairs" `Quick test_ordered_via_pairs_matches;

@@ -202,13 +202,97 @@ let prop_matches_reference =
            (Boolmat.count_product a bt)
            (Tile.count_product ~domains c (src a) (src bt)))
 
+(* The strict upper triangle of the Boolmat count reference: cell (i, l)
+   for l > i, zero on and below the diagonal. *)
+let upper_reference a =
+  let full = Boolmat.count_product a a in
+  let n = Boolmat.rows a in
+  Intmat.of_arrays
+    (Array.init n (fun i ->
+         Array.init n (fun l -> if l > i then Intmat.get full i l else 0)))
+
+(* [count_upper] over the same sweep as the products above: ragged
+   sides, every domain count, cap and budget. *)
+let prop_upper_matches_reference =
+  let side =
+    QCheck.Gen.(oneof [ int_range 0 140; oneofl [ 15; 16; 17; 31; 32; 33; 63; 64; 65 ] ])
+  in
+  let gen =
+    QCheck.Gen.(
+      pair (triple small_nat side side)
+        (triple (int_range 1 3) (int_range 4 10) bool))
+  in
+  let print ((seed, u, v), (domains, bits, tiny)) =
+    Printf.sprintf "seed=%d u=%d v=%d domains=%d bits=%d tiny=%b" seed u v
+      domains bits tiny
+  in
+  QCheck.Test.make ~name:"count_upper = upper triangle of the reference"
+    ~count:80 (QCheck.make ~print gen)
+    (fun ((seed, u, v), (domains, bits, tiny)) ->
+      let budget_bytes = if tiny then Some 2048 else None in
+      let c = cfg ?budget_bytes ~tile_bits:bits () in
+      let a = random_boolmat (seed + 40) ~rows:u ~cols:v ~density:0.15 in
+      Intmat.equal (upper_reference a)
+        (Tile.count_upper ~domains c (Tile.Source.of_boolmat a)))
+
+(* Under a budget inner blocks are as wide as the tile side, and a block
+   whose A or B tile is empty adds nothing: it must be skipped, an empty
+   A tile before its B tile is built.  Here A (32×48, three 16-wide
+   inner blocks) has ones only in blocks 0 and 1 and B (32×48) only in
+   blocks 0 and 2, so only block 0 multiplies. *)
+let test_count_skips_empty_blocks () =
+  let g = Jp_util.Rng.create 31 in
+  let blocky ~keep =
+    let m = Boolmat.create ~rows:32 ~cols:48 in
+    for i = 0 to 31 do
+      for j = 0 to 47 do
+        if keep (j / 16) && Jp_util.Rng.float g 1.0 < 0.4 then Boolmat.set m i j
+      done
+    done;
+    m
+  in
+  let a = blocky ~keep:(fun k -> k <> 2) and b = blocky ~keep:(fun k -> k <> 1) in
+  let c = cfg ~budget_bytes:100_000 () in
+  let got, counters =
+    with_obs (fun () ->
+        let m =
+          Tile.count_product c (Tile.Source.of_boolmat a) (Tile.Source.of_boolmat b)
+        in
+        (m, Jp_obs.counter_values ()))
+  in
+  let get k = try List.assoc k counters with Not_found -> 0 in
+  Alcotest.(check bool) "bit-equal" true
+    (Intmat.equal got (Boolmat.count_product a b));
+  (* 2×2 output tiles of 16; per tile only block 0 runs: 16 rows × 16
+     columns × one word.  Multiplying every block with a non-empty A
+     tile (blocks 0 and 1) would take twice as many. *)
+  let nonempty_rows k =
+    List.length
+      (List.filter
+         (fun i ->
+           let row = Boolmat.row a i in
+           List.exists (fun j -> Jp_util.Bitset.mem row j) (List.init 16 (fun j -> (16 * k) + j)))
+         (List.init 32 Fun.id))
+  in
+  let words_for k = nonempty_rows k * 2 * 16 in
+  Alcotest.(check int) "word ops: block 0 only" (words_for 0)
+    (get "mm.count_word_ops");
+  Alcotest.(check bool) "fewer than with block 1" true
+    (get "mm.count_word_ops" < words_for 0 + words_for 1);
+  (* A tiles: 2 row blocks × 3 inner blocks; B tiles are built only
+     where A's is not empty (blocks 0 and 1), 2 × 2. *)
+  Alcotest.(check int) "no B tile behind an empty A tile" (6 + 4)
+    (get "tile.build")
+
 let products f =
   with_obs (fun () ->
       ignore (f ());
       Jp_obs.value Jp_obs.C.tile_products)
 
 (* The fitted shape, seen through the tile.product counter: one tile at
-   domains = 1 up to the cap, at least 2·domains tiles once u >= 32·domains. *)
+   domains = 1 up to the cap, at least 2·domains scheduled tiles once
+   u >= 32·domains (for the triangle product, counting only the tiles
+   it runs). *)
 let test_fitted_shape () =
   let a = random_boolmat 21 ~rows:300 ~cols:70 ~density:0.1 in
   let b = random_boolmat 22 ~rows:70 ~cols:500 ~density:0.1 in
@@ -247,7 +331,9 @@ let test_fitted_shape () =
       at_least "count"
         (products (fun () ->
              Tile.count_product ~domains (Tile.config ()) sa
-               (Tile.Source.of_boolmat bt))))
+               (Tile.Source.of_boolmat bt)));
+      at_least "count_upper"
+        (products (fun () -> Tile.count_upper ~domains (Tile.config ()) sa)))
     [ (2, 64, 3); (2, 200, 200); (3, 96, 1); (3, 300, 70) ]
 
 (* A cancel token tripped from the pool's chunk hook after the first
@@ -289,11 +375,18 @@ let test_default_path_cancel () =
                     ignore (Two_path.project ~domains ~plan ~cancel ~r ~s:r ())));
             Jp_obs.value Jp_obs.C.tile_products)
       in
-      Alcotest.(check bool)
-        (Printf.sprintf "stopped after %d of %d tiles at domains=%d" ran total
-           domains)
-        true
-        (ran >= 1 && ran < total))
+      (* One domain claims tiles in order and re-checks the token after
+         the chunk hook, so the tile whose claim trips it never runs. *)
+      if domains = 1 then
+        Alcotest.(check int)
+          (Printf.sprintf "exactly one of %d tiles at domains=1" total)
+          1 ran
+      else
+        Alcotest.(check bool)
+          (Printf.sprintf "stopped after %d of %d tiles at domains=%d" ran
+             total domains)
+          true
+          (ran >= 1 && ran < total))
     [ (1, 2200); (2, 200) ]
 
 let suite =
@@ -309,6 +402,9 @@ let suite =
     Alcotest.test_case "store accounting" `Quick test_store_accounting;
     Alcotest.test_case "checkpoint and cancel" `Quick test_checkpoint_and_cancel;
     QCheck_alcotest.to_alcotest prop_matches_reference;
+    QCheck_alcotest.to_alcotest prop_upper_matches_reference;
+    Alcotest.test_case "count skips empty blocks" `Quick
+      test_count_skips_empty_blocks;
     Alcotest.test_case "fitted shape" `Quick test_fitted_shape;
     Alcotest.test_case "default-path cancel" `Quick test_default_path_cancel;
   ]

@@ -218,6 +218,32 @@ let prop_row_acc_counts =
           && Array.for_all2 (fun z c -> Hashtbl.find expect z = c) zs cs)
         [ acc_kinds.(k); acc_kinds.(seed mod 4) ])
 
+(* [emit_ge c] keeps exactly the ids [emit_counts] gives at least [c]
+   witnesses, with witnesses added as sorted-list suffixes
+   ([add_witnesses_from]) and as explicit counts. *)
+let prop_row_acc_emit_ge =
+  QCheck.Test.make ~name:"Row_acc.emit_ge = emit_counts filtered at c" ~count:200
+    QCheck.(triple small_int (int_bound 3) (int_range 1 4))
+    (fun (seed, k, c) ->
+      let g = Rng.create (seed + 1300) in
+      let acc = Row_acc.create ~counts:true acc_nz in
+      let lists =
+        List.init (1 + Rng.int g 4) (fun _ ->
+            let zs = Array.of_list (List.sort_uniq compare (acc_row_ids g acc_kinds.(k))) in
+            (zs, Rng.int g (Array.length zs + 2)))
+      in
+      let extra = List.init (Rng.int g 20) (fun _ -> (Rng.int g acc_nz, 1 + Rng.int g 3)) in
+      let fill () =
+        Row_acc.start acc;
+        List.iter (fun (zs, from) -> Row_acc.add_witnesses_from acc zs from) lists;
+        List.iter (fun (z, w) -> Row_acc.add_count acc z w) extra
+      in
+      fill ();
+      let zs, cs = Row_acc.emit_counts acc in
+      let expect = List.filteri (fun i _ -> cs.(i) >= c) (Array.to_list zs) in
+      fill ();
+      Array.to_list (Row_acc.emit_ge acc c) = expect)
+
 let test_row_acc_no_leak () =
   let acc = Row_acc.create ~counts:true 200 in
   Row_acc.start acc;
@@ -360,6 +386,7 @@ let suite =
     Alcotest.test_case "vec" `Quick test_vec;
     QCheck_alcotest.to_alcotest prop_row_acc_emit;
     QCheck_alcotest.to_alcotest prop_row_acc_counts;
+    QCheck_alcotest.to_alcotest prop_row_acc_emit_ge;
     Alcotest.test_case "row_acc rows do not leak" `Quick test_row_acc_no_leak;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
