@@ -1,5 +1,3 @@
-module Rng = Jp_util.Rng
-
 type t = { out_factor : float; mm_factor : float }
 
 let none = { out_factor = 1.0; mm_factor = 1.0 }
@@ -10,35 +8,10 @@ let check name f =
   if not (Float.is_finite f) || f <= 0.0 then
     invalid_arg (Printf.sprintf "Inject.%s: factor must be finite and positive" name)
 
-let uniform f =
-  check "uniform" f;
-  { out_factor = f; mm_factor = f }
-
 let out_only f =
   check "out_only" f;
   { none with out_factor = f }
 
-let mm_only f =
-  check "mm_only" f;
-  { none with mm_factor = f }
-
-let jittered ~seed ~spread f =
-  check "jittered" f;
-  if spread < 1.0 then invalid_arg "Inject.jittered: spread must be >= 1";
-  let rng = Rng.create seed in
-  (* uniform in [f/spread, f*spread] on the log scale *)
-  let draw () =
-    let lo = log (f /. spread) and hi = log (f *. spread) in
-    exp (lo +. Rng.float rng (hi -. lo))
-  in
-  { out_factor = draw (); mm_factor = draw () }
-
 let out t est =
   if t.out_factor = 1.0 then est
   else max 1 (int_of_float (Float.round (float_of_int (max 1 est) *. t.out_factor)))
-
-let seconds t s = if t.mm_factor = 1.0 then s else s *. t.mm_factor
-
-let to_string t =
-  if is_none t then ""
-  else Printf.sprintf "inject(out=%.2g,mm=%.2g)" t.out_factor t.mm_factor

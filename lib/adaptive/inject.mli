@@ -10,9 +10,8 @@
 
     Injection only distorts what the planner {e believes}; re-planning
     inside the guard always uses clean (un-injected) estimates, which is
-    what lets a guarded run recover.  All randomness (the jittered
-    variant) flows through {!Jp_util.Rng} with an explicit seed, so
-    injected runs are exactly reproducible. *)
+    what lets a guarded run recover.  Factors are fixed, so injected
+    runs are exactly reproducible. *)
 
 type t = {
   out_factor : float;  (** multiplies the |OUT| estimate (1.0 = honest) *)
@@ -24,27 +23,7 @@ val none : t
 
 val is_none : t -> bool
 
-val uniform : float -> t
-(** [uniform f] scales both estimates by [f].  [f < 1] simulates
-    underestimation (e.g. [0.01] is the 100× |OUT| underestimate of the
-    ABL-GUARD ablation), [f > 1] overestimation. *)
-
 val out_only : float -> t
-
-val mm_only : float -> t
-
-val jittered : seed:int -> spread:float -> float -> t
-(** [jittered ~seed ~spread f] draws each factor uniformly from
-    [[f/spread, f·spread]] using a {!Jp_util.Rng} stream seeded with
-    [seed] — deterministic run-to-run, but decorrelates the two factors
-    the way real estimator error does.  [spread] must be ≥ 1. *)
 
 val out : t -> int -> int
 (** Apply [out_factor] to an |OUT| estimate, clamped to ≥ 1. *)
-
-val seconds : t -> float -> float
-(** Apply [mm_factor] to a cost in seconds. *)
-
-val to_string : t -> string
-(** ["inject(out=0.01,mm=1.00)"], or [""] for {!none} — appended to the
-    rendered plan decision in observability records. *)

@@ -13,4 +13,8 @@ val two_path : ?domains:int -> r:Relation.t -> s:Relation.t -> unit -> Pairs.t
 (** π{_xz}(R ⋈ S) by per-x expansion (O(|D| + |OUT{_⋈}|)). *)
 
 val star : Relation.t array -> Tuples.t
+[@@jp.lint.allow
+  "unused-export"
+  "full-join-then-project reference the star tests compare every \
+   engine against"]
 (** π{_x₁…x_k} of the full star join. *)

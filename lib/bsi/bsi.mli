@@ -43,6 +43,10 @@ val answer_batch :
     per 1024 queries. *)
 
 val answer_one : r:Relation.t -> s:Relation.t -> int -> int -> bool
+[@@jp.lint.allow
+  "unused-export"
+  "single-query merge-scan reference the batched BSI answers are \
+   checked against"]
 (** Single-query merge-scan reference (the per-request baseline of
     Example 5; also the test oracle). *)
 
@@ -58,10 +62,15 @@ type stats = {
 }
 
 val optimal_batch_size : n:int -> rate:float -> int
+[@@jp.lint.allow
+  "unused-export"
+  "Proposition 2's batch size; the BSI tests check it against the \
+   latency model's minimizer"]
 (** Proposition 2's batch size C = (B·N)^(3/5) minimizing average latency
     under the ω = 2 analysis; at least 1. *)
 
 val predicted_latency : n:int -> rate:float -> batch_size:int -> float
+[@@jp.lint.allow "unused-export" "Section 3.3 latency model the BSI tests check Proposition 2 with"]
 (** The Section 3.3 latency model C/B + N/C^(2/3): abstract units (one
     set-element operation per time unit), so only the curve's shape and
     minimizer are meaningful — used to sanity-check the measured curves,

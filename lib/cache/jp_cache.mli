@@ -69,11 +69,13 @@ module Key : sig
   type t
 
   val v : kind:string -> ?fps:int list -> ?params:int list -> unit -> t
+  [@@jp.lint.allow
+    "unused-export"
+    "raw key constructor the cache tests build synthetic keys with; \
+     the served path builds keys with of_relations"]
 
   val of_relations : kind:string -> ?params:int list -> Relation.t list -> t
   (** Key over the fingerprints of the given relations. *)
-
-  val to_string : t -> string
 end
 
 type 'a tag
@@ -95,6 +97,10 @@ val put : t -> 'a tag -> Key.t -> bytes:int -> cost_s:float -> 'a -> unit
     entry's eviction credit — cheap-to-rebuild entries go first. *)
 
 val offer : t -> 'a tag -> Key.t -> bytes:int -> cost_s:float -> 'a -> bool
+[@@jp.lint.allow
+  "unused-export"
+  "cost-based L3 admission primitive; the cache tests drive its \
+   admission rule directly"]
 (** Cost-based insert (L3): admits only when the measured recompute cost
     times the key's observed miss count beats the byte footprint (see
     {!config}).  Returns whether the entry was admitted. *)
@@ -104,6 +110,10 @@ val invalidate : t -> fp:int -> unit
     the dynamic-view layer on every base-relation update. *)
 
 val clear : t -> unit
+[@@jp.lint.allow
+  "unused-export"
+  "drops every entry; the cache tests reset a cache with it between \
+   phases"]
 
 type stats = {
   entries : int;

@@ -61,6 +61,10 @@ type plan = No_fault | Fault of { fault : fault; after : int }
     [after]-th poll (1-based). *)
 
 val plan : config -> query:int -> attempt:int -> degraded:bool -> plan
+[@@jp.lint.allow
+  "unused-export"
+  "pure fault decision behind with_attempt; the chaos tests pin its \
+   determinism and retry independence"]
 (** The fault plan for one attempt — deterministic in its arguments.
     Distinct attempts of the same query draw independently, so retries
     can (and with [p < 1] eventually do) succeed. *)

@@ -210,10 +210,6 @@ let estimate_cost_prepared ?machine ?(domains = 1) ?(kind = Cost.Boolean)
     in
     partitioned_seconds ~counts_mode ~mm_cost_scale:1.0 m kind ~domains idx ~d1 ~d2
 
-let estimate_cost ?machine ?domains ?kind ?counts_mode ~r ~s decision =
-  estimate_cost_prepared ?machine ?domains ?kind ?counts_mode (prepare ~r ~s)
-    decision
-
 let theoretical_thresholds ~n ~out =
   if n < 1 || out < 1 then invalid_arg "Optimizer.theoretical_thresholds";
   let nf = float_of_int n and outf = float_of_int out in

@@ -105,21 +105,6 @@ val plan_counts_prepared :
   plan
 (** {!plan_counts} from pre-built indexes. *)
 
-val estimate_cost :
-  ?machine:Cost.machine ->
-  ?domains:int ->
-  ?kind:Cost.kind ->
-  ?counts_mode:bool ->
-  r:Relation.t ->
-  s:Relation.t ->
-  decision ->
-  float
-(** Honest (un-injected, estimate-free) cost of executing [decision] on
-    [r ⋈ s]: the light side is costed exactly from the degree indexes and
-    the heavy side from M̂ on the true heavy dimensions.  Guard
-    checkpoints compare this against a plan's [est_seconds] to detect
-    cost misestimation after the heavy/light split is known. *)
-
 val estimate_cost_prepared :
   ?machine:Cost.machine ->
   ?domains:int ->
@@ -128,9 +113,14 @@ val estimate_cost_prepared :
   prepared ->
   decision ->
   float
-(** {!estimate_cost} from a prepared value.  [Partitioned] on a value
-    the 20N rule decided (a forced plan under a re-planning guard) builds
-    the indexes for this call only. *)
+(** Honest (un-injected, estimate-free) cost of executing [decision] on
+    the prepared [r ⋈ s]: the light side is costed exactly from the
+    degree indexes and the heavy side from M̂ on the true heavy
+    dimensions.  Guard checkpoints compare this against a plan's
+    [est_seconds] to detect cost misestimation after the heavy/light
+    split is known.  [Partitioned] on a value the 20N rule decided (a
+    forced plan under a re-planning guard) builds the indexes for this
+    call only. *)
 
 val theoretical_thresholds : n:int -> out:int -> int * int
 (** The closed-form thresholds of Section 3.1's analysis (assuming ω = 2),

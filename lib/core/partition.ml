@@ -63,8 +63,3 @@ let is_light_y t y = y >= Array.length t.light_y || t.light_y.(y)
 
 let dims t =
   (Array.length t.heavy_x, Array.length t.heavy_y, Array.length t.heavy_z)
-
-let pp fmt t =
-  let u, v, w = dims t in
-  Format.fprintf fmt "partition d1=%d d2=%d: heavy |x|=%d |y|=%d |z|=%d" t.d1
-    t.d2 u v w

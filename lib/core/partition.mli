@@ -51,5 +51,3 @@ val is_light_y : t -> int -> bool
 val dims : t -> int * int * int
 (** [(|heavy_x|, |heavy_y|, |heavy_z|)]: the dimensions u, v, w of the
     heavy matrices (R⁺ is u×v, S⁺ is v×w, their product u×w). *)
-
-val pp : Format.formatter -> t -> unit

@@ -56,10 +56,11 @@ val project :
     the polls do nothing. *)
 
 val choose_thresholds : Relation.t array -> int * int
+[@@jp.lint.allow
+  "unused-export"
+  "Section 3.2 default thresholds; the star tests pin them against \
+   the closed form"]
 (** Closed-form threshold choice in the spirit of Example 4: balances the
     light enumeration N·Δ₁^(k−1), the output-rescan |OUT|·Δ₂ and the
     matrix work, using the k=2 estimator pessimistically lifted to k
     relations. *)
-
-val full_join_size : Relation.t array -> int
-(** |OUT{_⋈}| of the full star join. *)

@@ -27,8 +27,8 @@
     {!Jp_util.Cancel.Cancelled} promptly when the token is cancelled or
     its deadline passes.  Absent capabilities are inert values through
     the same path — no token polls nothing, no guard is
-    {!Jp_adaptive.Guard.inert}, no memo is {!no_memo} — so results are
-    identical with and without them.
+    {!Jp_adaptive.Guard.inert}, no memo builds every product directly —
+    so results are identical with and without them.
 
     R may use a wider y id space than S: a y that S does not reach has
     no S tuples. *)
@@ -64,11 +64,6 @@ type memo = {
   memo_count_product :
     d1:int -> upper:bool -> (unit -> Jp_matrix.Intmat.t) -> Jp_matrix.Intmat.t;
 }
-
-val no_memo : memo
-(** Identity hooks: every builder runs.  [?memo] absent is [no_memo],
-    an inert value through the same path, like an absent [?guard] or
-    [?cancel]. *)
 
 val heavy_product :
   ?domains:int ->

@@ -41,6 +41,10 @@ val init :
     {!Jp_relation.Relation.fingerprint}). *)
 
 val create : unit -> t
+[@@jp.lint.allow
+  "unused-export"
+  "empty view the incremental-maintenance tests grow tuple by tuple; \
+   init builds one from relations"]
 (** The empty view over empty relations (ids grow on demand). *)
 
 val insert_r : t -> int -> int -> unit
@@ -54,18 +58,23 @@ val delete_r : t -> int -> int -> unit
 val delete_s : t -> int -> int -> unit
 
 val mem : t -> int -> int -> bool
+[@@jp.lint.allow
+  "unused-export"
+  "point membership of the maintained view, checked by the dynamic \
+   tests against recomputation"]
 (** Is (x,z) in the projected view right now? *)
 
 val count : t -> int
 (** |OUT|: number of distinct (x,z) pairs with at least one witness. *)
 
 val witnesses : t -> int -> int -> int
+[@@jp.lint.allow
+  "unused-export"
+  "point multiplicity of the maintained view, checked by the dynamic \
+   tests against recomputation"]
 (** ζ(x,z): the multiplicity (0 if absent). *)
 
-val iter : (int -> int -> int -> unit) -> t -> unit
-(** [iter f v] calls [f x z witnesses] for every live pair (unspecified
-    order). *)
-
 val to_counted_pairs : t -> Jp_relation.Counted_pairs.t
+[@@jp.lint.allow "unused-export" "snapshot the dynamic tests compare with a static recomputation"]
 (** Snapshot in the static result representation (for equality checks
     against recomputation). *)

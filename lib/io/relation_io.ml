@@ -12,6 +12,11 @@ let save_file r path =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> save r oc)
 
+(* Each declared id allocates an adjacency slot per side before any edge
+   is read, so a size line is bounded before [Relation.of_flat] sees it
+   (relation_io.mli documents the bound). *)
+let max_ids = 1 lsl 26
+
 let split_two line =
   match String.split_on_char ' ' (String.trim line) with
   | [ a; b ] -> Some (a, b)
@@ -39,6 +44,11 @@ let load ic =
         | None -> Error "malformed size line"
         | Some (a, b) -> (
           match (int_of_string_opt a, int_of_string_opt b) with
+          | Some src_count, Some dst_count when src_count < 0 || dst_count < 0 ->
+            Error "negative id-space size"
+          | Some src_count, Some dst_count when src_count > max_ids || dst_count > max_ids
+            ->
+            Error (Printf.sprintf "id-space size exceeds %d" max_ids)
           | Some src_count, Some dst_count ->
             let edges = Jp_util.Vec.create () in
             let error = ref None in

@@ -10,14 +10,13 @@
 
 module Relation = Jp_relation.Relation
 
-val save : Relation.t -> out_channel -> unit
-
-val load : in_channel -> (Relation.t, string) result
-(** Errors on a bad header, malformed lines, or out-of-range ids. *)
-
 val save_file : Relation.t -> string -> unit
 
 val load_file : string -> (Relation.t, string) result
+(** Every malformed input ends in [Error], never an exception: a bad
+    header, a malformed or out-of-range line, or a size line declaring a
+    negative id space or one above 2{^26} = 67,108,864 ids per side (a
+    declared id space is allocated before any edge is read). *)
 
 val import_tsv :
   in_channel -> (Relation.t * Dictionary.t * Dictionary.t, string) result

@@ -79,8 +79,3 @@ let row_nnz m i = Bitset.count m.data.(i)
 let nnz m = Array.fold_left (fun acc r -> acc + Bitset.count r) 0 m.data
 
 let iter_row m i f = Bitset.iter f m.data.(i)
-
-let equal a b =
-  a.cols = b.cols
-  && Array.length a.data = Array.length b.data
-  && Array.for_all2 (fun x y -> Bitset.equal x y) a.data b.data

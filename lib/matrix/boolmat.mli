@@ -54,5 +54,3 @@ val nnz : t -> int
 
 val iter_row : t -> int -> (int -> unit) -> unit
 (** [iter_row m i f] applies [f] to every column with a 1 in row [i]. *)
-
-val equal : t -> t -> bool

@@ -8,7 +8,7 @@
 
     - The {e machine-calibrated} estimator [M̂(u,v,w,co)] of Section 5
       (Table 1): measured per-operation constants for the actual kernels in
-      {!Dense}, {!Intmat} and {!Boolmat}, anchored on a small table of
+      {!Intmat} and {!Boolmat}, anchored on a small table of
       square multiplies and extrapolated by the cubic cost formula — valid
       because the kernels, like the paper's Eigen, implement the
       (optimized) cubic algorithm with predictable running time.  The
@@ -65,7 +65,3 @@ val mhat : machine -> kind -> u:int -> v:int -> w:int -> cores:int -> float
 (** [mhat m kind ~u ~v ~w ~cores] estimates wall seconds to multiply
     [u×v · v×w] with the given kernel on [cores] cores, including the
     matrix-construction cost [C] (Section 3.1). *)
-
-val construction_seconds : machine -> u:int -> v:int -> w:int -> float
-(** Estimated time to materialize the two input matrices
-    ([max(u·v, v·w)] cell writes, Section 3.1's [C] term). *)

@@ -4,19 +4,9 @@ let create ~rows ~cols =
   if rows < 0 || cols < 0 then invalid_arg "Intmat.create";
   { data = Array.init rows (fun _ -> Array.make cols 0); rows; cols }
 
-let of_arrays data =
-  let rows = Array.length data in
-  let cols = if rows = 0 then 0 else Array.length data.(0) in
-  Array.iter (fun r -> if Array.length r <> cols then invalid_arg "Intmat.of_arrays: ragged") data;
-  { data; rows; cols }
-
-let get m i j = m.data.(i).(j)
-
 let set m i j x = m.data.(i).(j) <- x
 
 let row m i = m.data.(i)
-
-let dims m = (m.rows, m.cols)
 
 let block = 64
 
@@ -55,19 +45,3 @@ let mul ?(domains = 1) a b =
     Jp_parallel.Pool.parallel_for_ranges ~domains ~lo:0 ~hi:a.rows (fun lo hi ->
         mul_rows a b c lo hi);
   c
-
-let nnz m =
-  let c = ref 0 in
-  Array.iter (Array.iter (fun x -> if x <> 0 then incr c)) m.data;
-  !c
-
-let iter_nonzero m f =
-  for i = 0 to m.rows - 1 do
-    let row = m.data.(i) in
-    for j = 0 to m.cols - 1 do
-      let v = Array.unsafe_get row j in
-      if v <> 0 then f i j v
-    done
-  done
-
-let equal a b = a.rows = b.rows && a.cols = b.cols && a.data = b.data

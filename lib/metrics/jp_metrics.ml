@@ -315,12 +315,6 @@ let exposition () =
   Buffer.add_string b "# EOF\n";
   Buffer.contents b
 
-let write_exposition ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (exposition ()))
-
 (* ------------------------------------------------------------------ *)
 (* chrome-trace counter lane                                           *)
 

@@ -31,6 +31,10 @@ module Hist : sig
   val create : unit -> t
 
   val bucket_bounds : unit -> float array
+  [@@jp.lint.allow
+    "unused-export"
+    "the fixed bucket layout the metrics tests check the sqrt-2 \
+     quantile bound against"]
   (** The shared bucket upper bounds: [b.(0) = 1e-6] and
       [b.(i) = b.(i-1) *. sqrt 2.] for 64 finite buckets (≈ 1 µs to
       ≈ 50 min), plus an implicit [+Inf] overflow bucket.  Fresh copy. *)
@@ -43,6 +47,7 @@ module Hist : sig
   val count : t -> int
 
   val sum : t -> float
+  [@@jp.lint.allow "unused-export" "histogram total the metrics tests check merges with"]
 
   val max_value : t -> float
   (** Largest observed value; [nan] when empty. *)
@@ -57,6 +62,10 @@ module Hist : sig
       report the tracked {!max_value}.  [nan] when empty. *)
 
   val buckets : t -> (float * int) list
+  [@@jp.lint.allow
+    "unused-export"
+    "per-bucket counts the metrics tests check merges and exposition \
+     with"]
   (** Per-bucket (upper bound, count) pairs in bound order, ending with
       the [(infinity, overflow)] bucket. *)
 
@@ -78,6 +87,10 @@ type histogram
     dropped while recording is off. *)
 
 val histogram : string -> histogram
+[@@jp.lint.allow
+  "unused-export"
+  "find-or-create by name; the service registers its histograms in H, \
+   tests register their own"]
 (** Find-or-create by name (names are unique; reuse returns the same
     histogram).  Follow the obs naming style — dotted lowercase with a
     unit suffix, e.g. ["service.ran_seconds"]. *)
@@ -87,9 +100,14 @@ val observe : histogram -> float -> unit
     per-phase granularity only — never per tuple (jp_lint [hot-poll]). *)
 
 val histogram_value : histogram -> Hist.t
+[@@jp.lint.allow
+  "unused-export"
+  "consistent copy of a registered histogram, read by the metrics and \
+   service tests"]
 (** A consistent copy of the histogram's current state. *)
 
 val histogram_values : unit -> (string * Hist.t) list
+[@@jp.lint.allow "unused-export" "every registered histogram, read by the metrics tests"]
 (** Every registered histogram (copied), sorted by name. *)
 
 (** Domain-local accumulation for hot paths: observe into a private
@@ -99,11 +117,23 @@ module Local : sig
   type t
 
   val create : histogram -> t
+  [@@jp.lint.allow
+    "unused-export"
+    "hot-loop accumulator of the metrics cadence rules (hot-poll \
+     exempts Local.observe); no engine records per-row latencies yet"]
 
   val observe : t -> float -> unit
+  [@@jp.lint.allow
+    "unused-export"
+    "hot-loop accumulator of the metrics cadence rules (hot-poll \
+     exempts Local.observe); no engine records per-row latencies yet"]
   (** Ungated, lock-free; allowed inside hot loops. *)
 
   val publish : t -> unit
+  [@@jp.lint.allow
+    "unused-export"
+    "hot-loop accumulator of the metrics cadence rules (hot-poll \
+     exempts Local.observe); no engine records per-row latencies yet"]
   (** Merge the accumulated values into the target histogram (one lock,
       dropped while recording is off) and clear the accumulator. *)
 end
@@ -116,6 +146,10 @@ type gauge
     dropped while recording is off. *)
 
 val gauge : string -> gauge
+[@@jp.lint.allow
+  "unused-export"
+  "find-or-create by name; the service and cache register their \
+   gauges in G, tests register their own"]
 (** Find-or-create by name. *)
 
 val set_gauge : gauge -> int -> unit
@@ -123,9 +157,7 @@ val set_gauge : gauge -> int -> unit
 val add_gauge : gauge -> int -> unit
 
 val gauge_value : gauge -> int
-
-val gauge_values : unit -> (string * int) list
-(** Every registered gauge, sorted by name. *)
+[@@jp.lint.allow "unused-export" "current level of a gauge, read by the metrics tests"]
 
 (** {1 Snapshots} *)
 
@@ -136,6 +168,10 @@ val snapshot : ?now:float -> unit -> unit
     per query / chunk / phase — never per tuple. *)
 
 val snapshots : unit -> (float * (string * int) list) list
+[@@jp.lint.allow
+  "unused-export"
+  "recorded gauge samples the metrics tests check ordering and \
+   fake-clock timestamps with"]
 (** All recorded snapshots ordered by (timestamp, recording order) —
     recording order breaks timestamp ties deterministically. *)
 
@@ -194,19 +230,10 @@ val exposition : unit -> string
     histograms, each sorted by name — the output is deterministic up to
     the recorded values. *)
 
-val write_exposition : path:string -> unit
-(** Write {!exposition} to [path] (truncating). *)
-
-val counter_events : base:float -> Jp_obs.Json.t list
-(** One Chrome-trace ["C"] (counter) event per gauge per snapshot, with
-    [ts] microseconds relative to [base] — the lane that shows queue
-    depth / in-flight / cache bytes evolving under the span lanes. *)
-
-val chrome_trace : unit -> Jp_obs.Json.t
-(** [Jp_obs.chrome_trace] plus {!counter_events} sampled at the recorded
-    snapshot times. *)
-
 val chrome_trace_string : unit -> string
+(** [Jp_obs]'s Chrome trace plus one ["C"] (counter) event per gauge per
+    snapshot — the lanes that show queue depth / in-flight / cache bytes
+    evolving under the span lanes — rendered as JSON. *)
 
 val reset : unit -> unit
 (** Clear every registered histogram, zero every gauge, drop all

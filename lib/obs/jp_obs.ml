@@ -369,8 +369,6 @@ let chrome_trace ?extra () =
       ("otherData", Json.Obj [ ("counters", Json.Obj counter_args) ]);
     ]
 
-let chrome_trace_string ?extra () = Json.to_string (chrome_trace ?extra ())
-
 (* ------------------------------------------------------------------ *)
 (* plan vs actual                                                      *)
 

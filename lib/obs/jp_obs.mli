@@ -41,12 +41,6 @@ val span : ?args:(string * Json.t) list -> string -> (unit -> 'a) -> 'a
     query with its [trace_id]/[attempt] so a served workload's lanes can
     be correlated per query. *)
 
-val timed_span :
-  ?args:(string * Json.t) list -> string -> (unit -> 'a) -> 'a * float
-(** Like {!span} but also returns elapsed seconds ([0.] when disabled) —
-    used by engines to fill the [phases] of a plan-vs-actual record
-    without timing twice. *)
-
 val instant : ?args:(string * Json.t) list -> string -> unit
 (** Record a zero-duration marker event (dropped while recording is off)
     nested under the calling domain's innermost open span: Chrome-trace
@@ -64,6 +58,10 @@ type span_node = {
     node. *)
 
 val span_tree : unit -> span_node list
+[@@jp.lint.allow
+  "unused-export"
+  "the aggregated span tree render_spans prints; the obs tests assert \
+   on its structure"]
 
 val render_spans : unit -> string
 (** Plain-text tree (indented {!Jp_util.Tablefmt} table) with per-node
@@ -78,8 +76,6 @@ val chrome_trace : ?extra:(base:float -> Json.t list) -> unit -> Json.t
     to [base], the first event's absolute time) — {!Jp_metrics} injects
     its gauge-snapshot ["C"] counter events this way.  Load the result
     in [chrome://tracing] or Perfetto. *)
-
-val chrome_trace_string : ?extra:(base:float -> Json.t list) -> unit -> string
 
 (** {1 Counters} *)
 

@@ -283,13 +283,7 @@ let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
 
-let to_list_opt = function List items -> Some items | _ -> None
-
-let to_int_opt = function Int n -> Some n | _ -> None
-
 let to_float_opt = function
   | Float f -> Some f
   | Int n -> Some (float_of_int n)
   | _ -> None
-
-let to_string_opt = function String s -> Some s | _ -> None

@@ -29,11 +29,5 @@ val member : string -> t -> t option
 (** [member key (Obj ...)] looks up a field; [None] on missing key or
     non-object. *)
 
-val to_list_opt : t -> t list option
-
-val to_int_opt : t -> int option
-
 val to_float_opt : t -> float option
 (** Accepts both [Int] and [Float]. *)
-
-val to_string_opt : t -> string option

@@ -89,6 +89,10 @@ val map_reduce :
   init:'a ->
   (int -> 'a) ->
   'a
+[@@jp.lint.allow
+  "unused-export"
+  "chunked parallel reduction; its tests pin the cancel check after \
+   the chaos hook for the sequential branch too"]
 (** Per-domain local folds combined at the end; [combine] must be
     associative and [init] its identity.  The combination order is
     unspecified. *)

@@ -105,6 +105,3 @@ let project t ~keep =
     (fun row () -> Hashtbl.replace out.rows (key_of row ps) ())
     t.rows;
   out
-
-let to_sorted_list t =
-  List.sort (List.compare Int.compare) (List.map Array.to_list (rows t))

@@ -36,6 +36,3 @@ val join_project : t -> t -> keep:string list -> t
 
 val project : t -> keep:string list -> t
 (** Projection onto the listed columns (which must all exist), dedup. *)
-
-val to_sorted_list : t -> int list list
-(** For tests. *)

@@ -149,15 +149,3 @@ let parse input =
     Ok q
   with Parse_error (msg, pos) ->
     Error (Printf.sprintf "parse error at offset %d: %s" pos msg)
-
-let term_to_string = function Var v -> v | Const k -> string_of_int k
-
-let to_string q =
-  let atom_to_string { relation; args = a, b } =
-    Printf.sprintf "%s(%s, %s)" relation (term_to_string a) (term_to_string b)
-  in
-  Printf.sprintf "Q(%s) :- %s"
-    (String.concat ", " q.head)
-    (String.concat ", " (List.map atom_to_string q.body))
-
-let equal a b = a.head = b.head && a.body = b.body

@@ -32,13 +32,8 @@ val parse : string -> (t, string) result
     the body; at least one atom; identifiers are
     [\[a-zA-Z\]\[a-zA-Z0-9_\]*]; the head name itself is ignored. *)
 
-val to_string : t -> string
-(** Round-trippable rendering. *)
-
 val vars : t -> string list
 (** All distinct body variables, in first-occurrence order. *)
 
 val atom_vars : atom -> string list
 (** Distinct variables of one atom (0, 1 or 2). *)
-
-val equal : t -> t -> bool

@@ -63,5 +63,3 @@ let join_tree_sets var_lists =
 
 let join_tree q =
   join_tree_sets (Array.of_list (List.map Cq.atom_vars q.Cq.body))
-
-let is_acyclic q = join_tree q <> None

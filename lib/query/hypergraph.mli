@@ -24,5 +24,3 @@ val join_tree_sets : string list array -> join_tree option
     be a derived bag of arbitrary arity rather than a binary atom.
     [join_tree q] is [join_tree_sets] over [q]'s atoms' variable sets.
     The empty array yields [None]. *)
-
-val is_acyclic : Cq.t -> bool

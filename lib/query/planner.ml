@@ -27,8 +27,6 @@ type node =
 
 type t = { query : Cq.t; root : node; candidates : fragment list }
 
-let query t = t.query
-
 let root t = t.root
 
 let candidates t = t.candidates

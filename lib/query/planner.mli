@@ -88,15 +88,16 @@ val plan :
     cost model (tests use it to force either verdict).  Default policy
     is [Cost_gate]. *)
 
-val query : t -> Cq.t
-
 val root : t -> node
+[@@jp.lint.allow "unused-export" "plan inspection the planner tests assert plan shapes with"]
 
 val candidates : t -> fragment list
+[@@jp.lint.allow "unused-export" "plan inspection the planner tests assert fragment eligibility with"]
 (** Every structurally eligible fragment, carved or not, in
     first-occurrence order of the join variable. *)
 
 val fragments : t -> fragment list
+[@@jp.lint.allow "unused-export" "plan inspection the planner tests assert carved fragments with"]
 (** The carved ([mm = true]) subset of {!candidates}. *)
 
 val describe : t -> string

@@ -20,11 +20,19 @@ type catalog = (string * Jp_relation.Relation.t) list
 (** Relation bindings by name; names are case-sensitive. *)
 
 val run : catalog -> Cq.t -> (Jp_relation.Tuples.t, string) result
+[@@jp.lint.allow
+  "unused-export"
+  "plain Yannakakis reference the CQ engine and planner are checked \
+   against"]
 (** Evaluates an acyclic query; errors on cyclic queries, unknown
     relation names, or head variables of width 0 (boolean queries are
     answered through {!boolean}). *)
 
 val boolean : catalog -> Cq.t -> (bool, string) result
+[@@jp.lint.allow
+  "unused-export"
+  "boolean Yannakakis reference the CQ engine's empty-head queries \
+   are checked against"]
 (** Satisfiability of the query body (the head is ignored): true iff the
     join is non-empty. *)
 

@@ -3,37 +3,9 @@ type t = { rows : (int array * int array) array; pairs : int }
 let pairs_of rows =
   Array.fold_left (fun acc (zs, _) -> acc + Array.length zs) 0 rows
 
-let of_rows rows =
-  Array.iter
-    (fun (zs, counts) ->
-      if Array.length zs <> Array.length counts then
-        invalid_arg "Counted_pairs.of_rows: length mismatch";
-      if not (Jp_util.Sorted.is_strictly_sorted zs) then
-        invalid_arg "Counted_pairs.of_rows: row not strictly increasing";
-      Array.iter (fun c -> if c <= 0 then invalid_arg "Counted_pairs.of_rows: count <= 0") counts)
-    rows;
-  { rows; pairs = pairs_of rows }
-
 let of_rows_unchecked rows = { rows; pairs = pairs_of rows }
 
-let empty n = { rows = Array.make n ([||], [||]); pairs = 0 }
-
 let src_count t = Array.length t.rows
-
-let count t = t.pairs
-
-let total_witnesses t =
-  Array.fold_left
-    (fun acc (_, counts) -> Array.fold_left ( + ) acc counts)
-    0 t.rows
-
-let get t x z =
-  if x >= Array.length t.rows then 0
-  else begin
-    let zs, counts = t.rows.(x) in
-    let i = Jp_util.Sorted.lower_bound zs z in
-    if i < Array.length zs && zs.(i) = z then counts.(i) else 0
-  end
 
 let row t x = t.rows.(x)
 
@@ -42,57 +14,3 @@ let iter f t =
     (fun x (zs, counts) ->
       Array.iteri (fun i z -> f x z counts.(i)) zs)
     t.rows
-
-let filter_ge t c =
-  let rows =
-    Array.map
-      (fun (zs, counts) ->
-        let n = ref 0 in
-        Array.iter (fun v -> if v >= c then incr n) counts;
-        if !n = Array.length zs then (zs, counts)
-        else begin
-          let zs' = Array.make !n 0 and counts' = Array.make !n 0 in
-          let p = ref 0 in
-          Array.iteri
-            (fun i v ->
-              if v >= c then begin
-                zs'.(!p) <- zs.(i);
-                counts'.(!p) <- v;
-                incr p
-              end)
-            counts;
-          (zs', counts')
-        end)
-      t.rows
-  in
-  of_rows_unchecked rows
-
-let to_pairs t = Pairs.of_rows_unchecked (Array.map fst t.rows)
-
-let sorted_desc t =
-  let out = Array.make t.pairs (0, 0, 0) in
-  let p = ref 0 in
-  iter
-    (fun x z c ->
-      out.(!p) <- (x, z, c);
-      incr p)
-    t;
-  Array.sort
-    (fun (x1, z1, c1) (x2, z2, c2) ->
-      if c1 <> c2 then Int.compare c2 c1
-      else match Int.compare x1 x2 with 0 -> Int.compare z1 z2 | n -> n)
-    out;
-  out
-
-let equal a b =
-  let na = Array.length a.rows and nb = Array.length b.rows in
-  a.pairs = b.pairs
-  &&
-  let rec go x =
-    x >= max na nb
-    ||
-    let ra = if x < na then a.rows.(x) else ([||], [||])
-    and rb = if x < nb then b.rows.(x) else ([||], [||]) in
-    ra = rb && go (x + 1)
-  in
-  go 0

@@ -7,39 +7,19 @@
 
 type t
 
-val of_rows : (int array * int array) array -> t
-(** [of_rows rows] where [rows.(x) = (zs, counts)]: [zs] strictly
-    increasing, [counts.(i) > 0] the multiplicity of [(x, zs.(i))].
-    Validated. *)
-
 val of_rows_unchecked : (int array * int array) array -> t
 
-val empty : int -> t
-
 val src_count : t -> int
-
-val count : t -> int
-(** Number of distinct pairs. *)
-
-val total_witnesses : t -> int
-(** Σ multiplicities = |OUT{_ ⋈}| restricted to the represented pairs. *)
-
-val get : t -> int -> int -> int
-(** [get t x z] is the multiplicity of (x, z), 0 if absent. *)
+[@@jp.lint.allow
+  "unused-export"
+  "row access, the counted twin of Pairs.src_count; tests read engine \
+   rows through the checked constructor"]
 
 val row : t -> int -> int array * int array
+[@@jp.lint.allow
+  "unused-export"
+  "row access, the counted twin of Pairs.row; tests read engine rows \
+   through the checked constructor"]
 
 val iter : (int -> int -> int -> unit) -> t -> unit
 (** [iter f t] calls [f x z multiplicity]. *)
-
-val filter_ge : t -> int -> t
-(** [filter_ge t c] keeps pairs with multiplicity ≥ c — the SSJ result. *)
-
-val to_pairs : t -> Pairs.t
-(** Forgets multiplicities. *)
-
-val sorted_desc : t -> (int * int * int) array
-(** All (x, z, multiplicity) triples sorted by decreasing multiplicity —
-    the ordered-SSJ enumeration order (ties broken by (x, z)). *)
-
-val equal : t -> t -> bool

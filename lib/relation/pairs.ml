@@ -3,14 +3,6 @@ type t = { rows : int array array; total : int }
 let total_of rows =
   Array.fold_left (fun acc r -> acc + Array.length r) 0 rows
 
-let of_rows rows =
-  Array.iter
-    (fun r ->
-      if not (Jp_util.Sorted.is_strictly_sorted r) then
-        invalid_arg "Pairs.of_rows: row not strictly increasing")
-    rows;
-  { rows; total = total_of rows }
-
 let of_rows_unchecked rows = { rows; total = total_of rows }
 
 let empty n = { rows = Array.make n [||]; total = 0 }
@@ -25,16 +17,6 @@ let mem t x z = x < Array.length t.rows && Jp_util.Sorted.mem t.rows.(x) z
 
 let iter f t =
   Array.iteri (fun x r -> Array.iter (fun z -> f x z) r) t.rows
-
-let to_list t =
-  let acc = ref [] in
-  for x = Array.length t.rows - 1 downto 0 do
-    let r = t.rows.(x) in
-    for i = Array.length r - 1 downto 0 do
-      acc := (x, r.(i)) :: !acc
-    done
-  done;
-  !acc
 
 let equal a b =
   let na = Array.length a.rows and nb = Array.length b.rows in

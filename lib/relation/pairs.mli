@@ -8,10 +8,6 @@
 
 type t
 
-val of_rows : int array array -> t
-(** [of_rows rows] where [rows.(x)] is the strictly increasing array of
-    partners of [x].  Ownership transfers; rows are validated. *)
-
 val of_rows_unchecked : int array array -> t
 (** Trusted variant for hot paths (rows already sorted by construction). *)
 
@@ -29,9 +25,6 @@ val row : t -> int -> int array
 val mem : t -> int -> int -> bool
 
 val iter : (int -> int -> unit) -> t -> unit
-
-val to_list : t -> (int * int) list
-(** Ascending (x, z) order; for tests and small outputs. *)
 
 val equal : t -> t -> bool
 (** Same pair sets (row counts padded with empties are ignored). *)

@@ -109,14 +109,6 @@ let of_sets ?dst_count sets =
     sets;
   of_flat ~src_count:(Array.length sets) ?dst_count flat
 
-let of_adjacency ~dst_count fwd =
-  Array.iter
-    (fun row ->
-      if not (Jp_util.Sorted.is_strictly_sorted row) then
-        invalid_arg "Relation.of_adjacency: row not strictly increasing")
-    fwd;
-  rebuild_from_fwd ~src_count:(Array.length fwd) ~dst_count fwd
-
 let size r = r.size
 
 let src_count r = r.src_count
@@ -131,20 +123,8 @@ let adj_src r a = r.fwd.(a)
 
 let adj_dst r b = r.bwd.(b)
 
-let mem r a b = Jp_util.Sorted.mem r.fwd.(a) b
-
 let iter f r =
   Array.iteri (fun x row -> Array.iter (fun y -> f x y) row) r.fwd
-
-let to_edges r =
-  let out = Array.make r.size (0, 0) in
-  let p = ref 0 in
-  iter
-    (fun x y ->
-      out.(!p) <- (x, y);
-      incr p)
-    r;
-  out
 
 let transpose r =
   {
@@ -166,40 +146,8 @@ let widen_dst r n =
       fp = 0;
     }
 
-let filter r keep =
-  let fwd =
-    Array.mapi
-      (fun x row ->
-        let kept = Array.to_list row |> List.filter (fun y -> keep x y) in
-        Array.of_list kept)
-      r.fwd
-  in
-  rebuild_from_fwd ~src_count:r.src_count ~dst_count:r.dst_count fwd
-
 let restrict_src r keep =
   let fwd = Array.mapi (fun x row -> if keep x then row else [||]) r.fwd in
-  rebuild_from_fwd ~src_count:r.src_count ~dst_count:r.dst_count fwd
-
-let semijoin_dst r keep =
-  let fwd =
-    Array.map
-      (fun row ->
-        let n = Array.fold_left (fun acc y -> if keep y then acc + 1 else acc) 0 row in
-        if n = Array.length row then row
-        else begin
-          let kept = Array.make n 0 in
-          let i = ref 0 in
-          Array.iter
-            (fun y ->
-              if keep y then begin
-                kept.(!i) <- y;
-                incr i
-              end)
-            row;
-          kept
-        end)
-      r.fwd
-  in
   rebuild_from_fwd ~src_count:r.src_count ~dst_count:r.dst_count fwd
 
 let rec deg_product b acc = function
@@ -215,21 +163,7 @@ let join_size_on_dst = function
     done;
     !total
 
-let active_dst = function
-  | [] -> invalid_arg "Relation.active_dst: empty list"
-  | first :: rest ->
-    let n = List.fold_left (fun acc r -> max acc r.dst_count) first.dst_count rest in
-    Array.init n (fun b ->
-        b < first.dst_count
-        && deg_dst first b > 0
-        && List.for_all (fun r -> b < r.dst_count && deg_dst r b > 0) rest)
-
 let degrees_src r = Array.map Array.length r.fwd
-
-let degrees_dst r = Array.map Array.length r.bwd
-
-let equal a b =
-  a.src_count = b.src_count && a.dst_count = b.dst_count && a.fwd = b.fwd
 
 (* Splitmix-style avalanche over the declared id spaces and every fwd row.
    The constants fit OCaml's 63-bit native int; overflow wraps, which is
@@ -254,16 +188,3 @@ let fingerprint r =
     r.fp <- f;
     f
   end
-
-let pp fmt r =
-  Format.fprintf fmt "@[<v>relation %dx%d, %d tuples@," r.src_count r.dst_count r.size;
-  let shown = ref 0 in
-  (try
-     iter
-       (fun x y ->
-         if !shown >= 10 then raise Exit;
-         Format.fprintf fmt "(%d, %d)@," x y;
-         incr shown)
-       r
-   with Exit -> Format.fprintf fmt "...@,");
-  Format.fprintf fmt "@]"

@@ -27,10 +27,6 @@ val of_sets : ?dst_count:int -> int array array -> t
     tuple (i, e) for every [e] in [sets.(i)].  Sets need not be sorted and
     may contain duplicates. *)
 
-val of_adjacency : dst_count:int -> int array array -> t
-(** Trusted constructor: [adj.(x)] must already be strictly increasing;
-    only the reverse index is built.  O(|R|). *)
-
 val size : t -> int
 (** Number of (distinct) tuples. *)
 
@@ -52,12 +48,8 @@ val adj_dst : t -> int -> int array
 (** [adj_dst r b] is the strictly increasing array of x with (x,b) ∈ R;
     the inverted list L[b] of Section 4.  Shared, do not mutate. *)
 
-val mem : t -> int -> int -> bool
-
 val iter : (int -> int -> unit) -> t -> unit
 (** Iterates tuples in (x, y) lexicographic order. *)
-
-val to_edges : t -> (int * int) array
 
 val transpose : t -> t
 (** Swaps the roles of x and y — O(1), shares the indexes. *)
@@ -67,33 +59,17 @@ val widen_dst : t -> int -> t
     the same tuples, with empty inverted lists for the new ids.  O(n)
     when it widens (the x adjacency is shared), [r] itself otherwise. *)
 
-val filter : t -> (int -> int -> bool) -> t
-(** [filter r keep] is the sub-relation of tuples with [keep x y]. *)
-
 val restrict_src : t -> (int -> bool) -> t
 (** Sub-relation keeping only tuples whose x satisfies the predicate;
-    cheaper than {!filter} (rows are shared wholesale). *)
-
-val semijoin_dst : t -> (int -> bool) -> t
-(** Sub-relation keeping only tuples whose y satisfies the predicate. *)
+    rows are shared wholesale. *)
 
 val join_size_on_dst : t list -> int
 (** |OUT{_ ⋈}| of the star join of the given relations on their y column:
     Σ{_ b} Π{_ i} deg{_ dst}(Rᵢ, b).  With two relations this is the full
     2-path join size used throughout Section 5. *)
 
-val active_dst : t list -> bool array
-(** [active_dst rs].(b) is true iff b has at least one tuple in {e every}
-    relation — the "tuples that contribute to the join result"
-    preprocessing filter of Section 3. *)
-
 val degrees_src : t -> int array
 (** Fresh array [d] with [d.(a) = deg_src r a]. *)
-
-val degrees_dst : t -> int array
-
-val equal : t -> t -> bool
-(** Same tuple sets and same declared id spaces. *)
 
 val fingerprint : t -> int
 (** Structural hash over the declared id spaces and every tuple, suitable
@@ -105,6 +81,3 @@ val fingerprint : t -> int
     cache entry; invalidation by re-fingerprinting after mutation cannot
     work.  Compute fingerprints once at load and treat relations as frozen
     (the dynamic-view library rebuilds relations instead of mutating). *)
-
-val pp : Format.formatter -> t -> unit
-(** Debug printer: cardinalities plus the first few tuples. *)

@@ -15,8 +15,6 @@ type t =
   | Packed of int (* arity *) * packed
   | Hashed of int * (int array, unit) Hashtbl.t
 
-let arity = function Packed (k, _) -> k | Hashed (k, _) -> k
-
 let count = function
   | Packed (_, p) -> Array.length p.sorted
   | Hashed (_, h) -> Hashtbl.length h
@@ -43,11 +41,6 @@ let unpack p key tuple =
     (fun i shift -> tuple.(i) <- (key lsr shift) land p.masks.(i))
     p.shifts
 
-let mem t tuple =
-  match t with
-  | Packed (_, p) -> Jp_util.Sorted.mem p.sorted (pack p.shifts tuple)
-  | Hashed (_, h) -> Hashtbl.mem h tuple
-
 let iter f t =
   match t with
   | Packed (k, p) ->
@@ -58,13 +51,6 @@ let iter f t =
         f buf)
       p.sorted
   | Hashed (_, h) -> Hashtbl.iter (fun tuple () -> f tuple) h
-
-let to_list t =
-  let acc = ref [] in
-  iter (fun tuple -> acc := Array.to_list tuple :: !acc) t;
-  List.sort (List.compare Int.compare) !acc
-
-let equal a b = arity a = arity b && count a = count b && to_list a = to_list b
 
 type builder =
   | Bpacked of int * int array (* shifts *) * int array (* masks *) * Jp_util.Vec.t

@@ -8,21 +8,12 @@
 
 type t
 
-val arity : t -> int
-
 val count : t -> int
 (** Number of distinct tuples. *)
-
-val mem : t -> int array -> bool
 
 val iter : (int array -> unit) -> t -> unit
 (** The callback's array is reused between calls — copy it to keep it.
     Packed representations iterate in ascending packed order. *)
-
-val to_list : t -> int list list
-(** Sorted list of tuples; for tests. *)
-
-val equal : t -> t -> bool
 
 type builder
 
@@ -34,6 +25,3 @@ val add : builder -> int array -> unit
 
 val build : builder -> t
 (** Deduplicates and freezes.  The builder must not be reused. *)
-
-val packable : dims:int array -> bool
-(** Whether the packed-int representation applies to these dimensions. *)

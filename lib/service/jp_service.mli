@@ -135,6 +135,10 @@ val await : 'a ticket -> 'a report
 (** Block until the query resolves.  Safe from any domain; idempotent. *)
 
 val cancel : 'a ticket -> unit
+[@@jp.lint.allow
+  "unused-export"
+  "client-side cancellation of a ticket; the service tests drive it, \
+   no CLI flow cancels yet"]
 (** Request cancellation.  The query resolves to [Error Cancelled] at
     its next checkpoint (unless it already finished). *)
 

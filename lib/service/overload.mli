@@ -102,6 +102,14 @@ val note_expired : t -> queued_s:float -> unit
     of overload even though nothing executed. *)
 
 val in_brownout : t -> bool
+[@@jp.lint.allow
+  "unused-export"
+  "controller state the overload tests check hysteresis with; the \
+   service reads it through the brownout gauge"]
 
 val est_exec_s : t -> float
+[@@jp.lint.allow
+  "unused-export"
+  "the controller's EWMA estimate, checked by the overload estimator \
+   tests"]
 (** Current EWMA of execution time; 0 before any {!note_executed}. *)

@@ -1,8 +1,6 @@
 module Relation = Jp_relation.Relation
 module Pairs = Jp_relation.Pairs
 
-let pair_list = Pairs.to_list
-
 let iter_c_subsets elems ~c f =
   let n = Array.length elems in
   if c >= 1 && c <= n then begin

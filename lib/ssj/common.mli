@@ -8,9 +8,6 @@
 module Relation = Jp_relation.Relation
 module Pairs = Jp_relation.Pairs
 
-val pair_list : Pairs.t -> (int * int) list
-(** Sorted pair list (tests and ordered enumeration). *)
-
 val iter_c_subsets : int array -> c:int -> (int list -> unit) -> unit
 (** [iter_c_subsets elems ~c f] calls [f] once per size-[c] subset of the
     strictly increasing [elems], as an increasing list.  The number of

@@ -19,6 +19,10 @@ val via_pairs : Relation.t -> c:int -> Pairs.t -> (int * int * int) array
     re-deriving each pair's overlap with a sorted merge. *)
 
 val top_k : ?domains:int -> k:int -> c:int -> Relation.t -> (int * int * int) array
+[@@jp.lint.allow
+  "unused-export"
+  "Section 4's ordered top-k enumeration, kept with its test against the \
+   via_counts prefix; the only user of Jp_util.Heap"]
 (** The [k] most-similar pairs (ties broken by ascending (i, j)), without
     sorting the whole result: a size-k min-heap sweeps the counted join
     once, O(|pairs| log k).  Agrees with the prefix of {!via_counts}. *)

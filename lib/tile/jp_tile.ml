@@ -24,10 +24,6 @@ module Source = struct
 
   let of_boolmat m =
     { rows = Boolmat.rows m; cols = Boolmat.cols m; adj = Boolmat.iter_row m }
-
-  let rows s = s.rows
-
-  let cols s = s.cols
 end
 
 (* Number of tile blocks covering [n] positions at [ts] per tile. *)

@@ -45,15 +45,12 @@ type config = private { tile_bits : int; budget_bytes : int option }
     [budget_bytes] bounds the operand-tile resident set ([None] =
     unbounded: every operand tile stays resident once built). *)
 
-val default_tile_bits : int
-(** 11: products up to 2048 on a side — every heavy product of the
-    bundled presets at full scale — are a single tile at
-    [domains = 1]; a boolean product wider than the cap rescans A once
-    per column tile. *)
-
 val config : ?tile_bits:int -> ?budget_bytes:int -> unit -> config
-(** [tile_bits] is clamped to [[4, 20]].  [config ()] is what the
-    engines use when a caller passes no [?tile]. *)
+(** [tile_bits] is clamped to [[4, 20]] and defaults to 11: products up
+    to 2048 on a side — every heavy product of the bundled presets at
+    full scale — are a single tile at [domains = 1]; a boolean product
+    wider than the cap rescans A once per column tile.  [config ()] is
+    what the engines use when a caller passes no [?tile]. *)
 
 (** Lazy operand views: shape plus a row-adjacency function, so tiles
     can be (re)built on demand without ever materializing the full
@@ -71,10 +68,6 @@ module Source : sig
 
   val of_boolmat : Boolmat.t -> t
   (** View an already materialized matrix (tests and benches). *)
-
-  val rows : t -> int
-
-  val cols : t -> int
 end
 
 val mul :

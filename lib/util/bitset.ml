@@ -4,10 +4,6 @@ let bits_per_word = 62
 
 type t = { words : int array; width : int }
 
-let width t = t.width
-
-let word_count t = Array.length t.words
-
 let payload_words n = (n + bits_per_word - 1) / bits_per_word
 
 let create n =
@@ -21,11 +17,6 @@ let set t i =
   check t i;
   let w = i / bits_per_word and b = i mod bits_per_word in
   t.words.(w) <- t.words.(w) lor (1 lsl b)
-
-let unset t i =
-  check t i;
-  let w = i / bits_per_word and b = i mod bits_per_word in
-  t.words.(w) <- t.words.(w) land lnot (1 lsl b)
 
 let mem t i =
   check t i;
@@ -83,13 +74,6 @@ let union_into_at ~dst off src =
       (Array.unsafe_get d (wi + w) lor Array.unsafe_get s w)
   done
 
-let inter_into ~dst src =
-  check_widths dst src "inter_into";
-  let d = dst.words and s = src.words in
-  for w = 0 to Array.length d - 1 do
-    Array.unsafe_set d w (Array.unsafe_get d w land Array.unsafe_get s w)
-  done
-
 let inter_count a b =
   check_widths a b "inter_count";
   let c = ref 0 in
@@ -111,16 +95,7 @@ let iter f t =
     done
   done
 
-let to_list t =
-  let acc = ref [] in
-  iter (fun i -> acc := i :: !acc) t;
-  List.rev !acc
-
 let of_sorted_array n positions =
   let t = create n in
   Array.iter (fun i -> set t i) positions;
   t
-
-let copy t = { words = Array.copy t.words; width = t.width }
-
-let equal a b = a.width = b.width && a.words = b.words

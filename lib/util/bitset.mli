@@ -16,20 +16,10 @@ val payload_words : int -> int
     bitset of width [n] has one more, always zero.  The unit of the
     MM word-op counters. *)
 
-val width : t -> int
-(** Number of addressable bit positions. *)
-
-val word_count : t -> int
-(** Number of backing words; the unit in which per-word operations
-    ([union_into], [inter_count], ...) are counted by the observability
-    layer's MM word-op counters. *)
-
 val create : int -> t
 (** [create n] is an all-zeros bitset of width [n]. *)
 
 val set : t -> int -> unit
-
-val unset : t -> int -> unit
 
 val mem : t -> int -> bool
 
@@ -54,21 +44,12 @@ val union_into_at : dst:t -> int -> t -> unit
     boolean product: a tile row merges into whole words of the full
     result row without per-bit iteration. *)
 
-val inter_into : dst:t -> t -> unit
-(** [inter_into ~dst src] ANDs [src] into [dst].  Widths must match. *)
-
 val inter_count : t -> t -> int
 (** Population count of the intersection, without materializing it. *)
 
 val iter : (int -> unit) -> t -> unit
 (** [iter f t] applies [f] to every set position in increasing order. *)
 
-val to_list : t -> int list
-
 val of_sorted_array : int -> int array -> t
 (** [of_sorted_array n positions] sets each listed position (positions need
     not actually be sorted; they must be [< n]). *)
-
-val copy : t -> t
-
-val equal : t -> t -> bool

@@ -51,11 +51,6 @@ let check t =
 let reason t =
   match poll_state t with 0 -> None | 1 -> Some Requested | _ -> Some Deadline
 
-let remaining_s t =
-  match poll_state t with
-  | 0 -> if t.deadline = infinity then infinity else max 0.0 (t.deadline -. Timer.now ())
-  | _ -> 0.0
-
 let set_hook t f = Atomic.set t.hook f
 
 let clear_hook t = Atomic.set t.hook no_hook

@@ -53,10 +53,6 @@ val check_opt : t option -> unit
 val reason : t -> reason option
 (** [None] while live.  Does not run the hook. *)
 
-val remaining_s : t -> float
-(** Seconds until the deadline ([infinity] without one, [0.] once
-    expired or cancelled). *)
-
 val set_hook : t -> (unit -> unit) -> unit
 (** Install the poll hook (chaos injection; the callback may raise and
     must be safe to run from any domain).  One hook at a time. *)

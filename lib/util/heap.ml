@@ -8,8 +8,6 @@ let create () = { prio = Array.make 16 0; data = Array.make 16 None; len = 0 }
 
 let size t = t.len
 
-let is_empty t = t.len = 0
-
 let grow t =
   let cap = 2 * Array.length t.prio in
   let prio = Array.make cap 0 and data = Array.make cap None in

@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 (* splitmix64 finalizer: state += gamma; z = mix(state). *)
 let next64 t =
   t.state <- Int64.add t.state golden_gamma;
@@ -35,5 +33,3 @@ let shuffle t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let split t = { state = next64 t }

@@ -13,13 +13,6 @@ val create : int -> t
 (** [create seed] makes a fresh generator from [seed].  Equal seeds yield
     identical streams. *)
 
-val copy : t -> t
-(** [copy t] is an independent generator positioned at the same point of the
-    stream as [t]. *)
-
-val next64 : t -> int64
-(** Next raw 64-bit output word. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  [bound] must be positive. *)
 
@@ -31,7 +24,3 @@ val bool : t -> bool
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
-
-val split : t -> t
-(** [split t] advances [t] and returns a statistically independent child
-    generator; used to give each parallel task its own stream. *)

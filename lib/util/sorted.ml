@@ -121,16 +121,6 @@ let union a b =
   while !j < nb do Vec.push v b.(!j); incr j done;
   Vec.to_array v
 
-let difference a b =
-  let v = Vec.create ~capacity:(Array.length a) () in
-  let j = ref 0 in
-  Array.iter
-    (fun x ->
-      j := gallop b ~start:!j x;
-      if not (!j < Array.length b && b.(!j) = x) then Vec.push v x)
-    a;
-  Vec.to_array v
-
 let subset a b =
   Array.length a <= Array.length b
   &&
@@ -159,26 +149,3 @@ let intersect_many = function
     | smallest :: rest ->
       List.fold_left (fun acc a -> if Array.length acc = 0 then acc else intersect acc a) smallest rest
     | [] -> assert false)
-
-let merge_union_many lists =
-  (* Huffman-style: always merge the two shortest remaining arrays, so the
-     total work is O(total log k) rather than O(total * k). *)
-  let rec go = function
-    | [] -> [||]
-    | [ a ] -> a
-    | lists ->
-      let sorted =
-        List.sort (fun a b -> Int.compare (Array.length a) (Array.length b)) lists
-      in
-      (match sorted with
-      | a :: b :: rest -> go (union a b :: rest)
-      | _ -> assert false)
-  in
-  go lists
-
-let is_strictly_sorted a =
-  let ok = ref true in
-  for i = 1 to Array.length a - 1 do
-    if a.(i - 1) >= a.(i) then ok := false
-  done;
-  !ok

@@ -26,9 +26,6 @@ val intersect_count : int array -> int array -> int
 val union : int array -> int array -> int array
 (** Set union. *)
 
-val difference : int array -> int array -> int array
-(** Elements of the first array absent from the second. *)
-
 val subset : int array -> int array -> bool
 (** [subset a b] is [true] iff every element of [a] occurs in [b]. *)
 
@@ -36,8 +33,3 @@ val intersect_many : int array list -> int array
 (** Intersection of all lists, smallest-first for early exit.  The
     intersection of the empty list is undefined and raises
     [Invalid_argument]. *)
-
-val merge_union_many : int array list -> int array
-(** k-way union via repeated pairwise merging, cheapest pairs first. *)
-
-val is_strictly_sorted : int array -> bool

@@ -23,8 +23,3 @@ let time_runs ?(repeats = 3) f =
   in
   let dt, _, x = List.nth sorted (repeats / 2) in
   (x, dt, List.map (fun (dt, _, _) -> dt) runs)
-
-let time_median ?(repeats = 3) f =
-  if repeats < 1 then invalid_arg "Timer.time_median";
-  let x, dt, _ = time_runs ~repeats f in
-  (x, dt)

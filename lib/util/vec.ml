@@ -9,10 +9,6 @@ let get v i =
   if i < 0 || i >= v.len then invalid_arg "Vec.get";
   Array.unsafe_get v.data i
 
-let set v i x =
-  if i < 0 || i >= v.len then invalid_arg "Vec.set";
-  Array.unsafe_set v.data i x
-
 let grow v needed =
   let cap = max needed (2 * Array.length v.data) in
   let data = Array.make cap 0 in
@@ -38,8 +34,6 @@ let truncate v n =
 
 let to_array v = Array.sub v.data 0 v.len
 
-let unsafe_data v = v.data
-
 let sort_dedup v =
   if v.len > 1 then begin
     let a = v.data in
@@ -59,10 +53,3 @@ let iter f v =
   for i = 0 to v.len - 1 do
     f (Array.unsafe_get v.data i)
   done
-
-let fold f init v =
-  let acc = ref init in
-  for i = 0 to v.len - 1 do
-    acc := f !acc (Array.unsafe_get v.data i)
-  done;
-  !acc

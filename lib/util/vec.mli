@@ -13,8 +13,6 @@ val length : t -> int
 val get : t -> int -> int
 (** [get v i] is the [i]-th element; bounds-checked. *)
 
-val set : t -> int -> int -> unit
-
 val push : t -> int -> unit
 
 val push2 : t -> int -> int -> unit
@@ -30,13 +28,8 @@ val truncate : t -> int -> unit
 val to_array : t -> int array
 (** Fresh array copy of the contents. *)
 
-val unsafe_data : t -> int array
-(** The backing store; only indices [< length] are meaningful. *)
-
 val sort_dedup : t -> unit
 (** Sorts ascending and removes duplicates in place, on the backing store
     itself (no copy). *)
 
 val iter : (int -> unit) -> t -> unit
-
-val fold : ('a -> int -> 'a) -> 'a -> t -> 'a

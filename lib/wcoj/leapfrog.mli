@@ -7,6 +7,10 @@
     when the arrays are skewed. *)
 
 val intersect : int array array -> int array
+[@@jp.lint.allow
+  "unused-export"
+  "k-ary leapfrog intersection checked against a fold of pairwise \
+   intersections; no engine calls it yet"]
 (** Intersection of all arrays.  [intersect [||]] raises
     [Invalid_argument]. *)
 

@@ -9,12 +9,6 @@ let process_to_string = function
   | Fixed_rate -> "fixed"
   | Poisson -> "poisson"
 
-let process_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "fixed" | "fixed-rate" | "fixed_rate" -> Some Fixed_rate
-  | "poisson" -> Some Poisson
-  | _ -> None
-
 let schedule ?(process = Fixed_rate) ?(seed = 0) ~rate ~count () =
   if not (rate > 0.) then invalid_arg "Arrivals.schedule: rate must be > 0";
   if count < 0 then invalid_arg "Arrivals.schedule: count must be >= 0";

@@ -24,8 +24,6 @@ type process =
 
 val process_to_string : process -> string
 
-val process_of_string : string -> process option
-
 val schedule :
   ?process:process -> ?seed:int -> rate:float -> count:int -> unit -> float array
 (** [schedule ~rate ~count ()] is the nondecreasing array of [count]

@@ -1,4 +1,4 @@
-type t = { cdf : float array; exponent : float }
+type t = { cdf : float array }
 
 let create ?(exponent = 1.0) n =
   if n <= 0 then invalid_arg "Zipf.create";
@@ -12,11 +12,7 @@ let create ?(exponent = 1.0) n =
   for i = 0 to n - 1 do
     cdf.(i) <- cdf.(i) /. total
   done;
-  { cdf; exponent }
-
-let domain t = Array.length t.cdf
-
-let exponent t = t.exponent
+  { cdf }
 
 let sample t rng =
   let u = Jp_util.Rng.float rng 1.0 in

@@ -13,7 +13,3 @@ val create : ?exponent:float -> int -> t
     O(n) build, O(log n) per sample. *)
 
 val sample : t -> Jp_util.Rng.t -> int
-
-val domain : t -> int
-
-val exponent : t -> float

@@ -1,6 +1,6 @@
 (* Shared random-instance generators for the test suites. *)
 
-module Relation = Jp_relation.Relation
+module Relation = Testkit.Relation
 
 let rng seed = Jp_util.Rng.create seed
 
@@ -211,9 +211,7 @@ let random_cq ?(seed = 0) () =
   in
   { query = { Cq.head; body }; catalog }
 
-let pairs_to_list p = Jp_relation.Pairs.to_list p
+let pairs_to_list p = Testkit.Pairs.to_list p
 
 let counted_to_list c =
-  let acc = ref [] in
-  Jp_relation.Counted_pairs.iter (fun x z k -> acc := ((x, z), k) :: !acc) c;
-  List.sort compare !acc
+  List.map (fun (x, z, k) -> ((x, z), k)) (Testkit.Counted_pairs.triples c)

@@ -4,10 +4,10 @@
    exactly the unguarded one. *)
 
 module Guard = Jp_adaptive.Guard
-module Inject = Jp_adaptive.Inject
+module Inject = Testkit.Inject
 module Relation = Jp_relation.Relation
 module Pairs = Jp_relation.Pairs
-module Counted_pairs = Jp_relation.Counted_pairs
+module Counted_pairs = Testkit.Counted_pairs
 module Optimizer = Joinproj.Optimizer
 
 let guard_with inj = Guard.with_inject inj Guard.default
@@ -35,33 +35,21 @@ let only_plan_record () =
 let test_inject_none () =
   Alcotest.(check bool) "is_none" true (Inject.is_none Inject.none);
   Alcotest.(check int) "out untouched" 12345 (Inject.out Inject.none 12345);
-  Alcotest.(check (float 0.0)) "seconds untouched" 1.5 (Inject.seconds Inject.none 1.5);
-  Alcotest.(check string) "renders empty" "" (Inject.to_string Inject.none)
+  Alcotest.(check bool) "a real factor is not none" false
+    (Inject.is_none (Inject.out_only 0.5))
 
 let test_inject_factors () =
   let u = Inject.uniform 0.01 in
   Alcotest.(check int) "100x underestimate" 10 (Inject.out u 1000);
   Alcotest.(check int) "clamped to >= 1" 1 (Inject.out u 3);
-  Alcotest.(check (float 1e-12)) "mm cost scaled" 0.02 (Inject.seconds u 2.0);
   let o = Inject.out_only 100.0 in
   Alcotest.(check int) "100x overestimate" 100_000 (Inject.out o 1000);
-  Alcotest.(check (float 0.0)) "mm cost untouched" 2.0 (Inject.seconds o 2.0);
+  Alcotest.(check (float 0.0)) "mm cost untouched" 1.0 o.Inject.mm_factor;
   let m = Inject.mm_only 3.0 in
   Alcotest.(check int) "out untouched" 1000 (Inject.out m 1000);
-  Alcotest.(check (float 1e-12)) "mm cost scaled up" 6.0 (Inject.seconds m 2.0);
   Alcotest.check_raises "rejects a zero factor"
-    (Invalid_argument "Inject.uniform: factor must be finite and positive")
-    (fun () -> ignore (Inject.uniform 0.0))
-
-let test_inject_jittered () =
-  let a = Inject.jittered ~seed:11 ~spread:4.0 0.1 in
-  let b = Inject.jittered ~seed:11 ~spread:4.0 0.1 in
-  Alcotest.(check bool) "same seed, same factors" true (a = b);
-  let inside f = f >= (0.1 /. 4.0) -. 1e-12 && f <= (0.1 *. 4.0) +. 1e-12 in
-  Alcotest.(check bool) "factors stay within the spread" true
-    (inside a.Inject.out_factor && inside a.Inject.mm_factor);
-  let c = Inject.jittered ~seed:12 ~spread:4.0 0.1 in
-  Alcotest.(check bool) "different seed, different draw" true (a <> c)
+    (Invalid_argument "Inject.out_only: factor must be finite and positive")
+    (fun () -> ignore (Inject.out_only 0.0))
 
 (* ------------------------------------------------------------------ *)
 (* Guard state machine                                                 *)
@@ -94,7 +82,7 @@ let test_budget_verdicts () =
   let cells_cfg =
     {
       Guard.default with
-      Guard.budget = { Guard.no_budget with Guard.max_cells = Some 100 };
+      Guard.budget = { Guard.max_seconds = None; max_cells = Some 100 };
     }
   in
   let g = Guard.start cells_cfg in
@@ -209,7 +197,7 @@ let test_cells_budget_vetoes_matrices () =
   let guard =
     {
       Guard.default with
-      Guard.budget = { Guard.no_budget with Guard.max_cells = Some 1 };
+      Guard.budget = { Guard.max_seconds = None; max_cells = Some 1 };
     }
   in
   with_recording (fun () ->
@@ -317,7 +305,7 @@ let test_counts_guarded_invariant () =
   let guard =
     {
       Guard.default with
-      Guard.budget = { Guard.no_budget with Guard.max_cells = Some 10 };
+      Guard.budget = { Guard.max_seconds = None; max_cells = Some 10 };
     }
   in
   let counted = Joinproj.Two_path.project_counts ~guard ~r ~s:r () in
@@ -338,10 +326,10 @@ let test_star_guarded_invariant () =
   in
   let reference = Joinproj.Star.project rels in
   Alcotest.(check bool) "clean guard" true
-    (Jp_relation.Tuples.equal reference
+    (Testkit.Tuples.equal reference
        (Joinproj.Star.project ~guard:Guard.default rels));
   Alcotest.(check bool) "zero budget degrades but agrees" true
-    (Jp_relation.Tuples.equal reference
+    (Testkit.Tuples.equal reference
        (Joinproj.Star.project ~guard:(Guard.with_budget_ms 0.0 Guard.default) rels))
 
 let test_ssj_guarded_invariant () =
@@ -419,7 +407,6 @@ let suite =
   [
     Alcotest.test_case "inject none is identity" `Quick test_inject_none;
     Alcotest.test_case "inject factors apply and clamp" `Quick test_inject_factors;
-    Alcotest.test_case "inject jittered is deterministic" `Quick test_inject_jittered;
     Alcotest.test_case "guard config builders" `Quick test_config_builders;
     Alcotest.test_case "budget verdicts" `Quick test_budget_verdicts;
     Alcotest.test_case "estimate verdicts and fuel" `Quick test_estimate_verdicts;

@@ -1,5 +1,5 @@
 module Relation = Jp_relation.Relation
-module Pairs = Jp_relation.Pairs
+module Pairs = Testkit.Pairs
 module Hash_join = Jp_baselines.Hash_join
 module Sortmerge_join = Jp_baselines.Sortmerge_join
 module Bitset_engine = Jp_baselines.Bitset_engine
@@ -52,8 +52,8 @@ let test_fulljoin_star_matches () =
   in
   Alcotest.(check (list (list int)))
     "baseline star = mmjoin star"
-    (Jp_relation.Tuples.to_list (Fulljoin.star rels))
-    (Jp_relation.Tuples.to_list (Joinproj.Star.project ~thresholds:(2, 2) rels))
+    (Testkit.Tuples.to_list (Fulljoin.star rels))
+    (Testkit.Tuples.to_list (Joinproj.Star.project ~thresholds:(2, 2) rels))
 
 let suite =
   [

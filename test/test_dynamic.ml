@@ -1,4 +1,4 @@
-module Relation = Jp_relation.Relation
+module Relation = Testkit.Relation
 module View = Jp_dynamic.View
 
 let counted_list v = Gen.counted_to_list (View.to_counted_pairs v)

@@ -2,7 +2,7 @@
    empty relations, singleton domains, self-loops, and hub-only shapes. *)
 
 module Relation = Jp_relation.Relation
-module Pairs = Jp_relation.Pairs
+module Pairs = Testkit.Pairs
 module Two_path = Joinproj.Two_path
 
 let empty = Relation.of_edges ~src_count:5 ~dst_count:5 [||]
@@ -20,7 +20,7 @@ let test_two_path_empty () =
   Alcotest.(check int) "empty right" 0
     (Pairs.count (Two_path.project ~r:singleton ~s:empty ()));
   Alcotest.(check int) "empty counts" 0
-    (Jp_relation.Counted_pairs.count (Two_path.project_counts ~r:empty ~s:empty ()))
+    (Testkit.Counted_pairs.count (Two_path.project_counts ~r:empty ~s:empty ()))
 
 let test_two_path_singleton () =
   let p = Two_path.project ~r:singleton ~s:singleton () in
@@ -120,7 +120,7 @@ let test_guarded_degenerate () =
   let n = 30 in
   let r = hub n in
   let overestimate =
-    Guard.with_inject (Jp_adaptive.Inject.uniform 100.0) Guard.default
+    Guard.with_inject (Testkit.Inject.uniform 100.0) Guard.default
   in
   Alcotest.(check int) "guarded hub square" (n * n)
     (Pairs.count (Two_path.project ~guard:overestimate ~r ~s:r ()))
@@ -151,7 +151,7 @@ let test_y_domain_mismatch () =
   let expected = [ (0, 0); (0, 2); (1, 1) ] in
   let counted_list c =
     let acc = ref [] in
-    Jp_relation.Counted_pairs.iter (fun a b k -> acc := (a, b, k) :: !acc) c;
+    Testkit.Counted_pairs.iter (fun a b k -> acc := (a, b, k) :: !acc) c;
     List.sort compare !acc
   in
   let expected_counts = List.map (fun (a, b) -> (a, b, 1)) expected in

@@ -79,7 +79,7 @@ let test_star_strategies_agree_on_presets () =
       Alcotest.(check bool)
         (Printf.sprintf "star on %s" (Presets.to_string name))
         true
-        (Jp_relation.Tuples.equal
+        (Testkit.Tuples.equal
            (Joinproj.Star.project ~strategy:Joinproj.Star.Matrix rels)
            (Joinproj.Star.project ~strategy:Joinproj.Star.Combinatorial rels)))
     [ Presets.Dblp; Presets.Roadnet; Presets.Words ]
@@ -99,7 +99,7 @@ let test_bsi_strategies_agree () =
 let guard_factors = [ 0.01; 1.0; 100.0 ]
 
 let guard_of f =
-  Jp_adaptive.Guard.with_inject (Jp_adaptive.Inject.uniform f)
+  Jp_adaptive.Guard.with_inject (Testkit.Inject.uniform f)
     Jp_adaptive.Guard.default
 
 let test_guarded_two_path_agrees () =
@@ -136,7 +136,7 @@ let test_guarded_star_agrees () =
           Alcotest.(check bool)
             (Printf.sprintf "%s on %s" label (Presets.to_string name))
             true
-            (Jp_relation.Tuples.equal reference
+            (Testkit.Tuples.equal reference
                (Joinproj.Star.project ~guard rels)))
         [
           ("guarded", Jp_adaptive.Guard.default);
@@ -300,7 +300,7 @@ let test_cached_engines_agree () =
         Alcotest.(check bool)
           (Printf.sprintf "cached counts pass %d on %s" pass ds)
           true
-          (Jp_relation.Counted_pairs.equal counted_ref
+          (Testkit.Counted_pairs.equal counted_ref
              (Joinproj.Two_path.project_counts ~memo:(memo ()) ~r ~s:r ()))
       done;
       let ssj_ref = Jp_ssj.Mm_ssj.join ~c:2 r in
@@ -358,7 +358,7 @@ let cq_run ?policy ?guard ?cancel ?cache text =
   match
     Jp_query.Engine.run ?policy ?guard ?cancel ?cache catalog (cq_parse text)
   with
-  | Ok out -> Jp_relation.Tuples.to_list out
+  | Ok out -> Testkit.Tuples.to_list out
   | Error e -> Alcotest.failf "cq run %s: %s" text e
 
 let test_cq_engine_agrees_with_brute () =
@@ -469,7 +469,7 @@ let test_tiled_two_path_agrees () =
         Alcotest.(check bool)
           (Printf.sprintf "%s on %s" label ds)
           true
-          (Jp_relation.Counted_pairs.equal counted_ref out)
+          (Testkit.Counted_pairs.equal counted_ref out)
       in
       check_counted "tiled counts"
         (Joinproj.Two_path.project_counts ~strategy:matrix ~tile:tiny_tile ~r

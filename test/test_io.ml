@@ -1,4 +1,4 @@
-module Relation = Jp_relation.Relation
+module Relation = Testkit.Relation
 module Dictionary = Jp_io.Dictionary
 module Relation_io = Jp_io.Relation_io
 
@@ -76,7 +76,9 @@ let test_load_errors () =
   expect_error "# joinproj relation v1\n" "missing sizes";
   expect_error "# joinproj relation v1\nfoo bar\n" "bad sizes";
   expect_error "# joinproj relation v1\n2 2\n5 0\n" "id out of range";
-  expect_error "# joinproj relation v1\n2 2\n1\n" "malformed edge"
+  expect_error "# joinproj relation v1\n2 2\n1\n" "malformed edge";
+  expect_error "# joinproj relation v1\n-1 5\n" "negative id space";
+  expect_error "# joinproj relation v1\n4000000000000 2\n" "id space above the bound"
 
 let test_import_tsv () =
   let path = Filename.temp_file "joinproj" ".tsv" in

@@ -96,8 +96,11 @@ let test_drop_chain () =
    the finding only exists when both files merge into one call graph. *)
 let test_cross_file_chain () =
   let fs =
-    Driver.lint_cmts ~kind:(Ctx.Lib "core") ~selection
-      [ fixture_cmt "bad_capability_drop"; fixture_cmt "bad_drop_cross" ]
+    Driver.lint_cmts ~selection
+      [
+        (Some (Ctx.Lib "core"), fixture_cmt "bad_capability_drop");
+        (Some (Ctx.Lib "core"), fixture_cmt "bad_drop_cross");
+      ]
   in
   Alcotest.(check bool) "cross-file drop found" true
     (List.exists
@@ -139,6 +142,75 @@ let test_stale_suppression () =
     (List.exists
        (fun f -> f.Finding.rule = Ctx.stale_suppression_rule)
        (lint "suppressed_random"))
+
+(* unused-export: the exporting fixture is linted as lib/, its user as
+   whichever tree the case names. *)
+let lint_exports ~user_kind name =
+  Driver.lint_cmts ~selection
+    [
+      (Some (Ctx.Lib "core"), fixture_cmt name);
+      (Some user_kind, fixture_cmt "unused_export_user");
+    ]
+
+let export_findings fs =
+  List.filter_map
+    (fun f ->
+      if f.Finding.rule = "unused-export" && f.Finding.suppressed = None then
+        Some f.Finding.message
+      else None)
+    fs
+
+let test_unused_flagged () =
+  match export_findings (lint_exports ~user_kind:Ctx.Bin "bad_unused_export") with
+  | [ m ] ->
+    Alcotest.(check bool) "dead export named" true
+      (Util.contains_substring m "Bad_unused_export.dead"
+      && Util.contains_substring m "no other unit")
+  | ms -> Alcotest.failf "want one finding, got %d" (List.length ms)
+
+let test_test_only_flagged () =
+  let ms = export_findings (lint_exports ~user_kind:Ctx.Test "bad_unused_export") in
+  Alcotest.(check int) "dead and test-only both flagged" 2 (List.length ms);
+  Alcotest.(check bool) "test-only export named" true
+    (List.exists
+       (fun m ->
+         Util.contains_substring m "Bad_unused_export.tested"
+         && Util.contains_substring m "only test/")
+       ms)
+
+let test_consumer_keeps_live () =
+  List.iter
+    (fun (what, kind) ->
+      Alcotest.(check (list string))
+        (what ^ " use keeps the export live")
+        []
+        (export_findings (lint_exports ~user_kind:kind "ok_unused_export")))
+    [
+      ("bin/", Ctx.classify "bin/joinproj_cli.ml");
+      ("examples/", Ctx.classify "examples/quickstart.ml");
+      ("perfbench/", Ctx.classify "perfbench/main.ml");
+    ];
+  Alcotest.(check int) "alone, the export is flagged" 1
+    (count "unused-export" (lint "ok_unused_export"))
+
+let test_unused_suppressed () =
+  let fs = lint_exports ~user_kind:Ctx.Test "suppressed_unused_export" in
+  let hits = List.filter (fun f -> f.Finding.rule = "unused-export") fs in
+  Alcotest.(check bool) "test-only finding present but suppressed" true
+    (hits <> [] && List.for_all (fun f -> f.Finding.suppressed <> None) hits);
+  Alcotest.(check int) "the allow is live, not stale" 0
+    (count Ctx.stale_suppression_rule fs);
+  (* once a bin/ use makes the export live, the allow on the val is stale
+     and reported against the interface *)
+  match
+    List.filter
+      (fun f -> f.Finding.rule = Ctx.stale_suppression_rule)
+      (lint_exports ~user_kind:Ctx.Bin "suppressed_unused_export")
+  with
+  | [ f ] ->
+    Alcotest.(check bool) "stale allow names the .mli" true
+      (Filename.check_suffix f.Finding.file "suppressed_unused_export.mli")
+  | fs -> Alcotest.failf "want one stale allow, got %d" (List.length fs)
 
 let test_json_v2 () =
   let js = Report.render_json (lint "bad_capability_drop") in
@@ -213,6 +285,13 @@ let suite =
     Alcotest.test_case "capability-drop suppression" `Quick test_drop_suppressed;
     Alcotest.test_case "missing-poll binding suppression" `Quick
       test_poll_suppressed;
+    Alcotest.test_case "unused-export flags an unreferenced export" `Quick
+      test_unused_flagged;
+    Alcotest.test_case "unused-export flags a test-only export" `Quick
+      test_test_only_flagged;
+    Alcotest.test_case "unused-export negative on bin/examples/perfbench uses"
+      `Quick test_consumer_keeps_live;
+    Alcotest.test_case "unused-export suppression" `Quick test_unused_suppressed;
     Alcotest.test_case "stale suppression flagged" `Quick test_stale_suppression;
     Alcotest.test_case "json schema v2 with chains" `Quick test_json_v2;
     Alcotest.test_case "finding order deterministic" `Quick test_ordering;

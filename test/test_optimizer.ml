@@ -3,7 +3,7 @@
    golden strings, so a change to how [Optimizer.prepare] builds (or
    skips) its indexes cannot move a decision, a threshold or a cost. *)
 
-module Relation = Jp_relation.Relation
+module Relation = Testkit.Relation
 module Stats = Jp_relation.Stats
 module Optimizer = Joinproj.Optimizer
 
@@ -129,7 +129,7 @@ let plan_lines (label, r, s) =
   in
   let cost decision ~counts_mode =
     let kind = if counts_mode then Jp_matrix.Cost.Count else Jp_matrix.Cost.Boolean in
-    Optimizer.estimate_cost ~machine ~kind ~counts_mode ~r ~s decision
+    Optimizer.estimate_cost_prepared ~machine ~kind ~counts_mode (Optimizer.prepare ~r ~s) decision
   in
   let part = Optimizer.Partitioned { d1 = 2; d2 = 3 } in
   [

@@ -6,7 +6,7 @@ module Cq = Jp_query.Cq
 module Planner = Jp_query.Planner
 module Engine = Jp_query.Engine
 module Relation = Jp_relation.Relation
-module Tuples = Jp_relation.Tuples
+module Tuples = Testkit.Tuples
 
 let parse_ok s =
   match Cq.parse s with Ok q -> q | Error e -> Alcotest.failf "parse failed: %s" e

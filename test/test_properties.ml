@@ -1,8 +1,8 @@
 (* Cross-cutting property tests: deeper randomized checks on invariants
    that the per-module suites only probe with fixed cases. *)
 
-module Relation = Jp_relation.Relation
-module Pairs = Jp_relation.Pairs
+module Relation = Testkit.Relation
+module Pairs = Testkit.Pairs
 module Sorted = Jp_util.Sorted
 
 let sorted_of_list l = Array.of_list (List.sort_uniq compare l)
@@ -19,14 +19,6 @@ let prop_intersect_many =
       in
       Sorted.intersect_many arrays = expect)
 
-let prop_merge_union_many =
-  QCheck.Test.make ~name:"merge_union_many = set union" ~count:200
-    QCheck.(list_of_size (Gen.int_range 0 5) (small_list (int_bound 30)))
-    (fun lists ->
-      let arrays = List.map sorted_of_list lists in
-      let expect = sorted_of_list (List.concat lists) in
-      Sorted.merge_union_many arrays = expect)
-
 let prop_pairs_union =
   QCheck.Test.make ~name:"Pairs.union = set union of pair lists" ~count:200
     QCheck.(
@@ -42,18 +34,6 @@ let prop_pairs_union =
       in
       let u = Pairs.union (to_pairs la) (to_pairs lb) in
       Pairs.to_list u = List.sort_uniq compare (la @ lb))
-
-let prop_relation_semijoin =
-  QCheck.Test.make ~name:"semijoin_dst = filter on y" ~count:150
-    QCheck.(pair (small_list (pair (int_bound 10) (int_bound 10))) (int_bound 10))
-    (fun (edges, pivot) ->
-      let r = Relation.of_edges ~src_count:11 ~dst_count:11 (Array.of_list edges) in
-      let keep y = y <= pivot in
-      let filtered = Relation.semijoin_dst r keep in
-      let expect =
-        List.sort_uniq compare (List.filter (fun (_, y) -> keep y) edges)
-      in
-      Array.to_list (Relation.to_edges filtered) = expect)
 
 let prop_relation_transpose_involution =
   QCheck.Test.make ~name:"transpose is an involution" ~count:150
@@ -93,7 +73,7 @@ let prop_mmjoin_counts_sum =
         }
       in
       let counted = Joinproj.Two_path.project_counts ~plan ~r ~s () in
-      Jp_relation.Counted_pairs.total_witnesses counted
+      Testkit.Counted_pairs.total_witnesses counted
       = Relation.join_size_on_dst [ r; s ])
 
 let prop_boolean_vs_counted_support =
@@ -112,7 +92,7 @@ let prop_boolean_vs_counted_support =
       in
       let boolean = Joinproj.Two_path.project ~plan ~r ~s () in
       let counted = Joinproj.Two_path.project_counts ~plan ~r ~s () in
-      Pairs.equal boolean (Jp_relation.Counted_pairs.to_pairs counted))
+      Pairs.equal boolean (Testkit.Counted_pairs.to_pairs counted))
 
 let prop_factorized_random =
   QCheck.Test.make ~name:"factorized view = explicit pairs" ~count:60
@@ -148,7 +128,7 @@ let prop_star_monotone_in_thresholds =
         |]
       in
       let reference = Joinproj.Star.project ~thresholds:(1, 1) rels in
-      Jp_relation.Tuples.equal reference
+      Testkit.Tuples.equal reference
         (Joinproj.Star.project ~thresholds:(d1, d2) rels))
 
 let prop_bsi_units_bounded =
@@ -198,7 +178,7 @@ let prop_plan_deterministic =
       let p2 = Optimizer.plan ~r ~s () in
       let prep = Optimizer.prepare ~r ~s in
       let p3 = Optimizer.plan_prepared prep () in
-      let c1 = Optimizer.estimate_cost ~r ~s p1.Optimizer.decision in
+      let c1 = Optimizer.estimate_cost_prepared (Optimizer.prepare ~r ~s) p1.Optimizer.decision in
       let c2 = Optimizer.estimate_cost_prepared prep p1.Optimizer.decision in
       p1 = p2 && p1 = p3
       && p1.Optimizer.est_seconds >= 0.0
@@ -251,7 +231,7 @@ let prop_rows_pass_checked_constructors =
       quad small_int (pair (int_range 1 4) (int_range 1 4)) (oneofl [ 30; 20_000 ])
         (triple (int_range 1 2) bool bool))
     (fun (seed, (d1, d2), nz, (domains, tiled, memoized)) ->
-      let module Counted_pairs = Jp_relation.Counted_pairs in
+      let module Counted_pairs = Testkit.Counted_pairs in
       let module Two_path = Joinproj.Two_path in
       let r = Gen.skewed_relation ~seed:(seed + 14_000) ~nx:40 ~ny:20 ~edges:300 () in
       let s = Gen.random_relation ~seed:(seed + 14_500) ~nx:nz ~ny:20 ~edges:700 () in
@@ -300,12 +280,127 @@ let prop_rows_pass_checked_constructors =
                   (Joinproj.Factorized.build ~thresholds:(d1, d2) ~r ~s ()));
            ])
 
+(* ------------------------------------------------------------------ *)
+(* implementation-independent oracles: relabelling and union splits    *)
+
+module Counted_pairs = Testkit.Counted_pairs
+
+(* R over random or skewed y degrees, S uniform; domains 1 or 3. *)
+let oracle_instance ~seed ~skewed =
+  let r =
+    if skewed then Gen.skewed_relation ~seed:(seed + 21_000) ~nx:30 ~ny:20 ~edges:250 ()
+    else Gen.random_relation ~seed:(seed + 21_000) ~nx:30 ~ny:20 ~edges:250 ()
+  in
+  let s = Gen.random_relation ~seed:(seed + 21_500) ~nx:25 ~ny:20 ~edges:200 () in
+  (r, s)
+
+(* Small instances fall under the 20N rule, so the Two_path calls take a
+   drawn partitioned plan (heavy MM and light merge both run); SSJ plans
+   itself on a dense family that clears the rule. *)
+let oracle_arb =
+  QCheck.(quad small_int bool (oneofl [ 1; 3 ]) (pair (int_range 1 4) (int_range 1 4)))
+
+let partitioned (d1, d2) =
+  {
+    Joinproj.Optimizer.decision = Joinproj.Optimizer.Partitioned { d1; d2 };
+    est_out = 1;
+    join_size = 1;
+    est_seconds = 0.0;
+  }
+
+let permutation g n =
+  let a = Array.init n Fun.id in
+  Jp_util.Rng.shuffle g a;
+  a
+
+let inverse p =
+  let q = Array.make (Array.length p) 0 in
+  Array.iteri (fun i v -> q.(v) <- i) p;
+  q
+
+let relabel r ~px ~py =
+  let edges = ref [] in
+  Relation.iter (fun x y -> edges := (px.(x), py.(y)) :: !edges) r;
+  Relation.of_edges ~src_count:(Relation.src_count r) ~dst_count:(Relation.dst_count r)
+    (Array.of_list !edges)
+
+let prop_relabel_invariant =
+  QCheck.Test.make ~name:"relabelled ids, mapped back, give the same answers" ~count:30
+    oracle_arb
+    (fun (seed, skewed, domains, ds) ->
+      let module Two_path = Joinproj.Two_path in
+      let plan = partitioned ds in
+      let r, s = oracle_instance ~seed ~skewed in
+      let g = Jp_util.Rng.create (seed + 22_000) in
+      let px = permutation g (Relation.src_count r)
+      and pz = permutation g (Relation.src_count s)
+      and py = permutation g (Relation.dst_count r) in
+      let r' = relabel r ~px ~py and s' = relabel s ~px:pz ~py in
+      let ix = inverse px and iz = inverse pz in
+      let pairs ~ix ~iz p =
+        List.sort compare (List.map (fun (x, z) -> (ix.(x), iz.(z))) (Pairs.to_list p))
+      in
+      let counts c =
+        List.sort compare
+          (List.map (fun (x, z, k) -> (ix.(x), iz.(z), k)) (Counted_pairs.triples c))
+      in
+      let ident r = Array.init (Relation.src_count r) Fun.id in
+      let dense = Gen.random_relation ~seed:(seed + 22_500) ~nx:60 ~ny:6 ~edges:360 () in
+      let pd = permutation g 60 and pyd = permutation g 6 in
+      let dense' = relabel dense ~px:pd ~py:pyd in
+      let same_ssj c =
+        let upper p = List.sort compare (List.map (fun (i, j) -> (min i j, max i j)) p) in
+        let id = inverse pd in
+        Pairs.to_list (Jp_ssj.Mm_ssj.join ~domains ~c dense)
+        = upper (pairs ~ix:id ~iz:id (Jp_ssj.Mm_ssj.join ~domains ~c dense'))
+      in
+      pairs ~ix:(ident r) ~iz:(ident s) (Two_path.project ~domains ~plan ~r ~s ())
+      = pairs ~ix ~iz (Two_path.project ~domains ~plan ~r:r' ~s:s' ())
+      && Counted_pairs.triples (Two_path.project_counts ~domains ~plan ~r ~s ())
+         = counts (Two_path.project_counts ~domains ~plan ~r:r' ~s:s' ())
+      && same_ssj 1 && same_ssj 2)
+
+let prop_union_split =
+  QCheck.Test.make ~name:"a split of R: projections union, counts add" ~count:30
+    oracle_arb
+    (fun (seed, skewed, domains, ds) ->
+      let module Two_path = Joinproj.Two_path in
+      let plan = partitioned ds in
+      let r, s = oracle_instance ~seed ~skewed in
+      let g = Jp_util.Rng.create (seed + 23_000) in
+      let half1 = ref [] and half2 = ref [] in
+      Relation.iter
+        (fun x y ->
+          if Jp_util.Rng.bool g then half1 := (x, y) :: !half1 else half2 := (x, y) :: !half2)
+        r;
+      let part edges =
+        Relation.of_edges ~src_count:(Relation.src_count r)
+          ~dst_count:(Relation.dst_count r) (Array.of_list !edges)
+      in
+      let r1 = part half1 and r2 = part half2 in
+      let summed = Hashtbl.create 256 in
+      List.iter
+        (fun ri ->
+          List.iter
+            (fun (x, z, k) ->
+              let prev = Option.value ~default:0 (Hashtbl.find_opt summed (x, z)) in
+              Hashtbl.replace summed (x, z) (prev + k))
+            (Counted_pairs.triples (Two_path.project_counts ~domains ~plan ~r:ri ~s ())))
+        [ r1; r2 ];
+      let summed =
+        List.sort compare (Hashtbl.fold (fun (x, z) k acc -> (x, z, k) :: acc) summed [])
+      in
+      Pairs.equal
+        (Two_path.project ~domains ~plan ~r ~s ())
+        (Pairs.union
+           (Two_path.project ~domains ~plan ~r:r1 ~s ())
+           (Two_path.project ~domains ~plan ~r:r2 ~s ()))
+      && Counted_pairs.triples (Two_path.project_counts ~domains ~plan ~r ~s ()) = summed)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_intersect_many;
-    QCheck_alcotest.to_alcotest prop_merge_union_many;
     QCheck_alcotest.to_alcotest prop_pairs_union;
-    QCheck_alcotest.to_alcotest prop_relation_semijoin;
     QCheck_alcotest.to_alcotest prop_relation_transpose_involution;
     QCheck_alcotest.to_alcotest prop_join_size_consistent;
     QCheck_alcotest.to_alcotest prop_mmjoin_counts_sum;
@@ -319,4 +414,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_plan_deterministic;
     QCheck_alcotest.to_alcotest prop_guard_replan_checksum;
     QCheck_alcotest.to_alcotest prop_rows_pass_checked_constructors;
+    QCheck_alcotest.to_alcotest prop_relabel_invariant;
+    QCheck_alcotest.to_alcotest prop_union_split;
   ]

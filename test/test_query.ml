@@ -1,10 +1,10 @@
-module Cq = Jp_query.Cq
-module Hypergraph = Jp_query.Hypergraph
-module Bag = Jp_query.Bag
+module Cq = Testkit.Cq
+module Hypergraph = Testkit.Hypergraph
+module Bag = Testkit.Bag
 module Yannakakis = Jp_query.Yannakakis
 module Engine = Jp_query.Engine
 module Relation = Jp_relation.Relation
-module Tuples = Jp_relation.Tuples
+module Tuples = Testkit.Tuples
 
 let parse_ok s =
   match Cq.parse s with Ok q -> q | Error e -> Alcotest.failf "parse failed: %s" e

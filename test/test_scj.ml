@@ -1,5 +1,5 @@
 module Relation = Jp_relation.Relation
-module Pairs = Jp_relation.Pairs
+module Pairs = Testkit.Pairs
 module Pretti = Jp_scj.Pretti
 module Limit_plus = Jp_scj.Limit_plus
 module Piejoin = Jp_scj.Piejoin

@@ -79,7 +79,7 @@ let test_cancel_token_inert () =
           ~cancel:(tok ()) ~r ~s:r ()));
   let rels = [| r; r; r |] in
   Alcotest.(check bool) "star" true
-    (Jp_relation.Tuples.equal
+    (Testkit.Tuples.equal
        (Joinproj.Star.project rels)
        (Joinproj.Star.project ~cancel:(tok ()) rels));
   Alcotest.(check bool) "ssj" true

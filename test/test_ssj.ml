@@ -1,5 +1,5 @@
 module Relation = Jp_relation.Relation
-module Pairs = Jp_relation.Pairs
+module Pairs = Testkit.Pairs
 module Size_aware = Jp_ssj.Size_aware
 module Size_aware_pp = Jp_ssj.Size_aware_pp
 module Mm_ssj = Jp_ssj.Mm_ssj
@@ -20,10 +20,10 @@ let brute ~c r =
 (* The reference threshold over a counted self-join: pairs (i, j),
    i < j, with at least [c] witnesses. *)
 let upper_pairs counted ~c =
-  let n = Jp_relation.Counted_pairs.src_count counted in
+  let n = Testkit.Counted_pairs.src_count counted in
   Pairs.of_rows_unchecked
     (Array.init n (fun i ->
-         let zs, cs = Jp_relation.Counted_pairs.row counted i in
+         let zs, cs = Testkit.Counted_pairs.row counted i in
          let keep = ref [] in
          Array.iteri (fun idx j -> if j > i && cs.(idx) >= c then keep := j :: !keep) zs;
          Array.of_list (List.rev !keep)))
@@ -148,7 +148,7 @@ let prop_ssj_entry =
       in
       let guard =
         if guarded then
-          Some (Guard.with_inject (Jp_adaptive.Inject.uniform 0.01) Guard.default)
+          Some (Guard.with_inject (Testkit.Inject.uniform 0.01) Guard.default)
         else None
       in
       let expect = upper_pairs (Mm_ssj.join_counted r) ~c in
@@ -160,7 +160,7 @@ let prop_ssj_entry =
 let test_ssj_shared_cache () =
   let r = Gen.skewed_relation ~seed:17 ~nx:60 ~ny:20 ~edges:900 () in
   let ssj = Mm_ssj.join ~c:2 r and counted = Mm_ssj.join_counted r in
-  let same_counted = Jp_relation.Counted_pairs.equal in
+  let same_counted = Testkit.Counted_pairs.equal in
   let cache = Jp_cache.create () in
   Alcotest.(check bool) "ssj first" true (Pairs.equal ssj (Mm_ssj.join ~cache ~c:2 r));
   Alcotest.(check bool) "then counted" true
@@ -268,50 +268,6 @@ let test_top_k () =
       Alcotest.(check bool) (Printf.sprintf "top %d = prefix" k) true (got = expect))
     [ 0; 1; 5; 17; 100; 100_000 ]
 
-let brute_multi ~c rels =
-  let k = Array.length rels in
-  let acc = ref [] in
-  let rec go i tuple =
-    if i = k then begin
-      let t = Array.of_list (List.rev tuple) in
-      if Jp_ssj.Multi.joint_overlap rels t >= c then acc := Array.to_list t :: !acc
-    end
-    else
-      for a = 0 to Relation.src_count rels.(i) - 1 do
-        go (i + 1) (a :: tuple)
-      done
-  in
-  go 0 [];
-  List.sort compare !acc
-
-let test_multi_way () =
-  let rels =
-    [|
-      Gen.random_relation ~seed:92 ~nx:8 ~ny:10 ~edges:30 ();
-      Gen.random_relation ~seed:93 ~nx:7 ~ny:10 ~edges:28 ();
-      Gen.random_relation ~seed:94 ~nx:6 ~ny:10 ~edges:25 ();
-    |]
-  in
-  List.iter
-    (fun c ->
-      Alcotest.(check (list (list int)))
-        (Printf.sprintf "multi c=%d" c)
-        (brute_multi ~c rels)
-        (Jp_relation.Tuples.to_list (Jp_ssj.Multi.join ~c rels)))
-    [ 1; 2; 3 ]
-
-let test_multi_matches_pairwise () =
-  (* k=2 multi-way = ordinary SSJ over two distinct families *)
-  let r = Gen.random_relation ~seed:95 ~nx:10 ~ny:12 ~edges:40 () in
-  let s = Gen.random_relation ~seed:96 ~nx:9 ~ny:12 ~edges:35 () in
-  let multi = Jp_relation.Tuples.to_list (Jp_ssj.Multi.join ~c:2 [| r; s |]) in
-  let counted = Joinproj.Two_path.project_counts ~r ~s () in
-  let expect = ref [] in
-  Jp_relation.Counted_pairs.iter
-    (fun a b k -> if k >= 2 then expect := [ a; b ] :: !expect)
-    counted;
-  Alcotest.(check (list (list int))) "k=2 agreement" (List.sort compare !expect) multi
-
 let test_c_subsets () =
   let collected = ref [] in
   Jp_ssj.Common.iter_c_subsets [| 1; 2; 3; 4 |] ~c:2 (fun s -> collected := s :: !collected);
@@ -344,8 +300,6 @@ let suite =
     Alcotest.test_case "ordered via counts" `Quick test_ordered_via_counts;
     Alcotest.test_case "ordered via pairs" `Quick test_ordered_via_pairs_matches;
     Alcotest.test_case "top-k ordered" `Quick test_top_k;
-    Alcotest.test_case "multi-way ssj" `Quick test_multi_way;
-    Alcotest.test_case "multi-way k=2" `Quick test_multi_matches_pairwise;
     Alcotest.test_case "c-subsets" `Quick test_c_subsets;
     Alcotest.test_case "binom capped" `Quick test_binom_capped;
   ]

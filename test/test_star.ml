@@ -1,5 +1,5 @@
 module Relation = Jp_relation.Relation
-module Tuples = Jp_relation.Tuples
+module Tuples = Testkit.Tuples
 module Star = Joinproj.Star
 
 let brute rels =
@@ -50,7 +50,7 @@ let test_star2_matches_two_path () =
   let two = Jp_wcoj.Expand.project ~r ~s () in
   Alcotest.(check (list (list int)))
     "k=2 star = 2-path"
-    (List.map (fun (x, z) -> [ x; z ]) (Jp_relation.Pairs.to_list two))
+    (List.map (fun (x, z) -> [ x; z ]) (Testkit.Pairs.to_list two))
     (Tuples.to_list star)
 
 let test_star_self_join () =

@@ -1,5 +1,5 @@
-module Boolmat = Jp_matrix.Boolmat
-module Intmat = Jp_matrix.Intmat
+module Boolmat = Testkit.Boolmat
+module Intmat = Testkit.Intmat
 module Tile = Jp_tile
 module Cancel = Jp_util.Cancel
 

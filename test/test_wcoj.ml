@@ -2,7 +2,7 @@ module Relation = Jp_relation.Relation
 module Leapfrog = Jp_wcoj.Leapfrog
 module Expand = Jp_wcoj.Expand
 module Star = Jp_wcoj.Star
-module Tuples = Jp_relation.Tuples
+module Tuples = Testkit.Tuples
 
 (* regression: k=1 used to loop forever (matches overshot k after emit) *)
 let test_leapfrog_k1_terminates () =
@@ -64,8 +64,8 @@ let test_expand_counts () =
   let r = Relation.of_edges [| (0, 0); (0, 1); (0, 2) |] in
   let s = Relation.of_edges [| (9, 0); (9, 1); (8, 2) |] in
   let c = Expand.project_counts ~r ~s () in
-  Alcotest.(check int) "witnesses (0,9)" 2 (Jp_relation.Counted_pairs.get c 0 9);
-  Alcotest.(check int) "witnesses (0,8)" 1 (Jp_relation.Counted_pairs.get c 0 8)
+  Alcotest.(check int) "witnesses (0,9)" 2 (Testkit.Counted_pairs.get c 0 9);
+  Alcotest.(check int) "witnesses (0,8)" 1 (Testkit.Counted_pairs.get c 0 8)
 
 let prop_expand_counts =
   QCheck.Test.make ~name:"expand counts = brute counts" ~count:60

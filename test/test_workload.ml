@@ -1,4 +1,4 @@
-module Relation = Jp_relation.Relation
+module Relation = Testkit.Relation
 module Zipf = Jp_workload.Zipf
 module Generate = Jp_workload.Generate
 module Presets = Jp_workload.Presets
@@ -14,7 +14,7 @@ let test_zipf_skew () =
   done;
   Alcotest.(check bool) "rank 0 most frequent" true (counts.(0) > counts.(10));
   Alcotest.(check bool) "head heavier than tail" true (counts.(0) > 4 * counts.(50));
-  Alcotest.(check int) "domain" 100 (Zipf.domain z)
+  Alcotest.(check int) "samples stay in the domain" 20_000 (Array.fold_left ( + ) 0 counts)
 
 let test_zipf_determinism () =
   let z = Zipf.create 50 in
@@ -144,13 +144,8 @@ let test_arrivals_validation () =
   Alcotest.check_raises "negative count"
     (Invalid_argument "Arrivals.schedule: count must be >= 0")
     (fun () -> ignore (Arrivals.schedule ~rate:1.0 ~count:(-1) ()));
-  Alcotest.(check bool) "roundtrip fixed" true
-    (Arrivals.process_of_string (Arrivals.process_to_string Arrivals.Fixed_rate)
-     = Some Arrivals.Fixed_rate);
-  Alcotest.(check bool) "roundtrip poisson" true
-    (Arrivals.process_of_string (Arrivals.process_to_string Arrivals.Poisson)
-     = Some Arrivals.Poisson);
-  Alcotest.(check bool) "unknown" true (Arrivals.process_of_string "burst" = None)
+  Alcotest.(check (list string)) "process names" [ "fixed"; "poisson" ]
+    (List.map Arrivals.process_to_string [ Arrivals.Fixed_rate; Arrivals.Poisson ])
 
 let test_arrivals_sweep () =
   let s = Arrivals.sweep ~lo:10.0 ~hi:640.0 ~steps:4 in

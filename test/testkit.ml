@@ -1,0 +1,191 @@
+(* Test-side views of library types: equality, accessors and
+   constructors that only tests need, written on each type's public
+   surface so the library exports nothing for them. *)
+
+module Intmat = struct
+  include Jp_matrix.Intmat
+
+  let get (m : t) i j = m.data.(i).(j)
+
+  let dims (m : t) = (m.rows, m.cols)
+
+  let of_arrays data =
+    let rows = Array.length data in
+    let cols = if rows = 0 then 0 else Array.length data.(0) in
+    let m = create ~rows ~cols in
+    Array.iteri (fun i r -> Array.iteri (fun j v -> set m i j v) r) data;
+    m
+
+  let iter_nonzero (m : t) f =
+    Array.iteri
+      (fun i r -> Array.iteri (fun j v -> if v <> 0 then f i j v) r)
+      m.data
+
+  let equal (a : t) (b : t) = a.rows = b.rows && a.cols = b.cols && a.data = b.data
+end
+
+module Boolmat = struct
+  include Jp_matrix.Boolmat
+
+  let row_list m i =
+    let acc = ref [] in
+    iter_row m i (fun j -> acc := j :: !acc);
+    !acc
+
+  let equal a b =
+    rows a = rows b
+    && cols a = cols b
+    && List.for_all (fun i -> row_list a i = row_list b i) (List.init (rows a) Fun.id)
+end
+
+let strictly_increasing a =
+  let ok = ref true in
+  for i = 1 to Array.length a - 1 do
+    if a.(i - 1) >= a.(i) then ok := false
+  done;
+  !ok
+
+module Pairs = struct
+  include Jp_relation.Pairs
+
+  (* The checked constructor: engine rows must pass it. *)
+  let of_rows rows =
+    Array.iter
+      (fun r ->
+        if not (strictly_increasing r) then
+          invalid_arg "Pairs.of_rows: row not strictly increasing")
+      rows;
+    of_rows_unchecked rows
+
+  let to_list t =
+    let acc = ref [] in
+    iter (fun x z -> acc := (x, z) :: !acc) t;
+    List.rev !acc
+end
+
+module Counted_pairs = struct
+  include Jp_relation.Counted_pairs
+
+  let rows t = Array.init (src_count t) (row t)
+
+  let of_rows rows =
+    Array.iter
+      (fun (zs, counts) ->
+        if Array.length zs <> Array.length counts then
+          invalid_arg "Counted_pairs.of_rows: length mismatch";
+        if not (strictly_increasing zs) then
+          invalid_arg "Counted_pairs.of_rows: row not strictly increasing";
+        Array.iter
+          (fun c -> if c <= 0 then invalid_arg "Counted_pairs.of_rows: count <= 0")
+          counts)
+      rows;
+    of_rows_unchecked rows
+
+  let triples t =
+    let acc = ref [] in
+    iter (fun x z c -> acc := (x, z, c) :: !acc) t;
+    List.rev !acc
+
+  let count t = List.length (triples t)
+
+  let total_witnesses t = List.fold_left (fun acc (_, _, c) -> acc + c) 0 (triples t)
+
+  let get t x z =
+    match List.find_opt (fun (x', z', _) -> x = x' && z = z') (triples t) with
+    | Some (_, _, c) -> c
+    | None -> 0
+
+  let filter_ge t c =
+    of_rows_unchecked
+      (Array.map
+         (fun (zs, counts) ->
+           let keep = List.filter (fun i -> counts.(i) >= c) (List.init (Array.length zs) Fun.id) in
+           ( Array.of_list (List.map (fun i -> zs.(i)) keep),
+             Array.of_list (List.map (fun i -> counts.(i)) keep) ))
+         (rows t))
+
+  let to_pairs t = Jp_relation.Pairs.of_rows_unchecked (Array.map fst (rows t))
+
+  (* The ordered-SSJ enumeration order: decreasing multiplicity, ties by
+     (x, z). *)
+  let sorted_desc t =
+    Array.of_list
+      (List.stable_sort (fun (_, _, a) (_, _, b) -> Int.compare b a) (triples t))
+
+  (* Trailing empty rows do not make two results differ. *)
+  let equal a b = triples a = triples b
+end
+
+module Relation = struct
+  include Jp_relation.Relation
+
+  let mem r a b = a < src_count r && Array.mem b (adj_src r a)
+
+  let to_edges r =
+    let acc = ref [] in
+    iter (fun x y -> acc := (x, y) :: !acc) r;
+    Array.of_list (List.rev !acc)
+
+  (* Same tuple sets and same declared id spaces. *)
+  let equal a b =
+    src_count a = src_count b
+    && dst_count a = dst_count b
+    && to_edges a = to_edges b
+end
+
+module Tuples = struct
+  include Jp_relation.Tuples
+
+  let to_list t =
+    let acc = ref [] in
+    iter (fun tuple -> acc := Array.to_list tuple :: !acc) t;
+    List.sort compare !acc
+
+  let equal a b = count a = count b && to_list a = to_list b
+end
+
+module Inject = struct
+  include Jp_adaptive.Inject
+
+  let uniform f = { out_factor = f; mm_factor = f }
+
+  let mm_only f = { none with mm_factor = f }
+end
+
+module Json = struct
+  include Jp_obs.Json
+
+  let to_list_opt = function List items -> Some items | _ -> None
+
+  let to_int_opt = function Int n -> Some n | _ -> None
+
+  let to_string_opt = function String s -> Some s | _ -> None
+end
+
+module Cq = struct
+  include Jp_query.Cq
+
+  let term_to_string = function Var v -> v | Const k -> string_of_int k
+
+  (* Prints in the concrete syntax [parse] reads back. *)
+  let to_string q =
+    let atom_to_string { relation; args = a, b } =
+      Printf.sprintf "%s(%s, %s)" relation (term_to_string a) (term_to_string b)
+    in
+    Printf.sprintf "Q(%s) :- %s" (String.concat ", " q.head)
+      (String.concat ", " (List.map atom_to_string q.body))
+
+  let equal (a : t) (b : t) = a = b
+end
+
+module Hypergraph = struct
+  include Jp_query.Hypergraph
+
+  let is_acyclic q = join_tree q <> None
+end
+
+module Bag = struct
+  include Jp_query.Bag
+
+  let to_sorted_list t = List.sort compare (List.map Array.to_list (rows t))
+end

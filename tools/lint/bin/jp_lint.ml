@@ -5,25 +5,31 @@
    names, and enforces the repo rules CLAUDE.md states in prose.  Intra
    rules run during the walk; the same traversal harvests per-function
    capability signatures and call edges, and the interprocedural rules
-   (capability-drop, missing-poll) evaluate once over the merged
-   whole-program call graph.  Exit status: 0 clean, 1 unsuppressed
+   (capability-drop, missing-poll, unused-export) evaluate once over the
+   merged whole-program call graph.  Exit status: 0 clean, 1 unsuppressed
    findings, 2 usage error. *)
 
 module Driver = Jp_lint_core.Lint_driver
 module Registry = Jp_lint_core.Lint_registry
 module Report = Jp_lint_core.Lint_report
 
+(* Every tree that consumes lib/: unused-export counts a use from any of
+   them, so the default run and the root dune alias walk all seven. *)
+let default_dirs = [ "lib"; "bin"; "bench"; "test"; "tools"; "examples"; "perfbench" ]
+
 let usage =
-  "jp_lint [options] [dirs...]\n\
-   Lints every .cmt under dirs (default: lib bin bench test tools,\n\
-   resolved relative to the dune build context this runs in).\n\n\
-   \  --json               emit the machine-readable report (schema v2)\n\
-   \  --baseline FILE      demote findings listed in FILE to warnings\n\
-   \  --rules IDS          comma-separated rule ids to run (default all)\n\
-   \  --disable IDS        comma-separated rule ids to skip\n\
-   \  --exclude SUBSTR     skip sources whose path contains SUBSTR (repeatable)\n\
-   \  --show-suppressed    include [@jp.lint.allow]-suppressed findings in text output\n\
-   \  --list-rules         print the rule table and exit\n"
+  Printf.sprintf
+    "jp_lint [options] [dirs...]\n\
+     Lints every .cmt under dirs (default: %s,\n\
+     resolved relative to the dune build context this runs in).\n\n\
+     \  --json               emit the machine-readable report (schema v2)\n\
+     \  --baseline FILE      demote findings listed in FILE to warnings\n\
+     \  --rules IDS          comma-separated rule ids to run (default all)\n\
+     \  --disable IDS        comma-separated rule ids to skip\n\
+     \  --exclude SUBSTR     skip sources whose path contains SUBSTR (repeatable)\n\
+     \  --show-suppressed    include [@jp.lint.allow]-suppressed findings in text output\n\
+     \  --list-rules         print the rule table and exit\n"
+    (String.concat " " default_dirs)
 
 let die msg =
   prerr_string msg;
@@ -81,7 +87,7 @@ let () =
       (Printf.sprintf "jp_lint: unknown rule id(s): %s (try --list-rules)\n"
          (String.concat ", " bad)));
   let dirs =
-    match !dirs with [] -> [ "lib"; "bin"; "bench"; "test"; "tools" ] | ds -> ds
+    match !dirs with [] -> default_dirs | ds -> ds
   in
   (match List.filter (fun d -> not (Sys.file_exists d)) dirs with
   | [] -> ()

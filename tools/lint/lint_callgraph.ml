@@ -47,15 +47,53 @@ type fn = {
   mutable f_guard_poll : bool;
 }
 
+type export = {
+  e_name : string;
+  e_unit : string;
+  e_file : string;
+  e_loc : Location.t;
+  e_allow : Ctx.allow option;
+}
+
+type use = { u_unit : string; u_kind : Ctx.kind; u_file : string }
+
+type unit_facts = {
+  uf_unit : string;
+  uf_file : string;
+  uf_kind : Ctx.kind;
+  uf_fns : fn list;
+  uf_refs : string list;
+  uf_exports : export list;
+}
+
 type program = {
   p_fns : (string, fn) Hashtbl.t;
   p_order : fn list;
+  p_exports : export list;
+  p_uses : (string, use) Hashtbl.t;
 }
 
-let build fns =
+let build units =
+  let fns = List.concat_map (fun u -> u.uf_fns) units in
   let tbl = Hashtbl.create 512 in
   List.iter (fun f -> Hashtbl.replace tbl f.f_name f) fns;
-  { p_fns = tbl; p_order = fns }
+  let uses = Hashtbl.create 4096 in
+  List.iter
+    (fun u ->
+      List.iter
+        (fun name ->
+          Hashtbl.add uses name
+            { u_unit = u.uf_unit; u_kind = u.uf_kind; u_file = u.uf_file })
+        u.uf_refs)
+    units;
+  {
+    p_fns = tbl;
+    p_order = fns;
+    p_exports = List.concat_map (fun u -> u.uf_exports) units;
+    p_uses = uses;
+  }
+
+let uses p name = Hashtbl.find_all p.p_uses name
 
 (* Resolve a callee name recorded at a call site.  Cross-module calls
    are already canonical (demangled, alias-expanded); bare intra-file
@@ -156,6 +194,7 @@ let rec pattern_var : type k. k Typedtree.general_pattern -> string option =
 type harvester = {
   h_hooks : Lint_walk.hooks;
   h_fns : unit -> fn list;
+  h_refs : unit -> string list;
 }
 
 let drop_rule = "capability-drop"
@@ -164,6 +203,7 @@ let poll_rule = "missing-poll"
 
 let harvester ~modname (ctx : Ctx.t) =
   let fns = ref [] in
+  let refs = Hashtbl.create 256 in
   let stack = ref [] in
   let modpath = ref [] in
   let on_binding (vb : Typedtree.value_binding) k =
@@ -204,6 +244,9 @@ let harvester ~modname (ctx : Ctx.t) =
     Fun.protect ~finally:(fun () -> modpath := List.tl !modpath) k
   in
   let on_expr (e : Typedtree.expression) =
+    (match Ctx.ident_of_expr ctx e with
+    | Some n -> Hashtbl.replace refs n ()
+    | None -> ());
     match !stack with
     | [] -> ()
     | f :: _ -> (
@@ -245,4 +288,42 @@ let harvester ~modname (ctx : Ctx.t) =
   {
     h_hooks = { Lint_walk.on_binding; on_module; on_expr };
     h_fns = (fun () -> List.rev !fns);
+    h_refs = (fun () -> Hashtbl.fold (fun n () acc -> n :: acc) refs []);
   }
+
+(* ------------------------------------------------------------------ *)
+(* exports                                                             *)
+
+let unused_rule = "unused-export"
+
+(* Every [val] of an interface, nested signatures included, named by its
+   canonical dotted path.  A [[@@jp.lint.allow "unused-export" ...]] on
+   the [val] is registered with the context (so the stale sweep sees
+   it) and captured unmarked, like the other interprocedural allows. *)
+let exports ~unit_name ~file (ctx : Ctx.t) (sg : Typedtree.signature) =
+  let rec items prefix acc (sg : Typedtree.signature) =
+    List.fold_left
+      (fun acc (item : Typedtree.signature_item) ->
+        match item.sig_desc with
+        | Tsig_value vd ->
+          let allow =
+            List.find_opt
+              (fun (a : Ctx.allow) -> a.Ctx.a_rule = unused_rule)
+              (Ctx.allows_of_attributes ctx vd.val_attributes)
+          in
+          {
+            e_name = prefix ^ "." ^ Ident.name vd.val_id;
+            e_unit = unit_name;
+            e_file = file;
+            e_loc = vd.val_loc;
+            e_allow = allow;
+          }
+          :: acc
+        | Tsig_module
+            { md_id = Some id; md_type = { mty_desc = Tmty_signature sub; _ }; _ }
+          ->
+          items (prefix ^ "." ^ Ident.name id) acc sub
+        | _ -> acc)
+      acc sg.sig_items
+  in
+  List.rev (items unit_name [] sg)

@@ -10,7 +10,12 @@
     [None] because the site omitted them, and whether the site sits
     inside a loop), and whether it polls cancellation or checkpoints a
     guard directly.  Function names are canonical dotted paths
-    ([Joinproj.Two_path.project]) so edges resolve across libraries. *)
+    ([Joinproj.Two_path.project]) so edges resolve across libraries.
+
+    The same walk records every identifier a unit references (aliases
+    resolved), and the driver adds the [val]s of each [lib/] interface,
+    so the [unused-export] rule can match exports against their uses
+    across every linted tree. *)
 
 type cap = Guard | Cancel | Cache | Memo | Tile
 
@@ -50,12 +55,41 @@ type fn = {
       (** calls [Guard.check_budget]/[check_estimate] *)
 }
 
+type export = {
+  e_name : string;  (** canonical dotted path, e.g. [Jp_util.Rng.int] *)
+  e_unit : string;  (** the compilation unit that declares it *)
+  e_file : string;  (** the [.mli] source *)
+  e_loc : Location.t;
+  e_allow : Lint_ctx.allow option;
+      (** [unused-export] suppression on the [val], unmarked *)
+}
+
+type use = {
+  u_unit : string;  (** referencing compilation unit *)
+  u_kind : Lint_ctx.kind;
+  u_file : string;
+}
+
+type unit_facts = {
+  uf_unit : string;  (** demangled unit name, e.g. [Jp_util.Rng] *)
+  uf_file : string;
+  uf_kind : Lint_ctx.kind;
+  uf_fns : fn list;
+  uf_refs : string list;  (** distinct canonical names referenced *)
+  uf_exports : export list;  (** empty unless a [lib/] interface was read *)
+}
+
 type program = {
   p_fns : (string, fn) Hashtbl.t;
   p_order : fn list;  (** harvest order — deterministic iteration *)
+  p_exports : export list;  (** harvest order *)
+  p_uses : (string, use) Hashtbl.t;  (** name → one entry per unit *)
 }
 
-val build : fn list -> program
+val build : unit_facts list -> program
+
+val uses : program -> string -> use list
+(** Every unit that references the canonical name. *)
 
 val resolve : program -> caller:fn -> string -> fn option
 (** Look a callee name up: canonical paths directly, bare intra-file
@@ -76,8 +110,21 @@ val reaches_poll : program -> cap -> fn -> bool
 type harvester = {
   h_hooks : Lint_walk.hooks;
   h_fns : unit -> fn list;  (** harvested nodes, file order *)
+  h_refs : unit -> string list;
+      (** distinct normalized identifiers of the file; bare intra-file
+          names stay bare *)
 }
 
 val harvester : modname:string -> Lint_ctx.t -> harvester
 (** Fresh harvester for one file; [modname] is the demangled [.cmt]
     module name used to qualify the file's bindings. *)
+
+val exports :
+  unit_name:string ->
+  file:string ->
+  Lint_ctx.t ->
+  Typedtree.signature ->
+  export list
+(** The [val]s of an interface, nested [module M : sig ... end]
+    signatures included, in source order.  Allows on a [val] register
+    with the context, so the stale-suppression sweep covers them. *)

@@ -16,12 +16,29 @@ let skip_source ~excludes source =
 (* pass 1: per-file walk — intra findings + signature/callgraph harvest *)
 
 type filed = {
-  fd_ctx : Ctx.t;
-  fd_fns : Lint_callgraph.fn list;
+  fd_ctxs : Ctx.t list;  (** the implementation's, then the interface's *)
+  fd_facts : Lint_callgraph.unit_facts;
 }
 
-let walk_structure ~source ~kind ~has_mli ~modname
+(* The [val]s of a [lib/] unit's interface, read from the [.cmti] beside
+   its [.cmt], with a context of the interface's own so its allows and
+   malformed attributes report against the [.mli]; other trees export
+   nothing the [unused-export] rule checks. *)
+let read_exports ~kind ~modname cmti =
+  match kind with
+  | Ctx.Lib _ -> (
+    match Cmt_format.read_cmt cmti with
+    | exception _ -> None
+    | { cmt_annots = Interface sg; cmt_sourcefile; _ } ->
+      let source = Option.value cmt_sourcefile ~default:cmti in
+      let ctx = Ctx.create ~source ~kind ~has_mli:true in
+      Some (ctx, Lint_callgraph.exports ~unit_name:modname ~file:source ctx sg)
+    | _ -> None)
+  | Ctx.Bin | Ctx.Bench | Ctx.Test | Ctx.Tools | Ctx.Other -> None
+
+let walk_structure ~source ~kind ~cmti ~modname
     ~(selection : Lint_registry.selection) str =
+  let has_mli = Sys.file_exists cmti in
   let ctx = Ctx.create ~source ~kind ~has_mli in
   Lint_walk.collect_aliases ctx str;
   let rules =
@@ -29,9 +46,21 @@ let walk_structure ~source ~kind ~has_mli ~modname
   in
   let h = Lint_callgraph.harvester ~modname ctx in
   Lint_walk.walk ~hooks:h.h_hooks ctx rules str;
-  { fd_ctx = ctx; fd_fns = h.h_fns () }
+  let iface = if has_mli then read_exports ~kind ~modname cmti else None in
+  {
+    fd_ctxs = ctx :: Option.to_list (Option.map fst iface);
+    fd_facts =
+      {
+        uf_unit = modname;
+        uf_file = source;
+        uf_kind = kind;
+        uf_fns = h.h_fns ();
+        uf_refs = h.h_refs ();
+        uf_exports = (match iface with Some (_, es) -> es | None -> []);
+      };
+  }
 
-let walk_cmt ?kind ?(excludes = default_excludes) ~selection path =
+let walk_cmt ?kind ~excludes ~selection path =
   match Cmt_format.read_cmt path with
   | exception _ -> None
   | info -> (
@@ -45,9 +74,9 @@ let walk_cmt ?kind ?(excludes = default_excludes) ~selection path =
       if skip then None
       else
         let kind = match kind with Some k -> k | None -> Ctx.classify source in
-        let has_mli = Sys.file_exists (Filename.remove_extension path ^ ".cmti") in
+        let cmti = Filename.remove_extension path ^ ".cmti" in
         let modname = Ctx.demangle info.cmt_modname in
-        Some (walk_structure ~source ~kind ~has_mli ~modname ~selection str)
+        Some (walk_structure ~source ~kind ~cmti ~modname ~selection str)
     | _ -> None)
 
 (* ------------------------------------------------------------------ *)
@@ -61,14 +90,14 @@ let stale_sweep ~(selection : Lint_registry.selection) fileds =
       || List.exists (fun (g : Lint_global.t) -> g.gid = rule) selection.interproc
     in
     List.concat_map
-      (fun fd ->
+      (fun (ctx : Ctx.t) ->
         List.filter_map
           (fun (a : Ctx.allow) ->
             if a.a_used || not (enabled a.a_rule) then None
             else
               let pos = a.a_loc.Location.loc_start in
               Some
-                (F.v ~rule:Ctx.stale_suppression_rule ~file:fd.fd_ctx.Ctx.source
+                (F.v ~rule:Ctx.stale_suppression_rule ~file:ctx.Ctx.source
                    ~line:pos.Lexing.pos_lnum
                    ~col:(pos.Lexing.pos_cnum - pos.Lexing.pos_bol)
                    ~message:
@@ -79,13 +108,11 @@ let stale_sweep ~(selection : Lint_registry.selection) fileds =
                      "the justified violation is gone — delete the attribute \
                       (or fix the rule id) so suppressions stay honest"
                    ~suppressed:None ()))
-          fd.fd_ctx.Ctx.allows)
-      fileds
+          ctx.Ctx.allows)
+      (List.concat_map (fun fd -> fd.fd_ctxs) fileds)
 
 let finish ~(selection : Lint_registry.selection) fileds =
-  let program =
-    Lint_callgraph.build (List.concat_map (fun fd -> fd.fd_fns) fileds)
-  in
+  let program = Lint_callgraph.build (List.map (fun fd -> fd.fd_facts) fileds) in
   let interproc =
     List.concat_map
       (fun (g : Lint_global.t) -> g.grun program)
@@ -95,7 +122,9 @@ let finish ~(selection : Lint_registry.selection) fileds =
      sweep must run after. *)
   let stale = stale_sweep ~selection fileds in
   let intra =
-    List.concat_map (fun fd -> List.rev fd.fd_ctx.Ctx.findings) fileds
+    List.concat_map
+      (fun fd -> List.concat_map (fun (c : Ctx.t) -> List.rev c.Ctx.findings) fd.fd_ctxs)
+      fileds
   in
   let keep (f : F.t) =
     if f.rule = Ctx.bad_suppression_rule then
@@ -108,14 +137,16 @@ let finish ~(selection : Lint_registry.selection) fileds =
 (* ------------------------------------------------------------------ *)
 (* entry points                                                        *)
 
-let lint_cmts ?kind ?(excludes = default_excludes) ~selection paths =
+let lint_cmts ?(excludes = default_excludes) ~selection files =
   let fileds =
-    List.filter_map (fun p -> walk_cmt ?kind ~excludes ~selection p) paths
+    List.filter_map
+      (fun (kind, p) -> walk_cmt ?kind ~excludes ~selection p)
+      files
   in
   finish ~selection fileds
 
 let lint_cmt ?kind ?(excludes = default_excludes) ~selection path =
-  lint_cmts ?kind ~excludes ~selection [ path ]
+  lint_cmts ~excludes ~selection [ (kind, path) ]
 
 let rec find_cmts acc dir =
   match Sys.readdir dir with
@@ -131,4 +162,4 @@ let rec find_cmts acc dir =
 
 let lint_dirs ?(excludes = default_excludes) ~selection dirs =
   let cmts = List.sort String.compare (List.fold_left find_cmts [] dirs) in
-  lint_cmts ~excludes ~selection cmts
+  lint_cmts ~excludes ~selection (List.map (fun p -> (None, p)) cmts)

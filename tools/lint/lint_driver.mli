@@ -31,13 +31,14 @@ val lint_cmt :
     findings. *)
 
 val lint_cmts :
-  ?kind:Lint_ctx.kind ->
   ?excludes:string list ->
   selection:Lint_registry.selection ->
-  string list ->
+  (Lint_ctx.kind option * string) list ->
   Lint_finding.t list
 (** Lint several [.cmt] files as one program — interprocedural edges
-    resolve across all of them. *)
+    and export uses resolve across all of them.  Each file carries its
+    own optional kind override, as in {!lint_cmt}, so a fixture test can
+    place an exporting module in [lib/] and its user in [test/]. *)
 
 val lint_dirs :
   ?excludes:string list ->

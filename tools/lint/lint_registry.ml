@@ -11,7 +11,8 @@ let all =
     Rule_wall_clock.rule;
   ]
 
-let global = [ Rule_capability_drop.rule; Rule_missing_poll.rule ]
+let global =
+  [ Rule_capability_drop.rule; Rule_missing_poll.rule; Rule_unused_export.rule ]
 
 (* Meta rules are emitted by the suppression machinery itself (malformed
    attributes, allows that suppress nothing) rather than by a walk hook;
