@@ -311,7 +311,10 @@ let intmat_tag : Intmat.t tag = tag "two_path.count_mm"
 let boolmat_bytes m =
   (Boolmat.rows m * ((Boolmat.cols m + 61) / 62) * 8) + 64
 
-let intmat_bytes (m : Intmat.t) = (m.Intmat.rows * m.Intmat.cols * 8) + 64
+(* The cells actually stored: n² for a full product, n(n−1)/2 for a
+   triangle. *)
+let intmat_bytes (m : Intmat.t) =
+  (Array.fold_left (fun n row -> n + Array.length row) 0 m.Intmat.data * 8) + 64
 
 (* L1/L2 build-or-fetch.  The builder runs outside the lock (which covers
    only find/put), so two concurrent misses may both build; the second

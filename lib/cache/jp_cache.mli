@@ -146,8 +146,9 @@ val two_path_memo :
     pair.  Products are keyed on thresholds but not on [domains] or the
     tile configuration: [Jp_tile] produces identical matrices for any
     worker count, tile cap and budget, so one entry serves them all.  A
-    count product's key also carries [upper], so [ssj]'s half-zero
-    triangle is never served to [project_counts]. *)
+    count product's key also carries [upper], so [ssj]'s triangle is
+    never served to [project_counts].  A count product is charged the
+    cells it stores: n² for a full one, n(n−1)/2 for a triangle. *)
 
 (** {1 L3 result bindings (consumed by [Jp_service])} *)
 

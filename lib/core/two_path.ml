@@ -82,9 +82,10 @@ let bool_product ?cancel ?checkpoint ~tile ~memo ~domains ~r ~s
 (* The count product A·Bᵀ over bit-packed rows (62 multiply-adds per
    word op): A rows are x's heavy-y bitsets, B rows are z's heavy-y
    bitsets — S⁺ transposed, [heavy_z] rows over [y_index].  [upper]
-   computes only the strict upper triangle of A·Aᵀ (a self-join, where
-   B is A), under its own memo key: a shared cache must never hand the
-   half-zero matrix to a caller that wants the full one. *)
+   computes and stores only the strict upper triangle of A·Aᵀ (a
+   self-join, where B is A), under its own memo key: a shared cache
+   must never hand the triangle to a caller that wants the full
+   matrix. *)
 let count_product ?cancel ?checkpoint ~upper ~tile ~memo ~domains ~r ~s
     (p : Partition.t) =
   memo.memo_count_product ~d1:p.d1 ~upper (fun () ->
@@ -106,70 +107,84 @@ let heavy_product ?(domains = 1) ~r ~s p =
 (* Boolean (dedup-only) evaluation                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* For heavy y values, pre-split S's inverted list into its light-z and
-   heavy-z halves once (O(N)); the per-x merge loop would otherwise rescan
-   whole inverted lists just to filter them, degenerating to the full join
-   when few values are light. *)
-let split_heavy_s ~s (p : Partition.t) =
-  let ny = Relation.dst_count s in
-  let s_light_of_heavy_y = Array.make ny [||] in
-  let s_heavy_of_heavy_y = Array.make ny [||] in
+(* The heavy part a partitioned merge joins besides the light lists:
+   the matrix product M{R⁺}·M{S⁺}, or (combinatorial strategy) each
+   heavy y's heavy-z list, expanded per heavy x. *)
+type heavy_part = Product of Boolmat.t | Expansion of int array array
+
+(* For heavy y values, S's inverted list restricted to its light-z half
+   ([light]) or its heavy-z half, built once (O(N)): the per-x merge
+   loop would otherwise rescan whole inverted lists just to filter them,
+   degenerating to the full join when few values are light.  A heavy
+   y's light-z list holds no id with a product column. *)
+let heavy_y_lists ~s (p : Partition.t) ~light =
+  let lists = Array.make (Relation.dst_count s) [||] in
   Array.iter
     (fun b ->
-      let light = Vec.create () and heavy = Vec.create () in
+      let keep = Vec.create () in
       Array.iter
         (fun c ->
-          if Relation.deg_src s c <= p.d2 then Vec.push light c
-          else Vec.push heavy c)
+          if Bool.equal (Relation.deg_src s c <= p.d2) light then Vec.push keep c)
         (Relation.adj_dst s b);
-      s_light_of_heavy_y.(b) <- Vec.to_array light;
-      s_heavy_of_heavy_y.(b) <- Vec.to_array heavy)
+      lists.(b) <- Vec.to_array keep)
     p.heavy_y;
-  (s_light_of_heavy_y, s_heavy_of_heavy_y)
+  lists
 
 (* The merged per-x loop over rows [lo, hi): light contributions from
-   R- |><| S and R |><| S-, heavy contributions from the matrix product
-   (or from a heavy-restricted expansion for the combinatorial strategy),
-   all deduplicated by the worker's row accumulator [acc], whose rows
-   come out sorted.  Returns the number of pairs produced — the
-   observed-output statistic guard checkpoints extrapolate from. *)
-let merge_range ~acc ~r ~s ~(p : Partition.t) ~product ~s_light_of_heavy_y
-    ~s_heavy_of_heavy_y ~rows lo hi =
+   R- |><| S and R |><| S-, plus the heavy part.  A heavy x with a
+   product row is a split row of [acc]: the product row seeds its
+   columns (one per heavy z, copied word by word), light ids with a
+   column set it, and only light z are stamped; the row comes out as a
+   merge of the two disjoint sorted halves.  Every other row (light x,
+   or the combinatorial expansion) is deduplicated by the stamps alone.
+   Returns the number of pairs produced — the observed-output statistic
+   guard checkpoints extrapolate from. *)
+let merge_range ~acc ~r ~s ~(p : Partition.t) ~heavy ~s_light_of_heavy_y ~rows
+    lo hi =
   let obs = Obs.recording () in
   let light_scans = ref 0 and presented = ref 0 and produced = ref 0 in
+  let count zs =
+    if obs then begin
+      light_scans := !light_scans + Array.length zs;
+      presented := !presented + Array.length zs
+    end
+  in
   for a = lo to hi - 1 do
-    Row_acc.start acc;
-    let scan zs =
-      if obs then begin
-        light_scans := !light_scans + Array.length zs;
-        presented := !presented + Array.length zs
-      end;
-      Row_acc.add_all acc zs
-    in
+    (match heavy with
+    | Product m when p.x_index.(a) >= 0 ->
+      let seeded =
+        Row_acc.start_split acc ~index:p.z_index ~heavy:p.heavy_z
+          (Boolmat.row m p.x_index.(a))
+      in
+      if obs then presented := !presented + seeded
+    | Product _ | Expansion _ -> Row_acc.start acc);
     let a_light = Relation.deg_src r a <= p.d2 in
     Array.iter
       (fun b ->
-        if a_light || Partition.is_light_y p b then
-          scan (Relation.adj_dst s b)
-        else
+        if a_light || Partition.is_light_y p b then begin
+          let zs = Relation.adj_dst s b in
+          count zs;
+          Row_acc.add_all acc zs
+        end
+        else begin
           (* heavy a, heavy b: only the S- tuples (light z) are
-             joined here; heavy z is the matrix part's job *)
-          scan s_light_of_heavy_y.(b))
+             joined here; heavy z is the heavy part's job *)
+          let zs = s_light_of_heavy_y.(b) in
+          count zs;
+          Row_acc.add_light acc zs
+        end)
       (Relation.adj_src r a);
-    (match product with
-    | Some m ->
-      let i = p.x_index.(a) in
-      if i >= 0 then begin
-        if obs then presented := !presented + Boolmat.row_nnz m i;
-        Boolmat.iter_row m i (fun l -> Row_acc.add acc p.heavy_z.(l))
-      end
-    | None ->
-      if not a_light then
-        Array.iter
-          (fun b ->
-            if not (Partition.is_light_y p b) then
-              scan s_heavy_of_heavy_y.(b))
-          (Relation.adj_src r a));
+    (match heavy with
+    | Expansion s_heavy_of_heavy_y when not a_light ->
+      Array.iter
+        (fun b ->
+          if not (Partition.is_light_y p b) then begin
+            let zs = s_heavy_of_heavy_y.(b) in
+            count zs;
+            Row_acc.add_all acc zs
+          end)
+        (Relation.adj_src r a)
+    | Expansion _ | Product _ -> ());
     let row = Row_acc.emit acc in
     produced := !produced + Array.length row;
     rows.(a) <- row
@@ -327,10 +342,14 @@ let execute ?cancel ~tile ~g ~prep ~replan ~domains ~strategy ~memo ~phases ~r
     let resume =
       phase phases "light-merge" (fun () ->
           Obs.span "two_path.light_merge" (fun () ->
-              let s_light_of_heavy_y, s_heavy_of_heavy_y = split_heavy_s ~s p in
+              let heavy =
+                match product with
+                | Some m -> Product m
+                | None -> Expansion (heavy_y_lists ~s p ~light:false)
+              in
+              let s_light_of_heavy_y = heavy_y_lists ~s p ~light:true in
               let merge acc lo hi =
-                merge_range ~acc ~r ~s ~p ~product ~s_light_of_heavy_y
-                  ~s_heavy_of_heavy_y ~rows lo hi
+                merge_range ~acc ~r ~s ~p ~heavy ~s_light_of_heavy_y ~rows lo hi
               in
               if domains > 1 then begin
                 (* Worker domains race past any sequential checkpoint, so
@@ -506,10 +525,15 @@ let upper_rows ~c =
 
 (* The count merge over every x: the witnesses of its light y values
    plus its row of the heavy count product, summed per z, since a
-   pair's witnesses can be split between light and heavy y values.
-   Without a [heavy] (partition, product) every y is light: Wcoj plans,
-   the combinatorial heavy part and the cell-cap fallback.  Returns the
-   frozen rows and the number of pairs met before the sink's threshold. *)
+   pair's witnesses can be split between light and heavy y values.  A
+   heavy x's row is a counting split row of [acc]: the stored product
+   row (for [upper], the triangle's cells past the diagonal) seeds the
+   heavy-z counts, light witnesses of a heavy z add to its column, and
+   only light z are stamped; the sink's emit thresholds both halves and
+   merges them.  Without a [heavy] (partition, product) every y is
+   light: Wcoj plans, the combinatorial heavy part and the cell-cap
+   fallback.  Returns the frozen rows and the number of pairs met
+   before the sink's threshold. *)
 let count_merge ~sink ?cancel ~domains ~r ~s heavy =
   Obs.span "two_path.count_merge" (fun () ->
       let nx = Relation.src_count r in
@@ -524,7 +548,14 @@ let count_merge ~sink ?cancel ~domains ~r ~s heavy =
         let obs = Obs.recording () in
         let light_scans = ref 0 and presented = ref 0 and misses = ref 0 in
         for a = lo to hi - 1 do
-          Row_acc.start acc;
+          (match heavy with
+          | Some ((p : Partition.t), m) when p.x_index.(a) >= 0 ->
+            let seeded =
+              Row_acc.start_split_counts acc ~index:p.z_index ~heavy:p.heavy_z
+                (Intmat.row m p.x_index.(a))
+            in
+            if obs then presented := !presented + seeded
+          | Some _ | None -> Row_acc.start acc);
           Array.iter
             (fun b ->
               if all_light || light_y.(b) then begin
@@ -539,20 +570,6 @@ let count_merge ~sink ?cancel ~domains ~r ~s heavy =
                 Row_acc.add_witnesses_from acc zs from
               end)
             (Relation.adj_src r a);
-          (match heavy with
-          | Some (p, m) ->
-            let i = p.x_index.(a) in
-            if i >= 0 then begin
-              let counts = Intmat.row m i in
-              for l = (if sink.upper then i + 1 else 0) to Array.length counts - 1 do
-                let k = counts.(l) in
-                if k > 0 then begin
-                  if obs then Stdlib.incr presented;
-                  Row_acc.add_count acc p.heavy_z.(l) k
-                end
-              done
-            end
-          | None -> ());
           misses := !misses + Row_acc.size acc;
           rows.(a) <- sink.emit acc
         done;

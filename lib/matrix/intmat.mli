@@ -12,9 +12,17 @@ type t = private { data : int array array; rows : int; cols : int }
 
 val create : rows:int -> cols:int -> t
 
+val create_upper : int -> t
+(** [create_upper n] is an all-zeros strict upper triangle of an n×n
+    matrix: row [i] stores only the cells of columns [i+1 .. n-1], at
+    positions [0 .. n-i-2], so the triangle holds n(n−1)/2 cells.  Its
+    {!row}s are read through that offset; {!set} and {!mul} index stored
+    positions and are meant for full matrices. *)
+
 val set : t -> int -> int -> int -> unit
 
 val row : t -> int -> int array
-(** The backing array of a row (shared, not copied). *)
+(** The backing array of a row (shared, not copied): every column of a
+    full matrix, the columns past the diagonal of a triangle. *)
 
 val mul : ?domains:int -> t -> t -> t

@@ -13,11 +13,13 @@
       reproducible for a fixed input; wall-clock {e values} are the only
       nondeterminism, and tests inject a fake clock through
       [snapshot ?now].
-    - {b Chunk granularity}: never observe per tuple.  Hot loops use a
-      {!Local} accumulator and publish once per chunk/phase; jp_lint's
+    - {b Chunk granularity}: never observe per tuple.  Every [lib/]
+      recording happens once per query or phase.  A hot loop that had to
+      record values would observe into a {!Local} accumulator and publish
+      once per chunk/phase; no [lib/] loop does yet.  jp_lint's
       [hot-poll] rule flags {!observe}/{!set_gauge}/{!add_gauge}/
       {!snapshot} at loop depth >= 2 (the {!Local.observe} call is
-      exempt — accumulating locally is the approved pattern). *)
+      exempt, as that in-loop form). *)
 
 (** {1 Histogram data structure}
 

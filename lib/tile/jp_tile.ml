@@ -348,13 +348,16 @@ let tile_empty m =
    [upper] computes only the strict upper triangle of a·aᵀ ([b] is
    [a]): output tiles below the diagonal are not scheduled, diagonal
    tiles only compute columns past their row, and both sides of a
-   product read the same operand-store slots.  Cells on and below the
-   diagonal stay 0. *)
+   product read the same operand-store slots.  The result is an
+   {!Intmat.create_upper} triangle: row r stores only the cells past the
+   diagonal, column c at position c - r - 1. *)
 let count_body ~upper ~domains ?cancel ?checkpoint cfg (a : Source.t)
     (b : Source.t) =
   Obs.span (if upper then "tile.count_upper" else "tile.count_product") (fun () ->
       let u = a.Source.rows and v = a.Source.cols and w = b.Source.rows in
-      let result = Intmat.create ~rows:u ~cols:w in
+      let result =
+        if upper then Intmat.create_upper u else Intmat.create ~rows:u ~cols:w
+      in
       let ts, kt = fit cfg ~domains ~col_width:Fun.id ~upper ~u ~v ~w in
       let t_i = blocks u ts and t_k = blocks v kt and t_j = blocks w ts in
       if t_i = 0 || t_j = 0 then result
@@ -404,11 +407,14 @@ let count_body ~upper ~domains ?cancel ?checkpoint cfg (a : Source.t)
                       let arow = Boolmat.row at i in
                       if not (Bitset.is_empty arow) then begin
                         let dst = Intmat.row result (r0 + i) in
+                        (* column c0 + l of the result row; a triangle row
+                           starts past its diagonal cell *)
+                        let off = if upper then c0 - (r0 + i + 1) else c0 in
                         let l0 = if diagonal then i + 1 else 0 in
                         words := !words + ((tw - l0) * Bitset.payload_words kw);
                         for l = l0 to tw - 1 do
                           let n = Bitset.inter_count arow (Boolmat.row bt l) in
-                          if n > 0 then dst.(c0 + l) <- dst.(c0 + l) + n
+                          if n > 0 then dst.(off + l) <- dst.(off + l) + n
                         done
                       end
                     done

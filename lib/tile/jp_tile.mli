@@ -110,8 +110,9 @@ val count_upper :
   Source.t ->
   Intmat.t
 (** [count_upper cfg a] with [a : u×v] is the strict upper triangle of
-    [a·aᵀ]: cell (i, l) for l > i equals [Boolmat.count_product a a]'s,
-    and every cell on or below the diagonal is 0.  The same tiles and
+    [a·aᵀ], stored as one ({!Intmat.create_upper}, u(u−1)/2 cells, not
+    u²): row i holds only the columns l > i, at position l − i − 1, and
+    cell (i, l) equals [Boolmat.count_product a a]'s.  The same tiles and
     shape as {!count_product}, but output tiles below the diagonal are
     never scheduled, diagonal tiles compute only the columns past their
     row, and both sides of the product share one operand tile per

@@ -74,6 +74,17 @@ let union_into_at ~dst off src =
       (Array.unsafe_get d (wi + w) lor Array.unsafe_get s w)
   done
 
+let blit_count t dst =
+  let s = t.words in
+  if Array.length dst < Array.length s then invalid_arg "Bitset.blit_count";
+  let c = ref 0 in
+  for w = 0 to Array.length s - 1 do
+    let x = Array.unsafe_get s w in
+    Array.unsafe_set dst w x;
+    c := !c + popcount x
+  done;
+  !c
+
 let inter_count a b =
   check_widths a b "inter_count";
   let c = ref 0 in

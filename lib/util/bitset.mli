@@ -44,6 +44,13 @@ val union_into_at : dst:t -> int -> t -> unit
     boolean product: a tile row merges into whole words of the full
     result row without per-bit iteration. *)
 
+val blit_count : t -> int array -> int
+(** [blit_count t dst] copies [t]'s backing words, the spare trailing
+    one included, to the front of [dst] and returns {!count}[ t], in one
+    pass.  [dst] must hold [payload_words width + 1] words; raises
+    [Invalid_argument] otherwise.  Seeds a scratch row from a shared
+    matrix row without writing the matrix. *)
+
 val inter_count : t -> t -> int
 (** Population count of the intersection, without materializing it. *)
 

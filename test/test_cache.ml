@@ -152,6 +152,30 @@ let test_memo_and_view_invalidation () =
   Alcotest.(check int) "no-op update is silent" inv
     (Cache.stats c).Cache.invalidations
 
+(* A count product is charged the cells it stores: n² for a full
+   product of side n, n(n−1)/2 for the SSJ triangle, plus the 64-byte
+   header either way. *)
+let test_count_product_bytes () =
+  let n = 40 in
+  let m = Jp_matrix.Boolmat.create ~rows:n ~cols:8 in
+  for i = 0 to n - 1 do
+    Jp_matrix.Boolmat.set m i (i mod 8)
+  done;
+  let src = Jp_tile.Source.of_boolmat m and tile = Jp_tile.config () in
+  let charged ~upper build =
+    let c = Cache.create () in
+    let r = Relation.of_edges [| (0, 0) |] in
+    let memo = Cache.two_path_memo c ~r ~s:r in
+    ignore (memo.Joinproj.Two_path.memo_count_product ~d1:1 ~upper build);
+    (Cache.stats c).Cache.bytes
+  in
+  Alcotest.(check int) "triangle"
+    ((n * (n - 1) / 2 * 8) + 64)
+    (charged ~upper:true (fun () -> Jp_tile.count_upper tile src));
+  Alcotest.(check int) "full product"
+    ((n * n * 8) + 64)
+    (charged ~upper:false (fun () -> Jp_tile.count_product tile src src))
+
 (* One cached prepared value read by two domains at once: it is
    immutable (nothing is forced on first use), so both plan exactly what
    a fresh [prepare] plans.  A value the 20N rule decided is charged a
@@ -329,6 +353,8 @@ let suite =
     Alcotest.test_case "invalidate / clear" `Quick test_invalidate;
     Alcotest.test_case "memo + view invalidation" `Quick
       test_memo_and_view_invalidation;
+    Alcotest.test_case "count products charged their stored cells" `Quick
+      test_count_product_bytes;
     Alcotest.test_case "prepared value shared across domains" `Quick
       test_prepared_across_domains;
     Alcotest.test_case "service hit path" `Quick test_service_hit_path;

@@ -259,6 +259,191 @@ let test_plan_info () =
   Alcotest.(check bool) "count positive" true (Pairs.count pairs > 0);
   Alcotest.(check bool) "plan join size positive" true (plan.Optimizer.join_size > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Split heavy-x rows: product columns and light lists meet per z      *)
+
+module Counted_pairs = Testkit.Counted_pairs
+
+(* Appends a fixed gadget past the ids of [r] and [s].  At d1 in [2, 4]
+   and d2 in [1, 4]:
+   - x_m (heavy) meets heavy z_h through the product (heavy y_h) and
+     through light lists (y_l and one more), and light z_l through y_l:
+     light and heavy z in one row, and light-y lists reaching a heavy z;
+   - x_e (heavy) reaches only heavy y_e, whose S-side z all have degree
+     1: its boolean product row is empty;
+   - for the self-join of the returned R: light y_s = {x_m, f} with f a
+     heavy x above x_m, and light y_t = {x_m, x_t} with x_t adjacent to
+     light y only, so x_m's upper row meets a heavy and a light z.  The
+     last heavy x of any triangle has an empty product row. *)
+let with_gadget r s =
+  let nx = Relation.src_count r and nz = Relation.src_count s in
+  let y0 = max (Relation.dst_count r) (Relation.dst_count s) in
+  let x_m = nx and x_e = nx + 1 and x_t = nx + 12 in
+  let z_h = nz and z_l = nz + 1 in
+  let y_h = y0 and y_e = y0 + 1 and y_l = y0 + 2 and y_s = y0 + 11 and y_t = y0 + 12 in
+  let span a n = List.init n (fun i -> a + i) in
+  let r_gadget =
+    List.map (fun x -> (x, y_h)) (x_m :: span (nx + 2) 5)
+    @ List.map (fun x -> (x, y_e)) (x_e :: span (nx + 7) 5)
+    @ List.map (fun y -> (x_m, y)) [ y_l; y0 + 3; y0 + 4; y0 + 5 ]
+    @ List.map (fun y -> (x_e, y)) (span (y0 + 6) 4)
+    @ [ (x_m, y_s); (nx + 2, y_s); (x_m, y_t); (x_t, y_t) ]
+  in
+  let s_gadget =
+    List.map (fun z -> (z, y_h)) (z_h :: span (nz + 2) 5)
+    @ List.map (fun z -> (z, y_e)) (span (nz + 7) 6)
+    @ [ (z_h, y_l); (z_l, y_l) ]
+    @ List.map (fun y -> (z_h, y)) [ y0 + 3; y0 + 4; y0 + 10 ]
+  in
+  let extend rel extra ~src_count =
+    let edges = ref extra in
+    Relation.iter (fun a b -> edges := (a, b) :: !edges) rel;
+    Relation.of_edges ~src_count ~dst_count:(y0 + 13) (Array.of_list !edges)
+  in
+  (extend r r_gadget ~src_count:(nx + 13), extend s s_gadget ~src_count:(nz + 13))
+
+(* The gadget's rows are what [with_gadget] says at every threshold the
+   property below draws. *)
+let test_gadget_cases () =
+  let r0 = Gen.random_relation ~seed:1 ~nx:40 ~ny:20 ~edges:400 () in
+  let s0 = Gen.random_relation ~seed:2 ~nx:30 ~ny:20 ~edges:300 () in
+  let r, s = with_gadget r0 s0 in
+  let x_m = 40 and x_e = 41 and z_h = 30 and z_l = 31 and y_l = 22 in
+  for d1 = 2 to 4 do
+    for d2 = 1 to 4 do
+      let p = Partition.make ~r ~s ~d1 ~d2 () in
+      let name what = Printf.sprintf "d1=%d d2=%d: %s" d1 d2 what in
+      let row x = p.x_index.(x) in
+      Alcotest.(check bool) (name "x_m, x_e heavy rows") true (row x_m >= 0 && row x_e >= 0);
+      Alcotest.(check bool) (name "z_h a column, z_l not") true
+        (p.z_index.(z_h) >= 0 && p.z_index.(z_l) < 0);
+      Alcotest.(check bool) (name "y_l light") true (Partition.is_light_y p y_l);
+      let m = Two_path.heavy_product ~r ~s p in
+      Alcotest.(check bool) (name "x_m's product row holds z_h") true
+        (Jp_matrix.Boolmat.mem m (row x_m) p.z_index.(z_h));
+      Alcotest.(check int) (name "x_e's product row is empty") 0
+        (Jp_matrix.Boolmat.row_nnz m (row x_e))
+    done
+  done
+
+(* A memo that builds each product once and keeps a digest of every row
+   taken right after the build; [unchanged ()] checks that no merge has
+   written a memoized product since. *)
+let recording_memo () =
+  let digest_rows n row = Array.init n (fun i -> Digest.string (Marshal.to_string (row i) [])) in
+  let bool_digest m =
+    digest_rows (Jp_matrix.Boolmat.rows m) (Testkit.Boolmat.row_list m)
+  in
+  let count_digest (m : Jp_matrix.Intmat.t) =
+    digest_rows m.Jp_matrix.Intmat.rows (Jp_matrix.Intmat.row m)
+  in
+  let bools = ref [] and counts = ref [] in
+  let remember table key digest build =
+    match List.assoc_opt key !table with
+    | Some (m, _) -> m
+    | None ->
+      let m = build () in
+      table := (key, (m, digest m)) :: !table;
+      m
+  in
+  let memo =
+    {
+      Two_path.memo_prepared = (fun build -> build ());
+      memo_bool_product =
+        (fun ~d1 ~d2 build -> remember bools (d1, d2) bool_digest build);
+      memo_count_product =
+        (fun ~d1 ~upper build ->
+          remember counts (d1, Bool.to_int upper) count_digest build);
+    }
+  in
+  let unchanged () =
+    List.for_all (fun (_, (m, d)) -> bool_digest m = d) !bools
+    && List.for_all (fun (_, (m, d)) -> count_digest m = d) !counts
+  in
+  (memo, unchanged)
+
+(* The z > x pairs of the counted self-join with at least [c] witnesses. *)
+let ssj_oracle r ~c =
+  let counts = Jp_wcoj.Expand.project_counts ~r ~s:r () in
+  Pairs.of_rows_unchecked
+    (Array.init (Relation.src_count r) (fun x ->
+         let zs, ks = Counted_pairs.row counts x in
+         let keep = ref [] in
+         Array.iteri (fun i z -> if z > x && ks.(i) >= c then keep := z :: !keep) zs;
+         Array.of_list (List.rev !keep)))
+
+let prop_split_invisible =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (triple small_nat bool (oneofl [ 1; 3 ]))
+        (triple (int_range 2 4) (int_range 1 4) (oneofl [ 4; 6; 11 ])))
+  in
+  let print ((seed, skewed, domains), (d1, d2, bits)) =
+    Printf.sprintf "seed=%d skewed=%b domains=%d d1=%d d2=%d bits=%d" seed skewed
+      domains d1 d2 bits
+  in
+  QCheck.Test.make ~name:"split heavy rows: results equal Expand, memo untouched"
+    ~count:40 (QCheck.make ~print gen)
+    (fun ((seed, skewed, domains), (d1, d2, bits)) ->
+      let r0 =
+        if skewed then Gen.skewed_relation ~seed:(seed + 31_000) ~nx:40 ~ny:20 ~edges:400 ()
+        else Gen.random_relation ~seed:(seed + 31_000) ~nx:40 ~ny:20 ~edges:400 ()
+      in
+      let s0 = Gen.random_relation ~seed:(seed + 31_500) ~nx:30 ~ny:20 ~edges:300 () in
+      let r, s = with_gadget r0 s0 in
+      let plan = forced_plan d1 d2 and tile = Jp_tile.config ~tile_bits:bits () in
+      let memo, unchanged = recording_memo () in
+      let ssj_memo, ssj_unchanged = recording_memo () in
+      let twice f =
+        let a = f () in
+        (a, f ())
+      in
+      let p1, p2 = twice (fun () -> Two_path.project ~domains ~plan ~memo ~tile ~r ~s ()) in
+      let c1, c2 =
+        twice (fun () -> Two_path.project_counts ~domains ~plan ~memo ~tile ~r ~s ())
+      in
+      let expect = Jp_wcoj.Expand.project ~r ~s () in
+      let expect_counts = Jp_wcoj.Expand.project_counts ~r ~s () in
+      let same_ssj c =
+        let a, b = twice (fun () -> Two_path.ssj ~domains ~plan ~memo:ssj_memo ~c r) in
+        let oracle = ssj_oracle r ~c in
+        Pairs.equal a oracle && Pairs.equal b oracle
+      in
+      Pairs.equal p1 expect && Pairs.equal p2 expect
+      && Counted_pairs.equal c1 expect_counts
+      && Counted_pairs.equal c2 expect_counts
+      && same_ssj 1 && same_ssj 2 && same_ssj 3 && unchanged () && ssj_unchanged ())
+
+(* The work counters one call records: light probes, boolean and count
+   MM word ops, stamp misses (= pairs produced) and stamp hits
+   (= presented - produced). *)
+let work_counters f =
+  Jp_obs.reset ();
+  Jp_obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Jp_obs.disable ();
+      Jp_obs.reset ())
+    (fun () ->
+      ignore (f ());
+      List.map Jp_obs.value
+        Jp_obs.C.[ light_probes; mm_bool_word_ops; mm_count_word_ops; stamp_misses; stamp_hits ])
+
+(* Splitting heavy rows by column changes how rows are assembled, not
+   how much work they take: on a fixed dense family each merge records
+   the same counters as the per-bit merge it replaced. *)
+let test_split_work_counters () =
+  let r = Gen.skewed_relation ~seed:71 ~nx:300 ~ny:60 ~edges:6000 () in
+  let s = Gen.skewed_relation ~seed:72 ~nx:280 ~ny:60 ~edges:5600 () in
+  let check name expect f = Alcotest.(check (list int)) name expect (work_counters f) in
+  check "project" [ 263730; 6225; 0; 83988; 212492 ] (fun () ->
+      Two_path.project ~plan:(forced_plan 40 12) ~r ~s ());
+  check "project_counts" [ 50480; 0; 84000; 83988; 50470 ] (fun () ->
+      Two_path.project_counts ~plan:(forced_plan 60 0) ~r ~s ());
+  check "ssj" [ 26712; 0; 44850; 44842; 26702 ] (fun () ->
+      Two_path.ssj ~plan:(forced_plan 60 0) ~c:2 r)
+
 let suite =
   [
     Alcotest.test_case "partition classification" `Quick test_partition_classification;
@@ -280,4 +465,7 @@ let suite =
     Alcotest.test_case "optimizer dense partition" `Quick test_optimizer_picks_partition_on_dense;
     Alcotest.test_case "theoretical thresholds" `Quick test_theoretical_thresholds;
     Alcotest.test_case "plan info" `Quick test_plan_info;
+    Alcotest.test_case "split gadget has its cases" `Quick test_gadget_cases;
+    QCheck_alcotest.to_alcotest prop_split_invisible;
+    Alcotest.test_case "split rows keep the work counters" `Quick test_split_work_counters;
   ]

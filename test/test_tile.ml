@@ -202,8 +202,10 @@ let prop_matches_reference =
            (Boolmat.count_product a bt)
            (Tile.count_product ~domains c (src a) (src bt)))
 
-(* The strict upper triangle of the Boolmat count reference: cell (i, l)
-   for l > i, zero on and below the diagonal. *)
+(* The strict upper triangle of the Boolmat count reference, as a full
+   matrix: cell (i, l) for l > i, zero on and below the diagonal.
+   [count_upper]'s triangle is read against it cell by cell through
+   [Intmat.upper_get]. *)
 let upper_reference a =
   let full = Boolmat.count_product a a in
   let n = Boolmat.rows a in
@@ -232,8 +234,15 @@ let prop_upper_matches_reference =
       let budget_bytes = if tiny then Some 2048 else None in
       let c = cfg ?budget_bytes ~tile_bits:bits () in
       let a = random_boolmat (seed + 40) ~rows:u ~cols:v ~density:0.15 in
-      Intmat.equal (upper_reference a)
-        (Tile.count_upper ~domains c (Tile.Source.of_boolmat a)))
+      let expect = upper_reference a in
+      let got = Tile.count_upper ~domains c (Tile.Source.of_boolmat a) in
+      Intmat.dims got = Intmat.dims expect
+      && List.for_all
+           (fun i ->
+             List.for_all
+               (fun l -> Intmat.upper_get got i l = Intmat.get expect i l)
+               (List.init u Fun.id))
+           (List.init u Fun.id))
 
 (* Under a budget inner blocks are as wide as the tile side, and a block
    whose A or B tile is empty adds nothing: it must be skipped, an empty

@@ -94,8 +94,17 @@ let prop_bitset_matches_model =
         Array.to_list (Array.of_seq (Seq.filter (fun i -> model.(i))
           (Seq.init width (fun i -> i))))
       in
+      (* [blit_count]'s copy holds the model's bits and no others, and
+         its count is the population *)
+      let dst = Array.make (Bitset.payload_words width + 1) (-1) in
+      let copied = Bitset.blit_count b dst in
       bits b = model_list
-      && Bitset.count b = List.length model_list)
+      && Bitset.count b = List.length model_list
+      && copied = List.length model_list
+      && List.for_all
+           (fun i -> Bool.equal ((dst.(i / 62) lsr (i mod 62)) land 1 = 1) model.(i))
+           (List.init width Fun.id)
+      && dst.(Bitset.payload_words width) = 0)
 
 let sorted_of_list l =
   let a = Array.of_list l in
@@ -190,7 +199,8 @@ let prop_row_acc_emit =
           let ids = acc_row_ids g kind in
           Row_acc.start acc;
           Array.iteri
-            (fun i z -> if i mod 2 = 0 then Row_acc.add acc z else Row_acc.add_all acc [| z |])
+            (fun i z ->
+              if i mod 2 = 0 then Row_acc.add_light acc [| z |] else Row_acc.add_all acc [| z |])
             (acc_presentations g ids);
           Array.to_list (Row_acc.emit acc) = List.sort_uniq compare ids)
         [ acc_kinds.(k); acc_kinds.(seed mod 4) ])
@@ -210,8 +220,7 @@ let prop_row_acc_counts =
             (fun z ->
               let w = 1 + Rng.int g 5 in
               Hashtbl.replace expect z (w + Option.value ~default:0 (Hashtbl.find_opt expect z));
-              if w = 1 then Row_acc.add_witnesses acc [| z |]
-              else Row_acc.add_count acc z w)
+              Row_acc.add_witnesses acc (Array.make w z))
             (acc_presentations g ids);
           let zs, cs = Row_acc.emit_counts acc in
           Array.to_list zs = List.sort_uniq compare ids
@@ -221,7 +230,7 @@ let prop_row_acc_counts =
 
 (* [emit_ge c] keeps exactly the ids [emit_counts] gives at least [c]
    witnesses, with witnesses added as sorted-list suffixes
-   ([add_witnesses_from]) and as explicit counts. *)
+   ([add_witnesses_from]) and as runs of repeated witnesses. *)
 let prop_row_acc_emit_ge =
   QCheck.Test.make ~name:"Row_acc.emit_ge = emit_counts filtered at c" ~count:200
     QCheck.(triple small_int (int_bound 3) (int_range 1 4))
@@ -237,7 +246,7 @@ let prop_row_acc_emit_ge =
       let fill () =
         Row_acc.start acc;
         List.iter (fun (zs, from) -> Row_acc.add_witnesses_from acc zs from) lists;
-        List.iter (fun (z, w) -> Row_acc.add_count acc z w) extra
+        List.iter (fun (z, w) -> Row_acc.add_witnesses acc (Array.make w z)) extra
       in
       fill ();
       let zs, cs = Row_acc.emit_counts acc in
@@ -245,10 +254,119 @@ let prop_row_acc_emit_ge =
       fill ();
       Array.to_list (Row_acc.emit_ge acc c) = expect)
 
+(* Split rows.  A case draws an ascending column set [heavy] over the
+   domain (the product's heavy z), its first held column, a seed row over
+   the held columns, and lists that mix ids with a held column and ids
+   without one.  Two cases run on one pair of accumulators with their
+   roles swapped, so each accumulator emits a split row next to a plain
+   one and neither may leak into the other. *)
+let split_case g =
+  let heavy = Array.of_list (List.sort_uniq compare (acc_row_ids g acc_kinds.(Rng.int g 4))) in
+  let w = Array.length heavy in
+  let index = Array.make acc_nz (-1) in
+  Array.iteri (fun l z -> index.(z) <- l) heavy;
+  let first = Rng.int g (w + 1) in
+  let held = List.filter (fun _ -> Rng.bool g) (List.init (w - first) (fun k -> first + k)) in
+  let list () =
+    Array.of_list
+      (List.sort_uniq compare
+         (List.filter
+            (fun z -> index.(z) < 0 || index.(z) >= first)
+            (acc_row_ids g acc_kinds.(Rng.int g 4)
+            @ List.filter (fun _ -> Rng.int g 3 = 0) (Array.to_list heavy))))
+  in
+  let lists = List.init (Rng.int g 5) (fun _ -> list ()) in
+  let light =
+    List.init (Rng.int g 3) (fun _ ->
+        Array.of_list (List.filter (fun z -> index.(z) < 0) (Array.to_list (list ()))))
+  in
+  (heavy, index, first, held, lists, light)
+
+let prop_row_acc_split =
+  QCheck.Test.make ~name:"Row_acc split row = plain row of the same ids" ~count:200
+    QCheck.small_int
+    (fun seed ->
+      let g = Rng.create (seed + 1700) in
+      let a = Row_acc.create acc_nz and b = Row_acc.create acc_nz in
+      List.for_all
+        (fun (plain, split) ->
+          let heavy, index, _, held, lists, light = split_case g in
+          let row = Jp_util.Bitset.create (Array.length heavy) in
+          List.iter (Jp_util.Bitset.set row) held;
+          Row_acc.start plain;
+          Row_acc.add_all plain (Array.of_list (List.map (fun l -> heavy.(l)) held));
+          List.iter (Row_acc.add_all plain) (lists @ light);
+          let seeded = Row_acc.start_split split ~index ~heavy row in
+          List.iter (Row_acc.add_all split) lists;
+          List.iter (Row_acc.add_light split) light;
+          seeded = List.length held
+          && Row_acc.size split = Row_acc.size plain
+          && Row_acc.emit split = Row_acc.emit plain)
+        [ (a, b); (b, a) ])
+
+(* The counting split: the seed row holds the counts of columns
+   [first, w), and [emit_counts] / [emit_ge c] equal a plain row's given
+   each seed count as that many witnesses. *)
+let prop_row_acc_split_counts =
+  QCheck.Test.make ~name:"Row_acc counting split row = plain counted row" ~count:200
+    QCheck.(pair small_int (int_range 1 4))
+    (fun (seed, c) ->
+      let g = Rng.create (seed + 2100) in
+      let a = Row_acc.create ~counts:true acc_nz
+      and b = Row_acc.create ~counts:true acc_nz in
+      List.for_all
+        (fun (plain, split) ->
+          let heavy, index, first, held, lists, light = split_case g in
+          let w = Array.length heavy in
+          let row = Array.make (w - first) 0 in
+          List.iter (fun l -> row.(l - first) <- 1 + Rng.int g 4) held;
+          let froms = List.map (fun zs -> Rng.int g (Array.length zs + 1)) (lists @ light) in
+          let fill acc seeded =
+            seeded ();
+            List.iter2 (Row_acc.add_witnesses_from acc) (lists @ light) froms
+          in
+          let plain_row () =
+            Row_acc.start plain;
+            Array.iteri
+              (fun k n -> Row_acc.add_witnesses plain (Array.make n heavy.(first + k)))
+              row
+          in
+          let split_row () =
+            ignore (Row_acc.start_split_counts split ~index ~heavy row)
+          in
+          fill plain plain_row;
+          fill split split_row;
+          let same_size = Row_acc.size split = Row_acc.size plain in
+          let same_counts = Row_acc.emit_counts split = Row_acc.emit_counts plain in
+          fill plain plain_row;
+          fill split split_row;
+          same_size && same_counts && Row_acc.emit_ge split c = Row_acc.emit_ge plain c)
+        [ (a, b); (b, a) ])
+
+(* A counting split row holds only the columns its seed row covers: a
+   witness for an earlier column is refused, not dropped. *)
+let test_row_acc_split_bounds () =
+  let acc = Row_acc.create ~counts:true 100 in
+  let heavy = [| 10; 20; 30 |] in
+  let index = Array.make 100 (-1) in
+  Array.iteri (fun l z -> index.(z) <- l) heavy;
+  Alcotest.(check int) "seeded" 1 (Row_acc.start_split_counts acc ~index ~heavy [| 0; 2 |]);
+  Row_acc.add_witnesses acc [| 5; 20; 30 |];
+  let zs, cs = Row_acc.emit_counts acc in
+  check "ids" [ 5; 20; 30 ] (Array.to_list zs);
+  check "counts" [ 1; 1; 3 ] (Array.to_list cs);
+  ignore (Row_acc.start_split_counts acc ~index ~heavy [| 0; 2 |]);
+  Alcotest.check_raises "column below the seed row"
+    (Invalid_argument "Row_acc.add_witnesses_from: column not held") (fun () ->
+      Row_acc.add_witnesses acc [| 10 |]);
+  Alcotest.check_raises "seed row wider than the columns"
+    (Invalid_argument "Row_acc.start_split_counts: row wider than heavy") (fun () ->
+      ignore (Row_acc.start_split_counts acc ~index ~heavy [| 0; 0; 0; 0 |]))
+
 let test_row_acc_no_leak () =
   let acc = Row_acc.create ~counts:true 200 in
   Row_acc.start acc;
-  List.iter (fun z -> Row_acc.add_count acc z 5) [ 3; 61; 62; 199 ];
+  List.iter (fun z -> Row_acc.add_witnesses acc (Array.make 5 z)) [ 3; 61; 62; 199 ];
   check "first row" [ 3; 61; 62; 199 ] (Array.to_list (Row_acc.emit acc));
   (* same words, other bits: nothing of the first row may survive *)
   Row_acc.start acc;
@@ -258,14 +376,14 @@ let test_row_acc_no_leak () =
   check "second row counts" [ 2; 1; 1 ] (Array.to_list cs);
   (* a row abandoned before emit leaves nothing behind either *)
   Row_acc.start acc;
-  List.iter (Row_acc.add acc) [ 0; 100 ];
+  Row_acc.add_all acc [| 0; 100 |];
   Row_acc.start acc;
   check "empty row" [] (Array.to_list (Row_acc.emit acc));
   Row_acc.start acc;
-  Row_acc.add acc 100;
+  Row_acc.add_all acc [| 100 |];
   check "fresh row after abandon" [ 100 ] (Array.to_list (Row_acc.emit acc));
   Alcotest.check_raises "id outside the domain"
-    (Invalid_argument "index out of bounds") (fun () -> Row_acc.add acc 200)
+    (Invalid_argument "index out of bounds") (fun () -> Row_acc.add_all acc [| 200 |])
 
 let test_rng_determinism () =
   let a = Rng.create 123 and b = Rng.create 123 in
@@ -390,6 +508,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_row_acc_counts;
     QCheck_alcotest.to_alcotest prop_row_acc_emit_ge;
     Alcotest.test_case "row_acc rows do not leak" `Quick test_row_acc_no_leak;
+    QCheck_alcotest.to_alcotest prop_row_acc_split;
+    QCheck_alcotest.to_alcotest prop_row_acc_split_counts;
+    Alcotest.test_case "row_acc split columns are bounded" `Quick test_row_acc_split_bounds;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
     QCheck_alcotest.to_alcotest prop_intsort;

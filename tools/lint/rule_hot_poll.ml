@@ -4,7 +4,8 @@ let id = "hot-poll"
    recordings are priced for chunk/phase granularity; at loop depth >= 2
    they are per-tuple.  Jp_metrics.Local.observe is deliberately absent:
    accumulating into a domain-local histogram inside the loop and
-   publishing once at the boundary is the approved pattern. *)
+   publishing once at the boundary is the in-loop form the rule allows
+   (no lib/ loop records a histogram value yet). *)
 let poll_functions =
   [
     "Jp_util.Cancel.is_cancelled";
