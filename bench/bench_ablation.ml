@@ -25,7 +25,7 @@
                statistics and heavy-part products, and the end-to-end
                speedup on a Zipf-repeated served workload where repeats
                hit the whole-result level (own tag, CI smoke);
-   ABL-OBS     the observability/metrics stack (Jp_obs + Jp_metrics):
+   ABL-OBS     the observability stack (Jp_obs):
                cost of recording armed but nothing exported — spans,
                counters, latency histograms, gauges and per-query
                snapshots all live — vs recording off, on the bare
@@ -558,7 +558,8 @@ let obs cfg =
     "live but nothing exported (target: <2%% over recording off); the";
   Bench_common.note
     "engine columns price span/counter gating, the served columns add the";
-  Bench_common.note "full Jp_metrics path — same |OUT| in every cell."
+  Bench_common.note
+    "histogram, gauge and snapshot path — same |OUT| in every cell."
 
 let cq cfg =
   Bench_common.section
@@ -640,7 +641,7 @@ let load cfg =
     "ABL-LOAD: open-loop saturation sweep, overload controller vs bare queue";
   let module Service = Jp_service in
   let module Arrivals = Jp_workload.Arrivals in
-  let module Hist = Jp_metrics.Hist in
+  let module Hist = Jp_obs.Hist in
   let r = Bench_common.dataset cfg Presets.Jokes in
   let distinct = 8 in
   let n = Relation.src_count r in

@@ -69,39 +69,6 @@ let counter_delta before after =
       if v - v0 <> 0 then Some (name, v - v0) else None)
     after
 
-(* The [counters] delta drops zero entries, so consumers watching cache
-   behaviour would see the cache.* keys flicker in and out of the record.
-   Summarize them in a dedicated, always-present object (old fields stay
-   exactly as they were). *)
-let cache_summary counters =
-  let open Jp_obs.Json in
-  let get n = Option.value ~default:0 (List.assoc_opt n counters) in
-  Obj
-    [
-      ("hit", Int (get "cache.hit"));
-      ("miss", Int (get "cache.miss"));
-      ("evict", Int (get "cache.evict"));
-      ("reject", Int (get "cache.reject"));
-      ("invalidate", Int (get "cache.invalidate"));
-      ("bytes", Int (get "cache.bytes"));
-    ]
-
-(* Same always-present treatment for the tile.* counters: [peak_bytes]
-   is the cell's high-water resident-set mark under the tile store's
-   byte budget, the headline number of the memory-bounded kernels. *)
-let tile_summary counters =
-  let open Jp_obs.Json in
-  let get n = Option.value ~default:0 (List.assoc_opt n counters) in
-  Obj
-    [
-      ("build", Int (get "tile.build"));
-      ("store_hit", Int (get "tile.store_hit"));
-      ("evict", Int (get "tile.evict"));
-      ("product", Int (get "tile.product"));
-      ("bytes", Int (get "tile.bytes"));
-      ("peak_bytes", Int (get "tile.peak_bytes"));
-    ]
-
 (* Exact nearest-rank quantile over the per-repeat times — the sample is
    tiny (repeats runs), so no bucketing, just a sort. *)
 let run_quantile q dts =
@@ -120,9 +87,7 @@ let emit_record ?checksum ~label ~seconds ~runs counters =
       ("p95", Float (run_quantile 0.95 runs));
       ("p99", Float (run_quantile 0.99 runs)) ]
     @ (match checksum with Some c -> [ ("checksum", Int c) ] | None -> [])
-    @ [ ("counters", Obj (List.map (fun (n, v) -> (n, Int v)) counters));
-        ("cache", cache_summary counters);
-        ("tile", tile_summary counters) ]
+    @ [ ("counters", Obj (List.map (fun (n, v) -> (n, Int v)) counters)) ]
   in
   json_records := Obj fields :: !json_records
 

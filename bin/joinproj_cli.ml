@@ -247,11 +247,10 @@ let join_cmd =
       Jp_util.Timer.time (fun () ->
           match engine with
           | `Mm ->
-            let pairs, plan =
-              Two_path.project_with_plan_info ~domains ?guard ?tile ~r ~s:r ()
-            in
+            let plan = Optimizer.plan ~domains ~r ~s:r () in
             print_endline (Optimizer.explain plan);
-            Jp_relation.Pairs.count pairs
+            Jp_relation.Pairs.count
+              (Two_path.project ~domains ~plan ?guard ?tile ~r ~s:r ())
           | `Nonmm ->
             warn_tile "the combinatorial heavy part";
             Jp_relation.Pairs.count
@@ -448,6 +447,18 @@ let write_text ~what path content =
     Printf.eprintf "joinproj: cannot write %s: %s\n" what msg;
     exit 1
 
+(* --metrics-out / --trace-out, shared by profile, serve and stress. *)
+let write_exports ~metrics_out ~trace_out =
+  Option.iter
+    (fun path ->
+      write_text ~what:"OpenMetrics exposition" path (Jp_obs.exposition ()))
+    metrics_out;
+  Option.iter
+    (fun path ->
+      write_text ~what:"Chrome trace" path
+        (Jp_obs.Json.to_string (Jp_obs.chrome_trace ())))
+    trace_out
+
 (* Shared by profile, serve and stress. *)
 let trace_out_arg =
   Arg.(
@@ -498,7 +509,6 @@ let profile_cmd =
     | `Star -> ()
     | `Join | `Ssj | `Scj | `Bsi -> print_explain ~domains r);
     Jp_obs.reset ();
-    Jp_metrics.reset ();
     Jp_obs.enable ();
     let label, count, t =
       Fun.protect ~finally:Jp_obs.disable (fun () ->
@@ -540,14 +550,7 @@ let profile_cmd =
     print_string (Jp_obs.render_counters ());
     print_newline ();
     print_string (Jp_obs.render_plans ());
-    (match trace_out with
-    | None -> ()
-    | Some path ->
-      write_text ~what:"Chrome trace" path (Jp_metrics.chrome_trace_string ()));
-    match metrics_out with
-    | None -> ()
-    | Some path ->
-      write_text ~what:"OpenMetrics exposition" path (Jp_metrics.exposition ())
+    write_exports ~metrics_out ~trace_out
   in
   Cmd.v
     (Cmd.info "profile"
@@ -816,7 +819,6 @@ let run_service ~name ~input ~scale ~seed ~domains ~nq ~workers ~queue_cap
     ~open_loop ~rate ~sweep ~arrivals ~no_ctl ~metrics_out ~trace_out =
   let r = load_source name input scale seed in
   Jp_obs.reset ();
-  Jp_metrics.reset ();
   Jp_obs.enable ();
   let engine_of, engine_code, count_of, sub_of =
     service_workload ~seed ~domains ~nq ~skew ~flavour r
@@ -878,7 +880,7 @@ let run_service ~name ~input ~scale ~seed ~domains ~nq ~workers ~queue_cap
       [ "rate"; "sub"; "ok"; "hit"; "shed"; "qfull"; "expired"; "deadline";
         "cancel"; "fail"; "p50"; "p95"; "p99"; "goodput" ]
     in
-    let module Hist = Jp_metrics.Hist in
+    let module Hist = Jp_obs.Hist in
     let rows =
       Array.to_list rates
       |> List.map (fun rate ->
@@ -964,14 +966,7 @@ let run_service ~name ~input ~scale ~seed ~domains ~nq ~workers ~queue_cap
     (match cache with
     | None -> ()
     | Some c -> Format.printf "\n%a@." Jp_cache.pp_stats (Jp_cache.stats c));
-    (match metrics_out with
-    | None -> ()
-    | Some path ->
-      write_text ~what:"OpenMetrics exposition" path (Jp_metrics.exposition ()));
-    (match trace_out with
-    | None -> ()
-    | Some path ->
-      write_text ~what:"Chrome trace" path (Jp_metrics.chrome_trace_string ()));
+    write_exports ~metrics_out ~trace_out;
     let spawned = Jp_obs.value Jp_obs.C.service_workers_spawned in
     let joined = Jp_obs.value Jp_obs.C.service_workers_joined in
     Jp_obs.disable ();
@@ -1041,7 +1036,7 @@ let run_service ~name ~input ~scale ~seed ~domains ~nq ~workers ~queue_cap
      base-√2 ladder as the service histograms: quantiles are bucket upper
      bounds, so the table's shape (and, for a fixed seed, its bucket
      placement) is deterministic even though raw times vary. *)
-  let module Hist = Jp_metrics.Hist in
+  let module Hist = Jp_obs.Hist in
   let outcome_keys =
     [ "ok"; "ok (cache hit)"; "overloaded"; "shed"; "expired"; "deadline";
       "cancelled"; "failed" ]
@@ -1100,14 +1095,7 @@ let run_service ~name ~input ~scale ~seed ~domains ~nq ~workers ~queue_cap
            [ k; string_of_int (Hist.count h); cell h 0.50; cell h 0.95;
              cell_max h ])
          by_outcome);
-  (match metrics_out with
-  | None -> ()
-  | Some path ->
-    write_text ~what:"OpenMetrics exposition" path (Jp_metrics.exposition ()));
-  (match trace_out with
-  | None -> ()
-  | Some path ->
-    write_text ~what:"Chrome trace" path (Jp_metrics.chrome_trace_string ()));
+  write_exports ~metrics_out ~trace_out;
   let spawned = Jp_obs.value Jp_obs.C.service_workers_spawned in
   let joined = Jp_obs.value Jp_obs.C.service_workers_joined in
   Jp_obs.disable ();

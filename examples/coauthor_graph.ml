@@ -16,7 +16,9 @@ let () =
     ch.Presets.tuples ch.Presets.sets ch.Presets.dom;
   (* The co-author view through MMJoin... *)
   let (coauthors, plan), t =
-    Jp_util.Timer.time (fun () -> Joinproj.Two_path.project_with_plan_info ~r ~s:r ())
+    Jp_util.Timer.time (fun () ->
+        let plan = Joinproj.Optimizer.plan ~r ~s:r () in
+        (Joinproj.Two_path.project ~plan ~r ~s:r (), plan))
   in
   Printf.printf "co-author graph: %d directed edges in %s (%s)\n"
     (Jp_relation.Pairs.count coauthors)

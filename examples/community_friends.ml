@@ -15,7 +15,9 @@ let () =
   Printf.printf "N = %d edges; full join |OUT_join| = %s tuples\n" n
     (Jp_util.Tablefmt.big_int join_size);
   let (pairs, plan), t_mm =
-    Jp_util.Timer.time (fun () -> Joinproj.Two_path.project_with_plan_info ~r ~s:r ())
+    Jp_util.Timer.time (fun () ->
+        let plan = Joinproj.Optimizer.plan ~r ~s:r () in
+        (Joinproj.Two_path.project ~plan ~r ~s:r (), plan))
   in
   Printf.printf "|OUT| after projection = %s pairs (%.1fx smaller)\n"
     (Jp_util.Tablefmt.big_int (Jp_relation.Pairs.count pairs))

@@ -20,7 +20,8 @@ let () =
   in
   (* Self-join: which x pairs share a y?  The planner decides between the
      worst-case-optimal join and the matrix algorithm (Algorithm 3). *)
-  let pairs, plan = Two_path.project_with_plan_info ~r ~s:r () in
+  let plan = Optimizer.plan ~r ~s:r () in
+  let pairs = Two_path.project ~plan ~r ~s:r () in
   print_endline ("plan: " ^ Optimizer.explain plan);
   Printf.printf "|OUT| = %d pairs\n" (Jp_relation.Pairs.count pairs);
   Jp_relation.Pairs.iter (fun x z -> if x < z then Printf.printf "  (%d, %d)\n" x z) pairs;
@@ -30,7 +31,9 @@ let () =
       ~min_size:1 ~max_size:200 ~element_exponent:0.8 ()
   in
   let (mm, plan), t_mm =
-    Jp_util.Timer.time (fun () -> Two_path.project_with_plan_info ~r:big ~s:big ())
+    Jp_util.Timer.time (fun () ->
+        let plan = Optimizer.plan ~r:big ~s:big () in
+        (Two_path.project ~plan ~r:big ~s:big (), plan))
   in
   let comb, t_comb =
     Jp_util.Timer.time (fun () ->

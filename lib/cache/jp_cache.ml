@@ -4,7 +4,6 @@ module Intmat = Jp_matrix.Intmat
 module Optimizer = Joinproj.Optimizer
 module Two_path = Joinproj.Two_path
 module Obs = Jp_obs
-module Metrics = Jp_metrics
 module Timer = Jp_util.Timer
 
 type config = { budget_bytes : int; admit_seconds_per_mb : float }
@@ -124,8 +123,7 @@ let misses_seen t key =
 let drop_entry t e =
   Hashtbl.remove t.table e.e_key;
   t.bytes <- t.bytes - e.e_bytes;
-  Obs.add Obs.C.cache_bytes (-e.e_bytes);
-  Metrics.add_gauge Metrics.G.cache_bytes (-e.e_bytes);
+  Obs.add Obs.G.cache_bytes (-e.e_bytes);
   List.iter
     (fun fp ->
       match Hashtbl.find_opt t.by_fp fp with
@@ -191,8 +189,7 @@ let insert t ~key ~fps ~bytes ~cost_s value =
   t.seq <- t.seq + 1;
   Hashtbl.replace t.table key e;
   t.bytes <- t.bytes + bytes;
-  Obs.add Obs.C.cache_bytes bytes;
-  Metrics.add_gauge Metrics.G.cache_bytes bytes;
+  Obs.add Obs.G.cache_bytes bytes;
   List.iter
     (fun fp ->
       match Hashtbl.find_opt t.by_fp fp with
@@ -265,8 +262,7 @@ let invalidate t ~fp =
 
 let clear t =
   locked t (fun () ->
-      Obs.add Obs.C.cache_bytes (-t.bytes);
-      Metrics.add_gauge Metrics.G.cache_bytes (-t.bytes);
+      Obs.add Obs.G.cache_bytes (-t.bytes);
       Hashtbl.reset t.table;
       Hashtbl.reset t.by_fp;
       Hashtbl.reset t.miss_counts;

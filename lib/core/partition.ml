@@ -40,7 +40,15 @@ let make_unspanned ~r ~s ~d1 ~d2 =
     Jp_util.Vec.to_array out
   in
   let heavy_x = heavy_endpoints r in
-  let heavy_z = heavy_endpoints s in
+  let x_index = index_of ~space:(Relation.src_count r) heavy_x in
+  (* A self-join (every SSJ and counted self-join) shares the x arrays
+     as its z arrays: nothing writes a partition's arrays once built. *)
+  let heavy_z, z_index =
+    if s == r then (heavy_x, x_index)
+    else
+      let heavy_z = heavy_endpoints s in
+      (heavy_z, index_of ~space:(Relation.src_count s) heavy_z)
+  in
   {
     d1;
     d2;
@@ -48,9 +56,9 @@ let make_unspanned ~r ~s ~d1 ~d2 =
     heavy_x;
     heavy_y;
     heavy_z;
-    x_index = index_of ~space:(Relation.src_count r) heavy_x;
+    x_index;
     y_index = index_of ~space:ny heavy_y;
-    z_index = index_of ~space:(Relation.src_count s) heavy_z;
+    z_index;
   }
 
 let make ?cancel ~r ~s ~d1 ~d2 () =

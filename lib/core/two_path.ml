@@ -471,11 +471,6 @@ let project ?(domains = 1) ?(strategy = Matrix) ?plan ?(guard = Guard.inert)
           ~r ~s plan,
         plan ))
 
-let project_with_plan_info ?(domains = 1) ?(strategy = Matrix) ?guard ?cancel
-    ?tile ~r ~s () =
-  let plan = Optimizer.plan ~domains ~kind:Jp_matrix.Cost.Boolean ~r ~s () in
-  (project ~domains ~strategy ~plan ?guard ?cancel ?tile ~r ~s (), plan)
-
 (* ------------------------------------------------------------------ *)
 (* Exact-count evaluation (partition on the join variable only)        *)
 (* ------------------------------------------------------------------ *)

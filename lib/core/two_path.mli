@@ -166,18 +166,3 @@ val ssj :
     thresholded ({!Jp_util.Row_acc.emit_ge}).  No counted pairs are
     built.  [plan] forces a plan, for tests.  Expects [c >= 1]: the
     internal entry behind [Mm_ssj.join], which checks it. *)
-
-val project_with_plan_info :
-  ?domains:int ->
-  ?strategy:strategy ->
-  ?guard:Jp_adaptive.Guard.config ->
-  ?cancel:Cancel.t ->
-  ?tile:Jp_tile.config ->
-  r:Relation.t ->
-  s:Relation.t ->
-  unit ->
-  Pairs.t * Optimizer.plan
-(** {!project} that also returns the plan it chose (for EXPLAIN-style
-    reporting in the CLI and benches).  The returned plan is the
-    un-injected one it starts from; with [guard] the execution may still
-    re-plan away from it. *)

@@ -1,4 +1,5 @@
 module Json = Json
+module Hist = Hist
 module Hook = Jp_util.Obs_hook
 module Timer = Jp_util.Timer
 module Tablefmt = Jp_util.Tablefmt
@@ -21,33 +22,126 @@ let disable () =
   Atomic.set Hook.enabled false
 
 (* ------------------------------------------------------------------ *)
-(* counters                                                            *)
+(* instruments                                                         *)
 
-type counter = { cname : string; cell : int Atomic.t }
+(* One registry, one lock, one namespace.  A counter and a gauge are the
+   same cell — a name and an atomic int — told apart by their kind;
+   histograms and gauge snapshots live behind the same lock.  Every
+   update is dropped while recording is off. *)
 
-let registry_lock = Mutex.create ()
+type kind = Counter | Gauge
 
-let registry : counter list ref =
-  ref [] [@@jp.domain_safe "every access is guarded by registry_lock"]
+type cell = { name : string; kind : kind; v : int Atomic.t }
 
-let counter name =
-  Mutex.lock registry_lock;
-  let c =
-    match List.find_opt (fun c -> c.cname = name) !registry with
-    | Some c -> c
-    | None ->
-      let c = { cname = name; cell = Atomic.make 0 } in
-      registry := c :: !registry;
-      c
-  in
-  Mutex.unlock registry_lock;
-  c
+type 'k instrument = cell
 
-let add c n = if Atomic.get on then ignore (Atomic.fetch_and_add c.cell n)
+type counter = [ `Counter ] instrument
+
+type gauge = [ `Gauge ] instrument
+
+type histogram = { hname : string; hist : Hist.t }
+
+type snap = { ts : float; snap_seq : int; values : (string * int) list }
+
+let lock = Mutex.create ()
+
+let cells : cell list ref =
+  ref [] [@@jp.domain_safe "every access is guarded by lock"]
+
+let histograms : histogram list ref =
+  ref [] [@@jp.domain_safe "every access is guarded by lock"]
+
+let snaps : snap list ref =
+  ref [] [@@jp.domain_safe "every access is guarded by lock"]
+
+let snap_seq = ref 0 [@@jp.domain_safe "every access is guarded by lock"]
+
+(* Assumes the lock is held: a new instrument's name must be free. *)
+let claim name =
+  if
+    List.exists (fun c -> c.name = name) !cells
+    || List.exists (fun h -> h.hname = name) !histograms
+  then invalid_arg ("Jp_obs: instrument name registered twice: " ^ name)
+
+let cell kind name =
+  Mutex.protect lock (fun () ->
+      match List.find_opt (fun c -> c.name = name && c.kind = kind) !cells with
+      | Some c -> c
+      | None ->
+        claim name;
+        let c = { name; kind; v = Atomic.make 0 } in
+        cells := c :: !cells;
+        c)
+
+let counter name = cell Counter name
+
+let gauge name = cell Gauge name
+
+let add c n = if Atomic.get on then ignore (Atomic.fetch_and_add c.v n)
 
 let incr c = add c 1
 
-let value c = Atomic.get c.cell
+let set g n = if Atomic.get on then Atomic.set g.v n
+
+let value c = Atomic.get c.v
+
+(* Assumes the lock is held. *)
+let values_of kind =
+  List.sort
+    (fun (a, _) (b, _) -> String.compare a b)
+    (List.filter_map
+       (fun c -> if c.kind = kind then Some (c.name, Atomic.get c.v) else None)
+       !cells)
+
+let counter_values () =
+  List.sort
+    (fun (a, _) (b, _) -> String.compare a b)
+    (("sort.radix_bytes", Atomic.get Hook.radix_bytes)
+    :: Mutex.protect lock (fun () -> values_of Counter))
+
+let render_counters () =
+  let rows =
+    List.filter_map
+      (fun (name, v) -> if v = 0 then None else Some [ name; Tablefmt.big_int v ])
+      (counter_values ())
+  in
+  match rows with
+  | [] -> "(all counters zero)\n"
+  | rows -> Tablefmt.render ~header:[ "counter"; "value" ] ~rows
+
+let histogram name =
+  Mutex.protect lock (fun () ->
+      match List.find_opt (fun h -> h.hname = name) !histograms with
+      | Some h -> h
+      | None ->
+        claim name;
+        let h = { hname = name; hist = Hist.create () } in
+        histograms := h :: !histograms;
+        h)
+
+let observe h x =
+  if Atomic.get on then Mutex.protect lock (fun () -> Hist.observe h.hist x)
+
+let histogram_value h = Mutex.protect lock (fun () -> Hist.copy h.hist)
+
+let snapshot ?now () =
+  if Atomic.get on then begin
+    let ts = match now with Some t -> t | None -> Timer.now () in
+    Mutex.protect lock (fun () ->
+        snaps := { ts; snap_seq = !snap_seq; values = values_of Gauge } :: !snaps;
+        Stdlib.incr snap_seq)
+  end
+
+let snapshots () =
+  let ss = Mutex.protect lock (fun () -> !snaps) in
+  List.map
+    (fun s -> (s.ts, s.values))
+    (List.sort
+       (fun a b ->
+         match Float.compare a.ts b.ts with
+         | 0 -> Int.compare a.snap_seq b.snap_seq
+         | n -> n)
+       ss)
 
 module C = struct
   let mm_bool_word_ops = counter "mm.bool_word_ops"
@@ -115,9 +209,7 @@ module C = struct
   (* Semantic cache (Jp_cache).  hit/miss count lookups, evict/reject
      count entries pushed out by the LANDLORD budget or refused by the
      cost-based admission test, invalidate counts entries dropped by view
-     updates; cache.bytes tracks the resident footprint (bumped by the
-     entry size on insert, by its negation on evict/invalidate, so the
-     counter value is the current gauge). *)
+     updates.  The resident footprint is the G.cache_bytes gauge. *)
   let cache_hits = counter "cache.hit"
 
   let cache_misses = counter "cache.miss"
@@ -128,14 +220,12 @@ module C = struct
 
   let cache_invalidations = counter "cache.invalidate"
 
-  let cache_bytes = counter "cache.bytes"
-
   (* Tiled heavy-part product (Jp_tile).  build/store_hit/evict count
      operand-tile traffic through the bounded resident store, product
-     counts output tiles computed; tile.bytes tracks the store's
-     resident footprint like cache.bytes, and tile.peak_bytes is the
-     monotone high-water mark of that footprint (bumped by the increase
-     only, so bench-cell deltas report the peak growth). *)
+     counts output tiles computed.  The store's resident footprint is the
+     G.tile_bytes gauge; tile.peak_bytes is the monotone high-water mark
+     of that footprint (bumped by the increase only, so bench-cell deltas
+     report the peak growth). *)
   let tile_builds = counter "tile.build"
 
   let tile_store_hits = counter "tile.store_hit"
@@ -144,28 +234,28 @@ module C = struct
 
   let tile_products = counter "tile.product"
 
-  let tile_bytes = counter "tile.bytes"
-
   let tile_peak_bytes = counter "tile.peak_bytes"
 end
 
-let counter_values () =
-  Mutex.lock registry_lock;
-  let own = List.map (fun c -> (c.cname, Atomic.get c.cell)) !registry in
-  Mutex.unlock registry_lock;
-  List.sort
-    (fun (a, _) (b, _) -> String.compare a b)
-    (("sort.radix_bytes", Atomic.get Hook.radix_bytes) :: own)
+module G = struct
+  let queue_depth = gauge "service.queue_depth"
 
-let render_counters () =
-  let rows =
-    List.filter_map
-      (fun (name, v) -> if v = 0 then None else Some [ name; Tablefmt.big_int v ])
-      (counter_values ())
-  in
-  match rows with
-  | [] -> "(all counters zero)\n"
-  | rows -> Tablefmt.render ~header:[ "counter"; "value" ] ~rows
+  let inflight = gauge "service.inflight"
+
+  let cache_bytes = gauge "cache.resident_bytes"
+
+  let tile_bytes = gauge "tile.resident_bytes"
+
+  let brownout = gauge "service.brownout"
+
+  let est_wait_us = gauge "service.est_wait_us"
+end
+
+module H = struct
+  let service_queued_seconds = histogram "service.queued_seconds"
+
+  let service_ran_seconds = histogram "service.ran_seconds"
+end
 
 (* ------------------------------------------------------------------ *)
 (* spans                                                               *)
@@ -323,7 +413,9 @@ let render_spans () =
       ~header:[ "span"; "calls"; "total"; "self" ]
       ~rows:(List.rev !rows)
 
-let chrome_trace ?extra () =
+(* Span events ("X"/"i") on their recording domains' lanes, then one
+   counter ("C") event per gauge per snapshot on lane 0. *)
+let chrome_trace () =
   let evs = span_events () in
   let base = match evs with [] -> 0.0 | ev :: _ -> ev.t0 in
   let trace_events =
@@ -352,10 +444,20 @@ let chrome_trace ?extra () =
           @ (match ev.args with [] -> [] | args -> [ ("args", Json.Obj args) ])))
       evs
   in
-  let trace_events =
-    match extra with
-    | None -> trace_events
-    | Some f -> trace_events @ f ~base
+  let gauge_events (ts, values) =
+    List.map
+      (fun (name, v) ->
+        Json.Obj
+          [
+            ("name", Json.String name);
+            ("cat", Json.String "metrics");
+            ("ph", Json.String "C");
+            ("ts", Json.Float ((ts -. base) *. 1e6));
+            ("pid", Json.Int 1);
+            ("tid", Json.Int 0);
+            ("args", Json.Obj [ ("value", Json.Int v) ]);
+          ])
+      values
   in
   let counter_args =
     List.filter_map
@@ -364,10 +466,72 @@ let chrome_trace ?extra () =
   in
   Json.Obj
     [
-      ("traceEvents", Json.List trace_events);
+      ( "traceEvents",
+        Json.List (trace_events @ List.concat_map gauge_events (snapshots ())) );
       ("displayTimeUnit", Json.String "ms");
       ("otherData", Json.Obj [ ("counters", Json.Obj counter_args) ]);
     ]
+
+(* ------------------------------------------------------------------ *)
+(* OpenMetrics text exposition                                         *)
+
+(* Prometheus metric names admit [a-zA-Z0-9_:]; our dotted obs names map
+   dots (and anything else) to underscores under a "jp_" prefix. *)
+let metric_name name =
+  "jp_"
+  ^ String.map
+      (fun c ->
+        match c with
+        | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> c
+        | _ -> '_')
+      name
+
+(* Deterministic shortest-ish float rendering shared by bucket bounds and
+   sums; OpenMetrics allows any decimal or scientific literal. *)
+let float_str v = Printf.sprintf "%.9g" v
+
+let exposition () =
+  let b = Buffer.create 4096 in
+  let line fmt =
+    Printf.ksprintf
+      (fun s ->
+        Buffer.add_string b s;
+        Buffer.add_char b '\n')
+      fmt
+  in
+  List.iter
+    (fun (name, v) ->
+      let n = metric_name name in
+      line "# TYPE %s counter" n;
+      line "%s_total %d" n v)
+    (counter_values ());
+  let gauges, hists =
+    Mutex.protect lock (fun () ->
+        ( values_of Gauge,
+          List.map (fun h -> (h.hname, Hist.copy h.hist)) !histograms ))
+  in
+  List.iter
+    (fun (name, v) ->
+      let n = metric_name name in
+      line "# TYPE %s gauge" n;
+      line "%s %d" n v)
+    gauges;
+  List.iter
+    (fun (name, h) ->
+      let n = metric_name name in
+      line "# TYPE %s histogram" n;
+      let cum = ref 0 in
+      List.iter
+        (fun (le, c) ->
+          cum := !cum + c;
+          let le_s = if le = Float.infinity then "+Inf" else float_str le in
+          line "%s_bucket{le=\"%s\"} %d" n le_s !cum)
+        (Hist.buckets h);
+      line "%s_sum %s" n (float_str (Hist.sum h));
+      line "%s_count %d" n (Hist.count h))
+    (List.sort (fun (a, _) (b, _) -> String.compare a b) hists);
+  Buffer.add_string b "# EOF\n";
+  Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* plan vs actual                                                      *)
@@ -481,9 +645,11 @@ let render_plans () =
 (* reset                                                               *)
 
 let reset () =
-  Mutex.lock registry_lock;
-  List.iter (fun c -> Atomic.set c.cell 0) !registry;
-  Mutex.unlock registry_lock;
+  Mutex.protect lock (fun () ->
+      List.iter (fun c -> Atomic.set c.v 0) !cells;
+      List.iter (fun h -> Hist.clear h.hist) !histograms;
+      snaps := [];
+      snap_seq := 0);
   Hook.reset ();
   Mutex.lock events_lock;
   events := [];

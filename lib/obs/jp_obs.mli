@@ -1,24 +1,35 @@
-(** Observability substrate: wall-clock spans, process-global counters and
-    plan-vs-actual records, shared by every join engine.
+(** Observability substrate shared by every join engine and the query
+    service: wall-clock spans, one registry of named instruments
+    (counters, gauges, latency histograms, gauge snapshots) and
+    plan-vs-actual records, exported as a Chrome trace or an OpenMetrics
+    text exposition.
 
     Everything here is a no-op unless {!enable} has been called: [span]
-    runs its thunk directly, counter bumps compile to one flag check, and
-    nothing is allocated or locked.  That keeps the instrumentation safe
-    to leave in hot paths (the bench acceptance bound is < 2% overhead
-    with observation off).
+    runs its thunk directly, every instrument update compiles to one
+    flag check, and nothing is allocated or locked.  That keeps the
+    instrumentation safe to leave in hot paths (the bench acceptance
+    bound is < 2% overhead with observation off).
+
+    Cadence: instrument updates are priced for chunk, phase or query
+    granularity — never per tuple.  jp_lint's [hot-poll] rule flags
+    them at loop depth >= 2; a hot loop accumulates locally and
+    publishes one bulk delta at the chunk boundary.
 
     Concurrency: spans keep a per-domain stack (worker-domain spans nest
-    under their own roots), counters are atomic ints so worker chunks can
-    publish exactly, and the event/plan sinks are mutex-protected.  All
-    recorded values are deterministic for a fixed seed and input — only
-    timestamps vary between runs. *)
+    under their own roots), counters and gauges are atomic ints so
+    worker chunks can publish exactly, and the histograms, snapshots and
+    event/plan sinks are mutex-protected.  All recorded values are
+    deterministic for a fixed seed and input — only timestamps and
+    observed latencies vary between runs. *)
 
 module Json : module type of Json
+
+module Hist : module type of Hist
 
 (** {1 Global switch} *)
 
 val enable : unit -> unit
-(** Turn recording on (spans, counters, plan records). *)
+(** Turn recording on (spans, instruments, plan records). *)
 
 val disable : unit -> unit
 (** Turn recording off.  Recorded data is kept until {!reset}. *)
@@ -28,8 +39,9 @@ val recording : unit -> bool
     chunk and accumulate locally when it is set. *)
 
 val reset : unit -> unit
-(** Clear spans and plan records, zero every counter (including the
-    [jp_util] hook counters). *)
+(** Clear spans, plan records and snapshots, zero every counter and
+    gauge (including the [jp_util] hook counters) and empty every
+    histogram.  Registered instruments stay registered. *)
 
 (** {1 Spans} *)
 
@@ -67,39 +79,104 @@ val render_spans : unit -> string
 (** Plain-text tree (indented {!Jp_util.Tablefmt} table) with per-node
     total and self time. *)
 
-val chrome_trace : ?extra:(base:float -> Json.t list) -> unit -> Json.t
+val chrome_trace : unit -> Json.t
 (** Chrome-trace ("trace event format") document: one complete ["X"]
     event per span (["i"] per {!instant}) with microsecond [ts]/[dur]
-    relative to the first event, [tid] = recording domain, span [args]
-    attached; nonzero counters ride along under [otherData.counters].
-    [extra ~base] may append further trace events (timestamps relative
-    to [base], the first event's absolute time) — {!Jp_metrics} injects
-    its gauge-snapshot ["C"] counter events this way.  Load the result
-    in [chrome://tracing] or Perfetto. *)
+    relative to the first span event, [tid] = recording domain, span
+    [args] attached; then one ["C"] (counter) event per gauge per
+    {!snapshot} on lane 0, so queue depth, in-flight queries and resident
+    bytes show evolving under the span lanes; nonzero counters ride along
+    under [otherData.counters].  Load the result in [chrome://tracing] or
+    Perfetto. *)
 
-(** {1 Counters} *)
+(** {1 Instruments}
 
-type counter
-(** A named process-global tally.  Morally a plain [int ref]; atomic so
-    that parallel workers publishing per-chunk subtotals cannot lose
-    updates.  Bumps are dropped while recording is off. *)
+    One registry of named process-global instruments.  Names are unique
+    across kinds and follow the dotted lowercase style with a unit
+    suffix where one applies (["service.ran_seconds"]); registering a
+    name already taken by another kind raises [Invalid_argument].
+    Updates are dropped while recording is off. *)
+
+type 'k instrument
+(** A name and an atomic int.  The kind ['k] says how the value reads:
+    a {!counter} is a tally whose deltas are meaningful, a {!gauge} a
+    current level. *)
+
+type counter = [ `Counter ] instrument
+
+type gauge = [ `Gauge ] instrument
+(** A level (queue depth, in-flight queries, resident bytes): sampled by
+    {!snapshot}, exported as an OpenMetrics gauge, and absent from
+    {!counter_values}. *)
 
 val counter : string -> counter
-(** Find-or-create by name (names are unique; reuse returns the same
-    cell). *)
+(** Find-or-create by name (reuse returns the same cell). *)
 
-val add : counter -> int -> unit
+val gauge : string -> gauge
+[@@jp.lint.allow
+  "unused-export"
+  "find-or-create by name; the service, cache and tile store use the \
+   gauges registered in G, tests register their own"]
+(** Find-or-create by name. *)
+
+val add : _ instrument -> int -> unit
+(** Add to a counter or move a gauge by a delta. *)
 
 val incr : counter -> unit
 
-val value : counter -> int
+val set : gauge -> int -> unit
+
+val value : _ instrument -> int
 
 val counter_values : unit -> (string * int) list
 (** Every registered counter (plus the [jp_util] hook counters, e.g.
-    ["sort.radix_bytes"]), sorted by name. *)
+    ["sort.radix_bytes"]), sorted by name.  Gauges are levels, not
+    tallies, and are not listed. *)
 
 val render_counters : unit -> string
 (** Table of the nonzero counters. *)
+
+type histogram
+(** A named latency histogram over the fixed {!Hist} bucket ladder. *)
+
+val histogram : string -> histogram
+[@@jp.lint.allow
+  "unused-export"
+  "find-or-create by name; the service observes the histograms \
+   registered in H, tests register their own"]
+(** Find-or-create by name. *)
+
+val observe : histogram -> float -> unit
+(** Record one value. *)
+
+val histogram_value : histogram -> Hist.t
+[@@jp.lint.allow
+  "unused-export"
+  "consistent copy of a registered histogram, read by the metrics and \
+   service tests"]
+(** A consistent copy of the histogram's current state. *)
+
+val snapshot : ?now:float -> unit -> unit
+(** Record a timestamped sample of every registered gauge.  [now]
+    defaults to the wall clock; tests pass a fake clock to make
+    snapshot timestamps deterministic. *)
+
+val snapshots : unit -> (float * (string * int) list) list
+[@@jp.lint.allow
+  "unused-export"
+  "recorded gauge samples the metrics tests check ordering and \
+   fake-clock timestamps with; chrome_trace exports them"]
+(** All recorded snapshots ordered by (timestamp, recording order),
+    each with its gauge values sorted by name. *)
+
+val exposition : unit -> string
+(** OpenMetrics / Prometheus text exposition of every instrument: each
+    counter as [# TYPE ... counter] with a [_total] sample, each gauge
+    as [# TYPE ... gauge], each histogram ([_bucket{le="..."}]
+    cumulative counts, [_sum], [_count]), ending with [# EOF].  Names
+    are prefixed [jp_] with non-alphanumeric characters mapped to [_];
+    families are grouped counters, gauges, histograms, each sorted by
+    name — the output is deterministic up to the recorded values. *)
 
 (** The process-wide counters maintained by the instrumented engines. *)
 module C : sig
@@ -207,10 +284,6 @@ module C : sig
   val cache_invalidations : counter
   (** Entries dropped because a fingerprint was invalidated. *)
 
-  val cache_bytes : counter
-  (** Resident cache footprint gauge (insert adds the entry size,
-      evict/invalidate subtracts it). *)
-
   val tile_builds : counter
   (** Operand tiles built (or rebuilt after eviction) by [Jp_tile]. *)
 
@@ -224,14 +297,51 @@ module C : sig
   (** Output tiles computed by [Jp_tile.mul]/[count_product]: every
       heavy product publishes at least one. *)
 
-  val tile_bytes : counter
-  (** Resident tile-store footprint gauge (build adds the tile size,
-      evict subtracts it), mirroring {!cache_bytes}. *)
-
   val tile_peak_bytes : counter
-  (** High-water mark of {!tile_bytes}: bumped by the increase whenever
+  (** High-water mark of {!G.tile_bytes}: bumped by the increase whenever
       the resident footprint sets a new maximum, so its value is the
       peak and a bench cell's delta is the peak growth in that cell. *)
+end
+
+(** The process-wide gauges maintained by the service, cache and tile
+    store. *)
+module G : sig
+  val queue_depth : gauge
+  (** Jobs waiting in the [Jp_service] submission queue. *)
+
+  val inflight : gauge
+  (** Queries currently executing on [Jp_service] worker domains. *)
+
+  val cache_bytes : gauge
+  (** Resident [Jp_cache] footprint in bytes, summed across caches:
+      insert adds the entry size, evict/invalidate/clear subtract it.
+      Registered as ["cache.resident_bytes"]. *)
+
+  val tile_bytes : gauge
+  (** Resident operand-tile footprint of the tiled heavy-part product,
+      summed across live tile stores: a build adds the net change of
+      the store's footprint (the new tile less any tiles it evicted),
+      the end-of-product drain subtracts the rest.  Registered as
+      ["tile.resident_bytes"]. *)
+
+  val brownout : gauge
+  (** 1 while the [Jp_service.Overload] controller is in brownout
+      (degraded plans forced), 0 otherwise. *)
+
+  val est_wait_us : gauge
+  (** The overload controller's most recent queue-wait estimate, in
+      microseconds, refreshed once per admission. *)
+end
+
+(** The process-wide histograms maintained by the service. *)
+module H : sig
+  val service_queued_seconds : histogram
+  (** Admission-to-first-execution latency, one observation per executed
+      or dequeue-expired query ([Jp_service]). *)
+
+  val service_ran_seconds : histogram
+  (** Execution latency (all attempts and backoffs), one observation per
+      executed query ([Jp_service]). *)
 end
 
 (** {1 Plan vs actual} *)

@@ -146,71 +146,3 @@ let parallel_for ~domains ?chunk ?cancel ~lo ~hi body =
       for i = a to b - 1 do
         body i
       done)
-
-let map_reduce ~domains ?chunk ?cancel ~lo ~hi ~combine ~init map =
-  if domains <= 1 then begin
-    match cancel with
-    | None ->
-      let acc = ref init in
-      for i = lo to hi - 1 do
-        acc := combine !acc (map i)
-      done;
-      !acc
-    | Some c ->
-      let chunk =
-        match chunk with Some k when k > 0 -> k | _ -> default_chunk ~domains ~lo ~hi
-      in
-      let acc = ref init in
-      let i = ref lo in
-      while !i < hi && not (Cancel.is_cancelled c) do
-        (Atomic.get fault_hook) ();
-        if not (Cancel.is_cancelled c) then
-          for j = !i to min hi (!i + chunk) - 1 do
-            acc := combine !acc (map j)
-          done;
-        i := !i + chunk
-      done;
-      Cancel.check c;
-      !acc
-  end
-  else begin
-    let partials = Atomic.make [] in
-    let chunk =
-      match chunk with Some c when c > 0 -> c | _ -> default_chunk ~domains ~lo ~hi
-    in
-    let next = Atomic.make lo in
-    let stop = Atomic.make false in
-    let failure = Atomic.make None in
-    let worker () =
-      let local = ref init in
-      let continue = ref true in
-      while !continue && not (Atomic.get stop) do
-        let start = Atomic.fetch_and_add next chunk in
-        if start >= hi then continue := false
-        else begin
-          try
-            (Atomic.get fault_hook) ();
-            match cancel with
-            | Some c when Cancel.is_cancelled c -> continue := false
-            | _ ->
-              Jp_obs.incr Jp_obs.C.pool_tasks;
-              for i = start to min hi (start + chunk) - 1 do
-                local := combine !local (map i)
-              done
-          with e ->
-            record_failure ~stop ~failure ~index:start e
-              (Printexc.get_raw_backtrace ())
-        end
-      done;
-      (* lock-free push of the local result *)
-      let rec push () =
-        let old = Atomic.get partials in
-        if not (Atomic.compare_and_set partials old (!local :: old)) then push ()
-      in
-      push ()
-    in
-    run_workers ~domains ~stop ~failure worker;
-    reraise_failure failure;
-    Cancel.check_opt cancel;
-    List.fold_left combine init (Atomic.get partials)
-  end

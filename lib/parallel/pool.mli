@@ -78,21 +78,3 @@ val split_ranges :
     on the calling domain afterwards; without a token nothing is polled.
     With [domains <= 1] it runs on the calling domain with no pool
     overhead. *)
-
-val map_reduce :
-  domains:int ->
-  ?chunk:int ->
-  ?cancel:Cancel.t ->
-  lo:int ->
-  hi:int ->
-  combine:('a -> 'a -> 'a) ->
-  init:'a ->
-  (int -> 'a) ->
-  'a
-[@@jp.lint.allow
-  "unused-export"
-  "chunked parallel reduction; its tests pin the cancel check after \
-   the chaos hook for the sequential branch too"]
-(** Per-domain local folds combined at the end; [combine] must be
-    associative and [init] its identity.  The combination order is
-    unspecified. *)

@@ -3,7 +3,6 @@ module Pool = Jp_parallel.Pool
 module Timer = Jp_util.Timer
 module C = Jp_obs.C
 module Json = Jp_obs.Json
-module Metrics = Jp_metrics
 module Overload = Overload
 
 type error =
@@ -116,15 +115,15 @@ let worker_loop t =
       let job = Queue.pop t.queue in
       let depth = Queue.length t.queue in
       Mutex.unlock t.lock;
-      Metrics.set_gauge Metrics.G.queue_depth depth;
-      Metrics.add_gauge Metrics.G.inflight 1;
+      Jp_obs.set Jp_obs.G.queue_depth depth;
+      Jp_obs.add Jp_obs.G.inflight 1;
       (* Dequeue-time expiry is a controller behaviour: without one the
          query still reaches run_query, whose entry checkpoint reports
          Deadline_exceeded exactly as before. *)
       (match (t.ctl, job.expires_at) with
       | Some _, Some e when Timer.now () > e -> job.expire ()
       | _ -> job.exec ());
-      Metrics.add_gauge Metrics.G.inflight (-1)
+      Jp_obs.add Jp_obs.G.inflight (-1)
     end
   done
 
@@ -240,8 +239,8 @@ let run_query t ~key ~trace_id ~cancel ~submitted_at ~cached ~brownout ~work tk 
   let ran_s = Timer.now () -. started in
   (* Aggregate once per query (chunk granularity): two histogram
      observations, one outcome marker, one gauge snapshot. *)
-  Metrics.observe Metrics.H.service_queued_seconds queued_s;
-  Metrics.observe Metrics.H.service_ran_seconds ran_s;
+  Jp_obs.observe Jp_obs.H.service_queued_seconds queued_s;
+  Jp_obs.observe Jp_obs.H.service_ran_seconds ran_s;
   (* Feed the overload estimator whatever the outcome: a deadline kill is
      as much evidence about service times as a success. *)
   (match t.ctl with
@@ -256,7 +255,7 @@ let run_query t ~key ~trace_id ~cancel ~submitted_at ~cached ~brownout ~work tk 
         ("retries", Json.Int !retries);
         ("degraded", Json.Bool !degraded);
       ];
-  Metrics.snapshot ();
+  Jp_obs.snapshot ();
   resolve tk
     {
       outcome;
@@ -323,7 +322,7 @@ let submit t ?(key = 0) ?deadline_s ?cached work =
     else begin
       let queued_s = Timer.now () -. submitted_at in
       Jp_obs.incr C.service_expired;
-      Metrics.observe Metrics.H.service_queued_seconds queued_s;
+      Jp_obs.observe Jp_obs.H.service_queued_seconds queued_s;
       (match t.ctl with
       | Some c -> Overload.note_expired c ~queued_s
       | None -> ());
@@ -367,19 +366,19 @@ let submit t ?(key = 0) ?deadline_s ?cached work =
   end;
   let depth = Queue.length t.queue in
   Mutex.unlock t.lock;
-  Metrics.set_gauge Metrics.G.queue_depth depth;
+  Jp_obs.set Jp_obs.G.queue_depth depth;
   (match verdict with
   | Some v ->
-    Metrics.set_gauge Metrics.G.est_wait_us
+    Jp_obs.set Jp_obs.G.est_wait_us
       (int_of_float (v.Overload.est_wait_s *. 1e6));
     if v.Overload.entered then begin
       Jp_obs.incr C.service_brownout_entered;
-      Metrics.set_gauge Metrics.G.brownout 1;
+      Jp_obs.set Jp_obs.G.brownout 1;
       Jp_obs.instant "service.brownout" ~args:[ ("on", Json.Bool true) ]
     end;
     if v.Overload.exited then begin
       Jp_obs.incr C.service_brownout_exited;
-      Metrics.set_gauge Metrics.G.brownout 0;
+      Jp_obs.set Jp_obs.G.brownout 0;
       Jp_obs.instant "service.brownout" ~args:[ ("on", Json.Bool false) ]
     end
   | None -> ());

@@ -42,10 +42,11 @@
     counters and [service.query]/[service.attempt] spans of {!Jp_obs}
     when recording is on.  Every span and marker carries the query's
     [trace_id] (see {!type:report}), and the service additionally feeds
-    {!Jp_metrics}: one [service.queued_seconds]/[service.ran_seconds]
-    histogram observation and one gauge snapshot per executed query,
-    plus the [service.queue_depth] and [service.inflight] gauges —
-    aggregate latency and load, not just per-ticket numbers. *)
+    {!Jp_obs}'s histograms and gauges: one
+    [service.queued_seconds]/[service.ran_seconds] histogram observation
+    and one gauge snapshot per executed query, plus the
+    [service.queue_depth] and [service.inflight] gauges — aggregate
+    latency and load, not just per-ticket numbers. *)
 
 module Cancel = Jp_util.Cancel
 

@@ -1,10 +1,10 @@
 (* Overload controller: wait estimation + hysteretic brownout.  Clock-free
    (only sees durations/depths fed by the caller) and independent of the
    Jp_obs recording gate — the estimator must keep working in production
-   with observability off, so it owns plain Jp_metrics.Hist values instead
+   with observability off, so it owns plain Jp_obs.Hist values instead
    of registered histograms. *)
 
-module Hist = Jp_metrics.Hist
+module Hist = Jp_obs.Hist
 
 type config = {
   shed_margin : float;

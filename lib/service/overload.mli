@@ -24,7 +24,7 @@
     The wait estimate combines two signals maintained by
     {!note_executed}: an EWMA of recent execution times scaled by the
     current queue depth per worker, and a windowed histogram of recently
-    {e observed} queue waits (a {!Jp_metrics.Hist.t} over the same
+    {e observed} queue waits (a {!Jp_obs.Hist.t} over the same
     base-√2 ladder as the service's [queued_seconds] histogram, but
     private to the controller so it works with recording off).  The
     shed/brownout decisions compare the estimated {e completion} time —

@@ -3,7 +3,6 @@ module Intmat = Jp_matrix.Intmat
 module Bitset = Jp_util.Bitset
 module Cancel = Jp_util.Cancel
 module Obs = Jp_obs
-module Metrics = Jp_metrics
 module Pool = Jp_parallel.Pool
 
 type config = { tile_bits : int; budget_bytes : int option }
@@ -204,6 +203,7 @@ let store_fetch st idx build =
       locked st (fun () ->
           if not admit then (0, 0, 0)
           else begin
+            let before = st.resident in
             let evicted =
               (match st.slots.(idx) with
               | Some old -> drop_slot st idx old
@@ -225,15 +225,12 @@ let store_fetch st idx build =
             st.live <- st.live + 1;
             let grew = max 0 (st.resident - st.peak) in
             st.peak <- max st.peak st.resident;
-            (evicted, bytes, grew)
+            (evicted, st.resident - before, grew)
           end)
     in
     Obs.incr Obs.C.tile_builds;
     if evicted > 0 then Obs.add Obs.C.tile_evictions evicted;
-    if delta <> 0 then begin
-      Obs.add Obs.C.tile_bytes delta;
-      Metrics.add_gauge Metrics.G.tile_bytes delta
-    end;
+    if delta <> 0 then Obs.add Obs.G.tile_bytes delta;
     if grew > 0 then Obs.add Obs.C.tile_peak_bytes grew;
     tile
 
@@ -249,10 +246,7 @@ let store_drain st =
           st.slots;
         b)
   in
-  if bytes <> 0 then begin
-    Obs.add Obs.C.tile_bytes (-bytes);
-    Metrics.add_gauge Metrics.G.tile_bytes (-bytes)
-  end
+  if bytes <> 0 then Obs.add Obs.G.tile_bytes (-bytes)
 
 (* ------------------------------------------------------------------ *)
 (* Product schedule                                                    *)

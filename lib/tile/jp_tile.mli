@@ -25,8 +25,8 @@
     - {b Capabilities}: one [Jp_obs] span and one optional cancel poll /
       guard checkpoint {e per tile} — never per word (jp_lint's [hot-poll] cadence).  [tile.*] counters
       track tile builds / store hits / evictions / products and the
-      resident footprint ([tile.bytes] + its [tile.peak_bytes]
-      high-water mark, mirrored into the [tile.resident_bytes] gauge).
+      [tile.peak_bytes] high-water mark; the resident footprint itself
+      is the [tile.resident_bytes] gauge ({!Jp_obs.G.tile_bytes}).
 
     Results are bit-equal to the whole-matrix {!Jp_matrix.Boolmat}
     references for every cap, budget and domain count: boolean column

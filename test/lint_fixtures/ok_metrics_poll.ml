@@ -1,12 +1,16 @@
-(* negative fixture: hot-poll — the sanctioned metrics pattern: observe
-   into a domain-local accumulator inside the loops, publish one bulk
-   merge (and take one snapshot) at the phase boundary *)
-let hist = Jp_metrics.histogram "fixture.ok_metrics_seconds"
+(* negative fixture: hot-poll — the sanctioned instrument cadence:
+   accumulate locally inside the inner loop, record once per row (loop
+   depth 1) and take one snapshot at the phase boundary *)
+let hist = Jp_obs.histogram "fixture.ok_metrics_seconds"
+
+let depth = Jp_obs.gauge "fixture.ok_metrics_depth"
 
 let scan (rows : float array array) =
-  let acc = Jp_metrics.Local.create hist in
   Array.iter
-    (fun row -> Array.iter (fun v -> Jp_metrics.Local.observe acc v) row)
+    (fun row ->
+      let total = ref 0.0 in
+      Array.iter (fun v -> total := !total +. v) row;
+      Jp_obs.observe hist !total;
+      Jp_obs.set depth (Array.length row))
     rows;
-  Jp_metrics.Local.publish acc;
-  Jp_metrics.snapshot ()
+  Jp_obs.snapshot ()

@@ -92,6 +92,41 @@ let test_partition_d2_zero () =
     (Invalid_argument "Partition.make: thresholds must be d1 >= 1 and d2 >= 0")
     (fun () -> ignore (Partition.make ~r ~s ~d1:1 ~d2:(-1) ()))
 
+(* A self-join builds its z arrays by sharing the x arrays; the result
+   must equal, field by field, the partition of r against a physically
+   distinct copy of r (which builds both sides). *)
+let test_partition_self_join_shared () =
+  let copy r =
+    Relation.of_edges ~src_count:(Relation.src_count r)
+      ~dst_count:(Relation.dst_count r) (Testkit.Relation.to_edges r)
+  in
+  let fields (p : Partition.t) =
+    List.map Array.to_list [ p.heavy_x; p.heavy_y; p.heavy_z; p.x_index; p.y_index; p.z_index ]
+  in
+  List.iter
+    (fun (name, r) ->
+      let r' = copy r in
+      Alcotest.(check bool) (name ^ ": a distinct copy") false (r == r');
+      List.iter
+        (fun (d1, d2) ->
+          let label = Printf.sprintf "%s d1=%d d2=%d" name d1 d2 in
+          let shared = Partition.make ~r ~s:r ~d1 ~d2 ()
+          and built = Partition.make ~r ~s:r' ~d1 ~d2 () in
+          Alcotest.(check (pair int int)) (label ^ ": thresholds")
+            (built.d1, built.d2) (shared.d1, shared.d2);
+          Alcotest.(check (list bool)) (label ^ ": light y")
+            (Array.to_list built.light_y) (Array.to_list shared.light_y);
+          Alcotest.(check (list (list int))) (label ^ ": arrays")
+            (fields built) (fields shared);
+          Alcotest.(check bool) (label ^ ": z arrays shared") true
+            (shared.heavy_z == shared.heavy_x && shared.z_index == shared.x_index))
+        [ (1, 1); (2, 0); (3, 2); (8, 4) ])
+    [
+      ("skewed", Gen.skewed_relation ~seed:5 ~nx:70 ~ny:45 ~edges:500 ());
+      ("widened", Relation.of_edges ~src_count:9 ~dst_count:6
+                    [| (0, 0); (1, 0); (2, 0); (2, 1); (3, 1); (4, 1); (5, 2) |]);
+    ]
+
 let forced_plan d1 d2 =
   {
     Optimizer.decision = Optimizer.Partitioned { d1; d2 };
@@ -255,7 +290,8 @@ let test_theoretical_thresholds () =
 
 let test_plan_info () =
   let r = Gen.skewed_relation ~seed:48 ~nx:30 ~ny:25 ~edges:300 () in
-  let pairs, plan = Two_path.project_with_plan_info ~r ~s:r () in
+  let plan = Optimizer.plan ~r ~s:r () in
+  let pairs = Two_path.project ~plan ~r ~s:r () in
   Alcotest.(check bool) "count positive" true (Pairs.count pairs > 0);
   Alcotest.(check bool) "plan join size positive" true (plan.Optimizer.join_size > 0)
 
@@ -450,6 +486,8 @@ let suite =
     Alcotest.test_case "partition prunes zero rows" `Quick test_partition_prunes_zero_rows;
     Alcotest.test_case "partition d2 = 0 spans heavy-y endpoints" `Quick
       test_partition_d2_zero;
+    Alcotest.test_case "partition of a self-join shares arrays" `Quick
+      test_partition_self_join_shared;
     Alcotest.test_case "two-path thresholds uniform" `Quick test_two_path_all_thresholds_uniform;
     Alcotest.test_case "two-path thresholds skewed" `Quick test_two_path_all_thresholds_skewed;
     Alcotest.test_case "two-path self join" `Quick test_two_path_self_join;

@@ -260,9 +260,12 @@ let suite =
       (check_fires "hot-poll" "bad_tile_poll");
     Alcotest.test_case "hot-poll negative on per-tile cadence" `Quick
       (check_clean "hot-poll" "ok_tile_poll");
-    Alcotest.test_case "hot-poll fires on Jp_metrics" `Quick
-      (check_fires "hot-poll" "bad_metrics_poll");
-    Alcotest.test_case "hot-poll negative on Jp_metrics.Local" `Quick
+    Alcotest.test_case "hot-poll fires on per-tuple updates" `Quick
+      (fun () ->
+        (* observe, add and set: one finding each *)
+        Alcotest.(check int) "hot-poll findings" 3
+          (count "hot-poll" (lint "bad_metrics_poll")));
+    Alcotest.test_case "hot-poll negative on per-row updates" `Quick
       (check_clean "hot-poll" "ok_metrics_poll");
     fires "adj-mutation" "bad_adj_mutation";
     clean "adj-mutation" "ok_adj_mutation";

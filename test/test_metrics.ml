@@ -1,25 +1,28 @@
-(* Jp_metrics: the deterministic parts of the metrics layer.  Bucket
-   boundaries, quantile error bounds, merge commutativity, recording
-   gates, Local accumulate/publish equivalence, fake-clock snapshot
-   ordering and the OpenMetrics exposition are all exact; wall-clock
-   values never enter these tests. *)
+(* Jp_obs instruments: the deterministic parts of the metrics layer.
+   Bucket boundaries, quantile error bounds, merge commutativity,
+   recording gates, the one registry and its one reset, fake-clock
+   snapshot ordering and the OpenMetrics exposition are all exact;
+   wall-clock values never enter these tests. *)
 
-module Metrics = Jp_metrics
-module Hist = Jp_metrics.Hist
+module Obs = Jp_obs
+module Hist = Jp_obs.Hist
 module Rng = Jp_util.Rng
 
 let sqrt2 = sqrt 2.
 
 let with_recording f =
-  Jp_obs.reset ();
-  Metrics.reset ();
-  Jp_obs.enable ();
+  Obs.reset ();
+  Obs.enable ();
   Fun.protect
     ~finally:(fun () ->
-      Jp_obs.disable ();
-      Jp_obs.reset ();
-      Metrics.reset ())
+      Obs.disable ();
+      Obs.reset ())
     f
+
+(* The finite bucket upper bounds, read off an empty histogram. *)
+let bucket_bounds () =
+  Array.of_list
+    (List.filter Float.is_finite (List.map fst (Hist.buckets (Hist.create ()))))
 
 (* Seeded samples in [1e-5, 10]: safely inside the finite bucket range so
    the sqrt-2 error bound applies without floor/overflow special cases. *)
@@ -32,7 +35,7 @@ let samples ~seed n =
 (* ------------------------------------------------------------------ *)
 
 let test_bucket_bounds () =
-  let b = Hist.bucket_bounds () in
+  let b = bucket_bounds () in
   Alcotest.(check int) "64 finite bounds" 64 (Array.length b);
   Alcotest.(check (float 1e-12)) "first bound is 1 microsecond" 1e-6 b.(0);
   for i = 1 to Array.length b - 1 do
@@ -48,10 +51,8 @@ let test_bucket_bounds () =
   (* the ladder spans at least 1 microsecond .. 45 minutes *)
   Alcotest.(check bool) "top bound covers long queries" true
     (b.(Array.length b - 1) > 2700.);
-  (* bucket_bounds hands out fresh copies: mutation must not leak *)
-  b.(0) <- 42.;
-  Alcotest.(check (float 1e-12)) "bounds are a fresh copy" 1e-6
-    (Hist.bucket_bounds ()).(0)
+  Alcotest.(check bool) "ends with the overflow bucket" true
+    (fst (List.nth (Hist.buckets (Hist.create ())) 64) = infinity)
 
 let test_observe_basics () =
   let h = Hist.create () in
@@ -131,65 +132,81 @@ let test_merge_deterministic () =
   Alcotest.(check int) "merge source unchanged" 200 (Hist.count hb)
 
 (* ------------------------------------------------------------------ *)
-(* Registered layer: gating, Local publish, gauges                     *)
+(* Registered layer: gating, one namespace, one reset                  *)
 (* ------------------------------------------------------------------ *)
 
 let test_recording_gate () =
-  Jp_obs.reset ();
-  Metrics.reset ();
-  Jp_obs.disable ();
-  let h = Metrics.histogram "test.gate_seconds" in
-  let g = Metrics.gauge "test.gate_depth" in
-  Metrics.observe h 1.0;
-  Metrics.set_gauge g 5;
-  Metrics.add_gauge g 3;
-  Metrics.snapshot ~now:1.0 ();
+  Obs.reset ();
+  Obs.disable ();
+  let h = Obs.histogram "test.gate_seconds" in
+  let g = Obs.gauge "test.gate_depth" in
+  Obs.observe h 1.0;
+  Obs.set g 5;
+  Obs.add g 3;
+  Obs.snapshot ~now:1.0 ();
   Alcotest.(check int) "observe dropped while off" 0
-    (Hist.count (Metrics.histogram_value h));
+    (Hist.count (Obs.histogram_value h));
   Alcotest.(check int) "gauge updates dropped while off" 0
-    (Metrics.gauge_value g);
+    (Obs.value g);
   Alcotest.(check int) "snapshot dropped while off" 0
-    (List.length (Metrics.snapshots ()));
+    (List.length (Obs.snapshots ()));
   with_recording (fun () ->
-      let h = Metrics.histogram "test.gate_seconds" in
-      Metrics.observe h 1.0;
+      let h = Obs.histogram "test.gate_seconds" in
+      Obs.observe h 1.0;
       Alcotest.(check int) "observe lands while on" 1
-        (Hist.count (Metrics.histogram_value h)))
-
-let test_local_publish () =
-  with_recording (fun () ->
-      let xs = samples ~seed:17 256 in
-      let direct = Metrics.histogram "test.local_direct_seconds" in
-      let pooled = Metrics.histogram "test.local_pooled_seconds" in
-      Array.iter (Metrics.observe direct) xs;
-      let acc = Metrics.Local.create pooled in
-      Array.iter (Metrics.Local.observe acc) xs;
-      Alcotest.(check int) "nothing published before the boundary" 0
-        (Hist.count (Metrics.histogram_value pooled));
-      Metrics.Local.publish acc;
-      Alcotest.(check bool) "publish equals direct observation" true
-        (Hist.buckets (Metrics.histogram_value pooled)
-        = Hist.buckets (Metrics.histogram_value direct));
-      (* publish clears the accumulator: publishing again adds nothing *)
-      Metrics.Local.publish acc;
-      Alcotest.(check int) "second publish is empty"
-        (Array.length xs)
-        (Hist.count (Metrics.histogram_value pooled)))
+        (Hist.count (Obs.histogram_value h)))
 
 let test_registry_find_or_create () =
   with_recording (fun () ->
-      let a = Metrics.histogram "test.same_seconds" in
-      let b = Metrics.histogram "test.same_seconds" in
-      Metrics.observe a 1.0;
-      Metrics.observe b 2.0;
+      let a = Obs.histogram "test.same_seconds" in
+      let b = Obs.histogram "test.same_seconds" in
+      Obs.observe a 1.0;
+      Obs.observe b 2.0;
       Alcotest.(check int) "same name, same histogram" 2
-        (Hist.count (Metrics.histogram_value a));
-      Alcotest.(check bool) "listed once" true
+        (Hist.count (Obs.histogram_value a));
+      Alcotest.(check int) "exported once" 1
         (List.length
            (List.filter
-              (fun (n, _) -> n = "test.same_seconds")
-              (Metrics.histogram_values ()))
-        = 1))
+              (fun l -> l = "# TYPE jp_test_same_seconds histogram")
+              (String.split_on_char '\n' (Obs.exposition ()))));
+      (* one namespace across kinds *)
+      ignore (Obs.counter "test.same_count");
+      Alcotest.check_raises "a counter's name is not a gauge's"
+        (Invalid_argument
+           "Jp_obs: instrument name registered twice: test.same_count")
+        (fun () -> ignore (Obs.gauge "test.same_count"));
+      Alcotest.check_raises "a histogram's name is not a counter's"
+        (Invalid_argument
+           "Jp_obs: instrument name registered twice: test.same_seconds")
+        (fun () -> ignore (Obs.counter "test.same_seconds")))
+
+(* One Jp_obs.reset clears every instrument kind at once. *)
+let test_reset_clears_all () =
+  with_recording (fun () ->
+      let c = Obs.counter "test.reset_count"
+      and g = Obs.gauge "test.reset_depth"
+      and h = Obs.histogram "test.reset_seconds" in
+      Obs.add c 3;
+      Obs.set g 7;
+      Obs.observe h 0.5;
+      Obs.snapshot ~now:1.0 ();
+      Alcotest.(check (list int)) "recorded" [ 3; 7; 1; 1 ]
+        [
+          Obs.value c;
+          Obs.value g;
+          Hist.count (Obs.histogram_value h);
+          List.length (Obs.snapshots ());
+        ];
+      Obs.reset ();
+      Alcotest.(check (list int)) "one reset zeroes all four" [ 0; 0; 0; 0 ]
+        [
+          Obs.value c;
+          Obs.value g;
+          Hist.count (Obs.histogram_value h);
+          List.length (Obs.snapshots ());
+        ];
+      Alcotest.(check bool) "gauges are not counters" false
+        (List.mem_assoc "test.reset_depth" (Obs.counter_values ())))
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots under a fake clock                                        *)
@@ -197,13 +214,13 @@ let test_registry_find_or_create () =
 
 let test_snapshot_fake_clock () =
   with_recording (fun () ->
-      let g = Metrics.gauge "test.snap_depth" in
-      Metrics.set_gauge g 1;
-      Metrics.snapshot ~now:2.0 ();
-      Metrics.set_gauge g 7;
-      Metrics.snapshot ~now:1.0 ();
-      Metrics.snapshot ~now:1.0 ();
-      let snaps = Metrics.snapshots () in
+      let g = Obs.gauge "test.snap_depth" in
+      Obs.set g 1;
+      Obs.snapshot ~now:2.0 ();
+      Obs.set g 7;
+      Obs.snapshot ~now:1.0 ();
+      Obs.snapshot ~now:1.0 ();
+      let snaps = Obs.snapshots () in
       Alcotest.(check int) "three snapshots" 3 (List.length snaps);
       Alcotest.(check (list (float 0.))) "sorted by timestamp" [ 1.0; 1.0; 2.0 ]
         (List.map fst snaps);
@@ -225,11 +242,11 @@ let lines s = String.split_on_char '\n' s |> List.filter (fun l -> l <> "")
 
 let test_exposition_golden () =
   with_recording (fun () ->
-      let h = Metrics.histogram "test.golden_seconds" in
-      let g = Metrics.gauge "test.golden_depth" in
-      List.iter (Metrics.observe h) [ 1e-6; 1.0; 2.0 ];
-      Metrics.set_gauge g 7;
-      let out = Metrics.exposition () in
+      let h = Obs.histogram "test.golden_seconds" in
+      let g = Obs.gauge "test.golden_depth" in
+      List.iter (Obs.observe h) [ 1e-6; 1.0; 2.0 ];
+      Obs.set g 7;
+      let out = Obs.exposition () in
       let ls = lines out in
       (* the golden subset: exact expected lines for our instruments,
          built from the published bucket ladder and %.9g formatting *)
@@ -239,7 +256,7 @@ let test_exposition_golden () =
         (List.mem "jp_test_golden_depth 7" ls);
       Alcotest.(check bool) "histogram TYPE line" true
         (List.mem "# TYPE jp_test_golden_seconds histogram" ls);
-      let bounds = Hist.bucket_bounds () in
+      let bounds = bucket_bounds () in
       let cumulative b =
         (if 1e-6 <= b then 1 else 0)
         + (if 1.0 <= b then 1 else 0)
@@ -287,32 +304,42 @@ let test_exposition_golden () =
             true ok)
         ls)
 
-let test_exposition_counters () =
-  with_recording (fun () ->
-      Jp_obs.incr Jp_obs.C.service_submitted;
-      Jp_obs.incr Jp_obs.C.service_submitted;
-      let ls = lines (Metrics.exposition ()) in
-      Alcotest.(check bool) "obs counters exported as counters" true
-        (List.mem "# TYPE jp_service_submitted counter" ls);
-      Alcotest.(check bool) "counter sample uses _total" true
-        (List.mem "jp_service_submitted_total 2" ls);
-      (* the cache footprint counter is a level, typed gauge *)
-      Alcotest.(check bool) "cache.bytes typed gauge" true
-        (List.mem "# TYPE jp_cache_bytes gauge" ls))
-
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   go 0
 
+let test_exposition_counters () =
+  with_recording (fun () ->
+      Obs.incr Obs.C.service_submitted;
+      Obs.incr Obs.C.service_submitted;
+      Obs.add Obs.G.cache_bytes 4096;
+      let ls = lines (Obs.exposition ()) in
+      Alcotest.(check bool) "obs counters exported as counters" true
+        (List.mem "# TYPE jp_service_submitted counter" ls);
+      Alcotest.(check bool) "counter sample uses _total" true
+        (List.mem "jp_service_submitted_total 2" ls);
+      (* the resident footprints are levels: gauges, kept once *)
+      Alcotest.(check bool) "cache footprint typed gauge" true
+        (List.mem "# TYPE jp_cache_resident_bytes gauge" ls);
+      Alcotest.(check bool) "cache footprint sample" true
+        (List.mem "jp_cache_resident_bytes 4096" ls);
+      Alcotest.(check bool) "tile footprint typed gauge" true
+        (List.mem "# TYPE jp_tile_resident_bytes gauge" ls);
+      List.iter
+        (fun n ->
+          Alcotest.(check bool) (n ^ " is not exported") false
+            (List.exists (fun l -> contains l n) ls))
+        [ "jp_cache_bytes"; "jp_tile_bytes" ])
+
 let test_counter_events () =
   with_recording (fun () ->
-      let g = Metrics.gauge "test.events_depth" in
-      Metrics.set_gauge g 3;
-      Metrics.snapshot ~now:1.0 ();
-      Metrics.set_gauge g 9;
-      Metrics.snapshot ~now:2.0 ();
-      let trace = Metrics.chrome_trace_string () in
+      let g = Obs.gauge "test.events_depth" in
+      Obs.set g 3;
+      Obs.snapshot ~now:1.0 ();
+      Obs.set g 9;
+      Obs.snapshot ~now:2.0 ();
+      let trace = Obs.Json.to_string (Obs.chrome_trace ()) in
       Alcotest.(check bool) "counter lane present" true
         (contains trace "\"name\":\"test.events_depth\"");
       Alcotest.(check bool) "C phase events present" true
@@ -328,8 +355,9 @@ let suite =
     Alcotest.test_case "quantile error bound" `Quick test_quantile_error_bound;
     Alcotest.test_case "merge deterministic" `Quick test_merge_deterministic;
     Alcotest.test_case "recording gate" `Quick test_recording_gate;
-    Alcotest.test_case "local publish" `Quick test_local_publish;
     Alcotest.test_case "registry find-or-create" `Quick test_registry_find_or_create;
+    Alcotest.test_case "one reset clears every instrument" `Quick
+      test_reset_clears_all;
     Alcotest.test_case "snapshot fake clock" `Quick test_snapshot_fake_clock;
     Alcotest.test_case "exposition golden" `Quick test_exposition_golden;
     Alcotest.test_case "exposition counters" `Quick test_exposition_counters;

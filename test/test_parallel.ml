@@ -28,19 +28,6 @@ let test_ranges_partition () =
       done);
   Alcotest.(check bool) "ranges cover exactly" true (Array.for_all (fun h -> h = 1) hits)
 
-let test_map_reduce () =
-  let n = 10_000 in
-  let total =
-    Pool.map_reduce ~domains:4 ~lo:0 ~hi:n ~combine:( + ) ~init:0 (fun i -> i)
-  in
-  Alcotest.(check int) "sum" (n * (n - 1) / 2) total
-
-let test_map_reduce_sequential () =
-  let total =
-    Pool.map_reduce ~domains:1 ~lo:1 ~hi:11 ~combine:( + ) ~init:0 (fun i -> i)
-  in
-  Alcotest.(check int) "sum 1..10" 55 total
-
 exception Boom
 
 let test_exception_propagates () =
@@ -78,12 +65,6 @@ let test_failure_lowest_index_wins () =
       Pool.parallel_for ~domains:2 ~chunk:1 ~lo:0 ~hi:1_000 (fun i ->
           if i = 10 then raise Boom_a;
           if i = 20 then raise Boom_b))
-
-let test_map_reduce_failure () =
-  Alcotest.check_raises "map_reduce re-raises" Boom_a (fun () ->
-      ignore
-        (Pool.map_reduce ~domains:2 ~chunk:1 ~lo:0 ~hi:1_000 ~combine:( + )
-           ~init:0 (fun i -> if i = 7 then raise Boom_a else i)))
 
 let test_cancel_precancelled () =
   let c = Cancel.create () in
@@ -133,14 +114,11 @@ let suite =
     Alcotest.test_case "parallel_for domains=1" `Quick test_parallel_for_sequential_degenerate;
     Alcotest.test_case "parallel_for empty" `Quick test_parallel_for_empty;
     Alcotest.test_case "ranges partition" `Quick test_ranges_partition;
-    Alcotest.test_case "map_reduce" `Quick test_map_reduce;
-    Alcotest.test_case "map_reduce sequential" `Quick test_map_reduce_sequential;
     Alcotest.test_case "exception propagates" `Quick test_exception_propagates;
     Alcotest.test_case "available cores" `Quick test_available_cores;
     Alcotest.test_case "stop flag prompt" `Quick test_stop_flag_prompt;
     Alcotest.test_case "lowest-index failure wins" `Quick
       test_failure_lowest_index_wins;
-    Alcotest.test_case "map_reduce failure" `Quick test_map_reduce_failure;
     Alcotest.test_case "pre-cancelled (seq)" `Quick test_cancel_precancelled;
     Alcotest.test_case "pre-cancelled (parallel)" `Quick
       test_cancel_precancelled_parallel;

@@ -407,7 +407,6 @@ let contains hay needle =
 let test_trace_ids () =
   let r = small Presets.Jokes in
   with_recording (fun () ->
-      Jp_metrics.reset ();
       let nq = 4 in
       let reports =
         with_service Service.default (fun svc ->
@@ -421,7 +420,7 @@ let test_trace_ids () =
       Alcotest.(check (list int)) "trace ids assigned in submission order"
         (List.init nq Fun.id)
         (List.map (fun rep -> rep.Service.trace_id) reports);
-      let trace = Jp_metrics.chrome_trace_string () in
+      let trace = Jp_obs.Json.to_string (Jp_obs.chrome_trace ()) in
       List.iter
         (fun rep ->
           Alcotest.(check bool)
@@ -436,14 +435,11 @@ let test_trace_ids () =
         (contains trace "\"name\":\"service.outcome\"");
       Alcotest.(check bool) "outcome carries the verdict" true
         (contains trace "\"outcome\":\"ok\"");
-      let hist name =
-        Jp_metrics.Hist.count (Jp_metrics.histogram_value name)
-      in
+      let hist h = Jp_obs.Hist.count (Jp_obs.histogram_value h) in
       Alcotest.(check int) "one queued-latency record per query" nq
-        (hist Jp_metrics.H.service_queued_seconds);
+        (hist Jp_obs.H.service_queued_seconds);
       Alcotest.(check int) "one ran-latency record per query" nq
-        (hist Jp_metrics.H.service_ran_seconds);
-      Jp_metrics.reset ())
+        (hist Jp_obs.H.service_ran_seconds))
 
 let test_chaos_workload_deterministic () =
   let r = small Presets.Jokes in

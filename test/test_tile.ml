@@ -124,6 +124,9 @@ let test_eviction_determinism () =
     with_obs (fun () ->
         let got = Tile.mul (cfg ~budget_bytes:budget ()) sa sb in
         Alcotest.(check bool) "capped = flat" true (Boolmat.equal got expect);
+        (* evictions move the footprint gauge too, so it drains to zero *)
+        Alcotest.(check int) "footprint drained" 0
+          (Jp_obs.value Jp_obs.G.tile_bytes);
         tile_counters ())
   in
   let first = run () in
@@ -140,12 +143,12 @@ let test_eviction_determinism () =
 let test_store_accounting () =
   let a = random_boolmat 15 ~rows:64 ~cols:48 ~density:0.2 in
   let b = random_boolmat 16 ~rows:48 ~cols:64 ~density:0.2 in
-  let counters =
+  let counters, resident =
     with_obs (fun () ->
         ignore
           (Tile.mul (cfg ())
              (Tile.Source.of_boolmat a) (Tile.Source.of_boolmat b));
-        tile_counters ())
+        (tile_counters (), Jp_obs.value Jp_obs.G.tile_bytes))
   in
   let get k = try List.assoc k counters with Not_found -> 0 in
   (* Capped at 16: 4 row blocks x 2 word-aligned (62-wide) column
@@ -155,7 +158,7 @@ let test_store_accounting () =
   Alcotest.(check int) "products" 8 (get "tile.product");
   Alcotest.(check int) "no evictions" 0 (get "tile.evict");
   Alcotest.(check bool) "hits" true (get "tile.store_hit" > 0);
-  Alcotest.(check int) "footprint drained" 0 (get "tile.bytes");
+  Alcotest.(check int) "footprint drained" 0 resident;
   Alcotest.(check bool) "peak recorded" true (get "tile.peak_bytes" > 0)
 
 let test_checkpoint_and_cancel () =

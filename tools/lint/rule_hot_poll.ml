@@ -1,11 +1,7 @@
 let id = "hot-poll"
 
-(* Cancellation polls, observability bumps, cache traffic and metric
-   recordings are priced for chunk/phase granularity; at loop depth >= 2
-   they are per-tuple.  Jp_metrics.Local.observe is deliberately absent:
-   accumulating into a domain-local histogram inside the loop and
-   publishing once at the boundary is the in-loop form the rule allows
-   (no lib/ loop records a histogram value yet). *)
+(* Cancellation polls, instrument updates and cache traffic are priced
+   for chunk/phase granularity; at loop depth >= 2 they are per-tuple. *)
 let poll_functions =
   [
     "Jp_util.Cancel.is_cancelled";
@@ -13,6 +9,9 @@ let poll_functions =
     "Jp_util.Cancel.check_opt";
     "Jp_obs.incr";
     "Jp_obs.add";
+    "Jp_obs.set";
+    "Jp_obs.observe";
+    "Jp_obs.snapshot";
     "Jp_obs.span";
     "Jp_obs.timed_span";
     "Jp_obs.instant";
@@ -22,18 +21,13 @@ let poll_functions =
     "Jp_cache.find_or_build";
     "Jp_cache.binding_find";
     "Jp_cache.binding_publish";
-    "Jp_metrics.observe";
-    "Jp_metrics.set_gauge";
-    "Jp_metrics.add_gauge";
-    "Jp_metrics.snapshot";
-    "Jp_metrics.Local.publish";
   ]
 
 let rule =
   Lint_rule.v ~id
     ~doc:
-      "no cancel polls / Jp_obs counter bumps / cache traffic at loop depth \
-       >= 2 (chunk granularity, never per tuple)"
+      "no cancel polls / Jp_obs instrument updates / cache traffic at loop \
+       depth >= 2 (chunk granularity, never per tuple)"
     ~applies:Lint_rule.lib_only
     ~on_expr:(fun ctx e ->
       if ctx.Lint_ctx.loop_depth >= 2 then
