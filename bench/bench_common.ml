@@ -113,9 +113,9 @@ let time ?label cfg f =
     t
   end
 
-(* Runs [f] and renders its wall time, also returning a checksum so that
-   result sizes can be cross-checked between engines in the same row. *)
-let timed_cell ?label cfg f =
+(* Runs [f] and returns its wall time with a checksum, so that result
+   sizes can be cross-checked between engines in the same row. *)
+let timed_run ?label cfg f =
   let result = ref 0 in
   let run () =
     result := f ();
@@ -131,7 +131,12 @@ let timed_cell ?label cfg f =
       t
     end
   in
-  (Tablefmt.seconds t, !result)
+  (t, !result)
+
+(* [timed_run] with the wall time rendered for a table cell. *)
+let timed_cell ?label cfg f =
+  let t, result = timed_run ?label cfg f in
+  (Tablefmt.seconds t, result)
 
 let write_json ~path cfg =
   let open Jp_obs.Json in

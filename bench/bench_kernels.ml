@@ -27,19 +27,25 @@ let tests scale =
   let b = lazy (random_boolmat 2 512 0.5) in
   Test.make_grouped ~name:"kernels" ~fmt:"%s %s"
     [
-      (* FIG3a/3b: the matrix product itself *)
+      (* FIG3a/3b: the matrix product itself, at the default config
+         (one tile at 512) *)
       Test.make ~name:"fig3-bool-mm-512"
         (Staged.stage (fun () ->
              let a = Lazy.force a and b = Lazy.force b in
-             ignore (Boolmat.mul a b)));
+             ignore
+               (Jp_tile.mul (Jp_tile.config ())
+                  (Jp_tile.Source.of_boolmat a)
+                  (Jp_tile.Source.of_boolmat b))));
       Test.make ~name:"fig3-count-mm-512"
         (Staged.stage (fun () ->
              let a = Lazy.force a and b = Lazy.force b in
-             ignore (Boolmat.count_product a b)));
-      (* ABL-TILE: the tiled kernels across a tile-cap sweep (the
-         Boolmat reference fig3 rows above are their baseline; a
-         512-wide cap makes the 512x512 operand a single tile, pricing
-         the pure schedule overhead) *)
+             ignore
+               (Jp_tile.count_product (Jp_tile.config ())
+                  (Jp_tile.Source.of_boolmat a)
+                  (Jp_tile.Source.of_boolmat b))));
+      (* ABL-TILE: the kernels across a tile-cap sweep (the single-tile
+         fig3 rows above are their baseline; a 512-wide cap is the same
+         single tile) *)
       Test.make ~name:"abl-tile-bool-mm-512-t64"
         (Staged.stage (fun () ->
              let a = Lazy.force a and b = Lazy.force b in

@@ -16,7 +16,8 @@ let random_boolmat seed ~rows ~cols ~density =
   m
 
 (* FIG3a: running time vs matrix dimension, single core (paper: Eigen up
-   to 10000^2; here the two bit-packed kernels). *)
+   to 10000^2; here the boolean and count products of Jp_tile, the
+   engines' kernel, at its default config). *)
 let fig3a cfg =
   Bench_common.section "FIG3a: matrix multiplication vs dimension (1 core)";
   let dims = [ 250; 500; 1000; 1500; 2000; 2500 ] in
@@ -25,8 +26,14 @@ let fig3a cfg =
       (fun n ->
         let a = random_boolmat 1 ~rows:n ~cols:n ~density:0.5 in
         let b = random_boolmat 2 ~rows:n ~cols:n ~density:0.5 in
-        let t_bool = Bench_common.time cfg (fun () -> Boolmat.mul a b) in
-        let t_count = Bench_common.time cfg (fun () -> Boolmat.count_product a b) in
+        let sa = Jp_tile.Source.of_boolmat a and sb = Jp_tile.Source.of_boolmat b in
+        let t_bool =
+          Bench_common.time cfg (fun () -> Jp_tile.mul (Jp_tile.config ()) sa sb)
+        in
+        let t_count =
+          Bench_common.time cfg (fun () ->
+              Jp_tile.count_product (Jp_tile.config ()) sa sb)
+        in
         [
           string_of_int n;
           Tablefmt.seconds t_bool;

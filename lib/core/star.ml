@@ -1,6 +1,5 @@
 module Relation = Jp_relation.Relation
 module Tuples = Jp_relation.Tuples
-module Boolmat = Jp_matrix.Boolmat
 module Vec = Jp_util.Vec
 module Obs = Jp_obs
 module Cancel = Jp_util.Cancel
@@ -63,9 +62,13 @@ let unpack_into shifts dims key tuple ~offset =
       tuple.(offset + i) <- (key lsr shift) land ((1 lsl bits_needed dims.(i)) - 1))
     shifts
 
-(* The heavy residue via the V·W matrix product of Section 3.2. *)
-let heavy_matrix_step ?cancel ~builder ~heavy_lists ~qualifying_ys ~dims k
-    ~combo_cap () =
+(* The heavy residue via the V·W matrix product of Section 3.2.  One
+   pass over the qualifying ys interns every prefix/suffix combo and
+   records the (combo, y) pairs; V (prefix combo × y) and W (y × suffix
+   combo) are the adjacency arrays of the two pair relations, and
+   Jp_tile streams their product a band of rows at a time. *)
+let heavy_matrix_step ~domains ?cancel ~builder ~heavy_lists ~qualifying_ys
+    ~dims k ~combo_cap () =
   let m = (k + 1) / 2 in
   let prefix_dims = Array.sub dims 0 m in
   let suffix_dims = Array.sub dims m (k - m) in
@@ -75,71 +78,49 @@ let heavy_matrix_step ?cancel ~builder ~heavy_lists ~qualifying_ys ~dims k
     let prefix_index : (int, int) Hashtbl.t = Hashtbl.create 1024 in
     let suffix_index : (int, int) Hashtbl.t = Hashtbl.create 1024 in
     let prefix_keys = Vec.create () and suffix_keys = Vec.create () in
-    let intern index keys key =
+    let prefix_pairs = Vec.create () and suffix_pairs = Vec.create () in
+    let intern index keys pairs jy key =
       match Hashtbl.find_opt index key with
-      | Some i -> i
+      | Some i -> Vec.push2 pairs i jy
       | None ->
         let i = Hashtbl.length index in
         if i >= combo_cap then raise Matrix_overflow;
         Hashtbl.add index key i;
         Vec.push keys key;
-        i
+        Vec.push2 pairs i jy
     in
-    (* First pass: assign row/column indexes. *)
     Array.iteri
       (fun jy y ->
         maybe_check cancel jy;
         let lists : int array array = heavy_lists y in
-        iter_combos (Array.sub lists 0 m) prefix_shifts (fun key ->
-            ignore (intern prefix_index prefix_keys key));
-        iter_combos (Array.sub lists m (k - m)) suffix_shifts (fun key ->
-            ignore (intern suffix_index suffix_keys key)))
+        iter_combos (Array.sub lists 0 m) prefix_shifts
+          (intern prefix_index prefix_keys prefix_pairs jy);
+        iter_combos (Array.sub lists m (k - m)) suffix_shifts
+          (intern suffix_index suffix_keys suffix_pairs jy))
       qualifying_ys;
     let u = Hashtbl.length prefix_index in
     let w = Hashtbl.length suffix_index in
     let v = Array.length qualifying_ys in
-    if u = 0 || w = 0 || v = 0 then ()
-    else begin
-      let mat_v = Boolmat.create ~rows:u ~cols:v in
-      let mat_w = Boolmat.create ~rows:v ~cols:w in
-      Array.iteri
-        (fun j y ->
-          let lists = heavy_lists y in
-          iter_combos (Array.sub lists 0 m) prefix_shifts (fun key ->
-              Boolmat.set mat_v
-                (Hashtbl.find prefix_index key
-                [@jp.lint.allow "hashtbl-dedup"
-                  "interning lookup: combo keys are sparse points of a \
-                   shifted product domain, far too large to stamp"])
-                j);
-          iter_combos (Array.sub lists m (k - m)) suffix_shifts (fun key ->
-              Boolmat.set mat_w j
-                (Hashtbl.find suffix_index key
-                [@jp.lint.allow "hashtbl-dedup"
-                  "same sparse combo-key interning as the prefix side"])))
-        qualifying_ys;
-      (* Stream the product V·W row by row: materializing the full u x w
-         bit-matrix would need u·w bits (it OOMs on large heavy residues);
-         one w-bit accumulator gives the same word-op count in O(w)
-         memory. *)
-      let acc = Jp_util.Bitset.create w in
+    if u > 0 && w > 0 && v > 0 then begin
+      let pairs p n = Relation.of_flat ~src_count:n ~dst_count:v (Vec.to_array p) in
+      let source rows cols adj =
+        Jp_tile.Source.of_adjacency ~rows ~cols (fun i f -> Array.iter f (adj i))
+      in
       let tuple = Array.make k 0 in
-      for i = 0 to u - 1 do
-        maybe_check cancel i;
-        Jp_util.Bitset.clear acc;
-        Boolmat.iter_row mat_v i (fun j ->
-            Jp_util.Bitset.union_into ~dst:acc (Boolmat.row mat_w j));
-        if not (Jp_util.Bitset.is_empty acc) then begin
-          unpack_into prefix_shifts prefix_dims (Vec.get prefix_keys i) tuple
-            ~offset:0;
-          Jp_util.Bitset.iter
-            (fun l ->
-              unpack_into suffix_shifts suffix_dims (Vec.get suffix_keys l) tuple
-                ~offset:m;
-              Tuples.add builder tuple)
-            acc
-        end
-      done
+      Jp_tile.mul_rows ~domains ?cancel (Jp_tile.config ())
+        (source u v (Relation.adj_src (pairs prefix_pairs u)))
+        (source v w (Relation.adj_dst (pairs suffix_pairs w)))
+        (fun i row ->
+          if not (Jp_util.Bitset.is_empty row) then begin
+            unpack_into prefix_shifts prefix_dims (Vec.get prefix_keys i) tuple
+              ~offset:0;
+            Jp_util.Bitset.iter
+              (fun l ->
+                unpack_into suffix_shifts suffix_dims (Vec.get suffix_keys l)
+                  tuple ~offset:m;
+                Tuples.add builder tuple)
+              row
+          end)
     end
 
 (* As in Two_path: wall-clock phases feeding the plan-vs-actual record,
@@ -161,7 +142,7 @@ let degrade_on_budget g strategy =
   end
   else strategy
 
-let project_impl ~strategy ~thresholds ~guard ~cancel rels =
+let project_impl ~domains ~strategy ~thresholds ~guard ~cancel rels =
   let k = Array.length rels in
   if k < 2 then invalid_arg "Star.project: arity must be >= 2";
   Cancel.check_opt cancel;
@@ -250,7 +231,7 @@ let project_impl ~strategy ~thresholds ~guard ~cancel rels =
   (* Pre-MM checkpoint: with the qualifying heavy residue known, the time
      budget can still veto the matrices, and the cells budget tightens the
      interning cap so u·v + v·w stays within it (the product itself is
-     streamed in O(w)). *)
+     streamed a band at a time). *)
   let strategy = degrade_on_budget g strategy in
   let combo_cap =
     let default = 5_000_000 in
@@ -267,7 +248,7 @@ let project_impl ~strategy ~thresholds ~guard ~cancel rels =
     try
       phase phases "heavy-mm" (fun () ->
           Obs.span "star.heavy_mm" (fun () ->
-              heavy_matrix_step ?cancel ~builder ~heavy_lists ~qualifying_ys
+              heavy_matrix_step ~domains ?cancel ~builder ~heavy_lists ~qualifying_ys
                 ~dims k ~combo_cap ()));
       heavy_path := "mm"
     with Matrix_overflow ->
@@ -284,7 +265,7 @@ let project_impl ~strategy ~thresholds ~guard ~cancel rels =
       ~phases:(List.rev !phases) ();
   result
 
-let project ?domains:_ ?(strategy = Matrix) ?thresholds ?(guard = Guard.inert)
-    ?cancel rels =
+let project ?(domains = 1) ?(strategy = Matrix) ?thresholds
+    ?(guard = Guard.inert) ?cancel rels =
   Obs.span "star.project" (fun () ->
-      project_impl ~strategy ~thresholds ~guard ~cancel rels)
+      project_impl ~domains ~strategy ~thresholds ~guard ~cancel rels)

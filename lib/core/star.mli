@@ -10,19 +10,21 @@
 
     Steps 1–2 run the worst-case-optimal join with Rⱼ replaced by Rⱼ⁻
     (then Rⱼ⋄) for each j and project.  Step 3 groups the variables into a
-    ⌈k/2⌉-prefix and ⌊k/2⌋-suffix, materializes the two rectangular
+    ⌈k/2⌉-prefix and ⌊k/2⌋-suffix, builds the two rectangular
     matrices V ((N/Δ₂)^⌈k/2⌉ × N/Δ₁) and W over the heavy tuple
-    combinations that actually occur, and multiplies.  Only matrix rows
-    with at least one surviving y are materialized, so memory stays
-    proportional to the heavy join, not to the nominal dimensions.
+    combinations that actually occur, and multiplies.  V and W are
+    adjacency (CSR) arrays over the interned combinations, so memory
+    stays proportional to the heavy join, not to the nominal
+    dimensions.
 
     [Combinatorial] replaces step 3 with the same heavy-restricted
     enumeration evaluated tuple-at-a-time — the star {b Non-MMJoin}.
 
-    The product is streamed one row at a time, so peak memory stays
-    O(columns) even when the nominal u × w result would not fit; the
-    [domains] parameter is currently accepted for API stability but the
-    star evaluation runs single-domain. *)
+    The product V·W runs through {!Jp_tile.mul_rows}, the kernel every
+    heavy product uses, on [domains] domains: output tiles are the
+    parallel unit, and the result rows are streamed a band at a time,
+    so peak memory stays O(band) even when the nominal u × w result
+    would not fit. *)
 
 module Relation = Jp_relation.Relation
 module Tuples = Jp_relation.Tuples
@@ -40,6 +42,8 @@ val project :
   Tuples.t
 (** [project rels] evaluates π{_x₁…x_k} of the star join.  Default
     [thresholds] come from {!choose_thresholds}.  Arity must be ≥ 2.
+    [domains] (default 1) is the heavy product's domain count; the
+    result does not depend on it.
 
     Star thresholds are input-derived (no |OUT| estimate), so [guard]
     contributes budgets and outcome recording only: time-budget
@@ -51,9 +55,9 @@ val project :
     Without [guard] the engine runs under {!Jp_adaptive.Guard.inert}:
     the same path, no outcome recorded, identical results.
 
-    [cancel] is polled before each sub-join and every few hundred
-    iterations of the qualify/intern/product/enumeration loops; absent,
-    the polls do nothing. *)
+    [cancel] is polled before each sub-join, every few hundred
+    iterations of the qualify/intern/enumeration loops and once per
+    output tile of the heavy product; absent, the polls do nothing. *)
 
 val choose_thresholds : Relation.t array -> int * int
 [@@jp.lint.allow

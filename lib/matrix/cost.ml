@@ -76,12 +76,26 @@ let random_boolmat rng ~rows ~cols ~density =
   done;
   m
 
+(* The kernel constants time the word loops of [Jp_tile]'s tile bodies
+   over one p×p operand pair — one tile, as every product up to the
+   default cap is.  This library sits below [jp_tile], so the probes
+   copy those loops the way [measure_ti] copies [Row_acc]'s: the count
+   body adds one [Bitset.inter_count] per row pair into the result
+   cell, the boolean body ORs the B rows each A row selects into that
+   result row with [Bitset.union_into]. *)
 let measure_count_word p =
   let rng = Jp_util.Rng.create 7 in
   let a = random_boolmat rng ~rows:p ~cols:p ~density:0.6
   and b = random_boolmat rng ~rows:p ~cols:p ~density:0.6 in
+  let c = Intmat.create ~rows:p ~cols:p in
   let t0 = Jp_util.Timer.now () in
-  let c = Boolmat.count_product a b in
+  for i = 0 to p - 1 do
+    let arow = Boolmat.row a i and dst = Intmat.row c i in
+    for l = 0 to p - 1 do
+      let n = Jp_util.Bitset.inter_count arow (Boolmat.row b l) in
+      if n > 0 then dst.(l) <- dst.(l) + n
+    done
+  done;
   let dt = Jp_util.Timer.now () -. t0 in
   Sys.opaque_identity c |> ignore;
   let words = float_of_int (p * p) *. (float_of_int p /. 62.0) in
@@ -91,8 +105,13 @@ let measure_bool_word p =
   let rng = Jp_util.Rng.create 11 in
   let a = random_boolmat rng ~rows:p ~cols:p ~density:0.6
   and b = random_boolmat rng ~rows:p ~cols:p ~density:0.6 in
+  let c = Boolmat.create ~rows:p ~cols:p in
   let t0 = Jp_util.Timer.now () in
-  let c = Boolmat.mul a b in
+  for i = 0 to p - 1 do
+    let dst = Boolmat.row c i in
+    Boolmat.iter_row a i (fun k ->
+        Jp_util.Bitset.union_into ~dst (Boolmat.row b k))
+  done;
   let dt = Jp_util.Timer.now () -. t0 in
   Sys.opaque_identity c |> ignore;
   let words = 0.6 *. float_of_int (p * p) *. (float_of_int p /. 62.0) in

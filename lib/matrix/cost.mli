@@ -7,15 +7,15 @@
       closed-form threshold analysis of Section 3.
 
     - The {e machine-calibrated} estimator [M̂(u,v,w,co)] of Section 5
-      (Table 1): measured per-operation constants for the actual kernels in
-      {!Intmat} and {!Boolmat}, anchored on a small table of
-      square multiplies and extrapolated by the cubic cost formula — valid
-      because the kernels, like the paper's Eigen, implement the
-      (optimized) cubic algorithm with predictable running time.  The
-      engines' heavy products run through [Jp_tile], whose tiles execute
-      the same row kernels (one tile for products up to its cap), so
-      constants timed on the whole-matrix {!Boolmat} references price
-      them too.  Nothing here chooses a kernel: there is only one.
+      (Table 1): measured per-word constants of the one product kernel,
+      [Jp_tile], extrapolated by the cubic cost formula — valid because
+      the kernel, like the paper's Eigen, implements the (optimized)
+      cubic algorithm with predictable running time.  This library sits
+      below [jp_tile], so the probes time copies of its tile bodies'
+      word loops ([Bitset.union_into] over the selected rows,
+      [Bitset.inter_count] over row pairs) on one square tile, the shape
+      of every product up to the tile cap.  Nothing here chooses a
+      kernel: there is only one.
 
     The same calibration pass also measures the paper's Table-1 machine
     constants [Ts] (sequential access), [Tm] (allocation) and [TI] (random
@@ -23,8 +23,8 @@
     cost the combinatorial part of the join. *)
 
 type kind =
-  | Count  (** {!Boolmat.count_product}: bit-sliced count product *)
-  | Boolean  (** {!Boolmat.mul}: bit-packed boolean product *)
+  | Count  (** [Jp_tile.count_product]: bit-sliced count product *)
+  | Boolean  (** [Jp_tile.mul]: bit-packed boolean product *)
 
 val lemma1 : ?omega:float -> u:int -> v:int -> w:int -> unit -> float
 (** [lemma1 ~omega ~u ~v ~w] is the Lemma-1 operation count
@@ -37,8 +37,8 @@ type machine = {
   tm : float;  (** seconds per 32 bytes allocated *)
   ti : float;  (** seconds per random access + insert *)
   count_word : float;
-      (** seconds per 62-bit AND+popcount word in {!Boolmat.count_product} *)
-  bool_word : float;  (** seconds per 62-bit word OR in {!Boolmat.mul} *)
+      (** seconds per 62-bit AND+popcount word of a count tile *)
+  bool_word : float;  (** seconds per 62-bit word OR of a boolean tile *)
   cores : int;  (** cores available on this machine *)
 }
 (** Measured machine constants (Table 1 of the paper). *)

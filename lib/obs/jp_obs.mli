@@ -181,16 +181,14 @@ val exposition : unit -> string
 (** The process-wide counters maintained by the instrumented engines. *)
 module C : sig
   val mm_bool_word_ops : counter
-  (** 62-bit payload-word ORs of the boolean heavy product ([Jp_tile.mul],
-      and the {!Jp_matrix.Boolmat.mul} reference): one per union times
-      the words holding the OR'd row's bits — a bitset's spare trailing
-      word is not counted. *)
+  (** 62-bit payload-word ORs of the boolean heavy product
+      ([Jp_tile.mul] and its streamed [mul_rows], which the star runs):
+      one per union times the words holding the OR'd row's bits — a
+      bitset's spare trailing word is not counted. *)
 
   val mm_count_word_ops : counter
   (** 62-bit payload-word AND+popcounts of the count heavy product
-      ([Jp_tile.count_product], and the
-      {!Jp_matrix.Boolmat.count_product} reference), counted the same
-      way. *)
+      ([Jp_tile.count_product]/[count_upper]), counted the same way. *)
 
   val stamp_hits : counter
   (** Stamp-vector probes that found the stamp already set (dedup hits). *)
@@ -294,8 +292,8 @@ module C : sig
   (** Operand tiles evicted by the resident-set byte budget. *)
 
   val tile_products : counter
-  (** Output tiles computed by [Jp_tile.mul]/[count_product]: every
-      heavy product publishes at least one. *)
+  (** Output tiles computed by [Jp_tile.mul]/[mul_rows]/[count_product]/
+      [count_upper]: every heavy product publishes at least one. *)
 
   val tile_peak_bytes : counter
   (** High-water mark of {!G.tile_bytes}: bumped by the increase whenever

@@ -253,75 +253,116 @@ let store_drain st =
 
 let run_checkpoint = function Some f -> f () | None -> ()
 
+(* [mul_rows] fits its band height to keep a band under this size. *)
+let band_bytes = 1 lsl 20
+
+let check_dims name (a : Source.t) (b : Source.t) =
+  if a.Source.cols <> b.Source.rows then
+    invalid_arg
+      (Printf.sprintf "Jp_tile.%s: dimension mismatch (%dx%d . %dx%d)" name
+         a.Source.rows a.Source.cols b.Source.rows b.Source.cols)
+
 (* Boolean product: output tile (ti, tj) is the OR over inner blocks k
    of A(ti,k)·B(k,tj).  Column tiles are word-aligned, so the tile owns
    the words holding columns [c0, c0+tw) of its result rows and ORs the
    selected B-tile rows straight into them: no scratch tile and no
    lock, and ORs commute, so the result is independent of the order in
-   which tiles and inner blocks finish. *)
+   which tiles and inner blocks finish.
+
+   Rows run in bands of whole row blocks (the tile side high, or the
+   band when it is lower), at most [band_rows] rows: one pool round
+   writes a band's i-th row into [dst i], then [finish r0 r1] runs on
+   the calling domain.  [mul] is one band over the result. *)
+let bool_bands ~domains ?cancel ?checkpoint cfg (a : Source.t) (b : Source.t)
+    ~band_rows ~dst ~finish =
+  let u = a.Source.rows and v = a.Source.cols and w = b.Source.cols in
+  let ts, kt =
+    fit cfg ~domains ~col_width:word_aligned ~upper:false
+      ~u:(min u band_rows) ~v ~w
+  in
+  let rh = min ts band_rows and cw = word_aligned ts in
+  let band = rh * max 1 (band_rows / rh) in
+  let t_i = blocks u rh and t_k = blocks v kt and t_j = blocks w cw in
+  let store =
+    store_create ~budget:cfg.budget_bytes ~nslots:((t_i * t_k) + (t_k * t_j))
+  in
+  let a_slot ti k = (ti * t_k) + k in
+  let b_slot k tj = (t_i * t_k) + (k * t_j) + tj in
+  let obs = Obs.recording () in
+  (* first row of the band being computed *)
+  let base = ref 0 in
+  let body t =
+    let ti = (!base / rh) + (t / t_j) and tj = t mod t_j in
+    run_checkpoint checkpoint;
+    Obs.span "tile.mul_tile" (fun () ->
+        let r0 = ti * rh and c0 = tj * cw in
+        let th = min rh (u - r0) and tw = min cw (w - c0) in
+        let unions = ref 0 in
+        for k = 0 to t_k - 1 do
+          let k0 = k * kt in
+          let kw = min kt (v - k0) in
+          let at =
+            store_fetch store (a_slot ti k) (fun () ->
+                build_tile a ~r0 ~th ~c0:k0 ~tw:kw)
+          in
+          let bt =
+            store_fetch store (b_slot k tj) (fun () ->
+                build_tile b ~r0:k0 ~th:kw ~c0 ~tw)
+          in
+          (* A tile as wide as the result (every product up to the
+             cap at domains = 1) ORs whole rows and skips the
+             offset checks, which cost ~5% of a dense product.  The
+             OR closure is made once per block, not once per row. *)
+          let row = ref (dst (r0 - !base)) in
+          let union =
+            if tw = w then fun kk -> Bitset.union_into ~dst:!row (Boolmat.row bt kk)
+            else fun kk -> Bitset.union_into_at ~dst:!row c0 (Boolmat.row bt kk)
+          in
+          for i = 0 to th - 1 do
+            row := dst (r0 - !base + i);
+            if obs then unions := !unions + Boolmat.row_nnz at i;
+            Boolmat.iter_row at i union
+          done
+        done;
+        if obs then
+          Obs.add Obs.C.mm_bool_word_ops (!unions * Bitset.payload_words tw);
+        Obs.incr Obs.C.tile_products)
+  in
+  Fun.protect
+    ~finally:(fun () -> store_drain store)
+    (fun () ->
+      while !base < u do
+        let r1 = min u (!base + band) in
+        Pool.parallel_for ~domains ~chunk:1 ?cancel ~lo:0
+          ~hi:(blocks (r1 - !base) rh * t_j)
+          body;
+        finish !base r1;
+        base := r1
+      done)
+
 let mul ?(domains = 1) ?cancel ?checkpoint cfg (a : Source.t)
     (b : Source.t) =
-  if a.Source.cols <> b.Source.rows then
-    invalid_arg
-      (Printf.sprintf "Jp_tile.mul: dimension mismatch (%dx%d . %dx%d)"
-         a.Source.rows a.Source.cols b.Source.rows b.Source.cols);
+  check_dims "mul" a b;
   Obs.span "tile.mul" (fun () ->
-      let u = a.Source.rows and v = a.Source.cols and w = b.Source.cols in
-      let result = Boolmat.create ~rows:u ~cols:w in
-      let ts, kt = fit cfg ~domains ~col_width:word_aligned ~upper:false ~u ~v ~w in
-      let cw = word_aligned ts in
-      let t_i = blocks u ts and t_k = blocks v kt and t_j = blocks w cw in
-      if t_i = 0 || t_j = 0 then result
-      else begin
-        let store =
-          store_create ~budget:cfg.budget_bytes
-            ~nslots:((t_i * t_k) + (t_k * t_j))
-        in
-        let a_slot ti k = (ti * t_k) + k in
-        let b_slot k tj = (t_i * t_k) + (k * t_j) + tj in
-        let obs = Obs.recording () in
-        let body t =
-          let ti = t / t_j and tj = t mod t_j in
-          run_checkpoint checkpoint;
-          Obs.span "tile.mul_tile" (fun () ->
-              let r0 = ti * ts and c0 = tj * cw in
-              let th = min ts (u - r0) and tw = min cw (w - c0) in
-              let unions = ref 0 in
-              for k = 0 to t_k - 1 do
-                let k0 = k * kt in
-                let kw = min kt (v - k0) in
-                let at =
-                  store_fetch store (a_slot ti k) (fun () ->
-                      build_tile a ~r0 ~th ~c0:k0 ~tw:kw)
-                in
-                let bt =
-                  store_fetch store (b_slot k tj) (fun () ->
-                      build_tile b ~r0:k0 ~th:kw ~c0 ~tw)
-                in
-                (* A tile as wide as the result (every product up to the
-                   cap at domains = 1) ORs whole rows and skips the
-                   offset checks, which cost ~5% of a dense product. *)
-                for i = 0 to th - 1 do
-                  let dst = Boolmat.row result (r0 + i) in
-                  if obs then unions := !unions + Boolmat.row_nnz at i;
-                  if tw = w then
-                    Boolmat.iter_row at i (fun kk ->
-                        Bitset.union_into ~dst (Boolmat.row bt kk))
-                  else
-                    Boolmat.iter_row at i (fun kk ->
-                        Bitset.union_into_at ~dst c0 (Boolmat.row bt kk))
-                done
-              done;
-              if obs then
-                Obs.add Obs.C.mm_bool_word_ops
-                  (!unions * Bitset.payload_words tw);
-              Obs.incr Obs.C.tile_products)
-        in
-        Pool.parallel_for ~domains ~chunk:1 ?cancel ~lo:0 ~hi:(t_i * t_j) body;
-        store_drain store;
-        Cancel.check_opt cancel;
-        result
-      end)
+      let result = Boolmat.create ~rows:a.Source.rows ~cols:b.Source.cols in
+      bool_bands ~domains ?cancel ?checkpoint cfg a b ~band_rows:max_int
+        ~dst:(Boolmat.row result)
+        ~finish:(fun _ _ -> ());
+      result)
+
+let mul_rows ~domains ?cancel cfg (a : Source.t) (b : Source.t) f =
+  check_dims "mul_rows" a b;
+  Obs.span "tile.mul_rows" (fun () ->
+      let w = b.Source.cols in
+      let band_rows = max 1 (band_bytes / (8 * (Bitset.payload_words w + 1))) in
+      let buf = Boolmat.create ~rows:(min a.Source.rows band_rows) ~cols:w in
+      bool_bands ~domains ?cancel cfg a b ~band_rows ~dst:(Boolmat.row buf)
+        ~finish:(fun r0 r1 ->
+          for r = r0 to r1 - 1 do
+            let row = Boolmat.row buf (r - r0) in
+            f r row;
+            Bitset.clear row
+          done))
 
 (* True when no row of [m] has a bit set: a count block with an empty
    operand tile adds nothing. *)
@@ -417,10 +458,11 @@ let count_body ~upper ~domains ?cancel ?checkpoint cfg (a : Source.t)
               if obs then Obs.add Obs.C.mm_count_word_ops !words;
               Obs.incr Obs.C.tile_products)
         in
-        Pool.parallel_for ~domains ~chunk:1 ?cancel ~lo:0
-          ~hi:(Array.length tiles) body;
-        store_drain store;
-        Cancel.check_opt cancel;
+        Fun.protect
+          ~finally:(fun () -> store_drain store)
+          (fun () ->
+            Pool.parallel_for ~domains ~chunk:1 ?cancel ~lo:0
+              ~hi:(Array.length tiles) body);
         result
       end)
 

@@ -3,7 +3,8 @@
 
     Every heavy boolean and count product in the engines runs here,
     including the set-similarity join's strict-upper-triangle self
-    product ({!count_upper}).
+    product ({!count_upper}) and the star's V·W, whose result rows
+    {!mul_rows} streams through the same boolean tile body as {!mul}.
     The product is decomposed into bit-packed tiles (MatFast-style block
     partitioning) whose shape is fitted to the product:
 
@@ -28,8 +29,8 @@
       [tile.peak_bytes] high-water mark; the resident footprint itself
       is the [tile.resident_bytes] gauge ({!Jp_obs.G.tile_bytes}).
 
-    Results are bit-equal to the whole-matrix {!Jp_matrix.Boolmat}
-    references for every cap, budget and domain count: boolean column
+    Results are bit-equal to the plain whole-matrix products for every
+    cap, budget and domain count: boolean column
     tiles are a whole number of 62-bit words wide, so each output tile
     ORs straight into words of the result rows that no other tile
     touches ({!Jp_util.Bitset.union_into_at}); count tiles add into
@@ -78,13 +79,31 @@ val mul :
   Source.t ->
   Source.t ->
   Boolmat.t
-(** [mul cfg a b] is the boolean product [a · b], bit-equal to
-    [Boolmat.mul] on the materialized operands.  [cancel] is polled once
+(** [mul cfg a b] is the boolean product [a · b] over the OR/AND
+    semiring: row i is the OR of the rows of [b] that row i of [a]
+    selects.  [cancel] is polled once
     per tile claim (via the pool) and [checkpoint] runs once per output
     tile on the computing domain — callers pass budget checks only when
     that is safe for their guard (single-domain).  Raises
     [Invalid_argument] naming both shapes when the inner dimensions
     disagree. *)
+
+val mul_rows :
+  domains:int ->
+  ?cancel:Cancel.t ->
+  config ->
+  Source.t ->
+  Source.t ->
+  (int -> Jp_util.Bitset.t -> unit) ->
+  unit
+(** [mul_rows ~domains cfg a b f] streams [mul cfg a b]: the same tile
+    body computes the result rows a band at a time into one reused
+    buffer, fitted to stay under 1 MiB, and [f i row] runs for every
+    row [i], ascending, on the calling domain.  [row] is the buffer's,
+    cleared when [f] returns.  Each band is one pool round, so a product
+    up to the bound is one round and a larger one adds at most one per
+    MiB of result words, which the stream clears and scans anyway.
+    [cancel] is polled once per tile claim; errors as {!mul}. *)
 
 val count_product :
   ?domains:int ->
@@ -95,8 +114,9 @@ val count_product :
   Source.t ->
   Intmat.t
 (** [count_product cfg a b] with [a : u×v] and [b : w×v] (both over the
-    same inner dimension, exactly like [Boolmat.count_product]) is the
-    u×w count matrix, bit-equal to [Boolmat.count_product]: partial
+    same inner dimension, i.e. [b] is the transpose of the right
+    operand) is the u×w count matrix [C(i,l) = |row_a(i) ∩ row_b(l)|],
+    the integer product A·Bᵀ computed as word-AND + popcount: partial
     counts over inner blocks are integer sums, so accumulation order
     cannot change the result.  An inner block with an empty operand tile
     is skipped (an empty A tile before its B tile is built).  Same
@@ -112,7 +132,7 @@ val count_upper :
 (** [count_upper cfg a] with [a : u×v] is the strict upper triangle of
     [a·aᵀ], stored as one ({!Intmat.create_upper}, u(u−1)/2 cells, not
     u²): row i holds only the columns l > i, at position l − i − 1, and
-    cell (i, l) equals [Boolmat.count_product a a]'s.  The same tiles and
+    cell (i, l) equals [count_product cfg a a]'s.  The same tiles and
     shape as {!count_product}, but output tiles below the diagonal are
     never scheduled, diagonal tiles compute only the columns past their
     row, and both sides of the product share one operand tile per

@@ -42,8 +42,3 @@ let iter arrays f =
       end
     done
   end
-
-let intersect arrays =
-  let v = Jp_util.Vec.create () in
-  iter arrays (fun x -> Jp_util.Vec.push v x);
-  Jp_util.Vec.to_array v

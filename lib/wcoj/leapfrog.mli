@@ -6,14 +6,7 @@
     O(k · min_len · log(max_len/min_len)) in the worst case and far less
     when the arrays are skewed. *)
 
-val intersect : int array array -> int array
-[@@jp.lint.allow
-  "unused-export"
-  "k-ary leapfrog intersection checked against a fold of pairwise \
-   intersections; no engine calls it yet"]
-(** Intersection of all arrays.  [intersect [||]] raises
-    [Invalid_argument]. *)
-
 val iter : int array array -> (int -> unit) -> unit
 (** Applies the callback to every common element in increasing order,
-    without materializing the intersection. *)
+    without materializing the intersection.  [iter [||]] raises
+    [Invalid_argument]. *)

@@ -100,6 +100,108 @@ let test_star_arity_guard () =
   Alcotest.check_raises "arity" (Invalid_argument "Star.project: arity must be >= 2")
     (fun () -> ignore (Star.project [| r |]))
 
+(* The matrix strategy equals the WCOJ oracle over k ∈ {2, 3, 4}, drawn
+   thresholds and domains {1, 3}, on uniform, skewed and mixed y-domain
+   stars (one relation transposed, so the dst counts differ); a
+   one-cell budget caps the combo interning at zero, so those draws
+   take the [Matrix_overflow] fallback. *)
+let prop_matrix_matches_oracle =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (quad (int_range 2 4) small_nat (int_range 0 2) bool)
+        (triple (pair (int_range 1 4) (int_range 1 4)) (oneofl [ 1; 3 ]) bool))
+  in
+  let print ((k, seed, family, mixed), ((d1, d2), domains, overflow)) =
+    Printf.sprintf "k=%d seed=%d family=%d mixed=%b d1=%d d2=%d domains=%d overflow=%b"
+      k seed family mixed d1 d2 domains overflow
+  in
+  QCheck.Test.make ~name:"star matrix = WCOJ oracle over k, thresholds, domains"
+    ~count:120 (QCheck.make ~print gen)
+    (fun ((k, seed, family, mixed), ((d1, d2), domains, overflow)) ->
+      let rels =
+        Array.init k (fun i ->
+            let seed = (10 * seed) + i and nx = 10 + i and ny = 9 + (2 * i) in
+            let r =
+              match family with
+              | 0 -> Gen.random_relation ~seed ~nx ~ny ~edges:45 ()
+              | _ -> Gen.skewed_relation ~seed ~nx ~ny ~edges:55 ()
+            in
+            if mixed && i = 1 then
+              Relation.transpose (Gen.skewed_relation ~seed ~nx:ny ~ny:nx ~edges:50 ())
+            else r)
+      in
+      let guard =
+        if overflow then
+          Some
+            {
+              Jp_adaptive.Guard.inert with
+              Jp_adaptive.Guard.budget =
+                { Jp_adaptive.Guard.max_seconds = None; max_cells = Some 1 };
+            }
+        else None
+      in
+      Tuples.to_list
+        (Star.project ~domains ~strategy:Star.Matrix ~thresholds:(d1, d2) ?guard rels)
+      = brute rels)
+
+let tile_products f =
+  Jp_obs.reset ();
+  Jp_obs.enable ();
+  Fun.protect
+    ~finally:(fun () -> Jp_obs.disable (); Jp_obs.reset ())
+    (fun () ->
+      let outcome = try Ok (f ()) with e -> Error e in
+      (outcome, Jp_obs.value Jp_obs.C.tile_products))
+
+(* A cancel token tripped from the pool's chunk hook at the claim of the
+   heavy product's second output tile stops the star before its
+   remaining tiles run: Star's V·W product polls cancel once per tile.
+   About 4000 heavy combos per side make several tiles at domains = 1
+   (past the 2048 cap and the band bound) and at domains = 3. *)
+let test_heavy_product_cancel () =
+  let r = Gen.random_relation ~seed:91 ~nx:5000 ~ny:2500 ~edges:15000 () in
+  let rels = [| r; r |] in
+  List.iter
+    (fun domains ->
+      let run ?cancel () =
+        Star.project ~domains ~thresholds:(1, 1) ?cancel rels
+      in
+      let total =
+        match tile_products (fun () -> ignore (run ())) with
+        | Ok (), n -> n
+        | Error e, _ -> raise e
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "several tiles at domains=%d (%d)" domains total)
+        true (total >= 4);
+      let cancel = Jp_util.Cancel.create () in
+      let trip () =
+        if Jp_obs.value Jp_obs.C.tile_products >= 1 then
+          Jp_util.Cancel.cancel cancel
+      in
+      let outcome, ran =
+        Jp_parallel.Pool.set_fault_hook (Some trip);
+        Fun.protect
+          ~finally:(fun () -> Jp_parallel.Pool.set_fault_hook None)
+          (fun () -> tile_products (fun () -> ignore (run ~cancel ())))
+      in
+      (match outcome with
+      | Error (Jp_util.Cancel.Cancelled Jp_util.Cancel.Requested) -> ()
+      | Error e -> Alcotest.failf "unexpected %s" (Printexc.to_string e)
+      | Ok () -> Alcotest.fail "the cancelled star returned");
+      if domains = 1 then
+        Alcotest.(check int)
+          (Printf.sprintf "exactly one of %d tiles at domains=1" total)
+          1 ran
+      else
+        Alcotest.(check bool)
+          (Printf.sprintf "stopped after %d of %d tiles at domains=%d" ran total
+             domains)
+          true
+          (ran >= 1 && ran < total))
+    [ 1; 3 ]
+
 let suite =
   [
     Alcotest.test_case "star3 uniform" `Quick test_star3_uniform;
@@ -111,4 +213,6 @@ let suite =
     Alcotest.test_case "star parallel" `Quick test_star_parallel;
     Alcotest.test_case "star mixed dst counts" `Quick test_star_mixed_dst_counts;
     Alcotest.test_case "star arity guard" `Quick test_star_arity_guard;
+    QCheck_alcotest.to_alcotest prop_matrix_matches_oracle;
+    Alcotest.test_case "heavy product cancel" `Quick test_heavy_product_cancel;
   ]

@@ -15,7 +15,7 @@ let random_boolmat seed ~rows ~cols ~density =
 
 let cfg ?budget_bytes ?(tile_bits = 4) () = Tile.config ~tile_bits ?budget_bytes ()
 
-(* Tiled vs the Boolmat reference on dimensions that are not tile
+(* Tiled vs the naive integer reference on dimensions that are not tile
    multiples: boundary tiles are ragged on every side. *)
 let test_mul_matches_flat () =
   let a = random_boolmat 1 ~rows:70 ~cols:131 ~density:0.08 in
@@ -24,7 +24,7 @@ let test_mul_matches_flat () =
     Tile.mul (cfg ()) (Tile.Source.of_boolmat a) (Tile.Source.of_boolmat b)
   in
   Alcotest.(check bool) "tiled = flat" true
-    (Boolmat.equal tiled (Boolmat.mul a b))
+    (Boolmat.equal tiled (Boolmat.mul_reference a b))
 
 let test_count_matches_flat () =
   let a = random_boolmat 3 ~rows:53 ~cols:117 ~density:0.15 in
@@ -34,12 +34,12 @@ let test_count_matches_flat () =
       (Tile.Source.of_boolmat a) (Tile.Source.of_boolmat b)
   in
   Alcotest.(check bool) "tiled = flat" true
-    (Intmat.equal tiled (Boolmat.count_product a b))
+    (Intmat.equal tiled (Boolmat.count_reference a b))
 
 let test_tile_bits_sweep () =
   let a = random_boolmat 5 ~rows:97 ~cols:64 ~density:0.1 in
   let b = random_boolmat 6 ~rows:64 ~cols:129 ~density:0.1 in
-  let expect = Boolmat.mul a b in
+  let expect = Boolmat.mul_reference a b in
   List.iter
     (fun bits ->
       let got =
@@ -61,7 +61,8 @@ let test_single_tile_and_empty () =
     Tile.mul (cfg ~tile_bits:8 ())
       (Tile.Source.of_boolmat a) (Tile.Source.of_boolmat b)
   in
-  Alcotest.(check bool) "single tile" true (Boolmat.equal got (Boolmat.mul a b));
+  Alcotest.(check bool) "single tile" true
+    (Boolmat.equal got (Boolmat.mul_reference a b));
   let z = Boolmat.create ~rows:6 ~cols:13 in
   let zb = Boolmat.create ~rows:13 ~cols:4 in
   let got =
@@ -119,7 +120,7 @@ let test_eviction_determinism () =
   let b = random_boolmat 14 ~rows:128 ~cols:128 ~density:0.2 in
   let sa = Tile.Source.of_boolmat a and sb = Tile.Source.of_boolmat b in
   let budget = 2048 in
-  let expect = Boolmat.mul a b in
+  let expect = Boolmat.mul_reference a b in
   let run () =
     with_obs (fun () ->
         let got = Tile.mul (cfg ~budget_bytes:budget ()) sa sb in
@@ -200,17 +201,18 @@ let prop_matches_reference =
       let b = random_boolmat (seed + 1) ~rows:v ~cols:w ~density:0.12 in
       let bt = random_boolmat (seed + 2) ~rows:w ~cols:v ~density:0.12 in
       let src = Tile.Source.of_boolmat in
-      Boolmat.equal (Boolmat.mul a b) (Tile.mul ~domains c (src a) (src b))
+      Boolmat.equal (Boolmat.mul_reference a b)
+        (Tile.mul ~domains c (src a) (src b))
       && Intmat.equal
-           (Boolmat.count_product a bt)
+           (Boolmat.count_reference a bt)
            (Tile.count_product ~domains c (src a) (src bt)))
 
-(* The strict upper triangle of the Boolmat count reference, as a full
+(* The strict upper triangle of the count reference, as a full
    matrix: cell (i, l) for l > i, zero on and below the diagonal.
    [count_upper]'s triangle is read against it cell by cell through
    [Intmat.upper_get]. *)
 let upper_reference a =
-  let full = Boolmat.count_product a a in
+  let full = Boolmat.count_reference a a in
   let n = Boolmat.rows a in
   Intmat.of_arrays
     (Array.init n (fun i ->
@@ -274,7 +276,7 @@ let test_count_skips_empty_blocks () =
   in
   let get k = try List.assoc k counters with Not_found -> 0 in
   Alcotest.(check bool) "bit-equal" true
-    (Intmat.equal got (Boolmat.count_product a b));
+    (Intmat.equal got (Boolmat.count_reference a b));
   (* 2×2 output tiles of 16; per tile only block 0 runs: 16 rows × 16
      columns × one word.  Multiplying every block with a non-empty A
      tile (blocks 0 and 1) would take twice as many. *)
@@ -401,6 +403,103 @@ let test_default_path_cancel () =
           (ran >= 1 && ran < total))
     [ (1, 2200); (2, 200) ]
 
+(* [mul_rows] hands every result row to the consumer exactly once, in
+   ascending order, bit-equal to [mul]'s row, across caps, domain counts
+   and ragged shapes that include empty sides. *)
+let test_mul_rows_matches_mul () =
+  List.iter
+    (fun (bits, domains, (u, v, w)) ->
+      let name = Printf.sprintf "bits=%d domains=%d %dx%dx%d" bits domains u v w in
+      let a = random_boolmat (u + v) ~rows:u ~cols:v ~density:0.12 in
+      let b = random_boolmat (v + w) ~rows:v ~cols:w ~density:0.12 in
+      let sa = Tile.Source.of_boolmat a and sb = Tile.Source.of_boolmat b in
+      let c = cfg ~tile_bits:bits () in
+      let expect = Tile.mul ~domains c sa sb in
+      let seen = ref [] in
+      Tile.mul_rows ~domains c sa sb (fun i row ->
+          seen := (i, Boolmat.row_list_of row) :: !seen);
+      Alcotest.(check (list int))
+        (name ^ ": every row once, ascending")
+        (List.init u Fun.id)
+        (List.rev_map fst !seen);
+      Alcotest.(check bool)
+        (name ^ ": rows = mul's")
+        true
+        (List.for_all (fun (i, row) -> row = Boolmat.row_list expect i) !seen))
+    (List.concat_map
+       (fun bits ->
+         List.concat_map
+           (fun domains ->
+             List.map
+               (fun shape -> (bits, domains, shape))
+               [ (0, 5, 7); (9, 0, 4); (13, 17, 0); (1, 1, 1); (70, 131, 90);
+                 (125, 62, 187); (200, 40, 63) ])
+           [ 1; 3 ])
+       [ 4; 6; 11 ])
+
+(* A product whose u×w result is 32 times the 1 MiB band bound streams
+   through one reused band: it completes, every row is right, and the
+   bytes allocated stay a small fraction of the result's u·w/8.  Row i
+   of A selects row (i mod v) of B, so each result row is a B row,
+   checked without allocating. *)
+let test_mul_rows_bounded () =
+  let u = 16384 and v = 64 and w = 16384 in
+  let b = Boolmat.create ~rows:v ~cols:w in
+  for k = 0 to v - 1 do
+    for t = 0 to 7 do
+      Boolmat.set b k (((k * 251) + (t * 4099)) mod w)
+    done
+  done;
+  let sa = Tile.Source.of_adjacency ~rows:u ~cols:v (fun i f -> f (i mod v)) in
+  let sb = Tile.Source.of_boolmat b in
+  let next = ref 0 and bad = ref 0 in
+  let before = Gc.allocated_bytes () in
+  Tile.mul_rows ~domains:1 (Tile.config ()) sa sb (fun i row ->
+      let brow = Boolmat.row b (i mod v) in
+      if i <> !next
+         || Jp_util.Bitset.count row <> Jp_util.Bitset.count brow
+         || Jp_util.Bitset.inter_count row brow <> Jp_util.Bitset.count brow
+      then Stdlib.incr bad;
+      Stdlib.incr next);
+  let allocated = Gc.allocated_bytes () -. before in
+  Alcotest.(check int) "every row, in order" u !next;
+  Alcotest.(check int) "rows = selected B rows" 0 !bad;
+  let result_bytes = float_of_int (u * w / 8) in
+  Alcotest.(check bool)
+    (Printf.sprintf "allocated %.0f bytes < result/4 (%.0f)" allocated
+       (result_bytes /. 4.0))
+    true
+    (allocated < result_bytes /. 4.0)
+
+(* A product cancelled between tiles still drains its store: the
+   resident footprint gauge reads zero after the [Cancelled]. *)
+let test_cancel_drains_footprint () =
+  let a = random_boolmat 41 ~rows:64 ~cols:64 ~density:0.2 in
+  let sa = Tile.Source.of_boolmat a in
+  List.iter
+    (fun (what, product) ->
+      let resident =
+        with_obs (fun () ->
+            let cancel = Cancel.create () in
+            let trip () =
+              if Jp_obs.value Jp_obs.C.tile_products >= 1 then Cancel.cancel cancel
+            in
+            Jp_parallel.Pool.set_fault_hook (Some trip);
+            Fun.protect
+              ~finally:(fun () -> Jp_parallel.Pool.set_fault_hook None)
+              (fun () ->
+                Alcotest.check_raises what (Cancel.Cancelled Cancel.Requested)
+                  (fun () -> product cancel));
+            Jp_obs.value Jp_obs.G.tile_bytes)
+      in
+      Alcotest.(check int) (what ^ ": footprint drained") 0 resident)
+    [
+      ("mul", fun cancel -> ignore (Tile.mul ~cancel (cfg ()) sa sa));
+      ("mul_rows", fun cancel -> Tile.mul_rows ~domains:1 ~cancel (cfg ()) sa sa (fun _ _ -> ()));
+      ("count_product", fun cancel -> ignore (Tile.count_product ~cancel (cfg ()) sa sa));
+      ("count_upper", fun cancel -> ignore (Tile.count_upper ~cancel (cfg ()) sa));
+    ]
+
 let suite =
   [
     Alcotest.test_case "mul matches flat" `Quick test_mul_matches_flat;
@@ -419,4 +518,9 @@ let suite =
       test_count_skips_empty_blocks;
     Alcotest.test_case "fitted shape" `Quick test_fitted_shape;
     Alcotest.test_case "default-path cancel" `Quick test_default_path_cancel;
+    Alcotest.test_case "mul_rows = mul rows" `Quick test_mul_rows_matches_mul;
+    Alcotest.test_case "mul_rows streams in bounded memory" `Quick
+      test_mul_rows_bounded;
+    Alcotest.test_case "cancel drains the footprint" `Quick
+      test_cancel_drains_footprint;
   ]

@@ -4,20 +4,26 @@ module Expand = Jp_wcoj.Expand
 module Star = Jp_wcoj.Star
 module Tuples = Testkit.Tuples
 
+(* The common elements [Leapfrog.iter] reports, in report order. *)
+let leapfrog arrays =
+  let acc = ref [] in
+  Leapfrog.iter arrays (fun x -> acc := x :: !acc);
+  List.rev !acc
+
 (* regression: k=1 used to loop forever (matches overshot k after emit) *)
 let test_leapfrog_k1_terminates () =
   Alcotest.(check (list int)) "k=1 emits all" [ 1; 2; 9 ]
-    (Array.to_list (Leapfrog.intersect [| [| 1; 2; 9 |] |]))
+    (leapfrog [| [| 1; 2; 9 |] |])
 
 let test_leapfrog_basic () =
-  let got =
-    Leapfrog.intersect [| [| 1; 3; 5; 7 |]; [| 2; 3; 5; 8 |]; [| 0; 3; 5; 9 |] |]
-  in
-  Alcotest.(check (list int)) "three-way" [ 3; 5 ] (Array.to_list got);
-  Alcotest.(check (list int)) "single" [ 1; 2 ]
-    (Array.to_list (Leapfrog.intersect [| [| 1; 2 |] |]));
+  Alcotest.(check (list int)) "three-way" [ 3; 5 ]
+    (leapfrog [| [| 1; 3; 5; 7 |]; [| 2; 3; 5; 8 |]; [| 0; 3; 5; 9 |] |]);
+  Alcotest.(check (list int)) "single" [ 1; 2 ] (leapfrog [| [| 1; 2 |] |]);
   Alcotest.(check (list int)) "empty input" []
-    (Array.to_list (Leapfrog.intersect [| [| 1; 2 |]; [||] |]))
+    (leapfrog [| [| 1; 2 |]; [||] |]);
+  Alcotest.check_raises "no arrays"
+    (Invalid_argument "Leapfrog.iter: no arrays") (fun () ->
+      ignore (leapfrog [||]))
 
 let prop_leapfrog =
   QCheck.Test.make ~name:"leapfrog = fold intersect" ~count:300
@@ -35,7 +41,7 @@ let prop_leapfrog =
         | [] -> [||]
         | first :: rest -> List.fold_left Jp_util.Sorted.intersect first rest
       in
-      Leapfrog.intersect (Array.of_list arrays) = expect)
+      leapfrog (Array.of_list arrays) = Array.to_list expect)
 
 let test_expand_matches_brute () =
   let r = Gen.random_relation ~seed:11 ~nx:30 ~ny:20 ~edges:120 () in

@@ -26,20 +26,60 @@ module Intmat = struct
       m.data
 
   let equal (a : t) (b : t) = a.rows = b.rows && a.cols = b.cols && a.data = b.data
+
+  (* The naive integer product (i-k-j, skipping zero cells of [a]): the
+     reference every blocked and tiled product is checked against. *)
+  let naive_mul (a : t) (b : t) =
+    let c = create ~rows:a.rows ~cols:b.cols in
+    for i = 0 to a.rows - 1 do
+      let dst = c.data.(i) in
+      for k = 0 to a.cols - 1 do
+        let x = a.data.(i).(k) in
+        if x <> 0 then begin
+          let src = b.data.(k) in
+          for j = 0 to b.cols - 1 do
+            dst.(j) <- dst.(j) + (x * src.(j))
+          done
+        end
+      done
+    done;
+    c
 end
 
 module Boolmat = struct
   include Jp_matrix.Boolmat
 
-  let row_list m i =
+  let row_list_of bits =
     let acc = ref [] in
-    iter_row m i (fun j -> acc := j :: !acc);
+    Jp_util.Bitset.iter (fun j -> acc := j :: !acc) bits;
     !acc
+
+  let row_list m i = row_list_of (row m i)
 
   let equal a b =
     rows a = rows b
     && cols a = cols b
     && List.for_all (fun i -> row_list a i = row_list b i) (List.init (rows a) Fun.id)
+
+  (* The 0/1 integer matrix of [m], transposed when [t]. *)
+  let to_intmat ?(t = false) m =
+    let r, c = if t then (cols m, rows m) else (rows m, cols m) in
+    let im = Intmat.create ~rows:r ~cols:c in
+    for i = 0 to rows m - 1 do
+      iter_row m i (fun j -> if t then Intmat.set im j i 1 else Intmat.set im i j 1)
+    done;
+    im
+
+  (* References over {!Intmat.naive_mul}: the boolean product is the
+     support of the 0/1 integer product, and the count product of [a]
+     and [b] (both over the same inner dimension) is a · bᵀ. *)
+  let mul_reference a b =
+    let c = Intmat.naive_mul (to_intmat a) (to_intmat b) in
+    let m = create ~rows:(rows a) ~cols:(cols b) in
+    Intmat.iter_nonzero c (fun i j _ -> set m i j);
+    m
+
+  let count_reference a b = Intmat.naive_mul (to_intmat a) (to_intmat ~t:true b)
 end
 
 let strictly_increasing a =
