@@ -38,6 +38,36 @@ let test_intmat_dim_mismatch () =
     (Invalid_argument "Intmat.mul: dimension mismatch (2x3 . 4x2)") (fun () ->
       ignore (Intmat.mul a b))
 
+let bool_of_int m =
+  let rows, cols = Intmat.dims m in
+  let b = Boolmat.create ~rows ~cols in
+  Intmat.iter_nonzero m (fun i j _ -> Boolmat.set b i j);
+  b
+
+let bool01 m =
+  let rows, cols = Intmat.dims m in
+  let c = Intmat.create ~rows ~cols in
+  Intmat.iter_nonzero m (fun i j _ -> Intmat.set c i j 1);
+  c
+
+(* Boolean products run through the one kernel, {!Jp_tile}; these check
+   it on Boolmat operands against the integer product written out here. *)
+let tile_mul a b =
+  Jp_tile.mul (Jp_tile.config ())
+    (Jp_tile.Source.of_boolmat a) (Jp_tile.Source.of_boolmat b)
+
+let tile_count_product a b =
+  Jp_tile.count_product (Jp_tile.config ())
+    (Jp_tile.Source.of_boolmat a) (Jp_tile.Source.of_boolmat b)
+
+let test_boolmat_mul () =
+  let a = random_intmat 7 ~rows:40 ~cols:90 ~density:0.15 in
+  let b = random_intmat 8 ~rows:90 ~cols:70 ~density:0.15 in
+  let expect = bool_of_int (Intmat.naive_mul (bool01 a) (bool01 b)) in
+  let got = tile_mul (bool_of_int a) (bool_of_int b) in
+  Alcotest.(check bool) "bool product = support of count product" true
+    (Boolmat.equal got expect)
+
 let test_boolmat_adjacency () =
   let m = Boolmat.of_adjacency ~rows:3 ~cols:10 (fun i -> [| i; i + 3 |]) in
   Alcotest.(check int) "nnz" 6 (Boolmat.nnz m);
@@ -45,6 +75,33 @@ let test_boolmat_adjacency () =
   let collected = ref [] in
   Boolmat.iter_row m 1 (fun j -> collected := j :: !collected);
   Alcotest.(check (list int)) "row iter" [ 1; 4 ] (List.rev !collected)
+
+let test_count_product () =
+  (* C = A * B^T as AND+popcount must match the scalar product. *)
+  let a = random_intmat 11 ~rows:30 ~cols:80 ~density:0.3 in
+  let b = random_intmat 12 ~rows:25 ~cols:80 ~density:0.3 in
+  let bt =
+    let r, c = Intmat.dims b in
+    let t = Intmat.create ~rows:c ~cols:r in
+    Intmat.iter_nonzero b (fun i j _ -> Intmat.set t j i 1);
+    t
+  in
+  let expect = Intmat.naive_mul (bool01 a) bt in
+  let got = tile_count_product (bool_of_int a) (bool_of_int b) in
+  Alcotest.(check bool) "count product = A * B^T" true (Intmat.equal got expect)
+
+let test_count_product_mismatch () =
+  let a = Boolmat.create ~rows:2 ~cols:3 and b = Boolmat.create ~rows:2 ~cols:4 in
+  Alcotest.check_raises "inner dim"
+    (Invalid_argument
+       "Jp_tile.count_product: inner dim mismatch (2x3 . (2x4)T)") (fun () ->
+      ignore (tile_count_product a b))
+
+let test_boolmat_mul_mismatch () =
+  let a = Boolmat.create ~rows:2 ~cols:3 and b = Boolmat.create ~rows:5 ~cols:4 in
+  Alcotest.check_raises "dims in message"
+    (Invalid_argument "Jp_tile.mul: dimension mismatch (2x3 . 5x4)") (fun () ->
+      ignore (tile_mul a b))
 
 let test_lemma1 () =
   (* omega = 3: plain cubic. *)
@@ -107,7 +164,11 @@ let suite =
     Alcotest.test_case "intmat mul blocks" `Quick test_intmat_mul_large_block;
     Alcotest.test_case "intmat mul parallel" `Quick test_intmat_mul_parallel;
     Alcotest.test_case "intmat dim mismatch" `Quick test_intmat_dim_mismatch;
+    Alcotest.test_case "boolmat mul" `Quick test_boolmat_mul;
+    Alcotest.test_case "boolmat mul mismatch" `Quick test_boolmat_mul_mismatch;
     Alcotest.test_case "boolmat adjacency" `Quick test_boolmat_adjacency;
+    Alcotest.test_case "count product" `Quick test_count_product;
+    Alcotest.test_case "count product mismatch" `Quick test_count_product_mismatch;
     Alcotest.test_case "lemma1" `Quick test_lemma1;
     Alcotest.test_case "mhat monotone" `Quick test_mhat_monotone;
     Alcotest.test_case "load machine" `Quick test_load_machine;
