@@ -304,6 +304,8 @@ let boolmat_tag : Boolmat.t tag = tag "two_path.bool_mm"
 
 let intmat_tag : Intmat.t tag = tag "two_path.count_mm"
 
+let upper_tag : Two_path.upper_product tag = tag "two_path.ssj_mm"
+
 let boolmat_bytes m =
   (Boolmat.rows m * ((Boolmat.cols m + 61) / 62) * 8) + 64
 
@@ -311,6 +313,13 @@ let boolmat_bytes m =
    triangle. *)
 let intmat_bytes (m : Intmat.t) =
   (Array.fold_left (fun n row -> n + Array.length row) 0 m.Intmat.data * 8) + 64
+
+(* An SSJ product: its triangle's cells, or k planes of rows·words
+   payload words under one header. *)
+let upper_bytes = function
+  | Two_path.Triangle m -> intmat_bytes m
+  | Two_path.Planes planes ->
+    Array.fold_left (fun n m -> n + boolmat_bytes m - 64) 64 planes
 
 (* L1/L2 build-or-fetch.  The builder runs outside the lock (which covers
    only find/put), so two concurrent misses may both build; the second
@@ -344,13 +353,20 @@ let two_path_memo t ~r ~s =
         let key = Key.v ~kind:"two_path.bool_mm" ~fps ~params:[ d1; d2 ] () in
         find_or_build t boolmat_tag key ~bytes_of:boolmat_bytes build);
     memo_count_product =
-      (fun ~d1 ~upper build ->
-        let key =
-          Key.v ~kind:"two_path.count_mm" ~fps
-            ~params:[ d1; Bool.to_int upper ]
-            ()
-        in
+      (fun ~d1 build ->
+        let key = Key.v ~kind:"two_path.count_mm" ~fps ~params:[ d1 ] () in
         find_or_build t intmat_tag key ~bytes_of:intmat_bytes build);
+    memo_upper_product =
+      (fun ~d1 ~c ~kernel build ->
+        let kernel =
+          match kernel with
+          | Jp_matrix.Cost.Triangle -> 0
+          | Jp_matrix.Cost.Planes -> 1
+        in
+        let key =
+          Key.v ~kind:"two_path.ssj_mm" ~fps ~params:[ d1; c; kernel ] ()
+        in
+        find_or_build t upper_tag key ~bytes_of:upper_bytes build);
   }
 
 (* ------------------------------------------------------------------ *)

@@ -145,10 +145,14 @@ val two_path_memo :
     products served from the cache.  The memo is specific to this (r, s)
     pair.  Products are keyed on thresholds but not on [domains] or the
     tile configuration: [Jp_tile] produces identical matrices for any
-    worker count, tile cap and budget, so one entry serves them all.  A
-    count product's key also carries [upper], so [ssj]'s triangle is
-    never served to [project_counts].  A count product is charged the
-    cells it stores: n² for a full one, n(n−1)/2 for a triangle. *)
+    worker count, tile cap and budget, so one entry serves them all.
+    [ssj]'s product lives under a kind of its own, keyed also on the
+    threshold c and the kernel that built it, so it is never served to
+    [project_counts] and planes saturated at one c never answer
+    another.  A count product is charged the cells it stores: n² for a
+    full one, n(n−1)/2 for a triangle; planes are charged
+    k·rows·words·8 + 64 bytes (k planes of [rows] rows, [words]
+    payload words per row). *)
 
 (** {1 L3 result bindings (consumed by [Jp_service])} *)
 

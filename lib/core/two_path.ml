@@ -12,6 +12,10 @@ module Inject = Jp_adaptive.Inject
 
 type strategy = Matrix | Combinatorial
 
+(* The set-similarity join's heavy product, strict upper part only: the
+   exact triangle of A·Aᵀ, or thermometer planes saturated at c. *)
+type upper_product = Triangle of Intmat.t | Planes of Boolmat.t array
+
 (* Memoization hooks (consumed by [Jp_cache], which sits above this
    library in the dependency graph).  Each hook receives the builder for
    a deterministic intermediate — the prepared optimizer indexes, or a
@@ -22,14 +26,21 @@ type strategy = Matrix | Combinatorial
 type memo = {
   memo_prepared : (unit -> Optimizer.prepared) -> Optimizer.prepared;
   memo_bool_product : d1:int -> d2:int -> (unit -> Boolmat.t) -> Boolmat.t;
-  memo_count_product : d1:int -> upper:bool -> (unit -> Intmat.t) -> Intmat.t;
+  memo_count_product : d1:int -> (unit -> Intmat.t) -> Intmat.t;
+  memo_upper_product :
+    d1:int ->
+    c:int ->
+    kernel:Jp_matrix.Cost.ssj_kernel ->
+    (unit -> upper_product) ->
+    upper_product;
 }
 
 let no_memo =
   {
     memo_prepared = (fun build -> build ());
     memo_bool_product = (fun ~d1:_ ~d2:_ build -> build ());
-    memo_count_product = (fun ~d1:_ ~upper:_ build -> build ());
+    memo_count_product = (fun ~d1:_ build -> build ());
+    memo_upper_product = (fun ~d1:_ ~c:_ ~kernel:_ build -> build ());
   }
 
 (* Measures one engine phase for the plan-vs-actual record; [f] may open
@@ -59,12 +70,9 @@ let cover_dst ~r s = Relation.widen_dst s (Relation.dst_count r)
    space).  The row function is pure, so [Jp_tile] may call it again to
    rebuild an evicted tile. *)
 let operand adj ids index ~cols =
-  Jp_tile.Source.of_adjacency ~rows:(Array.length ids) ~cols (fun i f ->
-      Array.iter
-        (fun b ->
-          let j = index.(b) in
-          if j >= 0 then f j)
-        (adj ids.(i)))
+  Jp_tile.Source.of_mapped ~rows:(Array.length ids) ~cols
+    (fun i -> adj ids.(i))
+    index
 
 (* The boolean product M{R⁺}·M{S⁺}: R⁺ as [heavy_x] rows over
    [y_index], S⁺ as [heavy_y] rows over [z_index], through [Jp_tile]
@@ -81,20 +89,42 @@ let bool_product ?cancel ?checkpoint ~tile ~memo ~domains ~r ~s
 
 (* The count product A·Bᵀ over bit-packed rows (62 multiply-adds per
    word op): A rows are x's heavy-y bitsets, B rows are z's heavy-y
-   bitsets — S⁺ transposed, [heavy_z] rows over [y_index].  [upper]
-   computes and stores only the strict upper triangle of A·Aᵀ (a
-   self-join, where B is A), under its own memo key: a shared cache
-   must never hand the triangle to a caller that wants the full
-   matrix. *)
-let count_product ?cancel ?checkpoint ~upper ~tile ~memo ~domains ~r ~s
+   bitsets — S⁺ transposed, [heavy_z] rows over [y_index]. *)
+let count_product ?cancel ?checkpoint ~tile ~memo ~domains ~r ~s
     (p : Partition.t) =
-  memo.memo_count_product ~d1:p.d1 ~upper (fun () ->
+  memo.memo_count_product ~d1:p.d1 (fun () ->
       let v = Array.length p.heavy_y in
+      Jp_tile.count_product ~domains ?cancel ?checkpoint tile
+        (operand (Relation.adj_src r) p.heavy_x p.y_index ~cols:v)
+        (operand (Relation.adj_src s) p.heavy_z p.y_index ~cols:v))
+
+(* The SSJ's product over a self-join partition (heavy_z = heavy_x):
+   only the cells (i, l) with l > i, and only as far as the threshold
+   [c] needs them.  [Jp_matrix.Cost.ssj_kernel] prices the exact
+   triangle (one AND+popcount per cell over the inner words) against
+   [c] saturating planes (the transposed operand's rows OR'd into [c]
+   planes per selected row) from the product's shape and A's ones,
+   nnz(A) = Σ deg(y) over heavy y (d₂ = 0 puts every endpoint of a
+   heavy y in A).  Planes depend on [c] and the triangle does not, so
+   the memo key carries both [c] and the kernel. *)
+let upper_product ?cancel ?checkpoint ~c ~tile ~memo ~domains ~r
+    (p : Partition.t) =
+  let u = Array.length p.heavy_x and v = Array.length p.heavy_y in
+  let nnz = Array.fold_left (fun n y -> n + Relation.deg_dst r y) 0 p.heavy_y in
+  let kernel =
+    Jp_matrix.Cost.ssj_kernel (Jp_matrix.Cost.machine ()) ~c ~u ~v ~nnz
+  in
+  memo.memo_upper_product ~d1:p.d1 ~c ~kernel (fun () ->
       let a = operand (Relation.adj_src r) p.heavy_x p.y_index ~cols:v in
-      if upper then Jp_tile.count_upper ~domains ?cancel ?checkpoint tile a
-      else
-        Jp_tile.count_product ~domains ?cancel ?checkpoint tile a
-          (operand (Relation.adj_src s) p.heavy_z p.y_index ~cols:v))
+      match kernel with
+      | Jp_matrix.Cost.Triangle ->
+        Obs.incr Obs.C.ssj_triangles;
+        Triangle (Jp_tile.count_upper ~domains ?cancel ?checkpoint tile a)
+      | Jp_matrix.Cost.Planes ->
+        Obs.incr Obs.C.ssj_planes;
+        Planes
+          (Jp_tile.upper_planes ~domains ?cancel ?checkpoint tile ~c a
+             (operand (Relation.adj_dst r) p.heavy_y p.x_index ~cols:u)))
 
 (* Public alias: the BSI fast path builds (and caches) the same product
    over a full-relation partition, answering heavy-heavy point queries
@@ -477,14 +507,15 @@ let project ?(domains = 1) ?(strategy = Matrix) ?plan ?(guard = Guard.inert)
 
 (* What a counted run makes of its rows.  The counted join keeps every
    pair with its witness count; the set-similarity join keeps, per x,
-   the z > x with at least c witnesses ([upper]): it multiplies only the
-   strict upper triangle and merges only the z > x suffix of each light
-   list.  [upper] needs r = s, which makes heavy_x = heavy_z, so product
-   column l > i is exactly z > x.  [out] turns the number of pairs the
-   merge met (before any threshold) into the plan record's actual
-   |OUT|: the size of the full counted join, which est_out estimates. *)
+   the z > x with at least c witnesses ([threshold = Some c]): its
+   product holds only the cells past the diagonal, and it merges only
+   the z > x suffix of each light list.  The SSJ needs r = s, which
+   makes heavy_x = heavy_z, so product column l > i is exactly z > x.
+   [out] turns the number of pairs the merge met (before any threshold)
+   into the plan record's actual |OUT|: the size of the full counted
+   join, which est_out estimates. *)
 type ('row, 'res) sink = {
-  upper : bool;
+  threshold : int option;
   empty : 'row;
   emit : Row_acc.t -> 'row;
   freeze : 'row array -> 'res;
@@ -493,7 +524,7 @@ type ('row, 'res) sink = {
 
 let counted_rows =
   {
-    upper = false;
+    threshold = None;
     empty = ([||], [||]);
     emit = Row_acc.emit_counts;
     freeze = Counted_pairs.of_rows_unchecked;
@@ -511,21 +542,27 @@ let self_join_size ~r upper =
 
 let upper_rows ~c =
   {
-    upper = true;
+    threshold = Some c;
     empty = [||];
     emit = (fun acc -> Row_acc.emit_ge acc c);
     freeze = Pairs.of_rows_unchecked;
     out = self_join_size;
   }
 
+(* A counted run's heavy product: the full count matrix, or the SSJ's
+   upper part. *)
+type counted_product = Full of Intmat.t | Upper of upper_product
+
 (* The count merge over every x: the witnesses of its light y values
    plus its row of the heavy count product, summed per z, since a
    pair's witnesses can be split between light and heavy y values.  A
    heavy x's row is a counting split row of [acc]: the stored product
-   row (for [upper], the triangle's cells past the diagonal) seeds the
-   heavy-z counts, light witnesses of a heavy z add to its column, and
-   only light z are stamped; the sink's emit thresholds both halves and
-   merges them.  Without a [heavy] (partition, product) every y is
+   row seeds the heavy-z counts — a full row, the triangle's cells past
+   the diagonal, or, from planes, min(h, c) past the diagonal — light
+   witnesses of a heavy z add to its column, and only light z are
+   stamped; the sink's emit thresholds both halves and merges them.
+   Seeding min(h, c) is exact for the SSJ's threshold c: for every
+   light count l ≥ 0, min(h, c) + l ≥ c exactly when h + l ≥ c.  Without a [heavy] (partition, product) every y is
    light: Wcoj plans, the combinatorial heavy part and the cell-cap
    fallback.  Returns the frozen rows and the number of pairs met
    before the sink's threshold. *)
@@ -539,16 +576,24 @@ let count_merge ~sink ?cancel ~domains ~r ~s heavy =
         | None -> (true, [||])
       in
       let met = Atomic.make 0 in
+      let upper = sink.threshold <> None in
+      let seed acc (p : Partition.t) m i =
+        match m with
+        | Full m | Upper (Triangle m) ->
+          Row_acc.start_split_counts acc ~index:p.z_index ~heavy:p.heavy_z
+            (Intmat.row m i)
+        | Upper (Planes planes) ->
+          Row_acc.start_split_planes acc ~index:p.z_index ~heavy:p.heavy_z
+            ~first:(i + 1)
+            (Array.map (fun plane -> Boolmat.row plane i) planes)
+      in
       let run_rows acc lo hi =
         let obs = Obs.recording () in
         let light_scans = ref 0 and presented = ref 0 and misses = ref 0 in
         for a = lo to hi - 1 do
           (match heavy with
           | Some ((p : Partition.t), m) when p.x_index.(a) >= 0 ->
-            let seeded =
-              Row_acc.start_split_counts acc ~index:p.z_index ~heavy:p.heavy_z
-                (Intmat.row m p.x_index.(a))
-            in
+            let seeded = seed acc p m p.x_index.(a) in
             if obs then presented := !presented + seeded
           | Some _ | None -> Row_acc.start acc);
           Array.iter
@@ -556,7 +601,7 @@ let count_merge ~sink ?cancel ~domains ~r ~s heavy =
               if all_light || light_y.(b) then begin
                 let zs = Relation.adj_dst s b in
                 let from =
-                  if sink.upper then Jp_util.Sorted.lower_bound zs (a + 1) else 0
+                  if upper then Jp_util.Sorted.lower_bound zs (a + 1) else 0
                 in
                 if obs then begin
                   light_scans := !light_scans + Array.length zs - from;
@@ -644,9 +689,16 @@ let counted ~span ~label ~sink ~domains ~strategy ?plan ~guard ?cancel ~memo
               Some
                 ( p,
                   phase phases "heavy-count-mm" (fun () ->
-                      count_product ?cancel
-                        ?checkpoint:(tile_checkpoint ~domains g)
-                        ~upper:sink.upper ~tile ~memo ~domains ~r ~s p) )
+                      let checkpoint = tile_checkpoint ~domains g in
+                      match sink.threshold with
+                      | None ->
+                        Full
+                          (count_product ?cancel ?checkpoint ~tile ~memo
+                             ~domains ~r ~s p)
+                      | Some c ->
+                        Upper
+                          (upper_product ?cancel ?checkpoint ~c:(max 1 c)
+                             ~tile ~memo ~domains ~r p)) )
           in
           Cancel.check_opt cancel;
           phase phases "count-merge" (fun () ->

@@ -41,9 +41,17 @@ module Cancel = Jp_util.Cancel
 type strategy =
   | Matrix
       (** heavy part via {!Jp_tile.mul} (boolean) /
-          {!Jp_tile.count_product} (counts) / {!Jp_tile.count_upper}
-          ({!ssj}) *)
+          {!Jp_tile.count_product} (counts) / {!Jp_tile.count_upper} or
+          {!Jp_tile.upper_planes} ({!ssj}) *)
   | Combinatorial  (** heavy part via stamp-vector expansion (Non-MMJoin) *)
+
+(** {!ssj}'s heavy product: only the cells (i, l) with l > i of A·Aᵀ,
+    either exact ({!Jp_tile.count_upper}'s triangle) or as [c]
+    thermometer planes saturated at the threshold
+    ({!Jp_tile.upper_planes}). *)
+type upper_product =
+  | Triangle of Jp_matrix.Intmat.t
+  | Planes of Jp_matrix.Boolmat.t array
 
 (** Memoization hooks, consumed by [Jp_cache] (which sits above this
     library in the dependency graph).  Each hook receives the builder of
@@ -54,15 +62,23 @@ type strategy =
     whole product: {!Jp_tile} is bit-equal for every tile config, so
     the key does not depend on it.  A memo value
     is specific to the (r, s) pair it was created for; hooks are
-    consulted once per phase, never per tuple.  A count product with
-    [upper] is {!ssj}'s strict upper triangle, half zeros: it must be
-    keyed apart from the full product. *)
+    consulted once per phase, never per tuple.  {!ssj}'s product has a
+    hook of its own, keyed on the threshold [c] and the kernel
+    [Jp_matrix.Cost.ssj_kernel] priced: planes saturated at one [c] are
+    no answer for another, and neither kind is the full count
+    product. *)
 type memo = {
   memo_prepared : (unit -> Optimizer.prepared) -> Optimizer.prepared;
   memo_bool_product :
     d1:int -> d2:int -> (unit -> Jp_matrix.Boolmat.t) -> Jp_matrix.Boolmat.t;
   memo_count_product :
-    d1:int -> upper:bool -> (unit -> Jp_matrix.Intmat.t) -> Jp_matrix.Intmat.t;
+    d1:int -> (unit -> Jp_matrix.Intmat.t) -> Jp_matrix.Intmat.t;
+  memo_upper_product :
+    d1:int ->
+    c:int ->
+    kernel:Jp_matrix.Cost.ssj_kernel ->
+    (unit -> upper_product) ->
+    upper_product;
 }
 
 val heavy_product :
@@ -160,9 +176,15 @@ val ssj :
     [two_path.ssj]; its actual |OUT| is the full counted self-join's
     size, 2·(pairs x < z with a common element) + (non-empty sets), so
     it compares with est_out) — but computes only its answer:
-    the heavy product is {!Jp_tile.count_upper}'s strict upper triangle,
-    the merge reads each light list only past x and each product row
-    only past the diagonal, and rows leave the accumulator already
-    thresholded ({!Jp_util.Row_acc.emit_ge}).  No counted pairs are
+    the heavy product holds only the cells past the diagonal, the merge
+    reads each light list only past x and each product row only past
+    the diagonal, and rows leave the accumulator already thresholded
+    ({!Jp_util.Row_acc.emit_ge}).  The product is the one
+    {!Jp_matrix.Cost.ssj_kernel} prices cheaper for its shape, [c] and
+    nnz: {!Jp_tile.count_upper}'s exact triangle, or
+    {!Jp_tile.upper_planes}' [c] planes, which count each pair only up
+    to [c] (exact for the threshold: min(h, c) + l ≥ c iff h + l ≥ c).
+    The [ssj.triangle_products]/[ssj.plane_products] counters name the
+    kernel that ran.  No counted pairs are
     built.  [plan] forces a plan, for tests.  Expects [c >= 1]: the
     internal entry behind [Mm_ssj.join], which checks it. *)

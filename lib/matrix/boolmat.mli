@@ -36,3 +36,10 @@ val nnz : t -> int
 
 val iter_row : t -> int -> (int -> unit) -> unit
 (** [iter_row m i f] applies [f] to every column with a 1 in row [i]. *)
+
+val saturate_rows :
+  Jp_util.Bitset.t array -> int -> from:int -> sel:Jp_util.Bitset.t -> t -> unit
+(** [saturate_rows planes off ~from ~sel m] adds the rows of [m] that
+    [sel] selects to the thermometer [planes], as
+    {!Jp_util.Bitset.saturate_selected} does: the row-OR step of
+    [Jp_tile]'s saturating plane product. *)

@@ -1,5 +1,26 @@
 type kind = Count | Boolean
 
+(* The SSJ kernel price's fitted multipliers of the machine's word
+   constants: least squares on relative error over the 185 counted-ssj
+   products of perfbench seeds 1 and 2, each kernel timed alone, then
+   scaled so that the pinned constants' count/bool ratio reproduces the
+   fitted time ratio (EXPERIMENTS.md, "SSJ planes").  A triangle cell
+   pays [cell_words] count words of call, spare-word and store overhead
+   beside [cell_word] per payload word of the inner dimension, and its
+   one operand build [build_words] per one of A.  A plane product pays
+   [plane_word] boolean words per plane word written and [select_words]
+   per one of A: both operand builds (A and Aᵀ) and the selection of
+   each row. *)
+let cell_words = 2.3
+
+let cell_word = 0.5
+
+let build_words = 0.5
+
+let plane_word = 0.53
+
+let select_words = 4.2
+
 let lemma1 ?(omega = 3.0) ~u ~v ~w () =
   let u = float_of_int u and v = float_of_int v and w = float_of_int w in
   let beta = min u (min v w) in
@@ -176,3 +197,33 @@ let mhat m kind ~u ~v ~w ~cores =
       float_of_int u *. float_of_int v *. (float_of_int w /. 62.0) *. m.bool_word
   in
   (work /. float_of_int cores) +. construction_seconds m ~u ~v ~w
+
+type ssj_kernel = Triangle | Planes
+
+(* Plane words the upper-masked row-OR writes per selected row, summed
+   over the u result rows: row i starts at the word holding column
+   i + 1 of a u-wide row, and the last row has no column past it. *)
+let upper_row_words u =
+  let words = (u + 61) / 62 and total = ref 0 in
+  for i = 0 to u - 2 do
+    total := !total + words - ((i + 1) / 62)
+  done;
+  !total
+
+let ssj_seconds m kernel ~c ~u ~v ~nnz =
+  let u' = float_of_int u and nnz' = float_of_int nnz in
+  match kernel with
+  | Triangle ->
+    let cells = u' *. (u' -. 1.0) /. 2.0 in
+    let inner = float_of_int ((v + 61) / 62) in
+    ((cells *. (cell_words +. (cell_word *. inner))) +. (build_words *. nnz'))
+    *. m.count_word
+  | Planes ->
+    let per_row = float_of_int (upper_row_words u) /. Float.max 1.0 u' in
+    nnz' *. ((plane_word *. float_of_int c *. per_row) +. select_words)
+    *. m.bool_word
+
+let ssj_kernel m ~c ~u ~v ~nnz =
+  if ssj_seconds m Planes ~c ~u ~v ~nnz < ssj_seconds m Triangle ~c ~u ~v ~nnz
+  then Planes
+  else Triangle

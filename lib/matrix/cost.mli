@@ -14,8 +14,9 @@
       below [jp_tile], so the probes time copies of its tile bodies'
       word loops ([Bitset.union_into] over the selected rows,
       [Bitset.inter_count] over row pairs) on one square tile, the shape
-      of every product up to the tile cap.  Nothing here chooses a
-      kernel: there is only one.
+      of every product up to the tile cap.  The one kernel choice
+      priced here is the set-similarity join's ({!ssj_kernel}): exact
+      triangle or saturating planes, from the same two constants.
 
     The same calibration pass also measures the paper's Table-1 machine
     constants [Ts] (sequential access), [Tm] (allocation) and [TI] (random
@@ -65,3 +66,21 @@ val mhat : machine -> kind -> u:int -> v:int -> w:int -> cores:int -> float
 (** [mhat m kind ~u ~v ~w ~cores] estimates wall seconds to multiply
     [u×v · v×w] with the given kernel on [cores] cores, including the
     matrix-construction cost [C] (Section 3.1). *)
+
+(** The set-similarity join's heavy kernel: [Jp_tile.count_upper]'s
+    exact strict upper triangle of A·Aᵀ, or [Jp_tile.upper_planes]'
+    thermometer planes, saturated at c. *)
+type ssj_kernel = Triangle | Planes
+
+val ssj_kernel : machine -> c:int -> u:int -> v:int -> nnz:int -> ssj_kernel
+(** [ssj_kernel m ~c ~u ~v ~nnz] prices the SSJ's heavy product of a
+    u×v operand A with nnz ones at threshold c both ways and returns the
+    cheaper kernel; ties go to the triangle.  The triangle pays each of
+    its u(u−1)/2 cells a fixed overhead plus one AND+popcount per inner
+    payload word, and one operand build, at [count_word]; the planes pay
+    c plane words per one of A over the words past the diagonal (the
+    average row's share of a u-wide upper result), plus both operand
+    builds (A and Aᵀ) and the selection of each row, at [bool_word].  The
+    multipliers are fitted to the two kernels' measured times.  A pure
+    function of its arguments: no flag or environment variable picks
+    the kernel. *)

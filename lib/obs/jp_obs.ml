@@ -148,6 +148,10 @@ module C = struct
 
   let mm_count_word_ops = counter "mm.count_word_ops"
 
+  let ssj_triangles = counter "ssj.triangle_products"
+
+  let ssj_planes = counter "ssj.plane_products"
+
   let stamp_hits = counter "dedup.stamp_hits"
 
   let stamp_misses = counter "dedup.stamp_misses"

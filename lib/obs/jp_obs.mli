@@ -188,7 +188,18 @@ module C : sig
 
   val mm_count_word_ops : counter
   (** 62-bit payload-word AND+popcounts of the count heavy product
-      ([Jp_tile.count_product]/[count_upper]), counted the same way. *)
+      ([Jp_tile.count_product]/[count_upper]), counted the same way;
+      for the saturating plane product ([Jp_tile.upper_planes]), one per
+      plane word written. *)
+
+  val ssj_triangles : counter
+  (** Set-similarity heavy products computed as the exact strict upper
+      triangle ([Jp_tile.count_upper]), as [Jp_matrix.Cost.ssj_kernel]
+      priced them; a product served from a memo is not counted. *)
+
+  val ssj_planes : counter
+  (** Set-similarity heavy products computed as saturating thermometer
+      planes ([Jp_tile.upper_planes]), counted as {!ssj_triangles}. *)
 
   val stamp_hits : counter
   (** Stamp-vector probes that found the stamp already set (dedup hits). *)
@@ -293,7 +304,8 @@ module C : sig
 
   val tile_products : counter
   (** Output tiles computed by [Jp_tile.mul]/[mul_rows]/[count_product]/
-      [count_upper]: every heavy product publishes at least one. *)
+      [count_upper]/[upper_planes]: every heavy product publishes at
+      least one. *)
 
   val tile_peak_bytes : counter
   (** High-water mark of {!G.tile_bytes}: bumped by the increase whenever

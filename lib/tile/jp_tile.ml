@@ -15,14 +15,28 @@ let config ?(tile_bits = default_tile_bits) ?budget_bytes () =
   { tile_bits = max min_tile_bits (min 20 tile_bits); budget_bytes }
 
 module Source = struct
-  type t = { rows : int; cols : int; adj : int -> (int -> unit) -> unit }
+  (* A row's ones: through a callback, or as an id list through a column
+     index (row i holds index.(b) for every b of [list i] with
+     index.(b) >= 0), which [build_tile] reads in a loop instead of
+     through two closure calls per entry. *)
+  type entries =
+    | Adjacency of (int -> (int -> unit) -> unit)
+    | Mapped of (int -> int array) * int array
 
-  let of_adjacency ~rows ~cols adj =
-    if rows < 0 || cols < 0 then invalid_arg "Jp_tile.Source.of_adjacency";
-    { rows; cols; adj }
+  type t = { rows : int; cols : int; entries : entries }
+
+  let make name ~rows ~cols entries =
+    if rows < 0 || cols < 0 then invalid_arg ("Jp_tile.Source." ^ name);
+    { rows; cols; entries }
+
+  let of_adjacency ~rows ~cols adj = make "of_adjacency" ~rows ~cols (Adjacency adj)
+
+  let of_mapped ~rows ~cols list index =
+    make "of_mapped" ~rows ~cols (Mapped (list, index))
 
   let of_boolmat m =
-    { rows = Boolmat.rows m; cols = Boolmat.cols m; adj = Boolmat.iter_row m }
+    make "of_boolmat" ~rows:(Boolmat.rows m) ~cols:(Boolmat.cols m)
+      (Adjacency (Boolmat.iter_row m))
 end
 
 (* Number of tile blocks covering [n] positions at [ts] per tile. *)
@@ -38,17 +52,26 @@ let word_aligned ts = Bitset.bits_per_word * Bitset.payload_words ts
 (* The tile shape fitted to one [u]×[w] output: the side is the
    smallest 2^k >= max(u, w) within [2^4, 2^tile_bits], halved while
    [domains > 1] leaves fewer than 2·domains scheduled output tiles
-   ([col_width] maps a side to the output tile's column width; [upper]
-   schedules only the t(t+1)/2 tiles on or above the diagonal of a
-   square t×t grid).  Inner blocks span the whole inner dimension [v]
-   unless a budget bounds the resident set, and are then as wide as the
-   side.  Returns (side, inner). *)
-let fit cfg ~domains ~col_width ~upper ~u ~v ~w =
+   ([col_width] maps a side to the output tile's column width; [keep],
+   when given, picks the scheduled tiles of a side-high, col_width-wide
+   grid).  Inner blocks span the whole inner dimension [v] unless a
+   budget bounds the resident set, and are then as wide as the side.
+   Returns (side, inner). *)
+let fit cfg ~domains ~col_width ?keep ~u ~v ~w () =
   let floor = 1 lsl min_tile_bits and cap = 1 lsl cfg.tile_bits in
   let rec grow ts = if ts >= cap || ts >= max u w then ts else grow (2 * ts) in
   let scheduled ts =
-    let t_i = blocks u ts in
-    if upper then t_i * (t_i + 1) / 2 else t_i * blocks w (col_width ts)
+    let cw = col_width ts in
+    match keep with
+    | None -> blocks u ts * blocks w cw
+    | Some keep ->
+      let n = ref 0 in
+      for ti = 0 to blocks u ts - 1 do
+        for tj = 0 to blocks w cw - 1 do
+          if keep ~rh:ts ~cw ti tj then incr n
+        done
+      done;
+      !n
   in
   let rec shrink ts =
     if domains > 1 && ts > floor && scheduled ts < 2 * domains
@@ -57,6 +80,14 @@ let fit cfg ~domains ~col_width ~upper ~u ~v ~w =
   in
   let side = shrink (grow floor) in
   (side, match cfg.budget_bytes with None -> max 1 v | Some _ -> side)
+
+(* The triangle product's tiles: on or above the diagonal of a square
+   grid. *)
+let on_or_above ~rh:_ ~cw:_ ti tj = tj >= ti
+
+(* The upper-masked row-OR product's tiles: those holding a cell (i, l)
+   with l > i, i.e. whose last column lies past their first row. *)
+let past_diagonal ~w ~rh ~cw ti tj = min w ((tj + 1) * cw) - 1 > ti * rh
 
 (* Build one operand tile: rows [r0, r0+th), inner columns [c0, c0+tw)
    of [src], remapped to a th×tw block.  Also returns the number of
@@ -68,17 +99,23 @@ let build_tile (src : Source.t) ~r0 ~th ~c0 ~tw =
   let m = Boolmat.create ~rows:th ~cols:tw in
   let scanned = ref 0 in
   let whole = c0 = 0 && tw = src.Source.cols in
-  for i = 0 to th - 1 do
-    let row = Boolmat.row m i in
-    if whole then
-      src.Source.adj (r0 + i) (fun j ->
-          Stdlib.incr scanned;
-          Bitset.set row j)
-    else
-      src.Source.adj (r0 + i) (fun j ->
-          Stdlib.incr scanned;
-          if j >= c0 && j < c0 + tw then Bitset.set row (j - c0))
-  done;
+  (match src.Source.entries with
+  | Source.Mapped (list, index) ->
+    for i = 0 to th - 1 do
+      scanned := !scanned + Bitset.set_mapped (Boolmat.row m i) ~lo:c0 (list (r0 + i)) index
+    done
+  | Source.Adjacency adj ->
+    for i = 0 to th - 1 do
+      let row = Boolmat.row m i in
+      if whole then
+        adj (r0 + i) (fun j ->
+            Stdlib.incr scanned;
+            Bitset.set row j)
+      else
+        adj (r0 + i) (fun j ->
+            Stdlib.incr scanned;
+            if j >= c0 && j < c0 + tw then Bitset.set row (j - c0))
+    done);
   (m, !scanned)
 
 (* ------------------------------------------------------------------ *)
@@ -262,23 +299,37 @@ let check_dims name (a : Source.t) (b : Source.t) =
       (Printf.sprintf "Jp_tile.%s: dimension mismatch (%dx%d . %dx%d)" name
          a.Source.rows a.Source.cols b.Source.rows b.Source.cols)
 
-(* Boolean product: output tile (ti, tj) is the OR over inner blocks k
-   of A(ti,k)·B(k,tj).  Column tiles are word-aligned, so the tile owns
-   the words holding columns [c0, c0+tw) of its result rows and ORs the
-   selected B-tile rows straight into them: no scratch tile and no
-   lock, and ORs commute, so the result is independent of the order in
-   which tiles and inner blocks finish.
+(* The row-OR product: output tile (ti, tj) is the OR over inner blocks
+   k of A(ti,k)·B(k,tj).  Column tiles are word-aligned, so the tile
+   owns the words holding columns [c0, c0+tw) of its result rows and
+   ORs the selected B-tile rows straight into them: no scratch tile and
+   no lock, and ORs commute, so the result is independent of the order
+   in which tiles and inner blocks finish.
+
+   [dst] holds one row function per plane.  Without [upper] it has one
+   plane and this is the boolean product.  With [upper] each selected B
+   row adds one, saturating at k = the number of planes, to the
+   thermometer planes of its result row ([Boolmat.saturate_rows]):
+   plane j of cell (i, l) reads "at least j + 1 selected rows set
+   column l", i.e. min((A·B)(i,l), k) over the integer product, and
+   only the cells l > i are kept.  A saturating add commutes too, so
+   the order argument carries over.  Tiles wholly at or below the
+   diagonal are not scheduled, each row starts at the word holding
+   column i + 1, and once all inner blocks are in, the bits below
+   i + 1 in that word are cleared — the tile owns the word, so no other
+   domain writes it.
 
    Rows run in bands of whole row blocks (the tile side high, or the
    band when it is lower), at most [band_rows] rows: one pool round
-   writes a band's i-th row into [dst i], then [finish r0 r1] runs on
-   the calling domain.  [mul] is one band over the result. *)
-let bool_bands ~domains ?cancel ?checkpoint cfg (a : Source.t) (b : Source.t)
-    ~band_rows ~dst ~finish =
+   writes a band's i-th row into [dst.(j) i], then [finish r0 r1] runs
+   on the calling domain.  [mul] is one band over the result. *)
+let or_bands ~domains ?cancel ?checkpoint ?(upper = false) cfg (a : Source.t)
+    (b : Source.t) ~band_rows ~dst ~finish =
   let u = a.Source.rows and v = a.Source.cols and w = b.Source.cols in
+  let planes = Array.length dst in
+  let keep = if upper then Some (past_diagonal ~w) else None in
   let ts, kt =
-    fit cfg ~domains ~col_width:word_aligned ~upper:false
-      ~u:(min u band_rows) ~v ~w
+    fit cfg ~domains ~col_width:word_aligned ?keep ~u:(min u band_rows) ~v ~w ()
   in
   let rh = min ts band_rows and cw = word_aligned ts in
   let band = rh * max 1 (band_rows / rh) in
@@ -291,13 +342,16 @@ let bool_bands ~domains ?cancel ?checkpoint cfg (a : Source.t) (b : Source.t)
   let obs = Obs.recording () in
   (* first row of the band being computed *)
   let base = ref 0 in
+  (* the band's scheduled tiles, as offsets from its first row block *)
+  let tiles = ref [||] in
   let body t =
+    let t = if upper then !tiles.(t) else t in
     let ti = (!base / rh) + (t / t_j) and tj = t mod t_j in
     run_checkpoint checkpoint;
-    Obs.span "tile.mul_tile" (fun () ->
+    Obs.span (if upper then "tile.plane_tile" else "tile.mul_tile") (fun () ->
         let r0 = ti * rh and c0 = tj * cw in
         let th = min rh (u - r0) and tw = min cw (w - c0) in
-        let unions = ref 0 in
+        let ops = ref 0 in
         for k = 0 to t_k - 1 do
           let k0 = k * kt in
           let kw = min kt (v - k0) in
@@ -309,23 +363,49 @@ let bool_bands ~domains ?cancel ?checkpoint cfg (a : Source.t) (b : Source.t)
             store_fetch store (b_slot k tj) (fun () ->
                 build_tile b ~r0:k0 ~th:kw ~c0 ~tw)
           in
-          (* A tile as wide as the result (every product up to the
-             cap at domains = 1) ORs whole rows and skips the
-             offset checks, which cost ~5% of a dense product.  The
-             OR closure is made once per block, not once per row. *)
-          let row = ref (dst (r0 - !base)) in
-          let union =
-            if tw = w then fun kk -> Bitset.union_into ~dst:!row (Boolmat.row bt kk)
-            else fun kk -> Bitset.union_into_at ~dst:!row c0 (Boolmat.row bt kk)
-          in
-          for i = 0 to th - 1 do
-            row := dst (r0 - !base + i);
-            if obs then unions := !unions + Boolmat.row_nnz at i;
-            Boolmat.iter_row at i union
-          done
+          if not upper then begin
+            (* A tile as wide as the result (every product up to the
+               cap at domains = 1) ORs whole rows and skips the
+               offset checks, which cost ~5% of a dense product.  The
+               OR closure is made once per block, not once per row. *)
+            let dst = dst.(0) in
+            let row = ref (dst (r0 - !base)) in
+            let union =
+              if tw = w then fun kk -> Bitset.union_into ~dst:!row (Boolmat.row bt kk)
+              else fun kk -> Bitset.union_into_at ~dst:!row c0 (Boolmat.row bt kk)
+            in
+            for i = 0 to th - 1 do
+              row := dst (r0 - !base + i);
+              if obs then ops := !ops + Boolmat.row_nnz at i;
+              Boolmat.iter_row at i union
+            done
+          end
+          else begin
+            let rows = Array.map (fun d -> d (r0 - !base)) dst in
+            let words = Bitset.payload_words tw in
+            for i = 0 to th - 1 do
+              (* the first word holding a column past the diagonal *)
+              let from = max 0 (r0 + i + 1 - c0) / Bitset.bits_per_word in
+              if r0 + i + 1 < c0 + tw then begin
+                for j = 0 to planes - 1 do
+                  rows.(j) <- dst.(j) (r0 - !base + i)
+                done;
+                if obs then
+                  ops := !ops + (Boolmat.row_nnz at i * planes * (words - from));
+                Boolmat.saturate_rows rows c0 ~from ~sel:(Boolmat.row at i) bt
+              end
+            done
+          end
         done;
+        if upper then
+          for i = 0 to th - 1 do
+            let l = r0 + i + 1 in
+            if l > c0 && l < c0 + tw then
+              Array.iter (fun d -> Bitset.clear_word_below (d (r0 - !base + i)) l) dst
+          done;
         if obs then
-          Obs.add Obs.C.mm_bool_word_ops (!unions * Bitset.payload_words tw);
+          if upper then Obs.add Obs.C.mm_count_word_ops !ops
+          else Obs.add Obs.C.mm_bool_word_ops (!ops * Bitset.payload_words tw);
         Obs.incr Obs.C.tile_products)
   in
   Fun.protect
@@ -333,9 +413,19 @@ let bool_bands ~domains ?cancel ?checkpoint cfg (a : Source.t) (b : Source.t)
     (fun () ->
       while !base < u do
         let r1 = min u (!base + band) in
-        Pool.parallel_for ~domains ~chunk:1 ?cancel ~lo:0
-          ~hi:(blocks (r1 - !base) rh * t_j)
-          body;
+        let n = blocks (r1 - !base) rh * t_j in
+        let n =
+          if not upper then n
+          else begin
+            tiles :=
+              Array.of_seq
+                (Seq.filter
+                   (fun t -> past_diagonal ~w ~rh ~cw ((!base / rh) + (t / t_j)) (t mod t_j))
+                   (Seq.init n Fun.id));
+            Array.length !tiles
+          end
+        in
+        Pool.parallel_for ~domains ~chunk:1 ?cancel ~lo:0 ~hi:n body;
         finish !base r1;
         base := r1
       done)
@@ -345,8 +435,8 @@ let mul ?(domains = 1) ?cancel ?checkpoint cfg (a : Source.t)
   check_dims "mul" a b;
   Obs.span "tile.mul" (fun () ->
       let result = Boolmat.create ~rows:a.Source.rows ~cols:b.Source.cols in
-      bool_bands ~domains ?cancel ?checkpoint cfg a b ~band_rows:max_int
-        ~dst:(Boolmat.row result)
+      or_bands ~domains ?cancel ?checkpoint cfg a b ~band_rows:max_int
+        ~dst:[| Boolmat.row result |]
         ~finish:(fun _ _ -> ());
       result)
 
@@ -356,13 +446,26 @@ let mul_rows ~domains ?cancel cfg (a : Source.t) (b : Source.t) f =
       let w = b.Source.cols in
       let band_rows = max 1 (band_bytes / (8 * (Bitset.payload_words w + 1))) in
       let buf = Boolmat.create ~rows:(min a.Source.rows band_rows) ~cols:w in
-      bool_bands ~domains ?cancel cfg a b ~band_rows ~dst:(Boolmat.row buf)
+      or_bands ~domains ?cancel cfg a b ~band_rows ~dst:[| Boolmat.row buf |]
         ~finish:(fun r0 r1 ->
           for r = r0 to r1 - 1 do
             let row = Boolmat.row buf (r - r0) in
             f r row;
             Bitset.clear row
           done))
+
+let upper_planes ?(domains = 1) ?cancel ?checkpoint cfg ~c (a : Source.t)
+    (b : Source.t) =
+  check_dims "upper_planes" a b;
+  if c < 1 then invalid_arg "Jp_tile.upper_planes: c must be >= 1";
+  Obs.span "tile.upper_planes" (fun () ->
+      let planes =
+        Array.init c (fun _ -> Boolmat.create ~rows:a.Source.rows ~cols:b.Source.cols)
+      in
+      or_bands ~domains ?cancel ?checkpoint ~upper:true cfg a b
+        ~band_rows:max_int ~dst:(Array.map Boolmat.row planes)
+        ~finish:(fun _ _ -> ());
+      planes)
 
 (* True when no row of [m] has a bit set: a count block with an empty
    operand tile adds nothing. *)
@@ -393,7 +496,11 @@ let count_body ~upper ~domains ?cancel ?checkpoint cfg (a : Source.t)
       let result =
         if upper then Intmat.create_upper u else Intmat.create ~rows:u ~cols:w
       in
-      let ts, kt = fit cfg ~domains ~col_width:Fun.id ~upper ~u ~v ~w in
+      let ts, kt =
+        fit cfg ~domains ~col_width:Fun.id
+          ?keep:(if upper then Some on_or_above else None)
+          ~u ~v ~w ()
+      in
       let t_i = blocks u ts and t_k = blocks v kt and t_j = blocks w ts in
       if t_i = 0 || t_j = 0 then result
       else begin

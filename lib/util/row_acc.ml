@@ -9,8 +9,10 @@ let scan_factor = 4
 (* What the current row keeps outside the stamps.  A split row (one
    x of a heavy product) owns a column space over the product's heavy z:
    [Bits] rows hold each column as a bit of [cols], [Counts] rows hold
-   its count.  Only ids without a column go through the stamps, so the
-   two halves are disjoint. *)
+   its count — or, when [planes > 0], hold it in that many thermometer
+   planes, one [stride]-word bitset per plane laid end to end in [cols]
+   (plane j: "count >= j + 1").  Only ids without a column go through
+   the stamps, so the two halves are disjoint. *)
 type mode = Plain | Bits | Counts
 
 type t = {
@@ -28,6 +30,8 @@ type t = {
   mutable cols : int array; (* split rows: column bit words, or counts *)
   mutable first : int; (* counting split rows: first column held *)
   mutable held : int; (* split rows: columns set *)
+  mutable planes : int; (* counting split rows: planes, or 0 for counts *)
+  mutable stride : int; (* plane rows: words per plane in [cols] *)
 }
 
 let create ?(counts = false) nz =
@@ -47,6 +51,8 @@ let create ?(counts = false) nz =
     cols = [||];
     first = 0;
     held = 0;
+    planes = 0;
+    stride = 0;
   }
 
 let start t =
@@ -67,7 +73,7 @@ let split t mode ~index ~heavy ~need =
 let start_split t ~index ~heavy row =
   split t Bits ~index ~heavy
     ~need:(Bitset.payload_words (Array.length heavy) + 1);
-  t.held <- Bitset.blit_count row t.cols;
+  t.held <- Bitset.blit_count row t.cols 0;
   t.held
 
 let start_split_counts t ~index ~heavy row =
@@ -75,6 +81,7 @@ let start_split_counts t ~index ~heavy row =
   let first = w - Array.length row in
   if first < 0 then invalid_arg "Row_acc.start_split_counts: row wider than heavy";
   split t Counts ~index ~heavy ~need:w;
+  t.planes <- 0;
   let cols = t.cols and held = ref 0 in
   for k = 0 to Array.length row - 1 do
     let c = Array.unsafe_get row k in
@@ -84,6 +91,21 @@ let start_split_counts t ~index ~heavy row =
   t.first <- first;
   t.held <- !held;
   !held
+
+let start_split_planes t ~index ~heavy ~first planes =
+  let w = Array.length heavy and k = Array.length planes in
+  if k = 0 || first < 0 || first > w then
+    invalid_arg "Row_acc.start_split_planes: no planes, or first out of range";
+  let stride = Bitset.payload_words w + 1 in
+  split t Counts ~index ~heavy ~need:(k * stride);
+  for j = k - 1 downto 0 do
+    let n = Bitset.blit_count planes.(j) t.cols (j * stride) in
+    if j = 0 then t.held <- n
+  done;
+  t.first <- first;
+  t.planes <- k;
+  t.stride <- stride;
+  t.held
 
 let grow t =
   let buf = Array.make (2 * Array.length t.buf) 0 in
@@ -165,9 +187,46 @@ let add_witnesses_split t zs from =
   done;
   t.held <- !held
 
+(* A plane row: an id with a column adds one to it, saturating at
+   the number of planes — each plane from the top gains the bit where
+   the plane below has it — and the rest are stamped.  A column is
+   newly held when the first plane lacks it. *)
+let add_witnesses_planes t zs from =
+  let stamps = t.stamps and stamp = t.stamp and counts = t.counts in
+  let index = t.index and cols = t.cols and first = t.first and held = ref t.held in
+  let stride = t.stride and top = t.planes - 1 in
+  for i = max 0 from to Array.length zs - 1 do
+    let z = Array.unsafe_get zs i in
+    let l = index.(z) in
+    if l >= 0 then begin
+      if l < first then invalid_arg "Row_acc.add_witnesses_from: column not held";
+      let w = l / bits_per_word in
+      let bit = 1 lsl (l - (w * bits_per_word)) in
+      for j = top downto 1 do
+        let d = (j * stride) + w in
+        Array.unsafe_set cols d
+          (Array.unsafe_get cols d lor (Array.unsafe_get cols (d - stride) land bit))
+      done;
+      let x = Array.unsafe_get cols w in
+      if x land bit = 0 then begin
+        incr held;
+        Array.unsafe_set cols w (x lor bit)
+      end
+    end
+    else if stamps.(z) <> stamp then begin
+      Array.unsafe_set stamps z stamp;
+      counts.(z) <- 1;
+      push t z
+    end
+    else counts.(z) <- counts.(z) + 1
+  done;
+  t.held <- !held
+
 let add_witnesses_from t zs from =
   match t.mode with
-  | Counts -> add_witnesses_split t zs from
+  | Counts ->
+    if t.planes > 0 then add_witnesses_planes t zs from
+    else add_witnesses_split t zs from
   | Bits -> invalid_arg "Row_acc.add_witnesses_from: boolean split row"
   | Plain ->
     let stamps = t.stamps and stamp = t.stamp and counts = t.counts in
@@ -234,16 +293,17 @@ let sort_buf t =
   if t.len > 1 then
     if dense t then scan_into t t.buf else Intsort.sort_sub t.buf ~lo:0 ~hi:t.len
 
-(* The row of a [Bits] split: the set columns, read in order through
-   [heavy] (ascending), merged with the sorted stamped ids.  The halves
-   are disjoint, so the merge only interleaves. *)
-let emit_bits t =
+(* The row of a [Bits] split: the [n] set columns of the bitset at word
+   [at] of [cols], read in order through [heavy] (ascending), merged
+   with the sorted stamped ids.  The halves are disjoint, so the merge
+   only interleaves. *)
+let emit_bits t ~at ~n =
   sort_buf t;
   let nl = t.len and buf = t.buf and heavy = t.heavy and cols = t.cols in
-  let out = Array.make (nl + t.held) 0 in
+  let out = Array.make (nl + n) 0 in
   let j = ref 0 and k = ref 0 in
   for w = 0 to Bitset.payload_words (Array.length heavy) - 1 do
-    let word = ref (Array.unsafe_get cols w) in
+    let word = ref (Array.unsafe_get cols (at + w)) in
     let base = w * bits_per_word in
     while !word <> 0 do
       let low = !word land - !word in
@@ -263,7 +323,7 @@ let emit_bits t =
 
 let emit t =
   match t.mode with
-  | Bits -> emit_bits t
+  | Bits -> emit_bits t ~at:0 ~n:t.held
   | Counts -> invalid_arg "Row_acc.emit: counting split row"
   | Plain ->
     let n = t.len in
@@ -313,7 +373,9 @@ let emit_counts_split t =
 
 let emit_counts t =
   match t.mode with
-  | Counts -> emit_counts_split t
+  | Counts ->
+    if t.planes > 0 then invalid_arg "Row_acc.emit_counts: saturated split row";
+    emit_counts_split t
   | Bits -> invalid_arg "Row_acc.emit_counts: boolean split row"
   | Plain ->
     let zs = emit t in
@@ -370,9 +432,23 @@ let emit_ge_split t c =
   Array.blit buf !j out !k (nl - !j);
   out
 
+(* A plane split at threshold [c]: the held columns with at least
+   [c] witnesses are exactly plane c − 1's bits, emitted as a [Bits]
+   row's, after the stamped ids are filtered. *)
+let emit_ge_planes t c =
+  let c = max 1 c in
+  if c > t.planes then invalid_arg "Row_acc.emit_ge: threshold above the planes";
+  filter_ge t c;
+  let at = (c - 1) * t.stride in
+  let n = ref 0 in
+  for w = at to at + t.stride - 1 do
+    n := !n + Bitset.popcount (Array.unsafe_get t.cols w)
+  done;
+  emit_bits t ~at ~n:!n
+
 let emit_ge t c =
   match t.mode with
-  | Counts -> emit_ge_split t c
+  | Counts -> if t.planes > 0 then emit_ge_planes t c else emit_ge_split t c
   | Bits -> invalid_arg "Row_acc.emit_ge: boolean split row"
   | Plain ->
     filter_ge t c;

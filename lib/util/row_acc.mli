@@ -56,6 +56,21 @@ val start_split_counts : t -> index:int array -> heavy:int array -> int array ->
     that is not held ([Invalid_argument]).  Returns the number of
     non-zero counts copied. *)
 
+val start_split_planes :
+  t -> index:int array -> heavy:int array -> first:int -> Bitset.t array -> int
+(** [start_split_planes t ~index ~heavy ~first planes] begins a
+    saturating split row (counting accumulators only) from thermometer
+    planes (plane j holds the columns whose count is at least j + 1,
+    each plane as wide as [heavy]): the planes are copied word by word,
+    and a later witness of a column with [l >= first] adds one to it,
+    saturating at the number of planes k, so each column holds
+    min(count, k).  The columns before [first] are not held (the planes
+    must have no bit there).  Only {!emit_ge} at a threshold of at most
+    k reads such a row, exactly, since min(h, k) + l ≥ c holds exactly
+    when h + l ≥ c for c ≤ k: its heavy columns are plane c − 1's bits.
+    The first plane is every non-zero column, so the returned number of
+    held columns, and {!size}, are what exact counts would give. *)
+
 val add_all : t -> int array -> unit
 (** [add_all t zs] adds each candidate of [zs] to the current row;
     repeats are absorbed.  On a boolean split row an id with a column
@@ -93,4 +108,5 @@ val emit_ge : t -> int -> int array
 (** [emit_ge t c]: the current row's ids with a summed multiplicity of
     at least [c], strictly increasing (counting accumulators only).  The
     set-similarity threshold, applied to both halves of a split row
-    before the row is materialized. *)
+    before the row is materialized.  On a saturating split row, [c] must
+    not exceed the number of planes ([Invalid_argument]). *)

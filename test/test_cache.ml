@@ -162,19 +162,66 @@ let test_count_product_bytes () =
     Jp_matrix.Boolmat.set m i (i mod 8)
   done;
   let src = Jp_tile.Source.of_boolmat m and tile = Jp_tile.config () in
-  let charged ~upper build =
+  let charged store =
     let c = Cache.create () in
     let r = Relation.of_edges [| (0, 0) |] in
-    let memo = Cache.two_path_memo c ~r ~s:r in
-    ignore (memo.Joinproj.Two_path.memo_count_product ~d1:1 ~upper build);
+    store (Cache.two_path_memo c ~r ~s:r);
     (Cache.stats c).Cache.bytes
   in
   Alcotest.(check int) "triangle"
     ((n * (n - 1) / 2 * 8) + 64)
-    (charged ~upper:true (fun () -> Jp_tile.count_upper tile src));
+    (charged (fun memo ->
+         ignore
+           (memo.Joinproj.Two_path.memo_upper_product ~d1:1 ~c:2
+              ~kernel:Jp_matrix.Cost.Triangle (fun () ->
+                Joinproj.Two_path.Triangle (Jp_tile.count_upper tile src)))));
   Alcotest.(check int) "full product"
     ((n * n * 8) + 64)
-    (charged ~upper:false (fun () -> Jp_tile.count_product tile src src))
+    (charged (fun memo ->
+         ignore
+           (memo.Joinproj.Two_path.memo_count_product ~d1:1 (fun () ->
+                Jp_tile.count_product tile src src))))
+
+(* The SSJ's saturating planes are charged k·rows·words·8 + 64 bytes:
+   k planes of n rows, each row the payload words of n columns, under
+   one header — far below the triangle's n(n−1)/2 cells at the same n.
+   Each c is its own entry: one cache holding c = 2 and c = 3 charges
+   both. *)
+let test_plane_product_bytes () =
+  let n = 187 and v = 300 in
+  let m = Jp_matrix.Boolmat.create ~rows:n ~cols:v in
+  for i = 0 to n - 1 do
+    Jp_matrix.Boolmat.set m i (i mod v);
+    Jp_matrix.Boolmat.set m i ((7 * i) mod v)
+  done;
+  let mt = Jp_matrix.Boolmat.create ~rows:v ~cols:n in
+  for i = 0 to n - 1 do
+    Jp_matrix.Boolmat.iter_row m i (fun y -> Jp_matrix.Boolmat.set mt y i)
+  done;
+  let a = Jp_tile.Source.of_boolmat m and at = Jp_tile.Source.of_boolmat mt in
+  let tile = Jp_tile.config () in
+  let c = Cache.create () in
+  let r = Relation.of_edges [| (0, 0) |] in
+  let memo = Cache.two_path_memo c ~r ~s:r in
+  let planes k =
+    memo.Joinproj.Two_path.memo_upper_product ~d1:1 ~c:k
+      ~kernel:Jp_matrix.Cost.Planes (fun () ->
+        Joinproj.Two_path.Planes (Jp_tile.upper_planes tile ~c:k a at))
+  in
+  let words = Jp_util.Bitset.payload_words n in
+  let charge k = (k * n * words * 8) + 64 in
+  ignore (planes 2);
+  Alcotest.(check int) "c = 2" (charge 2) (Cache.stats c).Cache.bytes;
+  ignore (planes 3);
+  Alcotest.(check int) "c = 2 and c = 3" (charge 2 + charge 3)
+    (Cache.stats c).Cache.bytes;
+  let hits = (Cache.stats c).Cache.hits in
+  (match planes 2 with
+  | Joinproj.Two_path.Planes p -> Alcotest.(check int) "c = 2 hit: 2 planes" 2 (Array.length p)
+  | Joinproj.Two_path.Triangle _ -> Alcotest.fail "c = 2 hit: a triangle");
+  Alcotest.(check int) "c = 2 again is a hit" (hits + 1) (Cache.stats c).Cache.hits;
+  Alcotest.(check bool) "planes below the triangle's cells" true
+    (charge 2 * 9 < (n * (n - 1) / 2 * 8) + 64)
 
 (* One cached prepared value read by two domains at once: it is
    immutable (nothing is forced on first use), so both plan exactly what
@@ -355,6 +402,8 @@ let suite =
       test_memo_and_view_invalidation;
     Alcotest.test_case "count products charged their stored cells" `Quick
       test_count_product_bytes;
+    Alcotest.test_case "ssj planes charged per plane word" `Quick
+      test_plane_product_bytes;
     Alcotest.test_case "prepared value shared across domains" `Quick
       test_prepared_across_domains;
     Alcotest.test_case "service hit path" `Quick test_service_hit_path;

@@ -170,7 +170,22 @@ let test_ssj_shared_cache () =
     (same_counted counted (Mm_ssj.join_counted ~cache r));
   Alcotest.(check bool) "then ssj" true (Pairs.equal ssj (Mm_ssj.join ~cache ~c:2 r));
   Alcotest.(check bool) "ssj again (hit)" true
-    (Pairs.equal ssj (Mm_ssj.join ~cache ~c:2 r))
+    (Pairs.equal ssj (Mm_ssj.join ~cache ~c:2 r));
+  (* Planes saturate at c, so the product of one c is no answer for
+     another: one cache serves c = 2, then c = 3, then c = 2 again,
+     between counted self-joins, and every result is the uncached one. *)
+  let ssj3 = Mm_ssj.join ~c:3 r in
+  let cache = Jp_cache.create () in
+  List.iter
+    (fun (name, check) -> Alcotest.(check bool) name true (check ()))
+    [
+      ("c = 2", fun () -> Pairs.equal ssj (Mm_ssj.join ~cache ~c:2 r));
+      ("counted", fun () -> same_counted counted (Mm_ssj.join_counted ~cache r));
+      ("c = 3", fun () -> Pairs.equal ssj3 (Mm_ssj.join ~cache ~c:3 r));
+      ("counted again", fun () -> same_counted counted (Mm_ssj.join_counted ~cache r));
+      ("c = 2 again", fun () -> Pairs.equal ssj (Mm_ssj.join ~cache ~c:2 r));
+      ("c = 3 again", fun () -> Pairs.equal ssj3 (Mm_ssj.join ~cache ~c:3 r));
+    ]
 
 (* The triangle product does about half the full product's word
    operations on a fixed dense family that the optimizer partitions. *)
@@ -192,6 +207,128 @@ let test_ssj_word_ops () =
     (Printf.sprintf "upper %d <= 0.55 x full %d" upper full)
     true
     (full > 0 && float_of_int upper <= 0.55 *. float_of_int full)
+
+(* The SSJ's kernel work on a wide-inner family (several hundred heavy
+   elements, so each triangle cell ANDs several words): the plane
+   product the price picks writes fewer words than [count_upper] ANDs
+   over the same operand, and the plane counter shows it ran. *)
+let test_ssj_plane_word_ops () =
+  let r = Gen.random_relation ~seed:12 ~nx:300 ~ny:400 ~edges:9000 () in
+  let d1 = 2 in
+  let plan = forced (Optimizer.Partitioned { d1; d2 = 0 }) in
+  let counters f =
+    Jp_obs.reset ();
+    Jp_obs.enable ();
+    Fun.protect
+      ~finally:(fun () -> Jp_obs.disable (); Jp_obs.reset ())
+      (fun () ->
+        ignore (f ());
+        Jp_obs.C.(List.map Jp_obs.value [ mm_count_word_ops; ssj_planes; ssj_triangles ]))
+  in
+  let p = Joinproj.Partition.make ~r ~s:r ~d1 ~d2:0 () in
+  let v = Array.length p.heavy_y in
+  let operand =
+    Jp_tile.Source.of_mapped ~rows:(Array.length p.heavy_x) ~cols:v
+      (fun i -> Relation.adj_src r p.heavy_x.(i))
+      p.y_index
+  in
+  let triangle =
+    List.hd (counters (fun () -> Jp_tile.count_upper (Jp_tile.config ()) operand))
+  in
+  match counters (fun () -> Two_path.ssj ~plan ~c:2 r) with
+  | [ planes; 1; 0 ] ->
+    Alcotest.(check bool)
+      (Printf.sprintf "v=%d: plane words %d in (0, triangle words %d)" v planes triangle)
+      true
+      (v > 62 && planes > 0 && planes < triangle)
+  | got ->
+    Alcotest.failf "expected one plane product, got counters %s"
+      (String.concat "," (List.map string_of_int got))
+
+(* Section 6's metamorphic sweep: the SSJ under every forced heavy
+   threshold d1 (d2 = 0) from 1 past the largest element degree, c in
+   1..6 and domains 1 and 3, equals the WCOJ expansion's counted
+   self-join thresholded at c.  One family (many small sets) prices to
+   planes and one (few large sets) to the triangle at d1 = 1; every run
+   that multiplies uses the kernel [Cost.ssj_kernel] names, seen
+   through the [ssj.*] counters.  Giving every edge twice changes
+   nothing. *)
+let test_ssj_sweep () =
+  let module Partition = Joinproj.Partition in
+  let module Cost = Jp_matrix.Cost in
+  let thresholded r ~c =
+    let counts = Jp_wcoj.Expand.project_counts ~r ~s:r () in
+    Pairs.of_rows_unchecked
+      (Array.init (Relation.src_count r) (fun x ->
+           let zs, ks = Testkit.Counted_pairs.row counts x in
+           let keep = ref [] in
+           Array.iteri (fun i z -> if z > x && ks.(i) >= c then keep := z :: !keep) zs;
+           Array.of_list (List.rev !keep)))
+  in
+  let kernel_ran f =
+    Jp_obs.reset ();
+    Jp_obs.enable ();
+    Fun.protect
+      ~finally:(fun () -> Jp_obs.disable (); Jp_obs.reset ())
+      (fun () ->
+        let out = f () in
+        (out, Jp_obs.value Jp_obs.C.ssj_planes, Jp_obs.value Jp_obs.C.ssj_triangles))
+  in
+  let doubled r =
+    let edges = ref [] in
+    Relation.iter (fun x y -> edges := (x, y) :: !edges) r;
+    let once = Array.of_list !edges in
+    Relation.of_edges ~src_count:(Relation.src_count r)
+      ~dst_count:(Relation.dst_count r)
+      (Array.append once (Array.of_list (List.rev !edges)))
+  in
+  List.iter
+    (fun (name, r, expect_at_1) ->
+      let max_deg =
+        List.fold_left max 0 (List.init (Relation.dst_count r) (Relation.deg_dst r))
+      in
+      let r2 = doubled r in
+      let ran = ref [] in
+      for c = 1 to 6 do
+        let expect = thresholded r ~c in
+        for d1 = 1 to max_deg + 1 do
+          let plan = forced (Optimizer.Partitioned { d1; d2 = 0 }) in
+          let p = Partition.make ~r ~s:r ~d1 ~d2:0 () in
+          let u, v, _ = Partition.dims p in
+          let nnz = Array.fold_left (fun n y -> n + Relation.deg_dst r y) 0 p.heavy_y in
+          let priced = Cost.ssj_kernel (Cost.machine ()) ~c ~u ~v ~nnz in
+          List.iter
+            (fun domains ->
+              let label = Printf.sprintf "%s d1=%d c=%d domains=%d" name d1 c domains in
+              let got, planes, triangles =
+                kernel_ran (fun () -> Two_path.ssj ~domains ~plan ~c r)
+              in
+              Alcotest.(check bool) (label ^ ": = thresholded counts") true
+                (Pairs.equal expect got);
+              Alcotest.(check bool) (label ^ ": edges twice") true
+                (Pairs.equal got (Two_path.ssj ~domains ~plan ~c r2));
+              let ran_kernel =
+                match (planes, triangles) with
+                | 0, 0 -> None
+                | 1, 0 -> Some Cost.Planes
+                | 0, 1 -> Some Cost.Triangle
+                | _ -> Alcotest.failf "%s: %d plane and %d triangle products" label planes triangles
+              in
+              if v > 0 then
+                Alcotest.(check bool) (label ^ ": the priced kernel ran") true
+                  (ran_kernel = Some priced)
+              else
+                Alcotest.(check bool) (label ^ ": no product") true (ran_kernel = None);
+              if d1 = 1 then ran := priced :: !ran)
+            [ 1; 3 ]
+        done
+      done;
+      Alcotest.(check bool) (name ^ ": priced to its kernel at d1 = 1") true
+        (List.for_all (fun k -> k = expect_at_1) !ran))
+    [
+      ("many small sets", Gen.skewed_relation ~seed:41 ~nx:80 ~ny:20 ~edges:400 (), Cost.Planes);
+      ("few large sets", Gen.random_relation ~seed:42 ~nx:16 ~ny:120 ~edges:1000 (), Cost.Triangle);
+    ]
 
 (* The SSJ's plan record reports the full counted self-join's size as
    its actual |OUT|, so it is the same record as join_counted's — same
@@ -295,6 +432,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_ssj_entry;
     Alcotest.test_case "ssj shared cache" `Quick test_ssj_shared_cache;
     Alcotest.test_case "ssj triangle word ops" `Quick test_ssj_word_ops;
+    Alcotest.test_case "ssj plane word ops" `Quick test_ssj_plane_word_ops;
+    Alcotest.test_case "ssj sweep: d1 grid x c x domains" `Quick test_ssj_sweep;
     Alcotest.test_case "ssj plan record" `Quick test_ssj_plan_record;
     Alcotest.test_case "size boundary sane" `Quick test_get_size_boundary_sane;
     Alcotest.test_case "ordered via counts" `Quick test_ordered_via_counts;

@@ -249,6 +249,110 @@ let prop_upper_matches_reference =
                (List.init u Fun.id))
            (List.init u Fun.id))
 
+(* The transpose of a 0/1 matrix: [upper_planes a (transpose a)] is the
+   set-similarity product A·Aᵀ. *)
+let transpose m =
+  let t = Boolmat.create ~rows:(Boolmat.cols m) ~cols:(Boolmat.rows m) in
+  for i = 0 to Boolmat.rows m - 1 do
+    Boolmat.iter_row m i (fun j -> Boolmat.set t j i)
+  done;
+  t
+
+(* [planes] against min(A·Aᵀ cell, c) from the naive integer product:
+   on every cell l > i exactly the first min(cell, c) planes hold it
+   (the thermometer), and no plane holds a cell l <= i.  With c = 1 the
+   one plane is also [mul a aᵀ] under the strict upper mask. *)
+let planes_match a ~c planes =
+  let u = Boolmat.rows a in
+  let full = Boolmat.count_reference a a in
+  Array.length planes = c
+  && Array.for_all (fun p -> Boolmat.rows p = u && Boolmat.cols p = u) planes
+  && List.for_all
+       (fun i ->
+         List.for_all
+           (fun l ->
+             let n = if l > i then min c (Intmat.get full i l) else 0 in
+             List.for_all
+               (fun j -> Boolmat.mem planes.(j) i l = (j < n))
+               (List.init c Fun.id))
+           (List.init u Fun.id))
+       (List.init u Fun.id)
+  && (c > 1
+     ||
+     let m = Tile.mul (cfg ()) (Tile.Source.of_boolmat a) (Tile.Source.of_boolmat (transpose a)) in
+     List.for_all
+       (fun i ->
+         List.filter (fun l -> l > i) (Boolmat.row_list m i) = Boolmat.row_list planes.(0) i)
+       (List.init u Fun.id))
+
+(* [upper_planes] over c in 1..6, ragged sides (inner widths below one
+   word and across several, result widths on and around word and tile
+   edges), tile caps 2^4, 2^6 and 2^11, domains 1 and 3, and no budget
+   or a tiny one. *)
+let prop_planes_match_reference =
+  let side =
+    QCheck.Gen.(oneof [ int_range 0 130; oneofl [ 1; 2; 15; 16; 17; 61; 62; 63; 124; 125; 187 ] ])
+  in
+  let gen =
+    QCheck.Gen.(
+      pair (triple small_nat side side)
+        (quad (int_range 1 6) (oneofl [ 4; 6; 11 ]) (oneofl [ 1; 3 ]) bool))
+  in
+  let print ((seed, u, v), (c, bits, domains, tiny)) =
+    Printf.sprintf "seed=%d u=%d v=%d c=%d bits=%d domains=%d tiny=%b" seed u v c
+      bits domains tiny
+  in
+  QCheck.Test.make ~name:"upper_planes = min(A·Aᵀ, c) past the diagonal"
+    ~count:80 (QCheck.make ~print gen)
+    (fun ((seed, u, v), (c, bits, domains, tiny)) ->
+      let budget_bytes = if tiny then Some 2048 else None in
+      let a = random_boolmat (seed + 60) ~rows:u ~cols:v ~density:0.3 in
+      let planes =
+        Tile.upper_planes ~domains (cfg ?budget_bytes ~tile_bits:bits ())
+          ~c (Tile.Source.of_boolmat a) (Tile.Source.of_boolmat (transpose a))
+      in
+      planes_match a ~c planes)
+
+(* A chunk hook that spins a seeded, varying number of times at every
+   tile claim, so worker domains interleave their tiles differently on
+   every call. *)
+let seeded_yields seed =
+  let claims = Atomic.make 0 in
+  fun () ->
+    let k = Atomic.fetch_and_add claims 1 in
+    for _ = 1 to ((k + seed) * 2654435761) land 1023 do
+      Domain.cpu_relax ()
+    done
+
+(* The domains = 3 plane products again, each under a seeded-yield pool
+   hook: every plane is bit-equal to the single-domain product. *)
+let test_planes_under_yields () =
+  List.iter
+    (fun (seed, u, v, c, bits, tiny) ->
+      let a = random_boolmat seed ~rows:u ~cols:v ~density:0.3 in
+      let sa = Tile.Source.of_boolmat a and sat = Tile.Source.of_boolmat (transpose a) in
+      let budget_bytes = if tiny then Some 2048 else None in
+      let config = cfg ?budget_bytes ~tile_bits:bits () in
+      let expect = Tile.upper_planes ~domains:1 config ~c sa sat in
+      let got =
+        Jp_parallel.Pool.set_fault_hook (Some (seeded_yields seed));
+        Fun.protect
+          ~finally:(fun () -> Jp_parallel.Pool.set_fault_hook None)
+          (fun () -> Tile.upper_planes ~domains:3 config ~c sa sat)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed=%d u=%d v=%d c=%d bits=%d tiny=%b" seed u v c bits tiny)
+        true
+        (Array.for_all2 Boolmat.equal expect got && planes_match a ~c got))
+    [
+      (1, 130, 70, 2, 4, false);
+      (2, 187, 40, 3, 4, true);
+      (3, 125, 200, 6, 6, false);
+      (4, 63, 61, 1, 4, true);
+      (5, 200, 130, 2, 11, false);
+      (6, 90, 9, 4, 6, true);
+    ]
+
 (* Under a budget inner blocks are as wide as the tile side, and a block
    whose A or B tile is empty adds nothing: it must be skipped, an empty
    A tile before its B tile is built.  Here A (32×48, three 16-wide
@@ -498,6 +602,8 @@ let test_cancel_drains_footprint () =
       ("mul_rows", fun cancel -> Tile.mul_rows ~domains:1 ~cancel (cfg ()) sa sa (fun _ _ -> ()));
       ("count_product", fun cancel -> ignore (Tile.count_product ~cancel (cfg ()) sa sa));
       ("count_upper", fun cancel -> ignore (Tile.count_upper ~cancel (cfg ()) sa));
+      ("upper_planes", fun cancel ->
+          ignore (Tile.upper_planes ~cancel (cfg ()) ~c:2 sa (Tile.Source.of_boolmat (transpose a))));
     ]
 
 let suite =
@@ -514,6 +620,9 @@ let suite =
     Alcotest.test_case "checkpoint and cancel" `Quick test_checkpoint_and_cancel;
     QCheck_alcotest.to_alcotest prop_matches_reference;
     QCheck_alcotest.to_alcotest prop_upper_matches_reference;
+    QCheck_alcotest.to_alcotest prop_planes_match_reference;
+    Alcotest.test_case "upper_planes under seeded yields" `Quick
+      test_planes_under_yields;
     Alcotest.test_case "count skips empty blocks" `Quick
       test_count_skips_empty_blocks;
     Alcotest.test_case "fitted shape" `Quick test_fitted_shape;

@@ -97,7 +97,7 @@ let prop_bitset_matches_model =
       (* [blit_count]'s copy holds the model's bits and no others, and
          its count is the population *)
       let dst = Array.make (Bitset.payload_words width + 1) (-1) in
-      let copied = Bitset.blit_count b dst in
+      let copied = Bitset.blit_count b dst 0 in
       bits b = model_list
       && Bitset.count b = List.length model_list
       && copied = List.length model_list
