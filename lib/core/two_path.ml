@@ -4,6 +4,7 @@ module Counted_pairs = Jp_relation.Counted_pairs
 module Boolmat = Jp_matrix.Boolmat
 module Intmat = Jp_matrix.Intmat
 module Vec = Jp_util.Vec
+module Pool = Jp_parallel.Pool
 module Row_acc = Jp_util.Row_acc
 module Obs = Jp_obs
 module Cancel = Jp_util.Cancel
@@ -166,65 +167,59 @@ let heavy_y_lists ~s (p : Partition.t) ~light =
    columns (one per heavy z, copied word by word), light ids with a
    column set it, and only light z are stamped; the row comes out as a
    merge of the two disjoint sorted halves.  Every other row (light x,
-   or the combinatorial expansion) is deduplicated by the stamps alone.
-   Returns the number of pairs produced — the observed-output statistic
-   guard checkpoints extrapolate from. *)
-let merge_range ~acc ~r ~s ~(p : Partition.t) ~heavy ~s_light_of_heavy_y ~rows
-    lo hi =
+   or the combinatorial expansion) is a plain row: one or two lists are
+   held and copied or merged, more go through the stamps.  Each row is
+   appended to [out], its length stored at [lengths.(x + 1)]. *)
+let merge_range ~acc ~out ~lengths ~r ~s ~(p : Partition.t) ~heavy
+    ~s_light_of_heavy_y lo hi =
   let obs = Obs.recording () in
-  let light_scans = ref 0 and presented = ref 0 and produced = ref 0 in
-  let count zs =
-    if obs then begin
-      light_scans := !light_scans + Array.length zs;
-      presented := !presented + Array.length zs
-    end
-  in
+  let scans = ref 0 and seeded = ref 0 and produced = ref 0 in
   for a = lo to hi - 1 do
     (match heavy with
     | Product m when p.x_index.(a) >= 0 ->
-      let seeded =
+      let n =
         Row_acc.start_split acc ~index:p.z_index ~heavy:p.heavy_z
           (Boolmat.row m p.x_index.(a))
       in
-      if obs then presented := !presented + seeded
+      if obs then seeded := !seeded + n
     | Product _ | Expansion _ -> Row_acc.start acc);
     let a_light = Relation.deg_src r a <= p.d2 in
-    Array.iter
-      (fun b ->
-        if a_light || Partition.is_light_y p b then begin
-          let zs = Relation.adj_dst s b in
-          count zs;
-          Row_acc.add_all acc zs
-        end
-        else begin
-          (* heavy a, heavy b: only the S- tuples (light z) are
-             joined here; heavy z is the heavy part's job *)
-          let zs = s_light_of_heavy_y.(b) in
-          count zs;
-          Row_acc.add_light acc zs
-        end)
-      (Relation.adj_src r a);
+    let ys = Relation.adj_src r a in
+    for j = 0 to Array.length ys - 1 do
+      let b = Array.unsafe_get ys j in
+      if a_light || Partition.is_light_y p b then begin
+        let zs = Relation.adj_dst s b in
+        if obs then scans := !scans + Array.length zs;
+        Row_acc.add_all acc zs
+      end
+      else begin
+        (* heavy a, heavy b: only the S- tuples (light z) are joined
+           here; heavy z is the heavy part's job *)
+        let zs = s_light_of_heavy_y.(b) in
+        if obs then scans := !scans + Array.length zs;
+        Row_acc.add_light acc zs
+      end
+    done;
     (match heavy with
     | Expansion s_heavy_of_heavy_y when not a_light ->
-      Array.iter
-        (fun b ->
-          if not (Partition.is_light_y p b) then begin
-            let zs = s_heavy_of_heavy_y.(b) in
-            count zs;
-            Row_acc.add_all acc zs
-          end)
-        (Relation.adj_src r a)
+      for j = 0 to Array.length ys - 1 do
+        let b = Array.unsafe_get ys j in
+        if not (Partition.is_light_y p b) then begin
+          let zs = s_heavy_of_heavy_y.(b) in
+          if obs then scans := !scans + Array.length zs;
+          Row_acc.add_all acc zs
+        end
+      done
     | Expansion _ | Product _ -> ());
-    let row = Row_acc.emit acc in
-    produced := !produced + Array.length row;
-    rows.(a) <- row
+    let n = Row_acc.emit_into acc out in
+    lengths.(a + 1) <- n;
+    produced := !produced + n
   done;
   if obs then begin
-    Obs.add Obs.C.light_probes !light_scans;
+    Obs.add Obs.C.light_probes !scans;
     Obs.add Obs.C.stamp_misses !produced;
-    Obs.add Obs.C.stamp_hits (!presented - !produced)
-  end;
-  !produced
+    Obs.add Obs.C.stamp_hits (!seeded + !scans - !produced)
+  end
 
 (* Matrix cells the partition would materialize (u·v + v·w + u·w) — the
    intermediate-size quantity {!Guard.budget}'s [max_cells] bounds. *)
@@ -277,20 +272,38 @@ let execute ?cancel ~tile ~g ~prep ~replan ~domains ~strategy ~memo ~phases ~r
      checkpoints instead of finishing inside one chunk. *)
   let check_chunk = max 64 (min cfg.Guard.check_every (nx / 8)) in
   let probe = max 64 (min cfg.Guard.probe_rows (nx / 4)) in
-  let rows = Array.make nx [||] in
-  let produced = ref 0 in
-  let acc = lazy (Row_acc.create (Relation.src_count s)) in
+  (* Every phase appends its rows, ascending in x, to output buffers
+     kept in [chunks] (last first); row x's length goes to
+     [lengths.(x + 1)].  On one domain every phase writes through the
+     one scratch [seq], so the result is packed from one buffer. *)
+  let lengths = Array.make (nx + 1) 0 in
+  let chunks = ref [] in
+  let keep out =
+    match !chunks with o :: _ when o == out -> () | _ -> chunks := out :: !chunks
+  in
+  let produced () = List.fold_left (fun n o -> n + Vec.length o) 0 !chunks in
+  let fresh () =
+    (Row_acc.borrow (Relation.src_count s), Pairs.chunk ())
+  in
+  let seq = lazy (fresh ()) in
+  (* Runs [body] over the x values [lo, hi) on [domains], keeping each
+     worker's buffer in x order. *)
+  let over lo hi body =
+    Array.iter
+      (fun (acc, out) ->
+        if domains > 1 then Row_acc.release acc;
+        keep out)
+      (Pool.split_ranges ~domains ?cancel ~lo ~hi
+         ~scratch:(if domains > 1 then fresh else fun () -> Lazy.force seq)
+         body)
+  in
   let strat = ref strategy in
   let expand_into lo hi =
     if hi > lo then
       phase phases "wcoj" (fun () ->
-          let xs = Array.init (hi - lo) (fun i -> lo + i) in
-          let out = Jp_wcoj.Expand.project ~domains ?cancel ~xs ~r ~s () in
-          for a = lo to hi - 1 do
-            let row = Pairs.row out a in
-            rows.(a) <- row;
-            produced := !produced + Array.length row
-          done)
+          Obs.span "wcoj.expand" (fun () ->
+              over lo hi (fun (acc, out) l h ->
+                  Jp_wcoj.Expand.expand_rows ~acc ~out ~lengths ~r ~s l h)))
   in
   let rec run plan lo =
     if lo < nx then
@@ -306,7 +319,7 @@ let execute ?cancel ~tile ~g ~prep ~replan ~domains ~strategy ~memo ~phases ~r
       (* Wcoj already is the safe path: a blown budget only marks the
          outcome — the remaining rows still have to be expanded. *)
       note_budget g;
-      let obs_out = max 1 (!produced * nx / probe_hi) in
+      let obs_out = max 1 (produced () * nx / probe_hi) in
       match
         Guard.check_estimate g
           ~est:(float_of_int plan.Optimizer.est_out)
@@ -378,32 +391,33 @@ let execute ?cancel ~tile ~g ~prep ~replan ~domains ~strategy ~memo ~phases ~r
                 | None -> Expansion (heavy_y_lists ~s p ~light:false)
               in
               let s_light_of_heavy_y = heavy_y_lists ~s p ~light:true in
-              let merge acc lo hi =
-                merge_range ~acc ~r ~s ~p ~heavy ~s_light_of_heavy_y ~rows lo hi
+              let merge (acc, out) lo hi =
+                merge_range ~acc ~out ~lengths ~r ~s ~p ~heavy ~s_light_of_heavy_y
+                  lo hi
               in
               if domains > 1 then begin
                 (* Worker domains race past any sequential checkpoint, so
                    parallel merges keep only the plan-time and pre-MM
                    checks; the split still polls the cancel token. *)
-                Jp_parallel.Pool.split_ranges ~domains ?cancel ~lo ~hi:nx
-                  ~scratch:(fun () -> Row_acc.create (Relation.src_count s))
-                  (fun sc l h -> ignore (merge sc l h));
+                over lo nx merge;
                 None
               end
               else begin
                 let resume = ref None in
                 let i = ref lo in
+                let sc = Lazy.force seq in
+                keep (snd sc);
                 while !resume = None && !i < nx do
                   Cancel.check_opt cancel;
                   let hi = min nx (!i + check_chunk) in
-                  produced := !produced + merge (Lazy.force acc) !i hi;
+                  merge sc !i hi;
                   i := hi;
                   if !i < nx then begin
                     (* Time blown mid-merge: the matrices are already
                        built and nothing cheaper remains, so only the
                        outcome is recorded. *)
                     note_budget g;
-                    let obs_out = max 1 (!produced * nx / !i) in
+                    let obs_out = max 1 (produced () * nx / !i) in
                     match
                       Guard.check_estimate g
                         ~est:(float_of_int plan.Optimizer.est_out)
@@ -424,7 +438,8 @@ let execute ?cancel ~tile ~g ~prep ~replan ~domains ~strategy ~memo ~phases ~r
     match resume with Some (np, at) -> run np at | None -> ()
   in
   run plan0 0;
-  Pairs.of_rows_unchecked rows
+  if Lazy.is_val seq then Row_acc.release (fst (Lazy.force seq));
+  Pairs.of_chunks ~lengths ~bound:(Relation.src_count s) (Array.of_list (List.rev !chunks))
 
 (* The guard's injected |OUT| misestimation for the initial plan.  Without
    one the optimizer estimates |OUT| itself, inside its own span. *)
@@ -514,20 +529,23 @@ let project ?(domains = 1) ?(strategy = Matrix) ?plan ?(guard = Guard.inert)
    [out] turns the number of pairs the merge met (before any threshold)
    into the plan record's actual |OUT|: the size of the full counted
    join, which est_out estimates. *)
-type ('row, 'res) sink = {
+type 'res sink = {
   threshold : int option;
-  empty : 'row;
-  emit : Row_acc.t -> 'row;
-  freeze : 'row array -> 'res;
+  counts_chunk : unit -> Vec.t;  (** a chunk's multiplicity buffer *)
+  emit : Row_acc.t -> zs:Vec.t -> counts:Vec.t -> int;
+      (** appends the row's ids (and multiplicities) to the chunk's
+          buffers; returns the row's length *)
+  freeze : lengths:int array -> bound:int -> zs:Vec.t array -> counts:Vec.t array -> 'res;
   out : r:Relation.t -> int -> int;
 }
 
 let counted_rows =
   {
     threshold = None;
-    empty = ([||], [||]);
-    emit = Row_acc.emit_counts;
-    freeze = Counted_pairs.of_rows_unchecked;
+    counts_chunk = Pairs.chunk;
+    emit = (fun acc ~zs ~counts -> Row_acc.emit_counts_into acc zs counts);
+    freeze =
+      (fun ~lengths ~bound ~zs ~counts -> Counted_pairs.of_chunks ~lengths ~bound zs counts);
     out = (fun ~r:_ met -> met);
   }
 
@@ -543,9 +561,10 @@ let self_join_size ~r upper =
 let upper_rows ~c =
   {
     threshold = Some c;
-    empty = [||];
-    emit = (fun acc -> Row_acc.emit_ge acc c);
-    freeze = Pairs.of_rows_unchecked;
+    (* the rows keep no multiplicities *)
+    counts_chunk = (fun () -> Vec.create ~capacity:1 ());
+    emit = (fun acc ~zs ~counts:_ -> Row_acc.emit_ge_into acc c zs);
+    freeze = (fun ~lengths ~bound ~zs ~counts:_ -> Pairs.of_chunks ~lengths ~bound zs);
     out = self_join_size;
   }
 
@@ -564,12 +583,13 @@ type counted_product = Full of Intmat.t | Upper of upper_product
    Seeding min(h, c) is exact for the SSJ's threshold c: for every
    light count l ≥ 0, min(h, c) + l ≥ c exactly when h + l ≥ c.  Without a [heavy] (partition, product) every y is
    light: Wcoj plans, the combinatorial heavy part and the cell-cap
-   fallback.  Returns the frozen rows and the number of pairs met
-   before the sink's threshold. *)
+   fallback.  Each worker appends its rows to its own buffers, placed in
+   x order at the end.  Returns the frozen rows and the number of pairs
+   met before the sink's threshold. *)
 let count_merge ~sink ?cancel ~domains ~r ~s heavy =
   Obs.span "two_path.count_merge" (fun () ->
       let nx = Relation.src_count r in
-      let rows = Array.make nx sink.empty in
+      let lengths = Array.make (nx + 1) 0 in
       let all_light, light_y =
         match heavy with
         | Some ((p : Partition.t), _) -> (false, p.light_y)
@@ -587,7 +607,7 @@ let count_merge ~sink ?cancel ~domains ~r ~s heavy =
             ~first:(i + 1)
             (Array.map (fun plane -> Boolmat.row plane i) planes)
       in
-      let run_rows acc lo hi =
+      let run_rows (acc, ids, mults) lo hi =
         let obs = Obs.recording () in
         let light_scans = ref 0 and presented = ref 0 and misses = ref 0 in
         for a = lo to hi - 1 do
@@ -596,22 +616,23 @@ let count_merge ~sink ?cancel ~domains ~r ~s heavy =
             let seeded = seed acc p m p.x_index.(a) in
             if obs then presented := !presented + seeded
           | Some _ | None -> Row_acc.start acc);
-          Array.iter
-            (fun b ->
-              if all_light || light_y.(b) then begin
-                let zs = Relation.adj_dst s b in
-                let from =
-                  if upper then Jp_util.Sorted.lower_bound zs (a + 1) else 0
-                in
-                if obs then begin
-                  light_scans := !light_scans + Array.length zs - from;
-                  presented := !presented + Array.length zs - from
-                end;
-                Row_acc.add_witnesses_from acc zs from
-              end)
-            (Relation.adj_src r a);
+          let ys = Relation.adj_src r a in
+          for j = 0 to Array.length ys - 1 do
+            let b = Array.unsafe_get ys j in
+            if all_light || light_y.(b) then begin
+              let zs = Relation.adj_dst s b in
+              let from =
+                if upper then Jp_util.Sorted.lower_bound zs (a + 1) else 0
+              in
+              if obs then begin
+                light_scans := !light_scans + Array.length zs - from;
+                presented := !presented + Array.length zs - from
+              end;
+              Row_acc.add_witnesses_from acc zs from
+            end
+          done;
           misses := !misses + Row_acc.size acc;
-          rows.(a) <- sink.emit acc
+          lengths.(a + 1) <- sink.emit acc ~zs:ids ~counts:mults
         done;
         ignore (Atomic.fetch_and_add met !misses);
         if obs then begin
@@ -620,10 +641,19 @@ let count_merge ~sink ?cancel ~domains ~r ~s heavy =
           Obs.add Obs.C.stamp_hits (!presented - !misses)
         end
       in
-      Jp_parallel.Pool.split_ranges ~domains ?cancel ~lo:0 ~hi:nx
-        ~scratch:(fun () -> Row_acc.create ~counts:true (Relation.src_count s))
-        run_rows;
-      (sink.freeze rows, Atomic.get met))
+      let chunks =
+        Pool.split_ranges ~domains ?cancel ~lo:0 ~hi:nx
+          ~scratch:(fun () ->
+            ( Row_acc.borrow ~counts:true (Relation.src_count s),
+              Pairs.chunk (),
+              sink.counts_chunk () ))
+          run_rows
+      in
+      Array.iter (fun (acc, _, _) -> Row_acc.release acc) chunks;
+      ( sink.freeze ~lengths ~bound:(Relation.src_count s)
+          ~zs:(Array.map (fun (_, ids, _) -> ids) chunks)
+          ~counts:(Array.map (fun (_, _, mults) -> mults) chunks),
+        Atomic.get met ))
 
 (* Count matrices past this many cells fall back to the combinatorial
    heavy part. *)

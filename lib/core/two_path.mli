@@ -179,7 +179,7 @@ val ssj :
     the heavy product holds only the cells past the diagonal, the merge
     reads each light list only past x and each product row only past
     the diagonal, and rows leave the accumulator already thresholded
-    ({!Jp_util.Row_acc.emit_ge}).  The product is the one
+    ({!Jp_util.Row_acc.emit_ge_into}).  The product is the one
     {!Jp_matrix.Cost.ssj_kernel} prices cheaper for its shape, [c] and
     nnz: {!Jp_tile.count_upper}'s exact triangle, or
     {!Jp_tile.upper_planes}' [c] planes, which count each pair only up

@@ -71,7 +71,12 @@ let measure_ti n =
   let deg = max 4 (int_of_float (sqrt (float_of_int (n / nx)))) in
   let nz = 4 * deg in
   let adj_r = Array.init nx (fun _ -> Array.init deg (fun _ -> Jp_util.Rng.int rng nz)) in
-  let adj_s = Array.init nz (fun _ -> Array.init deg (fun _ -> Jp_util.Rng.int rng nz)) in
+  (* [Row_acc] takes strictly increasing lists, as adjacency lists are *)
+  let adj_s =
+    Array.init nz (fun _ ->
+        Array.of_list
+          (List.sort_uniq Int.compare (List.init deg (fun _ -> Jp_util.Rng.int rng nz))))
+  in
   let acc = Jp_util.Row_acc.create nz in
   let tuples = ref 0 in
   let t0 = Jp_util.Timer.now () in

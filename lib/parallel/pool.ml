@@ -128,18 +128,23 @@ let split_ranges ~domains ?cancel ~lo ~hi ~scratch body =
       let j = min h (!i + poll_rows) in
       body sc !i j;
       i := j
-    done
+    done;
+    sc
   in
   if domains <= 1 || hi <= lo then begin
-    worker lo hi;
-    Cancel.check_opt cancel
+    let sc = worker lo hi in
+    Cancel.check_opt cancel;
+    [| sc |]
   end
-  else
+  else begin
+    let chunk = (hi - lo + domains - 1) / domains in
+    let scratches = Array.make ((hi - lo + chunk - 1) / chunk) None in
     (* [parallel_for_ranges] raises on the calling domain once the
-       workers have joined. *)
-    parallel_for_ranges ~domains ?cancel
-      ~chunk:((hi - lo + domains - 1) / domains)
-      ~lo ~hi worker
+       workers have joined, so every chunk has run when it returns. *)
+    parallel_for_ranges ~domains ?cancel ~chunk ~lo ~hi (fun l h ->
+        scratches.((l - lo) / chunk) <- Some (worker l h));
+    Array.map Option.get scratches
+  end
 
 let parallel_for ~domains ?chunk ?cancel ~lo ~hi body =
   parallel_for_ranges ~domains ?chunk ?cancel ~lo ~hi (fun a b ->

@@ -69,12 +69,15 @@ val split_ranges :
   hi:int ->
   scratch:(unit -> 's) ->
   ('s -> int -> int -> unit) ->
-  unit
+  's array
 (** Static split for kernels with per-worker scratch: one contiguous
     range per domain, so each worker calls [scratch ()] exactly once and
-    hands it to [body sc range_lo range_hi] over consecutive sub-ranges
-    of at most 4096 indices.  [cancel] is polled between sub-ranges —
-    workers stop gracefully — and {!Jp_util.Cancel.Cancelled} is raised
-    on the calling domain afterwards; without a token nothing is polled.
-    With [domains <= 1] it runs on the calling domain with no pool
-    overhead. *)
+    hands it to [body sc range_lo range_hi] over consecutive, ascending
+    sub-ranges of at most 4096 indices.  Returns the scratches in range
+    order, so a body that appends its output to its scratch leaves the
+    pieces to be concatenated in index order.  [cancel] is polled
+    between sub-ranges — workers stop gracefully — and
+    {!Jp_util.Cancel.Cancelled} is raised on the calling domain
+    afterwards; without a token nothing is polled.  With [domains <= 1]
+    it runs on the calling domain with no pool overhead, and returns
+    its one scratch. *)

@@ -79,9 +79,9 @@ let light_via_mm ~domains ~boundary ~c r =
     (* keep the upper triangle *)
     let rows =
       Array.init n (fun i ->
-          let row = Pairs.row joined i in
-          let cut = Jp_util.Sorted.lower_bound row (i + 1) in
-          Array.sub row cut (Array.length row - cut))
+          let upper = Vec.create ~capacity:(max 1 (Pairs.row_length joined i)) () in
+          Pairs.iter_row (fun z -> if z > i then Vec.push upper z) joined i;
+          Vec.to_array upper)
     in
     Pairs.of_rows_unchecked rows
   end

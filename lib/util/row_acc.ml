@@ -12,8 +12,13 @@ let scan_factor = 4
    its count — or, when [planes > 0], hold it in that many thermometer
    planes, one [stride]-word bitset per plane laid end to end in [cols]
    (plane j: "count >= j + 1").  Only ids without a column go through
-   the stamps, so the two halves are disjoint. *)
+   the stamps, so the two halves are disjoint.  A [Plain] row holds its
+   first two sorted lists as they are ([lists] of them) and stamps
+   nothing until a third arrives; [spilled] marks a row whose held
+   lists went through the stamps. *)
 type mode = Plain | Bits | Counts
+
+let spilled = 3
 
 type t = {
   stamps : int array; (* id -> last row that saw it *)
@@ -25,6 +30,9 @@ type t = {
   mutable lo : int; (* smallest id in buf *)
   mutable hi : int; (* largest id in buf *)
   mutable mode : mode;
+  mutable lists : int; (* plain rows: lists held, or [spilled] *)
+  mutable first_list : int array;
+  mutable second_list : int array;
   mutable index : int array; (* split rows: id -> column, or -1 *)
   mutable heavy : int array; (* split rows: column -> id, ascending *)
   mutable cols : int array; (* split rows: column bit words, or counts *)
@@ -46,6 +54,9 @@ let create ?(counts = false) nz =
     lo = max_int;
     hi = -1;
     mode = Plain;
+    lists = 0;
+    first_list = [||];
+    second_list = [||];
     index = [||];
     heavy = [||];
     cols = [||];
@@ -55,12 +66,33 @@ let create ?(counts = false) nz =
     stride = 0;
   }
 
+(* Accumulators handed back after a call, for the calling domain's next
+   call: the stamps, bitset and scratch of an accumulator are as good
+   for the next query as for the next row. *)
+let spares : t list Domain.DLS.key = Domain.DLS.new_key (fun () -> [])
+
+let max_spares = 4
+
+let borrow ?(counts = false) nz =
+  let fits t = Array.length t.stamps >= nz && ((not counts) || Array.length t.counts >= nz) in
+  let kept = Domain.DLS.get spares in
+  match List.find_opt fits kept with
+  | Some t ->
+    Domain.DLS.set spares (List.filter (fun u -> u != t) kept);
+    t
+  | None -> create ~counts nz
+
+let release t =
+  let kept = List.filter (fun u -> u != t) (Domain.DLS.get spares) in
+  Domain.DLS.set spares (List.filteri (fun i _ -> i < max_spares) (t :: kept))
+
 let start t =
   t.stamp <- t.stamp + 1;
   t.len <- 0;
   t.lo <- max_int;
   t.hi <- -1;
   t.mode <- Plain;
+  t.lists <- 0;
   t.held <- 0
 
 let split t mode ~index ~heavy ~need =
@@ -121,9 +153,7 @@ let[@inline] push t z =
   if z < t.lo then t.lo <- z;
   if z > t.hi then t.hi <- z
 
-(* Inlined into [add_all], so a plain row (every [Expand] row) pays one
-   mode test per list and no extra call. *)
-let[@inline] add_light t zs =
+let[@inline] stamp_list t zs =
   let stamps = t.stamps and stamp = t.stamp in
   for i = 0 to Array.length zs - 1 do
     let z = Array.unsafe_get zs i in
@@ -132,6 +162,33 @@ let[@inline] add_light t zs =
       push t z
     end
   done
+
+(* A plain row keeps its first two lists by reference: most x of a
+   sparse join have one or two neighbours, and their row is then the
+   list itself or the union of two, written at the emit without a stamp
+   or a sort.  A third list stamps the two held ones first.  A held list
+   is checked against the domain at its ends (it is sorted), so an id
+   outside it fails as a stamped one would. *)
+let hold t zs =
+  let n = Array.length zs in
+  if n > 0 then
+    if t.lists >= 2 then begin
+      if t.lists = 2 then begin
+        stamp_list t t.first_list;
+        stamp_list t t.second_list;
+        t.lists <- spilled
+      end;
+      stamp_list t zs
+    end
+    else begin
+      if zs.(0) < 0 || zs.(n - 1) >= Array.length t.stamps then
+        invalid_arg "index out of bounds";
+      if t.lists = 0 then t.first_list <- zs else t.second_list <- zs;
+      t.lists <- t.lists + 1
+    end
+
+let add_light t zs =
+  match t.mode with Plain -> hold t zs | Bits | Counts -> stamp_list t zs
 
 (* A [Bits] row: an id with a column sets its bit, the rest are
    stamped. *)
@@ -159,7 +216,7 @@ let add_split t zs =
 
 let add_all t zs =
   match t.mode with
-  | Plain -> add_light t zs
+  | Plain -> hold t zs
   | Bits -> add_split t zs
   | Counts -> invalid_arg "Row_acc.add_all: counting split row"
 
@@ -242,7 +299,26 @@ let add_witnesses_from t zs from =
 
 let add_witnesses t zs = add_witnesses_from t zs 0
 
-let size t = t.len + t.held
+(* Ids of the held lists: one list, or the union of two. *)
+let held_ids t =
+  match t.lists with
+  | 1 -> Array.length t.first_list
+  | 2 ->
+    Array.length t.first_list + Array.length t.second_list
+    - Sorted.intersect_count t.first_list t.second_list
+  | _ -> 0
+
+let size t = t.len + t.held + held_ids t
+
+(* At least the number of ids the current row emits: the held lists'
+   union counted with its repeats. *)
+let bound t =
+  t.len + t.held
+  +
+  match t.lists with
+  | 1 -> Array.length t.first_list
+  | 2 -> Array.length t.first_list + Array.length t.second_list
+  | _ -> 0
 
 (* 2 is a primitive root modulo 67, so [2^b mod 67] is distinct for
    every bit position b < 62: one remainder and one lookup turn an
@@ -257,10 +333,10 @@ let bit_of_residue =
 let bit_index low = Char.code (String.unsafe_get bit_of_residue (low mod 67))
 
 (* Sets every candidate's bit, then walks the words from the row's first
-   to its last, writing set bits in order to [dst] and zeroing each word.
-   [dst] may be [t.buf] itself: every candidate is read before the first
-   write. *)
-let scan_into t dst =
+   to its last, writing set bits in order to [dst] from [pos] on and
+   zeroing each word.  [dst] may be [t.buf] itself (at 0): every
+   candidate is read before the first write. *)
+let scan_into t dst pos =
   let words = t.words and buf = t.buf and n = t.len in
   for i = 0 to n - 1 do
     let z = Array.unsafe_get buf i in
@@ -268,7 +344,7 @@ let scan_into t dst =
     Array.unsafe_set words w
       (Array.unsafe_get words w lor (1 lsl (z - (w * bits_per_word))))
   done;
-  let k = ref 0 in
+  let k = ref pos in
   for w = t.lo / bits_per_word to t.hi / bits_per_word do
     let word = ref (Array.unsafe_get words w) in
     if !word <> 0 then begin
@@ -291,17 +367,17 @@ let dense t =
 (* Sorts the stamped ids in place: buf.(0 .. len - 1) ascending. *)
 let sort_buf t =
   if t.len > 1 then
-    if dense t then scan_into t t.buf else Intsort.sort_sub t.buf ~lo:0 ~hi:t.len
+    if dense t then scan_into t t.buf 0 else Intsort.sort_sub t.buf ~lo:0 ~hi:t.len
 
-(* The row of a [Bits] split: the [n] set columns of the bitset at word
-   [at] of [cols], read in order through [heavy] (ascending), merged
-   with the sorted stamped ids.  The halves are disjoint, so the merge
-   only interleaves. *)
-let emit_bits t ~at ~n =
+(* The row of a [Bits] split, written to [out] from [pos] on: the [n]
+   set columns of the bitset at word [at] of [cols], read in order
+   through [heavy] (ascending), merged with the sorted stamped ids.  The
+   halves are disjoint, so the merge only interleaves.  Returns the
+   row's length. *)
+let emit_bits t ~at ~n out pos =
   sort_buf t;
   let nl = t.len and buf = t.buf and heavy = t.heavy and cols = t.cols in
-  let out = Array.make (nl + n) 0 in
-  let j = ref 0 and k = ref 0 in
+  let j = ref 0 and k = ref pos in
   for w = 0 to Bitset.payload_words (Array.length heavy) - 1 do
     let word = ref (Array.unsafe_get cols (at + w)) in
     let base = w * bits_per_word in
@@ -319,35 +395,54 @@ let emit_bits t ~at ~n =
     done
   done;
   Array.blit buf !j out !k (nl - !j);
-  out
+  nl + n
+
+(* A [Plain] row written to [out] from [pos] on: a held list is copied,
+   two are merged, and stamped ids are scanned out of the bitset (dense
+   rows) or copied and sorted in place.  Returns the row's length. *)
+let write_plain t out pos =
+  match t.lists with
+  | 1 ->
+    let l = t.first_list in
+    Array.blit l 0 out pos (Array.length l);
+    Array.length l
+  | 2 -> Sorted.union_into t.first_list t.second_list out pos
+  | _ ->
+    let n = t.len in
+    if n > 0 then
+      if dense t then scan_into t out pos
+      else begin
+        Array.blit t.buf 0 out pos n;
+        Intsort.sort_sub out ~lo:pos ~hi:(pos + n)
+      end;
+    n
+
+let write t out pos =
+  match t.mode with
+  | Bits -> emit_bits t ~at:0 ~n:t.held out pos
+  | Counts -> invalid_arg "Row_acc.emit: counting split row"
+  | Plain -> write_plain t out pos
+
+let emit_into t v =
+  let out = Vec.reserve v (bound t) in
+  let n = write t out (Vec.length v) in
+  Vec.advance v n;
+  n
 
 let emit t =
-  match t.mode with
-  | Bits -> emit_bits t ~at:0 ~n:t.held
-  | Counts -> invalid_arg "Row_acc.emit: counting split row"
-  | Plain ->
-    let n = t.len in
-    if n = 0 then [||]
-    else if dense t then begin
-      let out = Array.make n 0 in
-      scan_into t out;
-      out
-    end
-    else begin
-      let out = Array.sub t.buf 0 n in
-      Intsort.sort out;
-      out
-    end
+  let n = bound t in
+  let out = Array.make n 0 in
+  let k = write t out 0 in
+  if k = n then out else Array.sub out 0 k
 
-(* The row of a [Counts] split, as [(zs, counts)]: held columns with a
-   non-zero count merged with the sorted stamped ids and their counts. *)
-let emit_counts_split t =
+(* The row of a [Counts] split, written to [zs] and [ks] from [pos] on:
+   held columns with a non-zero count merged with the sorted stamped ids
+   and their counts. *)
+let emit_counts_split t zs ks pos =
   sort_buf t;
   let nl = t.len and buf = t.buf and counts = t.counts in
   let heavy = t.heavy and cols = t.cols in
-  let n = nl + t.held in
-  let zs = Array.make n 0 and ks = Array.make n 0 in
-  let j = ref 0 and k = ref 0 in
+  let j = ref 0 and k = ref pos in
   for l = t.first to Array.length heavy - 1 do
     let c = Array.unsafe_get cols l in
     if c <> 0 then begin
@@ -368,19 +463,31 @@ let emit_counts_split t =
     let y = Array.unsafe_get buf i in
     Array.unsafe_set zs (!k + i - !j) y;
     Array.unsafe_set ks (!k + i - !j) (Array.unsafe_get counts y)
-  done;
-  (zs, ks)
+  done
 
-let emit_counts t =
-  match t.mode with
-  | Counts ->
-    if t.planes > 0 then invalid_arg "Row_acc.emit_counts: saturated split row";
-    emit_counts_split t
-  | Bits -> invalid_arg "Row_acc.emit_counts: boolean split row"
-  | Plain ->
-    let zs = emit t in
-    let counts = t.counts in
-    (zs, Array.map (fun z -> Array.unsafe_get counts z) zs)
+let emit_counts_into t zv kv =
+  let n = bound t in
+  let zs = Vec.reserve zv n and ks = Vec.reserve kv n in
+  let pos = Vec.length zv and kpos = Vec.length kv in
+  let n =
+    match t.mode with
+    | Counts ->
+      if t.planes > 0 then invalid_arg "Row_acc.emit_counts_into: saturated split row";
+      emit_counts_split t zs ks pos;
+      n
+    | Bits -> invalid_arg "Row_acc.emit_counts_into: boolean split row"
+    | Plain ->
+      let n = write_plain t zs pos in
+      let counts = t.counts in
+      for i = 0 to n - 1 do
+        Array.unsafe_set ks (kpos + i)
+          (Array.unsafe_get counts (Array.unsafe_get zs (pos + i)))
+      done;
+      n
+  in
+  Vec.advance zv n;
+  Vec.advance kv n;
+  n
 
 (* Keeps the stamped candidates with at least [c] witnesses, in place. *)
 let filter_ge t c =
@@ -403,7 +510,7 @@ let filter_ge t c =
    at least [c] witnesses are packed, in order, over [cols.(first ..)]
    (each write lands on a column already read), then merged with the
    filtered, sorted stamped ids. *)
-let emit_ge_split t c =
+let emit_ge_split t c out pos =
   (* an unset column is no id of the row, whatever the threshold *)
   let c = max 1 c in
   filter_ge t c;
@@ -417,8 +524,7 @@ let emit_ge_split t c =
     end
   done;
   let nl = t.len and buf = t.buf in
-  let out = Array.make (nl + !m - first) 0 in
-  let j = ref 0 and k = ref 0 in
+  let j = ref 0 and k = ref pos in
   for h = first to !m - 1 do
     let z = Array.unsafe_get cols h in
     while !j < nl && Array.unsafe_get buf !j < z do
@@ -430,26 +536,33 @@ let emit_ge_split t c =
     incr k
   done;
   Array.blit buf !j out !k (nl - !j);
-  out
+  nl + !m - first
 
 (* A plane split at threshold [c]: the held columns with at least
    [c] witnesses are exactly plane c − 1's bits, emitted as a [Bits]
    row's, after the stamped ids are filtered. *)
-let emit_ge_planes t c =
+let emit_ge_planes t c out pos =
   let c = max 1 c in
-  if c > t.planes then invalid_arg "Row_acc.emit_ge: threshold above the planes";
+  if c > t.planes then invalid_arg "Row_acc.emit_ge_into: threshold above the planes";
   filter_ge t c;
   let at = (c - 1) * t.stride in
   let n = ref 0 in
   for w = at to at + t.stride - 1 do
     n := !n + Bitset.popcount (Array.unsafe_get t.cols w)
   done;
-  emit_bits t ~at ~n:!n
+  emit_bits t ~at ~n:!n out pos
 
-let emit_ge t c =
-  match t.mode with
-  | Counts -> if t.planes > 0 then emit_ge_planes t c else emit_ge_split t c
-  | Bits -> invalid_arg "Row_acc.emit_ge: boolean split row"
-  | Plain ->
-    filter_ge t c;
-    emit t
+let emit_ge_into t c v =
+  let out = Vec.reserve v (bound t) in
+  let pos = Vec.length v in
+  let n =
+    match t.mode with
+    | Counts ->
+      if t.planes > 0 then emit_ge_planes t c out pos else emit_ge_split t c out pos
+    | Bits -> invalid_arg "Row_acc.emit_ge_into: boolean split row"
+    | Plain ->
+      filter_ge t c;
+      write_plain t out pos
+  in
+  Vec.advance v n;
+  n

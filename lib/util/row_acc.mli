@@ -5,8 +5,8 @@
     stamp vector over dom(z), the candidate buffer, a zeroed bitset over
     dom(z) and, for the counting variant, a multiplicity array.  One
     accumulator serves any number of consecutive rows ({!start} begins a
-    new one; stamps never need clearing), so engines allocate one per
-    worker and reuse it across every chunk that worker runs.
+    new one; stamps never need clearing), so engines take one per worker
+    ({!borrow}) and reuse it across every chunk that worker runs.
 
     {b Split rows.}  A heavy x's row in Algorithm 1 is mostly its row of
     the heavy product.  {!start_split} and {!start_split_counts} begin
@@ -16,17 +16,33 @@
     (index ≥ 0) sets or counts that column; only the others go through
     the stamps.  The two halves are disjoint, so the row is emitted as a
     linear merge of the set columns, read in ascending heavy-z order,
-    with the sorted stamped ids: no per-bit stamp, no dedup pass, and
-    the output row is the only allocation.
+    with the sorted stamped ids: no per-bit stamp and no dedup pass.
 
-    {!emit} hands the stamped ids back sorted without a general-purpose
-    sort when it can: if the row's ids span few bitset words relative to
-    its length (dense rows), it sets the candidates' bits and scans the
-    words in order, zeroing each as it goes, so the bitset is clean again
-    for the next row; otherwise it sorts the candidates with {!Intsort}.
-    Either way the row is already duplicate-free, so there is no dedup
-    pass.  A row is emitted once; the next {!start} or split start
-    begins the next row.
+    {b Held lists.}  A plain row (begun by {!start}) keeps the first two
+    lists it is given ({!add_all}, {!add_light}) by reference and stamps
+    nothing: a row of one list is that list, and a row of two is their
+    union, written by one linear merge.  A third list stamps the two held
+    ones first and the row goes on through the stamps.  This is why every
+    list a plain row receives must be strictly increasing (adjacency
+    lists and their filtered halves are).  The row's ids, and so every
+    count a caller derives from list and row lengths (probes, stamp hits
+    and misses), are the same either way.
+
+    {b Emitting.}  {!emit_into}, {!emit_counts_into} and {!emit_ge_into}
+    append the row at the end of the caller's growable buffer
+    ({!Vec.t}, one per output chunk) and return its length, so a merge
+    writes all its rows into one flat buffer with no array per row; a
+    held list is copied there, two are merged there, and a split row's
+    two halves are merged there.  {!emit} is the same row in a fresh
+    array, for callers off the hot path.  The stamped ids come back
+    sorted without a general-purpose sort when they can: if the row's
+    ids span few bitset words relative to its length (dense rows), their
+    bits are set and the words scanned in order straight into the
+    buffer, zeroing each as it goes, so the bitset is clean again for the
+    next row; otherwise they are copied and sorted in place with
+    {!Intsort}.  Either way the row is already duplicate-free, so there
+    is no dedup pass.  A row is emitted once; the next {!start} or split
+    start begins the next row.
 
     Not thread-safe: one accumulator per domain. *)
 
@@ -35,7 +51,19 @@ type t
 val create : ?counts:bool -> int -> t
 (** [create nz] accumulates rows over the id domain [\[0, nz)].  With
     [~counts:true] it also keeps per-id multiplicities for
-    {!add_witnesses}/{!emit_counts}. *)
+    {!add_witnesses}/{!emit_counts_into}. *)
+
+val borrow : ?counts:bool -> int -> t
+(** [borrow nz] is an accumulator over at least [\[0, nz)] for one
+    engine call: one of the calling domain's spares when one is wide
+    enough (and counts, with [~counts:true]), otherwise {!create}'s.  A
+    spare may span a wider domain, so ids past [nz] are not refused.
+    Hand it back with {!release}; an accumulator reused this way costs a
+    query no stamp vector of its own. *)
+
+val release : t -> unit
+(** [release t] makes [t] a spare of the calling domain (the few most
+    recent are kept); the caller must not use it again. *)
 
 val start : t -> unit
 (** Begins a new, empty row with no columns. *)
@@ -65,22 +93,24 @@ val start_split_planes :
     and a later witness of a column with [l >= first] adds one to it,
     saturating at the number of planes k, so each column holds
     min(count, k).  The columns before [first] are not held (the planes
-    must have no bit there).  Only {!emit_ge} at a threshold of at most
+    must have no bit there).  Only {!emit_ge_into} at a threshold of at most
     k reads such a row, exactly, since min(h, k) + l ≥ c holds exactly
     when h + l ≥ c for c ≤ k: its heavy columns are plane c − 1's bits.
     The first plane is every non-zero column, so the returned number of
     held columns, and {!size}, are what exact counts would give. *)
 
 val add_all : t -> int array -> unit
-(** [add_all t zs] adds each candidate of [zs] to the current row;
-    repeats are absorbed.  On a boolean split row an id with a column
-    sets it.  Ids must lie in the accumulator's domain.  Not for a
-    counting split row. *)
+(** [add_all t zs] adds each candidate of [zs] (strictly increasing) to
+    the current row; ids already in it are absorbed.  A plain row holds
+    the list (see above); on a boolean split row an id with a column
+    sets it.  Ids must lie in the accumulator's domain
+    ([Invalid_argument]).  Not for a counting split row.  A row takes
+    either lists or witnesses, not both. *)
 
 val add_light : t -> int array -> unit
 (** {!add_all} for ids the caller knows have no column (a heavy y's
-    light-z list): every id goes through the stamps, without the column
-    lookup. *)
+    light-z list): on a split row every id goes through the stamps,
+    without the column lookup. *)
 
 val add_witnesses : t -> int array -> unit
 (** [add_witnesses t zs] adds one witness for each element of [zs]
@@ -97,16 +127,22 @@ val size : t -> int
 (** The number of distinct ids in the current row so far, set columns
     included. *)
 
+val emit_into : t -> Vec.t -> int
+(** [emit_into t out] appends the current row's distinct ids, strictly
+    increasing, to [out] and returns how many it appended. *)
+
 val emit : t -> int array
-(** The current row's distinct ids, strictly increasing, in a fresh
-    array of exactly as many elements. *)
+(** {!emit_into}'s row in a fresh array of exactly as many elements. *)
 
-val emit_counts : t -> int array * int array
-(** [(zs, counts)]: {!emit}'s ids and each one's summed multiplicity. *)
+val emit_counts_into : t -> Vec.t -> Vec.t -> int
+(** [emit_counts_into t zs counts] appends {!emit_into}'s ids to [zs]
+    and each one's summed multiplicity to [counts] (counting
+    accumulators); returns the row's length. *)
 
-val emit_ge : t -> int -> int array
-(** [emit_ge t c]: the current row's ids with a summed multiplicity of
-    at least [c], strictly increasing (counting accumulators only).  The
-    set-similarity threshold, applied to both halves of a split row
-    before the row is materialized.  On a saturating split row, [c] must
-    not exceed the number of planes ([Invalid_argument]). *)
+val emit_ge_into : t -> int -> Vec.t -> int
+(** [emit_ge_into t c out] appends the current row's ids with a summed
+    multiplicity of at least [c], strictly increasing, to [out] and
+    returns how many (counting accumulators only).  The set-similarity
+    threshold, applied to both halves of a split row before the row is
+    written.  On a saturating split row, [c] must not exceed the number
+    of planes ([Invalid_argument]). *)

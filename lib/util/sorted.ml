@@ -103,23 +103,26 @@ let intersect_count a b =
     !c
   end
 
-let union a b =
-  let v = Vec.create ~capacity:(Array.length a + Array.length b) () in
-  let i = ref 0 and j = ref 0 in
+let union_into a b out pos =
   let na = Array.length a and nb = Array.length b in
+  let i = ref 0 and j = ref 0 and k = ref pos in
   while !i < na && !j < nb do
-    let x = a.(!i) and y = b.(!j) in
-    if x < y then begin Vec.push v x; incr i end
-    else if y < x then begin Vec.push v y; incr j end
-    else begin
-      Vec.push v x;
+    let x = Array.unsafe_get a !i and y = Array.unsafe_get b !j in
+    if x <= y then begin
+      Array.unsafe_set out !k x;
       incr i;
-      incr j
+      if x = y then incr j
     end
+    else begin
+      Array.unsafe_set out !k y;
+      incr j
+    end;
+    incr k
   done;
-  while !i < na do Vec.push v a.(!i); incr i done;
-  while !j < nb do Vec.push v b.(!j); incr j done;
-  Vec.to_array v
+  Array.blit a !i out !k (na - !i);
+  k := !k + na - !i;
+  Array.blit b !j out !k (nb - !j);
+  !k + nb - !j - pos
 
 let subset a b =
   Array.length a <= Array.length b

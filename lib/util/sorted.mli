@@ -23,8 +23,10 @@ val intersect : int array -> int array -> int array
 val intersect_count : int array -> int array -> int
 (** Cardinality of the intersection without materializing it. *)
 
-val union : int array -> int array -> int array
-(** Set union. *)
+val union_into : int array -> int array -> int array -> int -> int
+(** [union_into a b out pos] writes the set union of [a] and [b] to
+    [out] from [pos] on (room for [length a + length b] ids) in one
+    linear merge, and returns its length. *)
 
 val subset : int array -> int array -> bool
 (** [subset a b] is [true] iff every element of [a] occurs in [b]. *)

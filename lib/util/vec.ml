@@ -9,11 +9,12 @@ let get v i =
   if i < 0 || i >= v.len then invalid_arg "Vec.get";
   Array.unsafe_get v.data i
 
-let grow v needed =
-  let cap = max needed (2 * Array.length v.data) in
+let resize v cap =
   let data = Array.make cap 0 in
   Array.blit v.data 0 data 0 v.len;
   v.data <- data
+
+let grow v needed = resize v (max needed (2 * Array.length v.data))
 
 let push v x =
   if v.len = Array.length v.data then grow v (v.len + 1);
@@ -25,6 +26,18 @@ let push2 v a b =
   Array.unsafe_set v.data v.len a;
   Array.unsafe_set v.data (v.len + 1) b;
   v.len <- v.len + 2
+
+(* Grows by half: the buffers written through [reserve] are kept
+   between uses, so their spare room is memory held, not only
+   transient. *)
+let reserve v n =
+  let cap = Array.length v.data in
+  if v.len + n > cap then resize v (max (v.len + n) (cap + (cap / 2)));
+  v.data
+
+let advance v n =
+  if n < 0 || v.len + n > Array.length v.data then invalid_arg "Vec.advance";
+  v.len <- v.len + n
 
 let clear v = v.len <- 0
 

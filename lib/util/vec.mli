@@ -18,6 +18,18 @@ val push : t -> int -> unit
 val push2 : t -> int -> int -> unit
 (** [push2 v a b] appends two elements; used for flat pair encoding. *)
 
+val reserve : t -> int -> int array
+(** [reserve v n] makes room for [n] more elements and returns the
+    backing store, valid until the next growth: the caller writes the
+    new elements from index [length v] on and then counts them with
+    {!advance}.  It grows the store by half, not double, since such
+    buffers are kept for reuse.  [reserve v 0] is the store as it stands
+    (it may be longer than [length v]). *)
+
+val advance : t -> int -> unit
+(** [advance v n] extends the length by [n] elements already written
+    through {!reserve}'s store. *)
+
 val clear : t -> unit
 (** Resets length to zero, keeping capacity. *)
 

@@ -3,108 +3,128 @@ module Pairs = Jp_relation.Pairs
 module Counted_pairs = Jp_relation.Counted_pairs
 module Cancel = Jp_util.Cancel
 module Row_acc = Jp_util.Row_acc
+module Vec = Jp_util.Vec
 
-let all_xs r = Array.init (Relation.src_count r) (fun i -> i)
+(* Every id a list presents is a probe; every id of a row is a stamp
+   miss, and the rest are hits, whether the row was stamped or held. *)
+let publish ~probes ~misses =
+  Jp_obs.add Jp_obs.C.light_probes probes;
+  Jp_obs.add Jp_obs.C.stamp_misses misses;
+  Jp_obs.add Jp_obs.C.stamp_hits (probes - misses)
 
-(* One worker expands the x values [xs.(lo..hi-1)] into [rows] through
-   its row accumulator [acc] over dom(z); the accumulator is reused
-   across every sub-range the worker runs. *)
-let expand_scratch ~acc ~r ~s ~keep_y ~rows ~xs lo hi =
+(* One worker expands the x values [x_at idx] for idx in [lo, hi),
+   ascending, through its row accumulator [acc] over dom(z): each row is
+   appended to [out] and its length stored at [lengths.(x + 1)]. *)
+let expand ~acc ~out ~r ~s ~keep_y ~lengths ~x_at lo hi =
+  let obs = Jp_obs.recording () in
+  let probes = ref 0 and written = ref 0 in
+  for idx = lo to hi - 1 do
+    let a = x_at idx in
+    Row_acc.start acc;
+    let ys = Relation.adj_src r a in
+    for j = 0 to Array.length ys - 1 do
+      let b = Array.unsafe_get ys j in
+      if keep_y b then begin
+        let zs = Relation.adj_dst s b in
+        if obs then probes := !probes + Array.length zs;
+        Row_acc.add_all acc zs
+      end
+    done;
+    let n = Row_acc.emit_into acc out in
+    lengths.(a + 1) <- n;
+    written := !written + n
+  done;
+  if obs then publish ~probes:!probes ~misses:!written
+
+let keep_all _ = true
+
+let expand_rows ~acc ~out ~lengths ~r ~s lo hi =
+  expand ~acc ~out ~r ~s ~keep_y:keep_all ~lengths ~x_at:Fun.id lo hi
+
+let expand_counts ~acc ~zs ~counts ~r ~s ~lengths lo hi =
   let obs = Jp_obs.recording () in
   let probes = ref 0 and misses = ref 0 in
-  for idx = lo to hi - 1 do
-    let a = xs.(idx) in
+  for a = lo to hi - 1 do
     Row_acc.start acc;
-    Array.iter
-      (fun b ->
-        if keep_y b then begin
-          let zs = Relation.adj_dst s b in
-          if obs then probes := !probes + Array.length zs;
-          Row_acc.add_all acc zs
-        end)
-      (Relation.adj_src r a);
-    let row = Row_acc.emit acc in
-    if obs then misses := !misses + Array.length row;
-    rows.(a) <- row
+    let ys = Relation.adj_src r a in
+    for j = 0 to Array.length ys - 1 do
+      let zl = Relation.adj_dst s (Array.unsafe_get ys j) in
+      if obs then probes := !probes + Array.length zl;
+      Row_acc.add_witnesses acc zl
+    done;
+    let n = Row_acc.emit_counts_into acc zs counts in
+    lengths.(a + 1) <- n;
+    misses := !misses + n
   done;
-  if obs then begin
-    Jp_obs.add Jp_obs.C.light_probes !probes;
-    Jp_obs.add Jp_obs.C.stamp_misses !misses;
-    Jp_obs.add Jp_obs.C.stamp_hits (!probes - !misses)
-  end
-
-let expand_counts_scratch ~acc ~r ~s ~keep_y ~rows ~xs lo hi =
-  let obs = Jp_obs.recording () in
-  let probes = ref 0 and misses = ref 0 in
-  for idx = lo to hi - 1 do
-    let a = xs.(idx) in
-    Row_acc.start acc;
-    Array.iter
-      (fun b ->
-        if keep_y b then begin
-          let zs = Relation.adj_dst s b in
-          if obs then probes := !probes + Array.length zs;
-          Row_acc.add_witnesses acc zs
-        end)
-      (Relation.adj_src r a);
-    let ((zs, _) as row) = Row_acc.emit_counts acc in
-    if obs then misses := !misses + Array.length zs;
-    rows.(a) <- row
-  done;
-  if obs then begin
-    Jp_obs.add Jp_obs.C.light_probes !probes;
-    Jp_obs.add Jp_obs.C.stamp_misses !misses;
-    Jp_obs.add Jp_obs.C.stamp_hits (!probes - !misses)
-  end
-
+  if obs then publish ~probes:!probes ~misses:!misses
 
 (* A y that S does not have has no S tuples: widening S's y domain to
    R's once here keeps every [adj_dst s b] below in bounds without a
    per-tuple branch. *)
 let cover_dst ~r s = Relation.widen_dst s (Relation.dst_count r)
 
+let check_xs ~n xs =
+  Array.iteri
+    (fun i x ->
+      if x < 0 || x >= n || (i > 0 && x <= xs.(i - 1)) then
+        invalid_arg "Expand.project: xs must be strictly ascending ids of dom(x)")
+    xs
+
 let project ?(domains = 1) ?cancel ?xs ?keep_y ~r ~s () =
   Jp_obs.span "wcoj.expand" (fun () ->
-      let keep_y = match keep_y with Some f -> f | None -> fun _ -> true in
-      let xs = match xs with Some a -> a | None -> all_xs r in
+      let keep_y = Option.value keep_y ~default:keep_all in
+      let n = Relation.src_count r in
+      let x_at, nxs =
+        match xs with
+        | None -> (Fun.id, n)
+        | Some xs ->
+          check_xs ~n xs;
+          ((fun i -> xs.(i)), Array.length xs)
+      in
       let s = cover_dst ~r s in
-      let rows = Array.make (Relation.src_count r) [||] in
-      Jp_parallel.Pool.split_ranges ~domains ?cancel ~lo:0 ~hi:(Array.length xs)
-        ~scratch:(fun () -> Row_acc.create (Relation.src_count s))
-        (fun acc lo hi ->
-          expand_scratch ~acc ~r ~s ~keep_y ~rows ~xs lo hi);
-      Pairs.of_rows_unchecked rows)
+      let lengths = Array.make (n + 1) 0 in
+      let chunks =
+        Jp_parallel.Pool.split_ranges ~domains ?cancel ~lo:0 ~hi:nxs
+          ~scratch:(fun () ->
+            (Row_acc.borrow (Relation.src_count s), Pairs.chunk ()))
+          (fun (acc, out) lo hi -> expand ~acc ~out ~r ~s ~keep_y ~lengths ~x_at lo hi)
+      in
+      Array.iter (fun (acc, _) -> Row_acc.release acc) chunks;
+      Pairs.of_chunks ~lengths ~bound:(Relation.src_count s) (Array.map snd chunks))
 
-let project_counts ?(domains = 1) ?cancel ?xs ?keep_y ~r ~s () =
+let project_counts ?(domains = 1) ?cancel ~r ~s () =
   Jp_obs.span "wcoj.expand_counts" (fun () ->
-      let keep_y = match keep_y with Some f -> f | None -> fun _ -> true in
-      let xs = match xs with Some a -> a | None -> all_xs r in
+      let n = Relation.src_count r in
       let s = cover_dst ~r s in
-      let rows = Array.make (Relation.src_count r) ([||], [||]) in
-      Jp_parallel.Pool.split_ranges ~domains ?cancel ~lo:0 ~hi:(Array.length xs)
-        ~scratch:(fun () -> Row_acc.create ~counts:true (Relation.src_count s))
-        (fun acc lo hi ->
-          expand_counts_scratch ~acc ~r ~s ~keep_y ~rows ~xs lo hi);
-      Counted_pairs.of_rows_unchecked rows)
+      let lengths = Array.make (n + 1) 0 in
+      let chunks =
+        Jp_parallel.Pool.split_ranges ~domains ?cancel ~lo:0 ~hi:n
+          ~scratch:(fun () ->
+            ( Row_acc.borrow ~counts:true (Relation.src_count s),
+              Pairs.chunk (),
+              Pairs.chunk () ))
+          (fun (acc, zs, counts) lo hi ->
+            expand_counts ~acc ~zs ~counts ~r ~s ~lengths lo hi)
+      in
+      Array.iter (fun (acc, _, _) -> Row_acc.release acc) chunks;
+      Counted_pairs.of_chunks ~lengths ~bound:(Relation.src_count s)
+        (Array.map (fun (_, zs, _) -> zs) chunks)
+        (Array.map (fun (_, _, counts) -> counts) chunks))
 
-let count_distinct ?xs ?keep_y ~r ~s () =
-  let keep_y = match keep_y with Some f -> f | None -> fun _ -> true in
-  let xs = match xs with Some a -> a | None -> all_xs r in
+let count_distinct ~r ~s () =
   let s = cover_dst ~r s in
   let stamps = Array.make (Relation.src_count s) (-1) in
   let total = ref 0 in
-  Array.iteri
-    (fun idx a ->
-      Array.iter
-        (fun b ->
-          if keep_y b then
-            Array.iter
-              (fun c ->
-                if Array.unsafe_get stamps c <> idx then begin
-                  Array.unsafe_set stamps c idx;
-                  incr total
-                end)
-              (Relation.adj_dst s b))
-        (Relation.adj_src r a))
-    xs;
+  for a = 0 to Relation.src_count r - 1 do
+    Array.iter
+      (fun b ->
+        Array.iter
+          (fun c ->
+            if Array.unsafe_get stamps c <> a then begin
+              Array.unsafe_set stamps c a;
+              incr total
+            end)
+          (Relation.adj_dst s b))
+      (Relation.adj_src r a)
+  done;
   !total

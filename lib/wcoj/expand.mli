@@ -7,14 +7,15 @@
 
     - the projection of the *full* 2-path join (the WCOJ-then-project
       baseline, and the combinatorial heavy-part strategy of Non-MMJoin);
-    - the light sub-joins R⁻ ⋈ S and R ⋈ S⁻ of Algorithm 1, via the
-      [xs]/[keep_y] filters;
     - the counting variant needed by SSJ/SCJ, which accumulates witness
       multiplicities instead of booleans.
 
     All variants parallelize over x with per-worker scratch (coordination
     free, as exploited by Figures 4d/4e), through
-    {!Jp_parallel.Pool.split_ranges}.
+    {!Jp_parallel.Pool.split_ranges}.  Each worker appends its rows, in
+    x order, to its own flat buffer ({!Jp_relation.Pairs.chunk}), and
+    the result packs the buffers in x order, one pass each
+    ({!Jp_relation.Pairs.of_chunks}).
 
     With [?cancel] the expansion polls the token every few thousand x's
     (per worker) and raises {!Jp_util.Cancel.Cancelled}; without it the
@@ -27,6 +28,8 @@ module Relation = Jp_relation.Relation
 module Pairs = Jp_relation.Pairs
 module Counted_pairs = Jp_relation.Counted_pairs
 module Cancel = Jp_util.Cancel
+module Row_acc = Jp_util.Row_acc
+module Vec = Jp_util.Vec
 
 val project :
   ?domains:int ->
@@ -38,15 +41,31 @@ val project :
   unit ->
   Pairs.t
 (** [project ~r ~s ()] is π{_xz}(R(x,y) ⋈ S(z,y)) as deduplicated pairs.
-    [xs] restricts the driving x values (default: all of dom(x));
-    [keep_y] filters join values y.
-    Rows for x values outside [xs] are empty. *)
+    [xs] restricts the driving x values (default: all of dom(x)); it
+    must be strictly ascending ids of dom(x), since rows are placed in
+    x order ([Invalid_argument] otherwise).  [keep_y] filters join
+    values y.  Rows for x values outside [xs] are empty. *)
+
+val expand_rows :
+  acc:Row_acc.t ->
+  out:Vec.t ->
+  lengths:int array ->
+  r:Relation.t ->
+  s:Relation.t ->
+  int ->
+  int ->
+  unit
+(** [expand_rows ~acc ~out ~lengths ~r ~s lo hi] is {!project}'s work
+    for the x values [lo, hi), written into a caller's buffer: each row,
+    ascending in x, is appended to [out] and its length stored at
+    [lengths.(x + 1)].  [s] must
+    already cover R's y domain ({!Relation.widen_dst}), and [acc] must
+    span dom(z).  For engines that place rows of several phases into one
+    result. *)
 
 val project_counts :
   ?domains:int ->
   ?cancel:Cancel.t ->
-  ?xs:int array ->
-  ?keep_y:(int -> bool) ->
   r:Relation.t ->
   s:Relation.t ->
   unit ->
@@ -55,8 +74,6 @@ val project_counts :
     witnesses y. *)
 
 val count_distinct :
-  ?xs:int array ->
-  ?keep_y:(int -> bool) ->
   r:Relation.t ->
   s:Relation.t ->
   unit ->

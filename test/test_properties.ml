@@ -397,6 +397,123 @@ let prop_union_split =
            (Two_path.project ~domains ~plan ~r:r2 ~s ()))
       && Counted_pairs.triples (Two_path.project_counts ~domains ~plan ~r ~s ()) = summed)
 
+(* ------------------------------------------------------------------ *)
+(* flat output: rows written into chunk buffers = per-row reference     *)
+
+let relation_of ~nx ~ny edges =
+  Relation.of_flat ~src_count:nx ~dst_count:ny
+    (Array.of_list (List.concat_map (fun (a, b) -> [ a; b ]) edges))
+
+(* R's x ids have degrees cycling through 0, 1, 2 and 3 to 5 (so plain
+   rows hold one list, merge two, or go through the stamps), over random
+   (family 0) or skewed (family 1) y values; S is R itself, so the SSJ
+   runs on the same instance.  Family 2 has no tuples, family 3 pairs
+   R with an S over y values R never uses, so every row is empty, and
+   family 4 pairs R with an S whose z ids pass 2^16, so results pack
+   their ids in 32 bits. *)
+let flat_instance ~seed ~family =
+  let g = Gen.rng (seed + 31_000) in
+  let nx = 36 and ny = 14 in
+  let draw_y () =
+    if family = 1 then
+      min (ny - 1) (int_of_float (float_of_int ny ** Jp_util.Rng.float g 1.0) - 1)
+    else Jp_util.Rng.int g ny
+  in
+  let edges =
+    List.concat
+      (List.init nx (fun x ->
+           let deg = match x mod 4 with 3 -> 3 + Jp_util.Rng.int g 3 | d -> d in
+           List.init deg (fun _ -> (x, draw_y ()))))
+  in
+  match family with
+  | 2 ->
+    let r = relation_of ~nx ~ny [] in
+    (r, r)
+  | 3 ->
+    ( relation_of ~nx ~ny:(2 * ny) edges,
+      relation_of ~nx ~ny:(2 * ny) (List.map (fun (x, y) -> (x, y + ny)) edges) )
+  | 4 ->
+    ( relation_of ~nx ~ny edges,
+      relation_of ~nx:66_400 ~ny (List.map (fun (x, y) -> (65_000 + (37 * x), y)) edges) )
+  | _ ->
+    let r = relation_of ~nx ~ny edges in
+    (r, r)
+
+(* The per-row reference: each x's row built on its own from sorted
+   lists of its z and their witness counts. *)
+let reference_rows ~r ~s =
+  Array.init (Relation.src_count r) (fun x ->
+      let zs =
+        Array.to_list (Relation.adj_src r x)
+        |> List.concat_map (fun y ->
+               if y < Relation.dst_count s then Array.to_list (Relation.adj_dst s y) else [])
+      in
+      List.map
+        (fun z -> (z, List.length (List.filter (( = ) z) zs)))
+        (List.sort_uniq compare zs))
+
+(* The layout a per-row reference gives ({!Testkit.Pairs.layout}). *)
+let reference_layout rows =
+  let offsets = Array.make (Array.length rows + 1) 0 in
+  Array.iteri (fun x row -> offsets.(x + 1) <- offsets.(x) + List.length row) rows;
+  (offsets, List.concat (Array.to_list rows))
+
+let prop_flat_rows =
+  QCheck.Test.make ~name:"flat rows = per-row reference" ~count:40
+    QCheck.(triple small_int (int_range 0 4) (pair (int_range 1 4) (int_range 0 4)))
+    (fun (seed, family, (d1, d2)) ->
+      let module Counted_pairs = Testkit.Counted_pairs in
+      let module Two_path = Joinproj.Two_path in
+      let r, s = flat_instance ~seed ~family in
+      let rows = reference_rows ~r ~s in
+      let bool_layout = reference_layout (Array.map (List.map fst) rows) in
+      let counted_layout = reference_layout rows in
+      let upper c =
+        reference_layout
+          (Array.mapi
+             (fun x row -> List.filter_map (fun (z, k) -> if z > x && k >= c then Some z else None) row)
+             (reference_rows ~r ~s:r))
+      in
+      let plan decision =
+        { Joinproj.Optimizer.decision; est_out = 1; join_size = 1; est_seconds = 0.0 }
+      in
+      let wcoj = plan Joinproj.Optimizer.Wcoj
+      and partitioned = plan (Joinproj.Optimizer.Partitioned { d1; d2 })
+      and counted = plan (Joinproj.Optimizer.Partitioned { d1; d2 = 0 }) in
+      (* Every engine run at [domains], as (layout, expected layout). *)
+      let runs domains =
+        let boolean =
+          (Pairs.layout (Jp_wcoj.Expand.project ~domains ~r ~s ()), bool_layout)
+          :: List.concat_map
+               (fun strategy ->
+                 List.map
+                   (fun plan ->
+                     (Pairs.layout (Two_path.project ~domains ~strategy ~plan ~r ~s ()), bool_layout))
+                   [ wcoj; partitioned ])
+               [ Two_path.Matrix; Two_path.Combinatorial ]
+          @ List.concat_map
+              (fun c ->
+                List.map
+                  (fun plan -> (Pairs.layout (Two_path.ssj ~domains ~plan ~c r), upper c))
+                  [ wcoj; counted ])
+              [ 1; 2; 3 ]
+        in
+        let counts =
+          (Counted_pairs.layout (Jp_wcoj.Expand.project_counts ~domains ~r ~s ()), counted_layout)
+          :: List.map
+               (fun plan ->
+                 (Counted_pairs.layout (Two_path.project_counts ~domains ~plan ~r ~s ()), counted_layout))
+               [ wcoj; counted ]
+        in
+        (boolean, counts)
+      in
+      let one_b, one_c = runs 1 in
+      let three_b, three_c = Testkit.under_yields seed (fun () -> runs 3) in
+      List.for_all (fun (got, expect) -> got = expect) one_b
+      && List.for_all (fun (got, expect) -> got = expect) one_c
+      && List.map fst three_b = List.map fst one_b
+      && List.map fst three_c = List.map fst one_c)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_intersect_many;
@@ -416,4 +533,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_rows_pass_checked_constructors;
     QCheck_alcotest.to_alcotest prop_relabel_invariant;
     QCheck_alcotest.to_alcotest prop_union_split;
+    QCheck_alcotest.to_alcotest prop_flat_rows;
   ]

@@ -161,6 +161,56 @@ let test_pairs () =
     (Invalid_argument "Pairs.of_rows: row not strictly increasing") (fun () ->
       ignore (Pairs.of_rows [| [| 2; 1 |] |]))
 
+(* The flat layout read in place and through the copying accessors:
+   chunks placed in x order with their row lengths, empty rows, padding
+   rows in [equal], the largest id each packing width holds and the
+   first one it refuses, and the chunk buffers going back as spares. *)
+let test_pairs_flat () =
+  let module Vec = Jp_util.Vec in
+  let chunk ids =
+    let v = Pairs.chunk () in
+    List.iter (Vec.push v) ids;
+    v
+  in
+  let top = (1 lsl 31) - 1 in
+  let p =
+    Pairs.of_chunks ~lengths:[| 0; 2; 0; 1; 3 |] ~bound:(top + 1)
+      [| chunk [ 1; 7 ]; chunk []; chunk [ 4; 0; 5; top ] |]
+  in
+  Alcotest.(check int) "src_count" 4 (Pairs.src_count p);
+  Alcotest.(check int) "count" 6 (Pairs.count p);
+  Alcotest.(check (list int)) "row lengths" [ 2; 0; 1; 3 ]
+    (List.init 4 (Pairs.row_length p));
+  Alcotest.(check (list (list int))) "rows" [ [ 1; 7 ]; []; [ 4 ]; [ 0; 5; top ] ]
+    (List.init 4 (fun x -> Array.to_list (Pairs.row p x)));
+  let seen = ref [] in
+  Pairs.iter_row (fun z -> seen := z :: !seen) p 3;
+  Alcotest.(check (list int)) "iter_row" [ top; 5; 0 ] !seen;
+  Alcotest.(check bool) "mem top" true (Pairs.mem p 3 top);
+  Alcotest.(check bool) "mem past the rows" false (Pairs.mem p 4 0);
+  Alcotest.(check bool) "padding rows are empty" true
+    (Pairs.equal p (Pairs.of_rows [| [| 1; 7 |]; [||]; [| 4 |]; [| 0; 5; top |]; [||] |]));
+  Alcotest.(check bool) "a differing id differs" false
+    (Pairs.equal p (Pairs.of_rows [| [| 1; 7 |]; [||]; [| 4 |]; [| 0; 5; top - 1 |] |]));
+  Alcotest.(check int) "empty" 0 (Pairs.count (Pairs.empty 3));
+  Alcotest.check_raises "an id past 31 bits"
+    (Invalid_argument "Pairs: id bound past 2^31") (fun () ->
+      ignore (Pairs.of_rows [| [| top + 1 |] |]));
+  (* a domain of 2^16 ids packs them in 16 bits *)
+  let narrow = (1 lsl 16) - 1 in
+  let q = Pairs.of_chunks ~lengths:[| 0; 2 |] ~bound:(narrow + 1) [| chunk [ 0; narrow ] |] in
+  Alcotest.(check (list int)) "narrow row" [ 0; narrow ] (Array.to_list (Pairs.row q 0));
+  Alcotest.(check bool) "narrow = wide" true (Pairs.equal q (Pairs.of_rows [| [| 0; narrow |] |]));
+  Alcotest.(check int) "union across widths" 8 (Pairs.count (Pairs.union p q));
+  Alcotest.check_raises "an id past its bound's width"
+    (Invalid_argument "Pairs: id outside its bound") (fun () ->
+      ignore (Pairs.of_chunks ~lengths:[| 0; 1 |] ~bound:(narrow + 1) [| chunk [ narrow + 1 ] |]));
+  Alcotest.check_raises "chunks shorter than the rows"
+    (Invalid_argument "Pairs.gather: chunks do not hold the rows") (fun () ->
+      ignore (Pairs.of_chunks ~lengths:[| 0; 2 |] ~bound:8 [| chunk [ 1 ] |]));
+  (* a gathered chunk is a spare: the next one handed out is empty *)
+  Alcotest.(check int) "spare comes back empty" 0 (Vec.length (Pairs.chunk ()))
+
 let test_counted_pairs () =
   let c = Counted_pairs.of_rows [| ([| 1; 4 |], [| 2; 1 |]); ([| 0 |], [| 5 |]) |] in
   Alcotest.(check int) "count" 3 (Counted_pairs.count c);
@@ -224,6 +274,7 @@ let suite =
     Alcotest.test_case "stats weights" `Quick test_stats_weights;
     QCheck_alcotest.to_alcotest prop_stats_model;
     Alcotest.test_case "pairs" `Quick test_pairs;
+    Alcotest.test_case "pairs flat layout" `Quick test_pairs_flat;
     Alcotest.test_case "counted pairs" `Quick test_counted_pairs;
     Alcotest.test_case "tuples packed" `Quick test_tuples_packed;
     Alcotest.test_case "tuples hashed" `Quick test_tuples_hashed;

@@ -313,19 +313,9 @@ let prop_planes_match_reference =
       in
       planes_match a ~c planes)
 
-(* A chunk hook that spins a seeded, varying number of times at every
-   tile claim, so worker domains interleave their tiles differently on
-   every call. *)
-let seeded_yields seed =
-  let claims = Atomic.make 0 in
-  fun () ->
-    let k = Atomic.fetch_and_add claims 1 in
-    for _ = 1 to ((k + seed) * 2654435761) land 1023 do
-      Domain.cpu_relax ()
-    done
-
 (* The domains = 3 plane products again, each under a seeded-yield pool
-   hook: every plane is bit-equal to the single-domain product. *)
+   hook ({!Testkit.seeded_yields}, spinning at every tile claim): every
+   plane is bit-equal to the single-domain product. *)
 let test_planes_under_yields () =
   List.iter
     (fun (seed, u, v, c, bits, tiny) ->
@@ -335,10 +325,7 @@ let test_planes_under_yields () =
       let config = cfg ?budget_bytes ~tile_bits:bits () in
       let expect = Tile.upper_planes ~domains:1 config ~c sa sat in
       let got =
-        Jp_parallel.Pool.set_fault_hook (Some (seeded_yields seed));
-        Fun.protect
-          ~finally:(fun () -> Jp_parallel.Pool.set_fault_hook None)
-          (fun () -> Tile.upper_planes ~domains:3 config ~c sa sat)
+        Testkit.under_yields seed (fun () -> Tile.upper_planes ~domains:3 config ~c sa sat)
       in
       Alcotest.(check bool)
         (Printf.sprintf "seed=%d u=%d v=%d c=%d bits=%d tiny=%b" seed u v c bits tiny)

@@ -131,8 +131,11 @@ let prop_union_subset =
     (fun (la, lb) ->
       let a = sorted_of_list la and b = sorted_of_list lb in
       let sa = List.sort_uniq compare la and sb = List.sort_uniq compare lb in
-      Array.to_list (Sorted.union a b) = List.sort_uniq compare (sa @ sb)
-
+      (* written past a prefix it must leave alone *)
+      let u = Array.make (3 + Array.length a + Array.length b) (-1) in
+      let n = Sorted.union_into a b u 3 in
+      Array.sub u 0 3 = [| -1; -1; -1 |]
+      && Array.to_list (Array.sub u 3 n) = List.sort_uniq compare (sa @ sb)
       && Sorted.subset a b = List.for_all (fun x -> List.mem x sb) sa)
 
 let test_gallop () =
@@ -160,7 +163,7 @@ let test_vec () =
    few words near either end is narrow (emitted by the bit scan), and a
    row drawn from the whole domain is wide (emitted by a sort of the
    candidates: insertion up to 32 ids, radix past that). *)
-module Row_acc = Jp_util.Row_acc
+module Row_acc = Testkit.Row_acc
 
 let acc_nz = 62 * 1000
 

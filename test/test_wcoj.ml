@@ -64,7 +64,14 @@ let test_expand_filters () =
   Alcotest.(check (list (pair int int))) "keep_y" [ (0, 5) ]
     (Gen.pairs_to_list only_y0);
   let xs_only = Expand.project ~xs:[| 1 |] ~r ~s () in
-  Alcotest.(check (list (pair int int))) "xs" [ (1, 6) ] (Gen.pairs_to_list xs_only)
+  Alcotest.(check (list (pair int int))) "xs" [ (1, 6) ] (Gen.pairs_to_list xs_only);
+  (* rows are placed in x order, so [xs] must ascend *)
+  List.iter
+    (fun xs ->
+      Alcotest.check_raises "xs not strictly ascending"
+        (Invalid_argument "Expand.project: xs must be strictly ascending ids of dom(x)")
+        (fun () -> ignore (Expand.project ~xs ~r ~s ())))
+    [ [| 1; 0 |]; [| 0; 0 |]; [| 2 |] ]
 
 let test_expand_counts () =
   let r = Relation.of_edges [| (0, 0); (0, 1); (0, 2) |] in

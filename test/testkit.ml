@@ -89,6 +89,22 @@ let strictly_increasing a =
   done;
   !ok
 
+(* A row's counted emits in fresh arrays, as the engines' flat emits
+   would append them. *)
+module Row_acc = struct
+  include Jp_util.Row_acc
+
+  let emit_counts t =
+    let zs = Jp_util.Vec.create () and counts = Jp_util.Vec.create () in
+    ignore (emit_counts_into t zs counts);
+    (Jp_util.Vec.to_array zs, Jp_util.Vec.to_array counts)
+
+  let emit_ge t c =
+    let zs = Jp_util.Vec.create () in
+    ignore (emit_ge_into t c zs);
+    Jp_util.Vec.to_array zs
+end
+
 module Pairs = struct
   include Jp_relation.Pairs
 
@@ -105,6 +121,17 @@ module Pairs = struct
     let acc = ref [] in
     iter (fun x z -> acc := (x, z) :: !acc) t;
     List.rev !acc
+
+  (* The flat layout as the accessors show it: the row offsets and every
+     id in row order.  Two results with the same layout hold the same
+     offsets and the same packed ids. *)
+  let layout t =
+    let n = src_count t in
+    let offsets = Array.make (n + 1) 0 in
+    for x = 0 to n - 1 do
+      offsets.(x + 1) <- offsets.(x) + row_length t x
+    done;
+    (offsets, List.map snd (to_list t))
 end
 
 module Counted_pairs = struct
@@ -158,7 +185,32 @@ module Counted_pairs = struct
 
   (* Trailing empty rows do not make two results differ. *)
   let equal a b = triples a = triples b
+
+  (* {!Pairs.layout} with the multiplicities. *)
+  let layout t =
+    let n = src_count t in
+    let offsets = Array.make (n + 1) 0 in
+    for x = 0 to n - 1 do
+      offsets.(x + 1) <- offsets.(x) + Array.length (fst (row t x))
+    done;
+    (offsets, List.map (fun (_, z, c) -> (z, c)) (triples t))
 end
+
+(* A pool chunk hook that spins a seeded, varying number of times at
+   every chunk claim, so worker domains interleave their chunks
+   differently on every call. *)
+let seeded_yields seed =
+  let claims = Atomic.make 0 in
+  fun () ->
+    let k = Atomic.fetch_and_add claims 1 in
+    for _ = 1 to ((k + seed) * 2654435761) land 1023 do
+      Domain.cpu_relax ()
+    done
+
+(* [f ()] under {!seeded_yields} [seed] as the pool's chunk hook. *)
+let under_yields seed f =
+  Jp_parallel.Pool.set_fault_hook (Some (seeded_yields seed));
+  Fun.protect ~finally:(fun () -> Jp_parallel.Pool.set_fault_hook None) f
 
 module Relation = struct
   include Jp_relation.Relation
