@@ -61,7 +61,7 @@ let spares : Vec.t list Domain.DLS.key = Domain.DLS.new_key (fun () -> [])
 
 let max_spares = 4
 
-let spare_words = 1 lsl 22
+let spare_words = 1 lsl 20
 
 let chunk () =
   match Domain.DLS.get spares with

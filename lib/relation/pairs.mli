@@ -54,7 +54,8 @@ val gather : bound:int -> Jp_util.Vec.t array -> int -> ids
     [bound <= 2{^16}] and 32 bits otherwise ([Invalid_argument] if the
     chunks hold another number of ids, an id falls outside its width,
     or [bound > 2{^31}]), one pass per chunk, and hands the chunks back
-    to the calling domain's spares: the caller must not use them again.
+    to the calling domain's spares (a few, none past 2{^20} ids): the
+    caller must not use them again.
     Exact-size results and reused buffers keep a query's output from
     costing a regrown (and discarded) buffer on the major heap. *)
 

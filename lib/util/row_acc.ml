@@ -68,10 +68,14 @@ let create ?(counts = false) nz =
 
 (* Accumulators handed back after a call, for the calling domain's next
    call: the stamps, bitset and scratch of an accumulator are as good
-   for the next query as for the next row. *)
+   for the next query as for the next row.  A domain keeps a few, none
+   over more than [spare_ids] ids, so a huge domain's vectors are not
+   held after its query. *)
 let spares : t list Domain.DLS.key = Domain.DLS.new_key (fun () -> [])
 
 let max_spares = 4
+
+let spare_ids = 1 lsl 20
 
 let borrow ?(counts = false) nz =
   let fits t = Array.length t.stamps >= nz && ((not counts) || Array.length t.counts >= nz) in
@@ -83,8 +87,10 @@ let borrow ?(counts = false) nz =
   | None -> create ~counts nz
 
 let release t =
-  let kept = List.filter (fun u -> u != t) (Domain.DLS.get spares) in
-  Domain.DLS.set spares (List.filteri (fun i _ -> i < max_spares) (t :: kept))
+  if Array.length t.stamps <= spare_ids then begin
+    let kept = List.filter (fun u -> u != t) (Domain.DLS.get spares) in
+    Domain.DLS.set spares (List.filteri (fun i _ -> i < max_spares) (t :: kept))
+  end
 
 let start t =
   t.stamp <- t.stamp + 1;

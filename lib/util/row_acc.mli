@@ -63,7 +63,8 @@ val borrow : ?counts:bool -> int -> t
 
 val release : t -> unit
 (** [release t] makes [t] a spare of the calling domain (the few most
-    recent are kept); the caller must not use it again. *)
+    recent are kept, and none over more than 2{^20} ids); the caller
+    must not use it again. *)
 
 val start : t -> unit
 (** Begins a new, empty row with no columns. *)

@@ -388,6 +388,26 @@ let test_row_acc_no_leak () =
   Alcotest.check_raises "id outside the domain"
     (Invalid_argument "index out of bounds") (fun () -> Row_acc.add_all acc [| 200 |])
 
+(* A released accumulator serves the next borrow on this domain that it
+   is wide enough for, rows intact; one over more than 2^20 ids is not
+   kept. *)
+let test_row_acc_borrow () =
+  let a = Row_acc.borrow 100 in
+  Row_acc.release a;
+  let b = Row_acc.borrow 50 in
+  Alcotest.(check bool) "a narrower borrow reuses it" true (a == b);
+  Row_acc.start b;
+  Row_acc.add_all b [| 3; 40; 99 |];
+  Row_acc.add_all b [| 40; 41 |];
+  Row_acc.add_all b [| 0 |];
+  check "rows as from a fresh one" [ 0; 3; 40; 41; 99 ] (Array.to_list (Row_acc.emit b));
+  Row_acc.release b;
+  Alcotest.(check bool) "a wider borrow does not" false (Row_acc.borrow (1 lsl 20) == b);
+  let huge = Row_acc.borrow ((1 lsl 20) + 1) in
+  Row_acc.release huge;
+  Alcotest.(check bool) "a huge one is not kept" false
+    (Row_acc.borrow ((1 lsl 20) + 1) == huge)
+
 let test_rng_determinism () =
   let a = Rng.create 123 and b = Rng.create 123 in
   let xs = List.init 50 (fun _ -> Rng.int a 1000) in
@@ -511,6 +531,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_row_acc_counts;
     QCheck_alcotest.to_alcotest prop_row_acc_emit_ge;
     Alcotest.test_case "row_acc rows do not leak" `Quick test_row_acc_no_leak;
+    Alcotest.test_case "row_acc borrow reuses, huge not kept" `Quick test_row_acc_borrow;
     QCheck_alcotest.to_alcotest prop_row_acc_split;
     QCheck_alcotest.to_alcotest prop_row_acc_split_counts;
     Alcotest.test_case "row_acc split columns are bounded" `Quick test_row_acc_split_bounds;
