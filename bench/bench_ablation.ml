@@ -819,9 +819,7 @@ let tile cfg =
       (fun name ->
         let r = Bench_common.dataset cfg name in
         let ds = Presets.to_string name in
-        let plan =
-          Joinproj.Optimizer.plan ~kind:Jp_matrix.Cost.Boolean ~r ~s:r ()
-        in
+        let plan = Joinproj.Optimizer.plan ~r ~s:r () in
         match plan.Joinproj.Optimizer.decision with
         | Joinproj.Optimizer.Wcoj -> [ ds; "wcoj plan"; "-"; "-"; "-" ]
         | Joinproj.Optimizer.Partitioned { d1; d2 } ->

@@ -39,7 +39,7 @@ let fig3a cfg =
           Tablefmt.seconds t_bool;
           Tablefmt.seconds t_count;
           Printf.sprintf "%.2f"
-            (1e-9 *. Cost.lemma1 ~u:n ~v:n ~w:n () /. 62.0);
+            (1e-9 *. Cost.lemma1 ~u:n ~v:n ~w:n /. 62.0);
         ])
       dims
   in

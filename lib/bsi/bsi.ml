@@ -25,10 +25,7 @@ let artifact_bytes ~r ~s art =
 
 let heavy_artifact ~domains ~cache ~cancel ~r ~s =
   let prep = Jp_cache.prepared cache ~r ~s in
-  let plan =
-    Joinproj.Optimizer.plan_prepared ~domains ~kind:Jp_matrix.Cost.Boolean prep
-      ()
-  in
+  let plan = Joinproj.Optimizer.plan_prepared ~domains prep () in
   match plan.Joinproj.Optimizer.decision with
   | Joinproj.Optimizer.Wcoj -> None
   | Joinproj.Optimizer.Partitioned { d1; d2 } -> (

@@ -92,16 +92,6 @@ let create ?(config = default_config) () =
     invalidations = 0;
   }
 
-let locked t f =
-  Mutex.lock t.lock;
-  match f () with
-  | x ->
-    Mutex.unlock t.lock;
-    x
-  | exception e ->
-    Mutex.unlock t.lock;
-    raise e
-
 (* Bound on the miss-popularity table so an adversarial key stream cannot
    grow it without limit; once full, unseen keys count as one miss. *)
 let max_tracked_keys = 1 lsl 16
@@ -198,7 +188,7 @@ let insert t ~key ~fps ~bytes ~cost_s value =
     fps
 
 let find t tg key =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       let ks = Key.to_string key in
       match Hashtbl.find_opt t.table ks with
       | Some e -> (
@@ -219,7 +209,7 @@ let find t tg key =
         None)
 
 let put t tg key ~bytes ~cost_s v =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       if bytes <= t.cfg.budget_bytes then
         insert t ~key:(Key.to_string key) ~fps:key.Key.k_fps ~bytes ~cost_s
           (tg.inj v)
@@ -229,7 +219,7 @@ let put t tg key ~bytes ~cost_s v =
       end)
 
 let offer t tg key ~bytes ~cost_s v =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       let ks = Key.to_string key in
       let admit =
         bytes <= t.cfg.budget_bytes
@@ -245,7 +235,7 @@ let offer t tg key ~bytes ~cost_s v =
       admit)
 
 let invalidate t ~fp =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       match Hashtbl.find_opt t.by_fp fp with
       | None -> ()
       | Some keys ->
@@ -261,7 +251,7 @@ let invalidate t ~fp =
         Hashtbl.remove t.by_fp fp)
 
 let clear t =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       Obs.add Obs.G.cache_bytes (-t.bytes);
       Hashtbl.reset t.table;
       Hashtbl.reset t.by_fp;
@@ -279,7 +269,7 @@ type stats = {
 }
 
 let stats t =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       {
         entries = Hashtbl.length t.table;
         bytes = t.bytes;

@@ -9,7 +9,9 @@
     regimes of "Output-sensitive Conjunctive Query Evaluation", Deep, Hu
     & Koutris 2024, reduce to exactly this per-fragment decision for
     acyclic queries).  The planner then executes a carved fragment
-    through {!Two_path.project} / {!Star.project} directly.
+    through {!Two_path.project} / {!Star.project} directly.  Gate and
+    engine both price with {!Jp_matrix.Cost.machine}, one machine
+    record per process.
 
     A star gate has no dedicated cost model: it is approximated by the
     2-path gate over the fragment's two largest relations (both oriented
@@ -27,7 +29,6 @@ type gate = {
 }
 
 val gate_two_path :
-  ?machine:Jp_matrix.Cost.machine ->
   ?domains:int ->
   r:Relation.t ->
   s:Relation.t ->
@@ -39,7 +40,6 @@ val gate_two_path :
     [Partitioned]. *)
 
 val gate_star :
-  ?machine:Jp_matrix.Cost.machine ->
   ?domains:int ->
   Relation.t array ->
   gate

@@ -146,9 +146,9 @@ let prepared_bytes prep =
     | Some idx ->
       8 * ((5 * active idx.y_by_min) + (3 * (active idx.x_stats + active idx.z_stats)))
 
-let generic_plan ?machine ?(domains = 1) ~kind ?est_out ?(mm_cost_scale = 1.0)
+let generic_plan ?(domains = 1) ~kind ?est_out ?(mm_cost_scale = 1.0)
     ~counts_mode ~tie_d2 prep () =
-  let m = match machine with Some m -> m | None -> Cost.machine () in
+  let m = Cost.machine () in
   let sm = prep.p_sum in
   let est_out =
     match est_out with
@@ -180,26 +180,27 @@ let generic_plan ?machine ?(domains = 1) ~kind ?est_out ?(mm_cost_scale = 1.0)
    is partitioned, every x/z counts as light. *)
 let max_d2 idx ~est_out:_ _d1 = idx.sm.n
 
-let plan_prepared ?machine ?domains ?(kind = Cost.Boolean) ?est_out
-    ?mm_cost_scale prep () =
+let plan_prepared ?domains ?est_out ?mm_cost_scale prep () =
   Jp_obs.span "optimizer.plan" (fun () ->
-      generic_plan ?machine ?domains ~kind ?est_out ?mm_cost_scale
+      generic_plan ?domains ~kind:Cost.Boolean ?est_out ?mm_cost_scale
         ~counts_mode:false ~tie_d2:d2_for prep ())
 
-let plan_counts_prepared ?machine ?domains ?est_out ?mm_cost_scale prep () =
+let plan_counts_prepared ?domains ?est_out ?mm_cost_scale prep () =
   Jp_obs.span "optimizer.plan_counts" (fun () ->
-      generic_plan ?machine ?domains ~kind:Cost.Count ?est_out ?mm_cost_scale
+      generic_plan ?domains ~kind:Cost.Count ?est_out ?mm_cost_scale
         ~counts_mode:true ~tie_d2:max_d2 prep ())
 
-let plan ?machine ?domains ?kind ?est_out ?mm_cost_scale ~r ~s () =
-  plan_prepared ?machine ?domains ?kind ?est_out ?mm_cost_scale (prepare ~r ~s) ()
+let plan ?domains ?est_out ?mm_cost_scale ~r ~s () =
+  plan_prepared ?domains ?est_out ?mm_cost_scale (prepare ~r ~s) ()
 
-let plan_counts ?machine ?domains ?est_out ?mm_cost_scale ~r ~s () =
-  plan_counts_prepared ?machine ?domains ?est_out ?mm_cost_scale (prepare ~r ~s) ()
+let plan_counts ?domains ?est_out ?mm_cost_scale ~r ~s () =
+  plan_counts_prepared ?domains ?est_out ?mm_cost_scale (prepare ~r ~s) ()
 
-let estimate_cost_prepared ?machine ?(domains = 1) ?(kind = Cost.Boolean)
-    ?(counts_mode = false) prep decision =
-  let m = match machine with Some m -> m | None -> Cost.machine () in
+(* The count kernel runs only in plan_counts' split (counts mode), the
+   boolean one only in the full split. *)
+let estimate_cost_prepared ?(domains = 1) ?(kind = Cost.Boolean) prep decision =
+  let m = Cost.machine () in
+  let counts_mode = match kind with Cost.Count -> true | Cost.Boolean -> false in
   match decision with
   | Wcoj -> wcoj_seconds m prep.p_sum
   | Partitioned { d1; d2 } ->

@@ -51,18 +51,18 @@ val prepared_bytes : prepared -> int
     accounting: a value the 20N rule decided costs a few words. *)
 
 val plan :
-  ?machine:Cost.machine ->
   ?domains:int ->
-  ?kind:Cost.kind ->
   ?est_out:int ->
   ?mm_cost_scale:float ->
   r:Relation.t ->
   s:Relation.t ->
   unit ->
   plan
-(** Algorithm 3.  [kind] selects the matrix kernel the heavy part would
-    use (default [Boolean]; use [Count] when multiplicities are needed).
-    [machine] defaults to the lazily calibrated singleton.
+(** Algorithm 3 for the boolean projection: the heavy part is costed as
+    the boolean product ({!Cost.Boolean}); the exact-count plan is
+    {!plan_counts}.  Every plan prices its candidates with
+    {!Cost.machine}, the one process-wide machine record (pin it with
+    {!Cost.set_machine}).
 
     [est_out] overrides the {!Estimator.estimate} |OUT| estimate and
     [mm_cost_scale] multiplies the M̂ term of every candidate cost —
@@ -71,7 +71,6 @@ val plan :
     with statistics observed at a runtime checkpoint. *)
 
 val plan_counts :
-  ?machine:Cost.machine ->
   ?domains:int ->
   ?est_out:int ->
   ?mm_cost_scale:float ->
@@ -80,13 +79,12 @@ val plan_counts :
   unit ->
   plan
 (** Variant for the exact-count evaluation used by SSJ/SCJ, where only the
-    join variable is partitioned: the returned [d2] is the maximal degree
+    join variable is partitioned: the heavy part is costed as the count
+    product ({!Cost.Count}), and the returned [d2] is the maximal degree
     (every x/z is treated as light outside the matrix). *)
 
 val plan_prepared :
-  ?machine:Cost.machine ->
   ?domains:int ->
-  ?kind:Cost.kind ->
   ?est_out:int ->
   ?mm_cost_scale:float ->
   prepared ->
@@ -96,7 +94,6 @@ val plan_prepared :
     checkpoint. *)
 
 val plan_counts_prepared :
-  ?machine:Cost.machine ->
   ?domains:int ->
   ?est_out:int ->
   ?mm_cost_scale:float ->
@@ -106,21 +103,21 @@ val plan_counts_prepared :
 (** {!plan_counts} from pre-built indexes. *)
 
 val estimate_cost_prepared :
-  ?machine:Cost.machine ->
   ?domains:int ->
   ?kind:Cost.kind ->
-  ?counts_mode:bool ->
   prepared ->
   decision ->
   float
 (** Honest (un-injected, estimate-free) cost of executing [decision] on
     the prepared [r ⋈ s]: the light side is costed exactly from the
     degree indexes and the heavy side from M̂ on the true heavy
-    dimensions.  Guard checkpoints compare this against a plan's
-    [est_seconds] to detect cost misestimation after the heavy/light
-    split is known.  [Partitioned] on a value the 20N rule decided (a
-    forced plan under a re-planning guard) builds the indexes for this
-    call only. *)
+    dimensions.  [kind] (default [Boolean]) names the split: [Boolean]
+    prices {!plan}'s, [Count] prices {!plan_counts}' (only the join
+    variable partitioned).  Guard checkpoints compare this against a
+    plan's [est_seconds] to detect cost misestimation after the
+    heavy/light split is known.  [Partitioned] on a value the 20N rule
+    decided (a forced plan under a re-planning guard) builds the
+    indexes for this call only. *)
 
 val theoretical_thresholds : n:int -> out:int -> int * int
 (** The closed-form thresholds of Section 3.1's analysis (assuming ω = 2),

@@ -78,11 +78,10 @@ let operand adj ids index ~cols =
 (* The boolean product M{R⁺}·M{S⁺}: R⁺ as [heavy_x] rows over
    [y_index], S⁺ as [heavy_y] rows over [z_index], through [Jp_tile]
    behind the whole-product memo hook. *)
-let bool_product ?cancel ?checkpoint ~tile ~memo ~domains ~r ~s
-    (p : Partition.t) =
+let bool_product ?cancel ~tile ~memo ~domains ~r ~s (p : Partition.t) =
   memo.memo_bool_product ~d1:p.d1 ~d2:p.d2 (fun () ->
       Obs.span "two_path.heavy_mm" (fun () ->
-          Jp_tile.mul ~domains ?cancel ?checkpoint tile
+          Jp_tile.mul ~domains ?cancel tile
             (operand (Relation.adj_src r) p.heavy_x p.y_index
                ~cols:(Array.length p.heavy_y))
             (operand (Relation.adj_dst s) p.heavy_y p.z_index
@@ -91,11 +90,10 @@ let bool_product ?cancel ?checkpoint ~tile ~memo ~domains ~r ~s
 (* The count product A·Bᵀ over bit-packed rows (62 multiply-adds per
    word op): A rows are x's heavy-y bitsets, B rows are z's heavy-y
    bitsets — S⁺ transposed, [heavy_z] rows over [y_index]. *)
-let count_product ?cancel ?checkpoint ~tile ~memo ~domains ~r ~s
-    (p : Partition.t) =
+let count_product ?cancel ~tile ~memo ~domains ~r ~s (p : Partition.t) =
   memo.memo_count_product ~d1:p.d1 (fun () ->
       let v = Array.length p.heavy_y in
-      Jp_tile.count_product ~domains ?cancel ?checkpoint tile
+      Jp_tile.count_product ~domains ?cancel tile
         (operand (Relation.adj_src r) p.heavy_x p.y_index ~cols:v)
         (operand (Relation.adj_src s) p.heavy_z p.y_index ~cols:v))
 
@@ -108,8 +106,7 @@ let count_product ?cancel ?checkpoint ~tile ~memo ~domains ~r ~s
    nnz(A) = Σ deg(y) over heavy y (d₂ = 0 puts every endpoint of a
    heavy y in A).  Planes depend on [c] and the triangle does not, so
    the memo key carries both [c] and the kernel. *)
-let upper_product ?cancel ?checkpoint ~c ~tile ~memo ~domains ~r
-    (p : Partition.t) =
+let upper_product ?cancel ~c ~tile ~memo ~domains ~r (p : Partition.t) =
   let u = Array.length p.heavy_x and v = Array.length p.heavy_y in
   let nnz = Array.fold_left (fun n y -> n + Relation.deg_dst r y) 0 p.heavy_y in
   let kernel =
@@ -120,11 +117,11 @@ let upper_product ?cancel ?checkpoint ~c ~tile ~memo ~domains ~r
       match kernel with
       | Jp_matrix.Cost.Triangle ->
         Obs.incr Obs.C.ssj_triangles;
-        Triangle (Jp_tile.count_upper ~domains ?cancel ?checkpoint tile a)
+        Triangle (Jp_tile.count_upper ~domains ?cancel tile a)
       | Jp_matrix.Cost.Planes ->
         Obs.incr Obs.C.ssj_planes;
         Planes
-          (Jp_tile.upper_planes ~domains ?cancel ?checkpoint tile ~c a
+          (Jp_tile.upper_planes ~domains ?cancel tile ~c a
              (operand (Relation.adj_dst r) p.heavy_y p.x_index ~cols:u)))
 
 (* Public alias: the BSI fast path builds (and caches) the same product
@@ -227,19 +224,6 @@ let partition_cells p =
   let u, v, w = Partition.dims p in
   (u * v) + (v * w) + (u * w)
 
-(* Guard checkpoint that can only mark the outcome: the work it guards
-   is already the cheapest path left. *)
-let note_budget g =
-  match Guard.check_budget g ~cells:0 with
-  | Guard.Degrade -> Guard.note_degrade g
-  | Guard.Continue | Guard.Replan -> ()
-
-(* The heavy product's guard checkpoint, once per output tile, but only
-   when the tiles run on the calling domain — worker domains race past
-   sequential checkpoints (same rule as the chunked merge). *)
-let tile_checkpoint ~domains g =
-  if domains > 1 then None else Some (fun () -> note_budget g)
-
 (* Algorithm 1 on [plan0], supervised by the guard [g].  Without a
    caller's guard [g] is {!Guard.inert}: every checkpoint answers
    [Continue] and this is the plain plan → partition → heavy MM → light
@@ -256,9 +240,13 @@ let tile_checkpoint ~domains g =
    - post-partition, pre-MM: the cells budget vetoes the matrices
      (combinatorial heavy part instead), and the plan's est_seconds is
      compared against the honest cost of the chosen thresholds;
-   - per-chunk during the light merge (single-domain only): wall-clock
-     budget and |OUT| extrapolation; a mid-merge re-plan resumes the new
-     plan at the current row, keeping all finished rows.
+   - per-chunk during the light merge (single-domain only): |OUT|
+     extrapolation; a mid-merge re-plan resumes the new plan at the
+     current row, keeping all finished rows;
+   - exit (in [frame]): a time budget blown after entry marks the
+     outcome degraded.  Past entry nothing cheaper than the running
+     path remains, so a budget check inside the heavy product or the
+     merge could only mark it too, and wall time only grows.
 
    Re-planning is always done with clean (un-injected) statistics and
    bounded by the guard's fuel, so the recursion terminates.  A cancel
@@ -316,9 +304,6 @@ let execute ?cancel ~tile ~g ~prep ~replan ~domains ~strategy ~memo ~phases ~r
     expand_into lo probe_hi;
     if probe_hi < nx then begin
       Cancel.check_opt cancel;
-      (* Wcoj already is the safe path: a blown budget only marks the
-         outcome — the remaining rows still have to be expanded. *)
-      note_budget g;
       let obs_out = max 1 (produced () * nx / probe_hi) in
       match
         Guard.check_estimate g
@@ -328,12 +313,11 @@ let execute ?cancel ~tile ~g ~prep ~replan ~domains ~strategy ~memo ~phases ~r
       | Guard.Replan -> run (replan obs_out) probe_hi
       | (Guard.Continue | Guard.Degrade) when Guard.can_replan g ->
         let np =
-          Optimizer.plan_prepared ~domains ~kind:Jp_matrix.Cost.Boolean
-            ~est_out:obs_out (Lazy.force prep) ()
+          Optimizer.plan_prepared ~domains ~est_out:obs_out (Lazy.force prep) ()
         in
         let wcoj_cost =
-          Optimizer.estimate_cost_prepared ~domains
-            ~kind:Jp_matrix.Cost.Boolean (Lazy.force prep) Optimizer.Wcoj
+          Optimizer.estimate_cost_prepared ~domains (Lazy.force prep)
+            Optimizer.Wcoj
         in
         (match np.Optimizer.decision with
         | Optimizer.Partitioned _
@@ -361,8 +345,8 @@ let execute ?cancel ~tile ~g ~prep ~replan ~domains ~strategy ~memo ~phases ~r
       !strat = Matrix && Guard.can_replan g
       &&
       let honest =
-        Optimizer.estimate_cost_prepared ~domains ~kind:Jp_matrix.Cost.Boolean
-          (Lazy.force prep) (Optimizer.Partitioned { d1; d2 })
+        Optimizer.estimate_cost_prepared ~domains (Lazy.force prep)
+          (Optimizer.Partitioned { d1; d2 })
       in
       Guard.check_estimate g ~est:plan.Optimizer.est_seconds ~observed:honest
       = Guard.Replan
@@ -376,9 +360,7 @@ let execute ?cancel ~tile ~g ~prep ~replan ~domains ~strategy ~memo ~phases ~r
       | Matrix ->
         Some
           (phase phases "heavy-mm" (fun () ->
-               bool_product ?cancel
-                 ?checkpoint:(tile_checkpoint ~domains g)
-                 ~tile ~memo ~domains ~r ~s p))
+               bool_product ?cancel ~tile ~memo ~domains ~r ~s p))
       | Combinatorial -> None
     in
     Cancel.check_opt cancel;
@@ -413,10 +395,6 @@ let execute ?cancel ~tile ~g ~prep ~replan ~domains ~strategy ~memo ~phases ~r
                   merge sc !i hi;
                   i := hi;
                   if !i < nx then begin
-                    (* Time blown mid-merge: the matrices are already
-                       built and nothing cheaper remains, so only the
-                       outcome is recorded. *)
-                    note_budget g;
                     let obs_out = max 1 (produced () * nx / !i) in
                     match
                       Guard.check_estimate g
@@ -449,9 +427,9 @@ let injected_est_out inj prep =
 
 (* The frame both engines run in: the span, the timer, the guard, the
    memoized prepared planning state, the initial plan (which sees the guard's
-   injected misestimation), the entry checkpoint, the clean re-planner
-   and the plan-vs-actual record.  [run] returns the result with the
-   plan to record. *)
+   injected misestimation), the entry checkpoint, the clean re-planner,
+   the exit budget mark and the plan-vs-actual record.  [run] returns
+   the result with the plan to record. *)
 let frame ~span ~label ~count
     ~(plan_with :
        ?est_out:int -> ?mm_cost_scale:float -> Optimizer.prepared -> Optimizer.plan)
@@ -494,6 +472,12 @@ let frame ~span ~label ~count
       let result, (plan : Optimizer.plan) =
         run ~g ~prep ~replan ~phases ~s ~strategy plan
       in
+      (* The one budget mark: a time budget blown after entry can only
+         mark the outcome, and wall time only grows, so a mark at any
+         earlier point implies this one. *)
+      (match Guard.check_budget g ~cells:0 with
+      | Guard.Degrade -> Guard.note_degrade g
+      | Guard.Continue | Guard.Replan -> ());
       if Obs.recording () then
         Obs.record_plan ~label ~replanned:(Guard.replanned g)
           ~degraded:(Guard.degraded g)
@@ -508,8 +492,7 @@ let project ?(domains = 1) ?(strategy = Matrix) ?plan ?(guard = Guard.inert)
     ?cancel ?(memo = no_memo) ?(tile = Jp_tile.config ()) ~r ~s () =
   frame ~span:"two_path.project" ~label:"two_path" ~count:Pairs.count
     ~plan_with:(fun ?est_out ?mm_cost_scale prep ->
-      Optimizer.plan_prepared ~domains ~kind:Jp_matrix.Cost.Boolean ?est_out
-        ?mm_cost_scale prep ())
+      Optimizer.plan_prepared ~domains ?est_out ?mm_cost_scale prep ())
     ?cancel ?plan ~strategy ~guard ~memo ~r ~s
     (fun ~g ~prep ~replan ~phases ~s ~strategy plan ->
       ( execute ?cancel ~tile ~g ~prep ~replan ~domains ~strategy ~memo ~phases
@@ -667,9 +650,10 @@ let default_cell_cap = 200_000_000
    step to the combinatorial merge; a cost-honesty checkpoint re-plans a
    Partitioned decision whose est_seconds was injected; the cells budget
    tightens the cell cap, and a cell-cap fallback is recorded as a
-   degradation.  There is no chunked |OUT| checkpoint because
-   plan_counts' decision is insensitive to est_out (d2 is pinned), so
-   only the mm-cost component of an injection can mislead it. *)
+   degradation; the frame's exit mark records a blown time budget.
+   There is no chunked |OUT| checkpoint because plan_counts' decision
+   is insensitive to est_out (d2 is pinned), so only the mm-cost
+   component of an injection can mislead it. *)
 let counted ~span ~label ~sink ~domains ~strategy ?plan ~guard ?cancel ~memo
     ~tile ~matrix_cell_cap ~r ~s () =
   frame ~span ~label
@@ -689,7 +673,7 @@ let counted ~span ~label ~sink ~domains ~strategy ?plan ~guard ?cancel ~memo
           when strategy = Matrix && Guard.can_replan g ->
           let honest =
             Optimizer.estimate_cost_prepared ~domains
-              ~kind:Jp_matrix.Cost.Count ~counts_mode:true (Lazy.force prep)
+              ~kind:Jp_matrix.Cost.Count (Lazy.force prep)
               (Optimizer.Partitioned { d1; d2 })
           in
           (match
@@ -719,16 +703,13 @@ let counted ~span ~label ~sink ~domains ~strategy ?plan ~guard ?cancel ~memo
               Some
                 ( p,
                   phase phases "heavy-count-mm" (fun () ->
-                      let checkpoint = tile_checkpoint ~domains g in
                       match sink.threshold with
                       | None ->
-                        Full
-                          (count_product ?cancel ?checkpoint ~tile ~memo
-                             ~domains ~r ~s p)
+                        Full (count_product ?cancel ~tile ~memo ~domains ~r ~s p)
                       | Some c ->
                         Upper
-                          (upper_product ?cancel ?checkpoint ~c:(max 1 c)
-                             ~tile ~memo ~domains ~r p)) )
+                          (upper_product ?cancel ~c:(max 1 c) ~tile ~memo
+                             ~domains ~r p)) )
           in
           Cancel.check_opt cancel;
           phase phases "count-merge" (fun () ->

@@ -117,6 +117,8 @@ val project :
     re-plan with observed statistics — switching Wcoj ⇄ Partitioned
     mid-query while keeping rows already produced — or degrade matrix
     plans to the combinatorial heavy part when a budget is exhausted.
+    A time budget blown after entry is marked once, when the call
+    returns ([degraded] in the plan record), at any [domains].
     Without [guard] the same path runs under {!Jp_adaptive.Guard.inert},
     whose checkpoints all answer [Continue]: no re-plan, no degradation,
     no [guard.*] counters, identical results.
@@ -124,9 +126,9 @@ val project :
     The heavy-part product always runs through {!Jp_tile}, at a tile
     shape fitted to the product; [tile] is only that shape's cap and
     the operand tiles' resident budget, and absent is
-    [Jp_tile.config ()].  Results are bit-equal for every [tile].  Guard
-    checkpoints and cancel polls fire once per output tile; a [memo]
-    hit skips the product whole. *)
+    [Jp_tile.config ()].  Results are bit-equal for every [tile], and
+    so are the guard's checkpoints.  Cancel polls fire once per output
+    tile; a [memo] hit skips the product whole. *)
 
 val project_counts :
   ?domains:int ->
@@ -151,8 +153,8 @@ val project_counts :
     would exceed [matrix_cell_cap] cells (default 2·10⁸) the heavy part
     silently falls back to the combinatorial strategy.
 
-    [guard] adds the entry/pre-MM budget checks and the cost-honesty
-    re-plan checkpoint; the guard's cells budget additionally tightens
+    [guard] adds the entry/pre-MM budget checks, the cost-honesty
+    re-plan checkpoint and the exit budget mark; the guard's cells budget additionally tightens
     the cell cap (a third of [max_cells] per matrix, so the three
     products stay within the budget), and a live guard records the
     cell-cap fallback as a degradation.  plan_counts' thresholds do not

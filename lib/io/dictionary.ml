@@ -24,18 +24,3 @@ let name t id =
   t.names.(id)
 
 let size t = t.n
-
-let save t oc =
-  for id = 0 to t.n - 1 do
-    output_string oc t.names.(id);
-    output_char oc '\n'
-  done
-
-let load ic =
-  let t = create () in
-  (try
-     while true do
-       ignore (intern t (input_line ic))
-     done
-   with End_of_file -> ());
-  t

@@ -28,17 +28,3 @@ val name : t -> int -> string
 (** Inverse lookup.  Raises [Invalid_argument] for unassigned ids. *)
 
 val size : t -> int
-
-val save : t -> out_channel -> unit
-[@@jp.lint.allow
-  "unused-export"
-  "dictionary persistence, tested by its round trip; no CLI flow \
-   writes dictionaries yet"]
-(** One name per line, in id order. *)
-
-val load : in_channel -> t
-[@@jp.lint.allow
-  "unused-export"
-  "dictionary persistence, tested by its round trip; no CLI flow \
-   reads dictionaries yet"]
-(** Reads names until EOF. *)

@@ -21,10 +21,9 @@ let plane_word = 0.53
 
 let select_words = 4.2
 
-let lemma1 ?(omega = 3.0) ~u ~v ~w () =
-  let u = float_of_int u and v = float_of_int v and w = float_of_int w in
-  let beta = min u (min v w) in
-  if beta <= 0.0 then 0.0 else u *. v *. w *. (beta ** (omega -. 3.0))
+let lemma1 ~u ~v ~w =
+  if min u (min v w) <= 0 then 0.0
+  else float_of_int u *. float_of_int v *. float_of_int w
 
 type machine = {
   ts : float;

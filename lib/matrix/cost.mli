@@ -3,8 +3,10 @@
     Two layers, mirroring the paper:
 
     - The {e theoretical} rectangular cost of Lemma 1,
-      [M(U,V,W) = U·V·W·β^(ω−3)] with [β = min(U,V,W)], used by the
-      closed-form threshold analysis of Section 3.
+      [M(U,V,W) = U·V·W·β^(ω−3)] with [β = min(U,V,W)], at the ω = 3
+      of the kernel implemented here (Section 3's closed-form
+      thresholds, [Optimizer.theoretical_thresholds], assume ω = 2
+      instead).
 
     - The {e machine-calibrated} estimator [M̂(u,v,w,co)] of Section 5
       (Table 1): measured per-word constants of the one product kernel,
@@ -27,11 +29,10 @@ type kind =
   | Count  (** [Jp_tile.count_product]: bit-sliced count product *)
   | Boolean  (** [Jp_tile.mul]: bit-packed boolean product *)
 
-val lemma1 : ?omega:float -> u:int -> v:int -> w:int -> unit -> float
-(** [lemma1 ~omega ~u ~v ~w] is the Lemma-1 operation count
-    [u·v·w·β^(ω−3)].  Default [omega] is 3 (the classical kernel actually
-    implemented here); pass 2.0 or 2.373 to reproduce the paper's
-    theoretical analyses. *)
+val lemma1 : u:int -> v:int -> w:int -> float
+(** [lemma1 ~u ~v ~w] is the Lemma-1 operation count [u·v·w·β^(ω−3)]
+    at ω = 3, the classical kernel implemented here: [u·v·w], and 0
+    when a dimension is empty. *)
 
 type machine = {
   ts : float;  (** seconds per sequential [int array] read *)

@@ -90,15 +90,15 @@ let resolve_parts catalog parts =
   in
   go [] parts
 
-let gate_of ?machine ?domains catalog parts =
+let gate_of ?domains catalog parts =
   match resolve_parts catalog parts with
   | Error _ -> None
   | Ok rels ->
     if Array.length rels = 2 then
-      Some (Fragment.gate_two_path ?machine ?domains ~r:rels.(0) ~s:rels.(1) ())
-    else Some (Fragment.gate_star ?machine ?domains rels)
+      Some (Fragment.gate_two_path ?domains ~r:rels.(0) ~s:rels.(1) ())
+    else Some (Fragment.gate_star ?domains rels)
 
-let plan ?machine ?domains ?(policy = Cost_gate) ?catalog q =
+let plan ?domains ?(policy = Cost_gate) ?catalog q =
   match Hypergraph.join_tree q with
   | None -> Error "query is cyclic (GYO reduction failed)"
   | Some _ ->
@@ -118,7 +118,7 @@ let plan ?machine ?domains ?(policy = Cost_gate) ?catalog q =
                  policies the foil/forced timings must not pay for it. *)
               let gate =
                 match (policy, catalog) with
-                | Cost_gate, Some cat -> gate_of ?machine ?domains cat parts
+                | Cost_gate, Some cat -> gate_of ?domains cat parts
                 | _ -> None
               in
               let mm =
@@ -287,18 +287,18 @@ let bags_of_plan ?domains ?guard ?cancel ?cache catalog t =
   in
   go [] children
 
-let run ?machine ?domains ?policy ?guard ?cancel ?cache catalog q =
+let run ?domains ?policy ?guard ?cancel ?cache catalog q =
   if q.Cq.head = [] then Error "boolean query: use Yannakakis.boolean"
   else
-    match plan ?machine ?domains ?policy ~catalog q with
+    match plan ?domains ?policy ~catalog q with
     | Error e -> Error e
     | Ok t -> (
       match bags_of_plan ?domains ?guard ?cancel ?cache catalog t with
       | Error e -> Error e
       | Ok bags -> Yannakakis.run_bags ?cancel ~head:q.Cq.head bags)
 
-let boolean ?machine ?domains ?policy ?guard ?cancel ?cache catalog q =
-  match plan ?machine ?domains ?policy ~catalog q with
+let boolean ?domains ?policy ?guard ?cancel ?cache catalog q =
+  match plan ?domains ?policy ~catalog q with
   | Error e -> Error e
   | Ok t -> (
     match bags_of_plan ?domains ?guard ?cancel ?cache catalog t with

@@ -73,7 +73,6 @@ type t
     order (a fragment sits at its first atom's position). *)
 
 val plan :
-  ?machine:Jp_matrix.Cost.machine ->
   ?domains:int ->
   ?policy:policy ->
   ?catalog:Yannakakis.catalog ->
@@ -84,9 +83,11 @@ val plan :
     without it, fragments are recognized structurally but [Cost_gate]
     carves none.  The gate only runs under [Cost_gate] — the forced
     policies must not pay for a verdict they ignore — so their
-    candidates carry [gate = None].  [machine] overrides the calibrated
-    cost model (tests use it to force either verdict).  Default policy
-    is [Cost_gate]. *)
+    candidates carry [gate = None].  The gate prices with
+    {!Jp_matrix.Cost.machine}, the same machine record that then plans
+    the carved fragment in {!Joinproj.Two_path.project}, so a fragment
+    the gate carved as matrix-worthy is planned under the same
+    constants.  Default policy is [Cost_gate]. *)
 
 val root : t -> node
 [@@jp.lint.allow "unused-export" "plan inspection the planner tests assert plan shapes with"]
@@ -109,7 +110,6 @@ val explain : t -> string
     join variable, atoms, cost-gate estimates) and per scan. *)
 
 val run :
-  ?machine:Jp_matrix.Cost.machine ->
   ?domains:int ->
   ?policy:policy ->
   ?guard:Jp_adaptive.Guard.config ->
@@ -128,7 +128,6 @@ val run :
     through the same path: results identical. *)
 
 val boolean :
-  ?machine:Jp_matrix.Cost.machine ->
   ?domains:int ->
   ?policy:policy ->
   ?guard:Jp_adaptive.Guard.config ->

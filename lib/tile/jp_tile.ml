@@ -159,16 +159,6 @@ let store_create ~budget ~nslots =
     seq = 0;
   }
 
-let locked st f =
-  Mutex.lock st.lock;
-  match f () with
-  | x ->
-    Mutex.unlock st.lock;
-    x
-  | exception e ->
-    Mutex.unlock st.lock;
-    raise e
-
 let drop_slot st idx e =
   st.slots.(idx) <- None;
   st.resident <- st.resident - e.t_bytes;
@@ -221,7 +211,7 @@ let evict_until st ~need =
    (= per tile), never per word. *)
 let store_fetch st idx build =
   let hit =
-    locked st (fun () ->
+    Mutex.protect st.lock (fun () ->
         match st.slots.(idx) with
         | Some e ->
           e.t_credit <- Float.max e.t_credit e.t_cost;
@@ -237,7 +227,7 @@ let store_fetch st idx build =
     let bytes = tile_bytes_of tile in
     let admit = match st.budget with None -> true | Some b -> bytes <= b in
     let evicted, delta, grew =
-      locked st (fun () ->
+      Mutex.protect st.lock (fun () ->
           if not admit then (0, 0, 0)
           else begin
             let before = st.resident in
@@ -275,7 +265,7 @@ let store_fetch st idx build =
    tiles themselves are garbage once the result is blitted). *)
 let store_drain st =
   let bytes =
-    locked st (fun () ->
+    Mutex.protect st.lock (fun () ->
         let b = st.resident in
         Array.iteri
           (fun idx slot ->
@@ -287,8 +277,6 @@ let store_drain st =
 
 (* ------------------------------------------------------------------ *)
 (* Product schedule                                                    *)
-
-let run_checkpoint = function Some f -> f () | None -> ()
 
 (* [mul_rows] fits its band height to keep a band under this size. *)
 let band_bytes = 1 lsl 20
@@ -323,7 +311,7 @@ let check_dims name (a : Source.t) (b : Source.t) =
    band when it is lower), at most [band_rows] rows: one pool round
    writes a band's i-th row into [dst.(j) i], then [finish r0 r1] runs
    on the calling domain.  [mul] is one band over the result. *)
-let or_bands ~domains ?cancel ?checkpoint ?(upper = false) cfg (a : Source.t)
+let or_bands ~domains ?cancel ?(upper = false) cfg (a : Source.t)
     (b : Source.t) ~band_rows ~dst ~finish =
   let u = a.Source.rows and v = a.Source.cols and w = b.Source.cols in
   let planes = Array.length dst in
@@ -347,7 +335,6 @@ let or_bands ~domains ?cancel ?checkpoint ?(upper = false) cfg (a : Source.t)
   let body t =
     let t = if upper then !tiles.(t) else t in
     let ti = (!base / rh) + (t / t_j) and tj = t mod t_j in
-    run_checkpoint checkpoint;
     Obs.span (if upper then "tile.plane_tile" else "tile.mul_tile") (fun () ->
         let r0 = ti * rh and c0 = tj * cw in
         let th = min rh (u - r0) and tw = min cw (w - c0) in
@@ -430,12 +417,11 @@ let or_bands ~domains ?cancel ?checkpoint ?(upper = false) cfg (a : Source.t)
         base := r1
       done)
 
-let mul ?(domains = 1) ?cancel ?checkpoint cfg (a : Source.t)
-    (b : Source.t) =
+let mul ?(domains = 1) ?cancel cfg (a : Source.t) (b : Source.t) =
   check_dims "mul" a b;
   Obs.span "tile.mul" (fun () ->
       let result = Boolmat.create ~rows:a.Source.rows ~cols:b.Source.cols in
-      or_bands ~domains ?cancel ?checkpoint cfg a b ~band_rows:max_int
+      or_bands ~domains ?cancel cfg a b ~band_rows:max_int
         ~dst:[| Boolmat.row result |]
         ~finish:(fun _ _ -> ());
       result)
@@ -454,7 +440,7 @@ let mul_rows ~domains ?cancel cfg (a : Source.t) (b : Source.t) f =
             Bitset.clear row
           done))
 
-let upper_planes ?(domains = 1) ?cancel ?checkpoint cfg ~c (a : Source.t)
+let upper_planes ?(domains = 1) ?cancel cfg ~c (a : Source.t)
     (b : Source.t) =
   check_dims "upper_planes" a b;
   if c < 1 then invalid_arg "Jp_tile.upper_planes: c must be >= 1";
@@ -462,7 +448,7 @@ let upper_planes ?(domains = 1) ?cancel ?checkpoint cfg ~c (a : Source.t)
       let planes =
         Array.init c (fun _ -> Boolmat.create ~rows:a.Source.rows ~cols:b.Source.cols)
       in
-      or_bands ~domains ?cancel ?checkpoint ~upper:true cfg a b
+      or_bands ~domains ?cancel ~upper:true cfg a b
         ~band_rows:max_int ~dst:(Array.map Boolmat.row planes)
         ~finish:(fun _ _ -> ());
       planes)
@@ -489,7 +475,7 @@ let tile_empty m =
    product read the same operand-store slots.  The result is an
    {!Intmat.create_upper} triangle: row r stores only the cells past the
    diagonal, column c at position c - r - 1. *)
-let count_body ~upper ~domains ?cancel ?checkpoint cfg (a : Source.t)
+let count_body ~upper ~domains ?cancel cfg (a : Source.t)
     (b : Source.t) =
   Obs.span (if upper then "tile.count_upper" else "tile.count_product") (fun () ->
       let u = a.Source.rows and v = a.Source.cols and w = b.Source.rows in
@@ -524,7 +510,6 @@ let count_body ~upper ~domains ?cancel ?checkpoint cfg (a : Source.t)
         let body idx =
           let t = tiles.(idx) in
           let ti = t / t_j and tj = t mod t_j in
-          run_checkpoint checkpoint;
           Obs.span "tile.count_tile" (fun () ->
               let r0 = ti * ts and c0 = tj * ts in
               let th = min ts (u - r0) and tw = min ts (w - c0) in
@@ -573,14 +558,14 @@ let count_body ~upper ~domains ?cancel ?checkpoint cfg (a : Source.t)
         result
       end)
 
-let count_product ?(domains = 1) ?cancel ?checkpoint cfg (a : Source.t)
+let count_product ?(domains = 1) ?cancel cfg (a : Source.t)
     (b : Source.t) =
   if a.Source.cols <> b.Source.cols then
     invalid_arg
       (Printf.sprintf
          "Jp_tile.count_product: inner dim mismatch (%dx%d . (%dx%d)T)"
          a.Source.rows a.Source.cols b.Source.rows b.Source.cols);
-  count_body ~upper:false ~domains ?cancel ?checkpoint cfg a b
+  count_body ~upper:false ~domains ?cancel cfg a b
 
-let count_upper ?(domains = 1) ?cancel ?checkpoint cfg a =
-  count_body ~upper:true ~domains ?cancel ?checkpoint cfg a a
+let count_upper ?(domains = 1) ?cancel cfg a =
+  count_body ~upper:true ~domains ?cancel cfg a a

@@ -35,8 +35,10 @@
       is set, LANDLORD-style eviction rebuilds cold tiles instead of
       holding both operands resident, so products larger than the budget
       stream instead of OOM-ing.
-    - {b Capabilities}: one [Jp_obs] span and one optional cancel poll /
-      guard checkpoint {e per tile} — never per word (jp_lint's [hot-poll] cadence).  [tile.*] counters
+    - {b Capabilities}: one [Jp_obs] span and one optional cancel poll
+      {e per tile} — never per word (jp_lint's [hot-poll] cadence); a
+      guard's budget is the engine's business, checked around the
+      product, not inside it.  [tile.*] counters
       track tile builds / store hits / evictions / products and the
       [tile.peak_bytes] high-water mark; the resident footprint itself
       is the [tile.resident_bytes] gauge ({!Jp_obs.G.tile_bytes}).
@@ -96,19 +98,15 @@ end
 val mul :
   ?domains:int ->
   ?cancel:Cancel.t ->
-  ?checkpoint:(unit -> unit) ->
   config ->
   Source.t ->
   Source.t ->
   Boolmat.t
 (** [mul cfg a b] is the boolean product [a · b] over the OR/AND
     semiring: row i is the OR of the rows of [b] that row i of [a]
-    selects.  [cancel] is polled once
-    per tile claim (via the pool) and [checkpoint] runs once per output
-    tile on the computing domain — callers pass budget checks only when
-    that is safe for their guard (single-domain).  Raises
-    [Invalid_argument] naming both shapes when the inner dimensions
-    disagree. *)
+    selects.  [cancel] is polled once per tile claim (via the pool).
+    Raises [Invalid_argument] naming both shapes when the inner
+    dimensions disagree. *)
 
 val mul_rows :
   domains:int ->
@@ -130,7 +128,6 @@ val mul_rows :
 val upper_planes :
   ?domains:int ->
   ?cancel:Cancel.t ->
-  ?checkpoint:(unit -> unit) ->
   config ->
   c:int ->
   Source.t ->
@@ -154,7 +151,6 @@ val upper_planes :
 val count_product :
   ?domains:int ->
   ?cancel:Cancel.t ->
-  ?checkpoint:(unit -> unit) ->
   config ->
   Source.t ->
   Source.t ->
@@ -171,7 +167,6 @@ val count_product :
 val count_upper :
   ?domains:int ->
   ?cancel:Cancel.t ->
-  ?checkpoint:(unit -> unit) ->
   config ->
   Source.t ->
   Intmat.t

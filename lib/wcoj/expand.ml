@@ -12,34 +12,25 @@ let publish ~probes ~misses =
   Jp_obs.add Jp_obs.C.stamp_misses misses;
   Jp_obs.add Jp_obs.C.stamp_hits (probes - misses)
 
-(* One worker expands the x values [x_at idx] for idx in [lo, hi),
-   ascending, through its row accumulator [acc] over dom(z): each row is
-   appended to [out] and its length stored at [lengths.(x + 1)]. *)
-let expand ~acc ~out ~r ~s ~keep_y ~lengths ~x_at lo hi =
+(* One worker expands the x values [lo, hi), ascending, through its row
+   accumulator [acc] over dom(z): each row is appended to [out] and its
+   length stored at [lengths.(x + 1)]. *)
+let expand_rows ~acc ~out ~lengths ~r ~s lo hi =
   let obs = Jp_obs.recording () in
   let probes = ref 0 and written = ref 0 in
-  for idx = lo to hi - 1 do
-    let a = x_at idx in
+  for a = lo to hi - 1 do
     Row_acc.start acc;
     let ys = Relation.adj_src r a in
     for j = 0 to Array.length ys - 1 do
-      let b = Array.unsafe_get ys j in
-      if keep_y b then begin
-        let zs = Relation.adj_dst s b in
-        if obs then probes := !probes + Array.length zs;
-        Row_acc.add_all acc zs
-      end
+      let zs = Relation.adj_dst s (Array.unsafe_get ys j) in
+      if obs then probes := !probes + Array.length zs;
+      Row_acc.add_all acc zs
     done;
     let n = Row_acc.emit_into acc out in
     lengths.(a + 1) <- n;
     written := !written + n
   done;
   if obs then publish ~probes:!probes ~misses:!written
-
-let keep_all _ = true
-
-let expand_rows ~acc ~out ~lengths ~r ~s lo hi =
-  expand ~acc ~out ~r ~s ~keep_y:keep_all ~lengths ~x_at:Fun.id lo hi
 
 let expand_counts ~acc ~zs ~counts ~r ~s ~lengths lo hi =
   let obs = Jp_obs.recording () in
@@ -63,31 +54,16 @@ let expand_counts ~acc ~zs ~counts ~r ~s ~lengths lo hi =
    per-tuple branch. *)
 let cover_dst ~r s = Relation.widen_dst s (Relation.dst_count r)
 
-let check_xs ~n xs =
-  Array.iteri
-    (fun i x ->
-      if x < 0 || x >= n || (i > 0 && x <= xs.(i - 1)) then
-        invalid_arg "Expand.project: xs must be strictly ascending ids of dom(x)")
-    xs
-
-let project ?(domains = 1) ?cancel ?xs ?keep_y ~r ~s () =
+let project ?(domains = 1) ?cancel ~r ~s () =
   Jp_obs.span "wcoj.expand" (fun () ->
-      let keep_y = Option.value keep_y ~default:keep_all in
       let n = Relation.src_count r in
-      let x_at, nxs =
-        match xs with
-        | None -> (Fun.id, n)
-        | Some xs ->
-          check_xs ~n xs;
-          ((fun i -> xs.(i)), Array.length xs)
-      in
       let s = cover_dst ~r s in
       let lengths = Array.make (n + 1) 0 in
       let chunks =
-        Jp_parallel.Pool.split_ranges ~domains ?cancel ~lo:0 ~hi:nxs
+        Jp_parallel.Pool.split_ranges ~domains ?cancel ~lo:0 ~hi:n
           ~scratch:(fun () ->
             (Row_acc.borrow (Relation.src_count s), Pairs.chunk ()))
-          (fun (acc, out) lo hi -> expand ~acc ~out ~r ~s ~keep_y ~lengths ~x_at lo hi)
+          (fun (acc, out) lo hi -> expand_rows ~acc ~out ~lengths ~r ~s lo hi)
       in
       Array.iter (fun (acc, _) -> Row_acc.release acc) chunks;
       Pairs.of_chunks ~lengths ~bound:(Relation.src_count s) (Array.map snd chunks))

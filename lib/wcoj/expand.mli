@@ -34,17 +34,12 @@ module Vec = Jp_util.Vec
 val project :
   ?domains:int ->
   ?cancel:Cancel.t ->
-  ?xs:int array ->
-  ?keep_y:(int -> bool) ->
   r:Relation.t ->
   s:Relation.t ->
   unit ->
   Pairs.t
-(** [project ~r ~s ()] is π{_xz}(R(x,y) ⋈ S(z,y)) as deduplicated pairs.
-    [xs] restricts the driving x values (default: all of dom(x)); it
-    must be strictly ascending ids of dom(x), since rows are placed in
-    x order ([Invalid_argument] otherwise).  [keep_y] filters join
-    values y.  Rows for x values outside [xs] are empty. *)
+(** [project ~r ~s ()] is π{_xz}(R(x,y) ⋈ S(z,y)) as deduplicated pairs,
+    every x of dom(x) expanded over every join value y. *)
 
 val expand_rows :
   acc:Row_acc.t ->

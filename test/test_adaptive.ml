@@ -170,15 +170,65 @@ let test_all_heavy_value () =
         (Gen.pairs_to_list out = expect))
     [ 0.01; 1.0; 100.0 ]
 
+(* A zero budget degrades at entry on every engine of the frame, at
+   any domain count. *)
 let test_zero_budget_degrades () =
+  let module Two_path = Joinproj.Two_path in
   let r = Gen.skewed_relation ~seed:42 ~nx:60 ~ny:40 ~edges:600 () in
-  let unguarded = Joinproj.Two_path.project ~r ~s:r () in
-  with_recording (fun () ->
-      let guard = Guard.with_budget_ms 0.0 Guard.default in
-      let out = Joinproj.Two_path.project ~guard ~r ~s:r () in
-      Alcotest.(check bool) "result unchanged" true (Pairs.equal unguarded out);
-      Alcotest.(check bool) "recorded as degraded" true
-        (only_plan_record ()).Jp_obs.degraded)
+  let guard = Guard.with_budget_ms 0.0 Guard.default in
+  let unguarded = Two_path.project ~r ~s:r () in
+  let counted = Gen.counted_to_list (Two_path.project_counts ~r ~s:r ()) in
+  let similar = Two_path.ssj ~c:2 r in
+  List.iter
+    (fun domains ->
+      let degraded name same run =
+        with_recording (fun () ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s result unchanged, domains %d" name domains)
+              true (same (run ()));
+            Alcotest.(check bool)
+              (Printf.sprintf "%s recorded as degraded, domains %d" name domains)
+              true (only_plan_record ()).Jp_obs.degraded)
+      in
+      degraded "project" (Pairs.equal unguarded) (fun () ->
+          Two_path.project ~domains ~guard ~r ~s:r ());
+      degraded "project_counts"
+        (fun c -> Gen.counted_to_list c = counted)
+        (fun () -> Two_path.project_counts ~domains ~guard ~r ~s:r ());
+      degraded "ssj" (Pairs.equal similar) (fun () ->
+          Two_path.ssj ~domains ~guard ~c:2 r))
+    [ 1; 3 ]
+
+(* The budget is marked once per query, not per output tile: a live
+   guard on a forced partitioned plan counts the same checkpoints
+   whether the heavy product is one tile or many. *)
+let test_checkpoints_independent_of_tiles () =
+  let r = Gen.skewed_relation ~seed:9 ~nx:80 ~ny:50 ~edges:900 () in
+  let plan =
+    {
+      Optimizer.decision = Optimizer.Partitioned { d1 = 2; d2 = 2 };
+      est_out = 1;
+      join_size = 1;
+      est_seconds = 0.0;
+    }
+  in
+  let counters tile =
+    with_recording (fun () ->
+        ignore
+          (Joinproj.Two_path.project ~plan ~guard:Guard.default ?tile ~r ~s:r ());
+        let v name =
+          Option.value ~default:0
+            (List.assoc_opt name (Jp_obs.counter_values ()))
+        in
+        (v "guard.checkpoints", v "tile.product"))
+  in
+  let small_checks, small_tiles =
+    counters (Some (Jp_tile.config ~tile_bits:4 ()))
+  in
+  let default_checks, default_tiles = counters None in
+  Alcotest.(check bool) "tile_bits 4 splits the product" true
+    (small_tiles > default_tiles);
+  Alcotest.(check int) "same guard.checkpoints" default_checks small_checks
 
 let test_cells_budget_vetoes_matrices () =
   (* A forced Partitioned plan whose matrices exceed a one-cell budget:
@@ -418,6 +468,8 @@ let suite =
       test_zero_budget_degrades;
     Alcotest.test_case "cells budget vetoes the matrices" `Quick
       test_cells_budget_vetoes_matrices;
+    Alcotest.test_case "checkpoints independent of the tile count" `Quick
+      test_checkpoints_independent_of_tiles;
     Alcotest.test_case "injected underestimate replans" `Quick
       test_injected_underestimate_replans;
     Alcotest.test_case "mm-cost injection keeps results" `Quick

@@ -240,9 +240,9 @@ let test_prepared_across_domains () =
     }
   in
   let plans prep =
-    ( Optimizer.plan_prepared ~machine prep (),
-      Optimizer.plan_counts_prepared ~machine prep (),
-      Optimizer.estimate_cost_prepared ~machine prep
+    ( Optimizer.plan_prepared prep (),
+      Optimizer.plan_counts_prepared prep (),
+      Optimizer.estimate_cost_prepared prep
         (Optimizer.Partitioned { d1 = 2; d2 = 2 }) )
   in
   let c = Cache.create () in
@@ -262,7 +262,9 @@ let test_prepared_across_domains () =
     Alcotest.(check bool) "identical plans from both domains" true (ok1 && ok2);
     Optimizer.prepared_bytes prep
   in
-  let sparse_bytes = footprint sparse and dense_bytes = footprint dense in
+  let sparse_bytes, dense_bytes =
+    Testkit.with_machine machine (fun () -> (footprint sparse, footprint dense))
+  in
   Alcotest.(check bool) "20N-decided value is a few words" true
     (sparse_bytes <= 128);
   Alcotest.(check bool) "below the indexed footprint" true

@@ -5,22 +5,6 @@ module Optimizer = Joinproj.Optimizer
 module Partition = Joinproj.Partition
 module Estimator = Joinproj.Estimator
 
-(* A deterministic machine model so optimizer decisions don't depend on
-   the noisy calibration micro-benchmarks.  A count word costs more than
-   a boolean word, as on every measured machine (the pinned benchmark
-   record prices them 1.5e-8 and 9e-9). *)
-let fixed_machine =
-  {
-    Jp_matrix.Cost.ts = 1e-9;
-    tm = 2e-8;
-    ti = 6e-9;
-    count_word = 2e-9;
-    bool_word = 1.5e-9;
-    cores = 4;
-  }
-
-let () = Jp_matrix.Cost.set_machine fixed_machine
-
 let check_pairs name expected actual =
   Alcotest.(check (list (pair int int))) name expected actual
 
@@ -252,7 +236,10 @@ let test_optimizer_wcoj_shortcircuit () =
   (* A nearly functional relation: join size ~ N, far below 20N. *)
   let edges = Array.init 200 (fun i -> (i, i mod 50)) in
   let r = Relation.of_edges edges in
-  let plan = Optimizer.plan ~machine:fixed_machine ~r ~s:r () in
+  let plan =
+    Testkit.with_machine Testkit.fixed_machine (fun () ->
+        Optimizer.plan ~r ~s:r ())
+  in
   (match plan.decision with
   | Optimizer.Wcoj -> ()
   | Optimizer.Partitioned _ -> Alcotest.fail "expected wcoj shortcircuit");
@@ -266,7 +253,10 @@ let test_optimizer_picks_partition_on_dense () =
     Array.init (n * n) (fun i -> (i / n, i mod n))
   in
   let r = Relation.of_edges edges in
-  let plan = Optimizer.plan ~machine:fixed_machine ~r ~s:r () in
+  let plan =
+    Testkit.with_machine Testkit.fixed_machine (fun () ->
+        Optimizer.plan ~r ~s:r ())
+  in
   (match plan.decision with
   | Optimizer.Partitioned { d1; d2 } ->
     Alcotest.(check bool) "valid thresholds" true (d1 >= 1 && d2 >= 1)

@@ -16,25 +16,17 @@ let test_dictionary () =
   Alcotest.(check (option int)) "find" (Some 0) (Dictionary.find d "alice");
   Alcotest.(check (option int)) "find missing" None (Dictionary.find d "carol");
   Alcotest.check_raises "bad id" (Invalid_argument "Dictionary.name: unassigned id")
-    (fun () -> ignore (Dictionary.name d 5))
-
-let test_dictionary_growth_roundtrip () =
-  let d = Dictionary.create () in
+    (fun () -> ignore (Dictionary.name d 5));
+  (* past the initial capacity of 16 names *)
+  let g = Dictionary.create () in
   for i = 0 to 99 do
-    ignore (Dictionary.intern d (Printf.sprintf "name-%d" i))
+    ignore (Dictionary.intern g (Printf.sprintf "name-%d" i))
   done;
-  with_temp_file (fun path ->
-      let oc = open_out path in
-      Dictionary.save d oc;
-      close_out oc;
-      let ic = open_in path in
-      let d2 = Dictionary.load ic in
-      close_in ic;
-      Alcotest.(check int) "size" 100 (Dictionary.size d2);
-      for i = 0 to 99 do
-        if Dictionary.name d2 i <> Printf.sprintf "name-%d" i then
-          Alcotest.failf "name %d corrupted" i
-      done)
+  Alcotest.(check int) "grown size" 100 (Dictionary.size g);
+  for i = 0 to 99 do
+    if Dictionary.name g i <> Printf.sprintf "name-%d" i then
+      Alcotest.failf "name %d corrupted" i
+  done
 
 let test_relation_roundtrip () =
   let r = Gen.skewed_relation ~seed:401 ~nx:30 ~ny:25 ~edges:200 () in
@@ -119,7 +111,6 @@ let test_import_tsv_spaces () =
 let suite =
   [
     Alcotest.test_case "dictionary" `Quick test_dictionary;
-    Alcotest.test_case "dictionary growth+roundtrip" `Quick test_dictionary_growth_roundtrip;
     Alcotest.test_case "relation roundtrip" `Quick test_relation_roundtrip;
     Alcotest.test_case "empty relation roundtrip" `Quick test_relation_empty_roundtrip;
     Alcotest.test_case "load errors" `Quick test_load_errors;

@@ -104,12 +104,10 @@ let test_boolmat_mul_mismatch () =
       ignore (tile_mul a b))
 
 let test_lemma1 () =
-  (* omega = 3: plain cubic. *)
-  Alcotest.(check (float 1e-6)) "cubic" 8.0 (Cost.lemma1 ~u:2 ~v:2 ~w:2 ());
-  (* omega = 2: u*v*w / beta. *)
-  Alcotest.(check (float 1e-6)) "omega 2" 20.0
-    (Cost.lemma1 ~omega:2.0 ~u:3 ~v:4 ~w:5 ());
-  Alcotest.(check (float 1e-6)) "degenerate" 0.0 (Cost.lemma1 ~u:0 ~v:4 ~w:5 ())
+  (* omega = 3: plain cubic, square and rectangular. *)
+  Alcotest.(check (float 1e-6)) "cubic" 8.0 (Cost.lemma1 ~u:2 ~v:2 ~w:2);
+  Alcotest.(check (float 1e-6)) "rectangular" 60.0 (Cost.lemma1 ~u:3 ~v:4 ~w:5);
+  Alcotest.(check (float 1e-6)) "degenerate" 0.0 (Cost.lemma1 ~u:0 ~v:4 ~w:5)
 
 let test_mhat_monotone () =
   let m =

@@ -127,20 +127,20 @@ let plan_lines (label, r, s) =
     Printf.sprintf "%s %s %s (%h)" label kind (Optimizer.explain p)
       p.Optimizer.est_seconds
   in
-  let cost decision ~counts_mode =
-    let kind = if counts_mode then Jp_matrix.Cost.Count else Jp_matrix.Cost.Boolean in
-    Optimizer.estimate_cost_prepared ~machine ~kind ~counts_mode (Optimizer.prepare ~r ~s) decision
+  let cost kind decision =
+    Optimizer.estimate_cost_prepared ~kind (Optimizer.prepare ~r ~s) decision
   in
   let part = Optimizer.Partitioned { d1 = 2; d2 = 3 } in
-  [
-    line "plan" (Optimizer.plan ~machine ~r ~s ());
-    line "plan/2" (Optimizer.plan ~machine ~domains:2 ~r ~s ());
-    line "counts" (Optimizer.plan_counts ~machine ~r ~s ());
-    Printf.sprintf "%s cost wcoj=%h mm(2,3)=%h counts-mm(2,3)=%h" label
-      (cost Optimizer.Wcoj ~counts_mode:false)
-      (cost part ~counts_mode:false)
-      (cost part ~counts_mode:true);
-  ]
+  Testkit.with_machine machine (fun () ->
+      [
+        line "plan" (Optimizer.plan ~r ~s ());
+        line "plan/2" (Optimizer.plan ~domains:2 ~r ~s ());
+        line "counts" (Optimizer.plan_counts ~r ~s ());
+        Printf.sprintf "%s cost wcoj=%h mm(2,3)=%h counts-mm(2,3)=%h" label
+          (cost Jp_matrix.Cost.Boolean Optimizer.Wcoj)
+          (cost Jp_matrix.Cost.Boolean part)
+          (cost Jp_matrix.Cost.Count part);
+      ])
 
 (* Generated by [plan_lines] from the optimizer that built every index
    before applying the 20N rule; deciding first must change nothing. *)
@@ -246,7 +246,10 @@ let test_rule_first () =
   let sm = Optimizer.summary ps in
   Alcotest.(check bool) "sparse within 20N" true
     (sm.Joinproj.Estimator.join_size <= 20 * sm.Joinproj.Estimator.n);
-  (match (Optimizer.plan_prepared ~machine ps ()).Optimizer.decision with
+  (match
+     (Testkit.with_machine machine (fun () -> Optimizer.plan_prepared ps ()))
+       .Optimizer.decision
+   with
   | Optimizer.Wcoj -> ()
   | Optimizer.Partitioned _ -> Alcotest.fail "expected Wcoj under the 20N rule");
   Alcotest.(check bool) "summary-only footprint" true

@@ -11,8 +11,8 @@ module Tuples = Testkit.Tuples
 let parse_ok s =
   match Cq.parse s with Ok q -> q | Error e -> Alcotest.failf "parse failed: %s" e
 
-let plan_ok ?machine ?policy ?catalog q =
-  match Planner.plan ?machine ?policy ?catalog q with
+let plan_ok ?policy ?catalog q =
+  match Planner.plan ?policy ?catalog q with
   | Ok t -> t
   | Error e -> Alcotest.failf "plan failed: %s" e
 
@@ -154,7 +154,10 @@ let skewed_catalog =
 let test_cost_gate_carves () =
   let q = parse_ok "Q(a, c) :- R(a, b), S(c, b)" in
   let catalog = Lazy.force skewed_catalog in
-  let t = plan_ok ~machine:mm_loving_machine ~policy:Planner.Cost_gate ~catalog q in
+  let t =
+    Testkit.with_machine mm_loving_machine (fun () ->
+        plan_ok ~policy:Planner.Cost_gate ~catalog q)
+  in
   (match Planner.fragments t with
   | [ f ] -> (
     match f.Planner.gate with
@@ -166,7 +169,9 @@ let test_cost_gate_carves () =
   | fs -> Alcotest.failf "expected 1 carved fragment, got %d" (List.length fs));
   (* the carved plan and the foil agree on the answer *)
   let run policy =
-    match Planner.run ~machine:mm_loving_machine ~policy catalog q with
+    match
+      Testkit.with_machine mm_loving_machine (fun () -> Planner.run ~policy catalog q)
+    with
     | Ok out -> Tuples.to_list out
     | Error e -> Alcotest.failf "run failed: %s" e
   in
@@ -178,7 +183,10 @@ let test_cost_gate_declines () =
      but the candidate is still reported with its verdict. *)
   let q = parse_ok "Q(a, c) :- R(a, b), S(c, b)" in
   let catalog = Lazy.force skewed_catalog in
-  let t = plan_ok ~machine:mm_averse_machine ~policy:Planner.Cost_gate ~catalog q in
+  let t =
+    Testkit.with_machine mm_averse_machine (fun () ->
+        plan_ok ~policy:Planner.Cost_gate ~catalog q)
+  in
   Alcotest.(check int) "nothing carved" 0 (List.length (Planner.fragments t));
   match Planner.candidates t with
   | [ f ] -> (
@@ -186,6 +194,43 @@ let test_cost_gate_declines () =
     | Some g -> Alcotest.(check bool) "gate says no" false g.Joinproj.Fragment.mm
     | None -> Alcotest.fail "candidate must carry a gate verdict under Cost_gate")
   | fs -> Alcotest.failf "expected 1 candidate, got %d" (List.length fs)
+
+(* The gate and the carved fragment's engine read the one machine: a
+   fragment the gate carves under the mm-loving machine is planned
+   partitioned by [Two_path.project] too, the mm-averse machine carves
+   nothing, and [with_machine] leaves the test binary's machine behind. *)
+let test_one_machine_for_gate_and_plan () =
+  let q = parse_ok "Q(a, c) :- R(a, b), S(c, b)" in
+  let catalog = Lazy.force skewed_catalog in
+  let two_path_decisions machine =
+    Jp_obs.reset ();
+    Jp_obs.enable ();
+    Fun.protect
+      ~finally:(fun () ->
+        Jp_obs.disable ();
+        Jp_obs.reset ())
+      (fun () ->
+        Testkit.with_machine machine (fun () ->
+            match Planner.run ~policy:Planner.Cost_gate catalog q with
+            | Error e -> Alcotest.failf "run failed: %s" e
+            | Ok _ ->
+              List.filter_map
+                (fun pr ->
+                  if pr.Jp_obs.label = "two_path" then Some pr.Jp_obs.decision
+                  else None)
+                (Jp_obs.plan_records ())))
+  in
+  (match two_path_decisions mm_loving_machine with
+  | [ d ] ->
+    Alcotest.(check bool)
+      (Printf.sprintf "carved fragment planned partitioned (%s)" d)
+      true
+      (String.starts_with ~prefix:"mm(" d)
+  | ds -> Alcotest.failf "expected 1 two_path plan record, got %d" (List.length ds));
+  Alcotest.(check int) "mm-averse machine carves nothing" 0
+    (List.length (two_path_decisions mm_averse_machine));
+  Alcotest.(check bool) "the binary's machine is back" true
+    (Jp_matrix.Cost.machine () = Testkit.fixed_machine)
 
 let test_forced_policies_skip_gate () =
   let q = parse_ok "Q(a, c) :- R(a, b), S(c, b)" in
@@ -358,6 +403,8 @@ let suite =
     Alcotest.test_case "cyclic rejected" `Quick test_cyclic_rejected;
     Alcotest.test_case "cost gate carves" `Quick test_cost_gate_carves;
     Alcotest.test_case "cost gate declines" `Quick test_cost_gate_declines;
+    Alcotest.test_case "one machine for gate and plan" `Quick
+      test_one_machine_for_gate_and_plan;
     Alcotest.test_case "forced policies skip gate" `Quick test_forced_policies_skip_gate;
     Alcotest.test_case "run matches brute force" `Quick test_run_matches_brute;
     Alcotest.test_case "boolean matches brute force" `Quick test_boolean_matches_brute;

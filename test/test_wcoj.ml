@@ -57,22 +57,6 @@ let test_expand_parallel_equal () =
   let par = Expand.project ~domains:4 ~r ~s () in
   Alcotest.(check bool) "parallel = sequential" true (Jp_relation.Pairs.equal seq par)
 
-let test_expand_filters () =
-  let r = Relation.of_edges [| (0, 0); (0, 1); (1, 1) |] in
-  let s = Relation.of_edges [| (5, 0); (6, 1) |] in
-  let only_y0 = Expand.project ~keep_y:(fun y -> y = 0) ~r ~s () in
-  Alcotest.(check (list (pair int int))) "keep_y" [ (0, 5) ]
-    (Gen.pairs_to_list only_y0);
-  let xs_only = Expand.project ~xs:[| 1 |] ~r ~s () in
-  Alcotest.(check (list (pair int int))) "xs" [ (1, 6) ] (Gen.pairs_to_list xs_only);
-  (* rows are placed in x order, so [xs] must ascend *)
-  List.iter
-    (fun xs ->
-      Alcotest.check_raises "xs not strictly ascending"
-        (Invalid_argument "Expand.project: xs must be strictly ascending ids of dom(x)")
-        (fun () -> ignore (Expand.project ~xs ~r ~s ())))
-    [ [| 1; 0 |]; [| 0; 0 |]; [| 2 |] ]
-
 let test_expand_counts () =
   let r = Relation.of_edges [| (0, 0); (0, 1); (0, 2) |] in
   let s = Relation.of_edges [| (9, 0); (9, 1); (8, 2) |] in
@@ -159,7 +143,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_leapfrog;
     Alcotest.test_case "expand = brute" `Quick test_expand_matches_brute;
     Alcotest.test_case "expand parallel" `Quick test_expand_parallel_equal;
-    Alcotest.test_case "expand filters" `Quick test_expand_filters;
     Alcotest.test_case "expand counts" `Quick test_expand_counts;
     QCheck_alcotest.to_alcotest prop_expand_counts;
     Alcotest.test_case "count_distinct" `Quick test_count_distinct;

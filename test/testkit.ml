@@ -212,6 +212,31 @@ let under_yields seed f =
   Jp_parallel.Pool.set_fault_hook (Some (seeded_yields seed));
   Fun.protect ~finally:(fun () -> Jp_parallel.Pool.set_fault_hook None) f
 
+(* The test binary's machine: a deterministic model, so optimizer
+   decisions don't depend on the noisy calibration micro-benchmarks.  A
+   count word costs more than a boolean word, as on every measured
+   machine (the pinned benchmark record prices them 1.5e-8 and 9e-9).
+   Set when this module initializes, before any suite runs. *)
+let fixed_machine =
+  {
+    Jp_matrix.Cost.ts = 1e-9;
+    tm = 2e-8;
+    ti = 6e-9;
+    count_word = 2e-9;
+    bool_word = 1.5e-9;
+    cores = 4;
+  }
+
+let () = Jp_matrix.Cost.set_machine fixed_machine
+
+(* [f ()] with [m] as the one machine every plan, gate and kernel
+   choice reads ({!Jp_matrix.Cost.machine}); the previous machine is
+   restored afterwards, also when [f] raises. *)
+let with_machine m f =
+  let prev = Jp_matrix.Cost.machine () in
+  Jp_matrix.Cost.set_machine m;
+  Fun.protect ~finally:(fun () -> Jp_matrix.Cost.set_machine prev) f
+
 module Relation = struct
   include Jp_relation.Relation
 
