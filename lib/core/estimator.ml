@@ -9,13 +9,24 @@ let active_src r =
 
 type summary = { n : int; dom_x : int; dom_z : int; join_size : int }
 
+(* A self-join (S is R itself) reads R once: dom(z) is dom(x), and
+   the join size is the sum of deg(y)². *)
 let summarize ~r ~s =
-  {
-    n = max (Relation.size r) (Relation.size s);
-    dom_x = active_src r;
-    dom_z = active_src s;
-    join_size = Relation.join_size_on_dst [ r; s ];
-  }
+  if s == r then begin
+    let active = active_src r and join_size = ref 0 in
+    for b = 0 to Relation.dst_count r - 1 do
+      let d = Relation.deg_dst r b in
+      join_size := !join_size + (d * d)
+    done;
+    { n = Relation.size r; dom_x = active; dom_z = active; join_size = !join_size }
+  end
+  else
+    {
+      n = max (Relation.size r) (Relation.size s);
+      dom_x = active_src r;
+      dom_z = active_src s;
+      join_size = Relation.join_size_on_dst [ r; s ];
+    }
 
 let bounds sm =
   let n = max 1 sm.n in

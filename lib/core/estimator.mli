@@ -18,6 +18,11 @@ type summary = {
 (** Everything {!estimate} reads, computed once in O(|dom|) time. *)
 
 val summarize : r:Relation.t -> s:Relation.t -> summary
+(** [summarize ~r ~s] reads both relations' id spaces once.  For a
+    self-join, S physically R ([s == r], the test {!Partition.make} also
+    uses), it makes one pass over R's x values (dom(z) = dom(x)) and
+    sums deg(y)² for the join size: the same summary as for an equal
+    but distinct copy of R, from half the passes. *)
 
 val bounds : summary -> int * int
 (** The (lower, upper) sandwich used by {!estimate}. *)

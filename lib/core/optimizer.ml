@@ -39,20 +39,28 @@ let expansion_weights rel other =
   done;
   w
 
+(* A self-join (S is R itself) has one degree array on each side: the
+   S-side indexes are the R-side ones. *)
 let build_indexes ~r ~s sm =
+  let self = s == r in
   let ny = max (Relation.dst_count r) (Relation.dst_count s) in
   let deg rel y = if y < Relation.dst_count rel then Relation.deg_dst rel y else 0 in
-  let wr = Array.init ny (deg r) and ws = Array.init ny (deg s) in
-  let min_deg = Array.init ny (fun y -> Int.min wr.(y) ws.(y)) in
+  let wr = Array.init ny (deg r) in
+  let ws = if self then wr else Array.init ny (deg s) in
+  let min_deg = if self then wr else Array.init ny (fun y -> Int.min wr.(y) ws.(y)) in
   let prod = Array.init ny (fun y -> wr.(y) * ws.(y)) in
   let y_by_min = Stats.of_degrees ~weights:prod min_deg in
+  let y_wr = Stats.reweight y_by_min wr in
+  let x_stats = Stats.of_degrees ~weights:(expansion_weights r s) (Relation.degrees_src r) in
   {
     sm;
     y_by_min;
-    y_wr = Stats.reweight y_by_min wr;
-    y_ws = Stats.reweight y_by_min ws;
-    x_stats = Stats.of_degrees ~weights:(expansion_weights r s) (Relation.degrees_src r);
-    z_stats = Stats.of_degrees ~weights:(expansion_weights s r) (Relation.degrees_src s);
+    y_wr;
+    y_ws = (if self then y_wr else Stats.reweight y_by_min ws);
+    x_stats;
+    z_stats =
+      (if self then x_stats
+       else Stats.of_degrees ~weights:(expansion_weights s r) (Relation.degrees_src s));
   }
 
 (* Heavy matrix dimensions for thresholds (d1, d2).  [v] is exact;
@@ -97,7 +105,7 @@ let wcoj_seconds (m : Cost.machine) (sm : Estimator.summary) =
 
 (* Geometric descent on d1 (Algorithm 3): stop as soon as the cost stops
    improving, return the previous candidate. *)
-let descend ~cost ~start =
+let descend ~(cost : int -> float) ~start =
   let shrink d = max 1 (min (d - 1) (int_of_float (0.95 *. float_of_int d))) in
   let rec go ~best_d ~best_cost d =
     let c = cost d in

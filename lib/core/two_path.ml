@@ -158,57 +158,90 @@ let heavy_y_lists ~s (p : Partition.t) ~light =
     p.heavy_y;
   lists
 
+(* The list y = b gives x = a on a plain row: all of L(b) when a or b
+   is light; for heavy a and heavy b only the S- tuples (light z), since
+   heavy z is the heavy part's job. *)
+let[@inline] plain_list ~s ~(p : Partition.t) ~s_light_of_heavy_y a_light b =
+  if a_light || Partition.is_light_y p b then Relation.adj_dst s b
+  else s_light_of_heavy_y.(b)
+
 (* The merged per-x loop over rows [lo, hi): light contributions from
    R- |><| S and R |><| S-, plus the heavy part.  A heavy x with a
    product row is a split row of [acc]: the product row seeds its
    columns (one per heavy z, copied word by word), light ids with a
    column set it, and only light z are stamped; the row comes out as a
    merge of the two disjoint sorted halves.  Every other row (light x,
-   or the combinatorial expansion) is a plain row: one or two lists are
-   held and copied or merged, more go through the stamps.  Each row is
-   appended to [out], its length stored at [lengths.(x + 1)]. *)
+   or the combinatorial expansion) is a plain row.  A plain row with one
+   list per y (no expansion lists) and at most two y is written
+   directly: nothing for an x with no tuple, the list itself, or the
+   union of two.  The rest go through the stamps.  Each row is appended
+   to [out], its length stored at [lengths.(x + 1)]. *)
 let merge_range ~acc ~out ~lengths ~r ~s ~(p : Partition.t) ~heavy
     ~s_light_of_heavy_y lo hi =
   let obs = Obs.recording () in
   let scans = ref 0 and seeded = ref 0 and produced = ref 0 in
   for a = lo to hi - 1 do
-    (match heavy with
-    | Product m when p.x_index.(a) >= 0 ->
-      let n =
-        Row_acc.start_split acc ~index:p.z_index ~heavy:p.heavy_z
-          (Boolmat.row m p.x_index.(a))
-      in
-      if obs then seeded := !seeded + n
-    | Product _ | Expansion _ -> Row_acc.start acc);
     let a_light = Relation.deg_src r a <= p.d2 in
     let ys = Relation.adj_src r a in
-    for j = 0 to Array.length ys - 1 do
-      let b = Array.unsafe_get ys j in
-      if a_light || Partition.is_light_y p b then begin
-        let zs = Relation.adj_dst s b in
-        if obs then scans := !scans + Array.length zs;
-        Row_acc.add_all acc zs
-      end
-      else begin
-        (* heavy a, heavy b: only the S- tuples (light z) are joined
-           here; heavy z is the heavy part's job *)
-        let zs = s_light_of_heavy_y.(b) in
-        if obs then scans := !scans + Array.length zs;
-        Row_acc.add_light acc zs
-      end
-    done;
-    (match heavy with
-    | Expansion s_heavy_of_heavy_y when not a_light ->
-      for j = 0 to Array.length ys - 1 do
-        let b = Array.unsafe_get ys j in
-        if not (Partition.is_light_y p b) then begin
-          let zs = s_heavy_of_heavy_y.(b) in
-          if obs then scans := !scans + Array.length zs;
-          Row_acc.add_all acc zs
+    let k = Array.length ys in
+    let direct =
+      k <= 2
+      &&
+      match heavy with
+      | Product _ -> p.x_index.(a) < 0
+      | Expansion _ -> a_light
+    in
+    let n =
+      if direct then
+        if k = 0 then 0
+        else begin
+          let z0 = plain_list ~s ~p ~s_light_of_heavy_y a_light (Array.unsafe_get ys 0) in
+          if k = 1 then begin
+            if obs then scans := !scans + Array.length z0;
+            Row_acc.one_list_into out z0
+          end
+          else begin
+            let z1 = plain_list ~s ~p ~s_light_of_heavy_y a_light (Array.unsafe_get ys 1) in
+            if obs then scans := !scans + Array.length z0 + Array.length z1;
+            Row_acc.two_lists_into out z0 z1
+          end
         end
-      done
-    | Expansion _ | Product _ -> ());
-    let n = Row_acc.emit_into acc out in
+      else begin
+        (match heavy with
+        | Product m when p.x_index.(a) >= 0 ->
+          let n =
+            Row_acc.start_split acc ~index:p.z_index ~heavy:p.heavy_z
+              (Boolmat.row m p.x_index.(a))
+          in
+          if obs then seeded := !seeded + n
+        | Product _ | Expansion _ -> Row_acc.start acc);
+        for j = 0 to k - 1 do
+          let b = Array.unsafe_get ys j in
+          if a_light || Partition.is_light_y p b then begin
+            let zs = Relation.adj_dst s b in
+            if obs then scans := !scans + Array.length zs;
+            Row_acc.add_all acc zs
+          end
+          else begin
+            let zs = s_light_of_heavy_y.(b) in
+            if obs then scans := !scans + Array.length zs;
+            Row_acc.add_light acc zs
+          end
+        done;
+        (match heavy with
+        | Expansion s_heavy_of_heavy_y when not a_light ->
+          for j = 0 to k - 1 do
+            let b = Array.unsafe_get ys j in
+            if not (Partition.is_light_y p b) then begin
+              let zs = s_heavy_of_heavy_y.(b) in
+              if obs then scans := !scans + Array.length zs;
+              Row_acc.add_all acc zs
+            end
+          done
+        | Expansion _ | Product _ -> ());
+        Row_acc.emit_into acc out
+      end
+    in
     lengths.(a + 1) <- n;
     produced := !produced + n
   done;
@@ -605,7 +638,16 @@ let count_merge ~sink ?cancel ~domains ~r ~s heavy =
             if all_light || light_y.(b) then begin
               let zs = Relation.adj_dst s b in
               let from =
-                if upper then Jp_util.Sorted.lower_bound zs (a + 1) else 0
+                if upper then begin
+                  (* the z > x suffix, found by stepping back from the
+                     end over ids the merge reads anyway *)
+                  let i = ref (Array.length zs) in
+                  while !i > 0 && Array.unsafe_get zs (!i - 1) > a do
+                    decr i
+                  done;
+                  !i
+                end
+                else 0
               in
               if obs then begin
                 light_scans := !light_scans + Array.length zs - from;

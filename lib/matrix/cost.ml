@@ -70,7 +70,7 @@ let measure_ti n =
   let deg = max 4 (int_of_float (sqrt (float_of_int (n / nx)))) in
   let nz = 4 * deg in
   let adj_r = Array.init nx (fun _ -> Array.init deg (fun _ -> Jp_util.Rng.int rng nz)) in
-  (* [Row_acc] takes strictly increasing lists, as adjacency lists are *)
+  (* strictly increasing lists, as adjacency lists are *)
   let adj_s =
     Array.init nz (fun _ ->
         Array.of_list

@@ -64,7 +64,7 @@ let permute_tuples t ~src_order ~dst_order ~dims =
      component j holds variable dst_order.(j) *)
   let k = Array.length src_order in
   let position v =
-    let rec go i = if src_order.(i) = v then i else go (i + 1) in
+    let rec go i = if String.equal src_order.(i) v then i else go (i + 1) in
     go 0
   in
   let perm = Array.map position dst_order in

@@ -83,7 +83,7 @@ let fit cfg ~domains ~col_width ?keep ~u ~v ~w () =
 
 (* The triangle product's tiles: on or above the diagonal of a square
    grid. *)
-let on_or_above ~rh:_ ~cw:_ ti tj = tj >= ti
+let on_or_above ~rh:_ ~cw:_ (ti : int) tj = tj >= ti
 
 (* The upper-masked row-OR product's tiles: those holding a cell (i, l)
    with l > i, i.e. whose last column lies past their first row. *)

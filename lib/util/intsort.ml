@@ -1,4 +1,4 @@
-let insertion a lo hi =
+let insertion (a : int array) lo hi =
   for i = lo + 1 to hi - 1 do
     let x = Array.unsafe_get a i in
     let j = ref (i - 1) in
@@ -51,7 +51,7 @@ let radix a lo hi max_v =
 
 (* Comparison fallback for ranges containing negative values (never the
    case for id arrays, but the module keeps a total contract). *)
-let rec quicksort a lo hi =
+let rec quicksort (a : int array) lo hi =
   if hi - lo <= 16 then insertion a lo hi
   else begin
     let mid = lo + ((hi - lo) / 2) in

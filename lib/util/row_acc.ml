@@ -12,13 +12,9 @@ let scan_factor = 4
    its count — or, when [planes > 0], hold it in that many thermometer
    planes, one [stride]-word bitset per plane laid end to end in [cols]
    (plane j: "count >= j + 1").  Only ids without a column go through
-   the stamps, so the two halves are disjoint.  A [Plain] row holds its
-   first two sorted lists as they are ([lists] of them) and stamps
-   nothing until a third arrives; [spilled] marks a row whose held
-   lists went through the stamps. *)
+   the stamps, so the two halves are disjoint.  A [Plain] row stamps
+   every id. *)
 type mode = Plain | Bits | Counts
-
-let spilled = 3
 
 type t = {
   stamps : int array; (* id -> last row that saw it *)
@@ -30,9 +26,6 @@ type t = {
   mutable lo : int; (* smallest id in buf *)
   mutable hi : int; (* largest id in buf *)
   mutable mode : mode;
-  mutable lists : int; (* plain rows: lists held, or [spilled] *)
-  mutable first_list : int array;
-  mutable second_list : int array;
   mutable index : int array; (* split rows: id -> column, or -1 *)
   mutable heavy : int array; (* split rows: column -> id, ascending *)
   mutable cols : int array; (* split rows: column bit words, or counts *)
@@ -54,9 +47,6 @@ let create ?(counts = false) nz =
     lo = max_int;
     hi = -1;
     mode = Plain;
-    lists = 0;
-    first_list = [||];
-    second_list = [||];
     index = [||];
     heavy = [||];
     cols = [||];
@@ -98,7 +88,6 @@ let start t =
   t.lo <- max_int;
   t.hi <- -1;
   t.mode <- Plain;
-  t.lists <- 0;
   t.held <- 0
 
 let split t mode ~index ~heavy ~need =
@@ -169,32 +158,7 @@ let[@inline] stamp_list t zs =
     end
   done
 
-(* A plain row keeps its first two lists by reference: most x of a
-   sparse join have one or two neighbours, and their row is then the
-   list itself or the union of two, written at the emit without a stamp
-   or a sort.  A third list stamps the two held ones first.  A held list
-   is checked against the domain at its ends (it is sorted), so an id
-   outside it fails as a stamped one would. *)
-let hold t zs =
-  let n = Array.length zs in
-  if n > 0 then
-    if t.lists >= 2 then begin
-      if t.lists = 2 then begin
-        stamp_list t t.first_list;
-        stamp_list t t.second_list;
-        t.lists <- spilled
-      end;
-      stamp_list t zs
-    end
-    else begin
-      if zs.(0) < 0 || zs.(n - 1) >= Array.length t.stamps then
-        invalid_arg "index out of bounds";
-      if t.lists = 0 then t.first_list <- zs else t.second_list <- zs;
-      t.lists <- t.lists + 1
-    end
-
-let add_light t zs =
-  match t.mode with Plain -> hold t zs | Bits | Counts -> stamp_list t zs
+let add_light t zs = stamp_list t zs
 
 (* A [Bits] row: an id with a column sets its bit, the rest are
    stamped. *)
@@ -222,7 +186,7 @@ let add_split t zs =
 
 let add_all t zs =
   match t.mode with
-  | Plain -> hold t zs
+  | Plain -> stamp_list t zs
   | Bits -> add_split t zs
   | Counts -> invalid_arg "Row_acc.add_all: counting split row"
 
@@ -305,26 +269,7 @@ let add_witnesses_from t zs from =
 
 let add_witnesses t zs = add_witnesses_from t zs 0
 
-(* Ids of the held lists: one list, or the union of two. *)
-let held_ids t =
-  match t.lists with
-  | 1 -> Array.length t.first_list
-  | 2 ->
-    Array.length t.first_list + Array.length t.second_list
-    - Sorted.intersect_count t.first_list t.second_list
-  | _ -> 0
-
-let size t = t.len + t.held + held_ids t
-
-(* At least the number of ids the current row emits: the held lists'
-   union counted with its repeats. *)
-let bound t =
-  t.len + t.held
-  +
-  match t.lists with
-  | 1 -> Array.length t.first_list
-  | 2 -> Array.length t.first_list + Array.length t.second_list
-  | _ -> 0
+let size t = t.len + t.held
 
 (* 2 is a primitive root modulo 67, so [2^b mod 67] is distinct for
    every bit position b < 62: one remainder and one lookup turn an
@@ -403,25 +348,32 @@ let emit_bits t ~at ~n out pos =
   Array.blit buf !j out !k (nl - !j);
   nl + n
 
-(* A [Plain] row written to [out] from [pos] on: a held list is copied,
-   two are merged, and stamped ids are scanned out of the bitset (dense
-   rows) or copied and sorted in place.  Returns the row's length. *)
+(* A [Plain] row written to [out] from [pos] on: its stamped ids
+   scanned out of the bitset (dense rows) or copied and sorted in place.
+   Returns the row's length. *)
 let write_plain t out pos =
-  match t.lists with
-  | 1 ->
-    let l = t.first_list in
-    Array.blit l 0 out pos (Array.length l);
-    Array.length l
-  | 2 -> Sorted.union_into t.first_list t.second_list out pos
-  | _ ->
-    let n = t.len in
-    if n > 0 then
-      if dense t then scan_into t out pos
-      else begin
-        Array.blit t.buf 0 out pos n;
-        Intsort.sort_sub out ~lo:pos ~hi:(pos + n)
-      end;
-    n
+  let n = t.len in
+  if n > 0 then
+    if dense t then scan_into t out pos
+    else begin
+      Array.blit t.buf 0 out pos n;
+      Intsort.sort_sub out ~lo:pos ~hi:(pos + n)
+    end;
+  n
+
+(* Rows of one or two lists take no accumulator: the list itself, or
+   one linear merge of both. *)
+let one_list_into out zs =
+  let n = Array.length zs in
+  Array.blit zs 0 (Vec.reserve out n) (Vec.length out) n;
+  Vec.advance out n;
+  n
+
+let two_lists_into out a b =
+  let dst = Vec.reserve out (Array.length a + Array.length b) in
+  let n = Sorted.union_into a b dst (Vec.length out) in
+  Vec.advance out n;
+  n
 
 let write t out pos =
   match t.mode with
@@ -430,16 +382,15 @@ let write t out pos =
   | Plain -> write_plain t out pos
 
 let emit_into t v =
-  let out = Vec.reserve v (bound t) in
+  let out = Vec.reserve v (size t) in
   let n = write t out (Vec.length v) in
   Vec.advance v n;
   n
 
 let emit t =
-  let n = bound t in
-  let out = Array.make n 0 in
-  let k = write t out 0 in
-  if k = n then out else Array.sub out 0 k
+  let out = Array.make (size t) 0 in
+  ignore (write t out 0);
+  out
 
 (* The row of a [Counts] split, written to [zs] and [ks] from [pos] on:
    held columns with a non-zero count merged with the sorted stamped ids
@@ -472,7 +423,7 @@ let emit_counts_split t zs ks pos =
   done
 
 let emit_counts_into t zv kv =
-  let n = bound t in
+  let n = size t in
   let zs = Vec.reserve zv n and ks = Vec.reserve kv n in
   let pos = Vec.length zv and kpos = Vec.length kv in
   let n =
@@ -559,7 +510,7 @@ let emit_ge_planes t c out pos =
   emit_bits t ~at ~n:!n out pos
 
 let emit_ge_into t c v =
-  let out = Vec.reserve v (bound t) in
+  let out = Vec.reserve v (size t) in
   let pos = Vec.length v in
   let n =
     match t.mode with

@@ -18,13 +18,14 @@
     linear merge of the set columns, read in ascending heavy-z order,
     with the sorted stamped ids: no per-bit stamp and no dedup pass.
 
-    {b Held lists.}  A plain row (begun by {!start}) keeps the first two
-    lists it is given ({!add_all}, {!add_light}) by reference and stamps
-    nothing: a row of one list is that list, and a row of two is their
-    union, written by one linear merge.  A third list stamps the two held
-    ones first and the row goes on through the stamps.  This is why every
-    list a plain row receives must be strictly increasing (adjacency
-    lists and their filtered halves are).  The row's ids, and so every
+    {b Rows of one or two lists.}  Most x of a sparse join have one or
+    two neighbours.  Their row needs no accumulator: it is the list
+    itself ({!one_list_into}) or the union of two ({!two_lists_into}),
+    written straight into the caller's buffer with no stamp and no sort.
+    Callers that know a row's list count up front (the WCOJ expansion,
+    the light merge's plain rows) write such rows themselves and start
+    an accumulator row only for three lists or more.  A plain row begun
+    by {!start} stamps every id it is given.  The row's ids, and so every
     count a caller derives from list and row lengths (probes, stamp hits
     and misses), are the same either way.
 
@@ -32,8 +33,7 @@
     append the row at the end of the caller's growable buffer
     ({!Vec.t}, one per output chunk) and return its length, so a merge
     writes all its rows into one flat buffer with no array per row; a
-    held list is copied there, two are merged there, and a split row's
-    two halves are merged there.  {!emit} is the same row in a fresh
+    split row's two halves are merged there.  {!emit} is the same row in a fresh
     array, for callers off the hot path.  The stamped ids come back
     sorted without a general-purpose sort when they can: if the row's
     ids span few bitset words relative to its length (dense rows), their
@@ -101,10 +101,9 @@ val start_split_planes :
     held columns, and {!size}, are what exact counts would give. *)
 
 val add_all : t -> int array -> unit
-(** [add_all t zs] adds each candidate of [zs] (strictly increasing) to
-    the current row; ids already in it are absorbed.  A plain row holds
-    the list (see above); on a boolean split row an id with a column
-    sets it.  Ids must lie in the accumulator's domain
+(** [add_all t zs] adds each candidate of [zs] to the current row; ids
+    already in it are absorbed.  On a boolean split row an id with a
+    column sets it.  Ids must lie in the accumulator's domain
     ([Invalid_argument]).  Not for a counting split row.  A row takes
     either lists or witnesses, not both. *)
 
@@ -121,8 +120,8 @@ val add_witnesses : t -> int array -> unit
 
 val add_witnesses_from : t -> int array -> int -> unit
 (** [add_witnesses_from t zs i] adds one witness for each element of
-    [zs] from index [i] on: a sorted list's suffix past a bound found by
-    {!Sorted.lower_bound}, without copying it. *)
+    [zs] from index [i] on: a sorted list's suffix past a bound, without
+    copying it. *)
 
 val size : t -> int
 (** The number of distinct ids in the current row so far, set columns
@@ -134,6 +133,16 @@ val emit_into : t -> Vec.t -> int
 
 val emit : t -> int array
 (** {!emit_into}'s row in a fresh array of exactly as many elements. *)
+
+val one_list_into : Vec.t -> int array -> int
+(** [one_list_into out zs] appends the row of one list, [zs] itself
+    (strictly increasing), to [out] and returns its length.  No
+    accumulator takes part. *)
+
+val two_lists_into : Vec.t -> int array -> int array -> int
+(** [two_lists_into out a b] appends the row of two strictly increasing
+    lists, their union ({!Sorted.union_into}), to [out] and returns its
+    length. *)
 
 val emit_counts_into : t -> Vec.t -> Vec.t -> int
 (** [emit_counts_into t zs counts] appends {!emit_into}'s ids to [zs]

@@ -1,4 +1,4 @@
-let lower_bound a x =
+let lower_bound (a : int array) (x : int) =
   let lo = ref 0 and hi = ref (Array.length a) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
@@ -6,11 +6,11 @@ let lower_bound a x =
   done;
   !lo
 
-let mem a x =
+let mem (a : int array) (x : int) =
   let i = lower_bound a x in
   i < Array.length a && a.(i) = x
 
-let gallop a ~start x =
+let gallop (a : int array) ~start (x : int) =
   let n = Array.length a in
   if start >= n || a.(start) >= x then start
   else begin
@@ -35,7 +35,7 @@ let gallop a ~start x =
    otherwise do a linear merge. *)
 let ratio_for_gallop = 16
 
-let intersect_linear a b out =
+let intersect_linear (a : int array) (b : int array) out =
   let i = ref 0 and j = ref 0 in
   let na = Array.length a and nb = Array.length b in
   while !i < na && !j < nb do
@@ -49,7 +49,7 @@ let intersect_linear a b out =
     end
   done
 
-let intersect_gallop small big out =
+let intersect_gallop (small : int array) (big : int array) out =
   let j = ref 0 in
   Array.iter
     (fun x ->
@@ -72,7 +72,7 @@ let intersect a b =
   intersect_dispatch a b (Some v);
   Vec.to_array v
 
-let intersect_count a b =
+let intersect_count (a : int array) (b : int array) =
   let i = ref 0 and j = ref 0 and c = ref 0 in
   let na = Array.length a and nb = Array.length b in
   if na = 0 || nb = 0 then 0
@@ -103,7 +103,7 @@ let intersect_count a b =
     !c
   end
 
-let union_into a b out pos =
+let union_into (a : int array) (b : int array) out pos =
   let na = Array.length a and nb = Array.length b in
   let i = ref 0 and j = ref 0 and k = ref pos in
   while !i < na && !j < nb do
@@ -124,7 +124,7 @@ let union_into a b out pos =
   Array.blit b !j out !k (nb - !j);
   !k + nb - !j - pos
 
-let subset a b =
+let subset (a : int array) (b : int array) =
   Array.length a <= Array.length b
   &&
   let j = ref 0 and ok = ref true in

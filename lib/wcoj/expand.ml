@@ -6,29 +6,49 @@ module Row_acc = Jp_util.Row_acc
 module Vec = Jp_util.Vec
 
 (* Every id a list presents is a probe; every id of a row is a stamp
-   miss, and the rest are hits, whether the row was stamped or held. *)
+   miss, and the rest are hits, whether or not the row was stamped. *)
 let publish ~probes ~misses =
   Jp_obs.add Jp_obs.C.light_probes probes;
   Jp_obs.add Jp_obs.C.stamp_misses misses;
   Jp_obs.add Jp_obs.C.stamp_hits (probes - misses)
 
-(* One worker expands the x values [lo, hi), ascending, through its row
-   accumulator [acc] over dom(z): each row is appended to [out] and its
-   length stored at [lengths.(x + 1)]. *)
+(* One worker expands the x values [lo, hi), ascending: each row is
+   appended to [out] and its length stored at [lengths.(x + 1)].  An x
+   with no tuple keeps length 0, a row of one or two lists is written
+   directly, and only rows of three or more go through the accumulator
+   [acc] over dom(z). *)
 let expand_rows ~acc ~out ~lengths ~r ~s lo hi =
   let obs = Jp_obs.recording () in
   let probes = ref 0 and written = ref 0 in
   for a = lo to hi - 1 do
-    Row_acc.start acc;
     let ys = Relation.adj_src r a in
-    for j = 0 to Array.length ys - 1 do
-      let zs = Relation.adj_dst s (Array.unsafe_get ys j) in
-      if obs then probes := !probes + Array.length zs;
-      Row_acc.add_all acc zs
-    done;
-    let n = Row_acc.emit_into acc out in
-    lengths.(a + 1) <- n;
-    written := !written + n
+    let k = Array.length ys in
+    if k > 0 then begin
+      let n =
+        if k = 1 then begin
+          let zs = Relation.adj_dst s (Array.unsafe_get ys 0) in
+          if obs then probes := !probes + Array.length zs;
+          Row_acc.one_list_into out zs
+        end
+        else if k = 2 then begin
+          let z0 = Relation.adj_dst s (Array.unsafe_get ys 0)
+          and z1 = Relation.adj_dst s (Array.unsafe_get ys 1) in
+          if obs then probes := !probes + Array.length z0 + Array.length z1;
+          Row_acc.two_lists_into out z0 z1
+        end
+        else begin
+          Row_acc.start acc;
+          for j = 0 to k - 1 do
+            let zs = Relation.adj_dst s (Array.unsafe_get ys j) in
+            if obs then probes := !probes + Array.length zs;
+            Row_acc.add_all acc zs
+          done;
+          Row_acc.emit_into acc out
+        end
+      in
+      lengths.(a + 1) <- n;
+      written := !written + n
+    end
   done;
   if obs then publish ~probes:!probes ~misses:!written
 

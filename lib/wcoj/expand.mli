@@ -53,7 +53,12 @@ val expand_rows :
 (** [expand_rows ~acc ~out ~lengths ~r ~s lo hi] is {!project}'s work
     for the x values [lo, hi), written into a caller's buffer: each row,
     ascending in x, is appended to [out] and its length stored at
-    [lengths.(x + 1)].  [s] must
+    [lengths.(x + 1)].  An x with no tuple keeps length 0; a row of
+    one list (one y) is that list, copied, and a row of two is their
+    union ({!Row_acc.two_lists_into}); only rows of three or more lists
+    go through [acc].  The light probe and stamp counters it publishes
+    are the same either way: probes are the lists' lengths, misses the
+    rows'.  [s] must
     already cover R's y domain ({!Relation.widen_dst}), and [acc] must
     span dom(z).  For engines that place rows of several phases into one
     result. *)

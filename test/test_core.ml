@@ -147,6 +147,25 @@ let test_two_path_all_thresholds_skewed () =
   let s = Gen.skewed_relation ~seed:34 ~nx:28 ~ny:25 ~edges:180 () in
   exhaustive_threshold_check ~r ~s
 
+(* Light x ids of one or two neighbours only (a few x have none, the
+   last six are heavy): under every (Δ₁, Δ₂) the light merge writes
+   their plain rows directly, as the list itself or the union of two. *)
+let test_two_path_all_thresholds_small_rows () =
+  let g = Jp_util.Rng.create 38 in
+  let edges =
+    List.concat
+      (List.init 40 (fun x ->
+           let deg =
+             if x >= 34 then 8 + Jp_util.Rng.int g 6
+             else if x mod 7 = 0 then 0
+             else 1 + Jp_util.Rng.int g 2
+           in
+           List.init deg (fun _ -> (x, Jp_util.Rng.int g 20))))
+  in
+  let r = Relation.of_edges ~src_count:40 ~dst_count:20 (Array.of_list edges) in
+  let s = Gen.skewed_relation ~seed:39 ~nx:28 ~ny:20 ~edges:180 () in
+  exhaustive_threshold_check ~r ~s
+
 let test_two_path_self_join () =
   let r = Gen.skewed_relation ~seed:35 ~nx:30 ~ny:30 ~edges:250 () in
   exhaustive_threshold_check ~r ~s:r
@@ -472,9 +491,9 @@ let test_split_work_counters () =
   let check name expect f = Alcotest.(check (list int)) name expect (work_counters f) in
   check "project" [ 263730; 6225; 0; 83988; 212492 ] (fun () ->
       Two_path.project ~plan:(forced_plan 40 12) ~r ~s ());
-  (* Plain rows of one or two lists are held, not stamped; the probes
-     and the stamp hits and misses still count every list id and every
-     row id, as when each list was stamped. *)
+  (* Rows of one or two lists are written directly, not stamped; the
+     probes and the stamp hits and misses still count every list id and
+     every row id, as when each list was stamped. *)
   check "expand" [ 457533; 0; 0; 83988; 373545 ] (fun () ->
       Jp_wcoj.Expand.project ~r ~s ());
   check "project_counts" [ 50480; 0; 84000; 83988; 50470 ] (fun () ->
@@ -496,6 +515,8 @@ let suite =
       test_partition_self_join_shared;
     Alcotest.test_case "two-path thresholds uniform" `Quick test_two_path_all_thresholds_uniform;
     Alcotest.test_case "two-path thresholds skewed" `Quick test_two_path_all_thresholds_skewed;
+    Alcotest.test_case "two-path thresholds one- and two-list rows" `Quick
+      test_two_path_all_thresholds_small_rows;
     Alcotest.test_case "two-path self join" `Quick test_two_path_self_join;
     Alcotest.test_case "two-path planned" `Quick test_two_path_planned;
     Alcotest.test_case "two-path parallel" `Quick test_two_path_parallel;

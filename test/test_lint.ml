@@ -250,6 +250,10 @@ let suite =
   [
     fires "poly-compare" "bad_poly_compare";
     clean "poly-compare" "ok_poly_compare";
+    Alcotest.test_case "poly-compare fires at a type variable" `Quick
+      (check_fires "poly-compare" "bad_poly_compare_tvar");
+    Alcotest.test_case "poly-compare negative at int and a variant" `Quick
+      (check_clean "poly-compare" "ok_poly_compare_tvar");
     fires "random" "bad_random";
     clean "random" "ok_random";
     fires "domain-unsafe-global" "bad_global";

@@ -257,9 +257,53 @@ let test_rule_first () =
   Alcotest.(check bool) "indexed footprint larger" true
     (Optimizer.prepared_bytes pd > Optimizer.prepared_bytes ps)
 
+(* A self-join (S physically R) is summarized and indexed in one pass
+   over R; it must plan exactly as the join of R with an equal but
+   distinct copy, which takes the two-relation passes.  Every side of
+   the family is tried, est_seconds compared bit for bit. *)
+let test_self_join_one_pass () =
+  let same_plan label (a : Optimizer.plan) (b : Optimizer.plan) =
+    Alcotest.(check string) (label ^ ": decision")
+      (Optimizer.decision_to_string a.decision)
+      (Optimizer.decision_to_string b.decision);
+    Alcotest.(check int) (label ^ ": est_out") a.est_out b.est_out;
+    Alcotest.(check int) (label ^ ": join_size") a.join_size b.join_size;
+    Alcotest.(check int64) (label ^ ": est_seconds")
+      (Int64.bits_of_float a.est_seconds)
+      (Int64.bits_of_float b.est_seconds)
+  in
+  let check label r =
+    let copy = Relation.restrict_src r (fun _ -> true) in
+    Alcotest.(check bool) (label ^ ": a distinct copy") false (copy == r);
+    Alcotest.(check bool) (label ^ ": summary") true
+      (Joinproj.Estimator.summarize ~r ~s:r = Joinproj.Estimator.summarize ~r ~s:copy);
+    let self = Optimizer.prepare ~r ~s:r and pair = Optimizer.prepare ~r ~s:copy in
+    Testkit.with_machine machine (fun () ->
+        same_plan (label ^ " plan") (Optimizer.plan_prepared self ())
+          (Optimizer.plan_prepared pair ());
+        same_plan (label ^ " counts")
+          (Optimizer.plan_counts_prepared self ())
+          (Optimizer.plan_counts_prepared pair ());
+        List.iter
+          (fun kind ->
+            let cost prep =
+              Int64.bits_of_float
+                (Optimizer.estimate_cost_prepared ~kind prep
+                   (Optimizer.Partitioned { d1 = 2; d2 = 3 }))
+            in
+            Alcotest.(check int64) (label ^ " mm(2,3) cost") (cost pair) (cost self))
+          [ Jp_matrix.Cost.Boolean; Jp_matrix.Cost.Count ])
+  in
+  List.iter
+    (fun (label, r, s) ->
+      check (label ^ "/r") r;
+      check (label ^ "/s") s)
+    family
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_stats_brute_force;
     Alcotest.test_case "golden plans" `Quick test_golden_plans;
     Alcotest.test_case "20N rule before any index" `Quick test_rule_first;
+    Alcotest.test_case "one planning pass per self-join" `Quick test_self_join_one_pass;
   ]

@@ -57,6 +57,75 @@ let test_expand_parallel_equal () =
   let par = Expand.project ~domains:4 ~r ~s () in
   Alcotest.(check bool) "parallel = sequential" true (Jp_relation.Pairs.equal seq par)
 
+(* R and S for the expansion's small rows: x ids with 0, 1, 2 and 3 to
+   6 distinct neighbours over a y domain wider than S's, and S lists
+   over a few z ids, so that two lists often share ids. *)
+let small_rows_case seed =
+  let g = Jp_util.Rng.create seed in
+  let nx = 1 + Jp_util.Rng.int g 30 and ny_s = 1 + Jp_util.Rng.int g 8 in
+  let ny_r = ny_s + 1 + Jp_util.Rng.int g 4 and nz = 1 + Jp_util.Rng.int g 12 in
+  let r_edges =
+    List.concat
+      (List.init nx (fun x ->
+           let deg =
+             match Jp_util.Rng.int g 4 with
+             | 0 -> 0
+             | 1 -> 1
+             | 2 -> 2
+             | _ -> min ny_r (3 + Jp_util.Rng.int g 4)
+           in
+           (* the first [deg] ids of a shuffled y domain *)
+           let ys = Array.init ny_r Fun.id in
+           Jp_util.Rng.shuffle g ys;
+           List.init deg (fun i -> (x, ys.(i)))))
+  in
+  let s_edges =
+    List.concat
+      (List.init nz (fun z ->
+           List.filter_map
+             (fun y -> if Jp_util.Rng.int g 2 = 0 then Some (z, y) else None)
+             (List.init ny_s Fun.id)))
+  in
+  ( Relation.of_edges ~src_count:nx ~dst_count:ny_r (Array.of_list r_edges),
+    Relation.of_edges ~src_count:nz ~dst_count:ny_s (Array.of_list s_edges) )
+
+(* Every row written directly (0, 1 or 2 lists) or through the
+   accumulator (3 or more) is the union of its lists, and the counters
+   are the sums the rows imply: probes = Σ list lengths, misses = Σ row
+   lengths, hits = the rest. *)
+let prop_expand_small_rows =
+  QCheck.Test.make ~name:"expand small rows = set oracle, counters = lengths" ~count:200
+    QCheck.small_nat
+    (fun seed ->
+      let r, s = small_rows_case seed in
+      let list y = if y < Relation.dst_count s then Relation.adj_dst s y else [||] in
+      let rows =
+        List.init (Relation.src_count r) (fun x ->
+            List.sort_uniq Int.compare
+              (List.concat_map (fun y -> Array.to_list (list y)) (Array.to_list (Relation.adj_src r x))))
+      in
+      let oracle = List.concat (List.mapi (fun x zs -> List.map (fun z -> (x, z)) zs) rows) in
+      let probes =
+        Array.fold_left
+          (fun n row -> Array.fold_left (fun n y -> n + Array.length (list y)) n row)
+          0
+          (Array.init (Relation.src_count r) (Relation.adj_src r))
+      in
+      let misses = List.length oracle in
+      List.for_all
+        (fun domains ->
+          Jp_obs.reset ();
+          Jp_obs.enable ();
+          let got =
+            Fun.protect ~finally:Jp_obs.disable (fun () -> Expand.project ~domains ~r ~s ())
+          in
+          let counters =
+            List.map Jp_obs.value Jp_obs.C.[ light_probes; stamp_misses; stamp_hits ]
+          in
+          Jp_obs.reset ();
+          Gen.pairs_to_list got = oracle && counters = [ probes; misses; probes - misses ])
+        [ 1; 3 ])
+
 let test_expand_counts () =
   let r = Relation.of_edges [| (0, 0); (0, 1); (0, 2) |] in
   let s = Relation.of_edges [| (9, 0); (9, 1); (8, 2) |] in
@@ -143,6 +212,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_leapfrog;
     Alcotest.test_case "expand = brute" `Quick test_expand_matches_brute;
     Alcotest.test_case "expand parallel" `Quick test_expand_parallel_equal;
+    QCheck_alcotest.to_alcotest prop_expand_small_rows;
     Alcotest.test_case "expand counts" `Quick test_expand_counts;
     QCheck_alcotest.to_alcotest prop_expand_counts;
     Alcotest.test_case "count_distinct" `Quick test_count_distinct;
