@@ -8,6 +8,8 @@
                (why the 62-way word packing is the SGEMM stand-in);
    ABL-SORT    monomorphic radix sort vs polymorphic Array.sort for output
                group finalization;
+   ABL-DYNAMIC incremental view maintenance (Jp_dynamic.View) vs
+               recomputation under single-tuple updates;
    ABL-EST     output-size estimator accuracy: bounds / geometric mean
                (the paper's Section 5 estimate) / sampling refinement
                (its future-work direction);
@@ -42,7 +44,7 @@
                expiry / brownout) vs the bare bounded queue; goodput
                must stay near the knee with the controller on while the
                foil collapses past it (own tag, CI smoke);
-   ABL-TILE    the heavy-part MM kernel (Jp_tile): the default fitted
+   ABL-TILE    the heavy-part MM kernel (Jp_matrix.Tile): the default fitted
                tile shape against one tile over the materialized
                operands and a fixed 64-wide shape on real heavy
                operands, and a
@@ -54,6 +56,7 @@
 module Relation = Jp_relation.Relation
 module Presets = Jp_workload.Presets
 module Tablefmt = Jp_util.Tablefmt
+module Tile = Jp_matrix.Tile
 
 (* Hash-based dedup expansion, built here only as the ablation's foil. *)
 let expand_hash_dedup r =
@@ -87,36 +90,54 @@ let dedup cfg =
     "Section 6's claim: hash dedup pays reservation/rehash costs the stamp";
   Bench_common.note "vector avoids."
 
+(* The scalar foil: the i-k-j product of a 0/1 matrix with itself over
+   dense int rows, skipping the zero cells of the left operand. *)
+let scalar_square a =
+  let n = Array.length a in
+  let c = Array.make_matrix n n 0 in
+  for i = 0 to n - 1 do
+    let arow = a.(i) and crow = c.(i) in
+    for k = 0 to n - 1 do
+      if Array.unsafe_get arow k <> 0 then begin
+        let brow = a.(k) in
+        for j = 0 to n - 1 do
+          Array.unsafe_set crow j (Array.unsafe_get crow j + Array.unsafe_get brow j)
+        done
+      end
+    done
+  done;
+  c
+
 let kernels cfg =
   Bench_common.section "ABL-KERNEL: bit-sliced kernels vs scalar i-k-j product";
   let n = max 4 (int_of_float (600.0 *. cfg.Bench_common.scale)) in
   let g = Jp_util.Rng.create 3 in
   let bm = Jp_matrix.Boolmat.create ~rows:n ~cols:n in
-  let im = Jp_matrix.Intmat.create ~rows:n ~cols:n in
+  let im = Array.make_matrix n n 0 in
   for i = 0 to n - 1 do
     for j = 0 to n - 1 do
       if Jp_util.Rng.float g 1.0 < 0.4 then begin
         Jp_matrix.Boolmat.set bm i j;
-        Jp_matrix.Intmat.set im i j 1
+        im.(i).(j) <- 1
       end
     done
   done;
-  let src = Jp_tile.Source.of_boolmat bm in
+  let src = Tile.Source.of_boolmat bm in
   let t_bool =
-    Bench_common.time cfg (fun () -> Jp_tile.mul (Jp_tile.config ()) src src)
+    Bench_common.time cfg (fun () -> Tile.mul (Tile.config ()) src src)
   in
   let t_cnt =
     Bench_common.time cfg (fun () ->
-        Jp_tile.count_product (Jp_tile.config ()) src src)
+        Tile.count_product (Tile.config ()) src src)
   in
-  let t_scalar = Bench_common.time cfg (fun () -> Jp_matrix.Intmat.mul im im) in
+  let t_scalar = Bench_common.time cfg (fun () -> scalar_square im) in
   Tablefmt.print
     ~header:[ "kernel"; Printf.sprintf "time (n=%d)" n ]
     ~rows:
       [
         [ "boolean OR (62-way packed)"; Tablefmt.seconds t_bool ];
         [ "count AND+popcount (62-way)"; Tablefmt.seconds t_cnt ];
-        [ "scalar i-k-j (blocked)"; Tablefmt.seconds t_scalar ];
+        [ "scalar i-k-j"; Tablefmt.seconds t_scalar ];
       ]
 
 let sorts cfg =
@@ -799,7 +820,7 @@ let load cfg =
    LANDLORD-style, with a bit-equal result. *)
 let tile cfg =
   Bench_common.section
-    "ABL-TILE: fitted-shape, memory-bounded heavy-part MM (Jp_tile)";
+    "ABL-TILE: fitted-shape, memory-bounded heavy-part MM (Jp_matrix.Tile)";
   let module Boolmat = Jp_matrix.Boolmat in
   let module Partition = Joinproj.Partition in
   (* Order-sensitive digest of a product: equal digests across kernels
@@ -813,7 +834,7 @@ let tile cfg =
     !h
   in
   (* A cap past any side here: every product is one tile. *)
-  let single = Jp_tile.config ~tile_bits:20 () in
+  let single = Tile.config ~tile_bits:20 () in
   let rows =
     List.map
       (fun name ->
@@ -843,11 +864,11 @@ let tile cfg =
             rows_of (Relation.adj_dst r) p.Partition.heavy_y p.Partition.z_index
           in
           let source rows cols =
-            Jp_tile.Source.of_adjacency ~rows:(Array.length rows) ~cols
+            Tile.Source.of_adjacency ~rows:(Array.length rows) ~cols
               (fun i f -> Array.iter f rows.(i))
           in
           let tiled tile_cfg () =
-            Jp_tile.mul tile_cfg (source ra v) (source rb w)
+            Tile.mul tile_cfg (source ra v) (source rb w)
           in
           (* Each cell starts from a collected heap (a cell timed right
              after another pays that one's GC debt, ~15% here) and is
@@ -868,15 +889,15 @@ let tile cfg =
           let materialize rows cols =
             let m = Boolmat.create ~rows:(Array.length rows) ~cols in
             Array.iteri (fun i row -> Array.iter (Boolmat.set m i) row) rows;
-            Jp_tile.Source.of_boolmat m
+            Tile.Source.of_boolmat m
           in
           let reference, n0 =
             cell "/single-tile" (fun () ->
-                Jp_tile.mul single (materialize ra v) (materialize rb w))
+                Tile.mul single (materialize ra v) (materialize rb w))
           in
-          let fitted, n1 = cell "/fitted" (tiled (Jp_tile.config ())) in
+          let fitted, n1 = cell "/fitted" (tiled (Tile.config ())) in
           let narrow, n2 =
-            cell "/64-wide" (tiled (Jp_tile.config ~tile_bits:6 ()))
+            cell "/64-wide" (tiled (Tile.config ~tile_bits:6 ()))
           in
           Bench_common.check_consistent cfg ~label:ds [ n0; n1; n2 ];
           [ ds; Printf.sprintf "%dx%dx%d" u v w; reference; fitted; narrow ])
@@ -903,8 +924,8 @@ let tile cfg =
   done;
   let operand_bytes = 2 * n * ((n + 61) / 62) * 8 in
   let budget = max 4096 (operand_bytes / 16) in
-  let capped = Jp_tile.config ~tile_bits:6 ~budget_bytes:budget () in
-  let src = Jp_tile.Source.of_boolmat m in
+  let capped = Tile.config ~tile_bits:6 ~budget_bytes:budget () in
+  let src = Tile.Source.of_boolmat m in
   let was_recording = Jp_obs.recording () in
   if not was_recording then Jp_obs.enable ();
   let peak_before =
@@ -914,7 +935,7 @@ let tile cfg =
   let digest_tiled = ref 0 in
   let t_capped =
     Bench_common.time ~label:"capped/tiled" cfg (fun () ->
-        digest_tiled := digest (Jp_tile.mul capped src src))
+        digest_tiled := digest (Tile.mul capped src src))
   in
   (* The counter accumulates one high-water mark per repeat; each run is
      deterministic at domains = 1, so the per-run peak is the mean. *)
@@ -928,7 +949,7 @@ let tile cfg =
   let digest_ref = ref 0 in
   let t_ref =
     Bench_common.time ~label:"capped/single-tile" cfg (fun () ->
-        digest_ref := digest (Jp_tile.mul single src src))
+        digest_ref := digest (Tile.mul single src src))
   in
   Bench_common.check_consistent cfg ~label:"capped product"
     [ !digest_tiled; !digest_ref ];
@@ -954,10 +975,3 @@ let tile cfg =
   Bench_common.note
     "operands exceed the resident cap; the tiled kernel streams (evict +";
   Bench_common.note "rebuild) and must return the reference's exact matrix."
-
-(* ABL-DEDUP, ABL-EST and ABL-THRESH are registered as their own tags
-   (CI smokes them alone), which [--only ABL] still matches by prefix. *)
-let all cfg =
-  kernels cfg;
-  sorts cfg;
-  dynamic cfg

@@ -9,6 +9,7 @@ open Toolkit
 module Relation = Jp_relation.Relation
 module Boolmat = Jp_matrix.Boolmat
 module Presets = Jp_workload.Presets
+module Tile = Jp_matrix.Tile
 
 let random_boolmat seed n density =
   let g = Jp_util.Rng.create seed in
@@ -33,16 +34,16 @@ let tests scale =
         (Staged.stage (fun () ->
              let a = Lazy.force a and b = Lazy.force b in
              ignore
-               (Jp_tile.mul (Jp_tile.config ())
-                  (Jp_tile.Source.of_boolmat a)
-                  (Jp_tile.Source.of_boolmat b))));
+               (Tile.mul (Tile.config ())
+                  (Tile.Source.of_boolmat a)
+                  (Tile.Source.of_boolmat b))));
       Test.make ~name:"fig3-count-mm-512"
         (Staged.stage (fun () ->
              let a = Lazy.force a and b = Lazy.force b in
              ignore
-               (Jp_tile.count_product (Jp_tile.config ())
-                  (Jp_tile.Source.of_boolmat a)
-                  (Jp_tile.Source.of_boolmat b))));
+               (Tile.count_product (Tile.config ())
+                  (Tile.Source.of_boolmat a)
+                  (Tile.Source.of_boolmat b))));
       (* ABL-TILE: the kernels across a tile-cap sweep (the single-tile
          fig3 rows above are their baseline; a 512-wide cap is the same
          single tile) *)
@@ -50,50 +51,50 @@ let tests scale =
         (Staged.stage (fun () ->
              let a = Lazy.force a and b = Lazy.force b in
              ignore
-               (Jp_tile.mul
-                  (Jp_tile.config ~tile_bits:6 ())
-                  (Jp_tile.Source.of_boolmat a)
-                  (Jp_tile.Source.of_boolmat b))));
+               (Tile.mul
+                  (Tile.config ~tile_bits:6 ())
+                  (Tile.Source.of_boolmat a)
+                  (Tile.Source.of_boolmat b))));
       Test.make ~name:"abl-tile-bool-mm-512-t128"
         (Staged.stage (fun () ->
              let a = Lazy.force a and b = Lazy.force b in
              ignore
-               (Jp_tile.mul
-                  (Jp_tile.config ~tile_bits:7 ())
-                  (Jp_tile.Source.of_boolmat a)
-                  (Jp_tile.Source.of_boolmat b))));
+               (Tile.mul
+                  (Tile.config ~tile_bits:7 ())
+                  (Tile.Source.of_boolmat a)
+                  (Tile.Source.of_boolmat b))));
       Test.make ~name:"abl-tile-bool-mm-512-t512"
         (Staged.stage (fun () ->
              let a = Lazy.force a and b = Lazy.force b in
              ignore
-               (Jp_tile.mul
-                  (Jp_tile.config ~tile_bits:9 ())
-                  (Jp_tile.Source.of_boolmat a)
-                  (Jp_tile.Source.of_boolmat b))));
+               (Tile.mul
+                  (Tile.config ~tile_bits:9 ())
+                  (Tile.Source.of_boolmat a)
+                  (Tile.Source.of_boolmat b))));
       Test.make ~name:"abl-tile-count-mm-512-t64"
         (Staged.stage (fun () ->
              let a = Lazy.force a and b = Lazy.force b in
              ignore
-               (Jp_tile.count_product
-                  (Jp_tile.config ~tile_bits:6 ())
-                  (Jp_tile.Source.of_boolmat a)
-                  (Jp_tile.Source.of_boolmat b))));
+               (Tile.count_product
+                  (Tile.config ~tile_bits:6 ())
+                  (Tile.Source.of_boolmat a)
+                  (Tile.Source.of_boolmat b))));
       Test.make ~name:"abl-tile-count-mm-512-t128"
         (Staged.stage (fun () ->
              let a = Lazy.force a and b = Lazy.force b in
              ignore
-               (Jp_tile.count_product
-                  (Jp_tile.config ~tile_bits:7 ())
-                  (Jp_tile.Source.of_boolmat a)
-                  (Jp_tile.Source.of_boolmat b))));
+               (Tile.count_product
+                  (Tile.config ~tile_bits:7 ())
+                  (Tile.Source.of_boolmat a)
+                  (Tile.Source.of_boolmat b))));
       Test.make ~name:"abl-tile-count-mm-512-t512"
         (Staged.stage (fun () ->
              let a = Lazy.force a and b = Lazy.force b in
              ignore
-               (Jp_tile.count_product
-                  (Jp_tile.config ~tile_bits:9 ())
-                  (Jp_tile.Source.of_boolmat a)
-                  (Jp_tile.Source.of_boolmat b))));
+               (Tile.count_product
+                  (Tile.config ~tile_bits:9 ())
+                  (Tile.Source.of_boolmat a)
+                  (Tile.Source.of_boolmat b))));
       (* FIG4a: MMJoin vs the dedup-vector expansion on a dense family *)
       Test.make ~name:"fig4a-mmjoin-jokes"
         (Staged.stage (fun () ->

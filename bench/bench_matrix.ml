@@ -4,6 +4,7 @@
 module Boolmat = Jp_matrix.Boolmat
 module Cost = Jp_matrix.Cost
 module Tablefmt = Jp_util.Tablefmt
+module Tile = Jp_matrix.Tile
 
 let random_boolmat seed ~rows ~cols ~density =
   let g = Jp_util.Rng.create seed in
@@ -16,7 +17,7 @@ let random_boolmat seed ~rows ~cols ~density =
   m
 
 (* FIG3a: running time vs matrix dimension, single core (paper: Eigen up
-   to 10000^2; here the boolean and count products of Jp_tile, the
+   to 10000^2; here the boolean and count products of Tile, the
    engines' kernel, at its default config). *)
 let fig3a cfg =
   Bench_common.section "FIG3a: matrix multiplication vs dimension (1 core)";
@@ -26,13 +27,13 @@ let fig3a cfg =
       (fun n ->
         let a = random_boolmat 1 ~rows:n ~cols:n ~density:0.5 in
         let b = random_boolmat 2 ~rows:n ~cols:n ~density:0.5 in
-        let sa = Jp_tile.Source.of_boolmat a and sb = Jp_tile.Source.of_boolmat b in
+        let sa = Tile.Source.of_boolmat a and sb = Tile.Source.of_boolmat b in
         let t_bool =
-          Bench_common.time cfg (fun () -> Jp_tile.mul (Jp_tile.config ()) sa sb)
+          Bench_common.time cfg (fun () -> Tile.mul (Tile.config ()) sa sb)
         in
         let t_count =
           Bench_common.time cfg (fun () ->
-              Jp_tile.count_product (Jp_tile.config ()) sa sb)
+              Tile.count_product (Tile.config ()) sa sb)
         in
         [
           string_of_int n;
@@ -49,7 +50,7 @@ let fig3a cfg =
   Bench_common.note "bit-packed kernels show the same transition."
 
 (* FIG3b: construction + multiplication vs cores.  The multiplication
-   runs through Jp_tile, the engines' kernel, whose output tiles are the
+   runs through Tile, the engines' kernel, whose output tiles are the
    parallel unit. *)
 let fig3b cfg =
   Bench_common.section "FIG3b: matrix multiplication vs cores";
@@ -73,8 +74,8 @@ let fig3b cfg =
               let a = Boolmat.of_adjacency ~rows:n ~cols:n (fun i -> adj.(i)) in
               let b = Boolmat.of_adjacency ~rows:n ~cols:n (fun i -> adj.(i)) in
               construct := Jp_util.Timer.now () -. c0;
-              Jp_tile.mul ~domains:cores (Jp_tile.config ())
-                (Jp_tile.Source.of_boolmat a) (Jp_tile.Source.of_boolmat b))
+              Tile.mul ~domains:cores (Tile.config ())
+                (Tile.Source.of_boolmat a) (Tile.Source.of_boolmat b))
         in
         [
           string_of_int cores;
@@ -89,18 +90,36 @@ let fig3b cfg =
     Bench_common.note
       "NOTE: this container exposes 1 CPU; domains are oversubscribed, so the curve is flat here."
 
-(* TAB1: calibrated machine constants (Section 5, Table 1). *)
+(* TAB1: calibrated machine constants (Section 5, Table 1).  The kernel
+   constants are seconds per unit of an engine work counter; the divisor
+   column names it and gives its count over one probe run. *)
 let calibration _cfg =
   Bench_common.section "TAB1: calibrated machine constants";
   let m = Cost.calibrate ~quick:false () in
+  let over c =
+    let p = Cost.probe ~quick:false c in
+    Printf.sprintf "%s = %d" p.Cost.counter p.Cost.work
+  in
   Tablefmt.print
-    ~header:[ "constant"; "meaning"; "value" ]
+    ~header:[ "constant"; "meaning"; "divisor"; "value" ]
     ~rows:
       [
-        [ "Ts"; "sequential access (s/elem)"; Printf.sprintf "%.2e" m.Cost.ts ];
-        [ "Tm"; "allocation (s/32B)"; Printf.sprintf "%.2e" m.Cost.tm ];
-        [ "TI"; "random access+insert (s/op)"; Printf.sprintf "%.2e" m.Cost.ti ];
-        [ "count MM"; "s per 62-bit AND+popcount word"; Printf.sprintf "%.2e" m.Cost.count_word ];
-        [ "bool MM"; "s per 62-bit OR word"; Printf.sprintf "%.2e" m.Cost.bool_word ];
-        [ "cores"; "available"; string_of_int m.Cost.cores ];
+        [ "Ts"; "sequential access (s/elem)"; "-"; Printf.sprintf "%.2e" m.Cost.ts ];
+        [ "Tm"; "allocation (s/32B)"; "-"; Printf.sprintf "%.2e" m.Cost.tm ];
+        [
+          "TI"; "s per expanded join tuple"; over Cost.Ti; Printf.sprintf "%.2e" m.Cost.ti;
+        ];
+        [
+          "count MM";
+          "s per 62-bit AND+popcount word";
+          over Cost.Count_word;
+          Printf.sprintf "%.2e" m.Cost.count_word;
+        ];
+        [
+          "bool MM";
+          "s per 62-bit OR word";
+          over Cost.Bool_word;
+          Printf.sprintf "%.2e" m.Cost.bool_word;
+        ];
+        [ "cores"; "available"; "-"; string_of_int m.Cost.cores ];
       ]

@@ -33,7 +33,9 @@ let experiments =
     ("ABL-DEDUP", Bench_ablation.dedup);
     ("ABL-EST", Bench_ablation.estimators);
     ("ABL-THRESH", Bench_ablation.thresholds);
-    ("ABL", Bench_ablation.all);
+    ("ABL-KERNEL", Bench_ablation.kernels);
+    ("ABL-SORT", Bench_ablation.sorts);
+    ("ABL-DYNAMIC", Bench_ablation.dynamic);
     ("ABL-GUARD", Bench_ablation.guard);
     ("ABL-CHAOS", Bench_ablation.chaos);
     ("ABL-CACHE", Bench_ablation.semantic_cache);

@@ -7,6 +7,7 @@ module Relation = Jp_relation.Relation
 module Presets = Jp_workload.Presets
 module Two_path = Joinproj.Two_path
 module Optimizer = Joinproj.Optimizer
+module Tile = Jp_matrix.Tile
 open Cmdliner
 
 (* ------------------------------------------------------------------ *)
@@ -100,7 +101,7 @@ let guard_of adaptive budget_ms inject_est =
     Some cfg
   end
 
-(* Heavy-product tile flags, shared by join/profile: the [Jp_tile]
+(* Heavy-product tile flags, shared by join/profile: the [Tile]
    shape cap and resident budget. *)
 
 let tile_bits_arg =
@@ -127,12 +128,12 @@ let max_resident_mb =
            larger than the cap stream instead of staying materialized.")
 
 (* [None] when neither flag was given: the engines then use
-   [Jp_tile.config ()]. *)
+   [Tile.config ()]. *)
 let tile_of tile_bits max_resident_mb =
   if tile_bits = None && max_resident_mb = None then None
   else
     Some
-      (Jp_tile.config ?tile_bits
+      (Tile.config ?tile_bits
          ?budget_bytes:
            (Option.map (fun mb -> mb * 1024 * 1024) max_resident_mb)
          ())
@@ -508,6 +509,10 @@ let profile_cmd =
     (match what with
     | `Star -> ()
     | `Join | `Ssj | `Scj | `Bsi -> print_explain ~domains r);
+    (* The cost model calibrates on the engine's kernels, which record
+       while Jp_obs does: calibrate first, so the probes' spans and work
+       stay out of the first query's. *)
+    ignore (Jp_matrix.Cost.machine ());
     Jp_obs.reset ();
     Jp_obs.enable ();
     let label, count, t =
@@ -818,6 +823,8 @@ let run_service ~name ~input ~scale ~seed ~domains ~nq ~workers ~queue_cap
     ~retries ~backoff_ms ~deadline_ms ~chaos ~cache_mb ~skew ~flavour
     ~open_loop ~rate ~sweep ~arrivals ~no_ctl ~metrics_out ~trace_out =
   let r = load_source name input scale seed in
+  (* Calibrate before recording starts, as [profile] does. *)
+  ignore (Jp_matrix.Cost.machine ());
   Jp_obs.reset ();
   Jp_obs.enable ();
   let engine_of, engine_code, count_of, sub_of =

@@ -144,8 +144,8 @@ val two_path_memo :
     [project_counts] / [ssj]: prepared statistics and heavy-part matrix
     products served from the cache.  The memo is specific to this (r, s)
     pair.  Products are keyed on thresholds but not on [domains] or the
-    tile configuration: [Jp_tile] produces identical matrices for any
-    worker count, tile cap and budget, so one entry serves them all.
+    tile configuration: [Jp_matrix.Tile] produces identical matrices for
+    any worker count, tile cap and budget, so one entry serves them all.
     [ssj]'s product lives under a kind of its own, keyed also on the
     threshold c and the kernel that built it, so it is never served to
     [project_counts] and planes saturated at one c never answer

@@ -4,6 +4,7 @@ module Vec = Jp_util.Vec
 module Obs = Jp_obs
 module Cancel = Jp_util.Cancel
 module Guard = Jp_adaptive.Guard
+module Tile = Jp_matrix.Tile
 
 type strategy = Matrix | Combinatorial
 
@@ -66,7 +67,7 @@ let unpack_into shifts dims key tuple ~offset =
    pass over the qualifying ys interns every prefix/suffix combo and
    records the (combo, y) pairs; V (prefix combo × y) and W (y × suffix
    combo) are the adjacency arrays of the two pair relations, and
-   Jp_tile streams their product a band of rows at a time. *)
+   Tile streams their product a band of rows at a time. *)
 let heavy_matrix_step ~domains ?cancel ~builder ~heavy_lists ~qualifying_ys
     ~dims k ~combo_cap () =
   let m = (k + 1) / 2 in
@@ -104,10 +105,10 @@ let heavy_matrix_step ~domains ?cancel ~builder ~heavy_lists ~qualifying_ys
     if u > 0 && w > 0 && v > 0 then begin
       let pairs p n = Relation.of_flat ~src_count:n ~dst_count:v (Vec.to_array p) in
       let source rows cols adj =
-        Jp_tile.Source.of_adjacency ~rows ~cols (fun i f -> Array.iter f (adj i))
+        Tile.Source.of_adjacency ~rows ~cols (fun i f -> Array.iter f (adj i))
       in
       let tuple = Array.make k 0 in
-      Jp_tile.mul_rows ~domains ?cancel (Jp_tile.config ())
+      Tile.mul_rows ~domains ?cancel (Tile.config ())
         (source u v (Relation.adj_src (pairs prefix_pairs u)))
         (source v w (Relation.adj_dst (pairs suffix_pairs w)))
         (fun i row ->

@@ -20,7 +20,7 @@
     [Combinatorial] replaces step 3 with the same heavy-restricted
     enumeration evaluated tuple-at-a-time — the star {b Non-MMJoin}.
 
-    The product V·W runs through {!Jp_tile.mul_rows}, the kernel every
+    The product V·W runs through {!Jp_matrix.Tile.mul_rows}, the kernel every
     heavy product uses, on [domains] domains: output tiles are the
     parallel unit, and the result rows are streamed a band at a time,
     so peak memory stays O(band) even when the nominal u × w result

@@ -10,6 +10,7 @@ module Obs = Jp_obs
 module Cancel = Jp_util.Cancel
 module Guard = Jp_adaptive.Guard
 module Inject = Jp_adaptive.Inject
+module Tile = Jp_matrix.Tile
 
 type strategy = Matrix | Combinatorial
 
@@ -68,20 +69,20 @@ let cover_dst ~r s = Relation.widen_dst s (Relation.dst_count r)
 
 (* A heavy operand: row [i] holds the neighbours [adj ids.(i)] that the
    partition keeps, at their positions in [index] (a [cols]-wide column
-   space).  The row function is pure, so [Jp_tile] may call it again to
+   space).  The row function is pure, so [Tile] may call it again to
    rebuild an evicted tile. *)
 let operand adj ids index ~cols =
-  Jp_tile.Source.of_mapped ~rows:(Array.length ids) ~cols
+  Tile.Source.of_mapped ~rows:(Array.length ids) ~cols
     (fun i -> adj ids.(i))
     index
 
 (* The boolean product M{R⁺}·M{S⁺}: R⁺ as [heavy_x] rows over
-   [y_index], S⁺ as [heavy_y] rows over [z_index], through [Jp_tile]
+   [y_index], S⁺ as [heavy_y] rows over [z_index], through [Tile]
    behind the whole-product memo hook. *)
 let bool_product ?cancel ~tile ~memo ~domains ~r ~s (p : Partition.t) =
   memo.memo_bool_product ~d1:p.d1 ~d2:p.d2 (fun () ->
       Obs.span "two_path.heavy_mm" (fun () ->
-          Jp_tile.mul ~domains ?cancel tile
+          Tile.mul ~domains ?cancel tile
             (operand (Relation.adj_src r) p.heavy_x p.y_index
                ~cols:(Array.length p.heavy_y))
             (operand (Relation.adj_dst s) p.heavy_y p.z_index
@@ -93,7 +94,7 @@ let bool_product ?cancel ~tile ~memo ~domains ~r ~s (p : Partition.t) =
 let count_product ?cancel ~tile ~memo ~domains ~r ~s (p : Partition.t) =
   memo.memo_count_product ~d1:p.d1 (fun () ->
       let v = Array.length p.heavy_y in
-      Jp_tile.count_product ~domains ?cancel tile
+      Tile.count_product ~domains ?cancel tile
         (operand (Relation.adj_src r) p.heavy_x p.y_index ~cols:v)
         (operand (Relation.adj_src s) p.heavy_z p.y_index ~cols:v))
 
@@ -117,18 +118,18 @@ let upper_product ?cancel ~c ~tile ~memo ~domains ~r (p : Partition.t) =
       match kernel with
       | Jp_matrix.Cost.Triangle ->
         Obs.incr Obs.C.ssj_triangles;
-        Triangle (Jp_tile.count_upper ~domains ?cancel tile a)
+        Triangle (Tile.count_upper ~domains ?cancel tile a)
       | Jp_matrix.Cost.Planes ->
         Obs.incr Obs.C.ssj_planes;
         Planes
-          (Jp_tile.upper_planes ~domains ?cancel tile ~c a
+          (Tile.upper_planes ~domains ?cancel tile ~c a
              (operand (Relation.adj_dst r) p.heavy_y p.x_index ~cols:u)))
 
 (* Public alias: the BSI fast path builds (and caches) the same product
    over a full-relation partition, answering heavy-heavy point queries
    straight from its bits. *)
 let heavy_product ?(domains = 1) ~r ~s p =
-  bool_product ~tile:(Jp_tile.config ()) ~memo:no_memo ~domains ~r
+  bool_product ~tile:(Tile.config ()) ~memo:no_memo ~domains ~r
     ~s:(cover_dst ~r s) p
 
 (* ------------------------------------------------------------------ *)
@@ -522,7 +523,7 @@ let frame ~span ~label ~count
       result)
 
 let project ?(domains = 1) ?(strategy = Matrix) ?plan ?(guard = Guard.inert)
-    ?cancel ?(memo = no_memo) ?(tile = Jp_tile.config ()) ~r ~s () =
+    ?cancel ?(memo = no_memo) ?(tile = Tile.config ()) ~r ~s () =
   frame ~span:"two_path.project" ~label:"two_path" ~count:Pairs.count
     ~plan_with:(fun ?est_out ?mm_cost_scale prep ->
       Optimizer.plan_prepared ~domains ?est_out ?mm_cost_scale prep ())
@@ -682,7 +683,7 @@ let count_merge ~sink ?cancel ~domains ~r ~s heavy =
 
 (* Count matrices past this many cells fall back to the combinatorial
    heavy part. *)
-let default_cell_cap = 200_000_000
+let cell_cap = 200_000_000
 
 (* The one counted frame: plan_counts' plan, its guard checkpoints, then
    either the all-light merge (Wcoj, combinatorial) or Section 3.1's
@@ -697,7 +698,7 @@ let default_cell_cap = 200_000_000
    is insensitive to est_out (d2 is pinned), so only the mm-cost
    component of an injection can mislead it. *)
 let counted ~span ~label ~sink ~domains ~strategy ?plan ~guard ?cancel ~memo
-    ~tile ~matrix_cell_cap ~r ~s () =
+    ~tile ~r ~s () =
   frame ~span ~label
     ~count:(fun (_, met) -> sink.out ~r met)
     ~plan_with:(fun ?est_out ?mm_cost_scale prep ->
@@ -706,8 +707,8 @@ let counted ~span ~label ~sink ~domains ~strategy ?plan ~guard ?cancel ~memo
     (fun ~g ~prep ~replan ~phases ~s ~strategy plan ->
       let cap =
         match (Guard.config g).Guard.budget.Guard.max_cells with
-        | Some limit -> min matrix_cell_cap (limit / 3)
-        | None -> matrix_cell_cap
+        | Some limit -> min cell_cap (limit / 3)
+        | None -> cell_cap
       in
       let plan =
         match plan.Optimizer.decision with
@@ -760,16 +761,16 @@ let counted ~span ~label ~sink ~domains ~strategy ?plan ~guard ?cancel ~memo
       (result, plan))
 
 let project_counts ?(domains = 1) ?(strategy = Matrix) ?plan
-    ?(guard = Guard.inert) ?cancel ?(memo = no_memo) ?(tile = Jp_tile.config ())
-    ?(matrix_cell_cap = default_cell_cap) ~r ~s () =
+    ?(guard = Guard.inert) ?cancel ?(memo = no_memo) ?(tile = Tile.config ())
+    ~r ~s () =
   fst
     (counted ~span:"two_path.project_counts" ~label:"two_path.counts"
        ~sink:counted_rows ~domains ~strategy ?plan ~guard ?cancel ~memo ~tile
-       ~matrix_cell_cap ~r ~s ())
+       ~r ~s ())
 
 let ssj ?(domains = 1) ?plan ?(guard = Guard.inert) ?cancel ?(memo = no_memo)
     ~c r =
   fst
     (counted ~span:"two_path.ssj" ~label:"two_path.ssj" ~sink:(upper_rows ~c)
        ~domains ~strategy:Matrix ?plan ~guard ?cancel ~memo
-       ~tile:(Jp_tile.config ()) ~matrix_cell_cap:default_cell_cap ~r ~s:r ())
+       ~tile:(Tile.config ()) ~r ~s:r ())

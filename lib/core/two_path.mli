@@ -37,18 +37,19 @@ module Relation = Jp_relation.Relation
 module Pairs = Jp_relation.Pairs
 module Counted_pairs = Jp_relation.Counted_pairs
 module Cancel = Jp_util.Cancel
+module Tile = Jp_matrix.Tile
 
 type strategy =
   | Matrix
-      (** heavy part via {!Jp_tile.mul} (boolean) /
-          {!Jp_tile.count_product} (counts) / {!Jp_tile.count_upper} or
-          {!Jp_tile.upper_planes} ({!ssj}) *)
+      (** heavy part via {!Tile.mul} (boolean) /
+          {!Tile.count_product} (counts) / {!Tile.count_upper} or
+          {!Tile.upper_planes} ({!ssj}) *)
   | Combinatorial  (** heavy part via stamp-vector expansion (Non-MMJoin) *)
 
 (** {!ssj}'s heavy product: only the cells (i, l) with l > i of A·Aᵀ,
-    either exact ({!Jp_tile.count_upper}'s triangle) or as [c]
+    either exact ({!Tile.count_upper}'s triangle) or as [c]
     thermometer planes saturated at the threshold
-    ({!Jp_tile.upper_planes}). *)
+    ({!Tile.upper_planes}). *)
 type upper_product =
   | Triangle of Jp_matrix.Intmat.t
   | Planes of Jp_matrix.Boolmat.t array
@@ -59,7 +60,7 @@ type upper_product =
     indexes, or a heavy-part matrix product identified by the partition
     thresholds — and may return a previously built value for the same
     (r, s, thresholds) instead of running it.  A product hook wraps the
-    whole product: {!Jp_tile} is bit-equal for every tile config, so
+    whole product: {!Tile} is bit-equal for every tile config, so
     the key does not depend on it.  A memo value
     is specific to the (r, s) pair it was created for; hooks are
     consulted once per phase, never per tuple.  {!ssj}'s product has a
@@ -88,7 +89,7 @@ val heavy_product :
   Partition.t ->
   Jp_matrix.Boolmat.t
 (** The heavy-part boolean product M{_R⁺}·M{_S⁺} for a partition,
-    through {!Jp_tile} at its default config: rows are [heavy_x],
+    through {!Tile} at its default config: rows are [heavy_x],
     columns [heavy_z] (indexes per the partition's [x_index]/[z_index]).  Deterministic in (r, s, thresholds) and
     independent of [domains] — which is what makes it cacheable.  Used
     by the BSI fast path to answer heavy-heavy point queries without
@@ -101,7 +102,7 @@ val project :
   ?guard:Jp_adaptive.Guard.config ->
   ?cancel:Cancel.t ->
   ?memo:memo ->
-  ?tile:Jp_tile.config ->
+  ?tile:Tile.config ->
   r:Relation.t ->
   s:Relation.t ->
   unit ->
@@ -123,10 +124,10 @@ val project :
     whose checkpoints all answer [Continue]: no re-plan, no degradation,
     no [guard.*] counters, identical results.
 
-    The heavy-part product always runs through {!Jp_tile}, at a tile
+    The heavy-part product always runs through {!Tile}, at a tile
     shape fitted to the product; [tile] is only that shape's cap and
     the operand tiles' resident budget, and absent is
-    [Jp_tile.config ()].  Results are bit-equal for every [tile], and
+    [Tile.config ()].  Results are bit-equal for every [tile], and
     so are the guard's checkpoints.  Cancel polls fire once per output
     tile; a [memo] hit skips the product whole. *)
 
@@ -137,8 +138,7 @@ val project_counts :
   ?guard:Jp_adaptive.Guard.config ->
   ?cancel:Cancel.t ->
   ?memo:memo ->
-  ?tile:Jp_tile.config ->
-  ?matrix_cell_cap:int ->
+  ?tile:Tile.config ->
   r:Relation.t ->
   s:Relation.t ->
   unit ->
@@ -149,9 +149,9 @@ val project_counts :
     be split between the light and heavy parts, so per-pair counts from
     both sides are summed (see DESIGN.md); plans should come from
     {!Optimizer.plan_counts}.  Wcoj plans and the combinatorial strategy
-    run the same count merge with every y light.  If the count matrices
-    would exceed [matrix_cell_cap] cells (default 2·10⁸) the heavy part
-    silently falls back to the combinatorial strategy.
+    run the same count merge with every y light.  If a count matrix
+    would exceed 2·10⁸ cells the heavy part silently falls back to the
+    combinatorial strategy.
 
     [guard] adds the entry/pre-MM budget checks, the cost-honesty
     re-plan checkpoint and the exit budget mark; the guard's cells budget additionally tightens
@@ -183,8 +183,8 @@ val ssj :
     the diagonal, and rows leave the accumulator already thresholded
     ({!Jp_util.Row_acc.emit_ge_into}).  The product is the one
     {!Jp_matrix.Cost.ssj_kernel} prices cheaper for its shape, [c] and
-    nnz: {!Jp_tile.count_upper}'s exact triangle, or
-    {!Jp_tile.upper_planes}' [c] planes, which count each pair only up
+    nnz: {!Tile.count_upper}'s exact triangle, or
+    {!Tile.upper_planes}' [c] planes, which count each pair only up
     to [c] (exact for the threshold: min(h, c) + l ≥ c iff h + l ≥ c).
     The [ssj.triangle_products]/[ssj.plane_products] counters name the
     kernel that ran.  No counted pairs are

@@ -7,7 +7,7 @@
     operation — the constant-factor acceleration that Eigen+MKL's SIMD
     SGEMM plays in the paper (Section 6).
 
-    This module holds no kernel: every product runs through [Jp_tile],
+    This module holds no kernel: every product runs through {!Tile},
     whose operand tiles and boolean results are these matrices. *)
 
 type t
@@ -42,4 +42,4 @@ val saturate_rows :
 (** [saturate_rows planes off ~from ~sel m] adds the rows of [m] that
     [sel] selects to the thermometer [planes], as
     {!Jp_util.Bitset.saturate_selected} does: the row-OR step of
-    [Jp_tile]'s saturating plane product. *)
+    {!Tile}'s saturating plane product. *)

@@ -1,3 +1,5 @@
+module Relation = Jp_relation.Relation
+
 type kind = Count | Boolean
 
 (* The SSJ kernel price's fitted multipliers of the machine's word
@@ -56,101 +58,97 @@ let measure_tm n =
   Sys.opaque_identity !keep |> ignore;
   dt /. float_of_int n
 
+type constant = Ti | Count_word | Bool_word
+
+type probe = { counter : string; work : int; run : unit -> unit }
+
+(* A seeded p×p operand of density 0.6, as the sorted id lists a
+   partition's heavy operand is built from. *)
+let operand rng p =
+  let ids = Array.init p Fun.id in
+  let rows =
+    Array.init p (fun _ ->
+        let ones = ref [] in
+        for j = 0 to p - 1 do
+          if Jp_util.Rng.float rng 1.0 < 0.6 then ones := j :: !ones
+        done;
+        Array.of_list (List.rev !ones))
+  in
+  (rows, Tile.Source.of_mapped ~rows:p ~cols:p (Array.get rows) ids)
+
 (* TI prices one pre-projection join tuple in the stamp-vector expansion
-   (Section 6's inner loop), so the probe replicates it end-to-end:
-   adjacency chasing into the engines' row accumulator ([Row_acc]: stamp
-   dedup, candidate buffer and the sorted emit).  A plain random-access
-   loop underprices this by an order of magnitude and would bias
-   Algorithm 3 against the matrix plan. *)
-let measure_ti n =
+   (Section 6's inner loop), so the probe is [Expand.project] over
+   random adjacency: nx x values of deg y's each, deg z's per y, which
+   touches about n join tuples.  A plain random-access loop underprices
+   this by an order of magnitude and would bias Algorithm 3 against the
+   matrix plan. *)
+let ti_probe n =
   let rng = Jp_util.Rng.create 0xC0FFEE in
   let nx = max 64 (int_of_float (sqrt (float_of_int n))) in
-  (* per x we visit deg_r * deg_s = deg^2 tuples; size deg so the probe
-     touches ~n tuples in total *)
   let deg = max 4 (int_of_float (sqrt (float_of_int (n / nx)))) in
   let nz = 4 * deg in
   let adj_r = Array.init nx (fun _ -> Array.init deg (fun _ -> Jp_util.Rng.int rng nz)) in
-  (* strictly increasing lists, as adjacency lists are *)
-  let adj_s =
-    Array.init nz (fun _ ->
-        Array.of_list
-          (List.sort_uniq Int.compare (List.init deg (fun _ -> Jp_util.Rng.int rng nz))))
-  in
-  let acc = Jp_util.Row_acc.create nz in
-  let tuples = ref 0 in
-  let t0 = Jp_util.Timer.now () in
-  for a = 0 to nx - 1 do
-    Jp_util.Row_acc.start acc;
-    Array.iter
-      (fun b ->
-        let zs = Array.unsafe_get adj_s b in
-        tuples := !tuples + Array.length zs;
-        Jp_util.Row_acc.add_all acc zs)
-      (Array.unsafe_get adj_r a);
-    Sys.opaque_identity (Jp_util.Row_acc.emit acc) |> ignore
-  done;
-  let dt = Jp_util.Timer.now () -. t0 in
-  dt /. float_of_int (max 1 !tuples)
+  let adj_s = Array.init nz (fun _ -> Array.init deg (fun _ -> Jp_util.Rng.int rng nz)) in
+  let r = Relation.of_sets ~dst_count:nz adj_r
+  and s = Relation.transpose (Relation.of_sets ~dst_count:nz adj_s) in
+  let work = ref 0 in
+  Relation.iter (fun _ y -> work := !work + Relation.deg_dst s y) r;
+  {
+    counter = "light.probes";
+    work = !work;
+    run = (fun () -> ignore (Sys.opaque_identity (Jp_wcoj.Expand.project ~r ~s ())));
+  }
 
-let random_boolmat rng ~rows ~cols ~density =
-  let m = Boolmat.create ~rows ~cols in
-  for i = 0 to rows - 1 do
-    for j = 0 to cols - 1 do
-      if Jp_util.Rng.float rng 1.0 < density then Boolmat.set m i j
-    done
-  done;
-  m
-
-(* The kernel constants time the word loops of [Jp_tile]'s tile bodies
-   over one p×p operand pair — one tile, as every product up to the
-   default cap is.  This library sits below [jp_tile], so the probes
-   copy those loops the way [measure_ti] copies [Row_acc]'s: the count
-   body adds one [Bitset.inter_count] per row pair into the result
-   cell, the boolean body ORs the B rows each A row selects into that
-   result row with [Bitset.union_into]. *)
-let measure_count_word p =
+(* The word constants run the engine's one tile over a p×p operand pair,
+   as every product up to the default cap is.  Their divisors are the
+   word counts the kernels record: a payload word per one of A for the
+   row-OR, and per cell for the AND+popcount (no row of A is empty at
+   this density). *)
+let count_probe p =
   let rng = Jp_util.Rng.create 7 in
-  let a = random_boolmat rng ~rows:p ~cols:p ~density:0.6
-  and b = random_boolmat rng ~rows:p ~cols:p ~density:0.6 in
-  let c = Intmat.create ~rows:p ~cols:p in
-  let t0 = Jp_util.Timer.now () in
-  for i = 0 to p - 1 do
-    let arow = Boolmat.row a i and dst = Intmat.row c i in
-    for l = 0 to p - 1 do
-      let n = Jp_util.Bitset.inter_count arow (Boolmat.row b l) in
-      if n > 0 then dst.(l) <- dst.(l) + n
-    done
-  done;
-  let dt = Jp_util.Timer.now () -. t0 in
-  Sys.opaque_identity c |> ignore;
-  let words = float_of_int (p * p) *. (float_of_int p /. 62.0) in
-  dt /. words
+  let _, a = operand rng p in
+  let _, b = operand rng p in
+  {
+    counter = "mm.count_word_ops";
+    work = p * p * Jp_util.Bitset.payload_words p;
+    run =
+      (fun () -> ignore (Sys.opaque_identity (Tile.count_product (Tile.config ()) a b)));
+  }
 
-let measure_bool_word p =
+let bool_probe p =
   let rng = Jp_util.Rng.create 11 in
-  let a = random_boolmat rng ~rows:p ~cols:p ~density:0.6
-  and b = random_boolmat rng ~rows:p ~cols:p ~density:0.6 in
-  let c = Boolmat.create ~rows:p ~cols:p in
+  let rows, a = operand rng p in
+  let _, b = operand rng p in
+  let ones = Array.fold_left (fun n row -> n + Array.length row) 0 rows in
+  {
+    counter = "mm.bool_word_ops";
+    work = ones * Jp_util.Bitset.payload_words p;
+    run = (fun () -> ignore (Sys.opaque_identity (Tile.mul (Tile.config ()) a b)));
+  }
+
+let probe ~quick = function
+  | Ti -> ti_probe (if quick then 200_000 else 2_000_000)
+  | Count_word -> count_probe (if quick then 96 else 256)
+  | Bool_word -> bool_probe (if quick then 96 else 256)
+
+(* The second of two runs: the first pays a fresh process's cold start
+   (page faults on new heap, first-use allocations), which a steady
+   workload's products do not. *)
+let seconds_per_work p =
+  p.run ();
   let t0 = Jp_util.Timer.now () in
-  for i = 0 to p - 1 do
-    let dst = Boolmat.row c i in
-    Boolmat.iter_row a i (fun k ->
-        Jp_util.Bitset.union_into ~dst (Boolmat.row b k))
-  done;
-  let dt = Jp_util.Timer.now () -. t0 in
-  Sys.opaque_identity c |> ignore;
-  let words = 0.6 *. float_of_int (p * p) *. (float_of_int p /. 62.0) in
-  dt /. words
+  p.run ();
+  (Jp_util.Timer.now () -. t0) /. float_of_int (max 1 p.work)
 
 let calibrate ?(quick = true) () =
   let n = if quick then 200_000 else 2_000_000 in
-  let p = if quick then 96 else 256 in
+  let time c = seconds_per_work (probe ~quick c) in
   {
     ts = measure_ts n;
     tm = measure_tm n;
-    ti = measure_ti n;
-    count_word = measure_count_word p;
-    bool_word = measure_bool_word p;
+    ti = time Ti;
+    count_word = time Count_word;
+    bool_word = time Bool_word;
     cores = Jp_parallel.Pool.available_cores ();
   }
 

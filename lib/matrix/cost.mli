@@ -10,24 +10,30 @@
 
     - The {e machine-calibrated} estimator [M̂(u,v,w,co)] of Section 5
       (Table 1): measured per-word constants of the one product kernel,
-      [Jp_tile], extrapolated by the cubic cost formula — valid because
+      {!Tile}, extrapolated by the cubic cost formula — valid because
       the kernel, like the paper's Eigen, implements the (optimized)
-      cubic algorithm with predictable running time.  This library sits
-      below [jp_tile], so the probes time copies of its tile bodies'
-      word loops ([Bitset.union_into] over the selected rows,
-      [Bitset.inter_count] over row pairs) on one square tile, the shape
-      of every product up to the tile cap.  The one kernel choice
+      cubic algorithm with predictable running time.  The probes run
+      {!Tile.mul} and {!Tile.count_product} themselves on one square
+      tile, the shape of every product up to the tile cap, and divide
+      by the words the kernels count ({!probe}).  The one kernel choice
       priced here is the set-similarity join's ({!ssj_kernel}): exact
       triangle or saturating planes, from the same two constants.
 
     The same calibration pass also measures the paper's Table-1 machine
     constants [Ts] (sequential access), [Tm] (allocation) and [TI] (random
     access/insert), which Algorithm 3 combines with the index statistics to
-    cost the combinatorial part of the join. *)
+    cost the combinatorial part of the join; [TI] is timed on the
+    stamp-vector expansion, [Jp_wcoj.Expand.project].
+
+    The engine kernels publish spans and counters while [Jp_obs]
+    records, so calibrate outside recording: force {!machine} before
+    [Jp_obs.enable], or a traced run's first query pays for it and its
+    counters hold the probes' work.  Calibration itself never reads or
+    writes the [Jp_obs] registry. *)
 
 type kind =
-  | Count  (** [Jp_tile.count_product]: bit-sliced count product *)
-  | Boolean  (** [Jp_tile.mul]: bit-packed boolean product *)
+  | Count  (** [Tile.count_product]: bit-sliced count product *)
+  | Boolean  (** [Tile.mul]: bit-packed boolean product *)
 
 val lemma1 : u:int -> v:int -> w:int -> float
 (** [lemma1 ~u ~v ~w] is the Lemma-1 operation count [u·v·w·β^(ω−3)]
@@ -45,8 +51,34 @@ type machine = {
 }
 (** Measured machine constants (Table 1 of the paper). *)
 
+(** The constants timed on an engine kernel. *)
+type constant =
+  | Ti  (** [Jp_wcoj.Expand.project] *)
+  | Count_word  (** {!Tile.count_product} *)
+  | Bool_word  (** {!Tile.mul} *)
+
+type probe = {
+  counter : string;
+      (** the [Jp_obs] counter the kernel records its work on *)
+  work : int;
+      (** that counter's growth over one [run], computed from the
+          operands: the probe's divisor *)
+  run : unit -> unit;  (** one call of the kernel on the probe's operands *)
+}
+
+val probe : quick:bool -> constant -> probe
+(** [probe ~quick c] builds the seeded operands that {!calibrate} times
+    [c] on: a 96×96 pair ([quick]) or 256×256 pair of density 0.6 for
+    the word constants, whose divisors are Σ ones(A)·⌈p/62⌉
+    ([mm.bool_word_ops]) and p²·⌈p/62⌉ ([mm.count_word_ops]); for [Ti],
+    random adjacency of about 2·10⁵ ([quick]) or 2·10⁶ join tuples,
+    whose divisor is Σ deg, the lists the expansion scans
+    ([light.probes]). *)
+
 val calibrate : ?quick:bool -> unit -> machine
-(** Runs the micro-benchmarks and returns fresh constants.  [quick]
+(** Runs the micro-benchmarks and returns fresh constants, each the time
+    of one run of its {!probe}, after an untimed first run, over the
+    probe's [work].  [quick]
     (default true) keeps the probe sizes small (a few milliseconds total);
     [quick:false] uses larger probes for tighter estimates. *)
 
@@ -68,8 +100,8 @@ val mhat : machine -> kind -> u:int -> v:int -> w:int -> cores:int -> float
     [u×v · v×w] with the given kernel on [cores] cores, including the
     matrix-construction cost [C] (Section 3.1). *)
 
-(** The set-similarity join's heavy kernel: [Jp_tile.count_upper]'s
-    exact strict upper triangle of A·Aᵀ, or [Jp_tile.upper_planes]'
+(** The set-similarity join's heavy kernel: [Tile.count_upper]'s
+    exact strict upper triangle of A·Aᵀ, or [Tile.upper_planes]'
     thermometer planes, saturated at c. *)
 type ssj_kernel = Triangle | Planes
 

@@ -1,5 +1,3 @@
-module Boolmat = Jp_matrix.Boolmat
-module Intmat = Jp_matrix.Intmat
 module Bitset = Jp_util.Bitset
 module Cancel = Jp_util.Cancel
 module Obs = Jp_obs
@@ -26,7 +24,7 @@ module Source = struct
   type t = { rows : int; cols : int; entries : entries }
 
   let make name ~rows ~cols entries =
-    if rows < 0 || cols < 0 then invalid_arg ("Jp_tile.Source." ^ name);
+    if rows < 0 || cols < 0 then invalid_arg ("Tile.Source." ^ name);
     { rows; cols; entries }
 
   let of_adjacency ~rows ~cols adj = make "of_adjacency" ~rows ~cols (Adjacency adj)
@@ -284,7 +282,7 @@ let band_bytes = 1 lsl 20
 let check_dims name (a : Source.t) (b : Source.t) =
   if a.Source.cols <> b.Source.rows then
     invalid_arg
-      (Printf.sprintf "Jp_tile.%s: dimension mismatch (%dx%d . %dx%d)" name
+      (Printf.sprintf "Tile.%s: dimension mismatch (%dx%d . %dx%d)" name
          a.Source.rows a.Source.cols b.Source.rows b.Source.cols)
 
 (* The row-OR product: output tile (ti, tj) is the OR over inner blocks
@@ -443,7 +441,7 @@ let mul_rows ~domains ?cancel cfg (a : Source.t) (b : Source.t) f =
 let upper_planes ?(domains = 1) ?cancel cfg ~c (a : Source.t)
     (b : Source.t) =
   check_dims "upper_planes" a b;
-  if c < 1 then invalid_arg "Jp_tile.upper_planes: c must be >= 1";
+  if c < 1 then invalid_arg "Tile.upper_planes: c must be >= 1";
   Obs.span "tile.upper_planes" (fun () ->
       let planes =
         Array.init c (fun _ -> Boolmat.create ~rows:a.Source.rows ~cols:b.Source.cols)
@@ -563,7 +561,7 @@ let count_product ?(domains = 1) ?cancel cfg (a : Source.t)
   if a.Source.cols <> b.Source.cols then
     invalid_arg
       (Printf.sprintf
-         "Jp_tile.count_product: inner dim mismatch (%dx%d . (%dx%d)T)"
+         "Tile.count_product: inner dim mismatch (%dx%d . (%dx%d)T)"
          a.Source.rows a.Source.cols b.Source.rows b.Source.cols);
   count_body ~upper:false ~domains ?cancel cfg a b
 

@@ -52,8 +52,6 @@
     an OR, commutes; count tiles add into their own disjoint cell
     blocks, and partial sums over inner blocks are exact. *)
 
-module Boolmat = Jp_matrix.Boolmat
-module Intmat = Jp_matrix.Intmat
 module Cancel = Jp_util.Cancel
 
 type config = private { tile_bits : int; budget_bytes : int option }

@@ -224,8 +224,8 @@ module C = struct
 
   let cache_invalidations = counter "cache.invalidate"
 
-  (* Tiled heavy-part product (Jp_tile).  build/store_hit/evict count
-     operand-tile traffic through the bounded resident store, product
+  (* Tiled heavy-part product (Jp_matrix.Tile).  build/store_hit/evict
+     count operand-tile traffic through the bounded resident store, product
      counts output tiles computed.  The store's resident footprint is the
      G.tile_bytes gauge; tile.peak_bytes is the monotone high-water mark
      of that footprint (bumped by the increase only, so bench-cell deltas

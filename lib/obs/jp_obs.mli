@@ -182,24 +182,26 @@ val exposition : unit -> string
 module C : sig
   val mm_bool_word_ops : counter
   (** 62-bit payload-word ORs of the boolean heavy product
-      ([Jp_tile.mul] and its streamed [mul_rows], which the star runs):
-      one per union times the words holding the OR'd row's bits — a
+      ([Jp_matrix.Tile.mul] and its streamed [mul_rows], which the star
+      runs): one per union times the words holding the OR'd row's bits — a
       bitset's spare trailing word is not counted. *)
 
   val mm_count_word_ops : counter
   (** 62-bit payload-word AND+popcounts of the count heavy product
-      ([Jp_tile.count_product]/[count_upper]), counted the same way;
-      for the saturating plane product ([Jp_tile.upper_planes]), one per
-      plane word written. *)
+      ([Jp_matrix.Tile.count_product]/[count_upper]), counted the same
+      way; for the saturating plane product
+      ([Jp_matrix.Tile.upper_planes]), one per plane word written. *)
 
   val ssj_triangles : counter
   (** Set-similarity heavy products computed as the exact strict upper
-      triangle ([Jp_tile.count_upper]), as [Jp_matrix.Cost.ssj_kernel]
-      priced them; a product served from a memo is not counted. *)
+      triangle ([Jp_matrix.Tile.count_upper]), as
+      [Jp_matrix.Cost.ssj_kernel] priced them; a product served from a
+      memo is not counted. *)
 
   val ssj_planes : counter
   (** Set-similarity heavy products computed as saturating thermometer
-      planes ([Jp_tile.upper_planes]), counted as {!ssj_triangles}. *)
+      planes ([Jp_matrix.Tile.upper_planes]), counted as
+      {!ssj_triangles}. *)
 
   val stamp_hits : counter
   (** Stamp-vector probes that found the stamp already set (dedup hits). *)
@@ -294,7 +296,7 @@ module C : sig
   (** Entries dropped because a fingerprint was invalidated. *)
 
   val tile_builds : counter
-  (** Operand tiles built (or rebuilt after eviction) by [Jp_tile]. *)
+  (** Operand tiles built (or rebuilt after eviction) by [Jp_matrix.Tile]. *)
 
   val tile_store_hits : counter
   (** Operand-tile fetches answered by the resident tile store. *)
@@ -303,9 +305,9 @@ module C : sig
   (** Operand tiles evicted by the resident-set byte budget. *)
 
   val tile_products : counter
-  (** Output tiles computed by [Jp_tile.mul]/[mul_rows]/[count_product]/
-      [count_upper]/[upper_planes]: every heavy product publishes at
-      least one. *)
+  (** Output tiles computed by [Jp_matrix.Tile.mul]/[mul_rows]/
+      [count_product]/[count_upper]/[upper_planes]: every heavy product
+      publishes at least one. *)
 
   val tile_peak_bytes : counter
   (** High-water mark of {!G.tile_bytes}: bumped by the increase whenever

@@ -9,6 +9,7 @@ module Relation = Jp_relation.Relation
 module Pairs = Jp_relation.Pairs
 module Counted_pairs = Testkit.Counted_pairs
 module Optimizer = Joinproj.Optimizer
+module Tile = Jp_matrix.Tile
 
 let guard_with inj = Guard.with_inject inj Guard.default
 
@@ -223,7 +224,7 @@ let test_checkpoints_independent_of_tiles () =
         (v "guard.checkpoints", v "tile.product"))
   in
   let small_checks, small_tiles =
-    counters (Some (Jp_tile.config ~tile_bits:4 ()))
+    counters (Some (Tile.config ~tile_bits:4 ()))
   in
   let default_checks, default_tiles = counters None in
   Alcotest.(check bool) "tile_bits 4 splits the product" true
@@ -297,9 +298,7 @@ let test_clean_guard_is_transparent () =
 
 let test_guardless_is_inert () =
   (* No guard means the inert one: the same supervised path runs, but no
-     [guard.*] counter moves and no outcome is recorded — not even for
-     the cell-cap fallback of the counted path, which a live guard
-     records as a degradation. *)
+     [guard.*] counter moves and no outcome is recorded. *)
   let r = Gen.skewed_relation ~seed:42 ~nx:60 ~ny:40 ~edges:600 () in
   let plan decision =
     { Optimizer.decision; est_out = 1; join_size = 1; est_seconds = 0.0 }
@@ -319,9 +318,6 @@ let test_guardless_is_inert () =
               ignore (Joinproj.Two_path.project ?guard ?plan ~r ~s:r ());
               ignore (Joinproj.Two_path.project_counts ?guard ?plan ~r ~s:r ()))
             [ None; Some (plan Optimizer.Wcoj); Some partitioned ];
-          ignore
-            (Joinproj.Two_path.project_counts ?guard ~plan:partitioned
-               ~matrix_cell_cap:0 ~r ~s:r ());
           ignore (Joinproj.Star.project ?guard rels))
         [ None; Some Guard.inert ];
       let v name =
@@ -331,7 +327,7 @@ let test_guardless_is_inert () =
         (fun name -> Alcotest.(check int) name 0 (v name))
         [ "guard.checkpoints"; "guard.replans"; "guard.degrades" ];
       let records = Jp_obs.plan_records () in
-      Alcotest.(check int) "one record per call" 16 (List.length records);
+      Alcotest.(check int) "one record per call" 14 (List.length records);
       List.iter
         (fun pr ->
           Alcotest.(check bool) "neither replanned nor degraded" false

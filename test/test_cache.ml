@@ -13,6 +13,7 @@ module Relation = Jp_relation.Relation
 module Pairs = Jp_relation.Pairs
 module Presets = Jp_workload.Presets
 module View = Jp_dynamic.View
+module Tile = Jp_matrix.Tile
 
 let small name = Presets.load ~scale:0.02 ~seed:7 name
 
@@ -161,7 +162,7 @@ let test_count_product_bytes () =
   for i = 0 to n - 1 do
     Jp_matrix.Boolmat.set m i (i mod 8)
   done;
-  let src = Jp_tile.Source.of_boolmat m and tile = Jp_tile.config () in
+  let src = Tile.Source.of_boolmat m and tile = Tile.config () in
   let charged store =
     let c = Cache.create () in
     let r = Relation.of_edges [| (0, 0) |] in
@@ -174,13 +175,13 @@ let test_count_product_bytes () =
          ignore
            (memo.Joinproj.Two_path.memo_upper_product ~d1:1 ~c:2
               ~kernel:Jp_matrix.Cost.Triangle (fun () ->
-                Joinproj.Two_path.Triangle (Jp_tile.count_upper tile src)))));
+                Joinproj.Two_path.Triangle (Tile.count_upper tile src)))));
   Alcotest.(check int) "full product"
     ((n * n * 8) + 64)
     (charged (fun memo ->
          ignore
            (memo.Joinproj.Two_path.memo_count_product ~d1:1 (fun () ->
-                Jp_tile.count_product tile src src))))
+                Tile.count_product tile src src))))
 
 (* The SSJ's saturating planes are charged k·rows·words·8 + 64 bytes:
    k planes of n rows, each row the payload words of n columns, under
@@ -198,15 +199,15 @@ let test_plane_product_bytes () =
   for i = 0 to n - 1 do
     Jp_matrix.Boolmat.iter_row m i (fun y -> Jp_matrix.Boolmat.set mt y i)
   done;
-  let a = Jp_tile.Source.of_boolmat m and at = Jp_tile.Source.of_boolmat mt in
-  let tile = Jp_tile.config () in
+  let a = Tile.Source.of_boolmat m and at = Tile.Source.of_boolmat mt in
+  let tile = Tile.config () in
   let c = Cache.create () in
   let r = Relation.of_edges [| (0, 0) |] in
   let memo = Cache.two_path_memo c ~r ~s:r in
   let planes k =
     memo.Joinproj.Two_path.memo_upper_product ~d1:1 ~c:k
       ~kernel:Jp_matrix.Cost.Planes (fun () ->
-        Joinproj.Two_path.Planes (Jp_tile.upper_planes tile ~c:k a at))
+        Joinproj.Two_path.Planes (Tile.upper_planes tile ~c:k a at))
   in
   let words = Jp_util.Bitset.payload_words n in
   let charge k = (k * n * words * 8) + 64 in

@@ -4,6 +4,7 @@ module Two_path = Joinproj.Two_path
 module Optimizer = Joinproj.Optimizer
 module Partition = Joinproj.Partition
 module Estimator = Joinproj.Estimator
+module Tile = Jp_matrix.Tile
 
 let check_pairs name expected actual =
   Alcotest.(check (list (pair int int))) name expected actual
@@ -213,8 +214,15 @@ let test_counts_all_thresholds () =
 let test_counts_cap_fallback () =
   let r = Gen.skewed_relation ~seed:43 ~nx:20 ~ny:15 ~edges:100 () in
   let s = Gen.skewed_relation ~seed:44 ~nx:19 ~ny:15 ~edges:90 () in
+  (* The cell cap is a third of the guard's cells budget: one cell. *)
+  let guard =
+    {
+      Jp_adaptive.Guard.default with
+      budget = { Jp_adaptive.Guard.max_seconds = None; max_cells = Some 3 };
+    }
+  in
   let got =
-    Two_path.project_counts ~matrix_cell_cap:1 ~plan:(forced_plan 2 1) ~r ~s ()
+    Two_path.project_counts ~guard ~plan:(forced_plan 2 1) ~r ~s ()
   in
   Alcotest.(check (list (pair (pair int int) int)))
     "tiny cap falls back to combinatorial heavy part"
@@ -444,7 +452,7 @@ let prop_split_invisible =
       in
       let s0 = Gen.random_relation ~seed:(seed + 31_500) ~nx:30 ~ny:20 ~edges:300 () in
       let r, s = with_gadget r0 s0 in
-      let plan = forced_plan d1 d2 and tile = Jp_tile.config ~tile_bits:bits () in
+      let plan = forced_plan d1 d2 and tile = Tile.config ~tile_bits:bits () in
       let memo, unchanged = recording_memo () in
       let ssj_memo, ssj_unchanged = recording_memo () in
       let twice f =

@@ -6,6 +6,7 @@
 module Relation = Jp_relation.Relation
 module Pairs = Jp_relation.Pairs
 module Presets = Jp_workload.Presets
+module Tile = Jp_matrix.Tile
 
 let small name = Presets.load ~scale:0.02 ~seed:7 name
 
@@ -424,7 +425,7 @@ let test_cached_cq_agrees () =
    evict mid-product, boolean and counted projections must stay
    bit-equal to the default fitted shape — alone and stacked under the
    guarded / cancelled / cached capabilities. *)
-let tiny_tile = Jp_tile.config ~tile_bits:4 ~budget_bytes:8192 ()
+let tiny_tile = Tile.config ~tile_bits:4 ~budget_bytes:8192 ()
 
 let test_tiled_two_path_agrees () =
   let matrix = Joinproj.Two_path.Matrix in

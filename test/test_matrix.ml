@@ -1,6 +1,7 @@
 module Intmat = Testkit.Intmat
 module Boolmat = Testkit.Boolmat
 module Cost = Jp_matrix.Cost
+module Tile = Jp_matrix.Tile
 
 let random_intmat seed ~rows ~cols ~density =
   let g = Jp_util.Rng.create seed in
@@ -12,31 +13,6 @@ let random_intmat seed ~rows ~cols ~density =
     done
   done;
   m
-
-let test_intmat_mul () =
-  let a = random_intmat 1 ~rows:17 ~cols:23 ~density:0.3 in
-  let b = random_intmat 2 ~rows:23 ~cols:11 ~density:0.4 in
-  Alcotest.(check bool) "blocked = naive" true
-    (Intmat.equal (Intmat.mul a b) (Intmat.naive_mul a b))
-
-let test_intmat_mul_large_block () =
-  (* Exercise the k-blocking boundary (block size 64). *)
-  let a = random_intmat 3 ~rows:5 ~cols:130 ~density:0.5 in
-  let b = random_intmat 4 ~rows:130 ~cols:7 ~density:0.5 in
-  Alcotest.(check bool) "crosses block boundary" true
-    (Intmat.equal (Intmat.mul a b) (Intmat.naive_mul a b))
-
-let test_intmat_mul_parallel () =
-  let a = random_intmat 5 ~rows:64 ~cols:64 ~density:0.3 in
-  let b = random_intmat 6 ~rows:64 ~cols:64 ~density:0.3 in
-  Alcotest.(check bool) "parallel = sequential" true
-    (Intmat.equal (Intmat.mul ~domains:4 a b) (Intmat.mul a b))
-
-let test_intmat_dim_mismatch () =
-  let a = Intmat.create ~rows:2 ~cols:3 and b = Intmat.create ~rows:4 ~cols:2 in
-  Alcotest.check_raises "mismatch"
-    (Invalid_argument "Intmat.mul: dimension mismatch (2x3 . 4x2)") (fun () ->
-      ignore (Intmat.mul a b))
 
 let bool_of_int m =
   let rows, cols = Intmat.dims m in
@@ -50,15 +26,15 @@ let bool01 m =
   Intmat.iter_nonzero m (fun i j _ -> Intmat.set c i j 1);
   c
 
-(* Boolean products run through the one kernel, {!Jp_tile}; these check
+(* Boolean products run through the one kernel, {!Tile}; these check
    it on Boolmat operands against the integer product written out here. *)
 let tile_mul a b =
-  Jp_tile.mul (Jp_tile.config ())
-    (Jp_tile.Source.of_boolmat a) (Jp_tile.Source.of_boolmat b)
+  Tile.mul (Tile.config ())
+    (Tile.Source.of_boolmat a) (Tile.Source.of_boolmat b)
 
 let tile_count_product a b =
-  Jp_tile.count_product (Jp_tile.config ())
-    (Jp_tile.Source.of_boolmat a) (Jp_tile.Source.of_boolmat b)
+  Tile.count_product (Tile.config ())
+    (Tile.Source.of_boolmat a) (Tile.Source.of_boolmat b)
 
 let test_boolmat_mul () =
   let a = random_intmat 7 ~rows:40 ~cols:90 ~density:0.15 in
@@ -94,13 +70,13 @@ let test_count_product_mismatch () =
   let a = Boolmat.create ~rows:2 ~cols:3 and b = Boolmat.create ~rows:2 ~cols:4 in
   Alcotest.check_raises "inner dim"
     (Invalid_argument
-       "Jp_tile.count_product: inner dim mismatch (2x3 . (2x4)T)") (fun () ->
+       "Tile.count_product: inner dim mismatch (2x3 . (2x4)T)") (fun () ->
       ignore (tile_count_product a b))
 
 let test_boolmat_mul_mismatch () =
   let a = Boolmat.create ~rows:2 ~cols:3 and b = Boolmat.create ~rows:5 ~cols:4 in
   Alcotest.check_raises "dims in message"
-    (Invalid_argument "Jp_tile.mul: dimension mismatch (2x3 . 5x4)") (fun () ->
+    (Invalid_argument "Tile.mul: dimension mismatch (2x3 . 5x4)") (fun () ->
       ignore (tile_mul a b))
 
 let test_lemma1 () =
@@ -156,12 +132,45 @@ let test_load_machine () =
       Alcotest.(check bool) "missing file" true
         (Result.is_error (Cost.load_machine (full ^ ".absent"))))
 
+(* Each calibration probe times an engine kernel over its divisor,
+   computed from the operands; with recording on, one run of the kernel
+   moves the counter it names by exactly that much. *)
+let test_probe_divisors () =
+  List.iter
+    (fun c ->
+      let p = Cost.probe ~quick:true c in
+      Alcotest.(check bool) (p.Cost.counter ^ " has work") true (p.Cost.work > 0);
+      Jp_obs.reset ();
+      Jp_obs.enable ();
+      Fun.protect
+        ~finally:(fun () -> Jp_obs.disable (); Jp_obs.reset ())
+        (fun () ->
+          p.Cost.run ();
+          Alcotest.(check int) p.Cost.counter p.Cost.work
+            (Jp_obs.value (Jp_obs.counter p.Cost.counter))))
+    Cost.[ Ti; Count_word; Bool_word ]
+
+(* A live calibration returns usable constants and leaves the machine
+   every plan reads where it was. *)
+let test_calibrate () =
+  let m = Cost.calibrate () in
+  List.iter
+    (fun (name, x) ->
+      Alcotest.(check bool) (name ^ " positive and finite") true
+        (Float.is_finite x && x > 0.0))
+    [
+      ("ts", m.Cost.ts);
+      ("tm", m.Cost.tm);
+      ("ti", m.Cost.ti);
+      ("count_word", m.Cost.count_word);
+      ("bool_word", m.Cost.bool_word);
+    ];
+  Alcotest.(check bool) "cores" true (m.Cost.cores >= 1);
+  Alcotest.(check bool) "machine still pinned" true
+    (Cost.machine () = Testkit.fixed_machine)
+
 let suite =
   [
-    Alcotest.test_case "intmat mul" `Quick test_intmat_mul;
-    Alcotest.test_case "intmat mul blocks" `Quick test_intmat_mul_large_block;
-    Alcotest.test_case "intmat mul parallel" `Quick test_intmat_mul_parallel;
-    Alcotest.test_case "intmat dim mismatch" `Quick test_intmat_dim_mismatch;
     Alcotest.test_case "boolmat mul" `Quick test_boolmat_mul;
     Alcotest.test_case "boolmat mul mismatch" `Quick test_boolmat_mul_mismatch;
     Alcotest.test_case "boolmat adjacency" `Quick test_boolmat_adjacency;
@@ -170,4 +179,6 @@ let suite =
     Alcotest.test_case "lemma1" `Quick test_lemma1;
     Alcotest.test_case "mhat monotone" `Quick test_mhat_monotone;
     Alcotest.test_case "load machine" `Quick test_load_machine;
+    Alcotest.test_case "probe divisors" `Quick test_probe_divisors;
+    Alcotest.test_case "calibrate" `Quick test_calibrate;
   ]

@@ -4,6 +4,7 @@
 module Relation = Testkit.Relation
 module Pairs = Testkit.Pairs
 module Sorted = Jp_util.Sorted
+module Tile = Jp_matrix.Tile
 
 let sorted_of_list l = Array.of_list (List.sort_uniq compare l)
 
@@ -247,7 +248,7 @@ let prop_rows_pass_checked_constructors =
          tiny capped tiles under a budget, and with a memo the cache is
          first warmed by the other config: a product memoized under one
          tile config must serve the other. *)
-      let tiny = Some (Jp_tile.config ~tile_bits:4 ~budget_bytes:4096 ()) in
+      let tiny = Some (Tile.config ~tile_bits:4 ~budget_bytes:4096 ()) in
       let tile = if tiled then tiny else None in
       let memo =
         if not memoized then None

@@ -5,6 +5,7 @@ module Size_aware_pp = Jp_ssj.Size_aware_pp
 module Mm_ssj = Jp_ssj.Mm_ssj
 module Ordered = Jp_ssj.Ordered
 module Overlap_tree = Jp_ssj.Overlap_tree
+module Tile = Jp_matrix.Tile
 
 (* Brute force: all unordered pairs with overlap >= c. *)
 let brute ~c r =
@@ -228,12 +229,12 @@ let test_ssj_plane_word_ops () =
   let p = Joinproj.Partition.make ~r ~s:r ~d1 ~d2:0 () in
   let v = Array.length p.heavy_y in
   let operand =
-    Jp_tile.Source.of_mapped ~rows:(Array.length p.heavy_x) ~cols:v
+    Tile.Source.of_mapped ~rows:(Array.length p.heavy_x) ~cols:v
       (fun i -> Relation.adj_src r p.heavy_x.(i))
       p.y_index
   in
   let triangle =
-    List.hd (counters (fun () -> Jp_tile.count_upper (Jp_tile.config ()) operand))
+    List.hd (counters (fun () -> Tile.count_upper (Tile.config ()) operand))
   in
   match counters (fun () -> Two_path.ssj ~plan ~c:2 r) with
   | [ planes; 1; 0 ] ->

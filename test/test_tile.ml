@@ -1,6 +1,6 @@
 module Boolmat = Testkit.Boolmat
 module Intmat = Testkit.Intmat
-module Tile = Jp_tile
+module Tile = Jp_matrix.Tile
 module Cancel = Jp_util.Cancel
 
 let random_boolmat seed ~rows ~cols ~density =
@@ -91,11 +91,11 @@ let test_parallel_matches_sequential () =
 let test_dim_mismatch () =
   let a = Boolmat.create ~rows:2 ~cols:3 and b = Boolmat.create ~rows:5 ~cols:4 in
   Alcotest.check_raises "mul"
-    (Invalid_argument "Jp_tile.mul: dimension mismatch (2x3 . 5x4)") (fun () ->
+    (Invalid_argument "Tile.mul: dimension mismatch (2x3 . 5x4)") (fun () ->
       ignore
         (Tile.mul (cfg ()) (Tile.Source.of_boolmat a) (Tile.Source.of_boolmat b)));
   Alcotest.check_raises "count_product"
-    (Invalid_argument "Jp_tile.count_product: inner dim mismatch (2x3 . (5x4)T)")
+    (Invalid_argument "Tile.count_product: inner dim mismatch (2x3 . (5x4)T)")
     (fun () ->
       ignore
         (Tile.count_product (cfg ())

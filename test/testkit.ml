@@ -7,6 +7,8 @@ module Intmat = struct
 
   let get (m : t) i j = m.data.(i).(j)
 
+  let set (m : t) i j x = m.data.(i).(j) <- x
+
   (* Cell (i, j) of a {!create_upper} triangle: row i stores the columns
      past the diagonal. *)
   let upper_get (m : t) i j = if j > i then m.data.(i).(j - i - 1) else 0
