@@ -7,7 +7,6 @@ module Relation = Jp_relation.Relation
 module Presets = Jp_workload.Presets
 module Two_path = Joinproj.Two_path
 module Optimizer = Joinproj.Optimizer
-module Tile = Jp_matrix.Tile
 open Cmdliner
 
 (* ------------------------------------------------------------------ *)
@@ -100,43 +99,6 @@ let guard_of adaptive budget_ms inject_est =
     in
     Some cfg
   end
-
-(* Heavy-product tile flags, shared by join/profile: the [Tile]
-   shape cap and resident budget. *)
-
-let tile_bits_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "tile-bits" ] ~docv:"K"
-        ~doc:
-          "Cap the heavy-part product's tile side at 2^K (default 11, \
-           clamped to [4, 20]).  The side is fitted to the product (the \
-           smallest power of two covering it, at least 16), so this only \
-           changes products wider than 2^K; results are bit-equal for \
-           every K.")
-
-let max_resident_mb =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "max-resident-mb" ] ~docv:"MB"
-        ~doc:
-          "Bound the heavy-part product's resident operand-tile set to MB \
-           megabytes: inner blocks shrink to the tile side and cold tiles \
-           are evicted LANDLORD-style and rebuilt on demand, so operands \
-           larger than the cap stream instead of staying materialized.")
-
-(* [None] when neither flag was given: the engines then use
-   [Tile.config ()]. *)
-let tile_of tile_bits max_resident_mb =
-  if tile_bits = None && max_resident_mb = None then None
-  else
-    Some
-      (Tile.config ?tile_bits
-         ?budget_bytes:
-           (Option.map (fun mb -> mb * 1024 * 1024) max_resident_mb)
-         ())
 
 let warn_guard_unsupported guard what =
   if guard <> None then
@@ -232,18 +194,9 @@ let engine =
         ~doc:"Engine: $(b,mm), $(b,nonmm), $(b,wcoj), $(b,hash), $(b,sortmerge) or $(b,bitset).")
 
 let join_cmd =
-  let run name input scale seed domains engine adaptive budget_ms inject_est
-      tile_bits mrmb =
+  let run name input scale seed domains engine adaptive budget_ms inject_est =
     let r = load_source name input scale seed in
     let guard = guard_of adaptive budget_ms inject_est in
-    let tile = tile_of tile_bits mrmb in
-    let warn_tile what =
-      if tile <> None then
-        Printf.eprintf
-          "joinproj: note: --tile-bits/--max-resident-mb have no effect on \
-           %s, which does not multiply through the tiled kernel\n"
-          what
-    in
     let count, t =
       Jp_util.Timer.time (fun () ->
           match engine with
@@ -251,27 +204,22 @@ let join_cmd =
             let plan = Optimizer.plan ~domains ~r ~s:r () in
             print_endline (Optimizer.explain plan);
             Jp_relation.Pairs.count
-              (Two_path.project ~domains ~plan ?guard ?tile ~r ~s:r ())
+              (Two_path.project ~domains ~plan ?guard ~r ~s:r ())
           | `Nonmm ->
-            warn_tile "the combinatorial heavy part";
             Jp_relation.Pairs.count
               (Two_path.project ~domains ~strategy:Two_path.Combinatorial ?guard
                  ~r ~s:r ())
           | `Wcoj ->
             warn_guard_unsupported guard "the wcoj baseline";
-            warn_tile "the wcoj baseline";
             Jp_relation.Pairs.count (Jp_baselines.Fulljoin.two_path ~domains ~r ~s:r ())
           | `Hash ->
             warn_guard_unsupported guard "the hash baseline";
-            warn_tile "the hash baseline";
             Jp_relation.Pairs.count (Jp_baselines.Hash_join.two_path ~r ~s:r)
           | `Sortmerge ->
             warn_guard_unsupported guard "the sortmerge baseline";
-            warn_tile "the sortmerge baseline";
             Jp_relation.Pairs.count (Jp_baselines.Sortmerge_join.two_path ~r ~s:r)
           | `Bitset ->
             warn_guard_unsupported guard "the bitset baseline";
-            warn_tile "the bitset baseline";
             Jp_relation.Pairs.count (Jp_baselines.Bitset_engine.two_path ~r ~s:r ()))
     in
     report "two-path join-project" count t
@@ -280,7 +228,7 @@ let join_cmd =
     (Cmd.info "join" ~doc:"Evaluate the 2-path join-project self-join.")
     Term.(
       const run $ dataset $ input_file $ scale $ seed $ domains $ engine
-      $ adaptive $ budget_ms $ inject_est $ tile_bits_arg $ max_resident_mb)
+      $ adaptive $ budget_ms $ inject_est)
 
 let star_cmd =
   let k =
@@ -492,17 +440,9 @@ let profile_cmd =
           ~doc:"Flow to profile: $(b,join), $(b,star), $(b,ssj), $(b,scj) or $(b,bsi).")
   in
   let run name input scale seed domains what trace_out metrics_out adaptive
-      budget_ms inject_est tile_bits mrmb =
+      budget_ms inject_est =
     let r = load_source name input scale seed in
     let guard = guard_of adaptive budget_ms inject_est in
-    let tile = tile_of tile_bits mrmb in
-    (match (tile, what) with
-    | Some _, (`Star | `Ssj | `Scj | `Bsi) ->
-      Printf.eprintf
-        "joinproj: note: --tile-bits/--max-resident-mb only reach the join \
-         flow; a heavy product in the other flows uses the default tile \
-         config\n"
-    | _ -> ());
     (* The plan lines come from the same helper as [explain]; print them
        before recording starts so the extra planning calls stay out of the
        span tree. *)
@@ -521,7 +461,7 @@ let profile_cmd =
               match what with
               | `Join ->
                 Jp_relation.Pairs.count
-                  (Two_path.project ~domains ?guard ?tile ~r ~s:r ())
+                  (Two_path.project ~domains ?guard ~r ~s:r ())
               | `Star ->
                 Jp_relation.Tuples.count
                   (Joinproj.Star.project ~domains ?guard (Array.make 3 r))
@@ -564,8 +504,7 @@ let profile_cmd =
           the engine counters and the plan-vs-actual table.")
     Term.(
       const run $ dataset $ input_file $ scale $ seed $ domains $ what
-      $ trace_out_arg $ metrics_out_arg $ adaptive $ budget_ms $ inject_est
-      $ tile_bits_arg $ max_resident_mb)
+      $ trace_out_arg $ metrics_out_arg $ adaptive $ budget_ms $ inject_est)
 
 let policy_arg =
   Arg.(

@@ -290,7 +290,7 @@ let pp_stats fmt s =
 
 let prepared_tag : Optimizer.prepared tag = tag "two_path.prep"
 
-let boolmat_tag : Boolmat.t tag = tag "two_path.bool_mm"
+let heavy_rows_tag : Two_path.heavy_rows tag = tag "two_path.heavy_rows"
 
 let intmat_tag : Intmat.t tag = tag "two_path.count_mm"
 
@@ -298,6 +298,16 @@ let upper_tag : Two_path.upper_product tag = tag "two_path.ssj_mm"
 
 let boolmat_bytes m =
   (Boolmat.rows m * ((Boolmat.cols m + 61) / 62) * 8) + 64
+
+(* The bit rows' words, the light-z lists' ids and the array holding
+   them. *)
+let heavy_rows_bytes (h : Two_path.heavy_rows) =
+  (Array.fold_left
+     (fun n zs -> n + Array.length zs)
+     (Array.length h.bits + Array.length h.light_z)
+     h.light_z
+  * 8)
+  + 64
 
 (* The cells actually stored: n² for a full product, n(n−1)/2 for a
    triangle. *)
@@ -338,10 +348,10 @@ let two_path_memo t ~r ~s =
   let fps = [ Relation.fingerprint r; Relation.fingerprint s ] in
   {
     Two_path.memo_prepared = (fun build -> prepared_keyed t ~fps build);
-    memo_bool_product =
+    memo_heavy_rows =
       (fun ~d1 ~d2 build ->
-        let key = Key.v ~kind:"two_path.bool_mm" ~fps ~params:[ d1; d2 ] () in
-        find_or_build t boolmat_tag key ~bytes_of:boolmat_bytes build);
+        let key = Key.v ~kind:"two_path.heavy_rows" ~fps ~params:[ d1; d2 ] () in
+        find_or_build t heavy_rows_tag key ~bytes_of:heavy_rows_bytes build);
     memo_count_product =
       (fun ~d1 build ->
         let key = Key.v ~kind:"two_path.count_mm" ~fps ~params:[ d1 ] () in

@@ -9,9 +9,10 @@
     + {b L1} — {!Joinproj.Optimizer.prepared} statistics/indexes keyed by
       {!Jp_relation.Relation.fingerprint}, so a repeated query skips
       [Optimizer.prepare];
-    + {b L2} — whole heavy-part matrix products keyed by (fingerprints,
-      partition thresholds), via the {!Joinproj.Two_path.memo} hooks —
-      one entry per product, whatever tile config built it;
+    + {b L2} — the boolean 2-path's heavy rows and whole counted
+      heavy-part matrix products, keyed by (fingerprints, partition
+      thresholds), via the {!Joinproj.Two_path.memo} hooks — one entry
+      per intermediate, whatever tile config built it;
     + {b L3} — whole results with cost-based admission ({!offer}): an
       entry is admitted only when its measured recompute cost times its
       observed miss count beats its byte footprint.
@@ -141,11 +142,15 @@ val prepared : t -> r:Relation.t -> s:Relation.t -> Joinproj.Optimizer.prepared
 val two_path_memo :
   t -> r:Relation.t -> s:Relation.t -> Joinproj.Two_path.memo
 (** L1+L2 hooks for {!Joinproj.Two_path.project} /
-    [project_counts] / [ssj]: prepared statistics and heavy-part matrix
-    products served from the cache.  The memo is specific to this (r, s)
-    pair.  Products are keyed on thresholds but not on [domains] or the
-    tile configuration: [Jp_matrix.Tile] produces identical matrices for
-    any worker count, tile cap and budget, so one entry serves them all.
+    [project_counts] / [ssj]: prepared statistics, [project]'s heavy
+    rows and the counted heavy-part matrix products served from the
+    cache.  The memo is specific to this (r, s) pair.  Entries are keyed
+    on thresholds but not on [domains] or the tile configuration:
+    [Jp_matrix.Tile] produces identical matrices for any worker count,
+    tile cap and budget, so one entry serves them all.  Heavy rows live
+    under their own kind, [two_path.heavy_rows (d1, d2)], and are
+    charged 8 bytes per bit-row word, per light-z id and per heavy y,
+    plus 64.
     [ssj]'s product lives under a kind of its own, keyed also on the
     threshold c and the kernel that built it, so it is never served to
     [project_counts] and planes saturated at one c never answer

@@ -11,8 +11,15 @@ module Cancel = Jp_util.Cancel
 module Guard = Jp_adaptive.Guard
 module Inject = Jp_adaptive.Inject
 module Tile = Jp_matrix.Tile
+module Bitset = Jp_util.Bitset
 
 type strategy = Matrix | Combinatorial
+
+(* The boolean 2-path's heavy part, both halves in [heavy_y] order
+   (indexed by [y_index]): each heavy y's S⁺ row as bits over [heavy_z]
+   ([stride] words per heavy y), and each heavy y's light z.  A heavy
+   x's product row is the OR of its heavy y's bit rows. *)
+type heavy_rows = { stride : int; bits : int array; light_z : int array array }
 
 (* The set-similarity join's heavy product, strict upper part only: the
    exact triangle of A·Aᵀ, or thermometer planes saturated at c. *)
@@ -20,14 +27,15 @@ type upper_product = Triangle of Intmat.t | Planes of Boolmat.t array
 
 (* Memoization hooks (consumed by [Jp_cache], which sits above this
    library in the dependency graph).  Each hook receives the builder for
-   a deterministic intermediate — the prepared optimizer indexes, or a
-   heavy-part matrix product identified by its thresholds — and may
+   a deterministic intermediate — the prepared optimizer indexes, the
+   boolean heavy rows, or a heavy-part matrix product, identified by
+   its thresholds — and may
    return a previously built value for the same (r, s, thresholds)
    instead of calling it.  A memo is specific to the (r, s) pair it was
    created for.  [no_memo] (the default) calls every builder directly. *)
 type memo = {
   memo_prepared : (unit -> Optimizer.prepared) -> Optimizer.prepared;
-  memo_bool_product : d1:int -> d2:int -> (unit -> Boolmat.t) -> Boolmat.t;
+  memo_heavy_rows : d1:int -> d2:int -> (unit -> heavy_rows) -> heavy_rows;
   memo_count_product : d1:int -> (unit -> Intmat.t) -> Intmat.t;
   memo_upper_product :
     d1:int ->
@@ -40,7 +48,7 @@ type memo = {
 let no_memo =
   {
     memo_prepared = (fun build -> build ());
-    memo_bool_product = (fun ~d1:_ ~d2:_ build -> build ());
+    memo_heavy_rows = (fun ~d1:_ ~d2:_ build -> build ());
     memo_count_product = (fun ~d1:_ build -> build ());
     memo_upper_product = (fun ~d1:_ ~c:_ ~kernel:_ build -> build ());
   }
@@ -75,18 +83,6 @@ let operand adj ids index ~cols =
   Tile.Source.of_mapped ~rows:(Array.length ids) ~cols
     (fun i -> adj ids.(i))
     index
-
-(* The boolean product M{R⁺}·M{S⁺}: R⁺ as [heavy_x] rows over
-   [y_index], S⁺ as [heavy_y] rows over [z_index], through [Tile]
-   behind the whole-product memo hook. *)
-let bool_product ?cancel ~tile ~memo ~domains ~r ~s (p : Partition.t) =
-  memo.memo_bool_product ~d1:p.d1 ~d2:p.d2 (fun () ->
-      Obs.span "two_path.heavy_mm" (fun () ->
-          Tile.mul ~domains ?cancel tile
-            (operand (Relation.adj_src r) p.heavy_x p.y_index
-               ~cols:(Array.length p.heavy_y))
-            (operand (Relation.adj_dst s) p.heavy_y p.z_index
-               ~cols:(Array.length p.heavy_z))))
 
 (* The count product A·Bᵀ over bit-packed rows (62 multiply-adds per
    word op): A rows are x's heavy-y bitsets, B rows are z's heavy-y
@@ -125,62 +121,98 @@ let upper_product ?cancel ~c ~tile ~memo ~domains ~r (p : Partition.t) =
           (Tile.upper_planes ~domains ?cancel tile ~c a
              (operand (Relation.adj_dst r) p.heavy_y p.x_index ~cols:u)))
 
-(* Public alias: the BSI fast path builds (and caches) the same product
-   over a full-relation partition, answering heavy-heavy point queries
-   straight from its bits. *)
-let heavy_product ?(domains = 1) ~r ~s p =
-  bool_product ~tile:(Tile.config ()) ~memo:no_memo ~domains ~r
-    ~s:(cover_dst ~r s) p
+(* The boolean product M{R⁺}·M{S⁺}: R⁺ as [heavy_x] rows over
+   [y_index], S⁺ as [heavy_y] rows over [z_index], through [Tile].  The
+   BSI fast path builds (and caches) it over a full-relation partition,
+   answering heavy-heavy point queries straight from its bits; the
+   2-path ORs the same rows inside its merge instead. *)
+let heavy_product ?(domains = 1) ~r ~s (p : Partition.t) =
+  let s = cover_dst ~r s in
+  Obs.span "two_path.heavy_mm" (fun () ->
+      Tile.mul ~domains (Tile.config ())
+        (operand (Relation.adj_src r) p.heavy_x p.y_index
+           ~cols:(Array.length p.heavy_y))
+        (operand (Relation.adj_dst s) p.heavy_y p.z_index
+           ~cols:(Array.length p.heavy_z)))
 
 (* ------------------------------------------------------------------ *)
 (* Boolean (dedup-only) evaluation                                     *)
 (* ------------------------------------------------------------------ *)
 
 (* The heavy part a partitioned merge joins besides the light lists:
-   the matrix product M{R⁺}·M{S⁺}, or (combinatorial strategy) each
-   heavy y's heavy-z list, expanded per heavy x. *)
-type heavy_part = Product of Boolmat.t | Expansion of int array array
+   the heavy rows ORed into each heavy x's split row, or (combinatorial
+   strategy) each heavy y's heavy-z list, expanded per heavy x. *)
+type heavy_part =
+  | Rows of heavy_rows
+  | Expansion of { light_z : int array array; heavy_z : int array array }
 
-(* For heavy y values, S's inverted list restricted to its light-z half
-   ([light]) or its heavy-z half, built once (O(N)): the per-x merge
+(* One pass over each heavy y's S list, split by z: the per-x merge
    loop would otherwise rescan whole inverted lists just to filter them,
-   degenerating to the full join when few values are light.  A heavy
-   y's light-z list holds no id with a product column. *)
-let heavy_y_lists ~s (p : Partition.t) ~light =
-  let lists = Array.make (Relation.dst_count s) [||] in
-  Array.iter
-    (fun b ->
-      let keep = Vec.create () in
-      Array.iter
-        (fun c ->
-          if Bool.equal (Relation.deg_src s c <= p.d2) light then Vec.push keep c)
-        (Relation.adj_dst s b);
-      lists.(b) <- Vec.to_array keep)
+   degenerating to the full join when few values are light.  Every heavy
+   z next to a heavy y has a column, so z_index < 0 exactly when z is
+   light (deg(z) ≤ Δ₂): such a z joins the y's light-z list, and a heavy
+   z sets its bit ([bits]) or joins the y's heavy-z list.  Returns the
+   light-z lists, the bit rows (empty without [bits]) and the heavy-z
+   lists (empty with [bits]). *)
+let split_heavy_y ~bits ~s (p : Partition.t) =
+  let v = Array.length p.heavy_y in
+  let stride = if bits then Bitset.payload_words (Array.length p.heavy_z) else 0 in
+  let words = Array.make (stride * v) 0 in
+  let light_z = Array.make v [||] in
+  let heavy_z = if bits then [||] else Array.make v [||] in
+  let light = Vec.create () and heavy = Vec.create () in
+  Array.iteri
+    (fun i b ->
+      let zs = Relation.adj_dst s b in
+      for j = 0 to Array.length zs - 1 do
+        let c = Array.unsafe_get zs j in
+        let l = p.z_index.(c) in
+        if l < 0 then Vec.push light c
+        else if bits then begin
+          let k = (i * stride) + (l / Bitset.bits_per_word) in
+          words.(k) <- words.(k) lor (1 lsl (l mod Bitset.bits_per_word))
+        end
+        else Vec.push heavy c
+      done;
+      light_z.(i) <- Vec.to_array light;
+      Vec.clear light;
+      if not bits then begin
+        heavy_z.(i) <- Vec.to_array heavy;
+        Vec.clear heavy
+      end)
     p.heavy_y;
-  lists
+  (light_z, stride, words, heavy_z)
+
+let heavy_rows ~s p =
+  Obs.span "two_path.heavy_rows" (fun () ->
+      let light_z, stride, bits, _ = split_heavy_y ~bits:true ~s p in
+      { stride; bits; light_z })
 
 (* The list y = b gives x = a on a plain row: all of L(b) when a or b
    is light; for heavy a and heavy b only the S- tuples (light z), since
    heavy z is the heavy part's job. *)
-let[@inline] plain_list ~s ~(p : Partition.t) ~s_light_of_heavy_y a_light b =
+let[@inline] plain_list ~s ~(p : Partition.t) ~light_z a_light b =
   if a_light || Partition.is_light_y p b then Relation.adj_dst s b
-  else s_light_of_heavy_y.(b)
+  else light_z.(p.y_index.(b))
 
 (* The merged per-x loop over rows [lo, hi): light contributions from
-   R- |><| S and R |><| S-, plus the heavy part.  A heavy x with a
-   product row is a split row of [acc]: the product row seeds its
-   columns (one per heavy z, copied word by word), light ids with a
-   column set it, and only light z are stamped; the row comes out as a
-   merge of the two disjoint sorted halves.  Every other row (light x,
+   R- |><| S and R |><| S-, plus the heavy part.  A heavy x under the
+   heavy rows is a split row of [acc]: the bit rows of its heavy y are
+   ORed into its columns (one per heavy z) — its product row, one word
+   op per row word, as the matrix product counts them — then light ids
+   with a column set it, and only light z are stamped; the row comes
+   out as a merge of the two disjoint sorted halves.  Its seeded
+   columns, for the stamp counters, are the product row's: the columns
+   set before any light y's list is added.  Every other row (light x,
    or the combinatorial expansion) is a plain row.  A plain row with one
    list per y (no expansion lists) and at most two y is written
    directly: nothing for an x with no tuple, the list itself, or the
    union of two.  The rest go through the stamps.  Each row is appended
    to [out], its length stored at [lengths.(x + 1)]. *)
-let merge_range ~acc ~out ~lengths ~r ~s ~(p : Partition.t) ~heavy
-    ~s_light_of_heavy_y lo hi =
+let merge_range ~acc ~out ~lengths ~r ~s ~(p : Partition.t) ~heavy lo hi =
   let obs = Obs.recording () in
-  let scans = ref 0 and seeded = ref 0 and produced = ref 0 in
+  let light_z = match heavy with Rows h -> h.light_z | Expansion e -> e.light_z in
+  let scans = ref 0 and seeded = ref 0 and produced = ref 0 and ored = ref 0 in
   for a = lo to hi - 1 do
     let a_light = Relation.deg_src r a <= p.d2 in
     let ys = Relation.adj_src r a in
@@ -189,57 +221,76 @@ let merge_range ~acc ~out ~lengths ~r ~s ~(p : Partition.t) ~heavy
       k <= 2
       &&
       match heavy with
-      | Product _ -> p.x_index.(a) < 0
+      | Rows _ -> p.x_index.(a) < 0
       | Expansion _ -> a_light
     in
     let n =
       if direct then
         if k = 0 then 0
         else begin
-          let z0 = plain_list ~s ~p ~s_light_of_heavy_y a_light (Array.unsafe_get ys 0) in
+          let z0 = plain_list ~s ~p ~light_z a_light (Array.unsafe_get ys 0) in
           if k = 1 then begin
             if obs then scans := !scans + Array.length z0;
             Row_acc.one_list_into out z0
           end
           else begin
-            let z1 = plain_list ~s ~p ~s_light_of_heavy_y a_light (Array.unsafe_get ys 1) in
+            let z1 = plain_list ~s ~p ~light_z a_light (Array.unsafe_get ys 1) in
             if obs then scans := !scans + Array.length z0 + Array.length z1;
             Row_acc.two_lists_into out z0 z1
           end
         end
       else begin
         (match heavy with
-        | Product m when p.x_index.(a) >= 0 ->
-          let n =
-            Row_acc.start_split acc ~index:p.z_index ~heavy:p.heavy_z
-              (Boolmat.row m p.x_index.(a))
-          in
-          if obs then seeded := !seeded + n
-        | Product _ | Expansion _ -> Row_acc.start acc);
-        for j = 0 to k - 1 do
-          let b = Array.unsafe_get ys j in
-          if a_light || Partition.is_light_y p b then begin
-            let zs = Relation.adj_dst s b in
-            if obs then scans := !scans + Array.length zs;
-            Row_acc.add_all acc zs
-          end
-          else begin
-            let zs = s_light_of_heavy_y.(b) in
-            if obs then scans := !scans + Array.length zs;
-            Row_acc.add_light acc zs
-          end
-        done;
-        (match heavy with
-        | Expansion s_heavy_of_heavy_y when not a_light ->
+        | Rows h when p.x_index.(a) >= 0 ->
+          (* A heavy x: each heavy y ORs in its bit row and stamps its
+             light z, then each light y adds its whole list.  y_index
+             spans R's y ids and is set exactly on heavy y. *)
+          Row_acc.start_split acc ~index:p.z_index ~heavy:p.heavy_z;
+          for j = 0 to k - 1 do
+            let i = p.y_index.(Array.unsafe_get ys j) in
+            if i >= 0 then begin
+              Row_acc.or_words acc h.bits (i * h.stride) h.stride;
+              incr ored;
+              let zs = Array.unsafe_get h.light_z i in
+              if obs then scans := !scans + Array.length zs;
+              Row_acc.add_light acc zs
+            end
+          done;
+          if obs then seeded := !seeded + Row_acc.columns acc;
           for j = 0 to k - 1 do
             let b = Array.unsafe_get ys j in
-            if not (Partition.is_light_y p b) then begin
-              let zs = s_heavy_of_heavy_y.(b) in
+            if p.y_index.(b) < 0 then begin
+              let zs = Relation.adj_dst s b in
               if obs then scans := !scans + Array.length zs;
               Row_acc.add_all acc zs
             end
           done
-        | Expansion _ | Product _ -> ());
+        | Rows _ | Expansion _ ->
+          Row_acc.start acc;
+          for j = 0 to k - 1 do
+            let b = Array.unsafe_get ys j in
+            if a_light || Partition.is_light_y p b then begin
+              let zs = Relation.adj_dst s b in
+              if obs then scans := !scans + Array.length zs;
+              Row_acc.add_all acc zs
+            end
+            else begin
+              let zs = light_z.(p.y_index.(b)) in
+              if obs then scans := !scans + Array.length zs;
+              Row_acc.add_light acc zs
+            end
+          done);
+        (match heavy with
+        | Expansion { heavy_z; _ } when not a_light ->
+          for j = 0 to k - 1 do
+            let b = Array.unsafe_get ys j in
+            if not (Partition.is_light_y p b) then begin
+              let zs = heavy_z.(p.y_index.(b)) in
+              if obs then scans := !scans + Array.length zs;
+              Row_acc.add_all acc zs
+            end
+          done
+        | Expansion _ | Rows _ -> ());
         Row_acc.emit_into acc out
       end
     in
@@ -247,6 +298,9 @@ let merge_range ~acc ~out ~lengths ~r ~s ~(p : Partition.t) ~heavy
     produced := !produced + n
   done;
   if obs then begin
+    (match heavy with
+    | Rows h -> Obs.add Obs.C.mm_bool_word_ops (!ored * h.stride)
+    | Expansion _ -> ());
     Obs.add Obs.C.light_probes !scans;
     Obs.add Obs.C.stamp_misses !produced;
     Obs.add Obs.C.stamp_hits (!seeded + !scans - !produced)
@@ -285,7 +339,7 @@ let partition_cells p =
    Re-planning is always done with clean (un-injected) statistics and
    bounded by the guard's fuel, so the recursion terminates.  A cancel
    token is polled at these checkpoints and between merge chunks. *)
-let execute ?cancel ~tile ~g ~prep ~replan ~domains ~strategy ~memo ~phases ~r
+let execute ?cancel ~g ~prep ~replan ~domains ~strategy ~memo ~phases ~r
     ~s plan0 =
   let cfg = Guard.config g in
   let nx = Relation.src_count r in
@@ -389,12 +443,12 @@ let execute ?cancel ~tile ~g ~prep ~replan ~domains ~strategy ~memo ~phases ~r
       run (replan (Estimator.sampled ~r ~s ())) lo
     else merge_partitioned plan ~p lo
   and merge_partitioned plan ~p lo =
-    let product =
+    let rows =
       match !strat with
       | Matrix ->
         Some
           (phase phases "heavy-mm" (fun () ->
-               bool_product ?cancel ~tile ~memo ~domains ~r ~s p))
+               memo.memo_heavy_rows ~d1:p.d1 ~d2:p.d2 (fun () -> heavy_rows ~s p)))
       | Combinatorial -> None
     in
     Cancel.check_opt cancel;
@@ -402,15 +456,13 @@ let execute ?cancel ~tile ~g ~prep ~replan ~domains ~strategy ~memo ~phases ~r
       phase phases "light-merge" (fun () ->
           Obs.span "two_path.light_merge" (fun () ->
               let heavy =
-                match product with
-                | Some m -> Product m
-                | None -> Expansion (heavy_y_lists ~s p ~light:false)
+                match rows with
+                | Some h -> Rows h
+                | None ->
+                  let light_z, _, _, heavy_z = split_heavy_y ~bits:false ~s p in
+                  Expansion { light_z; heavy_z }
               in
-              let s_light_of_heavy_y = heavy_y_lists ~s p ~light:true in
-              let merge (acc, out) lo hi =
-                merge_range ~acc ~out ~lengths ~r ~s ~p ~heavy ~s_light_of_heavy_y
-                  lo hi
-              in
+              let merge (acc, out) lo hi = merge_range ~acc ~out ~lengths ~r ~s ~p ~heavy lo hi in
               if domains > 1 then begin
                 (* Worker domains race past any sequential checkpoint, so
                    parallel merges keep only the plan-time and pre-MM
@@ -523,14 +575,13 @@ let frame ~span ~label ~count
       result)
 
 let project ?(domains = 1) ?(strategy = Matrix) ?plan ?(guard = Guard.inert)
-    ?cancel ?(memo = no_memo) ?(tile = Tile.config ()) ~r ~s () =
+    ?cancel ?(memo = no_memo) ~r ~s () =
   frame ~span:"two_path.project" ~label:"two_path" ~count:Pairs.count
     ~plan_with:(fun ?est_out ?mm_cost_scale prep ->
       Optimizer.plan_prepared ~domains ?est_out ?mm_cost_scale prep ())
     ?cancel ?plan ~strategy ~guard ~memo ~r ~s
     (fun ~g ~prep ~replan ~phases ~s ~strategy plan ->
-      ( execute ?cancel ~tile ~g ~prep ~replan ~domains ~strategy ~memo ~phases
-          ~r ~s plan,
+      ( execute ?cancel ~g ~prep ~replan ~domains ~strategy ~memo ~phases ~r ~s plan,
         plan ))
 
 (* ------------------------------------------------------------------ *)

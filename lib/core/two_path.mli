@@ -6,8 +6,9 @@
     + light sub-joins R⁻ ⋈ S and R ⋈ S⁻ are expanded with the
       worst-case-optimal stamp-vector join (their pre-projection size is
       bounded by N·Δ₁ + |OUT|·Δ₂);
-    + the all-heavy residue is evaluated as a matrix product of the
-      adjacency matrices of R⁺ and S⁺;
+    + the all-heavy residue is the boolean matrix product of the
+      adjacency matrices of R⁺ and S⁺, read one row at a time: row x is
+      the OR of the S⁺ rows of x's heavy y, formed inside the merge;
     + the parts are merged with per-x deduplication (a pair can be
       discovered both by a light witness and by the matrix, so the union
       is not disjoint — the merge handles it).
@@ -41,7 +42,7 @@ module Tile = Jp_matrix.Tile
 
 type strategy =
   | Matrix
-      (** heavy part via {!Tile.mul} (boolean) /
+      (** heavy part via the {!heavy_rows} ORed per heavy x (boolean) /
           {!Tile.count_product} (counts) / {!Tile.count_upper} or
           {!Tile.upper_planes} ({!ssj}) *)
   | Combinatorial  (** heavy part via stamp-vector expansion (Non-MMJoin) *)
@@ -54,14 +55,31 @@ type upper_product =
   | Triangle of Jp_matrix.Intmat.t
   | Planes of Jp_matrix.Boolmat.t array
 
+(** The boolean heavy part of {!project}'s [Matrix] strategy, built in
+    one pass over each heavy y's S list.  S⁺ as bit rows: heavy y
+    number [i] (its position in the partition's [heavy_y], i.e. its
+    [y_index]) owns [bits.(i·stride .. (i+1)·stride − 1)], whose bit
+    [l mod 62] of word [l / 62] is set when z = [heavy_z.(l)] is in the
+    y's S list; [stride] = ⌈|heavy_z| / 62⌉.  [light_z.(i)] is the same
+    heavy y's light z (those without a column), ascending.  A heavy x's
+    product row is the OR of its heavy y's bit rows, so the u×w product
+    itself is never built. *)
+type heavy_rows = {
+  stride : int;
+  bits : int array;
+  light_z : int array array;
+}
+
 (** Memoization hooks, consumed by [Jp_cache] (which sits above this
     library in the dependency graph).  Each hook receives the builder of
     a deterministic, immutable intermediate — the prepared optimizer
-    indexes, or a heavy-part matrix product identified by the partition
-    thresholds — and may return a previously built value for the same
-    (r, s, thresholds) instead of running it.  A product hook wraps the
-    whole product: {!Tile} is bit-equal for every tile config, so
-    the key does not depend on it.  A memo value
+    indexes, {!project}'s {!heavy_rows}, or a counted heavy-part matrix
+    product, identified by the partition thresholds — and may return a
+    previously built value for the same (r, s, thresholds) instead of
+    running it.  A product hook wraps the whole product: {!Tile} is
+    bit-equal for every tile config, so the key does not depend on it.
+    Heavy rows are not a product (their [bits] are S⁺, not
+    M{_R⁺}·M{_S⁺}) and have a hook of their own.  A memo value
     is specific to the (r, s) pair it was created for; hooks are
     consulted once per phase, never per tuple.  {!ssj}'s product has a
     hook of its own, keyed on the threshold [c] and the kernel
@@ -70,8 +88,7 @@ type upper_product =
     product. *)
 type memo = {
   memo_prepared : (unit -> Optimizer.prepared) -> Optimizer.prepared;
-  memo_bool_product :
-    d1:int -> d2:int -> (unit -> Jp_matrix.Boolmat.t) -> Jp_matrix.Boolmat.t;
+  memo_heavy_rows : d1:int -> d2:int -> (unit -> heavy_rows) -> heavy_rows;
   memo_count_product :
     d1:int -> (unit -> Jp_matrix.Intmat.t) -> Jp_matrix.Intmat.t;
   memo_upper_product :
@@ -89,11 +106,13 @@ val heavy_product :
   Partition.t ->
   Jp_matrix.Boolmat.t
 (** The heavy-part boolean product M{_R⁺}·M{_S⁺} for a partition,
-    through {!Tile} at its default config: rows are [heavy_x],
+    through {!Tile.mul} at its default config: rows are [heavy_x],
     columns [heavy_z] (indexes per the partition's [x_index]/[z_index]).  Deterministic in (r, s, thresholds) and
     independent of [domains] — which is what makes it cacheable.  Used
     by the BSI fast path to answer heavy-heavy point queries without
-    re-running the join. *)
+    re-running the join.  {!project} does not call it: its merge ORs
+    the same rows from {!heavy_rows}, recording the same
+    [mm.bool_word_ops]. *)
 
 val project :
   ?domains:int ->
@@ -102,7 +121,6 @@ val project :
   ?guard:Jp_adaptive.Guard.config ->
   ?cancel:Cancel.t ->
   ?memo:memo ->
-  ?tile:Tile.config ->
   r:Relation.t ->
   s:Relation.t ->
   unit ->
@@ -124,12 +142,17 @@ val project :
     whose checkpoints all answer [Continue]: no re-plan, no degradation,
     no [guard.*] counters, identical results.
 
-    The heavy-part product always runs through {!Tile}, at a tile
-    shape fitted to the product; [tile] is only that shape's cap and
-    the operand tiles' resident budget, and absent is
-    [Tile.config ()].  Results are bit-equal for every [tile], and
-    so are the guard's checkpoints.  Cancel polls fire once per output
-    tile; a [memo] hit skips the product whole. *)
+    Under [Matrix] the heavy part is {!heavy_rows}: the [heavy-mm]
+    phase builds them (one pass over each heavy y's S list, behind the
+    [memo_heavy_rows] hook; a hit skips the pass), and the
+    [light-merge] phase ORs the bit rows of each heavy x's heavy y into
+    its split row ({!Jp_util.Row_acc.or_words}), adding
+    ⌈|heavy_z| / 62⌉ to [mm.bool_word_ops] per row ORed — in total
+    nnz(R⁺)·⌈|heavy_z| / 62⌉, what {!heavy_product} records.  Parallel
+    merges share the rows read-only.  No {!Tile} kernel runs.  The
+    cancel token is polled at phase boundaries and once per merge chunk
+    (every guard chunk at [domains = 1], every split range at
+    [domains > 1]). *)
 
 val project_counts :
   ?domains:int ->

@@ -8,7 +8,8 @@ let scan_factor = 4
 
 (* What the current row keeps outside the stamps.  A split row (one
    x of a heavy product) owns a column space over the product's heavy z:
-   [Bits] rows hold each column as a bit of [cols], [Counts] rows hold
+   [Bits] rows hold each column as a bit of [cols] ([stride] words, the
+   set columns counted when read), [Counts] rows hold
    its count — or, when [planes > 0], hold it in that many thermometer
    planes, one [stride]-word bitset per plane laid end to end in [cols]
    (plane j: "count >= j + 1").  Only ids without a column go through
@@ -30,9 +31,9 @@ type t = {
   mutable heavy : int array; (* split rows: column -> id, ascending *)
   mutable cols : int array; (* split rows: column bit words, or counts *)
   mutable first : int; (* counting split rows: first column held *)
-  mutable held : int; (* split rows: columns set *)
+  mutable held : int; (* counting split rows: columns set *)
   mutable planes : int; (* counting split rows: planes, or 0 for counts *)
-  mutable stride : int; (* plane rows: words per plane in [cols] *)
+  mutable stride : int; (* bit rows: column words; plane rows: words per plane *)
 }
 
 let create ?(counts = false) nz =
@@ -97,11 +98,24 @@ let split t mode ~index ~heavy ~need =
   t.index <- index;
   t.heavy <- heavy
 
-let start_split t ~index ~heavy row =
-  split t Bits ~index ~heavy
-    ~need:(Bitset.payload_words (Array.length heavy) + 1);
-  t.held <- Bitset.blit_count row t.cols 0;
-  t.held
+let start_split t ~index ~heavy =
+  let stride = Bitset.payload_words (Array.length heavy) in
+  split t Bits ~index ~heavy ~need:stride;
+  Array.fill t.cols 0 stride 0;
+  t.stride <- stride
+
+(* Inlined: a heavy x ORs one row per heavy y, and the call would cost
+   about as much as a row of a few words. *)
+let[@inline] or_words t words off n =
+  (match t.mode with
+  | Bits -> ()
+  | Plain | Counts -> invalid_arg "Row_acc.or_words: not a boolean split row");
+  if n < 0 || n > t.stride || off < 0 || off > Array.length words - n then
+    invalid_arg "Row_acc.or_words: words out of range";
+  let cols = t.cols in
+  for w = 0 to n - 1 do
+    Array.unsafe_set cols w (Array.unsafe_get cols w lor Array.unsafe_get words (off + w))
+  done
 
 let start_split_counts t ~index ~heavy row =
   let w = Array.length heavy in
@@ -164,25 +178,20 @@ let add_light t zs = stamp_list t zs
    stamped. *)
 let add_split t zs =
   let stamps = t.stamps and stamp = t.stamp in
-  let index = t.index and cols = t.cols and held = ref t.held in
+  let index = t.index and cols = t.cols in
   for i = 0 to Array.length zs - 1 do
     let z = Array.unsafe_get zs i in
     let l = index.(z) in
     if l >= 0 then begin
       let w = l / bits_per_word in
-      let bit = 1 lsl (l - (w * bits_per_word)) in
-      let x = Array.unsafe_get cols w in
-      if x land bit = 0 then begin
-        Array.unsafe_set cols w (x lor bit);
-        incr held
-      end
+      Array.unsafe_set cols w
+        (Array.unsafe_get cols w lor (1 lsl (l - (w * bits_per_word))))
     end
     else if stamps.(z) <> stamp then begin
       Array.unsafe_set stamps z stamp;
       push t z
     end
-  done;
-  t.held <- !held
+  done
 
 let add_all t zs =
   match t.mode with
@@ -269,7 +278,17 @@ let add_witnesses_from t zs from =
 
 let add_witnesses t zs = add_witnesses_from t zs 0
 
-let size t = t.len + t.held
+(* The set columns of the [stride] words of [cols] from [at] on. *)
+let bits_held t at =
+  let n = ref 0 in
+  for w = at to at + t.stride - 1 do
+    n := !n + Bitset.popcount (Array.unsafe_get t.cols w)
+  done;
+  !n
+
+let columns t = match t.mode with Bits -> bits_held t 0 | Plain | Counts -> t.held
+
+let size t = t.len + columns t
 
 (* 2 is a primitive root modulo 67, so [2^b mod 67] is distinct for
    every bit position b < 62: one remainder and one lookup turn an
@@ -377,7 +396,7 @@ let two_lists_into out a b =
 
 let write t out pos =
   match t.mode with
-  | Bits -> emit_bits t ~at:0 ~n:t.held out pos
+  | Bits -> emit_bits t ~at:0 ~n:(bits_held t 0) out pos
   | Counts -> invalid_arg "Row_acc.emit: counting split row"
   | Plain -> write_plain t out pos
 
@@ -503,11 +522,7 @@ let emit_ge_planes t c out pos =
   if c > t.planes then invalid_arg "Row_acc.emit_ge_into: threshold above the planes";
   filter_ge t c;
   let at = (c - 1) * t.stride in
-  let n = ref 0 in
-  for w = at to at + t.stride - 1 do
-    n := !n + Bitset.popcount (Array.unsafe_get t.cols w)
-  done;
-  emit_bits t ~at ~n:!n out pos
+  emit_bits t ~at ~n:(bits_held t at) out pos
 
 let emit_ge_into t c v =
   let out = Vec.reserve v (size t) in

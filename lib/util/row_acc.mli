@@ -9,10 +9,13 @@
     ({!borrow}) and reuse it across every chunk that worker runs.
 
     {b Split rows.}  A heavy x's row in Algorithm 1 is mostly its row of
-    the heavy product.  {!start_split} and {!start_split_counts} begin
-    such a row by copying the product row into a per-accumulator column
-    scratch (bits, or counts) over the product's heavy z; the shared
-    product is never written.  Every later id that has a column
+    the heavy product.  Such a row keeps the product's heavy z in a
+    per-accumulator column scratch (bits, or counts).  {!start_split}
+    begins an empty boolean one, and {!or_words} ORs bit rows into it
+    (the boolean 2-path ORs in the S⁺ row of each of x's heavy y);
+    {!start_split_counts} and {!start_split_planes} begin a counting one
+    by copying a product row.  The caller's words are never written.
+    Every later id that has a column
     (index ≥ 0) sets or counts that column; only the others go through
     the stamps.  The two halves are disjoint, so the row is emitted as a
     linear merge of the set columns, read in ascending heavy-z order,
@@ -69,12 +72,18 @@ val release : t -> unit
 val start : t -> unit
 (** Begins a new, empty row with no columns. *)
 
-val start_split : t -> index:int array -> heavy:int array -> Bitset.t -> int
-(** [start_split t ~index ~heavy row] begins a boolean split row: column
-    [l] stands for id [heavy.(l)] ([heavy] ascending, [index] its
-    inverse over the id domain, -1 for ids without a column), and the
-    columns start as a copy of [row]'s bits ([row] as wide as [heavy]).
-    Returns the number of columns the copy set. *)
+val start_split : t -> index:int array -> heavy:int array -> unit
+(** [start_split t ~index ~heavy] begins an empty boolean split row:
+    column [l] stands for id [heavy.(l)] ([heavy] ascending, [index] its
+    inverse over the id domain, -1 for ids without a column), held as
+    bit [l] of ⌈|heavy| / 62⌉ 62-bit words. *)
+
+val or_words : t -> int array -> int -> int -> unit
+(** [or_words t words off n] ORs [words.(off .. off + n - 1)] into the
+    first [n] column words of the current boolean split row: bit [b] of
+    word [k] sets column [62·k + b].  Raises [Invalid_argument] when the
+    row is not a boolean split row or the range does not fit in [words]
+    or in the row's column words.  {!size} counts the set columns. *)
 
 val start_split_counts : t -> index:int array -> heavy:int array -> int array -> int
 (** [start_split_counts t ~index ~heavy row] begins a counting split
@@ -126,6 +135,10 @@ val add_witnesses_from : t -> int array -> int -> unit
 val size : t -> int
 (** The number of distinct ids in the current row so far, set columns
     included. *)
+
+val columns : t -> int
+(** The number of set columns of the current split row so far (0 for a
+    plain row): {!size} less the stamped ids. *)
 
 val emit_into : t -> Vec.t -> int
 (** [emit_into t out] appends the current row's distinct ids, strictly

@@ -202,7 +202,7 @@ let test_zero_budget_degrades () =
 
 (* The budget is marked once per query, not per output tile: a live
    guard on a forced partitioned plan counts the same checkpoints
-   whether the heavy product is one tile or many. *)
+   whether the heavy count product is one tile or many. *)
 let test_checkpoints_independent_of_tiles () =
   let r = Gen.skewed_relation ~seed:9 ~nx:80 ~ny:50 ~edges:900 () in
   let plan =
@@ -216,7 +216,7 @@ let test_checkpoints_independent_of_tiles () =
   let counters tile =
     with_recording (fun () ->
         ignore
-          (Joinproj.Two_path.project ~plan ~guard:Guard.default ?tile ~r ~s:r ());
+          (Joinproj.Two_path.project_counts ~plan ~guard:Guard.default ?tile ~r ~s:r ());
         let v name =
           Option.value ~default:0
             (List.assoc_opt name (Jp_obs.counter_values ()))

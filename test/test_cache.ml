@@ -153,6 +153,48 @@ let test_memo_and_view_invalidation () =
   Alcotest.(check int) "no-op update is silent" inv
     (Cache.stats c).Cache.invalidations
 
+(* The boolean 2-path's heavy rows live under a kind of their own,
+   beside the counted join's and the SSJ's products in one shared cache
+   (as a served mix shares it): a self-join and an r ≠ s pair, run cold
+   and then twice through that cache on a forced partitioned plan, equal
+   Expand every time, and the second run misses nothing. *)
+let test_heavy_rows_memo () =
+  let module Two_path = Joinproj.Two_path in
+  let plan =
+    {
+      Joinproj.Optimizer.decision = Joinproj.Optimizer.Partitioned { d1 = 3; d2 = 2 };
+      est_out = 1;
+      join_size = 1;
+      est_seconds = 0.0;
+    }
+  in
+  let self = Gen.skewed_relation ~seed:81 ~nx:120 ~ny:40 ~edges:1500 () in
+  let other = Gen.skewed_relation ~seed:82 ~nx:90 ~ny:40 ~edges:1200 () in
+  List.iter
+    (fun domains ->
+      List.iter
+        (fun (name, r, s) ->
+          let expect = Jp_wcoj.Expand.project ~r ~s () in
+          let label what = Printf.sprintf "%s domains=%d: %s" name domains what in
+          Alcotest.(check bool) (label "cold") true
+            (Pairs.equal expect (Two_path.project ~domains ~plan ~r ~s ()));
+          let c = Cache.create () in
+          let memo = Cache.two_path_memo c ~r ~s in
+          ignore (Two_path.project_counts ~domains ~plan ~memo ~r ~s ());
+          if r == s then ignore (Two_path.ssj ~domains ~plan ~memo ~c:2 r);
+          Alcotest.(check bool) (label "first cached run") true
+            (Pairs.equal expect (Two_path.project ~domains ~plan ~memo ~r ~s ()));
+          let before = Cache.stats c in
+          Alcotest.(check bool) (label "second cached run") true
+            (Pairs.equal expect (Two_path.project ~domains ~plan ~memo ~r ~s ()));
+          let after = Cache.stats c in
+          Alcotest.(check int) (label "second run misses nothing") before.Cache.misses
+            after.Cache.misses;
+          Alcotest.(check bool) (label "second run hits") true
+            (after.Cache.hits > before.Cache.hits))
+        [ ("self-join", self, self); ("r <> s", self, other) ])
+    [ 1; 3 ]
+
 (* A count product is charged the cells it stores: n² for a full
    product of side n, n(n−1)/2 for the SSJ triangle, plus the 64-byte
    header either way. *)
@@ -403,6 +445,8 @@ let suite =
     Alcotest.test_case "invalidate / clear" `Quick test_invalidate;
     Alcotest.test_case "memo + view invalidation" `Quick
       test_memo_and_view_invalidation;
+    Alcotest.test_case "heavy rows memoized under their own kind" `Quick
+      test_heavy_rows_memo;
     Alcotest.test_case "count products charged their stored cells" `Quick
       test_count_product_bytes;
     Alcotest.test_case "ssj planes charged per plane word" `Quick

@@ -381,13 +381,18 @@ let test_gadget_cases () =
     done
   done
 
-(* A memo that builds each product once and keeps a digest of every row
-   taken right after the build; [unchanged ()] checks that no merge has
-   written a memoized product since. *)
+(* A memo that builds each intermediate once and keeps a digest of every
+   row taken right after the build; [unchanged ()] checks that no merge
+   has written a memoized value since. *)
 let recording_memo () =
   let digest_rows n row = Array.init n (fun i -> Digest.string (Marshal.to_string (row i) [])) in
   let bool_digest m =
     digest_rows (Jp_matrix.Boolmat.rows m) (Testkit.Boolmat.row_list m)
+  in
+  let rows_digest (h : Two_path.heavy_rows) =
+    Array.append
+      (digest_rows (Array.length h.light_z) (Array.get h.light_z))
+      [| Digest.string (Marshal.to_string (h.stride, h.bits) []) |]
   in
   let count_digest (m : Jp_matrix.Intmat.t) =
     digest_rows m.Jp_matrix.Intmat.rows (Jp_matrix.Intmat.row m)
@@ -396,7 +401,7 @@ let recording_memo () =
     | Two_path.Triangle m -> count_digest m
     | Two_path.Planes planes -> Array.concat (Array.to_list (Array.map bool_digest planes))
   in
-  let bools = ref [] and counts = ref [] and uppers = ref [] in
+  let rows = ref [] and counts = ref [] and uppers = ref [] in
   let remember table key digest build =
     match List.assoc_opt key !table with
     | Some (m, _) -> m
@@ -408,15 +413,14 @@ let recording_memo () =
   let memo =
     {
       Two_path.memo_prepared = (fun build -> build ());
-      memo_bool_product =
-        (fun ~d1 ~d2 build -> remember bools (d1, d2) bool_digest build);
+      memo_heavy_rows = (fun ~d1 ~d2 build -> remember rows (d1, d2) rows_digest build);
       memo_count_product = (fun ~d1 build -> remember counts d1 count_digest build);
       memo_upper_product =
         (fun ~d1 ~c ~kernel build -> remember uppers (d1, c, kernel) upper_digest build);
     }
   in
   let unchanged () =
-    List.for_all (fun (_, (m, d)) -> bool_digest m = d) !bools
+    List.for_all (fun (_, (h, d)) -> rows_digest h = d) !rows
     && List.for_all (fun (_, (m, d)) -> count_digest m = d) !counts
     && List.for_all (fun (_, (m, d)) -> upper_digest m = d) !uppers
   in
@@ -459,7 +463,7 @@ let prop_split_invisible =
         let a = f () in
         (a, f ())
       in
-      let p1, p2 = twice (fun () -> Two_path.project ~domains ~plan ~memo ~tile ~r ~s ()) in
+      let p1, p2 = twice (fun () -> Two_path.project ~domains ~plan ~memo ~r ~s ()) in
       let c1, c2 =
         twice (fun () -> Two_path.project_counts ~domains ~plan ~memo ~tile ~r ~s ())
       in
@@ -475,10 +479,8 @@ let prop_split_invisible =
       && Counted_pairs.equal c2 expect_counts
       && same_ssj 1 && same_ssj 2 && same_ssj 3 && unchanged () && ssj_unchanged ())
 
-(* The work counters one call records: light probes, boolean and count
-   MM word ops, stamp misses (= pairs produced) and stamp hits
-   (= presented - produced). *)
-let work_counters f =
+(* The values of [counters] that running [f] records. *)
+let recorded counters f =
   Jp_obs.reset ();
   Jp_obs.enable ();
   Fun.protect
@@ -486,9 +488,16 @@ let work_counters f =
       Jp_obs.disable ();
       Jp_obs.reset ())
     (fun () ->
-      ignore (f ());
-      List.map Jp_obs.value
-        Jp_obs.C.[ light_probes; mm_bool_word_ops; mm_count_word_ops; stamp_misses; stamp_hits ])
+      f ();
+      List.map Jp_obs.value counters)
+
+(* The work counters one call records: light probes, boolean and count
+   MM word ops, stamp misses (= pairs produced) and stamp hits
+   (= presented - produced). *)
+let work_counters f =
+  recorded
+    Jp_obs.C.[ light_probes; mm_bool_word_ops; mm_count_word_ops; stamp_misses; stamp_hits ]
+    (fun () -> ignore (f ()))
 
 (* Splitting heavy rows by column changes how rows are assembled, not
    how much work they take: on a fixed dense family each merge records
@@ -512,6 +521,76 @@ let test_split_work_counters () =
      triangle's. *)
   check "ssj" [ 26712; 0; 16296; 44842; 26702 ] (fun () ->
       Two_path.ssj ~plan:(forced_plan 60 0) ~c:2 r)
+
+(* The boolean 2-path ORs heavy rows instead of running the product,
+   and records the product's word ops all the same: one
+   ⌈|heavy_z| / 62⌉ per (heavy x, heavy y) tuple of R⁺, which is what
+   [heavy_product]'s [Tile.mul] records on the same partition.  No tile
+   kernel runs. *)
+let test_heavy_rows_word_ops () =
+  let recorded f =
+    recorded Jp_obs.C.[ mm_bool_word_ops; tile_builds; tile_products ] (fun () -> ignore (f ()))
+  in
+  List.iter
+    (fun (name, r, s, (d1, d2)) ->
+      let p = Partition.make ~r ~s ~d1 ~d2 () in
+      let words = Jp_util.Bitset.payload_words (Array.length p.heavy_z) in
+      let from_partition =
+        Array.fold_left
+          (fun n x ->
+            n
+            + words
+              * Array.fold_left
+                  (fun k y -> if Partition.is_light_y p y then k else k + 1)
+                  0 (Relation.adj_src r x))
+          0 p.heavy_x
+      in
+      let product = recorded (fun () -> Two_path.heavy_product ~r ~s p) in
+      Alcotest.(check bool) (name ^ ": R⁺ has tuples") true (from_partition > 0);
+      Alcotest.(check int) (name ^ ": heavy_product") from_partition (List.hd product);
+      List.iter
+        (fun domains ->
+          Alcotest.(check (list int))
+            (Printf.sprintf "%s: project at domains=%d" name domains)
+            [ from_partition; 0; 0 ]
+            (recorded (fun () -> Two_path.project ~domains ~plan:(forced_plan d1 d2) ~r ~s ())))
+        [ 1; 3 ])
+    [
+      ( "skewed pair",
+        Gen.skewed_relation ~seed:71 ~nx:300 ~ny:60 ~edges:6000 (),
+        Gen.skewed_relation ~seed:72 ~nx:280 ~ny:60 ~edges:5600 (),
+        (40, 12) );
+      (let r = Gen.skewed_relation ~seed:73 ~nx:200 ~ny:150 ~edges:4000 () in
+       ("skewed self-join", r, r, (3, 2)));
+    ]
+
+(* A cancel tripped once the boolean merge has started — by the token's
+   poll hook, as soon as the first merged rows have recorded their
+   probes — still stops the query with [Cancelled Requested], on one
+   domain (between guard chunks, before the merge ends) and on three
+   (at the split's polls). *)
+let test_merge_cancel () =
+  let r = Gen.random_relation ~seed:2200 ~nx:2200 ~ny:40 ~edges:17_600 () in
+  let plan = forced_plan 1 1 in
+  let probes f = List.hd (recorded [ Jp_obs.C.light_probes ] f) in
+  List.iter
+    (fun domains ->
+      let all = probes (fun () -> ignore (Two_path.project ~domains ~plan ~r ~s:r ())) in
+      let cancel = Jp_util.Cancel.create () in
+      Jp_util.Cancel.set_hook cancel (fun () ->
+          if Jp_obs.value Jp_obs.C.light_probes > 0 then Jp_util.Cancel.cancel cancel);
+      let ran =
+        probes (fun () ->
+            Alcotest.check_raises
+              (Printf.sprintf "cancelled at domains=%d" domains)
+              (Jp_util.Cancel.Cancelled Jp_util.Cancel.Requested)
+              (fun () -> ignore (Two_path.project ~domains ~plan ~cancel ~r ~s:r ())))
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "the merge ran at domains=%d (%d of %d probes)" domains ran all)
+        true
+        (ran > 0 && if domains = 1 then ran < all else ran <= all))
+    [ 1; 3 ]
 
 let suite =
   [
@@ -541,4 +620,7 @@ let suite =
     Alcotest.test_case "split gadget has its cases" `Quick test_gadget_cases;
     QCheck_alcotest.to_alcotest prop_split_invisible;
     Alcotest.test_case "split rows keep the work counters" `Quick test_split_work_counters;
+    Alcotest.test_case "heavy rows record the product's word ops" `Quick
+      test_heavy_rows_word_ops;
+    Alcotest.test_case "boolean merge cancel" `Quick test_merge_cancel;
   ]

@@ -421,10 +421,11 @@ let test_cached_cq_agrees () =
     cq_pool
 
 (* Capped tiles join the matrix: with a [?tile] config that caps the
-   heavy product's tiles at 16 wide and sets a budget small enough to
-   evict mid-product, boolean and counted projections must stay
-   bit-equal to the default fitted shape — alone and stacked under the
-   guarded / cancelled / cached capabilities. *)
+   count product's tiles at 16 wide and sets a budget small enough to
+   evict mid-product, counted projections must stay bit-equal to the
+   default fitted shape.  The boolean projection, which ORs heavy rows
+   and runs no tile kernel, must stay equal alone and stacked under the
+   parallel / guarded / cancelled / cached capabilities. *)
 let tiny_tile = Tile.config ~tile_bits:4 ~budget_bytes:8192 ()
 
 let test_tiled_two_path_agrees () =
@@ -440,28 +441,25 @@ let test_tiled_two_path_agrees () =
           true (Pairs.equal reference out)
       in
       check "tiled"
-        (Joinproj.Two_path.project ~strategy:matrix ~tile:tiny_tile ~r ~s:r ());
+        (Joinproj.Two_path.project ~strategy:matrix ~r ~s:r ());
       check "tiled 4 domains"
-        (Joinproj.Two_path.project ~domains:4 ~strategy:matrix ~tile:tiny_tile
-           ~r ~s:r ());
+        (Joinproj.Two_path.project ~domains:4 ~strategy:matrix ~r ~s:r ());
       List.iter
         (fun f ->
           check
             (Printf.sprintf "tiled guarded x%g" f)
-            (Joinproj.Two_path.project ~strategy:matrix ~guard:(guard_of f)
-               ~tile:tiny_tile ~r ~s:r ()))
+            (Joinproj.Two_path.project ~strategy:matrix ~guard:(guard_of f) ~r ~s:r ()))
         guard_factors;
       let cancel = Jp_util.Cancel.create () in
       check "tiled live-cancel"
-        (Joinproj.Two_path.project ~strategy:matrix ~cancel ~tile:tiny_tile ~r
-           ~s:r ());
+        (Joinproj.Two_path.project ~strategy:matrix ~cancel ~r ~s:r ());
       let cache = Jp_cache.create () in
       for pass = 1 to 2 do
         check
           (Printf.sprintf "tiled cached pass %d" pass)
           (Joinproj.Two_path.project ~strategy:matrix
              ~memo:(Jp_cache.two_path_memo cache ~r ~s:r)
-             ~tile:tiny_tile ~r ~s:r ())
+             ~r ~s:r ())
       done;
       let counted_ref =
         Joinproj.Two_path.project_counts ~strategy:matrix ~r ~s:r ()

@@ -244,10 +244,11 @@ let prop_rows_pass_checked_constructors =
           est_seconds = 0.0;
         }
       in
-      (* The heavy product runs at the default fitted shape or through
+      (* The count product runs at the default fitted shape or through
          tiny capped tiles under a budget, and with a memo the cache is
          first warmed by the other config: a product memoized under one
-         tile config must serve the other. *)
+         tile config must serve the other.  The boolean projection takes
+         no tile config; its heavy rows are memoized all the same. *)
       let tiny = Some (Tile.config ~tile_bits:4 ~budget_bytes:4096 ()) in
       let tile = if tiled then tiny else None in
       let memo =
@@ -256,7 +257,7 @@ let prop_rows_pass_checked_constructors =
           let cache = Jp_cache.create () in
           let memo = Jp_cache.two_path_memo cache ~r ~s in
           let warm = if tiled then None else tiny in
-          ignore (Two_path.project ~domains ~plan ~memo ?tile:warm ~r ~s ());
+          ignore (Two_path.project ~domains ~plan ~memo ~r ~s ());
           ignore (Two_path.project_counts ~domains ~plan ~memo ?tile:warm ~r ~s ());
           Some memo
         end
@@ -271,10 +272,9 @@ let prop_rows_pass_checked_constructors =
         (checked_counts (Two_path.project_counts ~domains ~plan ?memo ?tile ~r ~s ()))
       && List.for_all (Pairs.equal reference)
            [
-             checked (Two_path.project ~domains ~plan ?memo ?tile ~r ~s ());
+             checked (Two_path.project ~domains ~plan ?memo ~r ~s ());
              checked
-               (Two_path.project ~domains ~strategy:Two_path.Combinatorial ~plan ?memo ?tile
-                  ~r ~s ());
+               (Two_path.project ~domains ~strategy:Two_path.Combinatorial ~plan ?memo ~r ~s ());
              Counted_pairs.to_pairs reference_counts;
              checked
                (Joinproj.Factorized.to_pairs

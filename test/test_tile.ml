@@ -437,10 +437,10 @@ let test_fitted_shape () =
     [ (2, 64, 3); (2, 200, 200); (3, 96, 1); (3, 300, 70) ]
 
 (* A cancel token tripped from the pool's chunk hook after the first
-   output tile stops the default-config heavy product (no [?tile])
-   before its last tile, and the engine raises [Cancelled].  Above the
-   2048 cap at domains = 1 and by the domain split at domains = 2 the
-   product has several tiles. *)
+   output tile stops the default-config heavy count product (no
+   [?tile]) before its last tile, and the engine raises [Cancelled].
+   Above the 2048 cap at domains = 1 and by the domain split at
+   domains = 2 the product has several tiles. *)
 let test_default_path_cancel () =
   let module Two_path = Joinproj.Two_path in
   let plan =
@@ -455,7 +455,7 @@ let test_default_path_cancel () =
     (fun (domains, nx) ->
       let r = Gen.random_relation ~seed:nx ~nx ~ny:40 ~edges:(8 * nx) () in
       let total =
-        products (fun () -> Two_path.project ~domains ~plan ~r ~s:r ())
+        products (fun () -> Two_path.project_counts ~domains ~plan ~r ~s:r ())
       in
       Alcotest.(check bool)
         (Printf.sprintf "several tiles at domains=%d (%d)" domains total)
@@ -472,7 +472,7 @@ let test_default_path_cancel () =
               (fun () ->
                 Alcotest.check_raises "cancelled" (Cancel.Cancelled Cancel.Requested)
                   (fun () ->
-                    ignore (Two_path.project ~domains ~plan ~cancel ~r ~s:r ())));
+                    ignore (Two_path.project_counts ~domains ~plan ~cancel ~r ~s:r ())));
             Jp_obs.value Jp_obs.C.tile_products)
       in
       (* One domain claims tiles in order and re-checks the token after

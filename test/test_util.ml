@@ -294,12 +294,29 @@ let prop_row_acc_split =
       List.for_all
         (fun (plain, split) ->
           let heavy, index, _, held, lists, light = split_case g in
-          let row = Jp_util.Bitset.create (Array.length heavy) in
-          List.iter (Jp_util.Bitset.set row) held;
+          (* The held columns, spread over one to three overlapping bit
+             rows laid end to end in one flat array after a word of
+             noise: ORing the rows in sets exactly the held columns. *)
+          let stride = Jp_util.Bitset.payload_words (Array.length heavy) in
+          let k = 1 + Rng.int g 3 in
+          let words = Array.make (1 + (k * stride)) 0 in
+          words.(0) <- Rng.int g max_int;
+          List.iter
+            (fun l ->
+              List.iter
+                (fun i ->
+                  let at = 1 + (i * stride) + (l / 62) in
+                  words.(at) <- words.(at) lor (1 lsl (l mod 62)))
+                (Rng.int g k :: List.filter (fun _ -> Rng.bool g) (List.init k Fun.id)))
+            held;
           Row_acc.start plain;
           Row_acc.add_all plain (Array.of_list (List.map (fun l -> heavy.(l)) held));
           List.iter (Row_acc.add_all plain) (lists @ light);
-          let seeded = Row_acc.start_split split ~index ~heavy row in
+          Row_acc.start_split split ~index ~heavy;
+          for i = 0 to k - 1 do
+            Row_acc.or_words split words (1 + (i * stride)) stride
+          done;
+          let seeded = Row_acc.size split in
           List.iter (Row_acc.add_all split) lists;
           List.iter (Row_acc.add_light split) light;
           seeded = List.length held
