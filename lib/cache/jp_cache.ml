@@ -1,5 +1,4 @@
 module Relation = Jp_relation.Relation
-module Boolmat = Jp_matrix.Boolmat
 module Intmat = Jp_matrix.Intmat
 module Optimizer = Joinproj.Optimizer
 module Two_path = Joinproj.Two_path
@@ -292,12 +291,9 @@ let prepared_tag : Optimizer.prepared tag = tag "two_path.prep"
 
 let heavy_rows_tag : Two_path.heavy_rows tag = tag "two_path.heavy_rows"
 
-let intmat_tag : Intmat.t tag = tag "two_path.count_mm"
+let count_tag : Intmat.t tag = tag "two_path.count_mm"
 
-let upper_tag : Two_path.upper_product tag = tag "two_path.ssj_mm"
-
-let boolmat_bytes m =
-  (Boolmat.rows m * ((Boolmat.cols m + 61) / 62) * 8) + 64
+let triangle_tag : Intmat.t tag = tag "two_path.ssj_triangle"
 
 (* The bit rows' words, the light-z lists' ids and the array holding
    them. *)
@@ -309,17 +305,11 @@ let heavy_rows_bytes (h : Two_path.heavy_rows) =
   * 8)
   + 64
 
-(* The cells actually stored: n² for a full product, n(n−1)/2 for a
-   triangle. *)
-let intmat_bytes (m : Intmat.t) =
-  (Array.fold_left (fun n row -> n + Array.length row) 0 m.Intmat.data * 8) + 64
+(* The cells stored: rows·cols for a full count product, n(n−1)/2 for
+   an n-row triangle. *)
+let count_bytes (m : Intmat.t) = (m.Intmat.rows * m.Intmat.cols * 8) + 64
 
-(* An SSJ product: its triangle's cells, or k planes of rows·words
-   payload words under one header. *)
-let upper_bytes = function
-  | Two_path.Triangle m -> intmat_bytes m
-  | Two_path.Planes planes ->
-    Array.fold_left (fun n m -> n + boolmat_bytes m - 64) 64 planes
+let triangle_bytes (m : Intmat.t) = (m.Intmat.rows * (m.Intmat.rows - 1) / 2 * 8) + 64
 
 (* L1/L2 build-or-fetch.  The builder runs outside the lock (which covers
    only find/put), so two concurrent misses may both build; the second
@@ -355,18 +345,11 @@ let two_path_memo t ~r ~s =
     memo_count_product =
       (fun ~d1 build ->
         let key = Key.v ~kind:"two_path.count_mm" ~fps ~params:[ d1 ] () in
-        find_or_build t intmat_tag key ~bytes_of:intmat_bytes build);
+        find_or_build t count_tag key ~bytes_of:count_bytes build);
     memo_upper_product =
-      (fun ~d1 ~c ~kernel build ->
-        let kernel =
-          match kernel with
-          | Jp_matrix.Cost.Triangle -> 0
-          | Jp_matrix.Cost.Planes -> 1
-        in
-        let key =
-          Key.v ~kind:"two_path.ssj_mm" ~fps ~params:[ d1; c; kernel ] ()
-        in
-        find_or_build t upper_tag key ~bytes_of:upper_bytes build);
+      (fun ~d1 build ->
+        let key = Key.v ~kind:"two_path.ssj_triangle" ~fps ~params:[ d1 ] () in
+        find_or_build t triangle_tag key ~bytes_of:triangle_bytes build);
   }
 
 (* ------------------------------------------------------------------ *)

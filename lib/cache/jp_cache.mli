@@ -150,14 +150,13 @@ val two_path_memo :
     tile cap and budget, so one entry serves them all.  Heavy rows live
     under their own kind, [two_path.heavy_rows (d1, d2)], and are
     charged 8 bytes per bit-row word, per light-z id and per heavy y,
-    plus 64.
-    [ssj]'s product lives under a kind of its own, keyed also on the
-    threshold c and the kernel that built it, so it is never served to
-    [project_counts] and planes saturated at one c never answer
-    another.  A count product is charged the cells it stores: n² for a
-    full one, n(n−1)/2 for a triangle; planes are charged
-    k·rows·words·8 + 64 bytes (k planes of [rows] rows, [words]
-    payload words per row). *)
+    plus 64; [ssj]'s planes read the same entry at (d1, 0), so one
+    entry serves every threshold c and [project] at those thresholds.
+    [ssj]'s exact triangle lives under a kind of its own,
+    [two_path.ssj_triangle (d1)], so it is never served to
+    [project_counts].  A count product is charged the cells it
+    stores, plus 64 bytes: rows·cols for a full one ([two_path.count_mm
+    (d1)]), n(n−1)/2 for an n-row triangle. *)
 
 (** {1 L3 result bindings (consumed by [Jp_service])} *)
 

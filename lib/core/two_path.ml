@@ -1,7 +1,6 @@
 module Relation = Jp_relation.Relation
 module Pairs = Jp_relation.Pairs
 module Counted_pairs = Jp_relation.Counted_pairs
-module Boolmat = Jp_matrix.Boolmat
 module Intmat = Jp_matrix.Intmat
 module Vec = Jp_util.Vec
 module Pool = Jp_parallel.Pool
@@ -21,15 +20,11 @@ type strategy = Matrix | Combinatorial
    x's product row is the OR of its heavy y's bit rows. *)
 type heavy_rows = { stride : int; bits : int array; light_z : int array array }
 
-(* The set-similarity join's heavy product, strict upper part only: the
-   exact triangle of A·Aᵀ, or thermometer planes saturated at c. *)
-type upper_product = Triangle of Intmat.t | Planes of Boolmat.t array
-
 (* Memoization hooks (consumed by [Jp_cache], which sits above this
    library in the dependency graph).  Each hook receives the builder for
    a deterministic intermediate — the prepared optimizer indexes, the
-   boolean heavy rows, or a heavy-part matrix product, identified by
-   its thresholds — and may
+   heavy rows, or a heavy-part count product, identified by its
+   thresholds — and may
    return a previously built value for the same (r, s, thresholds)
    instead of calling it.  A memo is specific to the (r, s) pair it was
    created for.  [no_memo] (the default) calls every builder directly. *)
@@ -37,12 +32,7 @@ type memo = {
   memo_prepared : (unit -> Optimizer.prepared) -> Optimizer.prepared;
   memo_heavy_rows : d1:int -> d2:int -> (unit -> heavy_rows) -> heavy_rows;
   memo_count_product : d1:int -> (unit -> Intmat.t) -> Intmat.t;
-  memo_upper_product :
-    d1:int ->
-    c:int ->
-    kernel:Jp_matrix.Cost.ssj_kernel ->
-    (unit -> upper_product) ->
-    upper_product;
+  memo_upper_product : d1:int -> (unit -> Intmat.t) -> Intmat.t;
 }
 
 let no_memo =
@@ -50,7 +40,7 @@ let no_memo =
     memo_prepared = (fun build -> build ());
     memo_heavy_rows = (fun ~d1:_ ~d2:_ build -> build ());
     memo_count_product = (fun ~d1:_ build -> build ());
-    memo_upper_product = (fun ~d1:_ ~c:_ ~kernel:_ build -> build ());
+    memo_upper_product = (fun ~d1:_ build -> build ());
   }
 
 (* Measures one engine phase for the plan-vs-actual record; [f] may open
@@ -93,33 +83,6 @@ let count_product ?cancel ~tile ~memo ~domains ~r ~s (p : Partition.t) =
       Tile.count_product ~domains ?cancel tile
         (operand (Relation.adj_src r) p.heavy_x p.y_index ~cols:v)
         (operand (Relation.adj_src s) p.heavy_z p.y_index ~cols:v))
-
-(* The SSJ's product over a self-join partition (heavy_z = heavy_x):
-   only the cells (i, l) with l > i, and only as far as the threshold
-   [c] needs them.  [Jp_matrix.Cost.ssj_kernel] prices the exact
-   triangle (one AND+popcount per cell over the inner words) against
-   [c] saturating planes (the transposed operand's rows OR'd into [c]
-   planes per selected row) from the product's shape and A's ones,
-   nnz(A) = Σ deg(y) over heavy y (d₂ = 0 puts every endpoint of a
-   heavy y in A).  Planes depend on [c] and the triangle does not, so
-   the memo key carries both [c] and the kernel. *)
-let upper_product ?cancel ~c ~tile ~memo ~domains ~r (p : Partition.t) =
-  let u = Array.length p.heavy_x and v = Array.length p.heavy_y in
-  let nnz = Array.fold_left (fun n y -> n + Relation.deg_dst r y) 0 p.heavy_y in
-  let kernel =
-    Jp_matrix.Cost.ssj_kernel (Jp_matrix.Cost.machine ()) ~c ~u ~v ~nnz
-  in
-  memo.memo_upper_product ~d1:p.d1 ~c ~kernel (fun () ->
-      let a = operand (Relation.adj_src r) p.heavy_x p.y_index ~cols:v in
-      match kernel with
-      | Jp_matrix.Cost.Triangle ->
-        Obs.incr Obs.C.ssj_triangles;
-        Triangle (Tile.count_upper ~domains ?cancel tile a)
-      | Jp_matrix.Cost.Planes ->
-        Obs.incr Obs.C.ssj_planes;
-        Planes
-          (Tile.upper_planes ~domains ?cancel tile ~c a
-             (operand (Relation.adj_dst r) p.heavy_y p.x_index ~cols:u)))
 
 (* The boolean product M{R⁺}·M{S⁺}: R⁺ as [heavy_x] rows over
    [y_index], S⁺ as [heavy_y] rows over [z_index], through [Tile].  The
@@ -188,13 +151,6 @@ let heavy_rows ~s p =
       let light_z, stride, bits, _ = split_heavy_y ~bits:true ~s p in
       { stride; bits; light_z })
 
-(* The list y = b gives x = a on a plain row: all of L(b) when a or b
-   is light; for heavy a and heavy b only the S- tuples (light z), since
-   heavy z is the heavy part's job. *)
-let[@inline] plain_list ~s ~(p : Partition.t) ~light_z a_light b =
-  if a_light || Partition.is_light_y p b then Relation.adj_dst s b
-  else light_z.(p.y_index.(b))
-
 (* The merged per-x loop over rows [lo, hi): light contributions from
    R- |><| S and R |><| S-, plus the heavy part.  A heavy x under the
    heavy rows is a split row of [acc]: the bit rows of its heavy y are
@@ -207,8 +163,11 @@ let[@inline] plain_list ~s ~(p : Partition.t) ~light_z a_light b =
    or the combinatorial expansion) is a plain row.  A plain row with one
    list per y (no expansion lists) and at most two y is written
    directly: nothing for an x with no tuple, the list itself, or the
-   union of two.  The rest go through the stamps.  Each row is appended
-   to [out], its length stored at [lengths.(x + 1)]. *)
+   union of two.  Its x is light or has no heavy y (a heavy x with one
+   is a split row under the heavy rows, and not light under the
+   expansion), so each of its lists is all of L(y).  The rest go
+   through the stamps.  Each row is appended to [out], its length
+   stored at [lengths.(x + 1)]. *)
 let merge_range ~acc ~out ~lengths ~r ~s ~(p : Partition.t) ~heavy lo hi =
   let obs = Obs.recording () in
   let light_z = match heavy with Rows h -> h.light_z | Expansion e -> e.light_z in
@@ -228,13 +187,13 @@ let merge_range ~acc ~out ~lengths ~r ~s ~(p : Partition.t) ~heavy lo hi =
       if direct then
         if k = 0 then 0
         else begin
-          let z0 = plain_list ~s ~p ~light_z a_light (Array.unsafe_get ys 0) in
+          let z0 = Relation.adj_dst s (Array.unsafe_get ys 0) in
           if k = 1 then begin
             if obs then scans := !scans + Array.length z0;
             Row_acc.one_list_into out z0
           end
           else begin
-            let z1 = plain_list ~s ~p ~light_z a_light (Array.unsafe_get ys 1) in
+            let z1 = Relation.adj_dst s (Array.unsafe_get ys 1) in
             if obs then scans := !scans + Array.length z0 + Array.length z1;
             Row_acc.two_lists_into out z0 z1
           end
@@ -636,16 +595,67 @@ let upper_rows ~c =
     out = self_join_size;
   }
 
-(* A counted run's heavy product: the full count matrix, or the SSJ's
-   upper part. *)
-type counted_product = Full of Intmat.t | Upper of upper_product
+(* A counted run's heavy part: the full count matrix; or the SSJ's,
+   the exact triangle of A·Aᵀ or the S⁺ bit rows the merge saturates
+   into [c] planes per heavy x. *)
+type counted_product = Full of Intmat.t | Triangle of Intmat.t | Planes of int * heavy_rows
+
+(* The SSJ's heavy part over a self-join partition (heavy_z = heavy_x):
+   only the cells (i, l) with l > i, and only as far as the threshold
+   [c] needs them.  [Jp_matrix.Cost.ssj_kernel] prices the exact
+   triangle (one AND+popcount per cell over the inner words) against
+   [c] saturating planes (each heavy y's S⁺ bit row saturated into the
+   planes of each of its heavy x, past the diagonal) from the product's
+   shape and A's ones, nnz(A) = Σ deg(y) over heavy y (d₂ = 0 puts
+   every endpoint of a heavy y in A).  Neither value depends on [c]:
+   the triangle has a memo key of its own, and the bit rows are
+   [project]'s heavy rows at (d1, 0), whose light-z lists are empty. *)
+let ssj_product ?cancel ~c ~tile ~memo ~domains ~r ~s (p : Partition.t) =
+  let u = Array.length p.heavy_x and v = Array.length p.heavy_y in
+  let nnz = Array.fold_left (fun n y -> n + Relation.deg_dst r y) 0 p.heavy_y in
+  match Jp_matrix.Cost.ssj_kernel (Jp_matrix.Cost.machine ()) ~c ~u ~v ~nnz with
+  | Jp_matrix.Cost.Triangle ->
+    Triangle
+      (memo.memo_upper_product ~d1:p.d1 (fun () ->
+           Obs.incr Obs.C.ssj_triangles;
+           Tile.count_upper ~domains ?cancel tile
+             (operand (Relation.adj_src r) p.heavy_x p.y_index ~cols:v)))
+  | Jp_matrix.Cost.Planes ->
+    Obs.incr Obs.C.ssj_planes;
+    Planes (c, memo.memo_heavy_rows ~d1:p.d1 ~d2:0 (fun () -> heavy_rows ~s p))
+
+(* Begins the counting split row of heavy x row [i], whose y are [ys],
+   from the heavy part and returns its seeded columns: a full product
+   row, the triangle's cells past the diagonal, or c planes into which
+   the bit row of each of its heavy y is saturated past the diagonal.
+   A plane row adds c·(⌈w/62⌉ − ⌊(i + 1)/62⌋) plane words per bit row
+   to [plane_words], none on the last row, which has no column past
+   the diagonal. *)
+let seed_row acc ~plane_words (p : Partition.t) m ys i =
+  match m with
+  | Full m | Triangle m ->
+    Row_acc.start_split_counts acc ~index:p.z_index ~heavy:p.heavy_z (Intmat.row m i)
+  | Planes (c, h) ->
+    Row_acc.start_planes acc ~index:p.z_index ~heavy:p.heavy_z ~first:(i + 1) c;
+    if i + 1 < Array.length p.heavy_z then begin
+      let ored = ref 0 in
+      for j = 0 to Array.length ys - 1 do
+        let k = p.y_index.(Array.unsafe_get ys j) in
+        if k >= 0 then begin
+          Row_acc.saturate_words acc h.bits (k * h.stride);
+          incr ored
+        end
+      done;
+      plane_words :=
+        !plane_words + (!ored * c * (h.stride - ((i + 1) / Bitset.bits_per_word)))
+    end;
+    Row_acc.close_planes acc
 
 (* The count merge over every x: the witnesses of its light y values
-   plus its row of the heavy count product, summed per z, since a
-   pair's witnesses can be split between light and heavy y values.  A
-   heavy x's row is a counting split row of [acc]: the stored product
-   row seeds the heavy-z counts — a full row, the triangle's cells past
-   the diagonal, or, from planes, min(h, c) past the diagonal — light
+   plus its row of the heavy part, summed per z, since a pair's
+   witnesses can be split between light and heavy y values.  A heavy
+   x's row is a counting split row of [acc] ([seed_row]) — exact
+   counts, or, from planes, min(h, c) past the diagonal — light
    witnesses of a heavy z add to its column, and only light z are
    stamped; the sink's emit thresholds both halves and merges them.
    Seeding min(h, c) is exact for the SSJ's threshold c: for every
@@ -665,26 +675,17 @@ let count_merge ~sink ?cancel ~domains ~r ~s heavy =
       in
       let met = Atomic.make 0 in
       let upper = sink.threshold <> None in
-      let seed acc (p : Partition.t) m i =
-        match m with
-        | Full m | Upper (Triangle m) ->
-          Row_acc.start_split_counts acc ~index:p.z_index ~heavy:p.heavy_z
-            (Intmat.row m i)
-        | Upper (Planes planes) ->
-          Row_acc.start_split_planes acc ~index:p.z_index ~heavy:p.heavy_z
-            ~first:(i + 1)
-            (Array.map (fun plane -> Boolmat.row plane i) planes)
-      in
       let run_rows (acc, ids, mults) lo hi =
         let obs = Obs.recording () in
         let light_scans = ref 0 and presented = ref 0 and misses = ref 0 in
+        let plane_words = ref 0 in
         for a = lo to hi - 1 do
+          let ys = Relation.adj_src r a in
           (match heavy with
           | Some ((p : Partition.t), m) when p.x_index.(a) >= 0 ->
-            let seeded = seed acc p m p.x_index.(a) in
+            let seeded = seed_row acc ~plane_words p m ys p.x_index.(a) in
             if obs then presented := !presented + seeded
           | Some _ | None -> Row_acc.start acc);
-          let ys = Relation.adj_src r a in
           for j = 0 to Array.length ys - 1 do
             let b = Array.unsafe_get ys j in
             if all_light || light_y.(b) then begin
@@ -715,7 +716,8 @@ let count_merge ~sink ?cancel ~domains ~r ~s heavy =
         if obs then begin
           Obs.add Obs.C.light_probes !light_scans;
           Obs.add Obs.C.stamp_misses !misses;
-          Obs.add Obs.C.stamp_hits (!presented - !misses)
+          Obs.add Obs.C.stamp_hits (!presented - !misses);
+          if !plane_words > 0 then Obs.add Obs.C.mm_count_word_ops !plane_words
         end
       in
       let chunks =
@@ -801,9 +803,8 @@ let counted ~span ~label ~sink ~domains ~strategy ?plan ~guard ?cancel ~memo
                       | None ->
                         Full (count_product ?cancel ~tile ~memo ~domains ~r ~s p)
                       | Some c ->
-                        Upper
-                          (upper_product ?cancel ~c:(max 1 c) ~tile ~memo
-                             ~domains ~r p)) )
+                        ssj_product ?cancel ~c:(max 1 c) ~tile ~memo ~domains ~r ~s p)
+                )
           in
           Cancel.check_opt cancel;
           phase phases "count-merge" (fun () ->

@@ -43,17 +43,9 @@ module Tile = Jp_matrix.Tile
 type strategy =
   | Matrix
       (** heavy part via the {!heavy_rows} ORed per heavy x (boolean) /
-          {!Tile.count_product} (counts) / {!Tile.count_upper} or
-          {!Tile.upper_planes} ({!ssj}) *)
+          {!Tile.count_product} (counts) / {!Tile.count_upper} or the
+          {!heavy_rows} saturated into planes per heavy x ({!ssj}) *)
   | Combinatorial  (** heavy part via stamp-vector expansion (Non-MMJoin) *)
-
-(** {!ssj}'s heavy product: only the cells (i, l) with l > i of A·Aᵀ,
-    either exact ({!Tile.count_upper}'s triangle) or as [c]
-    thermometer planes saturated at the threshold
-    ({!Tile.upper_planes}). *)
-type upper_product =
-  | Triangle of Jp_matrix.Intmat.t
-  | Planes of Jp_matrix.Boolmat.t array
 
 (** The boolean heavy part of {!project}'s [Matrix] strategy, built in
     one pass over each heavy y's S list.  S⁺ as bit rows: heavy y
@@ -63,7 +55,9 @@ type upper_product =
     y's S list; [stride] = ⌈|heavy_z| / 62⌉.  [light_z.(i)] is the same
     heavy y's light z (those without a column), ascending.  A heavy x's
     product row is the OR of its heavy y's bit rows, so the u×w product
-    itself is never built. *)
+    itself is never built.  {!ssj}'s planes read the same rows at
+    (d1, 0), where every z next to a heavy y has a column and so every
+    [light_z] list is empty. *)
 type heavy_rows = {
   stride : int;
   bits : int array;
@@ -73,30 +67,26 @@ type heavy_rows = {
 (** Memoization hooks, consumed by [Jp_cache] (which sits above this
     library in the dependency graph).  Each hook receives the builder of
     a deterministic, immutable intermediate — the prepared optimizer
-    indexes, {!project}'s {!heavy_rows}, or a counted heavy-part matrix
-    product, identified by the partition thresholds — and may return a
+    indexes, the {!heavy_rows}, or a counted heavy-part matrix product,
+    identified by the partition thresholds — and may return a
     previously built value for the same (r, s, thresholds) instead of
     running it.  A product hook wraps the whole product: {!Tile} is
     bit-equal for every tile config, so the key does not depend on it.
     Heavy rows are not a product (their [bits] are S⁺, not
-    M{_R⁺}·M{_S⁺}) and have a hook of their own.  A memo value
-    is specific to the (r, s) pair it was created for; hooks are
-    consulted once per phase, never per tuple.  {!ssj}'s product has a
-    hook of its own, keyed on the threshold [c] and the kernel
-    [Jp_matrix.Cost.ssj_kernel] priced: planes saturated at one [c] are
-    no answer for another, and neither kind is the full count
-    product. *)
+    M{_R⁺}·M{_S⁺}) and have a hook of their own, which {!project} and
+    {!ssj}'s planes share (the SSJ reads them at (d1, 0) for every c).
+    A memo value is specific to the (r, s) pair it was created for;
+    hooks are consulted once per phase, never per tuple.  {!ssj}'s
+    exact triangle ({!Tile.count_upper}) has a hook of its own, keyed
+    on d1 only: it does not depend on the threshold, and it is not the
+    full count product. *)
 type memo = {
   memo_prepared : (unit -> Optimizer.prepared) -> Optimizer.prepared;
   memo_heavy_rows : d1:int -> d2:int -> (unit -> heavy_rows) -> heavy_rows;
   memo_count_product :
     d1:int -> (unit -> Jp_matrix.Intmat.t) -> Jp_matrix.Intmat.t;
   memo_upper_product :
-    d1:int ->
-    c:int ->
-    kernel:Jp_matrix.Cost.ssj_kernel ->
-    (unit -> upper_product) ->
-    upper_product;
+    d1:int -> (unit -> Jp_matrix.Intmat.t) -> Jp_matrix.Intmat.t;
 }
 
 val heavy_product :
@@ -204,12 +194,21 @@ val ssj :
     the heavy product holds only the cells past the diagonal, the merge
     reads each light list only past x and each product row only past
     the diagonal, and rows leave the accumulator already thresholded
-    ({!Jp_util.Row_acc.emit_ge_into}).  The product is the one
-    {!Jp_matrix.Cost.ssj_kernel} prices cheaper for its shape, [c] and
-    nnz: {!Tile.count_upper}'s exact triangle, or
-    {!Tile.upper_planes}' [c] planes, which count each pair only up
-    to [c] (exact for the threshold: min(h, c) + l ≥ c iff h + l ≥ c).
-    The [ssj.triangle_products]/[ssj.plane_products] counters name the
-    kernel that ran.  No counted pairs are
+    ({!Jp_util.Row_acc.emit_ge_into}).  The heavy kernel is the one
+    {!Jp_matrix.Cost.ssj_kernel} prices cheaper for the product's
+    shape, [c] and nnz: {!Tile.count_upper}'s exact triangle, built in
+    the [heavy-count-mm] phase; or [c] saturating planes, which count
+    each pair only up to [c] (exact for the threshold:
+    min(h, c) + l ≥ c iff h + l ≥ c).  For planes the [heavy-count-mm]
+    phase builds the {!heavy_rows} at (d1, 0) (behind
+    [memo_heavy_rows], the same entry {!project} uses), and the
+    [count-merge] phase starts each heavy x's row as c empty planes,
+    saturates into them the bit row of each of its heavy y from the
+    word holding the column past the diagonal on
+    ({!Jp_util.Row_acc.saturate_words}), clears the columns up to the
+    diagonal, and adds the light witnesses; it records
+    c·(⌈w/62⌉ − ⌊(i + 1)/62⌋) [mm.count_word_ops] per bit row
+    saturated into row i < w − 1.  The [ssj.triangle_products]/
+    [ssj.plane_products] counters name the kernel that ran.  No counted pairs are
     built.  [plan] forces a plan, for tests.  Expects [c >= 1]: the
     internal entry behind [Mm_ssj.join], which checks it. *)

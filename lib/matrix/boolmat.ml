@@ -25,6 +25,3 @@ let row_nnz m i = Bitset.count m.data.(i)
 let nnz m = Array.fold_left (fun acc r -> acc + Bitset.count r) 0 m.data
 
 let iter_row m i f = Bitset.iter f m.data.(i)
-
-let saturate_rows planes off ~from ~sel m =
-  Bitset.saturate_selected planes off ~from sel m.data

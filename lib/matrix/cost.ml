@@ -6,22 +6,22 @@ type kind = Count | Boolean
    constants: least squares on relative error over the 185 counted-ssj
    products of perfbench seeds 1 and 2, each kernel timed alone, then
    scaled so that the pinned constants' count/bool ratio reproduces the
-   fitted time ratio (EXPERIMENTS.md, "SSJ planes").  A triangle cell
-   pays [cell_words] count words of call, spare-word and store overhead
-   beside [cell_word] per payload word of the inner dimension, and its
-   one operand build [build_words] per one of A.  A plane product pays
-   [plane_word] boolean words per plane word written and [select_words]
-   per one of A: both operand builds (A and Aᵀ) and the selection of
-   each row. *)
+   fitted time ratio (EXPERIMENTS.md, "SSJ planes" and "SSJ planes
+   straight from S⁺").  A triangle cell pays [cell_words] count words of
+   call, spare-word and store overhead beside [cell_word] per payload
+   word of the inner dimension, and its one operand build [build_words]
+   per one of A.  The planes pay [plane_word] boolean words per plane
+   word the merge saturates and [select_words] per one of A: its bit in
+   the S⁺ rows, and the selection of its row by its heavy x. *)
 let cell_words = 2.3
 
 let cell_word = 0.5
 
 let build_words = 0.5
 
-let plane_word = 0.53
+let plane_word = 0.43
 
-let select_words = 4.2
+let select_words = 2.0
 
 let lemma1 ~u ~v ~w =
   if min u (min v w) <= 0 then 0.0
@@ -202,9 +202,9 @@ let mhat m kind ~u ~v ~w ~cores =
 
 type ssj_kernel = Triangle | Planes
 
-(* Plane words the upper-masked row-OR writes per selected row, summed
-   over the u result rows: row i starts at the word holding column
-   i + 1 of a u-wide row, and the last row has no column past it. *)
+(* Plane words one saturated bit row writes, summed over the u heavy x
+   rows: row i starts at the word holding column i + 1 of a u-wide row,
+   and the last row has no column past it. *)
 let upper_row_words u =
   let words = (u + 61) / 62 and total = ref 0 in
   for i = 0 to u - 2 do

@@ -101,8 +101,9 @@ val mhat : machine -> kind -> u:int -> v:int -> w:int -> cores:int -> float
     matrix-construction cost [C] (Section 3.1). *)
 
 (** The set-similarity join's heavy kernel: [Tile.count_upper]'s
-    exact strict upper triangle of A·Aᵀ, or [Tile.upper_planes]'
-    thermometer planes, saturated at c. *)
+    exact strict upper triangle of A·Aᵀ, or thermometer planes
+    saturated at c, which the SSJ's count merge builds per heavy x from
+    the S⁺ bit rows of its heavy y. *)
 type ssj_kernel = Triangle | Planes
 
 val ssj_kernel : machine -> c:int -> u:int -> v:int -> nnz:int -> ssj_kernel
@@ -112,8 +113,8 @@ val ssj_kernel : machine -> c:int -> u:int -> v:int -> nnz:int -> ssj_kernel
     its u(u−1)/2 cells a fixed overhead plus one AND+popcount per inner
     payload word, and one operand build, at [count_word]; the planes pay
     c plane words per one of A over the words past the diagonal (the
-    average row's share of a u-wide upper result), plus both operand
-    builds (A and Aᵀ) and the selection of each row, at [bool_word].  The
+    average row's share of a u-wide upper result), plus the one's bit in
+    the S⁺ rows and its row's selection, at [bool_word].  The
     multipliers are fitted to the two kernels' measured times.  A pure
     function of its arguments: no flag or environment variable picks
     the kernel. *)

@@ -83,10 +83,6 @@ let fit cfg ~domains ~col_width ?keep ~u ~v ~w () =
    grid. *)
 let on_or_above ~rh:_ ~cw:_ (ti : int) tj = tj >= ti
 
-(* The upper-masked row-OR product's tiles: those holding a cell (i, l)
-   with l > i, i.e. whose last column lies past their first row. *)
-let past_diagonal ~w ~rh ~cw ti tj = min w ((tj + 1) * cw) - 1 > ti * rh
-
 (* Build one operand tile: rows [r0, r0+th), inner columns [c0, c0+tw)
    of [src], remapped to a th×tw block.  Also returns the number of
    adjacency entries scanned — the deterministic build-cost proxy that
@@ -292,31 +288,13 @@ let check_dims name (a : Source.t) (b : Source.t) =
    no lock, and ORs commute, so the result is independent of the order
    in which tiles and inner blocks finish.
 
-   [dst] holds one row function per plane.  Without [upper] it has one
-   plane and this is the boolean product.  With [upper] each selected B
-   row adds one, saturating at k = the number of planes, to the
-   thermometer planes of its result row ([Boolmat.saturate_rows]):
-   plane j of cell (i, l) reads "at least j + 1 selected rows set
-   column l", i.e. min((A·B)(i,l), k) over the integer product, and
-   only the cells l > i are kept.  A saturating add commutes too, so
-   the order argument carries over.  Tiles wholly at or below the
-   diagonal are not scheduled, each row starts at the word holding
-   column i + 1, and once all inner blocks are in, the bits below
-   i + 1 in that word are cleared — the tile owns the word, so no other
-   domain writes it.
-
    Rows run in bands of whole row blocks (the tile side high, or the
    band when it is lower), at most [band_rows] rows: one pool round
-   writes a band's i-th row into [dst.(j) i], then [finish r0 r1] runs
-   on the calling domain.  [mul] is one band over the result. *)
-let or_bands ~domains ?cancel ?(upper = false) cfg (a : Source.t)
-    (b : Source.t) ~band_rows ~dst ~finish =
+   writes a band's i-th row into [dst i], then [finish r0 r1] runs on
+   the calling domain.  [mul] is one band over the result. *)
+let or_bands ~domains ?cancel cfg (a : Source.t) (b : Source.t) ~band_rows ~dst ~finish =
   let u = a.Source.rows and v = a.Source.cols and w = b.Source.cols in
-  let planes = Array.length dst in
-  let keep = if upper then Some (past_diagonal ~w) else None in
-  let ts, kt =
-    fit cfg ~domains ~col_width:word_aligned ?keep ~u:(min u band_rows) ~v ~w ()
-  in
+  let ts, kt = fit cfg ~domains ~col_width:word_aligned ~u:(min u band_rows) ~v ~w () in
   let rh = min ts band_rows and cw = word_aligned ts in
   let band = rh * max 1 (band_rows / rh) in
   let t_i = blocks u rh and t_k = blocks v kt and t_j = blocks w cw in
@@ -328,12 +306,9 @@ let or_bands ~domains ?cancel ?(upper = false) cfg (a : Source.t)
   let obs = Obs.recording () in
   (* first row of the band being computed *)
   let base = ref 0 in
-  (* the band's scheduled tiles, as offsets from its first row block *)
-  let tiles = ref [||] in
   let body t =
-    let t = if upper then !tiles.(t) else t in
     let ti = (!base / rh) + (t / t_j) and tj = t mod t_j in
-    Obs.span (if upper then "tile.plane_tile" else "tile.mul_tile") (fun () ->
+    Obs.span "tile.mul_tile" (fun () ->
         let r0 = ti * rh and c0 = tj * cw in
         let th = min rh (u - r0) and tw = min cw (w - c0) in
         let ops = ref 0 in
@@ -348,49 +323,22 @@ let or_bands ~domains ?cancel ?(upper = false) cfg (a : Source.t)
             store_fetch store (b_slot k tj) (fun () ->
                 build_tile b ~r0:k0 ~th:kw ~c0 ~tw)
           in
-          if not upper then begin
-            (* A tile as wide as the result (every product up to the
-               cap at domains = 1) ORs whole rows and skips the
-               offset checks, which cost ~5% of a dense product.  The
-               OR closure is made once per block, not once per row. *)
-            let dst = dst.(0) in
-            let row = ref (dst (r0 - !base)) in
-            let union =
-              if tw = w then fun kk -> Bitset.union_into ~dst:!row (Boolmat.row bt kk)
-              else fun kk -> Bitset.union_into_at ~dst:!row c0 (Boolmat.row bt kk)
-            in
-            for i = 0 to th - 1 do
-              row := dst (r0 - !base + i);
-              if obs then ops := !ops + Boolmat.row_nnz at i;
-              Boolmat.iter_row at i union
-            done
-          end
-          else begin
-            let rows = Array.map (fun d -> d (r0 - !base)) dst in
-            let words = Bitset.payload_words tw in
-            for i = 0 to th - 1 do
-              (* the first word holding a column past the diagonal *)
-              let from = max 0 (r0 + i + 1 - c0) / Bitset.bits_per_word in
-              if r0 + i + 1 < c0 + tw then begin
-                for j = 0 to planes - 1 do
-                  rows.(j) <- dst.(j) (r0 - !base + i)
-                done;
-                if obs then
-                  ops := !ops + (Boolmat.row_nnz at i * planes * (words - from));
-                Boolmat.saturate_rows rows c0 ~from ~sel:(Boolmat.row at i) bt
-              end
-            done
-          end
-        done;
-        if upper then
+          (* A tile as wide as the result (every product up to the cap
+             at domains = 1) ORs whole rows and skips the offset checks,
+             which cost ~5% of a dense product.  The OR closure is made
+             once per block, not once per row. *)
+          let row = ref (dst (r0 - !base)) in
+          let union =
+            if tw = w then fun kk -> Bitset.union_into ~dst:!row (Boolmat.row bt kk)
+            else fun kk -> Bitset.union_into_at ~dst:!row c0 (Boolmat.row bt kk)
+          in
           for i = 0 to th - 1 do
-            let l = r0 + i + 1 in
-            if l > c0 && l < c0 + tw then
-              Array.iter (fun d -> Bitset.clear_word_below (d (r0 - !base + i)) l) dst
-          done;
-        if obs then
-          if upper then Obs.add Obs.C.mm_count_word_ops !ops
-          else Obs.add Obs.C.mm_bool_word_ops (!ops * Bitset.payload_words tw);
+            row := dst (r0 - !base + i);
+            if obs then ops := !ops + Boolmat.row_nnz at i;
+            Boolmat.iter_row at i union
+          done
+        done;
+        if obs then Obs.add Obs.C.mm_bool_word_ops (!ops * Bitset.payload_words tw);
         Obs.incr Obs.C.tile_products)
   in
   Fun.protect
@@ -398,19 +346,9 @@ let or_bands ~domains ?cancel ?(upper = false) cfg (a : Source.t)
     (fun () ->
       while !base < u do
         let r1 = min u (!base + band) in
-        let n = blocks (r1 - !base) rh * t_j in
-        let n =
-          if not upper then n
-          else begin
-            tiles :=
-              Array.of_seq
-                (Seq.filter
-                   (fun t -> past_diagonal ~w ~rh ~cw ((!base / rh) + (t / t_j)) (t mod t_j))
-                   (Seq.init n Fun.id));
-            Array.length !tiles
-          end
-        in
-        Pool.parallel_for ~domains ~chunk:1 ?cancel ~lo:0 ~hi:n body;
+        Pool.parallel_for ~domains ~chunk:1 ?cancel ~lo:0
+          ~hi:(blocks (r1 - !base) rh * t_j)
+          body;
         finish !base r1;
         base := r1
       done)
@@ -419,8 +357,7 @@ let mul ?(domains = 1) ?cancel cfg (a : Source.t) (b : Source.t) =
   check_dims "mul" a b;
   Obs.span "tile.mul" (fun () ->
       let result = Boolmat.create ~rows:a.Source.rows ~cols:b.Source.cols in
-      or_bands ~domains ?cancel cfg a b ~band_rows:max_int
-        ~dst:[| Boolmat.row result |]
+      or_bands ~domains ?cancel cfg a b ~band_rows:max_int ~dst:(Boolmat.row result)
         ~finish:(fun _ _ -> ());
       result)
 
@@ -430,26 +367,13 @@ let mul_rows ~domains ?cancel cfg (a : Source.t) (b : Source.t) f =
       let w = b.Source.cols in
       let band_rows = max 1 (band_bytes / (8 * (Bitset.payload_words w + 1))) in
       let buf = Boolmat.create ~rows:(min a.Source.rows band_rows) ~cols:w in
-      or_bands ~domains ?cancel cfg a b ~band_rows ~dst:[| Boolmat.row buf |]
+      or_bands ~domains ?cancel cfg a b ~band_rows ~dst:(Boolmat.row buf)
         ~finish:(fun r0 r1 ->
           for r = r0 to r1 - 1 do
             let row = Boolmat.row buf (r - r0) in
             f r row;
             Bitset.clear row
           done))
-
-let upper_planes ?(domains = 1) ?cancel cfg ~c (a : Source.t)
-    (b : Source.t) =
-  check_dims "upper_planes" a b;
-  if c < 1 then invalid_arg "Tile.upper_planes: c must be >= 1";
-  Obs.span "tile.upper_planes" (fun () ->
-      let planes =
-        Array.init c (fun _ -> Boolmat.create ~rows:a.Source.rows ~cols:b.Source.cols)
-      in
-      or_bands ~domains ?cancel ~upper:true cfg a b
-        ~band_rows:max_int ~dst:(Array.map Boolmat.row planes)
-        ~finish:(fun _ _ -> ());
-      planes)
 
 (* True when no row of [m] has a bit set: a count block with an empty
    operand tile adds nothing. *)

@@ -1,20 +1,17 @@
 (** The heavy-part matrix multiplication kernel, tiled and
     memory-bounded.
 
-    Every heavy boolean and count product in the engines runs here,
-    including the set-similarity join's self product A·Aᵀ and the
-    star's V·W.  There are two tile bodies.  The row-OR body ORs the
-    [b] rows each [a] row selects into that result row: {!mul} writes
-    the whole result, {!mul_rows} streams result rows to a consumer,
-    and {!upper_planes} runs it with k thermometer planes over a strict
-    upper mask — each selected row adds one, saturating at k, to the
-    planes of its result row (plane j: "at least j + 1"; the planes
-    update in descending order, [P_j |= P_{j−1} & row], then
-    [P_1 |= row]), only past the diagonal.  With one plane and no mask
-    it is the boolean product, instruction for instruction.  The count
-    body adds one AND+popcount per cell: {!count_product} and the exact
-    strict upper triangle {!count_upper}.  The SSJ picks planes or the
-    triangle per product by price ([Jp_matrix.Cost.ssj_kernel]).
+    Every heavy product the engines build runs here: the counted
+    2-path's count product, the set-similarity join's exact triangle of
+    A·Aᵀ, BSI's boolean product and the star's V·W.  (The boolean
+    2-path and the set-similarity join's saturating planes build no
+    product: their merges OR, or saturate, S⁺ bit rows into each heavy
+    x's row themselves.)  There are two tile bodies.  The row-OR body
+    ORs the [b] rows each [a] row selects into that result row: {!mul}
+    writes the whole result and {!mul_rows} streams result rows to a
+    consumer.  The count body adds one AND+popcount per cell:
+    {!count_product} and the exact strict upper triangle
+    {!count_upper}.
     The product is decomposed into bit-packed tiles (MatFast-style block
     partitioning) whose shape is fitted to the product:
 
@@ -23,9 +20,7 @@
       wider than the cap is a single tile.  With [domains > 1] the side
       halves until there are at least 2·domains scheduled output tiles
       (or it reaches 2{^4}); {!count_upper} counts only the tiles on or
-      above the diagonal, {!upper_planes} only the tiles holding a cell
-      past it (column tiles wholly at or below a row block are never
-      scheduled).  Without a budget the inner dimension is one
+      above the diagonal.  Without a budget the inner dimension is one
       block, so every count cell is one AND+popcount over whole rows;
       with a budget inner blocks are as wide as the side.
     - {b Scheduling}: output tiles are the work-stealing unit — one
@@ -47,10 +42,9 @@
     cap, budget and domain count: boolean column
     tiles are a whole number of 62-bit words wide, so each output tile
     ORs straight into words of the result rows that no other tile
-    touches ({!Jp_util.Bitset.union_into_at},
-    {!Jp_util.Bitset.saturate_selected}), and a saturating add, like
-    an OR, commutes; count tiles add into their own disjoint cell
-    blocks, and partial sums over inner blocks are exact. *)
+    touches ({!Jp_util.Bitset.union_into_at}); count tiles add into
+    their own disjoint cell blocks, and partial sums over inner blocks
+    are exact. *)
 
 module Cancel = Jp_util.Cancel
 
@@ -122,29 +116,6 @@ val mul_rows :
     up to the bound is one round and a larger one adds at most one per
     MiB of result words, which the stream clears and scans anyway.
     [cancel] is polled once per tile claim; errors as {!mul}. *)
-
-val upper_planes :
-  ?domains:int ->
-  ?cancel:Cancel.t ->
-  config ->
-  c:int ->
-  Source.t ->
-  Source.t ->
-  Boolmat.t array
-(** [upper_planes cfg ~c a b] with [a : u×v] and [b : v×w] is the strict
-    upper part of the integer product [a·b], saturated at [c ≥ 1], as
-    [c] thermometer planes: bit (i, l) of plane j (0-based) is set iff
-    [l > i] and at least [j + 1] inner positions k have [a(i,k)] and
-    [b(k,l)].  Plane 0 is the boolean product under the strict upper
-    mask, and the number of planes holding (i, l) is
-    [min((a·b)(i,l), c)].  With [b = aᵀ] this answers the set-similarity
-    question "overlap ≥ c" for every pair i < l without counting past
-    c.  The same tile body as {!mul}: each selected [b] row adds one,
-    saturating, to the planes of its result row over the words past the
-    diagonal; output tiles wholly at or below the diagonal are never
-    scheduled.  Work is counted on [mm.count_word_ops], one op per plane
-    word written.  Same capability surface and dimension check as
-    {!mul}; raises [Invalid_argument] when [c < 1]. *)
 
 val count_product :
   ?domains:int ->

@@ -189,8 +189,9 @@ module C : sig
   val mm_count_word_ops : counter
   (** 62-bit payload-word AND+popcounts of the count heavy product
       ([Jp_matrix.Tile.count_product]/[count_upper]), counted the same
-      way; for the saturating plane product
-      ([Jp_matrix.Tile.upper_planes]), one per plane word written. *)
+      way; for the set-similarity join's saturating planes, one per
+      plane word a bit row is saturated into in the count merge
+      ([Joinproj.Two_path.ssj]). *)
 
   val ssj_triangles : counter
   (** Set-similarity heavy products computed as the exact strict upper
@@ -199,9 +200,10 @@ module C : sig
       memo is not counted. *)
 
   val ssj_planes : counter
-  (** Set-similarity heavy products computed as saturating thermometer
-      planes ([Jp_matrix.Tile.upper_planes]), counted as
-      {!ssj_triangles}. *)
+  (** Set-similarity heavy parts computed as saturating thermometer
+      planes, as [Jp_matrix.Cost.ssj_kernel] priced them: one per count
+      merge that saturates the S⁺ bit rows into each heavy x's planes,
+      whether the rows were built or served from a memo. *)
 
   val stamp_hits : counter
   (** Stamp-vector probes that found the stamp already set (dedup hits). *)
@@ -306,8 +308,8 @@ module C : sig
 
   val tile_products : counter
   (** Output tiles computed by [Jp_matrix.Tile.mul]/[mul_rows]/
-      [count_product]/[count_upper]/[upper_planes]: every heavy product
-      publishes at least one. *)
+      [count_product]/[count_upper]: every tiled heavy product publishes
+      at least one. *)
 
   val tile_peak_bytes : counter
   (** High-water mark of {!G.tile_bytes}: bumped by the increase whenever

@@ -44,37 +44,11 @@ val union_into_at : dst:t -> int -> t -> unit
     boolean product: a tile row merges into whole words of the full
     result row without per-bit iteration. *)
 
-val saturate_selected : t array -> int -> from:int -> t -> t array -> unit
-(** [saturate_selected planes off ~from sel rows] adds, for every
-    position [k] that [sel] sets, one to the count of every column
-    [rows.(k)] sets, saturating at [Array.length planes]: [planes] are
-    thermometer planes (plane j holds the columns with a count of at
-    least j + 1), and column [b] of a row is column [off + b] of the
-    planes.  Only each row's payload words from [from] on are added,
-    and only the plane words they land on are written, so callers may
-    update disjoint word ranges of the same planes from different
-    domains.  [off] must be a multiple of {!bits_per_word}, and every
-    selected row must exist and fit within every plane from [off];
-    raises [Invalid_argument] otherwise.  With one plane this ORs the
-    selected rows in, as {!union_into_at} from word [from] would. *)
-
-val clear_word_below : t -> int -> unit
-(** [clear_word_below t i] clears the positions of [i]'s backing word
-    below [i] ([0 <= i <= width]): the masking step after whole-word
-    ORs that start in the middle of a word. *)
-
 val set_mapped : t -> lo:int -> int array -> int array -> int
 (** [set_mapped t ~lo ids index] sets position [index.(b) - lo] for
     every [b] of [ids] whose [index.(b)] lies in [[lo, lo + width t)],
     and returns how many [b] have [index.(b) >= 0] — one row of a tile
     built from an id list through a column index, in one loop. *)
-
-val blit_count : t -> int array -> int -> int
-(** [blit_count t dst at] copies [t]'s backing words, the spare trailing
-    one included, to [dst] from index [at] and returns {!count}[ t], in
-    one pass.  [dst] must hold [payload_words width + 1] words from
-    [at]; raises [Invalid_argument] otherwise.  Seeds a scratch row from
-    a shared matrix row without writing the matrix. *)
 
 val popcount : int -> int
 (** The number of set bits of a word (of its 62 payload bits). *)

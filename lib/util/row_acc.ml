@@ -133,20 +133,48 @@ let start_split_counts t ~index ~heavy row =
   t.held <- !held;
   !held
 
-let start_split_planes t ~index ~heavy ~first planes =
-  let w = Array.length heavy and k = Array.length planes in
-  if k = 0 || first < 0 || first > w then
-    invalid_arg "Row_acc.start_split_planes: no planes, or first out of range";
-  let stride = Bitset.payload_words w + 1 in
+let start_planes t ~index ~heavy ~first k =
+  let w = Array.length heavy in
+  if k < 1 || first < 0 || first > w then
+    invalid_arg "Row_acc.start_planes: no planes, or first out of range";
+  let stride = Bitset.payload_words w in
   split t Counts ~index ~heavy ~need:(k * stride);
-  for j = k - 1 downto 0 do
-    let n = Bitset.blit_count planes.(j) t.cols (j * stride) in
-    if j = 0 then t.held <- n
-  done;
+  Array.fill t.cols 0 (k * stride) 0;
   t.first <- first;
   t.planes <- k;
-  t.stride <- stride;
-  t.held
+  t.stride <- stride
+
+(* Inlined, as [or_words]: a heavy x saturates one row per heavy y.
+   Descending planes read each plane below before it is updated, so
+   plane j gains exactly the columns that were at j and are in the row;
+   two planes, the usual threshold, get a loop of their own. *)
+let[@inline] saturate_words t words off =
+  (match t.mode with
+  | Counts when t.planes > 0 -> ()
+  | Plain | Bits | Counts -> invalid_arg "Row_acc.saturate_words: not a plane row");
+  let stride = t.stride in
+  if off < 0 || off > Array.length words - stride then
+    invalid_arg "Row_acc.saturate_words: words out of range";
+  let cols = t.cols and from = t.first / bits_per_word in
+  match t.planes with
+  | 2 ->
+    for w = from to stride - 1 do
+      let x = Array.unsafe_get words (off + w) and y = Array.unsafe_get cols w in
+      Array.unsafe_set cols (stride + w) (Array.unsafe_get cols (stride + w) lor (y land x));
+      Array.unsafe_set cols w (y lor x)
+    done
+  | k ->
+    for w = from to stride - 1 do
+      let x = Array.unsafe_get words (off + w) in
+      if x <> 0 then begin
+        for j = k - 1 downto 1 do
+          let d = (j * stride) + w in
+          Array.unsafe_set cols d
+            (Array.unsafe_get cols d lor (Array.unsafe_get cols (d - stride) land x))
+        done;
+        Array.unsafe_set cols w (Array.unsafe_get cols w lor x)
+      end
+    done
 
 let grow t =
   let buf = Array.make (2 * Array.length t.buf) 0 in
@@ -285,6 +313,21 @@ let bits_held t at =
     n := !n + Bitset.popcount (Array.unsafe_get t.cols w)
   done;
   !n
+
+let close_planes t =
+  (match t.mode with
+  | Counts when t.planes > 0 -> ()
+  | Plain | Bits | Counts -> invalid_arg "Row_acc.close_planes: not a plane row");
+  let w = t.first / bits_per_word and b = t.first mod bits_per_word in
+  if b > 0 then begin
+    let keep = lnot ((1 lsl b) - 1) in
+    for j = 0 to t.planes - 1 do
+      let d = (j * t.stride) + w in
+      Array.unsafe_set t.cols d (Array.unsafe_get t.cols d land keep)
+    done
+  end;
+  t.held <- bits_held t 0;
+  t.held
 
 let columns t = match t.mode with Bits -> bits_held t 0 | Plain | Counts -> t.held
 

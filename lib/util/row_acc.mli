@@ -13,8 +13,11 @@
     per-accumulator column scratch (bits, or counts).  {!start_split}
     begins an empty boolean one, and {!or_words} ORs bit rows into it
     (the boolean 2-path ORs in the S⁺ row of each of x's heavy y);
-    {!start_split_counts} and {!start_split_planes} begin a counting one
-    by copying a product row.  The caller's words are never written.
+    {!start_split_counts} begins a counting one by copying a product
+    row, and {!start_planes} an empty saturating one, into which
+    {!saturate_words} adds bit rows (the set-similarity join adds the
+    S⁺ row of each of x's heavy y).  The caller's words are never
+    written.
     Every later id that has a column
     (index ≥ 0) sets or counts that column; only the others go through
     the stamps.  The two halves are disjoint, so the row is emitted as a
@@ -94,20 +97,38 @@ val start_split_counts : t -> index:int array -> heavy:int array -> int array ->
     that is not held ([Invalid_argument]).  Returns the number of
     non-zero counts copied. *)
 
-val start_split_planes :
-  t -> index:int array -> heavy:int array -> first:int -> Bitset.t array -> int
-(** [start_split_planes t ~index ~heavy ~first planes] begins a
-    saturating split row (counting accumulators only) from thermometer
-    planes (plane j holds the columns whose count is at least j + 1,
-    each plane as wide as [heavy]): the planes are copied word by word,
-    and a later witness of a column with [l >= first] adds one to it,
-    saturating at the number of planes k, so each column holds
-    min(count, k).  The columns before [first] are not held (the planes
-    must have no bit there).  Only {!emit_ge_into} at a threshold of at most
-    k reads such a row, exactly, since min(h, k) + l ≥ c holds exactly
+val start_planes :
+  t -> index:int array -> heavy:int array -> first:int -> int -> unit
+(** [start_planes t ~index ~heavy ~first k] begins an empty saturating
+    split row (counting accumulators only): [k ≥ 1] thermometer planes
+    over [heavy]'s columns (plane j holds the columns whose count is at
+    least j + 1, ⌈|heavy| / 62⌉ words per plane), holding only the
+    columns from [first] on.  {!saturate_words} adds bit rows to it,
+    {!close_planes} ends that step, and a later witness of a column
+    adds one to it; every add saturates at k, so each column holds
+    min(count, k).  Only {!emit_ge_into} at a threshold of at most k
+    reads such a row, exactly, since min(h, k) + l ≥ c holds exactly
     when h + l ≥ c for c ≤ k: its heavy columns are plane c − 1's bits.
-    The first plane is every non-zero column, so the returned number of
-    held columns, and {!size}, are what exact counts would give. *)
+    Raises [Invalid_argument] when [k < 1] or [first] is outside
+    [\[0, |heavy|\]]. *)
+
+val saturate_words : t -> int array -> int -> unit
+(** [saturate_words t words off] adds one, saturating, to every column
+    whose bit is set in the ⌈|heavy| / 62⌉ words [words.(off ..)] (bit
+    [b] of word [w] is column [62·w + b]) on the current plane row,
+    reading and writing only the words from the one holding column
+    [first] on: [P_j |= P_{j−1} & row] for the planes from the top,
+    then [P_0 |= row].  The bits below [first] in that word are not
+    cleared until {!close_planes}.  Raises [Invalid_argument] when the
+    row is not a plane row or the words do not fit in [words]. *)
+
+val close_planes : t -> int
+(** [close_planes t] clears the columns before [first] that
+    {!saturate_words} wrote and returns the number of held columns,
+    plane 0's bits — what exact counts would hold, as {!size} reports
+    it.  Call it once, after the last {!saturate_words} and before the
+    first witness.  Raises [Invalid_argument] when the row is not a
+    plane row. *)
 
 val add_all : t -> int array -> unit
 (** [add_all t zs] adds each candidate of [zs] to the current row; ids

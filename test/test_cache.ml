@@ -215,9 +215,8 @@ let test_count_product_bytes () =
     ((n * (n - 1) / 2 * 8) + 64)
     (charged (fun memo ->
          ignore
-           (memo.Joinproj.Two_path.memo_upper_product ~d1:1 ~c:2
-              ~kernel:Jp_matrix.Cost.Triangle (fun () ->
-                Joinproj.Two_path.Triangle (Tile.count_upper tile src)))));
+           (memo.Joinproj.Two_path.memo_upper_product ~d1:1 (fun () ->
+                Tile.count_upper tile src))));
   Alcotest.(check int) "full product"
     ((n * n * 8) + 64)
     (charged (fun memo ->
@@ -225,46 +224,73 @@ let test_count_product_bytes () =
            (memo.Joinproj.Two_path.memo_count_product ~d1:1 (fun () ->
                 Tile.count_product tile src src))))
 
-(* The SSJ's saturating planes are charged k·rows·words·8 + 64 bytes:
-   k planes of n rows, each row the payload words of n columns, under
-   one header — far below the triangle's n(n−1)/2 cells at the same n.
-   Each c is its own entry: one cache holding c = 2 and c = 3 charges
-   both. *)
-let test_plane_product_bytes () =
-  let n = 187 and v = 300 in
-  let m = Jp_matrix.Boolmat.create ~rows:n ~cols:v in
-  for i = 0 to n - 1 do
-    Jp_matrix.Boolmat.set m i (i mod v);
-    Jp_matrix.Boolmat.set m i ((7 * i) mod v)
-  done;
-  let mt = Jp_matrix.Boolmat.create ~rows:v ~cols:n in
-  for i = 0 to n - 1 do
-    Jp_matrix.Boolmat.iter_row m i (fun y -> Jp_matrix.Boolmat.set mt y i)
-  done;
-  let a = Tile.Source.of_boolmat m and at = Tile.Source.of_boolmat mt in
-  let tile = Tile.config () in
-  let c = Cache.create () in
-  let r = Relation.of_edges [| (0, 0) |] in
-  let memo = Cache.two_path_memo c ~r ~s:r in
-  let planes k =
-    memo.Joinproj.Two_path.memo_upper_product ~d1:1 ~c:k
-      ~kernel:Jp_matrix.Cost.Planes (fun () ->
-        Joinproj.Two_path.Planes (Tile.upper_planes tile ~c:k a at))
+(* The SSJ's saturating planes read the heavy rows at (d1, 0), which do
+   not depend on c: on one cache, at domains 1 and 3, the SSJ at c = 2,
+   then c = 3, then c = 2 runs the planes each time and builds the rows
+   once (the second and third runs hit and miss nothing), and [project]
+   on a forced (d1, 0) plan is served the same entry.  Every result
+   equals its oracle: the counted self-join thresholded at c, and
+   Expand. *)
+let test_ssj_planes_share_heavy_rows () =
+  let module Two_path = Joinproj.Two_path in
+  let d1 = 1 in
+  let plan =
+    {
+      Joinproj.Optimizer.decision = Joinproj.Optimizer.Partitioned { d1; d2 = 0 };
+      est_out = 1;
+      join_size = 1;
+      est_seconds = 0.0;
+    }
   in
-  let words = Jp_util.Bitset.payload_words n in
-  let charge k = (k * n * words * 8) + 64 in
-  ignore (planes 2);
-  Alcotest.(check int) "c = 2" (charge 2) (Cache.stats c).Cache.bytes;
-  ignore (planes 3);
-  Alcotest.(check int) "c = 2 and c = 3" (charge 2 + charge 3)
-    (Cache.stats c).Cache.bytes;
-  let hits = (Cache.stats c).Cache.hits in
-  (match planes 2 with
-  | Joinproj.Two_path.Planes p -> Alcotest.(check int) "c = 2 hit: 2 planes" 2 (Array.length p)
-  | Joinproj.Two_path.Triangle _ -> Alcotest.fail "c = 2 hit: a triangle");
-  Alcotest.(check int) "c = 2 again is a hit" (hits + 1) (Cache.stats c).Cache.hits;
-  Alcotest.(check bool) "planes below the triangle's cells" true
-    (charge 2 * 9 < (n * (n - 1) / 2 * 8) + 64)
+  let r = Gen.skewed_relation ~seed:41 ~nx:80 ~ny:20 ~edges:400 () in
+  let counts = Jp_wcoj.Expand.project_counts ~r ~s:r () in
+  let oracle c =
+    Pairs.of_rows_unchecked
+      (Array.init (Relation.src_count r) (fun x ->
+           let zs, ks = Testkit.Counted_pairs.row counts x in
+           let keep = ref [] in
+           Array.iteri (fun i z -> if z > x && ks.(i) >= c then keep := z :: !keep) zs;
+           Array.of_list (List.rev !keep)))
+  in
+  let planes_ran f =
+    Jp_obs.reset ();
+    Jp_obs.enable ();
+    Fun.protect
+      ~finally:(fun () ->
+        Jp_obs.disable ();
+        Jp_obs.reset ())
+      (fun () ->
+        let out = f () in
+        (out, Jp_obs.value Jp_obs.C.ssj_planes))
+  in
+  List.iter
+    (fun domains ->
+      let c = Cache.create () in
+      let memo = Cache.two_path_memo c ~r ~s:r in
+      let served label run =
+        let before = Cache.stats c in
+        let ok = run () in
+        let after = Cache.stats c in
+        Alcotest.(check bool) (label ^ ": equals its oracle") true ok;
+        Alcotest.(check int) (label ^ ": misses nothing") before.Cache.misses
+          after.Cache.misses;
+        Alcotest.(check int) (label ^ ": one hit") (before.Cache.hits + 1) after.Cache.hits
+      in
+      List.iteri
+        (fun i k ->
+          let label = Printf.sprintf "domains=%d run %d (c = %d)" domains (i + 1) k in
+          let run () =
+            let got, planes = planes_ran (fun () -> Two_path.ssj ~domains ~plan ~memo ~c:k r) in
+            Alcotest.(check int) (label ^ ": the planes ran") 1 planes;
+            Pairs.equal (oracle k) got
+          in
+          if i = 0 then Alcotest.(check bool) (label ^ ": equals its oracle") true (run ())
+          else served label run)
+        [ 2; 3; 2 ];
+      served (Printf.sprintf "domains=%d project (d1, 0)" domains) (fun () ->
+          Pairs.equal (Jp_wcoj.Expand.project ~r ~s:r ())
+            (Two_path.project ~domains ~plan ~memo ~r ~s:r ())))
+    [ 1; 3 ]
 
 (* One cached prepared value read by two domains at once: it is
    immutable (nothing is forced on first use), so both plan exactly what
@@ -449,8 +475,8 @@ let suite =
       test_heavy_rows_memo;
     Alcotest.test_case "count products charged their stored cells" `Quick
       test_count_product_bytes;
-    Alcotest.test_case "ssj planes charged per plane word" `Quick
-      test_plane_product_bytes;
+    Alcotest.test_case "ssj planes share the heavy rows across c" `Quick
+      test_ssj_planes_share_heavy_rows;
     Alcotest.test_case "prepared value shared across domains" `Quick
       test_prepared_across_domains;
     Alcotest.test_case "service hit path" `Quick test_service_hit_path;

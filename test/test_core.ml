@@ -386,9 +386,6 @@ let test_gadget_cases () =
    has written a memoized value since. *)
 let recording_memo () =
   let digest_rows n row = Array.init n (fun i -> Digest.string (Marshal.to_string (row i) [])) in
-  let bool_digest m =
-    digest_rows (Jp_matrix.Boolmat.rows m) (Testkit.Boolmat.row_list m)
-  in
   let rows_digest (h : Two_path.heavy_rows) =
     Array.append
       (digest_rows (Array.length h.light_z) (Array.get h.light_z))
@@ -396,10 +393,6 @@ let recording_memo () =
   in
   let count_digest (m : Jp_matrix.Intmat.t) =
     digest_rows m.Jp_matrix.Intmat.rows (Jp_matrix.Intmat.row m)
-  in
-  let upper_digest = function
-    | Two_path.Triangle m -> count_digest m
-    | Two_path.Planes planes -> Array.concat (Array.to_list (Array.map bool_digest planes))
   in
   let rows = ref [] and counts = ref [] and uppers = ref [] in
   let remember table key digest build =
@@ -415,14 +408,13 @@ let recording_memo () =
       Two_path.memo_prepared = (fun build -> build ());
       memo_heavy_rows = (fun ~d1 ~d2 build -> remember rows (d1, d2) rows_digest build);
       memo_count_product = (fun ~d1 build -> remember counts d1 count_digest build);
-      memo_upper_product =
-        (fun ~d1 ~c ~kernel build -> remember uppers (d1, c, kernel) upper_digest build);
+      memo_upper_product = (fun ~d1 build -> remember uppers d1 count_digest build);
     }
   in
   let unchanged () =
     List.for_all (fun (_, (h, d)) -> rows_digest h = d) !rows
     && List.for_all (fun (_, (m, d)) -> count_digest m = d) !counts
-    && List.for_all (fun (_, (m, d)) -> upper_digest m = d) !uppers
+    && List.for_all (fun (_, (m, d)) -> count_digest m = d) !uppers
   in
   (memo, unchanged)
 
@@ -592,6 +584,70 @@ let test_merge_cancel () =
         (ran > 0 && if domains = 1 then ran < all else ran <= all))
     [ 1; 3 ]
 
+(* The SSJ's saturating planes run inside the count merge and record
+   c·(⌈w/62⌉ − ⌊(i + 1)/62⌋) [mm.count_word_ops] per bit row saturated
+   into heavy x row i, none on the last row (no column past the
+   diagonal): on a fixed dense family whose product prices to planes,
+   at domains 1 and 3 and c = 2 and 3, the counter equals that closed
+   form over the partition, and no tile kernel runs. *)
+let test_ssj_plane_word_ops () =
+  let r = Gen.skewed_relation ~seed:71 ~nx:300 ~ny:60 ~edges:6000 () in
+  let d1 = 60 in
+  let p = Partition.make ~r ~s:r ~d1 ~d2:0 () in
+  let w = Array.length p.heavy_z in
+  let words = Jp_util.Bitset.payload_words w in
+  let closed c =
+    let total = ref 0 in
+    Array.iteri
+      (fun i x ->
+        if i + 1 < w then
+          let heavy_y =
+            Array.fold_left
+              (fun k y -> if Partition.is_light_y p y then k else k + 1)
+              0 (Relation.adj_src r x)
+          in
+          total := !total + (heavy_y * c * (words - ((i + 1) / 62))))
+      p.heavy_x;
+    !total
+  in
+  List.iter
+    (fun (domains, c) ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "domains=%d c=%d: word ops, one plane product, no tile" domains c)
+        [ closed c; 1; 0 ]
+        (recorded
+           Jp_obs.C.[ mm_count_word_ops; ssj_planes; tile_products ]
+           (fun () -> ignore (Two_path.ssj ~domains ~plan:(forced_plan d1 0) ~c r))))
+    [ (1, 2); (3, 2); (1, 3); (3, 3) ]
+
+(* A cancel tripped once the SSJ's plane merge has started — by the
+   token's poll hook, as soon as the first merged rows have recorded
+   their plane words — stops the query with [Cancelled Requested] on one
+   domain (at the split's sub-chunk poll, before the merge ends) and on
+   three. *)
+let test_ssj_merge_cancel () =
+  let r = Gen.random_relation ~seed:2300 ~nx:9000 ~ny:200 ~edges:27_000 () in
+  let plan = forced_plan 1 0 in
+  let words f = List.hd (recorded [ Jp_obs.C.mm_count_word_ops ] f) in
+  List.iter
+    (fun domains ->
+      let all = words (fun () -> ignore (Two_path.ssj ~domains ~plan ~c:2 r)) in
+      let cancel = Jp_util.Cancel.create () in
+      Jp_util.Cancel.set_hook cancel (fun () ->
+          if Jp_obs.value Jp_obs.C.mm_count_word_ops > 0 then Jp_util.Cancel.cancel cancel);
+      let ran =
+        words (fun () ->
+            Alcotest.check_raises
+              (Printf.sprintf "cancelled at domains=%d" domains)
+              (Jp_util.Cancel.Cancelled Jp_util.Cancel.Requested)
+              (fun () -> ignore (Two_path.ssj ~domains ~plan ~cancel ~c:2 r)))
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "the plane merge ran at domains=%d (%d of %d words)" domains ran all)
+        true
+        (ran > 0 && if domains = 1 then ran < all else ran <= all))
+    [ 1; 3 ]
+
 let suite =
   [
     Alcotest.test_case "partition classification" `Quick test_partition_classification;
@@ -623,4 +679,6 @@ let suite =
     Alcotest.test_case "heavy rows record the product's word ops" `Quick
       test_heavy_rows_word_ops;
     Alcotest.test_case "boolean merge cancel" `Quick test_merge_cancel;
+    Alcotest.test_case "ssj plane merge word ops" `Quick test_ssj_plane_word_ops;
+    Alcotest.test_case "ssj plane merge cancel" `Quick test_ssj_merge_cancel;
   ]

@@ -94,17 +94,7 @@ let prop_bitset_matches_model =
         Array.to_list (Array.of_seq (Seq.filter (fun i -> model.(i))
           (Seq.init width (fun i -> i))))
       in
-      (* [blit_count]'s copy holds the model's bits and no others, and
-         its count is the population *)
-      let dst = Array.make (Bitset.payload_words width + 1) (-1) in
-      let copied = Bitset.blit_count b dst 0 in
-      bits b = model_list
-      && Bitset.count b = List.length model_list
-      && copied = List.length model_list
-      && List.for_all
-           (fun i -> Bool.equal ((dst.(i / 62) lsr (i mod 62)) land 1 = 1) model.(i))
-           (List.init width Fun.id)
-      && dst.(Bitset.payload_words width) = 0)
+      bits b = model_list && Bitset.count b = List.length model_list)
 
 let sorted_of_list l =
   let a = Array.of_list l in
@@ -363,6 +353,76 @@ let prop_row_acc_split_counts =
           same_size && same_counts && Row_acc.emit_ge split c = Row_acc.emit_ge plain c)
         [ (a, b); (b, a) ])
 
+(* Plane rows.  [k] bit rows over [w] columns (widths on and around
+   62-bit word edges), laid end to end after a word of noise, are
+   saturated into [c] planes held from [first] on ([first] = 0, w − 1,
+   w, or drawn), then witness lists of held columns and of ids without
+   a column are added.  Every threshold t ≤ c emits exactly the held
+   columns whose count (bit rows setting the column, plus its
+   witnesses) is at least t, merged with the stamped ids of at least t
+   witnesses — so each held column holds min(count, c) — and
+   [close_planes] returns the held columns some bit row sets. *)
+let prop_row_acc_planes =
+  QCheck.Test.make ~name:"Row_acc plane row = min(count, c) past first" ~count:200
+    QCheck.(triple small_int (int_range 1 6) (int_range 0 3))
+    (fun (seed, c, pick) ->
+      let g = Rng.create (seed + 2500) in
+      let widths = [| 1; 2; 61; 62; 63; 123; 124; 125; 187; 248 |] in
+      let w = widths.(Rng.int g (Array.length widths)) in
+      let heavy = Array.init w (fun l -> 5 + (7 * l)) in
+      let index = Array.make acc_nz (-1) in
+      Array.iteri (fun l z -> index.(z) <- l) heavy;
+      let first = match pick with 0 -> 0 | 1 -> w - 1 | 2 -> w | _ -> Rng.int g (w + 1) in
+      let stride = Jp_util.Bitset.payload_words w in
+      let k = Rng.int g 5 in
+      let words = Array.make (1 + (k * stride)) 0 in
+      words.(0) <- Rng.int g max_int;
+      let from_rows = Array.make w 0 in
+      for i = 0 to k - 1 do
+        for l = 0 to w - 1 do
+          if Rng.int g 3 > 0 then begin
+            let at = 1 + (i * stride) + (l / 62) in
+            words.(at) <- words.(at) lor (1 lsl (l mod 62));
+            from_rows.(l) <- from_rows.(l) + 1
+          end
+        done
+      done;
+      let lists =
+        List.init (Rng.int g 4) (fun _ ->
+            Array.of_list
+              (List.sort_uniq compare
+                 (List.init (Rng.int g 40) (fun _ ->
+                      if Rng.bool g && first < w then heavy.(first + Rng.int g (w - first))
+                      else 7 * (1 + Rng.int g 3000)))))
+      in
+      let count z =
+        let witnessed = List.length (List.filter (fun zs -> Array.mem z zs) lists) in
+        if index.(z) >= 0 then from_rows.(index.(z)) + witnessed else witnessed
+      in
+      let ids =
+        List.sort_uniq compare
+          (List.filter (fun l -> l >= first) (List.init w Fun.id)
+           |> List.map (Array.get heavy)
+          |> List.append (List.concat_map Array.to_list lists))
+      in
+      let acc = Row_acc.create ~counts:true acc_nz in
+      let fill () =
+        Row_acc.start_planes acc ~index ~heavy ~first c;
+        for i = 0 to k - 1 do
+          Row_acc.saturate_words acc words (1 + (i * stride))
+        done;
+        let held = Row_acc.close_planes acc in
+        List.iter (fun zs -> Row_acc.add_witnesses_from acc zs 0) lists;
+        held
+      in
+      let seeded = List.length (List.filter (fun l -> l >= first && from_rows.(l) > 0) (List.init w Fun.id)) in
+      List.for_all
+        (fun t ->
+          let held = fill () in
+          held = seeded
+          && Array.to_list (Row_acc.emit_ge acc t) = List.filter (fun z -> count z >= t) ids)
+        (List.init c (fun t -> t + 1)))
+
 (* A counting split row holds only the columns its seed row covers: a
    witness for an earlier column is refused, not dropped. *)
 let test_row_acc_split_bounds () =
@@ -551,6 +611,7 @@ let suite =
     Alcotest.test_case "row_acc borrow reuses, huge not kept" `Quick test_row_acc_borrow;
     QCheck_alcotest.to_alcotest prop_row_acc_split;
     QCheck_alcotest.to_alcotest prop_row_acc_split_counts;
+    QCheck_alcotest.to_alcotest prop_row_acc_planes;
     Alcotest.test_case "row_acc split columns are bounded" `Quick test_row_acc_split_bounds;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
