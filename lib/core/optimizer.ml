@@ -4,6 +4,8 @@ module Cost = Jp_matrix.Cost
 
 type decision = Wcoj | Partitioned of { d1 : int; d2 : int }
 
+type kind = Boolean | Count
+
 type plan = {
   decision : decision;
   est_out : int;
@@ -91,14 +93,19 @@ let light_seconds ~counts_mode (m : Cost.machine) idx ~d1 ~d2 =
   (m.ti *. float_of_int (light_y_work + endpoint_work))
   +. (m.tm *. float_of_int idx.sm.dom_x)
 
-let heavy_seconds (m : Cost.machine) kind ~domains (u, v, w) =
+(* The boolean heavy part runs one row-OR per one of R⁺: a tuple on a
+   heavy y whose x is heavy, at most u·v of them. *)
+let heavy_seconds ~counts_mode (m : Cost.machine) ~domains idx ~d1 ~d2 =
+  let u, v, w = heavy_dims ~counts_mode idx ~d1 ~d2 in
   if u = 0 || v = 0 || w = 0 then 0.0
-  else Cost.mhat m kind ~u ~v ~w ~cores:domains
+  else if counts_mode then Cost.count_product_seconds m ~u ~v ~w ~cores:domains
+  else
+    Cost.row_or_seconds m ~v ~w
+      ~nnz:(min (u * v) (tuples_on_heavy_y idx idx.y_wr ~d1))
 
-let partitioned_seconds ~counts_mode ~mm_cost_scale m kind ~domains idx ~d1 ~d2 =
+let partitioned_seconds ~counts_mode ~mm_cost_scale m ~domains idx ~d1 ~d2 =
   light_seconds ~counts_mode m idx ~d1 ~d2
-  +. mm_cost_scale
-     *. heavy_seconds m kind ~domains (heavy_dims ~counts_mode idx ~d1 ~d2)
+  +. (mm_cost_scale *. heavy_seconds ~counts_mode m ~domains idx ~d1 ~d2)
 
 let wcoj_seconds (m : Cost.machine) (sm : Estimator.summary) =
   (m.ti *. float_of_int sm.join_size) +. (m.tm *. float_of_int sm.dom_x)
@@ -154,7 +161,7 @@ let prepared_bytes prep =
     | Some idx ->
       8 * ((5 * active idx.y_by_min) + (3 * (active idx.x_stats + active idx.z_stats)))
 
-let generic_plan ?(domains = 1) ~kind ?est_out ?(mm_cost_scale = 1.0)
+let generic_plan ?(domains = 1) ?est_out ?(mm_cost_scale = 1.0)
     ~counts_mode ~tie_d2 prep () =
   let m = Cost.machine () in
   let sm = prep.p_sum in
@@ -171,7 +178,7 @@ let generic_plan ?(domains = 1) ~kind ?est_out ?(mm_cost_scale = 1.0)
   | None -> wcoj
   | Some idx ->
     let cost d1 =
-      partitioned_seconds ~counts_mode ~mm_cost_scale m kind ~domains idx ~d1
+      partitioned_seconds ~counts_mode ~mm_cost_scale m ~domains idx ~d1
         ~d2:(tie_d2 idx ~est_out d1)
     in
     let start = max 1 (Stats.max_degree idx.y_by_min) in
@@ -190,12 +197,12 @@ let max_d2 idx ~est_out:_ _d1 = idx.sm.n
 
 let plan_prepared ?domains ?est_out ?mm_cost_scale prep () =
   Jp_obs.span "optimizer.plan" (fun () ->
-      generic_plan ?domains ~kind:Cost.Boolean ?est_out ?mm_cost_scale
+      generic_plan ?domains ?est_out ?mm_cost_scale
         ~counts_mode:false ~tie_d2:d2_for prep ())
 
 let plan_counts_prepared ?domains ?est_out ?mm_cost_scale prep () =
   Jp_obs.span "optimizer.plan_counts" (fun () ->
-      generic_plan ?domains ~kind:Cost.Count ?est_out ?mm_cost_scale
+      generic_plan ?domains ?est_out ?mm_cost_scale
         ~counts_mode:true ~tie_d2:max_d2 prep ())
 
 let plan ?domains ?est_out ?mm_cost_scale ~r ~s () =
@@ -205,10 +212,10 @@ let plan_counts ?domains ?est_out ?mm_cost_scale ~r ~s () =
   plan_counts_prepared ?domains ?est_out ?mm_cost_scale (prepare ~r ~s) ()
 
 (* The count kernel runs only in plan_counts' split (counts mode), the
-   boolean one only in the full split. *)
-let estimate_cost_prepared ?(domains = 1) ?(kind = Cost.Boolean) prep decision =
+   row-ORs only in the full split. *)
+let estimate_cost_prepared ?(domains = 1) ?(kind = Boolean) prep decision =
   let m = Cost.machine () in
-  let counts_mode = match kind with Cost.Count -> true | Cost.Boolean -> false in
+  let counts_mode = match kind with Count -> true | Boolean -> false in
   match decision with
   | Wcoj -> wcoj_seconds m prep.p_sum
   | Partitioned { d1; d2 } ->
@@ -217,7 +224,7 @@ let estimate_cost_prepared ?(domains = 1) ?(kind = Cost.Boolean) prep decision =
       | Some idx -> idx
       | None -> build_indexes ~r:prep.p_r ~s:prep.p_s prep.p_sum
     in
-    partitioned_seconds ~counts_mode ~mm_cost_scale:1.0 m kind ~domains idx ~d1 ~d2
+    partitioned_seconds ~counts_mode ~mm_cost_scale:1.0 m ~domains idx ~d1 ~d2
 
 let theoretical_thresholds ~n ~out =
   if n < 1 || out < 1 then invalid_arg "Optimizer.theoretical_thresholds";

@@ -24,6 +24,13 @@ type decision =
   | Partitioned of { d1 : int; d2 : int }
       (** Algorithm 1 with these thresholds *)
 
+(** Which split a cost prices: the boolean projection's, whose heavy
+    part is the merge's row-ORs of S⁺ bit rows
+    ({!Cost.row_or_seconds}), or the exact-count one's, whose heavy part
+    is the count product ({!Cost.count_product_seconds}) and where only
+    the join variable is partitioned. *)
+type kind = Boolean | Count
+
 type plan = {
   decision : decision;
   est_out : int;  (** estimated |OUT| *)
@@ -59,10 +66,11 @@ val plan :
   unit ->
   plan
 (** Algorithm 3 for the boolean projection: the heavy part is costed as
-    the boolean product ({!Cost.Boolean}); the exact-count plan is
-    {!plan_counts}.  Every plan prices its candidates with
-    {!Cost.machine}, the one process-wide machine record (pin it with
-    {!Cost.set_machine}).
+    the row-ORs the merge runs, one per one of R⁺
+    ({!Cost.row_or_seconds}, with nnz(R⁺) bounded by the tuples on
+    heavy y and by u·v); the exact-count plan is {!plan_counts}.  Every
+    plan prices its candidates with {!Cost.machine}, the one
+    process-wide machine record (pin it with {!Cost.set_machine}).
 
     [est_out] overrides the {!Estimator.estimate} |OUT| estimate and
     [mm_cost_scale] multiplies the M̂ term of every candidate cost —
@@ -80,8 +88,8 @@ val plan_counts :
   plan
 (** Variant for the exact-count evaluation used by SSJ/SCJ, where only the
     join variable is partitioned: the heavy part is costed as the count
-    product ({!Cost.Count}), and the returned [d2] is the maximal degree
-    (every x/z is treated as light outside the matrix). *)
+    product ({!Cost.count_product_seconds}), and the returned [d2] is the
+    maximal degree (every x/z is treated as light outside the matrix). *)
 
 val plan_prepared :
   ?domains:int ->
@@ -104,7 +112,7 @@ val plan_counts_prepared :
 
 val estimate_cost_prepared :
   ?domains:int ->
-  ?kind:Cost.kind ->
+  ?kind:kind ->
   prepared ->
   decision ->
   float

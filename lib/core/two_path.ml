@@ -769,7 +769,7 @@ let counted ~span ~label ~sink ~domains ~strategy ?plan ~guard ?cancel ~memo
           when strategy = Matrix && Guard.can_replan g ->
           let honest =
             Optimizer.estimate_cost_prepared ~domains
-              ~kind:Jp_matrix.Cost.Count (Lazy.force prep)
+              ~kind:Optimizer.Count (Lazy.force prep)
               (Optimizer.Partitioned { d1; d2 })
           in
           (match

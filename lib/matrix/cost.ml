@@ -1,7 +1,5 @@
 module Relation = Jp_relation.Relation
 
-type kind = Count | Boolean
-
 (* The SSJ kernel price's fitted multipliers of the machine's word
    constants: least squares on relative error over the 185 counted-ssj
    products of perfbench seeds 1 and 2, each kernel timed alone, then
@@ -12,7 +10,9 @@ type kind = Count | Boolean
    word of the inner dimension, and its one operand build [build_words]
    per one of A.  The planes pay [plane_word] boolean words per plane
    word the merge saturates and [select_words] per one of A: its bit in
-   the S⁺ rows, and the selection of its row by its heavy x. *)
+   the S⁺ rows, and the selection of its row by its heavy x.  The
+   boolean 2-path's merge ORs the same S⁺ rows into one unmasked plane,
+   so its heavy part is priced with the same two multipliers. *)
 let cell_words = 2.3
 
 let cell_word = 0.5
@@ -185,20 +185,31 @@ let load_machine path =
         Ok { ts; tm; ti; count_word; bool_word; cores = int_of_float cores }
       | _ -> Error (path ^ ": missing a machine constant")))
 
-let construction_seconds m ~u ~v ~w =
-  let cells = float_of_int (max (u * v) (v * w)) in
-  m.tm *. cells
-
-let mhat m kind ~u ~v ~w ~cores =
+(* The AND+popcount price of the count product: a payload word per
+   cell of the inner dimension, split over the cores, plus the
+   allocation of the larger operand. *)
+let count_product_seconds m ~u ~v ~w ~cores =
   let cores = max 1 (min cores m.cores) in
   let work =
-    match kind with
-    | Count ->
-      float_of_int u *. float_of_int w *. (float_of_int v /. 62.0) *. m.count_word
-    | Boolean ->
-      float_of_int u *. float_of_int v *. (float_of_int w /. 62.0) *. m.bool_word
+    float_of_int u *. float_of_int w *. (float_of_int v /. 62.0) *. m.count_word
   in
-  (work /. float_of_int cores) +. construction_seconds m ~u ~v ~w
+  (work /. float_of_int cores) +. (m.tm *. float_of_int (max (u * v) (v * w)))
+
+(* The row-OR price: each of [nnz] selected bit rows costs its
+   selection, and [plane_word] per word written into each of [planes]
+   planes of [row_words] words. *)
+let or_rows_seconds m ~planes ~row_words ~nnz =
+  float_of_int nnz
+  *. ((plane_word *. float_of_int planes *. row_words) +. select_words)
+  *. m.bool_word
+
+(* The boolean 2-path's heavy part: one plane, the full row of ⌈w/62⌉
+   words, no diagonal; plus the v heavy bit rows it allocates, at [tm]
+   per 4 words. *)
+let row_or_seconds m ~v ~w ~nnz =
+  let words = (w + 61) / 62 in
+  or_rows_seconds m ~planes:1 ~row_words:(float_of_int words) ~nnz
+  +. (m.tm *. float_of_int (v * words) /. 4.0)
 
 type ssj_kernel = Triangle | Planes
 
@@ -222,8 +233,7 @@ let ssj_seconds m kernel ~c ~u ~v ~nnz =
     *. m.count_word
   | Planes ->
     let per_row = float_of_int (upper_row_words u) /. Float.max 1.0 u' in
-    nnz' *. ((plane_word *. float_of_int c *. per_row) +. select_words)
-    *. m.bool_word
+    or_rows_seconds m ~planes:c ~row_words:per_row ~nnz
 
 let ssj_kernel m ~c ~u ~v ~nnz =
   if ssj_seconds m Planes ~c ~u ~v ~nnz < ssj_seconds m Triangle ~c ~u ~v ~nnz

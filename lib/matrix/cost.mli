@@ -8,14 +8,16 @@
       thresholds, [Optimizer.theoretical_thresholds], assume ω = 2
       instead).
 
-    - The {e machine-calibrated} estimator [M̂(u,v,w,co)] of Section 5
-      (Table 1): measured per-word constants of the one product kernel,
-      {!Tile}, extrapolated by the cubic cost formula — valid because
-      the kernel, like the paper's Eigen, implements the (optimized)
-      cubic algorithm with predictable running time.  The probes run
-      {!Tile.mul} and {!Tile.count_product} themselves on one square
-      tile, the shape of every product up to the tile cap, and divide
-      by the words the kernels count ({!probe}).  The one kernel choice
+    - The {e machine-calibrated} estimator M̂ of Section 5 (Table 1):
+      measured per-word constants of the engine's kernels, times the
+      words each product runs.  Two product prices remain: the count
+      product's AND+popcount words ({!count_product_seconds}, cubic in
+      its shape, like the paper's Eigen), and the row-OR of S⁺ bit rows
+      that the boolean 2-path's and the SSJ planes' merges run
+      ({!row_or_seconds}, and {!ssj_kernel}'s planes), which is linear
+      in the ones of R⁺.  The probes run {!Tile.mul} and
+      {!Tile.count_product} themselves on one square tile and divide by
+      the words the kernels count ({!probe}).  The one kernel choice
       priced here is the set-similarity join's ({!ssj_kernel}): exact
       triangle or saturating planes, from the same two constants.
 
@@ -30,10 +32,6 @@
     [Jp_obs.enable], or a traced run's first query pays for it and its
     counters hold the probes' work.  Calibration itself never reads or
     writes the [Jp_obs] registry. *)
-
-type kind =
-  | Count  (** [Tile.count_product]: bit-sliced count product *)
-  | Boolean  (** [Tile.mul]: bit-packed boolean product *)
 
 val lemma1 : u:int -> v:int -> w:int -> float
 (** [lemma1 ~u ~v ~w] is the Lemma-1 operation count [u·v·w·β^(ω−3)]
@@ -95,10 +93,24 @@ val load_machine : string -> (machine, string) result
     such as perfbench's [sentinel_s], are ignored).  [Error] names the
     file and what is wrong with it. *)
 
-val mhat : machine -> kind -> u:int -> v:int -> w:int -> cores:int -> float
-(** [mhat m kind ~u ~v ~w ~cores] estimates wall seconds to multiply
-    [u×v · v×w] with the given kernel on [cores] cores, including the
-    matrix-construction cost [C] (Section 3.1). *)
+val count_product_seconds :
+  machine -> u:int -> v:int -> w:int -> cores:int -> float
+(** [count_product_seconds m ~u ~v ~w ~cores] estimates wall seconds to
+    count-multiply [u×v · v×w] with {!Tile.count_product} on [cores]
+    cores: u·w·v/62 AND+popcount words at [count_word], split over the
+    cores, plus the construction cost [C] of Section 3.1 at [tm] per
+    cell of the larger operand. *)
+
+val row_or_seconds : machine -> v:int -> w:int -> nnz:int -> float
+(** [row_or_seconds m ~v ~w ~nnz] estimates the seconds of the boolean
+    2-path's heavy part with [v] heavy y, [w] heavy z and [nnz] ones in
+    R⁺: each one selects the S⁺ bit row of its y and ORs its ⌈w/62⌉
+    words into its x's row, which is what [mm.bool_word_ops] counts
+    (nnz·⌈w/62⌉).  At [bool_word], a one costs the planes' selection
+    multiplier plus their per-word multiplier per word (one plane, the
+    full row, no diagonal: {!ssj_kernel}'s price of the same rows);
+    the v bit rows of ⌈w/62⌉ words cost [tm] per 4 words.  Not split
+    over cores: the ORs run inside the merge, as the light part does. *)
 
 (** The set-similarity join's heavy kernel: [Tile.count_upper]'s
     exact strict upper triangle of A·Aᵀ, or thermometer planes

@@ -556,6 +556,116 @@ let test_heavy_rows_word_ops () =
        ("skewed self-join", r, r, (3, 2)));
     ]
 
+(* Algorithm 3 prices the boolean heavy part by the row-ORs the merge
+   runs: nnz(R⁺) rows of ⌈w/62⌉ words, beside the v bit rows.  On a
+   self-join in which every set holds element 0 (so every z is next to
+   a heavy y), the plan's price at Δ₂ = 0 is the price of the engine's
+   own partition: under a machine that charges only [bool_word] it
+   fixes nnz, and under one that charges only [tm] it fixes v·⌈w/62⌉,
+   so its word count nnz·⌈w/62⌉ is the [mm.bool_word_ops] that
+   [project] records.  At Δ₂ > 0 the plan bounds nnz and w from above,
+   so the price is an upper bound. *)
+let test_row_or_price_words () =
+  let module Cost = Jp_matrix.Cost in
+  let only_bool =
+    { Cost.ts = 0.0; tm = 0.0; ti = 0.0; count_word = 0.0; bool_word = 1.0; cores = 1 }
+  in
+  let only_tm = { only_bool with tm = 4.0; bool_word = 0.0 } in
+  let r =
+    let rest = Testkit.Relation.to_edges (Gen.skewed_relation ~seed:74 ~nx:150 ~ny:40 ~edges:1800 ()) in
+    Relation.of_edges (Array.append (Array.init 150 (fun x -> (x, 0))) rest)
+  in
+  let prep = Optimizer.prepare ~r ~s:r in
+  let dom_x = float_of_int (Optimizer.summary prep).Estimator.dom_x in
+  List.iter
+    (fun (d1, d2) ->
+      let label = Printf.sprintf "d1=%d d2=%d" d1 d2 in
+      let p = Partition.make ~r ~s:r ~d1 ~d2 () in
+      let _, v, w = Partition.dims p in
+      let words = Jp_util.Bitset.payload_words w in
+      let ops =
+        List.hd
+          (recorded Jp_obs.C.[ mm_bool_word_ops ] (fun () ->
+               ignore (Two_path.project ~plan:(forced_plan d1 d2) ~r ~s:r ())))
+      in
+      Alcotest.(check bool) (label ^ ": R⁺ has tuples") true (ops > 0);
+      Alcotest.(check int) (label ^ ": whole rows") 0 (ops mod words);
+      (* The plan's heavy part: the light part is 0 under [only_bool]
+         and [tm]·dom_x under [only_tm]. *)
+      let planned (m : Cost.machine) =
+        Testkit.with_machine m (fun () ->
+            Optimizer.estimate_cost_prepared prep (Optimizer.Partitioned { d1; d2 }))
+        -. (m.tm *. dom_x)
+      in
+      let ran m = Cost.row_or_seconds m ~v ~w ~nnz:(ops / words) in
+      List.iter
+        (fun (name, m) ->
+          if d2 = 0 then
+            Alcotest.(check (float 0.0)) (label ^ ": " ^ name) (ran m) (planned m)
+          else
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %s %g >= %g" label name (planned m) (ran m))
+              true
+              (planned m >= ran m))
+        [ ("nnz", only_bool); ("bit rows", only_tm) ])
+    [ (1, 0); (5, 0); (40, 0); (5, 2); (5, 12); (40, 8) ]
+
+(* The full threshold grid, Δ₁ past every y degree and Δ₂ from 0 past
+   every endpoint degree, × strategy × guard budget {one cell,
+   unbounded}: the boolean and counted 2-path equal the expansion, and
+   an edge list given twice over builds the same relation and the same
+   answers. *)
+let test_threshold_grid_sweep () =
+  let edges = Testkit.Relation.to_edges (Gen.skewed_relation ~seed:75 ~nx:24 ~ny:14 ~edges:150 ()) in
+  let r = Relation.of_edges edges in
+  let s = Gen.random_relation ~seed:76 ~nx:20 ~ny:14 ~edges:110 () in
+  let doubled = Relation.of_edges (Array.append edges (Array.of_list (List.rev (Array.to_list edges)))) in
+  let tiny =
+    {
+      Jp_adaptive.Guard.default with
+      budget = { Jp_adaptive.Guard.max_seconds = None; max_cells = Some 1 };
+    }
+  in
+  let max_deg f n = List.fold_left max 0 (List.init n f) in
+  let dy = max (max_deg (Relation.deg_dst r) (Relation.dst_count r))
+      (max_deg (Relation.deg_dst s) (Relation.dst_count s)) in
+  let dx = max (max_deg (Relation.deg_src r) (Relation.src_count r))
+      (max_deg (Relation.deg_src s) (Relation.src_count s)) in
+  List.iter
+    (fun (name, (r, s), (r', s')) ->
+      let expect = Jp_wcoj.Expand.project ~r ~s () in
+      let expect_counts = Jp_wcoj.Expand.project_counts ~r ~s () in
+      for d1 = 1 to dy + 1 do
+        for d2 = 0 to dx + 1 do
+          List.iter
+            (fun strategy ->
+              List.iter
+                (fun guard ->
+                  let plan = forced_plan d1 d2 in
+                  let label =
+                    Printf.sprintf "%s d1=%d d2=%d %s %s" name d1 d2
+                      (match strategy with
+                      | Two_path.Matrix -> "matrix"
+                      | Two_path.Combinatorial -> "combinatorial")
+                      (if Option.is_some guard then "tiny" else "unbounded")
+                  in
+                  Alcotest.(check bool) (label ^ ": project") true
+                    (Pairs.equal expect
+                       (Two_path.project ~strategy ~plan ?guard ~r:r' ~s:s' ()));
+                  Alcotest.(check bool) (label ^ ": project_counts") true
+                    (Counted_pairs.equal expect_counts
+                       (Two_path.project_counts ~strategy ~plan ?guard ~r:r' ~s:s' ())))
+                [ None; Some tiny ])
+            [ Two_path.Matrix; Two_path.Combinatorial ]
+        done
+      done)
+    [
+      ("r-s", (r, s), (r, s));
+      ("r-s doubled", (r, s), (doubled, s));
+      ("self", (r, r), (r, r));
+      ("self doubled", (r, r), (doubled, doubled));
+    ]
+
 (* A cancel tripped once the boolean merge has started — by the token's
    poll hook, as soon as the first merged rows have recorded their
    probes — still stops the query with [Cancelled Requested], on one
@@ -678,6 +788,9 @@ let suite =
     Alcotest.test_case "split rows keep the work counters" `Quick test_split_work_counters;
     Alcotest.test_case "heavy rows record the product's word ops" `Quick
       test_heavy_rows_word_ops;
+    Alcotest.test_case "row-OR price counts the words that run" `Quick
+      test_row_or_price_words;
+    Alcotest.test_case "threshold grid sweep" `Quick test_threshold_grid_sweep;
     Alcotest.test_case "boolean merge cancel" `Quick test_merge_cancel;
     Alcotest.test_case "ssj plane merge word ops" `Quick test_ssj_plane_word_ops;
     Alcotest.test_case "ssj plane merge cancel" `Quick test_ssj_merge_cancel;

@@ -96,12 +96,24 @@ let test_mhat_monotone () =
       cores = 4;
     }
   in
-  let f u = Cost.mhat m Cost.Count ~u ~v:100 ~w:100 ~cores:1 in
+  let f u = Cost.count_product_seconds m ~u ~v:100 ~w:100 ~cores:1 in
   Alcotest.(check bool) "monotone in u" true (f 10 < f 100);
-  let t1 = Cost.mhat m Cost.Count ~u:1000 ~v:1000 ~w:1000 ~cores:1 in
-  let t4 = Cost.mhat m Cost.Count ~u:1000 ~v:1000 ~w:1000 ~cores:4 in
+  let t1 = Cost.count_product_seconds m ~u:1000 ~v:1000 ~w:1000 ~cores:1 in
+  let t4 = Cost.count_product_seconds m ~u:1000 ~v:1000 ~w:1000 ~cores:4 in
   Alcotest.(check bool) "more cores cheaper" true (t4 < t1);
-  let tb = Cost.mhat m Cost.Boolean ~u:1000 ~v:1000 ~w:1000 ~cores:1 in
+  (* The row-OR price grows with the ones of R⁺, with each word the
+     rows gain (past a word edge only) and with the heavy bit rows. *)
+  let g ~v ~w ~nnz = Cost.row_or_seconds m ~v ~w ~nnz in
+  Alcotest.(check bool) "row-OR monotone in nnz" true
+    (g ~v:100 ~w:100 ~nnz:10 < g ~v:100 ~w:100 ~nnz:100);
+  Alcotest.(check bool) "row-OR monotone in words" true
+    (g ~v:100 ~w:62 ~nnz:100 < g ~v:100 ~w:63 ~nnz:100);
+  Alcotest.(check (float 0.0)) "row-OR flat within a word" (g ~v:100 ~w:63 ~nnz:100)
+    (g ~v:100 ~w:124 ~nnz:100);
+  Alcotest.(check bool) "row-OR monotone in v" true
+    (g ~v:10 ~w:100 ~nnz:100 < g ~v:100 ~w:100 ~nnz:100);
+  Alcotest.(check (float 0.0)) "no ones, no rows, no cost" 0.0 (g ~v:0 ~w:100 ~nnz:0);
+  let tb = g ~v:1000 ~w:1000 ~nnz:(1000 * 1000) in
   Alcotest.(check bool) "boolean kernel cheaper" true (tb < t1)
 
 (* A pinned machine record round-trips its six numbers and ignores
